@@ -14,18 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from subthz_chan import (
+    Analysis,
     PathClass,
     Polarization,
     SampleKind,
     SynthesisParams,
-    campaign_angular_summary,
-    collect_samples,
-    collect_xpds,
-    fit_ci,
-    fit_cix,
     ingest_campaign,
     render_campaign,
-    xpd_summary,
 )
 
 
@@ -42,16 +37,11 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         out = args.keep if args.keep is not None else Path(tmp) / "campaign"
         rendered = render_campaign(params, args.n, args.seed, out)
-        campaign = ingest_campaign(rendered.manifest_path)
-
-        vv = campaign.by_polarization(Polarization.VV)
-        vh = campaign.by_polarization(Polarization.VH)
-        carrier = campaign.carrier_hz
-
-        ci_vv = fit_ci(collect_samples(vv, SampleKind.OMNI, 152.0), carrier)
-        cix = fit_cix(collect_samples(vh, SampleKind.OMNI, 152.0), ci_vv, carrier)
-        angular = campaign_angular_summary(vv, 30.0)
-        classes = xpd_summary(collect_xpds(campaign.paired_locations()))
+        analysis = Analysis(ingest_campaign(rendered.manifest_path), thresholds_db=(30.0,))
+        ci_vv = analysis.fit(Polarization.VV, SampleKind.OMNI)
+        cix = analysis.cross_polar(SampleKind.OMNI)
+        angular = analysis.angular[30.0]
+        classes = analysis.xpd
 
         truth_xpd = float(np.mean([d.effective_omni_xpd_db for d in rendered.drops]))
         truth_lobes = float(np.mean([len(d.lobes) for d in rendered.drops]))

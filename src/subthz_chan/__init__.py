@@ -31,7 +31,6 @@ from .delay import (
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
     SPEED_OF_LIGHT_M_S,
-    AnalysisConfig,
     AntennaConfig,
     DirectionalPdp,
     LocationMeasurement,
@@ -63,7 +62,7 @@ from .pathloss import (
     fspl,
     omni_path_loss,
 )
-from .pipeline import RunConfig, run_pipeline
+from .pipeline import Analysis, RunConfig, run_pipeline
 from .summary import SummaryRow, nearest_rank, summarize
 from .synthesis import (
     ChannelDrop,

@@ -12,39 +12,34 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from .angular import Side, campaign_angular_summary, power_angular_spectrum
+from .angular import Side, power_angular_spectrum
 from .campaign_io import ingest_campaign
-from .delay import campaign_delay_summary
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
     NoSignalError,
     Polarization,
     ValidationError,
 )
-from .pathloss import DegenerateFitError, SampleKind, collect_samples, fit_ci, fit_cix
+from .pathloss import DegenerateFitError, SampleKind
 from .pipeline import (
+    DEFAULT_MAX_PL_DB,
+    DEFAULT_THRESHOLDS_DB,
+    DIRECTIONAL_KINDS,
+    Analysis,
     RunConfig,
-    _angular_csv,
-    _delay_csv,
-    _xpd_csv,
     run_pipeline,
 )
 from .synthesis import SynthesisParams, factory_campaign_layout, render_campaign
-from .xpd import collect_xpds, xpd_summary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE_FIT = 3
 EXIT_IO = 4
 
-_KIND_FLAGS = {
-    "omni": SampleKind.OMNI,
-    "B": SampleKind.DIR_B,
-    "NBB": SampleKind.DIR_NBB,
-    "NB": SampleKind.DIR_NB,
-}
+_KIND_FLAGS = {"omni": SampleKind.OMNI, **DIRECTIONAL_KINDS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit_pl.add_argument(
         "--max-pl-db",
         type=float,
-        default=152.0,
+        default=DEFAULT_MAX_PL_DB,
         help="measurable path-loss ceiling; non-positive disables it",
     )
     p_fit_pl.add_argument("--scatter-csv", type=Path, default=None, help="also write distance/loss pairs here")
@@ -143,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument(
         "--max-pl-db",
         type=float,
-        default=152.0,
+        default=DEFAULT_MAX_PL_DB,
         help="measurable path-loss ceiling; non-positive disables it",
     )
     return parser
@@ -198,46 +193,31 @@ def _ceiling(value: float) -> float | None:
     return value if value > 0 else None
 
 
+def _thresholds(args) -> tuple[float, ...]:
+    return tuple(args.threshold_db) if args.threshold_db else DEFAULT_THRESHOLDS_DB
+
+
 def _cmd_fit_pathloss(args) -> int:
-    campaign = ingest_campaign(args.manifest)
-    carrier = args.carrier_hz if args.carrier_hz is not None else campaign.carrier_hz
+    analysis = Analysis(
+        ingest_campaign(args.manifest), carrier_hz=args.carrier_hz, max_measurable_pl_db=_ceiling(args.max_pl_db)
+    )
     kind = _KIND_FLAGS[args.kind]
     pol = Polarization(args.pol)
-    ceiling = _ceiling(args.max_pl_db)
-    samples = collect_samples(campaign.by_polarization(pol), kind, ceiling)
-    fit = fit_ci(samples, carrier)
-    doc = {
-        "ple": fit.ple,
-        "sigma_db": fit.sigma_db,
-        "n_samples": fit.n_samples,
-        "fspl_anchor_db": fit.fspl_anchor_db,
-    }
+    doc = asdict(analysis.fit(pol, kind))
     if pol is Polarization.VH:
-        vv_samples = collect_samples(campaign.by_polarization(Polarization.VV), kind, ceiling)
-        cix = fit_cix(samples, fit_ci(vv_samples, carrier), carrier)
-        doc["xpd_db"] = cix.xpd_db
+        doc["xpd_db"] = analysis.cross_polar(kind).xpd_db
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.scatter_csv is not None:
         lines = ["distance_m,pl_db"]
-        for s in sorted(samples, key=lambda s: (s.distance_m, s.pl_db)):
+        for s in sorted(analysis.samples(pol, kind), key=lambda s: (s.distance_m, s.pl_db)):
             lines.append(f"{s.distance_m:.4f},{s.pl_db:.4f}")
         _write_or_print("\n".join(lines) + "\n", args.scatter_csv)
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    campaign = ingest_campaign(args.manifest)
-    thresholds = tuple(args.threshold_db) if args.threshold_db else (20.0, 30.0)
-    if any(t <= 0 for t in thresholds):
-        raise ValidationError("threshold_db", f"thresholds must be > 0, got {thresholds}")
-    vv_locs = campaign.by_polarization(Polarization.VV)
-    if args.stats_kind == "delay":
-        summaries = {t: campaign_delay_summary(vv_locs, t) for t in thresholds}
-        text = _delay_csv(summaries)
-    else:
-        summaries = {t: campaign_angular_summary(vv_locs, t) for t in thresholds}
-        text = _angular_csv(summaries)
-    _write_or_print(text, args.out)
+    analysis = Analysis(ingest_campaign(args.manifest), _thresholds(args))
+    _write_or_print(analysis.summary_csv(args.stats_kind), args.out)
     return EXIT_OK
 
 
@@ -263,16 +243,11 @@ def _cmd_pas_dump(args) -> int:
 
 
 def _cmd_xpd_report(args) -> int:
-    campaign = ingest_campaign(args.manifest)
-    summary = xpd_summary(collect_xpds(campaign.paired_locations()))
+    analysis = Analysis(ingest_campaign(args.manifest))
     if args.format == "csv":
-        _write_or_print(_xpd_csv(summary), args.out)
+        _write_or_print(analysis.xpd_csv(), args.out)
     else:
-        doc = {
-            path_class.value: {"mean_db": s.mean_db, "std_db": s.std_db, "n": s.n}
-            for path_class, s in summary.items()
-        }
-        _write_or_print(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _write_or_print(json.dumps(analysis.xpd_json(), indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -327,7 +302,7 @@ def _cmd_report(args) -> int:
     config = RunConfig(
         manifest_path=args.manifest,
         out_dir=args.out,
-        thresholds_db=tuple(args.threshold_db) if args.threshold_db else (20.0, 30.0),
+        thresholds_db=_thresholds(args),
         carrier_hz=args.carrier_hz,
         seed=args.seed,
         formats=tuple(args.format) if args.format else ("csv", "json"),

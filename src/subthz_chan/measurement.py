@@ -253,20 +253,3 @@ def los_bearings_deg(loc: LocationMeasurement) -> tuple[float, float]:
     tx_to_rx = wrap_deg(math.degrees(math.atan2(dy, dx)))
     return tx_to_rx, wrap_deg(tx_to_rx + 180.0)
 
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Campaign-level analysis settings."""
-
-    threshold_db: float = 20.0
-    carrier_hz: float = 142e9
-    max_measurable_pl_db: float = 152.0
-    d0_m: float = D0_M
-
-    def __post_init__(self):
-        if self.threshold_db <= 0:
-            raise ValidationError("threshold_db", "must be > 0")
-        if self.carrier_hz <= 0:
-            raise ValidationError("carrier_hz", "must be > 0")
-        if self.d0_m <= 0:
-            raise ValidationError("d0_m", "must be > 0")

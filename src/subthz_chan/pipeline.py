@@ -1,4 +1,9 @@
-"""Full analysis pipeline: ingest a campaign, fit everything, write reports.
+"""Campaign analysis shared by the report pipeline and the CLI queries.
+
+``Analysis`` holds the paper's four products for one ingested campaign:
+close-in path-loss fits, delay spreads, angular spreads and XPD
+statistics.  ``run_pipeline`` writes all of them as the report bundle;
+the ``fit``, ``stats`` and ``xpd`` subcommands print one section each.
 
 The report bundle is a pure function of the input files and the run
 configuration: no timestamps, no absolute paths, stable ordering, fixed
@@ -10,22 +15,23 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Sequence
 
 from .angular import AngularSummary, campaign_angular_summary
-from .campaign_io import ingest_campaign
+from .campaign_io import Campaign, ingest_campaign
 from .delay import DelaySummary, campaign_delay_summary
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
-    LocationMeasurement,
     NoSignalError,
     Polarization,
     ValidationError,
 )
 from .pathloss import (
     CiFit,
+    CixFit,
     DegenerateFitError,
     PathLossSample,
     SampleKind,
@@ -34,7 +40,6 @@ from .pathloss import (
     fit_cix,
     omni_path_loss,
 )
-from .summary import SummaryRow
 from .xpd import PathClass, XpdClassSummary, collect_xpds, xpd_summary
 
 logger = logging.getLogger(__name__)
@@ -45,6 +50,30 @@ ANGULAR_CSV = "angular_stats.csv"
 XPD_CSV = "xpd_cdf.csv"
 SCATTER_CSV = "pathloss_scatter.csv"
 
+#: delay and angular summaries are taken at each of these dB below the peak
+DEFAULT_THRESHOLDS_DB = (20.0, 30.0)
+#: path loss the sounder can still measure; louder losses are excluded
+DEFAULT_MAX_PL_DB = 152.0
+
+#: report key of each directional sample kind
+DIRECTIONAL_KINDS = {"B": SampleKind.DIR_B, "NBB": SampleKind.DIR_NBB, "NB": SampleKind.DIR_NB}
+
+#: (CSV label, summary field) of each statistic of a summary section, in table order
+_SUMMARY_ROWS = {
+    "delay": (
+        ("Omni RMSDS", "omni_rmsds"),
+        ("Omni MDS", "omni_mds"),
+        ("Dir RMSDS", "dir_rmsds"),
+        ("Dir MDS", "dir_mds"),
+    ),
+    "angular": (
+        ("AOA lobes", "n_aoa_lobes"),
+        ("AOD lobes", "n_aod_lobes"),
+        ("AOA RMSAS", "aoa_rmsas"),
+        ("AOD RMSAS", "aod_rmsas"),
+    ),
+}
+
 _KNOWN_FORMATS = ("csv", "json")
 
 
@@ -52,17 +81,17 @@ _KNOWN_FORMATS = ("csv", "json")
 class RunConfig:
     """Configuration of one pipeline run.
 
-    ``carrier_hz`` of None means "use the carrier recorded in the
-    manifest"; the explicit default pins the usual band instead.
+    ``carrier_hz`` of None (the default) uses the carrier recorded in the
+    manifest; a value overrides it.
     """
 
     manifest_path: Path
     out_dir: Path
-    thresholds_db: tuple[float, ...] = (20.0, 30.0)
-    carrier_hz: float | None = 142e9
+    thresholds_db: tuple[float, ...] = DEFAULT_THRESHOLDS_DB
+    carrier_hz: float | None = None
     seed: int = 0
     formats: tuple[str, ...] = ("csv", "json")
-    max_measurable_pl_db: float | None = 152.0
+    max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB
     delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS
 
     def __post_init__(self):
@@ -85,26 +114,131 @@ class RunConfig:
             raise ValidationError("seed", f"must be >= 0, got {self.seed}")
 
 
-def _summary_row_dict(row: SummaryRow) -> dict:
-    return {
-        "n": row.n,
-        "min": row.min,
-        "max": row.max,
-        "mean": row.mean,
-        "median": row.median,
-        "p90": row.p90,
-    }
+def _csv_value(value: float) -> str:
+    return f"{value:.4f}"
 
 
-def _ci_dict(fit: CiFit | None) -> dict | None:
-    if fit is None:
-        return None
-    return {
-        "ple": fit.ple,
-        "sigma_db": fit.sigma_db,
-        "n_samples": fit.n_samples,
-        "fspl_anchor_db": fit.fspl_anchor_db,
-    }
+class Analysis:
+    """The analysis products of one campaign, each computed on first use and kept.
+
+    ``carrier_hz`` of None uses the campaign's own carrier.  Sections are
+    lazy so that a query pays only for what it prints, and a section that
+    cannot be computed (a fit with too few usable locations, say) does not
+    fail a query that never asks for it.
+    """
+
+    def __init__(
+        self,
+        campaign: Campaign,
+        thresholds_db: Sequence[float] = DEFAULT_THRESHOLDS_DB,
+        carrier_hz: float | None = None,
+        max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
+    ):
+        self.campaign = campaign
+        self.thresholds_db = tuple(thresholds_db)
+        self.carrier_hz = campaign.carrier_hz if carrier_hz is None else carrier_hz
+        self.max_measurable_pl_db = max_measurable_pl_db
+        #: locations omni sampling left out, with the reason, in sampling order
+        self.excluded: list[dict] = []
+        self._samples: dict[tuple[Polarization, SampleKind], tuple[PathLossSample, ...]] = {}
+
+    def samples(self, pol: Polarization, kind: SampleKind) -> tuple[PathLossSample, ...]:
+        """Path-loss samples of one polarization and kind, in location order.
+
+        Locations without usable signal contribute nothing; omni sampling
+        records each one in ``excluded``.  One directional pass over a
+        polarization serves all three directional kinds.
+        """
+        if (pol, kind) not in self._samples:
+            if kind is SampleKind.OMNI:
+                self._samples[pol, kind] = self._omni_samples(pol)
+            else:
+                self._directional_samples(pol)
+        return self._samples[pol, kind]
+
+    def _omni_samples(self, pol: Polarization) -> tuple[PathLossSample, ...]:
+        out = []
+        for loc in self.campaign.by_polarization(pol):
+            try:
+                out.append(omni_path_loss(loc, self.max_measurable_pl_db))
+            except NoSignalError as err:
+                logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, pol.value, err)
+                self.excluded.append(
+                    {"tx_id": loc.tx_id, "rx_id": loc.rx_id, "polarization": pol.value, "reason": str(err)}
+                )
+        return tuple(out)
+
+    def _directional_samples(self, pol: Polarization) -> None:
+        by_kind: dict[SampleKind, list[PathLossSample]] = {kind: [] for kind in DIRECTIONAL_KINDS.values()}
+        for loc in self.campaign.by_polarization(pol):
+            try:
+                for sample in directional_path_loss(loc, self.max_measurable_pl_db):
+                    by_kind[sample.kind].append(sample)
+            except NoSignalError:
+                continue
+        for kind, samples in by_kind.items():
+            self._samples[pol, kind] = tuple(samples)
+
+    def fit(self, pol: Polarization, kind: SampleKind) -> CiFit:
+        """Close-in fit of one sample class; DegenerateFitError under two samples."""
+        return fit_ci(self.samples(pol, kind), self.carrier_hz)
+
+    def cross_polar(self, kind: SampleKind) -> CixFit:
+        """Cross-polar fit of the VH samples of ``kind`` over the VV fit of that kind."""
+        vh = self.samples(Polarization.VH, kind)
+        return fit_cix(vh, self.fit(Polarization.VV, kind), self.carrier_hz)
+
+    @cached_property
+    def delay(self) -> dict[float, DelaySummary]:
+        """Co-polar delay-spread summary per threshold."""
+        vv = self.campaign.by_polarization(Polarization.VV)
+        return {t: campaign_delay_summary(vv, t) for t in self.thresholds_db}
+
+    @cached_property
+    def angular(self) -> dict[float, AngularSummary]:
+        """Co-polar lobe-count and angular-spread summary per threshold."""
+        vv = self.campaign.by_polarization(Polarization.VV)
+        return {t: campaign_angular_summary(vv, t) for t in self.thresholds_db}
+
+    @cached_property
+    def xpd(self) -> dict[PathClass, XpdClassSummary]:
+        """Directional XPD statistics per path class, over every VV/VH pair."""
+        return xpd_summary(collect_xpds(self.campaign.paired_locations()))
+
+    def summary_csv(self, section: str) -> str:
+        """The ``delay`` or ``angular`` section as the bundle's CSV table."""
+        lines = ["statistic,min,max,mean,median,p90"]
+        summaries = getattr(self, section)
+        for label, field in _SUMMARY_ROWS[section]:
+            for t, summary in summaries.items():
+                row = getattr(summary, field)
+                values = (row.min, row.max, row.mean, row.median, row.p90)
+                lines.append(",".join([f"{label}-{t:g} dB"] + [_csv_value(v) for v in values]))
+        return "\n".join(lines) + "\n"
+
+    def summary_json(self, section: str) -> dict:
+        """The ``delay`` or ``angular`` section as the report's JSON object."""
+        return {
+            f"{t:g}": {field: asdict(getattr(summary, field)) for _, field in _SUMMARY_ROWS[section]}
+            for t, summary in getattr(self, section).items()
+        }
+
+    def xpd_csv(self) -> str:
+        """Empirical XPD CDF points per path class, boresight first."""
+        lines = ["path_class,xpd_db,cdf"]
+        for path_class in (PathClass.BORESIGHT, PathClass.REFLECTION):
+            if path_class not in self.xpd:
+                continue
+            for value, cdf in self.xpd[path_class].cdf:
+                lines.append(f"{path_class.value},{_csv_value(value)},{_csv_value(cdf)}")
+        return "\n".join(lines) + "\n"
+
+    def xpd_json(self) -> dict:
+        """XPD mean, population std and count per path class."""
+        return {
+            path_class.value: {"mean_db": s.mean_db, "std_db": s.std_db, "n": s.n}
+            for path_class, s in self.xpd.items()
+        }
 
 
 def _input_digests(manifest_path: Path) -> dict[str, str]:
@@ -123,52 +257,6 @@ def _input_digests(manifest_path: Path) -> dict[str, str]:
     return digests
 
 
-def _csv_value(value: float) -> str:
-    return f"{value:.4f}"
-
-
-def _summary_csv_line(label: str, row: SummaryRow) -> str:
-    return ",".join(
-        [label] + [_csv_value(v) for v in (row.min, row.max, row.mean, row.median, row.p90)]
-    )
-
-
-def _delay_csv(summaries: Mapping[float, DelaySummary]) -> str:
-    lines = ["statistic,min,max,mean,median,p90"]
-    for label, pick in (
-        ("Omni RMSDS", lambda s: s.omni_rmsds),
-        ("Omni MDS", lambda s: s.omni_mds),
-        ("Dir RMSDS", lambda s: s.dir_rmsds),
-        ("Dir MDS", lambda s: s.dir_mds),
-    ):
-        for t, summary in summaries.items():
-            lines.append(_summary_csv_line(f"{label}-{t:g} dB", pick(summary)))
-    return "\n".join(lines) + "\n"
-
-
-def _angular_csv(summaries: Mapping[float, AngularSummary]) -> str:
-    lines = ["statistic,min,max,mean,median,p90"]
-    for label, pick in (
-        ("AOA lobes", lambda s: s.n_aoa_lobes),
-        ("AOD lobes", lambda s: s.n_aod_lobes),
-        ("AOA RMSAS", lambda s: s.aoa_rmsas),
-        ("AOD RMSAS", lambda s: s.aod_rmsas),
-    ):
-        for t, summary in summaries.items():
-            lines.append(_summary_csv_line(f"{label}-{t:g} dB", pick(summary)))
-    return "\n".join(lines) + "\n"
-
-
-def _xpd_csv(summary: Mapping[PathClass, XpdClassSummary]) -> str:
-    lines = ["path_class,xpd_db,cdf"]
-    for path_class in (PathClass.BORESIGHT, PathClass.REFLECTION):
-        if path_class not in summary:
-            continue
-        for value, cdf in summary[path_class].cdf:
-            lines.append(f"{path_class.value},{_csv_value(value)},{_csv_value(cdf)}")
-    return "\n".join(lines) + "\n"
-
-
 def _scatter_csv(samples: list[PathLossSample]) -> str:
     lines = ["kind,polarization,los,distance_m,pl_db"]
     order = {kind: i for i, kind in enumerate(SampleKind)}
@@ -180,6 +268,48 @@ def _scatter_csv(samples: list[PathLossSample]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _optional_fit(analysis: Analysis, pol: Polarization, kind: SampleKind) -> dict | None:
+    """The fit as a report object, or None when fewer than two samples exist."""
+    return asdict(analysis.fit(pol, kind)) if len(analysis.samples(pol, kind)) >= 2 else None
+
+
+def _report(config: RunConfig, analysis: Analysis) -> dict:
+    campaign = analysis.campaign
+    vh_omni = analysis.samples(Polarization.VH, SampleKind.OMNI)
+    return {
+        "campaign": {
+            "id": campaign.campaign_id,
+            "carrier_hz": campaign.carrier_hz,
+            "tx_power_dbm": campaign.tx_power_dbm,
+            "n_locations": len(campaign),
+            "n_vv": len(campaign.by_polarization(Polarization.VV)),
+            "n_vh": len(campaign.by_polarization(Polarization.VH)),
+        },
+        "config": {
+            "manifest": config.manifest_path.name,
+            "thresholds_db": list(config.thresholds_db),
+            "carrier_hz": analysis.carrier_hz,
+            "max_measurable_pl_db": config.max_measurable_pl_db,
+            "delay_resolution_ns": config.delay_resolution_ns,
+            "seed": config.seed,
+            "formats": sorted(config.formats),
+        },
+        "inputs_sha256": _input_digests(config.manifest_path),
+        "excluded_locations": analysis.excluded,
+        "pathloss": {
+            "omni_vv": asdict(analysis.fit(Polarization.VV, SampleKind.OMNI)),
+            "omni_vh": _optional_fit(analysis, Polarization.VH, SampleKind.OMNI),
+            "cross_polar": asdict(analysis.cross_polar(SampleKind.OMNI)) if vh_omni else None,
+            "directional_vv": {
+                name: _optional_fit(analysis, Polarization.VV, kind) for name, kind in DIRECTIONAL_KINDS.items()
+            },
+        },
+        "delay": analysis.summary_json("delay"),
+        "angular": analysis.summary_json("angular"),
+        "xpd": analysis.xpd_json(),
+    }
+
+
 def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
     """Run ingest, fits, summaries, and XPD analysis; write the report bundle.
 
@@ -188,153 +318,35 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
     path-loss fits and listed in the JSON report.
     """
     campaign = ingest_campaign(config.manifest_path, config.delay_resolution_ns)
-    carrier = config.carrier_hz if config.carrier_hz is not None else campaign.carrier_hz
+    analysis = Analysis(campaign, config.thresholds_db, config.carrier_hz, config.max_measurable_pl_db)
     logger.info(
         "ingested campaign %s: %d locations, carrier %.3f GHz",
-        campaign.campaign_id, len(campaign), carrier / 1e9,
+        campaign.campaign_id, len(campaign), analysis.carrier_hz / 1e9,
     )
 
-    vv_locs = campaign.by_polarization(Polarization.VV)
-    vh_locs = campaign.by_polarization(Polarization.VH)
-
-    excluded: list[dict] = []
-    scatter: list[PathLossSample] = []
-
-    def omni_samples(locs: tuple[LocationMeasurement, ...]) -> list[PathLossSample]:
-        out = []
-        for loc in locs:
-            try:
-                out.append(omni_path_loss(loc, config.max_measurable_pl_db))
-            except NoSignalError as err:
-                logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, loc.polarization.value, err)
-                excluded.append(
-                    {
-                        "tx_id": loc.tx_id,
-                        "rx_id": loc.rx_id,
-                        "polarization": loc.polarization.value,
-                        "reason": str(err),
-                    }
-                )
-        return out
-
-    vv_omni = omni_samples(vv_locs)
-    vh_omni = omni_samples(vh_locs)
+    # both omni passes run first, so every exclusion is logged and listed in order
+    vv_omni = analysis.samples(Polarization.VV, SampleKind.OMNI)
+    vh_omni = analysis.samples(Polarization.VH, SampleKind.OMNI)
     if len(vv_omni) < 2:
         raise DegenerateFitError(
             f"only {len(vv_omni)} co-polarized locations usable; cannot fit the co-polar model"
         )
-    ci_vv = fit_ci(vv_omni, carrier)
-    ci_vh = fit_ci(vh_omni, carrier) if len(vh_omni) >= 2 else None
-    cix = fit_cix(vh_omni, ci_vv, carrier) if vh_omni else None
-    scatter.extend(vv_omni)
-    scatter.extend(vh_omni)
 
-    directional: dict[SampleKind, list[PathLossSample]] = {
-        SampleKind.DIR_B: [],
-        SampleKind.DIR_NBB: [],
-        SampleKind.DIR_NB: [],
-    }
-    for loc in vv_locs:
-        try:
-            for sample in directional_path_loss(loc, config.max_measurable_pl_db):
-                directional[sample.kind].append(sample)
-        except NoSignalError:
-            continue
-    directional_fits = {
-        kind: fit_ci(samples, carrier) if len(samples) >= 2 else None
-        for kind, samples in directional.items()
-    }
-    for samples in directional.values():
-        scatter.extend(samples)
-
-    delay_summaries = {t: campaign_delay_summary(vv_locs, t) for t in config.thresholds_db}
-    angular_summaries = {t: campaign_angular_summary(vv_locs, t) for t in config.thresholds_db}
-
-    xpds = collect_xpds(campaign.paired_locations())
-    xpd_by_class = xpd_summary(xpds)
+    texts: dict[str, str] = {}
+    if "json" in config.formats:
+        texts[REPORT_JSON] = json.dumps(_report(config, analysis), indent=2, sort_keys=True) + "\n"
+    if "csv" in config.formats:
+        directional = [s for kind in DIRECTIONAL_KINDS.values() for s in analysis.samples(Polarization.VV, kind)]
+        texts[DELAY_CSV] = analysis.summary_csv("delay")
+        texts[ANGULAR_CSV] = analysis.summary_csv("angular")
+        texts[XPD_CSV] = analysis.xpd_csv()
+        texts[SCATTER_CSV] = _scatter_csv([*vv_omni, *vh_omni, *directional])
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-
-    if "json" in config.formats:
-        payload = {
-            "campaign": {
-                "id": campaign.campaign_id,
-                "carrier_hz": campaign.carrier_hz,
-                "tx_power_dbm": campaign.tx_power_dbm,
-                "n_locations": len(campaign),
-                "n_vv": len(vv_locs),
-                "n_vh": len(vh_locs),
-            },
-            "config": {
-                "manifest": config.manifest_path.name,
-                "thresholds_db": list(config.thresholds_db),
-                "carrier_hz": carrier,
-                "max_measurable_pl_db": config.max_measurable_pl_db,
-                "delay_resolution_ns": config.delay_resolution_ns,
-                "seed": config.seed,
-                "formats": sorted(config.formats),
-            },
-            "inputs_sha256": _input_digests(config.manifest_path),
-            "excluded_locations": excluded,
-            "pathloss": {
-                "omni_vv": _ci_dict(ci_vv),
-                "omni_vh": _ci_dict(ci_vh),
-                "cross_polar": None
-                if cix is None
-                else {
-                    "xpd_db": cix.xpd_db,
-                    "sigma_db": cix.sigma_db,
-                    "ple_vv": cix.ple_vv,
-                    "n_samples": cix.n_samples,
-                },
-                "directional_vv": {
-                    "B": _ci_dict(directional_fits[SampleKind.DIR_B]),
-                    "NBB": _ci_dict(directional_fits[SampleKind.DIR_NBB]),
-                    "NB": _ci_dict(directional_fits[SampleKind.DIR_NB]),
-                },
-            },
-            "delay": {
-                f"{t:g}": {
-                    "omni_rmsds": _summary_row_dict(s.omni_rmsds),
-                    "omni_mds": _summary_row_dict(s.omni_mds),
-                    "dir_rmsds": _summary_row_dict(s.dir_rmsds),
-                    "dir_mds": _summary_row_dict(s.dir_mds),
-                }
-                for t, s in delay_summaries.items()
-            },
-            "angular": {
-                f"{t:g}": {
-                    "n_aoa_lobes": _summary_row_dict(s.n_aoa_lobes),
-                    "n_aod_lobes": _summary_row_dict(s.n_aod_lobes),
-                    "aoa_rmsas": _summary_row_dict(s.aoa_rmsas),
-                    "aod_rmsas": _summary_row_dict(s.aod_rmsas),
-                }
-                for t, s in angular_summaries.items()
-            },
-            "xpd": {
-                path_class.value: {
-                    "mean_db": summary.mean_db,
-                    "std_db": summary.std_db,
-                    "n": summary.n,
-                }
-                for path_class, summary in sorted(xpd_by_class.items(), key=lambda kv: kv[0].value)
-            },
-        }
-        report_path = config.out_dir / REPORT_JSON
-        report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        written.append(report_path)
-
-    if "csv" in config.formats:
-        for name, text in (
-            (DELAY_CSV, _delay_csv(delay_summaries)),
-            (ANGULAR_CSV, _angular_csv(angular_summaries)),
-            (XPD_CSV, _xpd_csv(xpd_by_class)),
-            (SCATTER_CSV, _scatter_csv(scatter)),
-        ):
-            path = config.out_dir / name
-            path.write_text(text, encoding="utf-8")
-            written.append(path)
-
+    for name, text in texts.items():
+        path = config.out_dir / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
     logger.info("wrote %d report files to %s", len(written), config.out_dir)
     return tuple(written)

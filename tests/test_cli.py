@@ -189,6 +189,59 @@ class TestXpdReport:
         assert out.splitlines()[0] == "path_class,xpd_db,cdf"
 
 
+class TestReportAgreement:
+    """Every query subcommand prints exactly its section of the report bundle."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, manifest, tmp_path_factory):
+        out = tmp_path_factory.mktemp("agreement")
+        assert main(["report", "--manifest", str(manifest), "--out", str(out)]) == EXIT_OK
+        return out
+
+    def query(self, capsys, *argv):
+        capsys.readouterr()
+        assert main(list(argv)) == EXIT_OK
+        return capsys.readouterr().out
+
+    def test_fits_match_report(self, manifest, bundle, capsys):
+        pathloss = json.loads((bundle / "report.json").read_text())["pathloss"]
+        m = ["fit", "pathloss", "--manifest", str(manifest)]
+        assert json.loads(self.query(capsys, *m)) == pathloss["omni_vv"]
+        vh = json.loads(self.query(capsys, *m, "--pol", "VH"))
+        assert vh.pop("xpd_db") == pathloss["cross_polar"]["xpd_db"]
+        assert vh == pathloss["omni_vh"]
+        for kind in ("B", "NBB", "NB"):
+            doc = json.loads(self.query(capsys, *m, "--kind", kind))
+            assert doc == pathloss["directional_vv"][kind]
+
+    def test_stats_match_bundle_csv(self, manifest, bundle, capsys):
+        for kind, name in (("delay", "delay_stats.csv"), ("angular", "angular_stats.csv")):
+            text = self.query(capsys, "stats", kind, "--manifest", str(manifest))
+            assert text == (bundle / name).read_text()
+
+    def test_xpd_matches_report(self, manifest, bundle, capsys):
+        m = ["xpd", "report", "--manifest", str(manifest)]
+        report = json.loads((bundle / "report.json").read_text())
+        assert json.loads(self.query(capsys, *m)) == report["xpd"]
+        assert self.query(capsys, *m, "--format", "csv") == (bundle / "xpd_cdf.csv").read_text()
+
+
+class TestLazySections:
+    def test_one_placement_queries_run_without_the_report(self, tmp_path, capsys):
+        """One placement is too few for the co-polar omni fit, which only the
+        report needs; the queries that do not need it still answer."""
+        m = ["--manifest", str(render_campaign(SynthesisParams(), 1, 1, tmp_path / "c").manifest_path)]
+        for argv in (
+            ["fit", "pathloss", *m, "--kind", "NB"],
+            ["fit", "pathloss", *m, "--pol", "VH", "--kind", "NB"],
+            ["stats", "delay", *m],
+            ["xpd", "report", *m],
+        ):
+            assert main(argv) == EXIT_OK, argv
+        assert main(["report", *m, "--out", str(tmp_path / "r")]) == EXIT_DEGENERATE_FIT
+        capsys.readouterr()
+
+
 class TestSynth:
     def test_synth_then_report(self, tmp_path, capsys):
         out = tmp_path / "campaign"

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subthz_chan import (
-    AnalysisConfig,
     AntennaConfig,
     DirectionalPdp,
     NoSignalError,
@@ -273,18 +272,3 @@ class TestLosBearings:
         assert tx_to_rx == pytest.approx(315.0)
         assert rx_to_tx == pytest.approx(135.0)
 
-
-class TestAnalysisConfig:
-    def test_defaults(self):
-        cfg = AnalysisConfig()
-        assert cfg.threshold_db == 20.0
-        assert cfg.carrier_hz == 142e9
-        assert cfg.max_measurable_pl_db == 152.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            AnalysisConfig(threshold_db=0.0)
-        with pytest.raises(ValidationError):
-            AnalysisConfig(carrier_hz=-1.0)
-        with pytest.raises(ValidationError):
-            AnalysisConfig(d0_m=0.0)

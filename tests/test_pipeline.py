@@ -16,6 +16,7 @@ from subthz_chan import (
     RunConfig,
     SynthesisParams,
     ValidationError,
+    fspl,
     render_campaign,
     run_pipeline,
     write_campaign,
@@ -70,6 +71,7 @@ class TestRunConfig:
         assert isinstance(config.manifest_path, Path)
         assert isinstance(config.out_dir, Path)
         assert config.thresholds_db == (20.0, 30.0)
+        assert config.carrier_hz is None
 
     def test_rejects_bad_values(self, tmp_path):
         base = dict(manifest_path=tmp_path / "m.json", out_dir=tmp_path)
@@ -216,6 +218,21 @@ class TestFormatsAndThresholds:
         for name in ("delay_stats.csv", "angular_stats.csv"):
             for line in (tmp_path / name).read_text().splitlines()[1:]:
                 assert line.split(",")[0].endswith("-30 dB")
+
+
+class TestCarrier:
+    def test_default_uses_manifest_carrier(self, tmp_path):
+        manifest = render_campaign(SynthesisParams(carrier_hz=140e9), 3, 5, tmp_path / "c").manifest_path
+        run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "out"))
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["config"]["carrier_hz"] == 140e9
+        assert doc["pathloss"]["omni_vv"]["fspl_anchor_db"] == fspl(140e9)
+
+    def test_explicit_carrier_overrides(self, rendered_manifest, tmp_path):
+        run_pipeline(RunConfig(manifest_path=rendered_manifest, out_dir=tmp_path, carrier_hz=140e9))
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["campaign"]["carrier_hz"] == 142e9
+        assert doc["pathloss"]["omni_vv"]["fspl_anchor_db"] == fspl(140e9)
 
 
 class TestExclusions:
