@@ -9,9 +9,10 @@ import numpy as np
 
 from .measurement import (
     LocationMeasurement,
-    NoSignalError,
     ValidationError,
+    checked_threshold_db,
     db_to_linear,
+    signal_sweeps,
 )
 from .summary import SummaryRow, summarize
 
@@ -106,16 +107,11 @@ def power_angular_spectrum(
 
     The cut is global: a tap survives when it lies within ``threshold_db``
     of the strongest tap over all pointing pairs (and above its own sweep's
-    noise floor), regardless of its own sweep's peak.
+    noise floor), regardless of its own sweep's peak.  The cut compares in
+    dB, like ``DirectionalPdp.window_bins``.
     """
-    if threshold_db <= 0:
-        raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
     side = Side(side)
-    detectable = loc.detectable_sweeps()
-    if not detectable:
-        raise NoSignalError(
-            f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor"
-        )
+    detectable = signal_sweeps(loc)
     antenna = loc.tx_antenna if side is Side.AOD else loc.rx_antenna
     step = antenna.az_step_deg
     nbins = antenna.n_az_bins
@@ -124,7 +120,7 @@ def power_angular_spectrum(
         return pdp.tx_az_deg if side is Side.AOD else pdp.rx_az_deg
 
     phase = azimuth(detectable[0]) % step
-    cut = max(s.peak_db for s in detectable) - threshold_db
+    peak_db = max(s.peak_db for s in detectable)
     powers = [0.0] * nbins
     for pdp in detectable:
         az = azimuth(pdp)
@@ -135,10 +131,8 @@ def power_angular_spectrum(
                 f"azimuth {az} is off the uniform {step:g} deg sweep grid",
             )
         index = round((az - phase) / step) % nbins
-        det = pdp.detected()
-        for power in det.powers_db:
-            if power >= cut:
-                powers[index] += db_to_linear(power)
+        for _, power in pdp.window_bins(threshold_db, peak_db):
+            powers[index] += db_to_linear(power)
     bins = tuple(phase + k * step for k in range(nbins))
     return PowerAngularSpectrum(side=side, bins_deg=bins, powers_mw=tuple(powers))
 
@@ -181,13 +175,12 @@ def extract_spatial_lobes(
     """Maximal circularly-contiguous bin runs within threshold of the PAS peak.
 
     Runs touching across the 0/360 seam merge into one lobe; a spectrum
-    that is marked everywhere yields a single all-ring lobe.
+    that is marked everywhere yields a single all-ring lobe.  The cut
+    compares in linear power.
     """
-    if threshold_db <= 0:
-        raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
     powers = pas.powers_mw
     n = len(powers)
-    cut = max(powers) * db_to_linear(-threshold_db)
+    cut = max(powers) * db_to_linear(-checked_threshold_db(threshold_db))
     marked = [p >= cut for p in powers]
     if all(marked):
         return (

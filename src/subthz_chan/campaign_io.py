@@ -4,6 +4,7 @@ A campaign is a JSON manifest plus one CSV sweep file per location::
 
     {
       "campaign_id": "...", "carrier_hz": 142e9, "tx_power_dbm": 0.0,
+      "delay_resolution_ns": 2.0,
       "locations": [
         {"tx_id": "TX1", "rx_id": "RX1",
          "tx_pos_m": [x, y, z], "rx_pos_m": [x, y, z],
@@ -18,7 +19,9 @@ Sweep files carry one row per delay bin per pointing pair under the
 header ``tx_az_deg,rx_az_deg,delay_ns,power_db`` and state the per-file
 noise floor once in a ``# noise_floor_db=<v>`` comment line.  Files are
 UTF-8 with LF line endings.  Recorded delays must sit on the sounder's
-uniform delay lattice; bins below the noise floor may simply be omitted.
+uniform delay lattice, whose spacing ``delay_resolution_ns`` is optional
+in the manifest (2 ns when absent); bins below the noise floor may simply
+be omitted.
 """
 from __future__ import annotations
 
@@ -62,6 +65,8 @@ class Campaign:
     carrier_hz: float
     tx_power_dbm: float
     locations: tuple[LocationMeasurement, ...]
+    #: spacing of the delay lattice every sweep's delays sit on
+    delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS
 
     def __post_init__(self):
         object.__setattr__(self, "locations", tuple(self.locations))
@@ -190,9 +195,7 @@ def _read_sweep_file(
     return noise_floor, tuple(pdps)
 
 
-def ingest_campaign(
-    manifest_path, delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS
-) -> Campaign:
+def ingest_campaign(manifest_path) -> Campaign:
     """Parse and validate a campaign manifest plus every referenced sweep file.
 
     Raises CampaignFormatError for malformed files, ValidationError for
@@ -210,6 +213,11 @@ def ingest_campaign(
     campaign_id = _require(doc, "campaign_id", str, path)
     carrier_hz = _require(doc, "carrier_hz", float, path)
     tx_power_dbm = _require(doc, "tx_power_dbm", float, path)
+    delay_resolution_ns = DEFAULT_DELAY_RESOLUTION_NS
+    if "delay_resolution_ns" in doc:
+        delay_resolution_ns = _require(doc, "delay_resolution_ns", float, path)
+    if not 0.0 < delay_resolution_ns < math.inf:
+        raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {delay_resolution_ns}")
     raw_locations = _require(doc, "locations", list, path)
     if not raw_locations:
         raise ValidationError("locations", "manifest lists no locations")
@@ -247,7 +255,7 @@ def ingest_campaign(
                 tx_power_dbm=tx_power_dbm,
             )
         )
-    return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations))
+    return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns)
 
 
 def _format_float(value: float) -> str:
@@ -329,6 +337,7 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
         "campaign_id": campaign.campaign_id,
         "carrier_hz": campaign.carrier_hz,
         "tx_power_dbm": campaign.tx_power_dbm,
+        "delay_resolution_ns": campaign.delay_resolution_ns,
         "locations": entries,
     }
     manifest_path = out / "manifest.json"

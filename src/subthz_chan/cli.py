@@ -17,12 +17,7 @@ from pathlib import Path
 
 from .angular import Side, power_angular_spectrum
 from .campaign_io import ingest_campaign
-from .measurement import (
-    DEFAULT_DELAY_RESOLUTION_NS,
-    NoSignalError,
-    Polarization,
-    ValidationError,
-)
+from .measurement import NoSignalError, Polarization, ValidationError
 from .pathloss import DegenerateFitError, SampleKind
 from .pipeline import (
     DEFAULT_MAX_PL_DB,
@@ -65,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="validate a campaign and summarize it")
     add_manifest(p_ingest)
-    p_ingest.add_argument("--delay-resolution-ns", type=float, default=DEFAULT_DELAY_RESOLUTION_NS)
     p_ingest.add_argument("--format", choices=("text", "json"), default="text")
 
     p_fit = sub.add_parser("fit", help="fit path-loss models")
@@ -153,7 +147,7 @@ def _write_or_print(text: str, out: Path | None) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    campaign = ingest_campaign(args.manifest, args.delay_resolution_ns)
+    campaign = ingest_campaign(args.manifest)
     rows = []
     for loc in campaign:
         rows.append(
@@ -267,31 +261,7 @@ def _cmd_synth(args) -> int:
         campaign_id=args.campaign_id,
     )
     if args.truth_out is not None:
-        truth = [
-            {
-                "distance_m": drop.distance_m,
-                "pl_db": drop.pl_db,
-                "los": drop.los,
-                "seed": drop.seed,
-                "effective_omni_xpd_db": drop.effective_omni_xpd_db,
-                "lobes": [
-                    {
-                        "center_deg": lobe.center_deg,
-                        "taps": [
-                            {
-                                "delay_ns": tap.delay_ns,
-                                "power_mw": tap.power_mw,
-                                "xpd_db": tap.xpd_db,
-                                "path_class": tap.path_class.value,
-                            }
-                            for tap in lobe.taps
-                        ],
-                    }
-                    for lobe in drop.lobes
-                ],
-            }
-            for drop in rendered.drops
-        ]
+        truth = [{**asdict(d), "effective_omni_xpd_db": d.effective_omni_xpd_db} for d in rendered.drops]
         args.truth_out.parent.mkdir(parents=True, exist_ok=True)
         args.truth_out.write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(rendered.manifest_path)

@@ -11,9 +11,10 @@ from .measurement import (
     NoSignalError,
     Polarization,
     ValidationError,
+    checked_threshold_db,
     db_to_linear,
     linear_to_db,
-    threshold_pdp,
+    signal_sweeps,
 )
 from .summary import SummaryRow, summarize
 
@@ -52,16 +53,10 @@ def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
     peak never clears the floor are skipped entirely.  Absolute delay
     alignment across pointing pairs is preserved.
     """
-    detectable = loc.detectable_sweeps()
-    if not detectable:
-        raise NoSignalError(
-            f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor"
-        )
     gains = loc.gain_sum_dbi
     acc: dict[float, float] = {}
-    for pdp in detectable:
-        det = pdp.detected()
-        for delay, power in zip(det.delays_ns, det.powers_db):
+    for pdp in signal_sweeps(loc):
+        for delay, power in pdp.detected_bins():
             acc[delay] = acc.get(delay, 0.0) + db_to_linear(power - gains)
     delays = tuple(sorted(acc))
     return OmniPdp(
@@ -72,32 +67,36 @@ def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
 
 
 def _thresholded_taps(pdp: Pdp, threshold_db: float) -> list[tuple[float, float]]:
-    """(delay, linear power) pairs surviving the peak-relative threshold."""
-    if threshold_db <= 0:
-        raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
+    """(delay, linear power) pairs surviving the peak-relative threshold.
+
+    Omni bins compare in linear power, sweep bins in dB: taps exactly
+    ``threshold_db`` down can fall on either side of the two cuts.
+    """
     if isinstance(pdp, OmniPdp):
-        cut = max(pdp.powers_mw) * db_to_linear(-threshold_db)
+        cut = max(pdp.powers_mw) * db_to_linear(-checked_threshold_db(threshold_db))
         return [(t, p) for t, p in zip(pdp.delays_ns, pdp.powers_mw) if p >= cut]
-    kept = threshold_pdp(pdp, threshold_db)
-    return [(t, db_to_linear(p)) for t, p in zip(kept.delays_ns, kept.powers_db)]
+    return [(t, db_to_linear(p)) for t, p in pdp.window_bins(threshold_db)]
 
 
-def rms_delay_spread(pdp: Pdp, threshold_db: float) -> float:
-    """Power-weighted standard deviation of tap delay over thresholded taps, ns."""
-    taps = _thresholded_taps(pdp, threshold_db)
+def _spreads(taps: list[tuple[float, float]]) -> tuple[float, float]:
+    """(RMS, maximum) delay spread of (delay, linear power) taps, ns."""
     total = sum(p for _, p in taps)
     # center on the first tap before taking moments so large absolute delays
     # do not eat the variance in floating point
     t0 = taps[0][0]
     m1 = sum(p * (t - t0) for t, p in taps) / total
     m2 = sum(p * (t - t0) ** 2 for t, p in taps) / total
-    return math.sqrt(max(m2 - m1 * m1, 0.0))
+    return math.sqrt(max(m2 - m1 * m1, 0.0)), taps[-1][0] - t0
+
+
+def rms_delay_spread(pdp: Pdp, threshold_db: float) -> float:
+    """Power-weighted standard deviation of tap delay over thresholded taps, ns."""
+    return _spreads(_thresholded_taps(pdp, threshold_db))[0]
 
 
 def max_delay_spread(pdp: Pdp, threshold_db: float) -> float:
     """Delay extent (last minus first surviving tap) over thresholded taps, ns."""
-    taps = _thresholded_taps(pdp, threshold_db)
-    return taps[-1][0] - taps[0][0]
+    return _spreads(_thresholded_taps(pdp, threshold_db))[1]
 
 
 @dataclass(frozen=True)
@@ -118,12 +117,8 @@ class DelayStats:
 
 def delay_stats(pdp: Pdp, threshold_db: float) -> DelayStats:
     taps = _thresholded_taps(pdp, threshold_db)
-    return DelayStats(
-        rmsds_ns=rms_delay_spread(pdp, threshold_db),
-        mds_ns=max_delay_spread(pdp, threshold_db),
-        threshold_db=threshold_db,
-        n_taps=len(taps),
-    )
+    rmsds, mds = _spreads(taps)
+    return DelayStats(rmsds_ns=rmsds, mds_ns=mds, threshold_db=threshold_db, n_taps=len(taps))
 
 
 @dataclass(frozen=True)
@@ -154,11 +149,13 @@ def campaign_delay_summary(
             omni = synthesize_omni_pdp(loc)
         except NoSignalError:
             continue
-        omni_rmsds.append(rms_delay_spread(omni, threshold_db))
-        omni_mds.append(max_delay_spread(omni, threshold_db))
+        rmsds, mds = _spreads(_thresholded_taps(omni, threshold_db))
+        omni_rmsds.append(rmsds)
+        omni_mds.append(mds)
         for pdp in loc.detectable_sweeps():
-            dir_rmsds.append(rms_delay_spread(pdp, threshold_db))
-            dir_mds.append(max_delay_spread(pdp, threshold_db))
+            rmsds, mds = _spreads(_thresholded_taps(pdp, threshold_db))
+            dir_rmsds.append(rmsds)
+            dir_mds.append(mds)
     return DelaySummary(
         threshold_db=threshold_db,
         omni_rmsds=summarize(omni_rmsds),

@@ -148,8 +148,8 @@ class DirectionalPdp:
     def is_detectable(self) -> bool:
         return self.peak_db > self.noise_floor_db
 
-    def detected(self) -> "DirectionalPdp":
-        """Bins at or above the noise floor.
+    def detected_bins(self) -> list[tuple[float, float]]:
+        """(delay_ns, power_db) of the bins at or above the noise floor.
 
         Raises NoSignalError when not even the peak clears the floor.
         """
@@ -158,16 +158,32 @@ class DirectionalPdp:
                 f"({self.tx_az_deg}, {self.rx_az_deg}): peak {self.peak_db:.1f} dB "
                 f"does not clear the noise floor {self.noise_floor_db:.1f} dB"
             )
-        kept = [
-            (t, p)
-            for t, p in zip(self.delays_ns, self.powers_db)
-            if p >= self.noise_floor_db
-        ]
-        return replace(
-            self,
-            delays_ns=tuple(t for t, _ in kept),
-            powers_db=tuple(p for _, p in kept),
-        )
+        floor = self.noise_floor_db
+        return [(t, p) for t, p in zip(self.delays_ns, self.powers_db) if p >= floor]
+
+    def window_bins(
+        self, threshold_db: float, peak_db: float | None = None
+    ) -> list[tuple[float, float]]:
+        """Detected bins within ``threshold_db`` of ``peak_db`` (default: this sweep's peak).
+
+        The cut compares in dB, so a bin exactly ``threshold_db`` down survives.
+        """
+        cut = (self.peak_db if peak_db is None else peak_db) - checked_threshold_db(threshold_db)
+        return [(t, p) for t, p in self.detected_bins() if p >= cut]
+
+    def detected(self) -> "DirectionalPdp":
+        """This PDP with only ``detected_bins`` left; NoSignalError as there."""
+        return self._with_bins(self.detected_bins())
+
+    def _with_bins(self, bins: list[tuple[float, float]]) -> "DirectionalPdp":
+        return replace(self, delays_ns=tuple(t for t, _ in bins), powers_db=tuple(p for _, p in bins))
+
+
+def checked_threshold_db(threshold_db: float) -> float:
+    """``threshold_db`` itself when it is a usable peak-relative threshold (> 0 dB)."""
+    if threshold_db <= 0:
+        raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
+    return threshold_db
 
 
 def threshold_pdp(pdp: DirectionalPdp, threshold_db: float) -> DirectionalPdp:
@@ -176,22 +192,12 @@ def threshold_pdp(pdp: DirectionalPdp, threshold_db: float) -> DirectionalPdp:
     The peak bin always survives.  Bins below the noise floor are removed
     even when they sit within the threshold window.
     """
-    if threshold_db <= 0:
-        raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
-    det = pdp.detected()
-    cut = det.peak_db - threshold_db
-    kept = [(t, p) for t, p in zip(det.delays_ns, det.powers_db) if p >= cut]
-    return replace(
-        det,
-        delays_ns=tuple(t for t, _ in kept),
-        powers_db=tuple(p for _, p in kept),
-    )
+    return pdp._with_bins(pdp.window_bins(threshold_db))
 
 
 def integrated_power_mw(pdp: DirectionalPdp) -> float:
     """Total linear power over the detected bins of one pointing pair."""
-    det = pdp.detected()
-    return sum(db_to_linear(p) for p in det.powers_db)
+    return sum(db_to_linear(p) for _, p in pdp.detected_bins())
 
 
 @dataclass(frozen=True)
@@ -244,6 +250,16 @@ class LocationMeasurement:
 
     def detectable_sweeps(self) -> tuple[DirectionalPdp, ...]:
         return tuple(s for s in self.sweeps if s.is_detectable())
+
+
+def signal_sweeps(loc: LocationMeasurement) -> tuple[DirectionalPdp, ...]:
+    """The detectable sweeps of a location; NoSignalError when it has none."""
+    detectable = loc.detectable_sweeps()
+    if not detectable:
+        raise NoSignalError(
+            f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor"
+        )
+    return detectable
 
 
 def los_bearings_deg(loc: LocationMeasurement) -> tuple[float, float]:

@@ -30,6 +30,7 @@ from .measurement import (
     integrated_power_mw,
     linear_to_db,
     los_bearings_deg,
+    signal_sweeps,
 )
 
 
@@ -147,12 +148,7 @@ def classify_directions(
     power is NBB (NLOS locations have no B, only NBB).  Everything else
     is NB.
     """
-    detectable = loc.detectable_sweeps()
-    if not detectable:
-        raise NoSignalError(
-            f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor"
-        )
-    powers = {pdp.direction: integrated_power_mw(pdp) for pdp in detectable}
+    powers = {pdp.direction: integrated_power_mw(pdp) for pdp in signal_sweeps(loc)}
     classes: dict[tuple[float, float], DirectionClass] = {}
     remaining = set(powers)
 

@@ -24,7 +24,6 @@ from .angular import AngularSummary, campaign_angular_summary
 from .campaign_io import Campaign, ingest_campaign
 from .delay import DelaySummary, campaign_delay_summary
 from .measurement import (
-    DEFAULT_DELAY_RESOLUTION_NS,
     NoSignalError,
     Polarization,
     ValidationError,
@@ -92,7 +91,6 @@ class RunConfig:
     seed: int = 0
     formats: tuple[str, ...] = ("csv", "json")
     max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB
-    delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS
 
     def __post_init__(self):
         object.__setattr__(self, "manifest_path", Path(self.manifest_path))
@@ -290,7 +288,7 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
             "thresholds_db": list(config.thresholds_db),
             "carrier_hz": analysis.carrier_hz,
             "max_measurable_pl_db": config.max_measurable_pl_db,
-            "delay_resolution_ns": config.delay_resolution_ns,
+            "delay_resolution_ns": campaign.delay_resolution_ns,
             "seed": config.seed,
             "formats": sorted(config.formats),
         },
@@ -317,7 +315,7 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
     (or beyond the measurable path-loss ceiling) are excluded from the
     path-loss fits and listed in the JSON report.
     """
-    campaign = ingest_campaign(config.manifest_path, config.delay_resolution_ns)
+    campaign = ingest_campaign(config.manifest_path)
     analysis = Analysis(campaign, config.thresholds_db, config.carrier_hz, config.max_measurable_pl_db)
     logger.info(
         "ingested campaign %s: %d locations, carrier %.3f GHz",

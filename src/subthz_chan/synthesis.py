@@ -11,7 +11,7 @@ the standard campaign format so the analysis side can re-ingest them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -155,23 +155,7 @@ class SynthesisParams:
         return round(360.0 / self.az_step_deg)
 
     def to_json_dict(self) -> dict:
-        return {
-            "ple": self.ple,
-            "nlos_ple": self.nlos_ple,
-            "shadow_sigma_db": self.shadow_sigma_db,
-            "xpd_boresight": {"mean_db": self.xpd_boresight.mean_db, "std_db": self.xpd_boresight.std_db},
-            "xpd_reflection": {"mean_db": self.xpd_reflection.mean_db, "std_db": self.xpd_reflection.std_db},
-            "lobe_count_law": {
-                "mean_count": self.lobe_count_law.mean_count,
-                "min_count": self.lobe_count_law.min_count,
-                "max_count": self.lobe_count_law.max_count,
-            },
-            "rmsds_law": {"log_mean": self.rmsds_law.log_mean, "log_std": self.rmsds_law.log_std},
-            "carrier_hz": self.carrier_hz,
-            "az_step_deg": self.az_step_deg,
-            "delay_resolution_ns": self.delay_resolution_ns,
-            "distance_range_m": list(self.distance_range_m),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthesisParams":
@@ -521,6 +505,7 @@ def render_campaign(
         carrier_hz=params.carrier_hz,
         tx_power_dbm=tx_power_dbm,
         locations=tuple(locations),
+        delay_resolution_ns=params.delay_resolution_ns,
     )
     manifest_path = write_campaign(campaign, Path(out_dir))
     return RenderedCampaign(manifest_path=manifest_path, drops=tuple(drops))

@@ -124,6 +124,15 @@ class TestPowerAngularSpectrum:
         with pytest.raises(NoSignalError):
             power_angular_spectrum(loc, Side.AOA, 20.0)
 
+    def test_tap_cut_compares_in_db(self):
+        # -29.3 dB sits exactly 20 dB under -9.3 dB, but a hair under the cut in linear power
+        sweeps = [
+            make_pdp([10.0], [-9.3], tx_az=180.0, rx_az=0.0, floor=-100.0),
+            make_pdp([10.0], [-29.3], tx_az=172.0, rx_az=8.0, floor=-100.0),
+        ]
+        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, 20.0)
+        assert pas.powers_mw[0] > 0 and pas.powers_mw[1] > 0
+
     def test_rejects_nonpositive_threshold(self):
         loc = make_location([make_pdp([10.0], [-60.0])])
         with pytest.raises(ValidationError):
@@ -233,6 +242,12 @@ class TestSpatialLobes:
         assert len(lobes) == 1
         assert lobes[0].start_deg == lobes[0].end_deg == 0.0
         assert lobes[0].peak_power_mw == 1.0
+
+    def test_cut_compares_in_linear_power(self):
+        # exactly 1000x apart in linear power, a hair over 30 dB apart in dB
+        powers = [0.0] * 45
+        powers[0], powers[2] = 7.579786075000084e-06, 7.579786075000084e-09
+        assert len(extract_spatial_lobes(make_pas(powers), 30.0)) == 2
 
     def test_separated_runs(self):
         powers = [1e-9] * 45

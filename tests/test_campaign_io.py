@@ -58,6 +58,7 @@ class TestIngestGolden:
         assert campaign.campaign_id == "golden-demo"
         assert campaign.carrier_hz == 142e9
         assert campaign.tx_power_dbm == 5.0
+        assert campaign.delay_resolution_ns == 2.0  # the manifest leaves it out
         assert len(campaign) == 1
 
     def test_location_fields(self, tmp_path):
@@ -112,10 +113,12 @@ class TestIngestGolden:
             "180.0,0.0,32.0,-75.0\n"
             "180.0,0.0,33.0,-80.0\n"
         )
-        path = write_golden(tmp_path, sweeps=sweeps)
-        with pytest.raises(ValidationError):
-            ingest_campaign(path)
-        campaign = ingest_campaign(path, delay_resolution_ns=1.0)
+        with pytest.raises(ValidationError, match="2 ns lattice"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+        doc = json.loads(GOLDEN_MANIFEST)
+        doc["delay_resolution_ns"] = 1.0
+        campaign = ingest_campaign(write_golden(tmp_path, manifest=json.dumps(doc), sweeps=sweeps))
+        assert campaign.delay_resolution_ns == 1.0
         assert campaign[0].sweeps[0].delays_ns == (32.0, 33.0)
 
 
@@ -146,6 +149,16 @@ class TestManifestErrors:
         doc["carrier_hz"] = "142 GHz"
         path = write_golden(tmp_path, manifest=json.dumps(doc))
         with pytest.raises(CampaignFormatError, match="number"):
+            ingest_campaign(path)
+
+    @pytest.mark.parametrize(
+        "value, exc", [("1 ns", CampaignFormatError), (0.0, ValidationError), (-2.0, ValidationError)]
+    )
+    def test_bad_delay_resolution(self, tmp_path, value, exc):
+        doc = json.loads(GOLDEN_MANIFEST)
+        doc["delay_resolution_ns"] = value
+        path = write_golden(tmp_path, manifest=json.dumps(doc))
+        with pytest.raises(exc, match="delay_resolution_ns"):
             ingest_campaign(path)
 
     def test_bad_position_vector(self, tmp_path):

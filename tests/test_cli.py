@@ -316,6 +316,26 @@ class TestSynth:
         capsys.readouterr()
         assert (out / "manifest.json").exists()
 
+    def test_custom_delay_lattice_reads_back(self, tmp_path, capsys):
+        # the rendered lattice travels in the manifest, so no query needs a flag for it
+        params_path = tmp_path / "params.json"
+        params_path.write_text('{"delay_resolution_ns": 1.0}')
+        out = tmp_path / "campaign"
+        argv = ["synth", "--n", "20", "--seed", "2", "--out", str(out), "--params", str(params_path)]
+        assert main(argv) == EXIT_OK
+        m = ["--manifest", str(out / "manifest.json")]
+        for argv in (
+            ["report", *m, "--out", str(tmp_path / "rep")],
+            ["fit", "pathloss", *m],
+            ["stats", "delay", *m],
+            ["stats", "angular", *m],
+            ["xpd", "report", *m],
+        ):
+            assert main(argv) == EXIT_OK, argv
+        capsys.readouterr()
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        assert report["config"]["delay_resolution_ns"] == 1.0
+
     def test_bad_params_file_is_validation_error(self, tmp_path, capsys):
         params_path = tmp_path / "params.json"
         params_path.write_text('{"no_such_knob": 1}')

@@ -154,6 +154,16 @@ class TestSpreads:
         assert max_delay_spread(omni, 20.0) == 10.0
         assert max_delay_spread(omni, 30.0) == 20.0
 
+    def test_directional_cut_compares_in_db(self):
+        pdp = make_pdp([0.0, 2.0], [-9.3, -29.3], floor=-100.0)
+        assert max_delay_spread(pdp, 20.0) == 2.0
+
+    def test_omni_cut_compares_in_linear_power(self):
+        # exactly 1000x apart in linear power, a hair over 30 dB apart in dB
+        powers = (7.579786075000084e-06, 7.579786075000084e-09)
+        omni = OmniPdp((0.0, 4.0), powers, ("TX1", "RX1", Polarization.VV))
+        assert max_delay_spread(omni, 30.0) == 4.0
+
     def test_directional_input_accepted(self):
         pdp = make_pdp([0.0, 10.0], [-60.0, -60.0])
         assert rms_delay_spread(pdp, 20.0) == 5.0

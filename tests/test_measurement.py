@@ -147,6 +147,11 @@ class TestThresholdPdp:
         kept = threshold_pdp(pdp, 18.0)
         assert kept.delays_ns == (0.0,)
 
+    def test_cut_compares_in_db(self):
+        # -29.3 dB sits exactly 20 dB under -9.3 dB, but a hair under the cut in linear power
+        pdp = DirectionalPdp(0.0, 0.0, (0.0, 2.0), (-9.3, -29.3), -100.0)
+        assert threshold_pdp(pdp, 20.0).delays_ns == (0.0, 2.0)
+
     def test_noise_floor_trumps_threshold(self):
         # the -31 dB tap is inside the 40 dB window but under the floor
         pdp = make_pdp([0.0, 10.0, 20.0], [0.0, -19.0, -31.0], floor=-25.0)
