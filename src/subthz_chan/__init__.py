@@ -36,6 +36,7 @@ from .measurement import (
     LocationMeasurement,
     NoSignalError,
     Polarization,
+    TapTable,
     ValidationError,
     circular_distance_deg,
     db_to_linear,

@@ -3,16 +3,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .measurement import (
     LocationMeasurement,
+    TapTable,
     ValidationError,
-    checked_threshold_db,
-    db_to_linear,
-    signal_sweeps,
+    group_bounds,
+    group_max,
+    group_sums,
+    in_db_window,
+    in_linear_window,
 )
 from .summary import SummaryRow, summarize
 
@@ -100,6 +103,84 @@ class AngularStats:
             raise ValidationError("n_lobes", "a detectable PAS has at least one lobe")
 
 
+class _Spectra(NamedTuple):
+    """Power angular spectra of several locations on one side, as their occupied bins.
+
+    Only bins that some tap falls into get a row: an empty bin adds exact
+    zeros to every power-weighted sum and is never marked for a lobe.
+    Rows run by location, then by bin index ``k`` on the location's grid.
+    """
+
+    loc: np.ndarray
+    k: np.ndarray
+    bins_deg: np.ndarray
+    powers_mw: np.ndarray
+    #: per location: bin count (0 without signal), grid phase and step
+    n_bins: np.ndarray
+    phase_deg: np.ndarray
+    step_deg: np.ndarray
+    #: per sweep row of the table: its azimuth is off the uniform grid
+    off_grid: np.ndarray | None
+
+
+def _side(table: TapTable, side: Side) -> tuple[np.ndarray, np.ndarray]:
+    """(azimuth per sweep, grid step per location) on one side of the link."""
+    if side is Side.AOD:
+        return table.tx_az_deg, table.tx_step_deg
+    return table.rx_az_deg, table.rx_step_deg
+
+
+def _spectra(table: TapTable, side: Side, threshold_db: float) -> _Spectra:
+    """Integrate the taps within ``threshold_db`` of each location's strongest tap into its bins.
+
+    The grid phase follows the location's first detectable sweep.  Bin
+    powers add in tap order, as the running per-bin sum does.
+    """
+    az, step = _side(table, side)
+    signal = table.n_sweeps > 0
+    n_bins = np.where(signal, np.rint(360.0 / step), 0).astype(np.intp)
+    phase = np.zeros(len(table))
+    phase[signal] = az[group_bounds(table.sweep_loc, len(table))[0][signal]] % step[signal]
+
+    sweep_loc = table.sweep_loc
+    rel = az - phase[sweep_loc]
+    offset = rel % step[sweep_loc]
+    off_grid = np.minimum(offset, step[sweep_loc] - offset) > 1e-6
+    sweep_k = np.rint(rel / step[sweep_loc]).astype(np.intp) % n_bins[sweep_loc]
+
+    peak_db = group_max(sweep_loc, table.peak_db, len(table))
+    keep = in_db_window(table.power_db, peak_db[table.tap_loc], threshold_db)
+    width = max(int(n_bins.max(initial=0)), 1)
+    # unique keys come back sorted: location-major, bin index ascending
+    keys, bin_of_tap = np.unique((table.tap_loc * width + sweep_k[table.tap_sweep])[keep], return_inverse=True)
+    powers = group_sums(bin_of_tap, table.power_mw[keep], len(keys))
+    loc, k = keys // width, keys % width
+    return _Spectra(loc, k, phase[loc] + k * step[loc], powers, n_bins, phase, step, off_grid)
+
+
+def _check_grids(table: TapTable, spectra: dict[Side, _Spectra]) -> None:
+    """ValidationError for the first off-grid sweep, by location and then by side in ``spectra`` order."""
+    first = None
+    for side, s in spectra.items():
+        bad = np.flatnonzero(s.off_grid)
+        if bad.size and (first is None or table.sweep_loc[bad[0]] < table.sweep_loc[first[1]]):
+            first = (side, bad[0])
+    if first is not None:
+        side, sweep = first
+        az, step = _side(table, side)
+        raise ValidationError(
+            "tx_az_deg" if side is Side.AOD else "rx_az_deg",
+            f"azimuth {float(az[sweep])} is off the uniform {float(step[table.sweep_loc[sweep]]):g} deg sweep grid",
+        )
+
+
+def _one(bins_deg: Sequence[float], powers: Sequence[float]) -> _Spectra:
+    """One spectrum, every bin a row."""
+    n = len(bins_deg)
+    bins, powers = np.asarray(bins_deg, dtype=float), np.asarray(powers, dtype=float)
+    return _Spectra(np.zeros(n, dtype=np.intp), np.arange(n), bins, powers, np.array([n]), None, None, None)
+
+
 def power_angular_spectrum(
     loc: LocationMeasurement, side: Side, threshold_db: float
 ) -> PowerAngularSpectrum:
@@ -108,33 +189,64 @@ def power_angular_spectrum(
     The cut is global: a tap survives when it lies within ``threshold_db``
     of the strongest tap over all pointing pairs (and above its own sweep's
     noise floor), regardless of its own sweep's peak.  The cut compares in
-    dB, like ``DirectionalPdp.window_bins``.
+    dB, like ``threshold_pdp``.
     """
     side = Side(side)
-    detectable = signal_sweeps(loc)
-    antenna = loc.tx_antenna if side is Side.AOD else loc.rx_antenna
-    step = antenna.az_step_deg
-    nbins = antenna.n_az_bins
+    table = TapTable((loc,))
+    table.require_signal()
+    spectra = _spectra(table, side, threshold_db)
+    _check_grids(table, {side: spectra})
+    powers = np.zeros(spectra.n_bins[0])
+    powers[spectra.k] = spectra.powers_mw
+    bins = spectra.phase_deg[0] + np.arange(len(powers)) * spectra.step_deg[0]
+    return PowerAngularSpectrum(side, tuple(bins.tolist()), tuple(powers.tolist()))
 
-    def azimuth(pdp):
-        return pdp.tx_az_deg if side is Side.AOD else pdp.rx_az_deg
 
-    phase = azimuth(detectable[0]) % step
-    peak_db = max(s.peak_db for s in detectable)
-    powers = [0.0] * nbins
-    for pdp in detectable:
-        az = azimuth(pdp)
-        offset = (az - phase) % step
-        if min(offset, step - offset) > 1e-6:
-            raise ValidationError(
-                "tx_az_deg" if side is Side.AOD else "rx_az_deg",
-                f"azimuth {az} is off the uniform {step:g} deg sweep grid",
-            )
-        index = round((az - phase) / step) % nbins
-        for _, power in pdp.window_bins(threshold_db, peak_db):
-            powers[index] += db_to_linear(power)
-    bins = tuple(phase + k * step for k in range(nbins))
-    return PowerAngularSpectrum(side=side, bins_deg=bins, powers_mw=tuple(powers))
+def _circular_means(spectra: _Spectra) -> tuple[np.ndarray, np.ndarray]:
+    """(mean azimuth, degenerate) per spectrum; a degenerate mean is tie-broken to 0."""
+    n, loc, p = len(spectra.n_bins), spectra.loc, spectra.powers_mw
+    weighted = p * np.exp(1j * np.radians(spectra.bins_deg))
+    resultant = group_sums(loc, weighted.real, n) + 1j * group_sums(loc, weighted.imag, n)
+    degenerate = np.abs(resultant) < DEGENERATE_RESULTANT_REL * group_sums(loc, p, n)
+    mean = np.degrees(np.angle(resultant)) % 360.0
+    # a hair under zero wraps to just under 360, which rounds back to 360.0
+    mean[(mean == 360.0) | degenerate] = 0.0
+    return mean, degenerate
+
+
+def _rms_spreads(spectra: _Spectra) -> np.ndarray:
+    n, loc, p = len(spectra.n_bins), spectra.loc, spectra.powers_mw
+    mean, _ = _circular_means(spectra)
+    dev = (spectra.bins_deg - mean[loc] + 180.0) % 360.0 - 180.0
+    # a location without signal has no bins, and a NaN spread
+    with np.errstate(invalid="ignore"):
+        return np.sqrt(group_sums(loc, p * dev**2, n) / group_sums(loc, p, n))
+
+
+def _lobe_marks(spectra: _Spectra, threshold_db: float) -> tuple[np.ndarray, np.ndarray]:
+    """(marked, run start) per row.
+
+    A bin is marked when it lies within ``threshold_db`` of its spectrum's
+    strongest bin, compared in linear power; a run starts at a marked bin
+    whose circular predecessor on the grid is unmarked.
+    """
+    loc, k, n_bins = spectra.loc, spectra.k, spectra.n_bins
+    peak = group_max(loc, spectra.powers_mw, len(n_bins))
+    marked = in_linear_window(spectra.powers_mw, peak[loc], threshold_db)
+    width = max(int(n_bins.max(initial=0)), 1)
+    # rows are sorted by (location, k), so the marked keys are too
+    marked_keys = (loc * width + k)[marked]
+    if not marked_keys.size:
+        return marked, marked
+    previous = loc * width + (k - 1) % n_bins[loc]
+    found = marked_keys[np.minimum(np.searchsorted(marked_keys, previous), marked_keys.size - 1)]
+    return marked, marked & (found != previous)
+
+
+def _lobe_counts(spectra: _Spectra, threshold_db: float) -> np.ndarray:
+    """Spatial lobes per spectrum; a spectrum marked everywhere is one lobe."""
+    _, run_start = _lobe_marks(spectra, threshold_db)
+    return np.maximum(np.bincount(spectra.loc[run_start], minlength=len(spectra.n_bins)), 1)
 
 
 def circular_mean_deg(
@@ -145,14 +257,8 @@ def circular_mean_deg(
     Returns (mean, degenerate).  When the power-weighted resultant vector
     vanishes the mean is undefined; it is tie-broken to 0 and flagged.
     """
-    p = np.asarray(powers, dtype=float)
-    theta = np.radians(np.asarray(bins_deg, dtype=float))
-    resultant = np.sum(p * np.exp(1j * theta))
-    if abs(resultant) < DEGENERATE_RESULTANT_REL * np.sum(p):
-        return 0.0, True
-    mean = float(np.degrees(np.angle(resultant)) % 360.0)
-    # a hair under zero wraps to just under 360, which rounds back to 360.0
-    return (0.0 if mean == 360.0 else mean), False
+    mean, degenerate = _circular_means(_one(bins_deg, powers))
+    return float(mean[0]), bool(degenerate[0])
 
 
 def rms_angular_spread(pas: PowerAngularSpectrum) -> float:
@@ -162,11 +268,7 @@ def rms_angular_spread(pas: PowerAngularSpectrum) -> float:
     resultant) spectrum the mean is tie-broken to 0; the uniform spectrum
     then lands just below the 180/sqrt(3) continuum value.
     """
-    p = np.asarray(pas.powers_mw, dtype=float)
-    bins = np.asarray(pas.bins_deg, dtype=float)
-    mean_deg, _ = circular_mean_deg(bins, p)
-    dev = (bins - mean_deg + 180.0) % 360.0 - 180.0
-    return float(np.sqrt(np.sum(p * dev**2) / np.sum(p)))
+    return float(_rms_spreads(_one(pas.bins_deg, pas.powers_mw))[0])
 
 
 def extract_spatial_lobes(
@@ -180,33 +282,25 @@ def extract_spatial_lobes(
     """
     powers = pas.powers_mw
     n = len(powers)
-    cut = max(powers) * db_to_linear(-checked_threshold_db(threshold_db))
-    marked = [p >= cut for p in powers]
-    if all(marked):
-        return (
-            SpatialLobe(
-                start_deg=pas.bins_deg[0],
-                end_deg=pas.bins_deg[-1],
-                peak_power_mw=max(powers),
-                lobe_power_mw=sum(powers),
-            ),
-        )
-    lobes = []
-    for start in range(n):
-        if marked[start] and not marked[start - 1]:
+    marked, run_start = _lobe_marks(_one(pas.bins_deg, powers), threshold_db)
+    if marked.all():
+        runs = [list(range(n))]
+    else:
+        runs = []
+        for start in np.flatnonzero(run_start).tolist():
             run = [start]
             while marked[(run[-1] + 1) % n]:
                 run.append((run[-1] + 1) % n)
-            run_powers = [powers[i] for i in run]
-            lobes.append(
-                SpatialLobe(
-                    start_deg=pas.bins_deg[run[0]],
-                    end_deg=pas.bins_deg[run[-1]],
-                    peak_power_mw=max(run_powers),
-                    lobe_power_mw=sum(run_powers),
-                )
-            )
-    return tuple(lobes)
+            runs.append(run)
+    return tuple(
+        SpatialLobe(
+            start_deg=pas.bins_deg[run[0]],
+            end_deg=pas.bins_deg[run[-1]],
+            peak_power_mw=max(powers[i] for i in run),
+            lobe_power_mw=sum(powers[i] for i in run),
+        )
+        for run in runs
+    )
 
 
 def angular_stats(pas: PowerAngularSpectrum, threshold_db: float) -> AngularStats:
@@ -229,23 +323,19 @@ class AngularSummary:
 
 
 def campaign_angular_summary(
-    locs: Iterable[LocationMeasurement], threshold_db: float
+    locs: Iterable[LocationMeasurement] | TapTable, threshold_db: float
 ) -> AngularSummary:
     """Five-number summaries of lobe counts and RMS angular spread.
 
-    One value per location per side; the PAS is built and thresholded at
-    the same ``threshold_db`` used for lobe extraction.
+    One value per location with signal per side; the PAS is built and
+    thresholded at the same ``threshold_db`` used for lobe extraction.
     """
-    lobes = {Side.AOA: [], Side.AOD: []}
-    spreads = {Side.AOA: [], Side.AOD: []}
-    for loc in locs:
-        # a location with no detectable sweep has no spectrum on either side
-        if not loc.detectable_sweeps():
-            continue
-        for side in (Side.AOA, Side.AOD):
-            pas = power_angular_spectrum(loc, side, threshold_db)
-            lobes[side].append(float(len(extract_spatial_lobes(pas, threshold_db))))
-            spreads[side].append(rms_angular_spread(pas))
+    table = locs if isinstance(locs, TapTable) else TapTable(locs)
+    spectra = {side: _spectra(table, side, threshold_db) for side in (Side.AOA, Side.AOD)}
+    _check_grids(table, spectra)
+    signal = table.n_sweeps > 0
+    lobes = {side: _lobe_counts(s, threshold_db)[signal].astype(float).tolist() for side, s in spectra.items()}
+    spreads = {side: _rms_spreads(s)[signal].tolist() for side, s in spectra.items()}
     return AngularSummary(
         threshold_db=threshold_db,
         n_aoa_lobes=summarize(lobes[Side.AOA]),

@@ -25,10 +25,11 @@ be omitted.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -67,6 +68,10 @@ class Campaign:
     locations: tuple[LocationMeasurement, ...]
     #: spacing of the delay lattice every sweep's delays sit on
     delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS
+    #: SHA-256 of each file ``ingest_campaign`` parsed, keyed by the manifest's
+    #: own name and each sweep path as the manifest spells it (empty when the
+    #: campaign was built in memory)
+    input_sha256: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "locations", tuple(self.locations))
@@ -114,10 +119,15 @@ def _position(doc: dict, key: str, path, ctx: str) -> tuple[float, float, float]
     return (float(raw[0]), float(raw[1]), float(raw[2]))
 
 
-def _read_sweep_file(
-    path: Path, delay_resolution_ns: float
-) -> tuple[float, tuple[DirectionalPdp, ...]]:
-    text = path.read_text(encoding="utf-8")
+def _read_text(path: Path, digests: dict[str, str], key: str) -> str:
+    """The UTF-8 text of ``path``; records the SHA-256 of the bytes read under ``key``."""
+    data = path.read_bytes()
+    digests.setdefault(key, hashlib.sha256(data).hexdigest())
+    # universal newlines, as read_text gives them: JSON error line numbers count a lone CR
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_sweep_file(path: Path, text: str, delay_resolution_ns: float) -> tuple[DirectionalPdp, ...]:
     noise_floor = None
     header_seen = False
     rows: list[tuple[float, float, float, float]] = []
@@ -192,7 +202,7 @@ def _read_sweep_file(
                 noise_floor_db=noise_floor,
             )
         )
-    return noise_floor, tuple(pdps)
+    return tuple(pdps)
 
 
 def ingest_campaign(manifest_path) -> Campaign:
@@ -202,7 +212,8 @@ def ingest_campaign(manifest_path) -> Campaign:
     invariant violations, and OSError when a referenced file is missing.
     """
     path = Path(manifest_path)
-    text = path.read_text(encoding="utf-8")
+    digests: dict[str, str] = {}
+    text = _read_text(path, digests, path.name)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -240,7 +251,7 @@ def ingest_campaign(manifest_path) -> Campaign:
         step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
         sweeps_rel = _require(entry, "sweeps", str, path, ctx)
         sweep_path = path.parent / sweeps_rel
-        _, pdps = _read_sweep_file(sweep_path, delay_resolution_ns)
+        pdps = _read_sweep_file(sweep_path, _read_text(sweep_path, digests, sweeps_rel), delay_resolution_ns)
         locations.append(
             LocationMeasurement(
                 tx_id=_require(entry, "tx_id", str, path, ctx),
@@ -255,7 +266,7 @@ def ingest_campaign(manifest_path) -> Campaign:
                 tx_power_dbm=tx_power_dbm,
             )
         )
-    return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns)
+    return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
 
 
 def _format_float(value: float) -> str:

@@ -3,18 +3,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
+
+import numpy as np
 
 from .measurement import (
     DirectionalPdp,
     LocationMeasurement,
-    NoSignalError,
     Polarization,
+    TapTable,
     ValidationError,
-    checked_threshold_db,
     db_to_linear,
+    group_bounds,
+    group_max,
+    group_sums,
+    in_db_window,
+    in_linear_window,
     linear_to_db,
-    signal_sweeps,
 )
 from .summary import SummaryRow, summarize
 
@@ -46,6 +51,42 @@ class OmniPdp:
         return linear_to_db(sum(self.powers_mw))
 
 
+class OmniBins(NamedTuple):
+    """The omni PDP of every location of a table, as flat bin columns.
+
+    Bins run location by location with delays ascending; a location
+    without signal has none.
+    """
+
+    loc: np.ndarray
+    delay_ns: np.ndarray
+    power_mw: np.ndarray
+    #: per location: summed omni power, 0 without signal
+    total_mw: np.ndarray
+
+
+def omni_bins(table: TapTable) -> OmniBins:
+    """Sum linear power per (location, delay) over all pointing pairs, gains removed.
+
+    Each tap adds ``db_to_linear(power_db - gain_sum)`` to its bin in tap
+    order, as the running sum over sweeps does.  Kept with the table, so
+    omni path loss and every delay threshold share one synthesis.
+    """
+    return table.kept(_omni_bins)
+
+
+def _omni_bins(table: TapTable) -> OmniBins:
+    gained = table.power_db - table.gain_sum_dbi[table.tap_loc]
+    linear = np.array([db_to_linear(p) for p in gained.tolist()], dtype=float)
+    delays, delay_rank = np.unique(table.delay_ns, return_inverse=True)
+    n_delays = max(len(delays), 1)
+    # unique keys come back sorted: location-major, delays ascending
+    keys, key_of_tap = np.unique(table.tap_loc * n_delays + delay_rank, return_inverse=True)
+    power = group_sums(key_of_tap, linear, len(keys))
+    loc = keys // n_delays
+    return OmniBins(loc, delays[keys % n_delays], power, group_sums(loc, power, len(table)))
+
+
 def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
     """Sum linear power per delay bin over all pointing pairs, gains removed.
 
@@ -53,50 +94,58 @@ def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
     peak never clears the floor are skipped entirely.  Absolute delay
     alignment across pointing pairs is preserved.
     """
-    gains = loc.gain_sum_dbi
-    acc: dict[float, float] = {}
-    for pdp in signal_sweeps(loc):
-        for delay, power in pdp.detected_bins():
-            acc[delay] = acc.get(delay, 0.0) + db_to_linear(power - gains)
-    delays = tuple(sorted(acc))
+    table = TapTable((loc,))
+    table.require_signal()
+    omni = omni_bins(table)
     return OmniPdp(
-        delays_ns=delays,
-        powers_mw=tuple(acc[t] for t in delays),
+        delays_ns=tuple(omni.delay_ns.tolist()),
+        powers_mw=tuple(omni.power_mw.tolist()),
         source=(loc.tx_id, loc.rx_id, loc.polarization),
     )
 
 
-def _thresholded_taps(pdp: Pdp, threshold_db: float) -> list[tuple[float, float]]:
-    """(delay, linear power) pairs surviving the peak-relative threshold.
+def _spreads(
+    group: np.ndarray, delay_ns: np.ndarray, power_mw: np.ndarray, n_groups: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(RMS spread, maximum spread, tap count) per group of (delay, linear power) taps, ns.
 
-    Omni bins compare in linear power, sweep bins in dB: taps exactly
-    ``threshold_db`` down can fall on either side of the two cuts.
+    Taps are group-sorted with delays ascending within a group; a group
+    without taps gives NaN spreads.
     """
-    if isinstance(pdp, OmniPdp):
-        cut = max(pdp.powers_mw) * db_to_linear(-checked_threshold_db(threshold_db))
-        return [(t, p) for t, p in zip(pdp.delays_ns, pdp.powers_mw) if p >= cut]
-    return [(t, db_to_linear(p)) for t, p in pdp.window_bins(threshold_db)]
-
-
-def _spreads(taps: list[tuple[float, float]]) -> tuple[float, float]:
-    """(RMS, maximum) delay spread of (delay, linear power) taps, ns."""
-    total = sum(p for _, p in taps)
+    first, end = group_bounds(group, n_groups)
+    filled = end > first
+    t0 = np.full(n_groups, np.nan)
+    t_last = np.full(n_groups, np.nan)
+    t0[filled] = delay_ns[first[filled]]
+    t_last[filled] = delay_ns[end[filled] - 1]
     # center on the first tap before taking moments so large absolute delays
     # do not eat the variance in floating point
-    t0 = taps[0][0]
-    m1 = sum(p * (t - t0) for t, p in taps) / total
-    m2 = sum(p * (t - t0) ** 2 for t, p in taps) / total
-    return math.sqrt(max(m2 - m1 * m1, 0.0)), taps[-1][0] - t0
+    rel = delay_ns - t0[group]
+    with np.errstate(invalid="ignore"):
+        total = group_sums(group, power_mw, n_groups)
+        m1 = group_sums(group, power_mw * rel, n_groups) / total
+        m2 = group_sums(group, power_mw * rel**2, n_groups) / total
+        rms = np.sqrt(np.maximum(m2 - m1 * m1, 0.0))
+    return rms, t_last - t0, end - first
 
 
-def rms_delay_spread(pdp: Pdp, threshold_db: float) -> float:
-    """Power-weighted standard deviation of tap delay over thresholded taps, ns."""
-    return _spreads(_thresholded_taps(pdp, threshold_db))[0]
+def _omni_spreads(loc: np.ndarray, delay_ns: np.ndarray, power_mw: np.ndarray, n_locs: int, threshold_db: float):
+    """``_spreads`` of each omni PDP, cut in linear power against its strongest bin."""
+    keep = in_linear_window(power_mw, group_max(loc, power_mw, n_locs)[loc], threshold_db)
+    return _spreads(loc[keep], delay_ns[keep], power_mw[keep], n_locs)
 
 
-def max_delay_spread(pdp: Pdp, threshold_db: float) -> float:
-    """Delay extent (last minus first surviving tap) over thresholded taps, ns."""
-    return _spreads(_thresholded_taps(pdp, threshold_db))[1]
+def _sweep_spreads(
+    sweep: np.ndarray,
+    delay_ns: np.ndarray,
+    power_db: np.ndarray,
+    power_mw: np.ndarray,
+    peak_db: np.ndarray,
+    threshold_db: float,
+):
+    """``_spreads`` of each sweep, cut in dB against the sweep's own peak."""
+    keep = in_db_window(power_db, peak_db[sweep], threshold_db)
+    return _spreads(sweep[keep], delay_ns[keep], power_mw[keep], len(peak_db))
 
 
 @dataclass(frozen=True)
@@ -116,9 +165,31 @@ class DelayStats:
 
 
 def delay_stats(pdp: Pdp, threshold_db: float) -> DelayStats:
-    taps = _thresholded_taps(pdp, threshold_db)
-    rmsds, mds = _spreads(taps)
-    return DelayStats(rmsds_ns=rmsds, mds_ns=mds, threshold_db=threshold_db, n_taps=len(taps))
+    """Delay spreads of one PDP over the taps within ``threshold_db`` of its peak.
+
+    Omni bins compare in linear power, sweep bins in dB: taps exactly
+    ``threshold_db`` down can fall on either side of the two cuts.
+    """
+    if isinstance(pdp, OmniPdp):
+        one = np.zeros(len(pdp.delays_ns), dtype=np.intp)
+        rms, mds, n_taps = _omni_spreads(one, np.array(pdp.delays_ns), np.array(pdp.powers_mw), 1, threshold_db)
+    else:
+        delays, powers = zip(*pdp.detected_bins())
+        one = np.zeros(len(delays), dtype=np.intp)
+        linear = np.array([db_to_linear(p) for p in powers])
+        peak = np.array([pdp.peak_db])
+        rms, mds, n_taps = _sweep_spreads(one, np.array(delays), np.array(powers), linear, peak, threshold_db)
+    return DelayStats(rmsds_ns=float(rms[0]), mds_ns=float(mds[0]), threshold_db=threshold_db, n_taps=int(n_taps[0]))
+
+
+def rms_delay_spread(pdp: Pdp, threshold_db: float) -> float:
+    """Power-weighted standard deviation of tap delay over thresholded taps, ns."""
+    return delay_stats(pdp, threshold_db).rmsds_ns
+
+
+def max_delay_spread(pdp: Pdp, threshold_db: float) -> float:
+    """Delay extent (last minus first surviving tap) over thresholded taps, ns."""
+    return delay_stats(pdp, threshold_db).mds_ns
 
 
 @dataclass(frozen=True)
@@ -133,33 +204,25 @@ class DelaySummary:
 
 
 def campaign_delay_summary(
-    locs: Iterable[LocationMeasurement], threshold_db: float
+    locs: Iterable[LocationMeasurement] | TapTable, threshold_db: float
 ) -> DelaySummary:
     """Five-number summaries of RMS and maximum delay spread over a campaign.
 
     Omni rows pool one value per location (synthesized from its sweeps);
     directional rows pool every pointing pair with detectable power.
+    Locations without signal add to neither.
     """
-    omni_rmsds: list[float] = []
-    omni_mds: list[float] = []
-    dir_rmsds: list[float] = []
-    dir_mds: list[float] = []
-    for loc in locs:
-        try:
-            omni = synthesize_omni_pdp(loc)
-        except NoSignalError:
-            continue
-        rmsds, mds = _spreads(_thresholded_taps(omni, threshold_db))
-        omni_rmsds.append(rmsds)
-        omni_mds.append(mds)
-        for pdp in loc.detectable_sweeps():
-            rmsds, mds = _spreads(_thresholded_taps(pdp, threshold_db))
-            dir_rmsds.append(rmsds)
-            dir_mds.append(mds)
+    table = locs if isinstance(locs, TapTable) else TapTable(locs)
+    omni = omni_bins(table)
+    omni_rms, omni_mds, _ = _omni_spreads(omni.loc, omni.delay_ns, omni.power_mw, len(table), threshold_db)
+    signal = table.n_sweeps > 0
+    dir_rms, dir_mds, _ = _sweep_spreads(
+        table.tap_sweep, table.delay_ns, table.power_db, table.power_mw, table.peak_db, threshold_db
+    )
     return DelaySummary(
         threshold_db=threshold_db,
-        omni_rmsds=summarize(omni_rmsds),
-        omni_mds=summarize(omni_mds),
-        dir_rmsds=summarize(dir_rmsds),
-        dir_mds=summarize(dir_mds),
+        omni_rmsds=summarize(omni_rms[signal].tolist()),
+        omni_mds=summarize(omni_mds[signal].tolist()),
+        dir_rmsds=summarize(dir_rms.tolist()),
+        dir_mds=summarize(dir_mds.tolist()),
     )

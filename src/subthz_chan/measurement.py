@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable, Iterable
+
+import numpy as np
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -47,14 +50,16 @@ def wrap_deg(angle_deg: float) -> float:
     return angle_deg % 360.0
 
 
-def wrap_signed_deg(angle_deg: float) -> float:
-    """Wrap an angle into (-180, 180]."""
+def wrap_signed_deg(angle_deg):
+    """Wrap an angle, or each angle of an array, into (-180, 180]."""
     w = (angle_deg + 180.0) % 360.0 - 180.0
+    if isinstance(w, np.ndarray):
+        return np.where(w == -180.0, 180.0, w)
     return 180.0 if w == -180.0 else w
 
 
-def circular_distance_deg(a_deg: float, b_deg: float) -> float:
-    """Shortest angular distance between two azimuths, in [0, 180]."""
+def circular_distance_deg(a_deg, b_deg):
+    """Shortest angular distance between two azimuths (or arrays of them), in [0, 180]."""
     return abs(wrap_signed_deg(a_deg - b_deg))
 
 
@@ -161,16 +166,6 @@ class DirectionalPdp:
         floor = self.noise_floor_db
         return [(t, p) for t, p in zip(self.delays_ns, self.powers_db) if p >= floor]
 
-    def window_bins(
-        self, threshold_db: float, peak_db: float | None = None
-    ) -> list[tuple[float, float]]:
-        """Detected bins within ``threshold_db`` of ``peak_db`` (default: this sweep's peak).
-
-        The cut compares in dB, so a bin exactly ``threshold_db`` down survives.
-        """
-        cut = (self.peak_db if peak_db is None else peak_db) - checked_threshold_db(threshold_db)
-        return [(t, p) for t, p in self.detected_bins() if p >= cut]
-
     def detected(self) -> "DirectionalPdp":
         """This PDP with only ``detected_bins`` left; NoSignalError as there."""
         return self._with_bins(self.detected_bins())
@@ -186,13 +181,31 @@ def checked_threshold_db(threshold_db: float) -> float:
     return threshold_db
 
 
+def in_db_window(power_db, peak_db, threshold_db: float):
+    """Whether a bin (or each bin of an array) lies within ``threshold_db`` of ``peak_db``.
+
+    The cut compares in dB, so a bin exactly ``threshold_db`` down
+    survives.  Sweep bins and PAS taps are cut this way.
+    """
+    return power_db >= peak_db - checked_threshold_db(threshold_db)
+
+
+def in_linear_window(power_mw, peak_mw, threshold_db: float):
+    """``in_db_window`` compared in linear power: ``power >= peak * db_to_linear(-threshold)``.
+
+    Omni bins and PAS lobe bins are cut this way.  Synthesized lobes sit
+    exactly 30 dB apart, and the two domains round such ties differently.
+    """
+    return power_mw >= peak_mw * db_to_linear(-checked_threshold_db(threshold_db))
+
+
 def threshold_pdp(pdp: DirectionalPdp, threshold_db: float) -> DirectionalPdp:
     """Drop bins more than ``threshold_db`` below the peak or below the noise floor.
 
     The peak bin always survives.  Bins below the noise floor are removed
     even when they sit within the threshold window.
     """
-    return pdp._with_bins(pdp.window_bins(threshold_db))
+    return pdp._with_bins([b for b in pdp.detected_bins() if in_db_window(b[1], pdp.peak_db, threshold_db)])
 
 
 def integrated_power_mw(pdp: DirectionalPdp) -> float:
@@ -252,20 +265,113 @@ class LocationMeasurement:
         return tuple(s for s in self.sweeps if s.is_detectable())
 
 
-def signal_sweeps(loc: LocationMeasurement) -> tuple[DirectionalPdp, ...]:
-    """The detectable sweeps of a location; NoSignalError when it has none."""
-    detectable = loc.detectable_sweeps()
-    if not detectable:
-        raise NoSignalError(
-            f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor"
-        )
-    return detectable
-
-
 def los_bearings_deg(loc: LocationMeasurement) -> tuple[float, float]:
     """Geometric (TX->RX, RX->TX) azimuth bearings from the survey positions."""
     dx = loc.rx_pos_m[0] - loc.tx_pos_m[0]
     dy = loc.rx_pos_m[1] - loc.tx_pos_m[1]
     tx_to_rx = wrap_deg(math.degrees(math.atan2(dy, dx)))
     return tx_to_rx, wrap_deg(tx_to_rx + 180.0)
+
+
+def group_sums(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sum of ``values`` per group, added in input order.
+
+    ``np.bincount`` adds one value at a time, as a running scalar sum
+    does; pairwise ``np.sum`` or ``reduceat`` would regroup the additions
+    and move sums that feed a linear cut or the NBB ranking.
+    """
+    return np.bincount(group, weights=values, minlength=n_groups)
+
+
+def group_max(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """Largest value per group; -inf for an empty group."""
+    out = np.full(n_groups, -np.inf)
+    np.maximum.at(out, group, values)
+    return out
+
+
+def group_bounds(group: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first row, one past the last row) of each group of a group-sorted column."""
+    ids = np.arange(n_groups)
+    return np.searchsorted(group, ids), np.searchsorted(group, ids, side="right")
+
+
+class TapTable:
+    """The above-floor bins of some locations' detectable sweeps, as flat columns.
+
+    Tap columns (``tap_*``, ``delay_ns``, ``power_db``, ``power_mw``) run in
+    location -> sweep -> delay order, sweep columns in location -> sweep
+    order, and location columns in the order given.  Only sweeps whose peak
+    clears the floor get a row, and only their ``detected_bins``, so a
+    location without signal has no sweep rows (``n_sweeps`` 0).
+
+    ``power_mw`` applies the scalar ``db_to_linear`` to each tap: a
+    vectorized power differs from it in the last bit on some values, which
+    flips exact 30 dB ties.  Derived columns of a higher layer are computed
+    once per table through ``kept``.
+    """
+
+    def __init__(self, locations: Iterable[LocationMeasurement]):
+        self.locations = tuple(locations)
+        locs = self.locations
+        n_locs = len(locs)
+        self.gain_sum_dbi = np.array([loc.gain_sum_dbi for loc in locs], dtype=float)
+        self.tx_power_dbm = np.array([loc.tx_power_dbm for loc in locs], dtype=float)
+        self.distance_m = np.array([loc.distance_m for loc in locs], dtype=float)
+        self.los = np.array([loc.los for loc in locs], dtype=bool)
+        self.tx_step_deg = np.array([loc.tx_antenna.az_step_deg for loc in locs], dtype=float)
+        self.rx_step_deg = np.array([loc.rx_antenna.az_step_deg for loc in locs], dtype=float)
+
+        sweep_loc: list[int] = []
+        tx_az: list[float] = []
+        rx_az: list[float] = []
+        taps: list[int] = []
+        delays: list[float] = []
+        powers: list[float] = []
+        for index, loc in enumerate(locs):
+            for pdp in loc.sweeps:
+                try:
+                    bins = pdp.detected_bins()
+                except NoSignalError:
+                    continue
+                sweep_loc.append(index)
+                tx_az.append(pdp.tx_az_deg)
+                rx_az.append(pdp.rx_az_deg)
+                taps.append(len(bins))
+                for delay, power in bins:
+                    delays.append(delay)
+                    powers.append(power)
+        self.sweep_loc = np.array(sweep_loc, dtype=np.intp)
+        self.tx_az_deg = np.array(tx_az, dtype=float)
+        self.rx_az_deg = np.array(rx_az, dtype=float)
+        self.n_sweeps = np.bincount(self.sweep_loc, minlength=n_locs)
+        self.tap_sweep = np.repeat(np.arange(len(sweep_loc), dtype=np.intp), taps)
+        self.tap_loc = self.sweep_loc[self.tap_sweep]
+        self.delay_ns = np.array(delays, dtype=float)
+        self.power_db = np.array(powers, dtype=float)
+        self.power_mw = np.array([db_to_linear(p) for p in powers], dtype=float)
+        self.peak_db = group_max(self.tap_sweep, self.power_db, len(sweep_loc))
+        self._kept: dict[Callable, object] = {}
+
+    def __len__(self) -> int:
+        return len(self.locations)
+
+    def kept(self, compute: Callable[["TapTable"], object]):
+        """``compute(self)``, computed on first use and then kept with the table."""
+        if compute not in self._kept:
+            self._kept[compute] = compute(self)
+        return self._kept[compute]
+
+    def no_signal(self, index: int) -> NoSignalError | None:
+        """The error for location ``index`` when none of its sweeps clears the floor."""
+        if self.n_sweeps[index]:
+            return None
+        loc = self.locations[index]
+        return NoSignalError(f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor")
+
+    def require_signal(self, index: int = 0) -> None:
+        """Raise ``no_signal(index)`` if there is one."""
+        err = self.no_signal(index)
+        if err is not None:
+            raise err
 

@@ -14,23 +14,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .delay import synthesize_omni_pdp
+from .delay import omni_bins
 from .measurement import (
     D0_M,
     SPEED_OF_LIGHT_M_S,
     LocationMeasurement,
     NoSignalError,
     Polarization,
+    TapTable,
     ValidationError,
     circular_distance_deg,
-    integrated_power_mw,
+    group_sums,
     linear_to_db,
     los_bearings_deg,
-    signal_sweeps,
 )
 
 
@@ -123,17 +123,79 @@ def fspl(frequency_hz: float, distance_m: float = D0_M) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT_M_S)
 
 
+class SweepLosses(NamedTuple):
+    """Directional path loss and class of every sweep row of a table."""
+
+    pl_db: np.ndarray
+    #: index into ``DIRECTION_CLASSES``
+    class_index: np.ndarray
+
+
+#: ``DirectionClass`` of each ``SweepLosses.class_index``: B, NBB, NB
+DIRECTION_CLASSES = tuple(DirectionClass)
+_B, _NBB, _NB = range(len(DIRECTION_CLASSES))
+
+
+def sweep_losses(table: TapTable) -> SweepLosses:
+    """Path loss and class of every detectable pointing pair of a table.
+
+    PL = tx_power + tx_gain + rx_gain - received_power, where the received
+    power integrates every above-floor delay bin of that pointing pair.
+    Classes follow ``classify_directions``.  Kept with the table, so
+    directional path loss and XPD share one integration and one
+    classification.
+    """
+    return table.kept(_sweep_losses)
+
+
+def _sweep_losses(table: TapTable) -> SweepLosses:
+    loc = table.sweep_loc
+    power = group_sums(table.tap_sweep, table.power_mw, len(loc))
+    received_dbm = np.array([linear_to_db(p) for p in power.tolist()], dtype=float)
+    pl_db = table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - received_dbm
+    return SweepLosses(pl_db, _classes(table, power))
+
+
+def _first_per_location(rows: np.ndarray, loc: np.ndarray, keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Of ``rows``, the first of each location in the order of ``keys`` (the last key is primary)."""
+    if not rows.size:
+        return rows
+    ordered = rows[np.lexsort(tuple(k[rows] for k in keys) + (loc[rows],))]
+    return ordered[np.r_[True, loc[ordered][1:] != loc[ordered][:-1]]]
+
+
+def _classes(table: TapTable, power_mw: np.ndarray) -> np.ndarray:
+    loc = table.sweep_loc
+    tx_az, rx_az = table.tx_az_deg, table.rx_az_deg
+    classes = np.full(len(loc), _NB)
+    bearings = np.zeros((len(table), 2))
+    for index in np.flatnonzero(table.los & (table.n_sweeps > 0)):
+        bearings[index] = los_bearings_deg(table.locations[index])
+    d_tx = circular_distance_deg(tx_az, bearings[loc, 0])
+    d_rx = circular_distance_deg(rx_az, bearings[loc, 1])
+    boresight = (
+        table.los[loc]
+        & (d_tx <= table.tx_step_deg[loc] / 2.0 + 1e-9)
+        & (d_rx <= table.rx_step_deg[loc] / 2.0 + 1e-9)
+    )
+    classes[_first_per_location(np.flatnonzero(boresight), loc, (rx_az, tx_az, d_tx + d_rx))] = _B
+    rest = np.flatnonzero(classes != _B)
+    classes[_first_per_location(rest, loc, (rx_az, tx_az, -power_mw))] = _NBB
+    return classes
+
+
+def _directions(table: TapTable) -> list[tuple[float, float]]:
+    return list(zip(table.tx_az_deg.tolist(), table.rx_az_deg.tolist()))
+
+
 def direction_path_loss_map(loc: LocationMeasurement) -> dict[tuple[float, float], float]:
     """Directional path loss per detectable pointing pair, antenna gains removed.
 
     PL = tx_power + tx_gain + rx_gain - received_power, where the received
     power integrates every above-floor delay bin of that pointing pair.
     """
-    out: dict[tuple[float, float], float] = {}
-    for pdp in loc.detectable_sweeps():
-        received_dbm = linear_to_db(integrated_power_mw(pdp))
-        out[pdp.direction] = loc.tx_power_dbm + loc.gain_sum_dbi - received_dbm
-    return out
+    table = TapTable((loc,))
+    return dict(zip(_directions(table), sweep_losses(table).pl_db.tolist()))
 
 
 def classify_directions(
@@ -148,32 +210,47 @@ def classify_directions(
     power is NBB (NLOS locations have no B, only NBB).  Everything else
     is NB.
     """
-    powers = {pdp.direction: integrated_power_mw(pdp) for pdp in signal_sweeps(loc)}
-    classes: dict[tuple[float, float], DirectionClass] = {}
-    remaining = set(powers)
+    table = TapTable((loc,))
+    table.require_signal()
+    classes = sweep_losses(table).class_index.tolist()
+    return {direction: DIRECTION_CLASSES[c] for direction, c in zip(_directions(table), classes)}
 
-    if loc.los:
-        tx_bearing, rx_bearing = los_bearings_deg(loc)
-        half_step_tx = loc.tx_antenna.az_step_deg / 2.0 + 1e-9
-        half_step_rx = loc.rx_antenna.az_step_deg / 2.0 + 1e-9
-        candidates = []
-        for tx_az, rx_az in remaining:
-            d_tx = circular_distance_deg(tx_az, tx_bearing)
-            d_rx = circular_distance_deg(rx_az, rx_bearing)
-            if d_tx <= half_step_tx and d_rx <= half_step_rx:
-                candidates.append((d_tx + d_rx, (tx_az, rx_az)))
-        if candidates:
-            _, boresight = min(candidates)
-            classes[boresight] = DirectionClass.B
-            remaining.discard(boresight)
 
-    if remaining:
-        strongest = min(remaining, key=lambda d: (-powers[d], d))
-        classes[strongest] = DirectionClass.NBB
-        remaining.discard(strongest)
-    for direction in remaining:
-        classes[direction] = DirectionClass.NB
-    return classes
+def omni_losses(
+    table: TapTable, max_measurable_pl_db: float | None = None
+) -> list[PathLossSample | NoSignalError]:
+    """Per location of a table: its omni path-loss sample, or the error that excludes it.
+
+    The loss is recovered from the synthesized omni profile.  A location
+    without signal, or (with ``max_measurable_pl_db`` set) one whose loss
+    exceeds the sounder's measurable range, gets a NoSignalError.
+    """
+    totals = omni_bins(table).total_mw.tolist()
+    out: list[PathLossSample | NoSignalError] = []
+    for index, loc in enumerate(table.locations):
+        err = table.no_signal(index)
+        if err is not None:
+            out.append(err)
+            continue
+        pl_db = loc.tx_power_dbm - linear_to_db(totals[index])
+        if max_measurable_pl_db is not None and pl_db > max_measurable_pl_db:
+            out.append(
+                NoSignalError(
+                    f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): path loss {pl_db:.1f} dB "
+                    f"exceeds the {max_measurable_pl_db:g} dB measurable limit"
+                )
+            )
+            continue
+        out.append(
+            PathLossSample(
+                distance_m=loc.distance_m,
+                pl_db=pl_db,
+                polarization=loc.polarization,
+                kind=SampleKind.OMNI,
+                los=loc.los,
+            )
+        )
+    return out
 
 
 def omni_path_loss(
@@ -185,20 +262,39 @@ def omni_path_loss(
     exceeds the sounder's measurable range raises NoSignalError instead
     of returning an untrustworthy value.
     """
-    omni = synthesize_omni_pdp(loc)
-    pl_db = loc.tx_power_dbm - omni.total_power_dbm
-    if max_measurable_pl_db is not None and pl_db > max_measurable_pl_db:
-        raise NoSignalError(
-            f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): "
-            f"path loss {pl_db:.1f} dB exceeds the {max_measurable_pl_db:g} dB measurable limit"
+    (result,) = omni_losses(TapTable((loc,)), max_measurable_pl_db)
+    if isinstance(result, NoSignalError):
+        raise result
+    return result
+
+
+def directional_samples(
+    table: TapTable, max_measurable_pl_db: float | None = None
+) -> tuple[PathLossSample, ...]:
+    """Per-direction samples labelled B / NBB / NB, for every location of a table.
+
+    Samples come location by location, sorted by (tx_az, rx_az) within
+    one; directions beyond the measurable-loss ceiling are dropped.
+    """
+    losses = sweep_losses(table)
+    loc_of = table.sweep_loc
+    rows = np.lexsort((table.rx_az_deg, table.tx_az_deg, loc_of))
+    if max_measurable_pl_db is not None:
+        rows = rows[losses.pl_db[rows] <= max_measurable_pl_db]
+    samples = []
+    columns = (loc_of[rows], table.distance_m[loc_of[rows]], losses.pl_db[rows], losses.class_index[rows])
+    for index, distance_m, pl_db, class_index in zip(*(c.tolist() for c in columns)):
+        loc = table.locations[index]
+        samples.append(
+            PathLossSample(
+                distance_m=distance_m,
+                pl_db=pl_db,
+                polarization=loc.polarization,
+                kind=_KIND_FOR_CLASS[DIRECTION_CLASSES[class_index]],
+                los=loc.los,
+            )
         )
-    return PathLossSample(
-        distance_m=loc.distance_m,
-        pl_db=pl_db,
-        polarization=loc.polarization,
-        kind=SampleKind.OMNI,
-        los=loc.los,
-    )
+    return tuple(samples)
 
 
 def directional_path_loss(
@@ -209,23 +305,9 @@ def directional_path_loss(
     Directions beyond the measurable-loss ceiling are dropped; the rest
     come back sorted by (tx_az, rx_az).
     """
-    losses = direction_path_loss_map(loc)
-    classes = classify_directions(loc)
-    samples = []
-    for direction in sorted(losses):
-        pl_db = losses[direction]
-        if max_measurable_pl_db is not None and pl_db > max_measurable_pl_db:
-            continue
-        samples.append(
-            PathLossSample(
-                distance_m=loc.distance_m,
-                pl_db=pl_db,
-                polarization=loc.polarization,
-                kind=_KIND_FOR_CLASS[classes[direction]],
-                los=loc.los,
-            )
-        )
-    return tuple(samples)
+    table = TapTable((loc,))
+    table.require_signal()
+    return directional_samples(table, max_measurable_pl_db)
 
 
 def _check_homogeneous(samples: Sequence[PathLossSample]) -> None:
@@ -293,17 +375,7 @@ def collect_samples(
     max_measurable_pl_db: float | None = None,
 ) -> tuple[PathLossSample, ...]:
     """Gather samples of one kind across locations, skipping signal-free ones."""
-    out: list[PathLossSample] = []
-    for loc in locs:
-        try:
-            if kind is SampleKind.OMNI:
-                out.append(omni_path_loss(loc, max_measurable_pl_db))
-            else:
-                out.extend(
-                    s
-                    for s in directional_path_loss(loc, max_measurable_pl_db)
-                    if s.kind is kind
-                )
-        except NoSignalError:
-            continue
-    return tuple(out)
+    table = TapTable(locs)
+    if kind is SampleKind.OMNI:
+        return tuple(s for s in omni_losses(table, max_measurable_pl_db) if isinstance(s, PathLossSample))
+    return tuple(s for s in directional_samples(table, max_measurable_pl_db) if s.kind is kind)

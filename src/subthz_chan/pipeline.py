@@ -12,7 +12,6 @@ byte-identical files.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass
@@ -26,6 +25,7 @@ from .delay import DelaySummary, campaign_delay_summary
 from .measurement import (
     NoSignalError,
     Polarization,
+    TapTable,
     ValidationError,
 )
 from .pathloss import (
@@ -34,12 +34,12 @@ from .pathloss import (
     DegenerateFitError,
     PathLossSample,
     SampleKind,
-    directional_path_loss,
+    directional_samples,
     fit_ci,
     fit_cix,
-    omni_path_loss,
+    omni_losses,
 )
-from .xpd import PathClass, XpdClassSummary, collect_xpds, xpd_summary
+from .xpd import PathClass, XpdClassSummary, xpd_columns
 
 logger = logging.getLogger(__name__)
 
@@ -122,7 +122,8 @@ class Analysis:
     ``carrier_hz`` of None uses the campaign's own carrier.  Sections are
     lazy so that a query pays only for what it prints, and a section that
     cannot be computed (a fit with too few usable locations, say) does not
-    fail a query that never asks for it.
+    fail a query that never asks for it.  Every section reads the one
+    ``TapTable`` of its polarization, built on first use.
     """
 
     def __init__(
@@ -139,6 +140,13 @@ class Analysis:
         #: locations omni sampling left out, with the reason, in sampling order
         self.excluded: list[dict] = []
         self._samples: dict[tuple[Polarization, SampleKind], tuple[PathLossSample, ...]] = {}
+        self._tables: dict[Polarization, TapTable] = {}
+
+    def table(self, pol: Polarization) -> TapTable:
+        """The tap table of the locations of one polarization, in campaign order."""
+        if pol not in self._tables:
+            self._tables[pol] = TapTable(self.campaign.by_polarization(pol))
+        return self._tables[pol]
 
     def samples(self, pol: Polarization, kind: SampleKind) -> tuple[PathLossSample, ...]:
         """Path-loss samples of one polarization and kind, in location order.
@@ -156,24 +164,21 @@ class Analysis:
 
     def _omni_samples(self, pol: Polarization) -> tuple[PathLossSample, ...]:
         out = []
-        for loc in self.campaign.by_polarization(pol):
-            try:
-                out.append(omni_path_loss(loc, self.max_measurable_pl_db))
-            except NoSignalError as err:
-                logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, pol.value, err)
+        table = self.table(pol)
+        for loc, result in zip(table.locations, omni_losses(table, self.max_measurable_pl_db)):
+            if isinstance(result, NoSignalError):
+                logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, pol.value, result)
                 self.excluded.append(
-                    {"tx_id": loc.tx_id, "rx_id": loc.rx_id, "polarization": pol.value, "reason": str(err)}
+                    {"tx_id": loc.tx_id, "rx_id": loc.rx_id, "polarization": pol.value, "reason": str(result)}
                 )
+            else:
+                out.append(result)
         return tuple(out)
 
     def _directional_samples(self, pol: Polarization) -> None:
         by_kind: dict[SampleKind, list[PathLossSample]] = {kind: [] for kind in DIRECTIONAL_KINDS.values()}
-        for loc in self.campaign.by_polarization(pol):
-            try:
-                for sample in directional_path_loss(loc, self.max_measurable_pl_db):
-                    by_kind[sample.kind].append(sample)
-            except NoSignalError:
-                continue
+        for sample in directional_samples(self.table(pol), self.max_measurable_pl_db):
+            by_kind[sample.kind].append(sample)
         for kind, samples in by_kind.items():
             self._samples[pol, kind] = tuple(samples)
 
@@ -189,19 +194,21 @@ class Analysis:
     @cached_property
     def delay(self) -> dict[float, DelaySummary]:
         """Co-polar delay-spread summary per threshold."""
-        vv = self.campaign.by_polarization(Polarization.VV)
-        return {t: campaign_delay_summary(vv, t) for t in self.thresholds_db}
+        return {t: campaign_delay_summary(self.table(Polarization.VV), t) for t in self.thresholds_db}
 
     @cached_property
     def angular(self) -> dict[float, AngularSummary]:
         """Co-polar lobe-count and angular-spread summary per threshold."""
-        vv = self.campaign.by_polarization(Polarization.VV)
-        return {t: campaign_angular_summary(vv, t) for t in self.thresholds_db}
+        return {t: campaign_angular_summary(self.table(Polarization.VV), t) for t in self.thresholds_db}
 
     @cached_property
     def xpd(self) -> dict[PathClass, XpdClassSummary]:
         """Directional XPD statistics per path class, over every VV/VH pair."""
-        return xpd_summary(collect_xpds(self.campaign.paired_locations()))
+        vv, vh = self.table(Polarization.VV), self.table(Polarization.VH)
+        row_vv = {id(loc): i for i, loc in enumerate(vv.locations)}
+        row_vh = {id(loc): i for i, loc in enumerate(vh.locations)}
+        rows = [(row_vv[id(a)], row_vh[id(b)]) for a, b in self.campaign.paired_locations()]
+        return xpd_columns(vv, vh, rows).summary()
 
     def summary_csv(self, section: str) -> str:
         """The ``delay`` or ``angular`` section as the bundle's CSV table."""
@@ -237,22 +244,6 @@ class Analysis:
             path_class.value: {"mean_db": s.mean_db, "std_db": s.std_db, "n": s.n}
             for path_class, s in self.xpd.items()
         }
-
-
-def _input_digests(manifest_path: Path) -> dict[str, str]:
-    """SHA-256 of the manifest and every sweep file it references.
-
-    Keys are the manifest's own name and the sweep paths exactly as the
-    manifest spells them, so the digest map carries no absolute paths.
-    """
-    digests = {manifest_path.name: hashlib.sha256(manifest_path.read_bytes()).hexdigest()}
-    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    for entry in doc.get("locations", []):
-        rel = entry.get("sweeps")
-        if isinstance(rel, str) and rel not in digests:
-            sweep_path = manifest_path.parent / rel
-            digests[rel] = hashlib.sha256(sweep_path.read_bytes()).hexdigest()
-    return digests
 
 
 def _scatter_csv(samples: list[PathLossSample]) -> str:
@@ -292,7 +283,7 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
             "seed": config.seed,
             "formats": sorted(config.formats),
         },
-        "inputs_sha256": _input_digests(config.manifest_path),
+        "inputs_sha256": campaign.input_sha256,
         "excluded_locations": analysis.excluded,
         "pathloss": {
             "omni_vv": asdict(analysis.fit(Polarization.VV, SampleKind.OMNI)),

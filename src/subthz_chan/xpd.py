@@ -3,16 +3,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .measurement import (
     LocationMeasurement,
     Polarization,
+    TapTable,
     ValidationError,
 )
-from .pathloss import DirectionClass, classify_directions, direction_path_loss_map
+from .pathloss import DIRECTION_CLASSES, DirectionClass, classify_directions, sweep_losses
 
 
 class PathClass(str, Enum):
@@ -47,14 +48,7 @@ def classify_path(loc: LocationMeasurement, direction: tuple[float, float]) -> P
     return PathClass.REFLECTION
 
 
-def directional_xpd(
-    loc_vv: LocationMeasurement, loc_vh: LocationMeasurement
-) -> tuple[DirectionalXpd, ...]:
-    """Per-direction XPD = PL_cross - PL_co over directions detectable in both.
-
-    The two locations must be the same physical TX-RX placement measured
-    in the two polarizations.  Path classes come from the co-polar sweep.
-    """
+def _check_pair(loc_vv: LocationMeasurement, loc_vh: LocationMeasurement) -> None:
     if (loc_vv.tx_id, loc_vv.rx_id) != (loc_vh.tx_id, loc_vh.rx_id):
         raise ValidationError(
             "rx_id",
@@ -68,29 +62,87 @@ def directional_xpd(
     if loc_vv.tx_pos_m != loc_vh.tx_pos_m or loc_vv.rx_pos_m != loc_vh.rx_pos_m:
         raise ValidationError("tx_pos_m", "polarization pair was measured at different positions")
 
-    pl_vv = direction_path_loss_map(loc_vv)
-    pl_vh = direction_path_loss_map(loc_vh)
-    common = sorted(set(pl_vv) & set(pl_vh))
-    if not common:
-        # nothing detectable in both polarizations is a data fact, not an error
-        return ()
-    classes = classify_directions(loc_vv)
-    out = []
-    for direction in common:
-        path_class = (
-            PathClass.BORESIGHT
-            if classes.get(direction) is DirectionClass.B
-            else PathClass.REFLECTION
+
+class XpdColumns(NamedTuple):
+    """Directional XPDs of several polarization pairs, one row per shared direction.
+
+    Rows run pair by pair, directions sorted by (tx_az, rx_az) within one.
+    """
+
+    pair: np.ndarray
+    tx_az_deg: np.ndarray
+    rx_az_deg: np.ndarray
+    xpd_db: np.ndarray
+    boresight: np.ndarray
+
+    def summary(self) -> dict[PathClass, XpdClassSummary]:
+        """``xpd_summary`` of these rows."""
+        return _summaries(self.xpd_db, self.boresight)
+
+
+def xpd_columns(vv: TapTable, vh: TapTable, rows: Sequence[tuple[int, int]]) -> XpdColumns:
+    """Per-direction XPD = PL_cross - PL_co over directions detectable in both of a pair.
+
+    ``rows`` pairs a location row of table ``vv`` with the row of ``vh``
+    that measured the same placement, each row in at most one pair; pairs
+    are checked as in ``directional_xpd``.  Path classes come from the
+    co-polar sweep, through the classification kept with ``vv``.
+    """
+    pair_of_vv = np.full(len(vv), -1)
+    pair_of_vh = np.full(len(vh), -1)
+    for index, (row_vv, row_vh) in enumerate(rows):
+        _check_pair(vv.locations[row_vv], vh.locations[row_vh])
+        pair_of_vv[row_vv] = index
+        pair_of_vh[row_vh] = index
+    losses_vv, losses_vh = sweep_losses(vv), sweep_losses(vh)
+    # stack both sides' sweeps; after sorting by (pair, tx, rx, side) a
+    # direction shared by a pair is a VV row directly followed by its VH row
+    pair = np.concatenate([pair_of_vv[vv.sweep_loc], pair_of_vh[vh.sweep_loc]])
+    tx_az = np.concatenate([vv.tx_az_deg, vh.tx_az_deg])
+    rx_az = np.concatenate([vv.rx_az_deg, vh.rx_az_deg])
+    side = np.repeat([0, 1], [len(vv.sweep_loc), len(vh.sweep_loc)])
+    order = np.lexsort((side, rx_az, tx_az, pair))
+    order = order[pair[order] >= 0]
+    p, t, r = pair[order], tx_az[order], rx_az[order]
+    shared = np.flatnonzero((p[1:] == p[:-1]) & (t[1:] == t[:-1]) & (r[1:] == r[:-1]))
+    co, cross = order[shared], order[shared + 1] - len(vv.sweep_loc)
+    return XpdColumns(
+        pair=p[shared],
+        tx_az_deg=t[shared],
+        rx_az_deg=r[shared],
+        xpd_db=losses_vh.pl_db[cross] - losses_vv.pl_db[co],
+        boresight=losses_vv.class_index[co] == DIRECTION_CLASSES.index(DirectionClass.B),
+    )
+
+
+def collect_xpds(
+    pairs: Iterable[tuple[LocationMeasurement, LocationMeasurement]]
+) -> tuple[DirectionalXpd, ...]:
+    """Directional XPDs pooled over polarization pairs."""
+    pairs = tuple(pairs)
+    rows = [(k, k) for k in range(len(pairs))]
+    columns = xpd_columns(TapTable(a for a, _ in pairs), TapTable(b for _, b in pairs), rows)
+    return tuple(
+        DirectionalXpd(
+            direction=(tx_az, rx_az),
+            xpd_db=xpd_db,
+            path_class=PathClass.BORESIGHT if boresight else PathClass.REFLECTION,
+            location=(pairs[pair][0].tx_id, pairs[pair][0].rx_id),
         )
-        out.append(
-            DirectionalXpd(
-                direction=direction,
-                xpd_db=pl_vh[direction] - pl_vv[direction],
-                path_class=path_class,
-                location=(loc_vv.tx_id, loc_vv.rx_id),
-            )
-        )
-    return tuple(out)
+        for pair, tx_az, rx_az, xpd_db, boresight in zip(*(column.tolist() for column in columns))
+    )
+
+
+def directional_xpd(
+    loc_vv: LocationMeasurement, loc_vh: LocationMeasurement
+) -> tuple[DirectionalXpd, ...]:
+    """Per-direction XPD = PL_cross - PL_co over directions detectable in both.
+
+    The two locations must be the same physical TX-RX placement measured
+    in the two polarizations.  Path classes come from the co-polar sweep.
+    Nothing detectable in both polarizations is a data fact, not an error.
+    """
+    return collect_xpds(((loc_vv, loc_vh),))
 
 
 @dataclass(frozen=True)
@@ -109,34 +161,29 @@ class XpdClassSummary:
             raise ValidationError("cdf", "one CDF point per sample expected")
 
 
+def _summaries(xpd_db: np.ndarray, boresight: np.ndarray) -> dict[PathClass, XpdClassSummary]:
+    out: dict[PathClass, XpdClassSummary] = {}
+    # classes keyed in order of first appearance
+    for flag in dict.fromkeys(boresight.tolist()):
+        arr = np.sort(xpd_db[boresight == flag])
+        n = len(arr)
+        out[PathClass.BORESIGHT if flag else PathClass.REFLECTION] = XpdClassSummary(
+            mean_db=float(np.mean(arr)),
+            std_db=float(np.sqrt(np.mean((arr - np.mean(arr)) ** 2))),
+            n=n,
+            cdf=tuple((v, (k + 1) / n) for k, v in enumerate(arr.tolist())),
+        )
+    return out
+
+
 def xpd_summary(xpds: Iterable[DirectionalXpd]) -> dict[PathClass, XpdClassSummary]:
     """Mean, population std, and empirical CDF of XPD per path class.
 
     CDF points are (value, (k+1)/n) over the sorted values; classes with
     no samples are left out of the result.
     """
-    grouped: dict[PathClass, list[float]] = {}
-    for x in xpds:
-        grouped.setdefault(x.path_class, []).append(x.xpd_db)
-    out: dict[PathClass, XpdClassSummary] = {}
-    for path_class, values in grouped.items():
-        arr = np.array(sorted(values))
-        n = len(arr)
-        cdf = tuple((float(v), (k + 1) / n) for k, v in enumerate(arr))
-        out[path_class] = XpdClassSummary(
-            mean_db=float(np.mean(arr)),
-            std_db=float(np.sqrt(np.mean((arr - np.mean(arr)) ** 2))),
-            n=n,
-            cdf=cdf,
-        )
-    return out
-
-
-def collect_xpds(
-    pairs: Iterable[tuple[LocationMeasurement, LocationMeasurement]]
-) -> tuple[DirectionalXpd, ...]:
-    """Directional XPDs pooled over polarization pairs."""
-    out: list[DirectionalXpd] = []
-    for loc_vv, loc_vh in pairs:
-        out.extend(directional_xpd(loc_vv, loc_vh))
-    return tuple(out)
+    xpds = tuple(xpds)
+    return _summaries(
+        np.array([x.xpd_db for x in xpds], dtype=float),
+        np.array([x.path_class is PathClass.BORESIGHT for x in xpds], dtype=bool),
+    )

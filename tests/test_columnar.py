@@ -1,0 +1,362 @@
+"""The tap table and its kernels against the per-location public functions."""
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from conftest import make_location, make_pdp
+
+from subthz_chan import (
+    Analysis,
+    Campaign,
+    DirectionClass,
+    NoSignalError,
+    PathClass,
+    Polarization,
+    SampleKind,
+    Side,
+    SynthesisParams,
+    TapTable,
+    ValidationError,
+    angular_stats,
+    campaign_angular_summary,
+    circular_distance_deg,
+    classify_directions,
+    db_to_linear,
+    delay_stats,
+    direction_path_loss_map,
+    directional_path_loss,
+    directional_xpd,
+    ingest_campaign,
+    integrated_power_mw,
+    linear_to_db,
+    los_bearings_deg,
+    omni_path_loss,
+    power_angular_spectrum,
+    render_campaign,
+    summarize,
+    synthesize_omni_pdp,
+    write_campaign,
+    xpd_summary,
+)
+from subthz_chan.cli import EXIT_VALIDATION, main
+
+REL = 1e-12
+
+
+def silent_location(like):
+    """A location like ``like`` whose every sweep sits below the noise floor."""
+    sweeps = [make_pdp([10.0, 12.0], [-118.0, -112.0], rx_az=az, floor=-110.0) for az in (0.0, 8.0)]
+    return replace(like, tx_id="TX-SILENT", rx_id="RX-SILENT", sweeps=sweeps)
+
+
+@pytest.fixture(scope="module")
+def campaign(tmp_path_factory):
+    """A seeded 40-placement render plus one co-polar location without signal."""
+    out = tmp_path_factory.mktemp("columnar")
+    rendered = ingest_campaign(render_campaign(SynthesisParams(), 40, 5, out).manifest_path)
+    locations = rendered.locations + (silent_location(rendered.locations[0]),)
+    return Campaign(rendered.campaign_id, rendered.carrier_hz, rendered.tx_power_dbm, locations)
+
+
+@pytest.fixture(scope="module")
+def analysis(campaign):
+    return Analysis(campaign)
+
+
+def assert_row_close(row, values):
+    expected = summarize(values)
+    assert row.n == expected.n
+    for field in ("min", "max", "mean", "median", "p90"):
+        assert getattr(row, field) == pytest.approx(getattr(expected, field), rel=REL, abs=0.0), field
+
+
+def assert_samples_equal(batched, single):
+    assert len(batched) == len(single)
+    for a, b in zip(batched, single):
+        assert (a.distance_m, a.polarization, a.kind, a.los) == (b.distance_m, b.polarization, b.kind, b.los)
+        assert a.pl_db == pytest.approx(b.pl_db, rel=REL, abs=0.0)
+
+
+class TestTapTable:
+    def test_linear_column_is_the_scalar_conversion_bit_for_bit(self, campaign):
+        table = TapTable(campaign)
+        expected = np.array([db_to_linear(p) for p in table.power_db.tolist()])
+        assert table.power_mw.tobytes() == expected.tobytes()
+
+    def test_rows_are_the_detected_bins(self, campaign):
+        table = TapTable(campaign)
+        rows = list(zip(table.tap_loc.tolist(), table.delay_ns.tolist(), table.power_db.tolist()))
+        expected = [
+            (index, delay, power)
+            for index, loc in enumerate(campaign)
+            for pdp in loc.detectable_sweeps()
+            for delay, power in pdp.detected_bins()
+        ]
+        assert rows == expected
+        assert table.n_sweeps.tolist() == [len(loc.detectable_sweeps()) for loc in campaign]
+
+    def test_location_without_signal_has_no_rows(self, campaign):
+        table = TapTable(campaign)
+        assert table.n_sweeps[-1] == 0
+        with pytest.raises(NoSignalError, match="no sweep clears the noise floor"):
+            table.require_signal(len(table) - 1)
+
+    def test_kept_computes_once(self, campaign):
+        table = TapTable(campaign[:2])
+        calls = []
+
+        def compute(t):
+            calls.append(t)
+            return len(calls)
+
+        assert table.kept(compute) == table.kept(compute) == 1
+        assert calls == [table]
+
+
+class TestKernelsMatchPerLocationFunctions:
+    """``Analysis`` over the whole campaign against the per-location functions, composed by hand."""
+
+    def test_path_loss_samples_and_exclusions(self, campaign, analysis):
+        for pol in Polarization:
+            single, excluded = [], []
+            for loc in campaign.by_polarization(pol):
+                try:
+                    single.append(omni_path_loss(loc, analysis.max_measurable_pl_db))
+                except NoSignalError as err:
+                    excluded.append((loc.tx_id, loc.rx_id, str(err)))
+            assert_samples_equal(analysis.samples(pol, SampleKind.OMNI), single)
+            listed = [(e["tx_id"], e["rx_id"], e["reason"]) for e in analysis.excluded if e["polarization"] == pol.value]
+            assert listed == excluded
+        assert ("TX-SILENT", "RX-SILENT") in {(e["tx_id"], e["rx_id"]) for e in analysis.excluded}
+        directional = []
+        for loc in campaign.by_polarization(Polarization.VV):
+            try:
+                directional.extend(directional_path_loss(loc, analysis.max_measurable_pl_db))
+            except NoSignalError:
+                continue
+        for kind in (SampleKind.DIR_B, SampleKind.DIR_NBB, SampleKind.DIR_NB):
+            assert_samples_equal(analysis.samples(Polarization.VV, kind), [s for s in directional if s.kind is kind])
+
+    @pytest.mark.parametrize("threshold_db", [20.0, 30.0])
+    def test_delay_section(self, campaign, analysis, threshold_db):
+        omni_rms, omni_mds, dir_rms, dir_mds = [], [], [], []
+        for loc in campaign.by_polarization(Polarization.VV):
+            try:
+                omni = synthesize_omni_pdp(loc)
+            except NoSignalError:
+                continue
+            stats = delay_stats(omni, threshold_db)
+            omni_rms.append(stats.rmsds_ns)
+            omni_mds.append(stats.mds_ns)
+            for pdp in loc.detectable_sweeps():
+                stats = delay_stats(pdp, threshold_db)
+                dir_rms.append(stats.rmsds_ns)
+                dir_mds.append(stats.mds_ns)
+        summary = analysis.delay[threshold_db]
+        assert_row_close(summary.omni_rmsds, omni_rms)
+        assert_row_close(summary.omni_mds, omni_mds)
+        assert_row_close(summary.dir_rmsds, dir_rms)
+        assert_row_close(summary.dir_mds, dir_mds)
+
+    @pytest.mark.parametrize("threshold_db", [20.0, 30.0])
+    def test_angular_section(self, campaign, analysis, threshold_db):
+        lobes = {Side.AOA: [], Side.AOD: []}
+        spreads = {Side.AOA: [], Side.AOD: []}
+        for loc in campaign.by_polarization(Polarization.VV):
+            if not loc.detectable_sweeps():
+                continue
+            for side in Side:
+                stats = angular_stats(power_angular_spectrum(loc, side, threshold_db), threshold_db)
+                lobes[side].append(float(stats.n_lobes))
+                spreads[side].append(stats.rmsas_deg)
+        summary = analysis.angular[threshold_db]
+        assert summary.n_aoa_lobes == summarize(lobes[Side.AOA])
+        assert summary.n_aod_lobes == summarize(lobes[Side.AOD])
+        assert_row_close(summary.aoa_rmsas, spreads[Side.AOA])
+        assert_row_close(summary.aod_rmsas, spreads[Side.AOD])
+
+    def test_xpd_section(self, campaign, analysis):
+        single = xpd_summary(x for vv, vh in campaign.paired_locations() for x in directional_xpd(vv, vh))
+        assert set(analysis.xpd) == set(single)
+        for path_class, expected in single.items():
+            got = analysis.xpd[path_class]
+            assert got.n == expected.n
+            assert got.mean_db == pytest.approx(expected.mean_db, rel=REL, abs=0.0)
+            assert got.std_db == pytest.approx(expected.std_db, rel=REL, abs=0.0)
+            for (v, f), (ev, ef) in zip(got.cdf, expected.cdf):
+                assert f == ef
+                assert v == pytest.approx(ev, rel=REL, abs=0.0)
+
+
+class TestOffGridAzimuth:
+    def test_stats_angular_exits_2(self, tmp_path, capsys):
+        def location(tx_id, off_grid_rx):
+            sweeps = [
+                make_pdp([100.0, 102.0], [-60.0, -70.0], tx_az=180.0, rx_az=0.0),
+                make_pdp([104.0], [-75.0], tx_az=188.0, rx_az=off_grid_rx or 8.0),
+            ]
+            return make_location(sweeps, tx_id=tx_id, rx_id="RX" + tx_id)
+
+        campaign = Campaign("off-grid", 142e9, 0.0, (location("TX1", None), location("TX2", 3.0)))
+        manifest = write_campaign(campaign, tmp_path / "off_grid")
+        assert main(["stats", "angular", "--manifest", str(manifest)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "rx_az_deg" in err and "azimuth 3.0 is off the uniform 8 deg sweep grid" in err
+
+    def test_first_location_decides_the_side(self):
+        off_aod = make_location([make_pdp([0.0], [-60.0], tx_az=0.0), make_pdp([0.0], [-70.0], tx_az=5.0)])
+        off_aoa = make_location(
+            [make_pdp([0.0], [-60.0], rx_az=0.0), make_pdp([0.0], [-70.0], rx_az=5.0)], tx_id="TX2"
+        )
+        with pytest.raises(ValidationError) as err:
+            campaign_angular_summary([off_aod, off_aoa], 30.0)
+        assert err.value.field == "tx_az_deg"
+        with pytest.raises(ValidationError) as err:
+            campaign_angular_summary([off_aoa, off_aod], 30.0)
+        assert err.value.field == "rx_az_deg"
+
+    def test_single_spectrum_checks_only_its_side(self):
+        off_aod = make_location([make_pdp([0.0], [-60.0], tx_az=0.0), make_pdp([0.0], [-70.0], tx_az=5.0)])
+        assert power_angular_spectrum(off_aod, Side.AOA, 30.0).powers_mw[0] > 0
+        with pytest.raises(ValidationError, match="off the uniform"):
+            power_angular_spectrum(off_aod, Side.AOD, 30.0)
+
+
+# Per-object loops the kernels replaced, kept as the reference they must
+# reproduce: bit for bit where the arithmetic is unchanged, and within REL
+# where only the summation order moved (the angular moments).
+
+
+def loop_omni(loc):
+    acc = {}
+    for pdp in loc.detectable_sweeps():
+        for delay, power in pdp.detected_bins():
+            acc[delay] = acc.get(delay, 0.0) + db_to_linear(power - loc.gain_sum_dbi)
+    delays = sorted(acc)
+    return delays, [acc[t] for t in delays]
+
+
+def loop_spreads(taps):
+    total = sum(p for _, p in taps)
+    t0 = taps[0][0]
+    m1 = sum(p * (t - t0) for t, p in taps) / total
+    m2 = sum(p * (t - t0) ** 2 for t, p in taps) / total
+    return math.sqrt(max(m2 - m1 * m1, 0.0)), taps[-1][0] - t0, len(taps)
+
+
+def loop_omni_delay(delays, powers, threshold_db):
+    cut = max(powers) * db_to_linear(-threshold_db)
+    return loop_spreads([(t, p) for t, p in zip(delays, powers) if p >= cut])
+
+
+def loop_sweep_delay(pdp, threshold_db):
+    cut = pdp.peak_db - threshold_db
+    return loop_spreads([(t, db_to_linear(p)) for t, p in pdp.detected_bins() if p >= cut])
+
+
+def loop_pas(loc, side, threshold_db):
+    detectable = loc.detectable_sweeps()
+    antenna = loc.tx_antenna if side is Side.AOD else loc.rx_antenna
+    step, nbins = antenna.az_step_deg, antenna.n_az_bins
+    azimuth = (lambda s: s.tx_az_deg) if side is Side.AOD else (lambda s: s.rx_az_deg)
+    phase = azimuth(detectable[0]) % step
+    cut = max(s.peak_db for s in detectable) - threshold_db
+    powers = [0.0] * nbins
+    for pdp in detectable:
+        index = round((azimuth(pdp) - phase) / step) % nbins
+        for _, power in pdp.detected_bins():
+            if power >= cut:
+                powers[index] += db_to_linear(power)
+    return [phase + k * step for k in range(nbins)], powers
+
+
+def loop_rms_spread(bins_deg, powers):
+    p, bins = np.asarray(powers), np.asarray(bins_deg)
+    resultant = np.sum(p * np.exp(1j * np.radians(bins)))
+    mean = 0.0 if abs(resultant) < 1e-9 * np.sum(p) else float(np.degrees(np.angle(resultant)) % 360.0)
+    dev = (bins - (0.0 if mean == 360.0 else mean) + 180.0) % 360.0 - 180.0
+    return float(np.sqrt(np.sum(p * dev**2) / np.sum(p)))
+
+
+def loop_lobe_count(powers, threshold_db):
+    cut = max(powers) * db_to_linear(-threshold_db)
+    marked = [p >= cut for p in powers]
+    return 1 if all(marked) else sum(1 for i in range(len(marked)) if marked[i] and not marked[i - 1])
+
+
+def loop_losses(loc):
+    return {
+        pdp.direction: loc.tx_power_dbm + loc.gain_sum_dbi - linear_to_db(integrated_power_mw(pdp))
+        for pdp in loc.detectable_sweeps()
+    }
+
+
+def loop_classes(loc):
+    powers = {pdp.direction: integrated_power_mw(pdp) for pdp in loc.detectable_sweeps()}
+    classes, remaining = {}, set(powers)
+    if loc.los:
+        tx_bearing, rx_bearing = los_bearings_deg(loc)
+        candidates = []
+        for tx_az, rx_az in remaining:
+            d_tx = circular_distance_deg(tx_az, tx_bearing)
+            d_rx = circular_distance_deg(rx_az, rx_bearing)
+            if d_tx <= loc.tx_antenna.az_step_deg / 2.0 + 1e-9 and d_rx <= loc.rx_antenna.az_step_deg / 2.0 + 1e-9:
+                candidates.append((d_tx + d_rx, (tx_az, rx_az)))
+        if candidates:
+            boresight = min(candidates)[1]
+            classes[boresight] = DirectionClass.B
+            remaining.discard(boresight)
+    if remaining:
+        strongest = min(remaining, key=lambda d: (-powers[d], d))
+        classes[strongest] = DirectionClass.NBB
+        remaining.discard(strongest)
+    return {**classes, **{d: DirectionClass.NB for d in remaining}}
+
+
+THRESHOLDS = (10.0, 20.0, 25.0, 30.0)
+
+
+class TestAgainstLoopReference:
+    def test_omni_and_delay(self, campaign):
+        for loc in campaign:
+            if not loc.detectable_sweeps():
+                continue
+            delays, powers = loop_omni(loc)
+            omni = synthesize_omni_pdp(loc)
+            assert (list(omni.delays_ns), list(omni.powers_mw)) == (delays, powers)
+            for t in THRESHOLDS:
+                stats = delay_stats(omni, t)
+                assert (stats.rmsds_ns, stats.mds_ns, stats.n_taps) == loop_omni_delay(delays, powers, t)
+                for pdp in loc.detectable_sweeps():
+                    stats = delay_stats(pdp, t)
+                    assert (stats.rmsds_ns, stats.mds_ns, stats.n_taps) == loop_sweep_delay(pdp, t)
+
+    def test_angular(self, campaign):
+        for loc in campaign:
+            if not loc.detectable_sweeps():
+                continue
+            for side in Side:
+                for t in THRESHOLDS:
+                    bins, powers = loop_pas(loc, side, t)
+                    pas = power_angular_spectrum(loc, side, t)
+                    assert (list(pas.bins_deg), list(pas.powers_mw)) == (bins, powers)
+                    stats = angular_stats(pas, t)
+                    assert stats.n_lobes == loop_lobe_count(powers, t)
+                    assert stats.rmsas_deg == pytest.approx(loop_rms_spread(bins, powers), rel=REL, abs=1e-12)
+
+    def test_losses_classes_and_xpd(self, campaign):
+        for loc in campaign:
+            assert direction_path_loss_map(loc) == loop_losses(loc)
+            if loc.detectable_sweeps():
+                assert classify_directions(loc) == loop_classes(loc)
+        for vv, vh in campaign.paired_locations():
+            pl_vv, pl_vh = loop_losses(vv), loop_losses(vh)
+            classes = loop_classes(vv) if pl_vv else {}
+            expected = [
+                (d, pl_vh[d] - pl_vv[d], classes[d] is DirectionClass.B) for d in sorted(set(pl_vv) & set(pl_vh))
+            ]
+            got = [(x.direction, x.xpd_db, x.path_class is PathClass.BORESIGHT) for x in directional_xpd(vv, vh)]
+            assert got == expected
