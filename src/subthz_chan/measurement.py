@@ -8,6 +8,7 @@ new instances instead of mutating.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Iterable
@@ -125,19 +126,22 @@ class DirectionalPdp:
     noise_floor_db: float
 
     def __post_init__(self):
-        object.__setattr__(self, "delays_ns", tuple(float(t) for t in self.delays_ns))
-        object.__setattr__(self, "powers_db", tuple(float(p) for p in self.powers_db))
+        delays = tuple(map(float, self.delays_ns))
+        powers = tuple(map(float, self.powers_db))
+        object.__setattr__(self, "delays_ns", delays)
+        object.__setattr__(self, "powers_db", powers)
         for name in ("tx_az_deg", "rx_az_deg"):
             az = getattr(self, name)
             if not 0.0 <= az < 360.0:
                 raise ValidationError(name, f"azimuth {az} outside [0, 360)")
-        if not self.delays_ns:
+        if not delays:
             raise ValidationError("delays_ns", "PDP has no bins")
-        if len(self.powers_db) != len(self.delays_ns):
+        if len(powers) != len(delays):
             raise ValidationError("powers_db", "length differs from delays_ns")
-        if any(b <= a for a, b in zip(self.delays_ns, self.delays_ns[1:])):
+        # ge is false when either side is NaN, so a NaN delay is not reported as out of order
+        if any(map(operator.ge, delays, delays[1:])):
             raise ValidationError("delays_ns", "delays must be strictly increasing")
-        if not all(math.isfinite(p) for p in self.powers_db):
+        if not all(map(math.isfinite, powers)):
             raise ValidationError("powers_db", "powers must be finite")
         if not math.isfinite(self.noise_floor_db):
             raise ValidationError("noise_floor_db", "must be finite")
@@ -233,7 +237,10 @@ class LocationMeasurement:
             pos = getattr(self, name)
             if len(pos) != 3:
                 raise ValidationError(name, "position must be a 3-vector")
-            object.__setattr__(self, name, tuple(float(v) for v in pos))
+            pos = tuple(map(float, pos))
+            if not all(map(math.isfinite, pos)):
+                raise ValidationError(name, f"position {pos} must be finite")
+            object.__setattr__(self, name, pos)
         object.__setattr__(self, "sweeps", tuple(self.sweeps))
         object.__setattr__(self, "polarization", Polarization(self.polarization))
         if not self.tx_id or not self.rx_id:

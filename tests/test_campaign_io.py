@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
+import warnings
 
 import pytest
 
@@ -161,6 +163,15 @@ class TestManifestErrors:
         with pytest.raises(exc, match="delay_resolution_ns"):
             ingest_campaign(path)
 
+    def test_lattice_finer_than_the_tolerance_holds_every_step(self, tmp_path):
+        # 2 ns / 1e-310 ns overflows; the line-by-line reader crashed on it
+        doc = json.loads(GOLDEN_MANIFEST)
+        doc["delay_resolution_ns"] = 1e-310
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            campaign = ingest_campaign(write_golden(tmp_path, manifest=json.dumps(doc)))
+        assert campaign[0].sweeps[0].delays_ns == (32.0, 34.0)
+
     def test_bad_position_vector(self, tmp_path):
         doc = json.loads(GOLDEN_MANIFEST)
         doc["locations"][0]["tx_pos_m"] = [1.0, 2.0]
@@ -181,6 +192,23 @@ class TestManifestErrors:
         path = write_golden(tmp_path, manifest=json.dumps(doc))
         with pytest.raises(ValidationError, match="polarization"):
             ingest_campaign(path)
+
+    @pytest.mark.parametrize("position", [[math.nan, 0.0, 0.0], [1e400, 0.0, 3.0]])
+    def test_non_finite_position(self, tmp_path, position):
+        # the manifest spells them NaN and Infinity, which the JSON reader accepts
+        doc = json.loads(GOLDEN_MANIFEST)
+        doc["locations"][0]["tx_pos_m"] = position
+        path = write_golden(tmp_path, manifest=json.dumps(doc))
+        with pytest.raises(CampaignFormatError, match="'locations\\[0\\].tx_pos_m' must be a 3-vector of finite numbers"):
+            ingest_campaign(path)
+
+    def test_undecodable_manifest(self, tmp_path):
+        path = write_golden(tmp_path)
+        path.write_bytes(b"\xff" + GOLDEN_MANIFEST.encode("utf-8"))
+        with pytest.raises(CampaignFormatError) as err:
+            ingest_campaign(path)
+        assert (err.value.path, err.value.line) == (str(path), 1)
+        assert str(err.value) == f"{path}:1: not valid UTF-8"
 
     def test_missing_sweep_file(self, tmp_path):
         doc = json.loads(GOLDEN_MANIFEST)
@@ -211,6 +239,31 @@ class TestSweepFileErrors:
             CampaignFormatError,
             "noise_floor_db",
         )
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_floor_reports_line(self, tmp_path, value):
+        path = write_golden(tmp_path, sweeps=GOLDEN_SWEEPS.replace("-130.0", value, 1))
+        with pytest.raises(CampaignFormatError, match="noise_floor_db must be finite") as err:
+            ingest_campaign(path)
+        assert err.value.line == 1
+        assert f"TX1_RX1_VV.csv:1:" in str(err.value)
+
+    def test_undecodable_bytes_report_line(self, tmp_path):
+        data = bytearray(GOLDEN_SWEEPS.encode("utf-8"))
+        data[40] = 0xFF  # inside the header, line 2
+        path = write_golden(tmp_path)
+        sweeps = tmp_path / "sweeps" / "TX1_RX1_VV.csv"
+        sweeps.write_bytes(bytes(data))
+        with pytest.raises(CampaignFormatError) as err:
+            ingest_campaign(path)
+        assert str(err.value) == f"{sweeps}:2: not valid UTF-8"
+
+    def test_undecodable_line_counts_lone_cr(self, tmp_path):
+        path = write_golden(tmp_path)
+        sweeps = tmp_path / "sweeps" / "TX1_RX1_VV.csv"
+        sweeps.write_bytes(GOLDEN_SWEEPS.replace("\n", "\r").encode("utf-8") + b"\xff")
+        with pytest.raises(CampaignFormatError, match=":6: not valid UTF-8"):
+            ingest_campaign(path)
 
     def test_duplicate_noise_floor(self, tmp_path):
         self.check(
@@ -292,6 +345,64 @@ class TestSweepFileErrors:
             ValidationError,
             "lattice",
         )
+
+
+class TestFirstFault:
+    """With several faults, the one a line-by-line reader meets first is raised."""
+
+    def test_bad_value_before_a_structural_line(self, tmp_path):
+        sweeps = GOLDEN_SWEEPS + "361.0,0.0,40.0,-90.0\n180.0,0.0\n"
+        with pytest.raises(ValidationError, match=r"tx_az_deg: 361.0 outside \[0, 360\) .*:6\)"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+
+    def test_structural_line_before_a_bad_value(self, tmp_path):
+        sweeps = GOLDEN_SWEEPS + "180.0,0.0\n361.0,0.0,40.0,-90.0\n"
+        with pytest.raises(CampaignFormatError, match=":6: expected 4 columns"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+
+    def test_bad_value_before_a_duplicate_delay(self, tmp_path):
+        sweeps = GOLDEN_SWEEPS + "180.0,0.0,32.0,-90.0\n180.0,0.0,40.0,nan\n"
+        with pytest.raises(ValidationError, match="power must be finite"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+
+    def test_earlier_location_first(self, tmp_path):
+        doc = json.loads(GOLDEN_MANIFEST)
+        second = dict(doc["locations"][0], sweeps="sweeps/second.csv")
+        del second["los"]
+        doc["locations"].append(second)
+        path = write_golden(tmp_path, manifest=json.dumps(doc), sweeps=GOLDEN_SWEEPS + "180.0,0.0,33.0,-90.0\n")
+        (tmp_path / "sweeps" / "second.csv").write_text(GOLDEN_SWEEPS, encoding="utf-8")
+        # the first file's off-lattice delay, not the second entry's missing key
+        with pytest.raises(ValidationError, match="lattice in .*TX1_RX1_VV.csv"):
+            ingest_campaign(path)
+        write_golden(tmp_path, manifest=json.dumps(doc))
+        with pytest.raises(CampaignFormatError, match="missing key 'locations\\[1\\].los'"):
+            ingest_campaign(path)
+
+    def test_location_check_before_a_later_file(self, tmp_path):
+        doc = json.loads(GOLDEN_MANIFEST)
+        doc["locations"][0]["tx_pos_m"] = [0.5, 0.0, 1.5]
+        doc["locations"].append(dict(doc["locations"][0], sweeps="sweeps/second.csv"))
+        path = write_golden(tmp_path, manifest=json.dumps(doc))
+        (tmp_path / "sweeps" / "second.csv").write_text("# noise_floor_db=-130.0\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="distance_m"):
+            ingest_campaign(path)
+
+
+class TestIngestLog:
+    def test_one_info_line_with_counts(self, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="subthz_chan.campaign_io"):
+            ingest_campaign(write_golden(tmp_path))
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        assert record.getMessage().startswith(
+            "ingested golden-demo: 1 locations, 2 files, 3 rows, 2 sweeps in "
+        )
+
+    def test_silent_at_warning(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING):
+            ingest_campaign(write_golden(tmp_path))
+        assert not caplog.records
 
 
 def build_campaign():

@@ -1,6 +1,7 @@
 """Data model, angle helpers, and PDP thresholding."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -241,6 +242,14 @@ class TestLocationMeasurement:
             make_location([])
         with pytest.raises(ValidationError):
             make_location([make_pdp([0.0], [-60.0])], tx_id="")
+
+    @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_position(self, coordinate):
+        # a NaN distance would pass the reference-distance check, which NaN compares false against
+        loc = make_location([make_pdp([0.0], [-60.0])])
+        for name in ("tx_pos_m", "rx_pos_m"):
+            with pytest.raises(ValidationError, match=f"{name}: position .* must be finite"):
+                dataclasses.replace(loc, **{name: (coordinate, 0.0, 1.5)})
 
     def test_detectable_sweeps_filters(self):
         sweeps = [
