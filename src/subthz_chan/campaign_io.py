@@ -69,7 +69,7 @@ class CampaignFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Campaign:
-    """An ingested campaign.  Iterates over its location measurements."""
+    """An ingested campaign: one location per ``key``.  Iterates over its location measurements."""
 
     campaign_id: str
     carrier_hz: float
@@ -86,6 +86,12 @@ class Campaign:
         object.__setattr__(self, "locations", tuple(self.locations))
         if self.carrier_hz <= 0:
             raise ValidationError("carrier_hz", "must be > 0")
+        first_of: dict = {}
+        for index, loc in enumerate(self.locations):
+            first = first_of.setdefault(loc.key, index)
+            if first != index:
+                where = f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}) of locations[{first}]"
+                raise ValidationError(f"locations[{index}]", f"repeats location {where}")
 
     def __iter__(self) -> Iterator[LocationMeasurement]:
         return iter(self.locations)
@@ -102,10 +108,8 @@ class Campaign:
 
     def paired_locations(self) -> tuple[tuple[LocationMeasurement, LocationMeasurement], ...]:
         """(V-V, V-H) pairs sharing (tx_id, rx_id), ordered by id."""
-        vv = {(l.tx_id, l.rx_id): l for l in self.by_polarization(Polarization.VV)}
-        vh = {(l.tx_id, l.rx_id): l for l in self.by_polarization(Polarization.VH)}
-        keys = sorted(set(vv) & set(vh))
-        return tuple((vv[k], vh[k]) for k in keys)
+        vv, vh = ({loc.key[:2]: loc for loc in self.by_polarization(p)} for p in (Polarization.VV, Polarization.VH))
+        return tuple((vv[ids], vh[ids]) for ids in sorted(vv.keys() & vh.keys()))
 
 
 def _require(doc: dict, key: str, kind: type, path, ctx: str = ""):
@@ -361,12 +365,14 @@ def _read_location(
     try:
         polarization = Polarization(pol_raw)
     except ValueError:
-        raise ValidationError("polarization", f"unknown polarization '{pol_raw}' at locations[{index}]")
+        raise CampaignFormatError(path, None, f"{ctx}polarization: unknown polarization '{pol_raw}'") from None
     antenna = _require(entry, "antenna", dict, path, ctx)
     gain = _require(antenna, "gain_dbi", float, path, ctx + "antenna.")
     hpbw = _require(antenna, "hpbw_deg", float, path, ctx + "antenna.")
     step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
     sweeps_rel = _require(entry, "sweeps", str, path, ctx)
+    if not sweeps_rel:
+        raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file")
     sweep_path = path.parent / sweeps_rel
     rows.read(sweep_path, _read_text(sweep_path, digests, sweeps_rel))
     fields = dict(
@@ -379,7 +385,10 @@ def _read_location(
     )
     key = (gain, hpbw, step)
     if key not in antennas:
-        antennas[key] = (AntennaConfig(*key, height_m=3.0), AntennaConfig(*key, height_m=1.5))
+        try:
+            antennas[key] = (AntennaConfig(*key, height_m=3.0), AntennaConfig(*key, height_m=1.5))
+        except ValidationError as err:
+            raise CampaignFormatError(path, None, f"{ctx}antenna.{err}") from None
     fields["tx_antenna"], fields["rx_antenna"] = antennas[key]
     fields["tx_power_dbm"] = tx_power_dbm
     return fields
@@ -388,10 +397,12 @@ def _read_location(
 def ingest_campaign(manifest_path) -> Campaign:
     """Parse and validate a campaign manifest plus every referenced sweep file.
 
-    Raises CampaignFormatError for malformed files, ValidationError for
-    invariant violations, and OSError when a referenced file is missing.
+    Raises CampaignFormatError for malformed files (a manifest entry that
+    breaks an invariant included, named by its index), ValidationError for
+    other invariant violations, and OSError when a referenced file is missing.
     The first fault is reported, in the order a line-by-line reader meets
-    them: location by location, and within a sweep file line by line.
+    them: location by location, and within a sweep file line by line; a
+    repeated location key, which needs every entry, comes last.
     """
     started = perf_counter()
     path = Path(manifest_path)
@@ -414,7 +425,7 @@ def ingest_campaign(manifest_path) -> Campaign:
         raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {delay_resolution_ns}")
     raw_locations = _require(doc, "locations", list, path)
     if not raw_locations:
-        raise ValidationError("locations", "manifest lists no locations")
+        raise CampaignFormatError(path, None, "locations: manifest lists no locations")
 
     rows = _SweepRows()
     antennas: dict = {}  # one tx/rx AntennaConfig pair per distinct (gain, hpbw, step)
@@ -438,10 +449,18 @@ def ingest_campaign(manifest_path) -> Campaign:
         n_built, fault = late
     # a location's own errors come before any fault in a later location
     sweeps = pointings.sweeps(n_built) if n_built else []
-    locations = [LocationMeasurement(sweeps=s, **fields) for fields, s in zip(entries, sweeps)]
+    locations: list[LocationMeasurement] = []
+    try:
+        for fields, pdps in zip(entries, sweeps):
+            locations.append(LocationMeasurement(sweeps=pdps, **fields))
+    except ValidationError as err:
+        raise CampaignFormatError(path, None, f"locations[{len(locations)}].{err}") from None
     if fault is not None:
         raise fault
-    campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
+    try:
+        campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
+    except ValidationError as err:  # a repeated location key, or carrier_hz
+        raise CampaignFormatError(path, None, str(err)) from None
     logger.info(
         "ingested %s: %d locations, %d files, %d rows, %d sweeps in %.3f s",
         campaign_id, len(locations), len(digests), len(rows.lines),
@@ -484,11 +503,13 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
     ``ingest_campaign(write_campaign(c))`` reproduces ``c`` field for field
     (antenna heights come from the per-side defaults, not the manifest).
     """
+    files = {f"sweeps/{loc.tx_id}_{loc.rx_id}_{loc.polarization.value}.csv": loc for loc in campaign}
+    if len(files) < len(campaign):
+        raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")
     out = Path(out_dir)
     (out / "sweeps").mkdir(parents=True, exist_ok=True)
     entries = []
-    used_names: set[str] = set()
-    for loc in campaign.locations:
+    for rel, loc in files.items():
         if (
             loc.tx_antenna.gain_dbi != loc.rx_antenna.gain_dbi
             or loc.tx_antenna.hpbw_deg != loc.rx_antenna.hpbw_deg
@@ -501,13 +522,6 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
             raise ValidationError(
                 "tx_power_dbm", "manifest format stores one TX power per campaign"
             )
-        base = f"{loc.tx_id}_{loc.rx_id}_{loc.polarization.value}"
-        name, suffix = base, 2
-        while name in used_names:
-            name = f"{base}_{suffix}"
-            suffix += 1
-        used_names.add(name)
-        rel = f"sweeps/{name}.csv"
         _write_sweep_file(out / rel, loc.sweeps)
         entries.append(
             {

@@ -218,16 +218,12 @@ def _cmd_stats(args) -> int:
 def _cmd_pas_dump(args) -> int:
     campaign = ingest_campaign(args.manifest)
     pol = Polarization(args.pol)
-    match = [
-        loc
-        for loc in campaign
-        if loc.tx_id == args.tx_id and loc.rx_id == args.rx_id and loc.polarization is pol
-    ]
-    if not match:
+    loc = {loc.key: loc for loc in campaign}.get((args.tx_id, args.rx_id, pol))
+    if loc is None:
         raise ValidationError(
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
-    pas = power_angular_spectrum(match[0], Side(args.side), args.threshold_db)
+    pas = power_angular_spectrum(loc, Side(args.side), args.threshold_db)
     lines = ["bin_deg,power_db"]
     for bin_deg, power_mw in zip(pas.bins_deg, pas.powers_mw):
         if power_mw > 0:

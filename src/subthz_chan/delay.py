@@ -100,7 +100,7 @@ def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
     return OmniPdp(
         delays_ns=tuple(omni.delay_ns.tolist()),
         powers_mw=tuple(omni.power_mw.tolist()),
-        source=(loc.tx_id, loc.rx_id, loc.polarization),
+        source=loc.key,
     )
 
 

@@ -260,6 +260,9 @@ class LocationMeasurement:
                 )
             seen.add(pdp.direction)
 
+    #: (tx_id, rx_id, polarization): what identifies a location within a campaign
+    key = property(operator.attrgetter("tx_id", "rx_id", "polarization"))
+
     @property
     def distance_m(self) -> float:
         return math.dist(self.tx_pos_m, self.rx_pos_m)

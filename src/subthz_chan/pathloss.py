@@ -60,7 +60,8 @@ class SampleKind(str, Enum):
     DIR_NB = "dir-NB"
 
 
-_KIND_FOR_CLASS = {
+#: sample kind of each direction class, in B, NBB, NB order
+KIND_OF_CLASS = {
     DirectionClass.B: SampleKind.DIR_B,
     DirectionClass.NBB: SampleKind.DIR_NBB,
     DirectionClass.NB: SampleKind.DIR_NB,
@@ -132,7 +133,7 @@ class SweepLosses(NamedTuple):
 
 
 #: ``DirectionClass`` of each ``SweepLosses.class_index``: B, NBB, NB
-DIRECTION_CLASSES = tuple(DirectionClass)
+DIRECTION_CLASSES = tuple(KIND_OF_CLASS)
 _B, _NBB, _NB = range(len(DIRECTION_CLASSES))
 
 
@@ -290,7 +291,7 @@ def directional_samples(
                 distance_m=distance_m,
                 pl_db=pl_db,
                 polarization=loc.polarization,
-                kind=_KIND_FOR_CLASS[DIRECTION_CLASSES[class_index]],
+                kind=KIND_OF_CLASS[DIRECTION_CLASSES[class_index]],
                 los=loc.los,
             )
         )

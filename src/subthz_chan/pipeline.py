@@ -29,6 +29,7 @@ from .measurement import (
     ValidationError,
 )
 from .pathloss import (
+    KIND_OF_CLASS,
     CiFit,
     CixFit,
     DegenerateFitError,
@@ -55,7 +56,7 @@ DEFAULT_THRESHOLDS_DB = (20.0, 30.0)
 DEFAULT_MAX_PL_DB = 152.0
 
 #: report key of each directional sample kind
-DIRECTIONAL_KINDS = {"B": SampleKind.DIR_B, "NBB": SampleKind.DIR_NBB, "NB": SampleKind.DIR_NB}
+DIRECTIONAL_KINDS = {direction_class.value: kind for direction_class, kind in KIND_OF_CLASS.items()}
 
 #: (CSV label, summary field) of each statistic of a summary section, in table order
 _SUMMARY_ROWS = {
@@ -137,9 +138,8 @@ class Analysis:
         self.thresholds_db = tuple(thresholds_db)
         self.carrier_hz = campaign.carrier_hz if carrier_hz is None else carrier_hz
         self.max_measurable_pl_db = max_measurable_pl_db
-        #: locations omni sampling left out, with the reason, in sampling order
-        self.excluded: list[dict] = []
         self._samples: dict[tuple[Polarization, SampleKind], tuple[PathLossSample, ...]] = {}
+        self._omni: dict[Polarization, tuple[tuple[PathLossSample, ...], list[dict]]] = {}
         self._tables: dict[Polarization, TapTable] = {}
 
     def table(self, pol: Polarization) -> TapTable:
@@ -152,28 +152,35 @@ class Analysis:
         """Path-loss samples of one polarization and kind, in location order.
 
         Locations without usable signal contribute nothing; omni sampling
-        records each one in ``excluded``.  One directional pass over a
-        polarization serves all three directional kinds.
+        logs each one, and ``excluded`` lists it.  One directional pass over
+        a polarization serves all three directional kinds.
         """
+        if kind is SampleKind.OMNI:
+            return self._omni_samples(pol)[0]
         if (pol, kind) not in self._samples:
-            if kind is SampleKind.OMNI:
-                self._samples[pol, kind] = self._omni_samples(pol)
-            else:
-                self._directional_samples(pol)
+            self._directional_samples(pol)
         return self._samples[pol, kind]
 
-    def _omni_samples(self, pol: Polarization) -> tuple[PathLossSample, ...]:
-        out = []
-        table = self.table(pol)
-        for loc, result in zip(table.locations, omni_losses(table, self.max_measurable_pl_db)):
-            if isinstance(result, NoSignalError):
-                logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, pol.value, result)
-                self.excluded.append(
-                    {"tx_id": loc.tx_id, "rx_id": loc.rx_id, "polarization": pol.value, "reason": str(result)}
-                )
-            else:
-                out.append(result)
-        return tuple(out)
+    @property
+    def excluded(self) -> list[dict]:
+        """The locations omni sampling leaves out, with the reason: VV, then VH, each in campaign order."""
+        return [entry for pol in Polarization for entry in self._omni_samples(pol)[1]]
+
+    def _omni_samples(self, pol: Polarization) -> tuple[tuple[PathLossSample, ...], list[dict]]:
+        """The omni samples of one polarization and the locations left out, logged when first computed."""
+        if pol not in self._omni:
+            samples, excluded = [], []
+            table = self.table(pol)
+            for loc, result in zip(table.locations, omni_losses(table, self.max_measurable_pl_db)):
+                if isinstance(result, NoSignalError):
+                    logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, pol.value, result)
+                    excluded.append(
+                        {"tx_id": loc.tx_id, "rx_id": loc.rx_id, "polarization": pol.value, "reason": str(result)}
+                    )
+                else:
+                    samples.append(result)
+            self._omni[pol] = (tuple(samples), excluded)
+        return self._omni[pol]
 
     def _directional_samples(self, pol: Polarization) -> None:
         by_kind: dict[SampleKind, list[PathLossSample]] = {kind: [] for kind in DIRECTIONAL_KINDS.values()}
@@ -205,9 +212,8 @@ class Analysis:
     def xpd(self) -> dict[PathClass, XpdClassSummary]:
         """Directional XPD statistics per path class, over every VV/VH pair."""
         vv, vh = self.table(Polarization.VV), self.table(Polarization.VH)
-        row_vv = {id(loc): i for i, loc in enumerate(vv.locations)}
-        row_vh = {id(loc): i for i, loc in enumerate(vh.locations)}
-        rows = [(row_vv[id(a)], row_vh[id(b)]) for a, b in self.campaign.paired_locations()]
+        row = {loc.key: i for table in (vv, vh) for i, loc in enumerate(table.locations)}
+        rows = [(row[a.key], row[b.key]) for a, b in self.campaign.paired_locations()]
         return xpd_columns(vv, vh, rows).summary()
 
     def summary_csv(self, section: str) -> str:
@@ -308,14 +314,12 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
     """
     campaign = ingest_campaign(config.manifest_path)
     analysis = Analysis(campaign, config.thresholds_db, config.carrier_hz, config.max_measurable_pl_db)
+    # reading the exclusions logs each one, so all of them precede the co-polar check's error
     logger.info(
-        "ingested campaign %s: %d locations, carrier %.3f GHz",
-        campaign.campaign_id, len(campaign), analysis.carrier_hz / 1e9,
+        "analysing campaign %s: carrier %.3f GHz, %d locations excluded from the path-loss fits",
+        campaign.campaign_id, analysis.carrier_hz / 1e9, len(analysis.excluded),
     )
-
-    # both omni passes run first, so every exclusion is logged and listed in order
     vv_omni = analysis.samples(Polarization.VV, SampleKind.OMNI)
-    vh_omni = analysis.samples(Polarization.VH, SampleKind.OMNI)
     if len(vv_omni) < 2:
         raise DegenerateFitError(
             f"only {len(vv_omni)} co-polarized locations usable; cannot fit the co-polar model"
@@ -329,6 +333,7 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
         texts[DELAY_CSV] = analysis.summary_csv("delay")
         texts[ANGULAR_CSV] = analysis.summary_csv("angular")
         texts[XPD_CSV] = analysis.xpd_csv()
+        vh_omni = analysis.samples(Polarization.VH, SampleKind.OMNI)
         texts[SCATTER_CSV] = _scatter_csv([*vv_omni, *vh_omni, *directional])
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

@@ -142,7 +142,7 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
         raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {delay_resolution_ns}")
     raw_locations = _require(doc, "locations", list, path)
     if not raw_locations:
-        raise ValidationError("locations", "manifest lists no locations")
+        raise CampaignFormatError(path, None, "locations: manifest lists no locations")
 
     locations = []
     for index, entry in enumerate(raw_locations):
@@ -153,28 +153,37 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
         try:
             polarization = Polarization(pol_raw)
         except ValueError:
-            raise ValidationError(
-                "polarization", f"unknown polarization '{pol_raw}' at locations[{index}]"
-            )
+            raise CampaignFormatError(path, None, f"{ctx}polarization: unknown polarization '{pol_raw}'")
         antenna = _require(entry, "antenna", dict, path, ctx)
         gain = _require(antenna, "gain_dbi", float, path, ctx + "antenna.")
         hpbw = _require(antenna, "hpbw_deg", float, path, ctx + "antenna.")
         step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
         sweeps_rel = _require(entry, "sweeps", str, path, ctx)
+        if not sweeps_rel:
+            raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file")
         sweep_path = path.parent / sweeps_rel
         pdps = _read_sweep_file(sweep_path, _read_text(sweep_path, digests, sweeps_rel), delay_resolution_ns)
-        locations.append(
-            LocationMeasurement(
-                tx_id=_require(entry, "tx_id", str, path, ctx),
-                rx_id=_require(entry, "rx_id", str, path, ctx),
-                tx_pos_m=_position(entry, "tx_pos_m", path, ctx),
-                rx_pos_m=_position(entry, "rx_pos_m", path, ctx),
-                polarization=polarization,
-                los=_require(entry, "los", bool, path, ctx),
-                sweeps=pdps,
-                tx_antenna=AntennaConfig(gain, hpbw, step, height_m=3.0),
-                rx_antenna=AntennaConfig(gain, hpbw, step, height_m=1.5),
-                tx_power_dbm=tx_power_dbm,
-            )
+        fields = dict(
+            tx_id=_require(entry, "tx_id", str, path, ctx),
+            rx_id=_require(entry, "rx_id", str, path, ctx),
+            tx_pos_m=_position(entry, "tx_pos_m", path, ctx),
+            rx_pos_m=_position(entry, "rx_pos_m", path, ctx),
+            polarization=polarization,
+            los=_require(entry, "los", bool, path, ctx),
         )
-    return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
+        try:
+            antennas = AntennaConfig(gain, hpbw, step, height_m=3.0), AntennaConfig(gain, hpbw, step, height_m=1.5)
+        except ValidationError as err:
+            raise CampaignFormatError(path, None, f"{ctx}antenna.{err}")
+        try:
+            locations.append(
+                LocationMeasurement(
+                    **fields, sweeps=pdps, tx_antenna=antennas[0], rx_antenna=antennas[1], tx_power_dbm=tx_power_dbm
+                )
+            )
+        except ValidationError as err:
+            raise CampaignFormatError(path, None, f"{ctx}{err}")
+    try:
+        return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
+    except ValidationError as err:
+        raise CampaignFormatError(path, None, str(err))

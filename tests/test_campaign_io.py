@@ -183,15 +183,43 @@ class TestManifestErrors:
         doc = json.loads(GOLDEN_MANIFEST)
         doc["locations"] = []
         path = write_golden(tmp_path, manifest=json.dumps(doc))
-        with pytest.raises(ValidationError, match="locations"):
+        with pytest.raises(CampaignFormatError, match="locations") as err:
             ingest_campaign(path)
+        assert (err.value.path, err.value.line) == (str(path), None)
 
     def test_unknown_polarization(self, tmp_path):
         doc = json.loads(GOLDEN_MANIFEST)
         doc["locations"][0]["polarization"] = "HH"
         path = write_golden(tmp_path, manifest=json.dumps(doc))
-        with pytest.raises(ValidationError, match="polarization"):
+        with pytest.raises(CampaignFormatError, match="polarization") as err:
             ingest_campaign(path)
+        assert str(err.value) == f"{path}: locations[0].polarization: unknown polarization 'HH'"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                {"antenna": {"gain_dbi": 0.0, "hpbw_deg": 8.0, "az_step_deg": 8.0}},
+                "locations[0].antenna.gain_dbi: must be > 0, got 0.0",
+            ),
+            (
+                {"antenna": {"gain_dbi": 27.0, "hpbw_deg": 8.0, "az_step_deg": 7.0}},
+                "locations[0].antenna.hpbw_deg: need 0 < hpbw_deg <= az_step_deg <= 360, got hpbw=8.0, step=7.0",
+            ),
+            (
+                {"tx_pos_m": [0.5, 0.0, 1.5]},
+                "locations[0].distance_m: TX-RX distance 0.500 m must exceed 1.0 m",
+            ),
+            ({"tx_id": ""}, "locations[0].tx_id: tx_id and rx_id must be non-empty"),
+        ],
+    )
+    def test_entry_value_names_manifest_and_entry(self, tmp_path, edit, message):
+        doc = json.loads(GOLDEN_MANIFEST)
+        doc["locations"][0].update(edit)
+        path = write_golden(tmp_path, manifest=json.dumps(doc))
+        with pytest.raises(CampaignFormatError) as err:
+            ingest_campaign(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("position", [[math.nan, 0.0, 0.0], [1e400, 0.0, 3.0]])
     def test_non_finite_position(self, tmp_path, position):
@@ -385,7 +413,7 @@ class TestFirstFault:
         doc["locations"].append(dict(doc["locations"][0], sweeps="sweeps/second.csv"))
         path = write_golden(tmp_path, manifest=json.dumps(doc))
         (tmp_path / "sweeps" / "second.csv").write_text("# noise_floor_db=-130.0\n", encoding="utf-8")
-        with pytest.raises(ValidationError, match="distance_m"):
+        with pytest.raises(CampaignFormatError, match="locations\\[0\\].distance_m"):
             ingest_campaign(path)
 
 
@@ -426,6 +454,14 @@ def build_campaign():
     )
 
 
+class TestLocationKey:
+    def test_repeated_key_names_both_indices(self):
+        loc_vv, loc_vh = build_campaign()
+        with pytest.raises(ValidationError) as err:
+            Campaign("dup", 142e9, 0.0, (loc_vv, loc_vh, loc_vv))
+        assert str(err.value) == "locations[2]: repeats location TX1-RX1 (VV) of locations[0]"
+
+
 class TestWriteCampaign:
     def test_round_trip_is_exact(self, tmp_path):
         campaign = build_campaign()
@@ -445,12 +481,15 @@ class TestWriteCampaign:
         for path in [tmp_path / "manifest.json", *sorted((tmp_path / "sweeps").iterdir())]:
             assert b"\r" not in path.read_bytes()
 
-    def test_duplicate_location_names_get_suffix(self, tmp_path):
+    def test_ids_joining_to_one_file_name_are_rejected(self, tmp_path):
+        import dataclasses
+
         loc = build_campaign()[0]
-        campaign = Campaign("dup", 142e9, 0.0, (loc, loc))
-        write_campaign(campaign, tmp_path)
-        names = sorted(p.name for p in (tmp_path / "sweeps").iterdir())
-        assert names == ["TX1_RX1_VV.csv", "TX1_RX1_VV_2.csv"]
+        joined = (dataclasses.replace(loc, tx_id="A_B", rx_id="C"), dataclasses.replace(loc, tx_id="A", rx_id="B_C"))
+        campaign = Campaign("join", 142e9, 0.0, joined)
+        with pytest.raises(ValidationError, match="one sweep file name"):
+            write_campaign(campaign, tmp_path)
+        assert not tmp_path.joinpath("sweeps").exists()
 
     def test_rejects_mismatched_antennas(self, tmp_path):
         from subthz_chan import AntennaConfig

@@ -78,6 +78,26 @@ class TestIngest:
             doc["locations"][0]
         )
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda doc: doc["locations"].append(doc["locations"][0]),
+                "locations[8]: repeats location TX0001-RX0001 (VH) of locations[0]\n",
+            ),
+            (lambda doc: doc["locations"][3].update(sweeps=""), "key 'locations[3].sweeps' must name a file\n"),
+        ],
+    )
+    def test_bad_entry_exits_2_naming_the_manifest(self, manifest, tmp_path, capsys, edit, message):
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        edit(doc)
+        for entry in doc["locations"]:
+            entry["sweeps"] = entry["sweeps"] and str(manifest.parent / entry["sweeps"])
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ingest", "--manifest", str(edited)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {edited}: {message}")
+
 
 class TestFit:
     def test_vv_fit_fields(self, manifest, capsys):

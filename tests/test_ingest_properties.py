@@ -36,11 +36,12 @@ MUTATIONS = (
 GARBLED = ("x", "", " 1.5", "1_0", "1e400", "--1", "0x10", "inf", "-0.0", "١٢")
 
 #: manifest replacements that the reader rejects with a CampaignFormatError, or
-#: accepts; DELETE removes the key
-DELETE = object()
-MANIFEST_VALUES = (DELETE, 1.0, True, [], {}, [math.nan, 0.0, 0.0], [1e400, 0.0, 0.0], [1.0, 2.0])
-#: top-level keys a mutation may touch; emptying ``locations`` is a
-#: ValidationError that names no file, so its entries are mutated instead
+#: accepts; DELETE removes the key, and REPEAT appends a copy of the entry
+#: instead of replacing a key
+DELETE, REPEAT = object(), object()
+MANIFEST_VALUES = (DELETE, REPEAT, 1.0, True, "", [], {}, [math.nan, 0.0, 0.0], [1e400, 0.0, 0.0], [1.0, 2.0])
+#: top-level keys a mutation may touch; ``locations`` is left whole, so a
+#: second mutation still finds its entries
 TOP_KEYS = ("campaign_id", "carrier_hz", "tx_power_dbm", "delay_resolution_ns")
 
 
@@ -55,6 +56,10 @@ def campaign_files(tmp_path_factory):
 def _mutate_manifest(text: str, a: int, b: int, c: int) -> str:
     doc = json.loads(text)
     entries = doc["locations"]
+    value = MANIFEST_VALUES[c % len(MANIFEST_VALUES)]
+    if value is REPEAT:
+        entries.append(entries[a % len(entries)])
+        return json.dumps(doc, indent=2)
     pick = a % (len(entries) + 1)
     if pick == len(entries):
         target, keys = doc, TOP_KEYS
@@ -65,7 +70,6 @@ def _mutate_manifest(text: str, a: int, b: int, c: int) -> str:
             target = target["antenna"]
             keys = sorted(target)
     key = keys[b % len(keys)]
-    value = MANIFEST_VALUES[c % len(MANIFEST_VALUES)]
     if value is DELETE:
         target.pop(key, None)
     else:
@@ -142,12 +146,8 @@ def _kind(err: Exception, root: Path) -> str:
     return f"{type(err).__name__}: " + re.sub(r"-?\d+(\.\d+)?(e[-+]?\d+)?|nan|inf", "N", message)
 
 
-mutation = st.tuples(
-    st.sampled_from(MUTATIONS),
-    st.integers(0, 2**16),
-    st.integers(0, 2**16),
-    st.integers(0, 2**16),
-)
+def mutations_of(kinds) -> st.SearchStrategy:
+    return st.tuples(st.sampled_from(kinds), st.integers(0, 2**16), st.integers(0, 2**16), st.integers(0, 2**16))
 
 
 def _check_same_outcome(files: dict[str, str], touched: set[str]) -> str:
@@ -173,12 +173,23 @@ def _check_same_outcome(files: dict[str, str], touched: set[str]) -> str:
         return "accepted" if expected_err is None else _kind(expected_err, root)
 
 
-@settings(max_examples=600, derandomize=True)
-@given(mutations=st.lists(mutation, min_size=1, max_size=2))
-def test_batched_ingest_matches_line_by_line_reader(campaign_files, mutations):
+def _check_mutated(campaign_files: dict[str, str], mutations) -> None:
     files = dict(campaign_files)
     touched = {_apply(files, *m) for m in mutations}
     event(_check_same_outcome(files, touched))
+
+
+@settings(max_examples=600, derandomize=True)
+@given(mutations=st.lists(mutations_of(MUTATIONS), min_size=1, max_size=2))
+def test_batched_ingest_matches_line_by_line_reader(campaign_files, mutations):
+    _check_mutated(campaign_files, mutations)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(mutations=st.lists(mutations_of(("manifest",)), min_size=1, max_size=2))
+def test_manifest_edits_match_line_by_line_reader(campaign_files, mutations):
+    # the mix above draws few manifest edits, and they hold most of the manifest's distinct faults
+    _check_mutated(campaign_files, mutations)
 
 
 def test_pointing_keeps_the_azimuths_of_its_first_row(campaign_files):

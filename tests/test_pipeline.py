@@ -10,10 +10,12 @@ import pytest
 from conftest import make_location, make_pdp
 
 from subthz_chan import (
+    Analysis,
     Campaign,
     DegenerateFitError,
     Polarization,
     RunConfig,
+    SampleKind,
     SynthesisParams,
     ValidationError,
     fspl,
@@ -251,6 +253,24 @@ class TestExclusions:
         assert "152" in doc["excluded_locations"][0]["reason"]
         assert doc["pathloss"]["omni_vh"] is None
         assert doc["pathloss"]["cross_polar"] is None
+
+    def test_excluded_is_the_same_whatever_runs_first(self, tmp_path):
+        # campaign order: TX1 VV, TX1 VH (over the ceiling), TX2 VV, TX3 VV, TX9 VV (no signal), TX2 VH
+        silent = make_location([make_pdp([100.0], [-140.0], floor=-130.0)], distance=30.0, tx_id="TX9", rx_id="RX9")
+        vh = make_location(
+            [make_pdp([100.0], [-80.0], floor=-130.0)], distance=15.0, pol=Polarization.VH, tx_id="TX2", rx_id="RX2"
+        )
+        campaign = Campaign("excluded", 142e9, 0.0, small_campaign(weak_vh=True).locations + (silent, vh))
+        expected = [("TX9", "VV", "no sweep clears the noise floor"), ("TX1", "VH", "152 dB measurable limit")]
+        before_any_fit = Analysis(campaign).excluded
+        assert [(e["tx_id"], e["polarization"]) for e in before_any_fit] == [e[:2] for e in expected]
+        assert all(e[2] in listed["reason"] for e, listed in zip(expected, before_any_fit))
+        cross_polar_first = Analysis(campaign)
+        cross_polar_first.cross_polar(SampleKind.OMNI)
+        assert cross_polar_first.excluded == before_any_fit
+        run_pipeline(RunConfig(manifest_path=write_campaign(campaign, tmp_path / "c"), out_dir=tmp_path / "out"))
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["excluded_locations"] == before_any_fit
 
     def test_ceiling_disabled_keeps_location(self, tmp_path):
         manifest = write_campaign(small_campaign(weak_vh=True), tmp_path / "campaign")
