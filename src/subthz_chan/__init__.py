@@ -33,6 +33,7 @@ from .measurement import (
     SPEED_OF_LIGHT_M_S,
     AntennaConfig,
     DirectionalPdp,
+    LocationColumns,
     LocationMeasurement,
     NoSignalError,
     Polarization,
@@ -52,6 +53,7 @@ from .pathloss import (
     CixFit,
     DegenerateFitError,
     DirectionClass,
+    PathLossColumns,
     PathLossSample,
     SampleKind,
     classify_directions,

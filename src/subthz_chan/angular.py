@@ -8,6 +8,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .measurement import (
+    LocationColumns,
     LocationMeasurement,
     TapTable,
     ValidationError,
@@ -192,7 +193,7 @@ def power_angular_spectrum(
     dB, like ``threshold_pdp``.
     """
     side = Side(side)
-    table = TapTable((loc,))
+    table = TapTable(LocationColumns.of((loc,)))
     table.require_signal()
     spectra = _spectra(table, side, threshold_db)
     _check_grids(table, {side: spectra})
@@ -330,7 +331,7 @@ def campaign_angular_summary(
     One value per location with signal per side; the PAS is built and
     thresholded at the same ``threshold_db`` used for lobe extraction.
     """
-    table = locs if isinstance(locs, TapTable) else TapTable(locs)
+    table = locs if isinstance(locs, TapTable) else TapTable(LocationColumns.of(locs))
     spectra = {side: _spectra(table, side, threshold_db) for side in (Side.AOA, Side.AOD)}
     _check_grids(table, spectra)
     signal = table.n_sweeps > 0

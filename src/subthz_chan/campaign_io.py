@@ -30,9 +30,10 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 from array import array
-from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator
@@ -40,19 +41,25 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .measurement import (
+    D0_M,
     DEFAULT_DELAY_RESOLUTION_NS,
     DELAY_GRID_TOL_NS,
     AntennaConfig,
-    DirectionalPdp,
+    LocationColumns,
     LocationMeasurement,
     Polarization,
     ValidationError,
+    concat_ranges,
 )
 
 SWEEP_COLUMNS = ("tx_az_deg", "rx_az_deg", "delay_ns", "power_db")
 _SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 _N_COLUMNS = len(SWEEP_COLUMNS)
 _NOISE_FLOOR_RE = re.compile(r"#\s*noise_floor_db\s*=\s*(\S+)\s*$")
+#: antenna heights of ingested locations; the manifest does not record them
+_TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
+#: characters an id may not hold, since ids name the sweep files
+_PATH_SEPARATORS = {"/", os.sep, os.altsep} - {None}
 
 logger = logging.getLogger(__name__)
 
@@ -67,49 +74,92 @@ class CampaignFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class Campaign:
-    """An ingested campaign: one location per ``key``.  Iterates over its location measurements."""
+    """An ingested campaign: one location per ``key``, held as ``LocationColumns``.
 
-    campaign_id: str
-    carrier_hz: float
-    tx_power_dbm: float
-    locations: tuple[LocationMeasurement, ...]
-    #: spacing of the delay lattice every sweep's delays sit on
-    delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS
-    #: SHA-256 of each file ``ingest_campaign`` parsed, keyed by the manifest's
-    #: own name and each sweep path as the manifest spells it (empty when the
-    #: campaign was built in memory)
-    input_sha256: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
+    ``locations`` may be ``LocationMeasurement`` objects, converted by
+    ``LocationColumns.of``, or the columns themselves.  Indexing,
+    iterating, ``locations``, ``by_polarization`` and ``paired_locations``
+    build validated objects on request; the analysis reads ``columns``.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "locations", tuple(self.locations))
+    def __init__(
+        self,
+        campaign_id: str,
+        carrier_hz: float,
+        tx_power_dbm: float,
+        locations: Iterable[LocationMeasurement] | LocationColumns,
+        delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS,
+        input_sha256: dict[str, str] | None = None,
+    ):
+        self.campaign_id = campaign_id
+        self.carrier_hz = carrier_hz
+        self.tx_power_dbm = tx_power_dbm
+        #: spacing of the delay lattice every sweep's delays sit on
+        self.delay_resolution_ns = delay_resolution_ns
+        #: SHA-256 of each file ``ingest_campaign`` parsed, keyed by the manifest's
+        #: own name and each sweep path as the manifest spells it (empty when the
+        #: campaign was built in memory)
+        self.input_sha256 = {} if input_sha256 is None else input_sha256
+        self.columns = locations if isinstance(locations, LocationColumns) else LocationColumns.of(locations)
         if self.carrier_hz <= 0:
             raise ValidationError("carrier_hz", "must be > 0")
-        first_of: dict = {}
-        for index, loc in enumerate(self.locations):
-            first = first_of.setdefault(loc.key, index)
-            if first != index:
-                where = f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}) of locations[{first}]"
-                raise ValidationError(f"locations[{index}]", f"repeats location {where}")
+        self._row_of: dict[tuple[str, str, Polarization], int] = {}
+        for row, key in enumerate(self.columns.keys):
+            first = self._row_of.setdefault(key, row)
+            if first != row:
+                where = f"{key[0]}-{key[1]} ({key[2].value}) of locations[{first}]"
+                raise ValidationError(f"locations[{row}]", f"repeats location {where}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Campaign):
+            return NotImplemented
+        fields = ("campaign_id", "carrier_hz", "tx_power_dbm", "delay_resolution_ns", "columns")
+        return all(getattr(self, name) == getattr(other, name) for name in fields)
+
+    def __repr__(self) -> str:
+        return (
+            f"Campaign(campaign_id={self.campaign_id!r}, carrier_hz={self.carrier_hz!r}, "
+            f"tx_power_dbm={self.tx_power_dbm!r}, locations={self.locations!r}, "
+            f"delay_resolution_ns={self.delay_resolution_ns!r})"
+        )
+
+    @cached_property
+    def locations(self) -> tuple[LocationMeasurement, ...]:
+        return self.columns.build(range(len(self)))
 
     def __iter__(self) -> Iterator[LocationMeasurement]:
         return iter(self.locations)
 
     def __len__(self) -> int:
-        return len(self.locations)
+        return len(self.columns)
 
     def __getitem__(self, index):
-        return self.locations[index]
+        if isinstance(index, slice):
+            return self.locations[index]
+        return self.columns.build((range(len(self))[index],))[0]
+
+    def find(self, key: tuple[str, str, Polarization]) -> int | None:
+        """The row of the location with this ``key``, or None."""
+        return self._row_of.get(key)
+
+    def rows(self, pol: Polarization) -> np.ndarray:
+        """The rows of the locations of one polarization, in campaign order."""
+        pol = Polarization(pol)
+        return np.array([row for row, key in enumerate(self.columns.keys) if key[2] is pol], dtype=np.intp)
 
     def by_polarization(self, pol: Polarization) -> tuple[LocationMeasurement, ...]:
-        pol = Polarization(pol)
-        return tuple(l for l in self.locations if l.polarization is pol)
+        return tuple(self.locations[row] for row in self.rows(pol).tolist())
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """(V-V row, V-H row) of each placement measured in both polarizations, ordered by id."""
+        vv = sorted((key[:2], row) for key, row in self._row_of.items() if key[2] is Polarization.VV)
+        vh = [self.find((*ids, Polarization.VH)) for ids, _ in vv]
+        return [(row, vh_row) for (_, row), vh_row in zip(vv, vh) if vh_row is not None]
 
     def paired_locations(self) -> tuple[tuple[LocationMeasurement, LocationMeasurement], ...]:
         """(V-V, V-H) pairs sharing (tx_id, rx_id), ordered by id."""
-        vv, vh = ({loc.key[:2]: loc for loc in self.by_polarization(p)} for p in (Polarization.VV, Polarization.VH))
-        return tuple((vv[ids], vh[ids]) for ids in sorted(vv.keys() & vh.keys()))
+        return tuple((self.locations[a], self.locations[b]) for a, b in self.pairs())
 
 
 def _require(doc: dict, key: str, kind: type, path, ctx: str = ""):
@@ -326,20 +376,17 @@ class _Pointings:
             message = f"delays for pointing ({tx_az}, {rx_az}) not on the {res:g} ns lattice in {path}"
         return file, ValidationError("delay_ns", message)
 
-    def sweeps(self, n_files: int) -> list[tuple[DirectionalPdp, ...]]:
-        """The pointings of each of the first ``n_files`` files as PDPs, each
-        built once from slices of the sorted columns."""
-        bounds = np.searchsorted(self.file, np.arange(n_files + 1)).tolist()
-        n = bounds[-1]
-        delays, powers, floors = self.delay.tolist(), self.power.tolist(), self.rows.floors
-        pdps = [
-            DirectionalPdp(tx_az, rx_az, tuple(delays[a:b]), tuple(powers[a:b]), floors[file])
-            for tx_az, rx_az, a, b, file in zip(
-                self.tx_az[:n].tolist(), self.rx_az[:n].tolist(), self.starts[:n].tolist(),
-                self.stops[:n].tolist(), self.file[:n].tolist(),
-            )
-        ]
-        return [tuple(pdps[a:b]) for a, b in zip(bounds, bounds[1:])]
+    def columns(self, n_files: int) -> tuple[np.ndarray, ...]:
+        """The sweep and tap columns of ``LocationColumns`` for the first ``n_files`` files,
+        pointings in reading order: (sweep_bounds, tx_az_deg, rx_az_deg, noise_floor_db,
+        tap_bounds, delay_ns, power_db)."""
+        sweep_bounds = np.searchsorted(self.file, np.arange(n_files + 1))
+        n = sweep_bounds[-1]
+        counts = self.stops[:n] - self.starts[:n]
+        taps = concat_ranges(self.starts[:n], counts)
+        floors = np.repeat(np.array(self.rows.floors[:n_files], dtype=float), np.diff(sweep_bounds))
+        tap_bounds = np.concatenate(([0], np.cumsum(counts)))
+        return sweep_bounds, self.tx_az[:n], self.rx_az[:n], floors, tap_bounds, self.delay[taps], self.power[taps]
 
 
 def _is_number(token: str) -> bool:
@@ -350,13 +397,13 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _read_location(
-    entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str], antennas: dict, tx_power_dbm: float
-) -> dict:
-    """The fields of one manifest entry, after reading its sweep file into ``rows``.
+def _read_location(entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str]) -> tuple:
+    """(key, tx_pos_m, rx_pos_m, los, antenna) of one manifest entry, after
+    reading its sweep file into ``rows``.
 
     Checks run in the order of the line-by-line reader: the entry keys
-    the file path depends on, the file, the remaining keys, the antenna.
+    the file path depends on, the file, the remaining keys.  ``antenna``
+    is (gain_dbi, hpbw_deg, az_step_deg), checked with the location.
     """
     ctx = f"locations[{index}]."
     if not isinstance(entry, dict):
@@ -371,27 +418,47 @@ def _read_location(
     hpbw = _require(antenna, "hpbw_deg", float, path, ctx + "antenna.")
     step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
     sweeps_rel = _require(entry, "sweeps", str, path, ctx)
-    if not sweeps_rel:
-        raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file")
     sweep_path = path.parent / sweeps_rel
-    rows.read(sweep_path, _read_text(sweep_path, digests, sweeps_rel))
-    fields = dict(
-        tx_id=_require(entry, "tx_id", str, path, ctx),
-        rx_id=_require(entry, "rx_id", str, path, ctx),
-        tx_pos_m=_position(entry, "tx_pos_m", path, ctx),
-        rx_pos_m=_position(entry, "rx_pos_m", path, ctx),
-        polarization=polarization,
-        los=_require(entry, "los", bool, path, ctx),
+    try:
+        text = _read_text(sweep_path, digests, sweeps_rel)
+    except IsADirectoryError:  # "" and "." among them
+        raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file") from None
+    rows.read(sweep_path, text)
+    key = (_require(entry, "tx_id", str, path, ctx), _require(entry, "rx_id", str, path, ctx), polarization)
+    return (
+        key,
+        _position(entry, "tx_pos_m", path, ctx),
+        _position(entry, "rx_pos_m", path, ctx),
+        _require(entry, "los", bool, path, ctx),
+        (gain, hpbw, step),
     )
-    key = (gain, hpbw, step)
-    if key not in antennas:
+
+
+def _first_location_fault(columns: LocationColumns) -> tuple[int, str] | None:
+    """(row, message) of the first location whose antenna or own fields a constructor rejects.
+
+    The masks flag what the ``AntennaConfig`` and ``LocationMeasurement``
+    checks reject that ingest has not checked yet (antenna values, empty
+    ids, distance); the first flagged row is built for the constructor's
+    own message, antenna first.
+    """
+    gain, hpbw, step = columns.tx_antenna[:, :3].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = 360.0 / step
+        bad = (gain <= 0) | ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0))
+        bad |= np.abs(turns - np.round(turns)) > 1e-9
+    bad |= columns.distance_m <= D0_M
+    bad |= np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in columns.keys], dtype=bool)
+    for row in np.flatnonzero(bad).tolist():
         try:
-            antennas[key] = (AntennaConfig(*key, height_m=3.0), AntennaConfig(*key, height_m=1.5))
+            AntennaConfig(*columns.tx_antenna[row].tolist())
         except ValidationError as err:
-            raise CampaignFormatError(path, None, f"{ctx}antenna.{err}") from None
-    fields["tx_antenna"], fields["rx_antenna"] = antennas[key]
-    fields["tx_power_dbm"] = tx_power_dbm
-    return fields
+            return row, f"antenna.{err}"
+        try:
+            columns.build((row,))
+        except ValidationError as err:
+            return row, str(err)
+    return None
 
 
 def ingest_campaign(manifest_path) -> Campaign:
@@ -407,9 +474,8 @@ def ingest_campaign(manifest_path) -> Campaign:
     started = perf_counter()
     path = Path(manifest_path)
     digests: dict[str, str] = {}
-    text = _read_text(path, digests, path.name)
     try:
-        doc = json.loads(text)
+        doc = json.loads(_read_text(path, digests, path.name))
     except json.JSONDecodeError as err:
         raise CampaignFormatError(path, err.lineno, f"invalid JSON: {err.msg}")
     if not isinstance(doc, dict):
@@ -422,21 +488,21 @@ def ingest_campaign(manifest_path) -> Campaign:
     if "delay_resolution_ns" in doc:
         delay_resolution_ns = _require(doc, "delay_resolution_ns", float, path)
     if not 0.0 < delay_resolution_ns < math.inf:
-        raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {delay_resolution_ns}")
+        raise CampaignFormatError(path, None, f"delay_resolution_ns: must be > 0 and finite, got {delay_resolution_ns}")
     raw_locations = _require(doc, "locations", list, path)
     if not raw_locations:
         raise CampaignFormatError(path, None, "locations: manifest lists no locations")
 
     rows = _SweepRows()
-    antennas: dict = {}  # one tx/rx AntennaConfig pair per distinct (gain, hpbw, step)
-    entries: list[dict] = []
+    entries: list[tuple] = []
     fault: Exception | None = None
     for index, entry in enumerate(raw_locations):
         try:
-            entries.append(_read_location(entry, index, path, rows, digests, antennas, tx_power_dbm))
+            entries.append(_read_location(entry, index, path, rows, digests))
         except (ValueError, OSError) as err:
             fault = err  # raised below, unless a check still pending on earlier rows fails first
             break
+    del doc, raw_locations  # the parsed manifest can outweigh the columns; free it before grouping
 
     # a file's pointings are formed only when all of its rows passed, as the
     # line-by-line reader grouped a file only after reading it through
@@ -447,54 +513,31 @@ def ingest_campaign(manifest_path) -> Campaign:
     n_built = len(entries)
     if late is not None:
         n_built, fault = late
-    # a location's own errors come before any fault in a later location
-    sweeps = pointings.sweeps(n_built) if n_built else []
-    locations: list[LocationMeasurement] = []
-    try:
-        for fields, pdps in zip(entries, sweeps):
-            locations.append(LocationMeasurement(sweeps=pdps, **fields))
-    except ValidationError as err:
-        raise CampaignFormatError(path, None, f"locations[{len(locations)}].{err}") from None
+    if n_built:
+        keys, tx_pos, rx_pos, los, antennas = zip(*entries[:n_built])
+        antenna = np.array(antennas, dtype=float)
+        columns = LocationColumns(
+            keys, np.array(tx_pos, dtype=float), np.array(rx_pos, dtype=float),
+            np.array(los, dtype=bool), np.column_stack((antenna, np.full(n_built, _TX_HEIGHT_M))),
+            np.column_stack((antenna, np.full(n_built, _RX_HEIGHT_M))), np.full(n_built, tx_power_dbm),
+            *pointings.columns(n_built),
+        )
+        # a location's own errors come before any fault in a later location
+        location_fault = _first_location_fault(columns)
+        if location_fault is not None:
+            row, message = location_fault
+            raise CampaignFormatError(path, None, f"locations[{row}].{message}")
     if fault is not None:
         raise fault
     try:
-        campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
+        campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, digests)
     except ValidationError as err:  # a repeated location key, or carrier_hz
         raise CampaignFormatError(path, None, str(err)) from None
     logger.info(
         "ingested %s: %d locations, %d files, %d rows, %d sweeps in %.3f s",
-        campaign_id, len(locations), len(digests), len(rows.lines),
-        sum(len(loc.sweeps) for loc in locations), perf_counter() - started,
+        campaign_id, len(campaign), len(digests), len(rows.lines), len(columns.tx_az_deg), perf_counter() - started,
     )
     return campaign
-
-
-def _format_float(value: float) -> str:
-    # repr round-trips exactly through float(), which keeps write->ingest lossless
-    return repr(float(value))
-
-
-def _write_sweep_file(path: Path, sweeps: Iterable[DirectionalPdp]) -> None:
-    sweeps = tuple(sweeps)
-    floors = {s.noise_floor_db for s in sweeps}
-    if len(floors) != 1:
-        raise ValidationError(
-            "noise_floor_db", "sweep file format stores one noise floor per location"
-        )
-    lines = [f"# noise_floor_db={_format_float(floors.pop())}", _SWEEP_HEADER]
-    for pdp in sweeps:
-        for delay, power in zip(pdp.delays_ns, pdp.powers_db):
-            lines.append(
-                ",".join(
-                    (
-                        _format_float(pdp.tx_az_deg),
-                        _format_float(pdp.rx_az_deg),
-                        _format_float(delay),
-                        _format_float(power),
-                    )
-                )
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_campaign(campaign: Campaign, out_dir) -> Path:
@@ -502,43 +545,46 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
 
     ``ingest_campaign(write_campaign(c))`` reproduces ``c`` field for field
     (antenna heights come from the per-side defaults, not the manifest).
+    Every check runs before anything is written.
     """
-    files = {f"sweeps/{loc.tx_id}_{loc.rx_id}_{loc.polarization.value}.csv": loc for loc in campaign}
-    if len(files) < len(campaign):
+    c = campaign.columns
+    for key in c.keys:
+        for field, value in zip(("tx_id", "rx_id"), key):
+            if any(sep in value for sep in _PATH_SEPARATORS):
+                raise ValidationError(field, f"{value!r} contains a path separator")
+    names = [f"sweeps/{tx_id}_{rx_id}_{pol.value}.csv" for tx_id, rx_id, pol in c.keys]
+    if len(set(names)) < len(names):
         raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")
+    floors = c.noise_floor_db[c.sweep_bounds[:-1]]
+    faults = (  # (field, message, per-location mask), checked location by location
+        ("antenna", "manifest format stores one antenna config per location",
+         (c.tx_antenna != c.rx_antenna)[:, :3].any(axis=1)),
+        ("tx_power_dbm", "manifest format stores one TX power per campaign",
+         c.tx_power_dbm != campaign.tx_power_dbm),
+        ("noise_floor_db", "sweep file format stores one noise floor per location",
+         np.logical_or.reduceat(c.noise_floor_db != floors[c.sweep_loc], c.sweep_bounds[:-1])),
+    )
+    first = min(((int(np.argmax(mask)), k) for k, (_, _, mask) in enumerate(faults) if mask.any()), default=None)
+    if first is not None:
+        raise ValidationError(*faults[first[1]][:2])
+
     out = Path(out_dir)
     (out / "sweeps").mkdir(parents=True, exist_ok=True)
-    entries = []
-    for rel, loc in files.items():
-        if (
-            loc.tx_antenna.gain_dbi != loc.rx_antenna.gain_dbi
-            or loc.tx_antenna.hpbw_deg != loc.rx_antenna.hpbw_deg
-            or loc.tx_antenna.az_step_deg != loc.rx_antenna.az_step_deg
-        ):
-            raise ValidationError(
-                "antenna", "manifest format stores one antenna config per location"
-            )
-        if loc.tx_power_dbm != campaign.tx_power_dbm:
-            raise ValidationError(
-                "tx_power_dbm", "manifest format stores one TX power per campaign"
-            )
-        _write_sweep_file(out / rel, loc.sweeps)
-        entries.append(
-            {
-                "tx_id": loc.tx_id,
-                "rx_id": loc.rx_id,
-                "tx_pos_m": list(loc.tx_pos_m),
-                "rx_pos_m": list(loc.rx_pos_m),
-                "polarization": loc.polarization.value,
-                "los": loc.los,
-                "antenna": {
-                    "gain_dbi": loc.tx_antenna.gain_dbi,
-                    "hpbw_deg": loc.tx_antenna.hpbw_deg,
-                    "az_step_deg": loc.tx_antenna.az_step_deg,
-                },
-                "sweeps": rel,
-            }
-        )
+    _write_sweep_files(c, out, names)
+    tx_pos, rx_pos, los, antenna = (column.tolist() for column in (c.tx_pos_m, c.rx_pos_m, c.los, c.tx_antenna))
+    entries = [
+        {
+            "tx_id": c.keys[row][0],
+            "rx_id": c.keys[row][1],
+            "tx_pos_m": tx_pos[row],
+            "rx_pos_m": rx_pos[row],
+            "polarization": c.keys[row][2].value,
+            "los": los[row],
+            "antenna": dict(zip(("gain_dbi", "hpbw_deg", "az_step_deg"), antenna[row])),
+            "sweeps": name,
+        }
+        for row, name in enumerate(names)
+    ]
     manifest = {
         "campaign_id": campaign.campaign_id,
         "carrier_hz": campaign.carrier_hz,
@@ -547,7 +593,20 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
         "locations": entries,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    with manifest_path.open("w", encoding="utf-8", newline="\n") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)  # streamed, not joined in memory first
+        f.write("\n")
     return manifest_path
+
+
+def _write_sweep_files(c: LocationColumns, out: Path, names: list[str]) -> None:
+    """Write the sweep file of each location under the name given."""
+    sweeps, taps = c.sweep_bounds.tolist(), c.tap_bounds.tolist()
+    tx_az, rx_az, floor = (column.tolist() for column in (c.tx_az_deg, c.rx_az_deg, c.noise_floor_db))
+    for row, name in enumerate(names):
+        # repr round-trips exactly through float(), which keeps write->ingest lossless
+        lines = [f"# noise_floor_db={floor[sweeps[row]]!r}", _SWEEP_HEADER]
+        for s in range(sweeps[row], sweeps[row + 1]):
+            bins = zip(c.delay_ns[taps[s] : taps[s + 1]].tolist(), c.power_db[taps[s] : taps[s + 1]].tolist())
+            lines += [f"{tx_az[s]!r},{rx_az[s]!r},{delay!r},{power!r}" for delay, power in bins]
+        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -15,6 +15,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .angular import Side, power_angular_spectrum
 from .campaign_io import ingest_campaign
 from .measurement import NoSignalError, Polarization, ValidationError
@@ -148,19 +150,23 @@ def _write_or_print(text: str, out: Path | None) -> None:
 
 def _cmd_ingest(args) -> int:
     campaign = ingest_campaign(args.manifest)
-    rows = []
-    for loc in campaign:
-        rows.append(
-            {
-                "tx_id": loc.tx_id,
-                "rx_id": loc.rx_id,
-                "polarization": loc.polarization.value,
-                "distance_m": round(loc.distance_m, 4),
-                "los": loc.los,
-                "n_sweeps": len(loc.sweeps),
-                "n_detectable": len(loc.detectable_sweeps()),
-            }
+    c = campaign.columns
+    n_detectable = np.bincount(c.sweep_loc[c.detectable], minlength=len(c))
+    columns = (c.distance_m, c.los, np.diff(c.sweep_bounds), n_detectable)
+    rows = [
+        {
+            "tx_id": tx_id,
+            "rx_id": rx_id,
+            "polarization": pol.value,
+            "distance_m": round(distance_m, 4),
+            "los": los,
+            "n_sweeps": n_sweeps,
+            "n_detectable": detectable,
+        }
+        for (tx_id, rx_id, pol), distance_m, los, n_sweeps, detectable in zip(
+            c.keys, *(column.tolist() for column in columns)
         )
+    ]
     if args.format == "json":
         doc = {
             "campaign_id": campaign.campaign_id,
@@ -203,8 +209,9 @@ def _cmd_fit_pathloss(args) -> int:
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.scatter_csv is not None:
         lines = ["distance_m,pl_db"]
-        for s in sorted(analysis.samples(pol, kind), key=lambda s: (s.distance_m, s.pl_db)):
-            lines.append(f"{s.distance_m:.4f},{s.pl_db:.4f}")
+        samples = analysis.samples(pol, kind)
+        for distance_m, pl_db in sorted(zip(samples.distance_m.tolist(), samples.pl_db.tolist())):
+            lines.append(f"{distance_m:.4f},{pl_db:.4f}")
         _write_or_print("\n".join(lines) + "\n", args.scatter_csv)
     return EXIT_OK
 
@@ -218,12 +225,12 @@ def _cmd_stats(args) -> int:
 def _cmd_pas_dump(args) -> int:
     campaign = ingest_campaign(args.manifest)
     pol = Polarization(args.pol)
-    loc = {loc.key: loc for loc in campaign}.get((args.tx_id, args.rx_id, pol))
-    if loc is None:
+    row = campaign.find((args.tx_id, args.rx_id, pol))
+    if row is None:
         raise ValidationError(
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
-    pas = power_angular_spectrum(loc, Side(args.side), args.threshold_db)
+    pas = power_angular_spectrum(campaign[row], Side(args.side), args.threshold_db)
     lines = ["bin_deg,power_db"]
     for bin_deg, power_mw in zip(pas.bins_deg, pas.powers_mw):
         if power_mw > 0:

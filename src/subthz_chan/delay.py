@@ -9,6 +9,7 @@ import numpy as np
 
 from .measurement import (
     DirectionalPdp,
+    LocationColumns,
     LocationMeasurement,
     Polarization,
     TapTable,
@@ -94,7 +95,7 @@ def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
     peak never clears the floor are skipped entirely.  Absolute delay
     alignment across pointing pairs is preserved.
     """
-    table = TapTable((loc,))
+    table = TapTable(LocationColumns.of((loc,)))
     table.require_signal()
     omni = omni_bins(table)
     return OmniPdp(
@@ -212,7 +213,7 @@ def campaign_delay_summary(
     directional rows pool every pointing pair with detectable power.
     Locations without signal add to neither.
     """
-    table = locs if isinstance(locs, TapTable) else TapTable(locs)
+    table = locs if isinstance(locs, TapTable) else TapTable(LocationColumns.of(locs))
     omni = omni_bins(table)
     omni_rms, omni_mds, _ = _omni_spreads(omni.loc, omni.delay_ns, omni.power_mw, len(table), threshold_db)
     signal = table.n_sweeps > 0

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -277,8 +278,13 @@ class LocationMeasurement:
 
 def los_bearings_deg(loc: LocationMeasurement) -> tuple[float, float]:
     """Geometric (TX->RX, RX->TX) azimuth bearings from the survey positions."""
-    dx = loc.rx_pos_m[0] - loc.tx_pos_m[0]
-    dy = loc.rx_pos_m[1] - loc.tx_pos_m[1]
+    return bearings_deg(loc.tx_pos_m, loc.rx_pos_m)
+
+
+def bearings_deg(tx_pos_m: Sequence[float], rx_pos_m: Sequence[float]) -> tuple[float, float]:
+    """``los_bearings_deg`` of a TX and an RX position."""
+    dx = rx_pos_m[0] - tx_pos_m[0]
+    dy = rx_pos_m[1] - tx_pos_m[1]
     tx_to_rx = wrap_deg(math.degrees(math.atan2(dy, dx)))
     return tx_to_rx, wrap_deg(tx_to_rx + 180.0)
 
@@ -306,12 +312,136 @@ def group_bounds(group: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarr
     return np.searchsorted(group, ids), np.searchsorted(group, ids, side="right")
 
 
+def concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` of each (start, count) pair, concatenated."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+@dataclass(frozen=True, eq=False)
+class LocationColumns:
+    """Locations, their sweeps and the sweeps' bins, as flat columns.
+
+    Location columns have one row per location.  Location ``i`` owns rows
+    ``sweep_bounds[i]:sweep_bounds[i + 1]`` of the sweep columns, in sweep
+    order, and sweep ``s`` owns rows ``tap_bounds[s]:tap_bounds[s + 1]`` of
+    the tap columns, in bin order.  An antenna row is (gain_dbi, hpbw_deg,
+    az_step_deg, height_m).  ``of`` is the one conversion from validated
+    ``LocationMeasurement`` objects; ``build`` makes objects back on request.
+    """
+
+    #: ``LocationMeasurement.key`` of each location
+    keys: tuple[tuple[str, str, Polarization], ...]
+    tx_pos_m: np.ndarray
+    rx_pos_m: np.ndarray
+    los: np.ndarray
+    tx_antenna: np.ndarray
+    rx_antenna: np.ndarray
+    tx_power_dbm: np.ndarray
+    sweep_bounds: np.ndarray
+    tx_az_deg: np.ndarray
+    rx_az_deg: np.ndarray
+    noise_floor_db: np.ndarray
+    tap_bounds: np.ndarray
+    delay_ns: np.ndarray
+    power_db: np.ndarray
+
+    @classmethod
+    def of(cls, locations: Iterable[LocationMeasurement]) -> "LocationColumns":
+        """The columns of validated location records, in the order given."""
+        locs = tuple(locations)
+        sweeps = [pdp for loc in locs for pdp in loc.sweeps]
+
+        def antennas(side: str) -> np.ndarray:
+            rows = [(a.gain_dbi, a.hpbw_deg, a.az_step_deg, a.height_m) for a in (getattr(l, side) for l in locs)]
+            return np.array(rows, dtype=float).reshape(-1, 4)
+
+        def bounds(counts: Iterable[int]) -> np.ndarray:
+            return np.concatenate(([0], np.cumsum(np.fromiter(counts, dtype=np.intp))))
+
+        return cls(
+            keys=tuple(loc.key for loc in locs),
+            tx_pos_m=np.array([loc.tx_pos_m for loc in locs], dtype=float).reshape(-1, 3),
+            rx_pos_m=np.array([loc.rx_pos_m for loc in locs], dtype=float).reshape(-1, 3),
+            los=np.array([loc.los for loc in locs], dtype=bool),
+            tx_antenna=antennas("tx_antenna"),
+            rx_antenna=antennas("rx_antenna"),
+            tx_power_dbm=np.array([loc.tx_power_dbm for loc in locs], dtype=float),
+            sweep_bounds=bounds(len(loc.sweeps) for loc in locs),
+            tx_az_deg=np.array([pdp.tx_az_deg for pdp in sweeps], dtype=float),
+            rx_az_deg=np.array([pdp.rx_az_deg for pdp in sweeps], dtype=float),
+            noise_floor_db=np.array([pdp.noise_floor_db for pdp in sweeps], dtype=float),
+            tap_bounds=bounds(len(pdp.delays_ns) for pdp in sweeps),
+            delay_ns=np.array([t for pdp in sweeps for t in pdp.delays_ns], dtype=float),
+            power_db=np.array([p for pdp in sweeps for p in pdp.powers_db], dtype=float),
+        )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LocationColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @cached_property
+    def distance_m(self) -> np.ndarray:
+        """``LocationMeasurement.distance_m`` of each location."""
+        return np.array([math.dist(a, b) for a, b in zip(self.tx_pos_m.tolist(), self.rx_pos_m.tolist())], dtype=float)
+
+    @cached_property
+    def sweep_loc(self) -> np.ndarray:
+        """The location of each sweep."""
+        return np.repeat(np.arange(len(self)), np.diff(self.sweep_bounds))
+
+    @cached_property
+    def peak_db(self) -> np.ndarray:
+        """``DirectionalPdp.peak_db`` of each sweep."""
+        return np.maximum.reduceat(self.power_db, self.tap_bounds[:-1])
+
+    @cached_property
+    def detectable(self) -> np.ndarray:
+        """``DirectionalPdp.is_detectable`` of each sweep."""
+        return self.peak_db > self.noise_floor_db
+
+    def build(self, rows: Iterable[int]) -> tuple[LocationMeasurement, ...]:
+        """The ``LocationMeasurement`` of each of ``rows``, validated by its constructor."""
+        # every column but ``keys``, as lists, in field order
+        tx_pos, rx_pos, los, tx_antenna, rx_antenna, tx_power, sweeps, tx_az, rx_az, floor, taps, delay, power = (
+            getattr(self, f.name).tolist() for f in fields(self)[1:]
+        )
+        rows = list(rows)
+        # locations with equal antennas share one record
+        antenna = {row: AntennaConfig(*row) for row in {tuple(a[i]) for a in (tx_antenna, rx_antenna) for i in rows}}
+        return tuple(
+            LocationMeasurement(
+                *self.keys[i][:2],
+                tx_pos_m=tuple(tx_pos[i]),
+                rx_pos_m=tuple(rx_pos[i]),
+                polarization=self.keys[i][2],
+                los=los[i],
+                sweeps=tuple(
+                    DirectionalPdp(
+                        tx_az[s], rx_az[s], delay[taps[s] : taps[s + 1]], power[taps[s] : taps[s + 1]], floor[s]
+                    )
+                    for s in range(sweeps[i], sweeps[i + 1])
+                ),
+                tx_antenna=antenna[tuple(tx_antenna[i])],
+                rx_antenna=antenna[tuple(rx_antenna[i])],
+                tx_power_dbm=tx_power[i],
+            )
+            for i in rows
+        )
+
+
 class TapTable:
     """The above-floor bins of some locations' detectable sweeps, as flat columns.
 
-    Tap columns (``tap_*``, ``delay_ns``, ``power_db``, ``power_mw``) run in
+    Built from ``LocationColumns`` and the rows of the locations it
+    covers (all of them when ``rows`` is None), in the order given.  Tap
+    columns (``tap_*``, ``delay_ns``, ``power_db``, ``power_mw``) run in
     location -> sweep -> delay order, sweep columns in location -> sweep
-    order, and location columns in the order given.  Only sweeps whose peak
+    order, and location columns in table order.  Only sweeps whose peak
     clears the floor get a row, and only their ``detected_bins``, so a
     location without signal has no sweep rows (``n_sweeps`` 0).
 
@@ -321,50 +451,53 @@ class TapTable:
     once per table through ``kept``.
     """
 
-    def __init__(self, locations: Iterable[LocationMeasurement]):
-        self.locations = tuple(locations)
-        locs = self.locations
-        n_locs = len(locs)
-        self.gain_sum_dbi = np.array([loc.gain_sum_dbi for loc in locs], dtype=float)
-        self.tx_power_dbm = np.array([loc.tx_power_dbm for loc in locs], dtype=float)
-        self.distance_m = np.array([loc.distance_m for loc in locs], dtype=float)
-        self.los = np.array([loc.los for loc in locs], dtype=bool)
-        self.tx_step_deg = np.array([loc.tx_antenna.az_step_deg for loc in locs], dtype=float)
-        self.rx_step_deg = np.array([loc.rx_antenna.az_step_deg for loc in locs], dtype=float)
+    def __init__(self, columns: LocationColumns, rows: np.ndarray | None = None):
+        self.columns = columns
+        self.rows = np.arange(len(columns)) if rows is None else np.asarray(rows, dtype=np.intp)
+        rows = self.rows
+        self.gain_sum_dbi = columns.tx_antenna[rows, 0] + columns.rx_antenna[rows, 0]
+        self.tx_power_dbm = columns.tx_power_dbm[rows]
+        self.distance_m = columns.distance_m[rows]
+        self.los = columns.los[rows]
+        self.tx_pos_m = columns.tx_pos_m[rows]
+        self.rx_pos_m = columns.rx_pos_m[rows]
+        self.tx_step_deg = columns.tx_antenna[rows, 2]
+        self.rx_step_deg = columns.rx_antenna[rows, 2]
 
-        sweep_loc: list[int] = []
-        tx_az: list[float] = []
-        rx_az: list[float] = []
-        taps: list[int] = []
-        delays: list[float] = []
-        powers: list[float] = []
-        for index, loc in enumerate(locs):
-            for pdp in loc.sweeps:
-                try:
-                    bins = pdp.detected_bins()
-                except NoSignalError:
-                    continue
-                sweep_loc.append(index)
-                tx_az.append(pdp.tx_az_deg)
-                rx_az.append(pdp.rx_az_deg)
-                taps.append(len(bins))
-                for delay, power in bins:
-                    delays.append(delay)
-                    powers.append(power)
-        self.sweep_loc = np.array(sweep_loc, dtype=np.intp)
-        self.tx_az_deg = np.array(tx_az, dtype=float)
-        self.rx_az_deg = np.array(rx_az, dtype=float)
-        self.n_sweeps = np.bincount(self.sweep_loc, minlength=n_locs)
-        self.tap_sweep = np.repeat(np.arange(len(sweep_loc), dtype=np.intp), taps)
+        first = columns.sweep_bounds[rows]
+        sweep_count = columns.sweep_bounds[rows + 1] - first
+        sweeps = concat_ranges(first, sweep_count)
+        detectable = columns.detectable[sweeps]
+        sweeps = sweeps[detectable]
+        self.sweep_loc = np.repeat(np.arange(len(rows)), sweep_count)[detectable]
+        self.tx_az_deg = columns.tx_az_deg[sweeps]
+        self.rx_az_deg = columns.rx_az_deg[sweeps]
+        self.n_sweeps = np.bincount(self.sweep_loc, minlength=len(rows))
+
+        first = columns.tap_bounds[sweeps]
+        tap_count = columns.tap_bounds[sweeps + 1] - first
+        taps = concat_ranges(first, tap_count)
+        tap_sweep = np.repeat(np.arange(len(sweeps)), tap_count)
+        above = columns.power_db[taps] >= columns.noise_floor_db[sweeps][tap_sweep]
+        self.tap_sweep = tap_sweep[above]
         self.tap_loc = self.sweep_loc[self.tap_sweep]
-        self.delay_ns = np.array(delays, dtype=float)
-        self.power_db = np.array(powers, dtype=float)
-        self.power_mw = np.array([db_to_linear(p) for p in powers], dtype=float)
-        self.peak_db = group_max(self.tap_sweep, self.power_db, len(sweep_loc))
+        self.delay_ns = columns.delay_ns[taps[above]]
+        self.power_db = columns.power_db[taps[above]]
+        self.power_mw = np.array(list(map(db_to_linear, self.power_db.tolist())), dtype=float)
+        self.peak_db = columns.peak_db[sweeps]
         self._kept: dict[Callable, object] = {}
 
     def __len__(self) -> int:
-        return len(self.locations)
+        return len(self.rows)
+
+    def key(self, index: int) -> tuple[str, str, Polarization]:
+        """``LocationMeasurement.key`` of location ``index`` of the table."""
+        return self.columns.keys[self.rows[index]]
+
+    def name(self, index: int) -> str:
+        """``TX-RX (pol)`` of location ``index``, as messages name it."""
+        tx_id, rx_id, pol = self.key(index)
+        return f"{tx_id}-{rx_id} ({pol.value})"
 
     def kept(self, compute: Callable[["TapTable"], object]):
         """``compute(self)``, computed on first use and then kept with the table."""
@@ -376,12 +509,10 @@ class TapTable:
         """The error for location ``index`` when none of its sweeps clears the floor."""
         if self.n_sweeps[index]:
             return None
-        loc = self.locations[index]
-        return NoSignalError(f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): no sweep clears the noise floor")
+        return NoSignalError(f"{self.name(index)}: no sweep clears the noise floor")
 
     def require_signal(self, index: int = 0) -> None:
         """Raise ``no_signal(index)`` if there is one."""
         err = self.no_signal(index)
         if err is not None:
             raise err
-

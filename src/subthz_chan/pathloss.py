@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -22,15 +23,16 @@ from .delay import omni_bins
 from .measurement import (
     D0_M,
     SPEED_OF_LIGHT_M_S,
+    LocationColumns,
     LocationMeasurement,
     NoSignalError,
     Polarization,
     TapTable,
     ValidationError,
+    bearings_deg,
     circular_distance_deg,
     group_sums,
     linear_to_db,
-    los_bearings_deg,
 )
 
 
@@ -87,6 +89,23 @@ class PathLossSample:
             )
         if not math.isfinite(self.pl_db):
             raise ValidationError("pl_db", "must be finite")
+
+
+@dataclass(frozen=True, eq=False)
+class PathLossColumns:
+    """Path-loss samples of one polarization and kind, as columns in location order."""
+
+    #: the table row of each sample's location
+    loc: np.ndarray
+    distance_m: np.ndarray
+    pl_db: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.loc)
+
+
+#: what the fits take: validated samples of one polarization and kind, or their columns
+Samples = Union[Sequence[PathLossSample], PathLossColumns]
 
 
 @dataclass(frozen=True)
@@ -170,8 +189,8 @@ def _classes(table: TapTable, power_mw: np.ndarray) -> np.ndarray:
     tx_az, rx_az = table.tx_az_deg, table.rx_az_deg
     classes = np.full(len(loc), _NB)
     bearings = np.zeros((len(table), 2))
-    for index in np.flatnonzero(table.los & (table.n_sweeps > 0)):
-        bearings[index] = los_bearings_deg(table.locations[index])
+    for index in np.flatnonzero(table.los & (table.n_sweeps > 0)).tolist():
+        bearings[index] = bearings_deg(table.tx_pos_m[index].tolist(), table.rx_pos_m[index].tolist())
     d_tx = circular_distance_deg(tx_az, bearings[loc, 0])
     d_rx = circular_distance_deg(rx_az, bearings[loc, 1])
     boresight = (
@@ -195,7 +214,7 @@ def direction_path_loss_map(loc: LocationMeasurement) -> dict[tuple[float, float
     PL = tx_power + tx_gain + rx_gain - received_power, where the received
     power integrates every above-floor delay bin of that pointing pair.
     """
-    table = TapTable((loc,))
+    table = TapTable(LocationColumns.of((loc,)))
     return dict(zip(_directions(table), sweep_losses(table).pl_db.tolist()))
 
 
@@ -211,47 +230,54 @@ def classify_directions(
     power is NBB (NLOS locations have no B, only NBB).  Everything else
     is NB.
     """
-    table = TapTable((loc,))
+    table = TapTable(LocationColumns.of((loc,)))
     table.require_signal()
     classes = sweep_losses(table).class_index.tolist()
     return {direction: DIRECTION_CLASSES[c] for direction, c in zip(_directions(table), classes)}
 
 
+def _columns(table: TapTable, loc: np.ndarray, pl_db: np.ndarray) -> PathLossColumns:
+    return PathLossColumns(loc, table.distance_m[loc], pl_db)
+
+
+def _objects(table: TapTable, samples: PathLossColumns, kinds: Iterable[SampleKind]) -> tuple[PathLossSample, ...]:
+    """The validated ``PathLossSample`` of each sample of a table, of the kind ``kinds`` gives it."""
+    columns = (samples.loc, samples.distance_m, samples.pl_db, table.los[samples.loc])
+    return tuple(
+        PathLossSample(distance_m, pl_db, table.key(index)[2], kind, los)
+        for (index, distance_m, pl_db, los), kind in zip(zip(*(c.tolist() for c in columns)), kinds)
+    )
+
+
 def omni_losses(
     table: TapTable, max_measurable_pl_db: float | None = None
-) -> list[PathLossSample | NoSignalError]:
-    """Per location of a table: its omni path-loss sample, or the error that excludes it.
+) -> tuple[PathLossColumns, list[tuple[int, NoSignalError]]]:
+    """The omni path-loss samples of a table's locations, and (index, error) of each location left out.
 
     The loss is recovered from the synthesized omni profile.  A location
     without signal, or (with ``max_measurable_pl_db`` set) one whose loss
-    exceeds the sounder's measurable range, gets a NoSignalError.
+    exceeds the sounder's measurable range, is left out with a NoSignalError.
     """
     totals = omni_bins(table).total_mw.tolist()
-    out: list[PathLossSample | NoSignalError] = []
-    for index, loc in enumerate(table.locations):
+    tx_power_dbm = table.tx_power_dbm.tolist()
+    kept: list[int] = []
+    losses: list[float] = []
+    excluded: list[tuple[int, NoSignalError]] = []
+    for index, total in enumerate(totals):
         err = table.no_signal(index)
-        if err is not None:
-            out.append(err)
-            continue
-        pl_db = loc.tx_power_dbm - linear_to_db(totals[index])
-        if max_measurable_pl_db is not None and pl_db > max_measurable_pl_db:
-            out.append(
-                NoSignalError(
-                    f"{loc.tx_id}-{loc.rx_id} ({loc.polarization.value}): path loss {pl_db:.1f} dB "
+        if err is None:
+            pl_db = tx_power_dbm[index] - linear_to_db(total)
+            if max_measurable_pl_db is not None and pl_db > max_measurable_pl_db:
+                err = NoSignalError(
+                    f"{table.name(index)}: path loss {pl_db:.1f} dB "
                     f"exceeds the {max_measurable_pl_db:g} dB measurable limit"
                 )
-            )
-            continue
-        out.append(
-            PathLossSample(
-                distance_m=loc.distance_m,
-                pl_db=pl_db,
-                polarization=loc.polarization,
-                kind=SampleKind.OMNI,
-                los=loc.los,
-            )
-        )
-    return out
+        if err is None:
+            kept.append(index)
+            losses.append(pl_db)
+        else:
+            excluded.append((index, err))
+    return _columns(table, np.array(kept, dtype=np.intp), np.array(losses, dtype=float)), excluded
 
 
 def omni_path_loss(
@@ -263,39 +289,38 @@ def omni_path_loss(
     exceeds the sounder's measurable range raises NoSignalError instead
     of returning an untrustworthy value.
     """
-    (result,) = omni_losses(TapTable((loc,)), max_measurable_pl_db)
-    if isinstance(result, NoSignalError):
-        raise result
-    return result
+    table = TapTable(LocationColumns.of((loc,)))
+    samples, excluded = omni_losses(table, max_measurable_pl_db)
+    if excluded:
+        raise excluded[0][1]
+    return _objects(table, samples, (SampleKind.OMNI,))[0]
+
+
+def _directional_rows(table: TapTable, max_measurable_pl_db: float | None) -> np.ndarray:
+    """The sweep rows of a table's directional samples: location by location,
+    sorted by (tx_az, rx_az) within one, directions beyond the ceiling dropped."""
+    rows = np.lexsort((table.rx_az_deg, table.tx_az_deg, table.sweep_loc))
+    if max_measurable_pl_db is not None:
+        rows = rows[sweep_losses(table).pl_db[rows] <= max_measurable_pl_db]
+    return rows
 
 
 def directional_samples(
     table: TapTable, max_measurable_pl_db: float | None = None
-) -> tuple[PathLossSample, ...]:
-    """Per-direction samples labelled B / NBB / NB, for every location of a table.
+) -> dict[SampleKind, PathLossColumns]:
+    """Per-direction samples of every location of a table, by kind (B / NBB / NB).
 
     Samples come location by location, sorted by (tx_az, rx_az) within
     one; directions beyond the measurable-loss ceiling are dropped.
     """
     losses = sweep_losses(table)
-    loc_of = table.sweep_loc
-    rows = np.lexsort((table.rx_az_deg, table.tx_az_deg, loc_of))
-    if max_measurable_pl_db is not None:
-        rows = rows[losses.pl_db[rows] <= max_measurable_pl_db]
-    samples = []
-    columns = (loc_of[rows], table.distance_m[loc_of[rows]], losses.pl_db[rows], losses.class_index[rows])
-    for index, distance_m, pl_db, class_index in zip(*(c.tolist() for c in columns)):
-        loc = table.locations[index]
-        samples.append(
-            PathLossSample(
-                distance_m=distance_m,
-                pl_db=pl_db,
-                polarization=loc.polarization,
-                kind=KIND_OF_CLASS[DIRECTION_CLASSES[class_index]],
-                los=loc.los,
-            )
-        )
-    return tuple(samples)
+    rows = _directional_rows(table, max_measurable_pl_db)
+    classes = losses.class_index[rows]
+    out = {}
+    for index, direction_class in enumerate(DIRECTION_CLASSES):
+        kept = rows[classes == index]
+        out[KIND_OF_CLASS[direction_class]] = _columns(table, table.sweep_loc[kept], losses.pl_db[kept])
+    return out
 
 
 def directional_path_loss(
@@ -306,9 +331,12 @@ def directional_path_loss(
     Directions beyond the measurable-loss ceiling are dropped; the rest
     come back sorted by (tx_az, rx_az).
     """
-    table = TapTable((loc,))
+    table = TapTable(LocationColumns.of((loc,)))
     table.require_signal()
-    return directional_samples(table, max_measurable_pl_db)
+    losses = sweep_losses(table)
+    rows = _directional_rows(table, max_measurable_pl_db)
+    kinds = (KIND_OF_CLASS[DIRECTION_CLASSES[c]] for c in losses.class_index[rows].tolist())
+    return _objects(table, _columns(table, table.sweep_loc[rows], losses.pl_db[rows]), kinds)
 
 
 def _check_homogeneous(samples: Sequence[PathLossSample]) -> None:
@@ -320,54 +348,56 @@ def _check_homogeneous(samples: Sequence[PathLossSample]) -> None:
         raise ValidationError("kind", f"mixed sample kinds in one fit: {sorted(k.value for k in kinds)}")
 
 
-def fit_ci(samples: Sequence[PathLossSample], frequency_hz: float) -> CiFit:
+def _fit_inputs(samples: Samples, polarization: Polarization | None = None) -> tuple[list[float], list[float]]:
+    """(distances, losses) of ``samples``; objects must share one kind and polarization."""
+    if isinstance(samples, PathLossColumns):
+        return samples.distance_m.tolist(), samples.pl_db.tolist()
+    samples = list(samples)
+    _check_homogeneous(samples)
+    for s in samples:
+        if polarization is not None and s.polarization is not polarization:
+            raise ValidationError("polarization", f"expected {polarization.value} samples, got {s.polarization.value}")
+    return [s.distance_m for s in samples], [s.pl_db for s in samples]
+
+
+def fit_ci(samples: Samples, frequency_hz: float) -> CiFit:
     """MMSE close-in exponent fit anchored at the 1 m free-space loss.
 
     Minimizes sum((excess - 10 n log10 d)^2) over n, where excess is the
     measured loss minus the 1 m anchor; sigma is the population RMS of
     the residuals.
     """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise DegenerateFitError(f"need at least 2 samples to fit an exponent, got {len(samples)}")
-    _check_homogeneous(samples)
+    distance_m, pl_db = _fit_inputs(samples)
+    if len(distance_m) < 2:
+        raise DegenerateFitError(f"need at least 2 samples to fit an exponent, got {len(distance_m)}")
     anchor = fspl(frequency_hz, D0_M)
-    a = np.array([10.0 * math.log10(s.distance_m / D0_M) for s in samples])
-    b = np.array([s.pl_db - anchor for s in samples])
+    a = np.array([10.0 * math.log10(d / D0_M) for d in distance_m])
+    b = np.array([pl - anchor for pl in pl_db])
     denom = float(np.dot(a, a))
     if denom <= 1e-12:
         raise DegenerateFitError("all samples sit at the reference distance; exponent unconstrained")
     ple = float(np.dot(a, b) / denom)
     residuals = b - ple * a
     sigma = float(np.sqrt(np.mean(residuals**2)))
-    return CiFit(ple=ple, sigma_db=sigma, n_samples=len(samples), fspl_anchor_db=anchor)
+    return CiFit(ple=ple, sigma_db=sigma, n_samples=len(distance_m), fspl_anchor_db=anchor)
 
 
-def fit_cix(
-    vh_samples: Sequence[PathLossSample], ci_vv: CiFit, frequency_hz: float
-) -> CixFit:
+def fit_cix(vh_samples: Samples, ci_vv: CiFit, frequency_hz: float) -> CixFit:
     """Cross-polar discrimination fit over a fixed co-polar exponent.
 
     The offset is the mean excess of the cross-polar loss over the
     co-polar model; sigma is the population RMS about that mean.
     """
-    vh_samples = list(vh_samples)
-    if not vh_samples:
+    distance_m, pl_db = _fit_inputs(vh_samples, Polarization.VH)
+    if not distance_m:
         raise DegenerateFitError("need at least 1 cross-polar sample")
-    _check_homogeneous(vh_samples)
-    for s in vh_samples:
-        if s.polarization is not Polarization.VH:
-            raise ValidationError("polarization", f"expected VH samples, got {s.polarization.value}")
     anchor = fspl(frequency_hz, D0_M)
     excess = np.array(
-        [
-            s.pl_db - anchor - 10.0 * ci_vv.ple * math.log10(s.distance_m / D0_M)
-            for s in vh_samples
-        ]
+        [pl - anchor - 10.0 * ci_vv.ple * math.log10(d / D0_M) for d, pl in zip(distance_m, pl_db)]
     )
     xpd = float(np.mean(excess))
     sigma = float(np.sqrt(np.mean((excess - xpd) ** 2)))
-    return CixFit(xpd_db=xpd, sigma_db=sigma, ple_vv=ci_vv.ple, n_samples=len(vh_samples))
+    return CixFit(xpd_db=xpd, sigma_db=sigma, ple_vv=ci_vv.ple, n_samples=len(distance_m))
 
 
 def collect_samples(
@@ -376,7 +406,9 @@ def collect_samples(
     max_measurable_pl_db: float | None = None,
 ) -> tuple[PathLossSample, ...]:
     """Gather samples of one kind across locations, skipping signal-free ones."""
-    table = TapTable(locs)
+    table = TapTable(LocationColumns.of(locs))
     if kind is SampleKind.OMNI:
-        return tuple(s for s in omni_losses(table, max_measurable_pl_db) if isinstance(s, PathLossSample))
-    return tuple(s for s in directional_samples(table, max_measurable_pl_db) if s.kind is kind)
+        samples = omni_losses(table, max_measurable_pl_db)[0]
+    else:
+        samples = directional_samples(table, max_measurable_pl_db)[kind]
+    return _objects(table, samples, repeat(kind))

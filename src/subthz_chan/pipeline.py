@@ -19,21 +19,18 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .angular import AngularSummary, campaign_angular_summary
 from .campaign_io import Campaign, ingest_campaign
 from .delay import DelaySummary, campaign_delay_summary
-from .measurement import (
-    NoSignalError,
-    Polarization,
-    TapTable,
-    ValidationError,
-)
+from .measurement import Polarization, TapTable, ValidationError
 from .pathloss import (
     KIND_OF_CLASS,
     CiFit,
     CixFit,
     DegenerateFitError,
-    PathLossSample,
+    PathLossColumns,
     SampleKind,
     directional_samples,
     fit_ci,
@@ -138,18 +135,19 @@ class Analysis:
         self.thresholds_db = tuple(thresholds_db)
         self.carrier_hz = campaign.carrier_hz if carrier_hz is None else carrier_hz
         self.max_measurable_pl_db = max_measurable_pl_db
-        self._samples: dict[tuple[Polarization, SampleKind], tuple[PathLossSample, ...]] = {}
-        self._omni: dict[Polarization, tuple[tuple[PathLossSample, ...], list[dict]]] = {}
+        self._samples: dict[tuple[Polarization, SampleKind], PathLossColumns] = {}
+        self._omni: dict[Polarization, tuple[PathLossColumns, list[dict]]] = {}
         self._tables: dict[Polarization, TapTable] = {}
 
     def table(self, pol: Polarization) -> TapTable:
         """The tap table of the locations of one polarization, in campaign order."""
         if pol not in self._tables:
-            self._tables[pol] = TapTable(self.campaign.by_polarization(pol))
+            self._tables[pol] = TapTable(self.campaign.columns, self.campaign.rows(pol))
         return self._tables[pol]
 
-    def samples(self, pol: Polarization, kind: SampleKind) -> tuple[PathLossSample, ...]:
-        """Path-loss samples of one polarization and kind, in location order.
+    def samples(self, pol: Polarization, kind: SampleKind) -> PathLossColumns:
+        """Path-loss samples of one polarization and kind, in location order, as columns
+        whose ``loc`` indexes ``table(pol)``.
 
         Locations without usable signal contribute nothing; omni sampling
         logs each one, and ``excluded`` lists it.  One directional pass over
@@ -166,28 +164,22 @@ class Analysis:
         """The locations omni sampling leaves out, with the reason: VV, then VH, each in campaign order."""
         return [entry for pol in Polarization for entry in self._omni_samples(pol)[1]]
 
-    def _omni_samples(self, pol: Polarization) -> tuple[tuple[PathLossSample, ...], list[dict]]:
+    def _omni_samples(self, pol: Polarization) -> tuple[PathLossColumns, list[dict]]:
         """The omni samples of one polarization and the locations left out, logged when first computed."""
         if pol not in self._omni:
-            samples, excluded = [], []
             table = self.table(pol)
-            for loc, result in zip(table.locations, omni_losses(table, self.max_measurable_pl_db)):
-                if isinstance(result, NoSignalError):
-                    logger.warning("excluding %s-%s (%s): %s", loc.tx_id, loc.rx_id, pol.value, result)
-                    excluded.append(
-                        {"tx_id": loc.tx_id, "rx_id": loc.rx_id, "polarization": pol.value, "reason": str(result)}
-                    )
-                else:
-                    samples.append(result)
-            self._omni[pol] = (tuple(samples), excluded)
+            samples, errors = omni_losses(table, self.max_measurable_pl_db)
+            excluded = []
+            for index, err in errors:
+                tx_id, rx_id, _ = table.key(index)
+                logger.warning("excluding %s-%s (%s): %s", tx_id, rx_id, pol.value, err)
+                excluded.append({"tx_id": tx_id, "rx_id": rx_id, "polarization": pol.value, "reason": str(err)})
+            self._omni[pol] = (samples, excluded)
         return self._omni[pol]
 
     def _directional_samples(self, pol: Polarization) -> None:
-        by_kind: dict[SampleKind, list[PathLossSample]] = {kind: [] for kind in DIRECTIONAL_KINDS.values()}
-        for sample in directional_samples(self.table(pol), self.max_measurable_pl_db):
-            by_kind[sample.kind].append(sample)
-        for kind, samples in by_kind.items():
-            self._samples[pol, kind] = tuple(samples)
+        for kind, samples in directional_samples(self.table(pol), self.max_measurable_pl_db).items():
+            self._samples[pol, kind] = samples
 
     def fit(self, pol: Polarization, kind: SampleKind) -> CiFit:
         """Close-in fit of one sample class; DegenerateFitError under two samples."""
@@ -212,8 +204,9 @@ class Analysis:
     def xpd(self) -> dict[PathClass, XpdClassSummary]:
         """Directional XPD statistics per path class, over every VV/VH pair."""
         vv, vh = self.table(Polarization.VV), self.table(Polarization.VH)
-        row = {loc.key: i for table in (vv, vh) for i, loc in enumerate(table.locations)}
-        rows = [(row[a.key], row[b.key]) for a, b in self.campaign.paired_locations()]
+        pairs = np.array(self.campaign.pairs(), dtype=np.intp).reshape(-1, 2)
+        # a table's rows are campaign rows, ascending
+        rows = np.column_stack((np.searchsorted(vv.rows, pairs[:, 0]), np.searchsorted(vh.rows, pairs[:, 1])))
         return xpd_columns(vv, vh, rows).summary()
 
     def summary_csv(self, section: str) -> str:
@@ -252,14 +245,19 @@ class Analysis:
         }
 
 
-def _scatter_csv(samples: list[PathLossSample]) -> str:
+def _scatter_csv(analysis: Analysis) -> str:
+    """Omni samples of both polarizations and co-polar directional samples, sorted
+    by kind, polarization, distance and loss."""
     lines = ["kind,polarization,los,distance_m,pl_db"]
     order = {kind: i for i, kind in enumerate(SampleKind)}
-    for s in sorted(samples, key=lambda s: (order[s.kind], s.polarization.value, s.distance_m, s.pl_db)):
-        lines.append(
-            f"{s.kind.value},{s.polarization.value},{str(s.los).lower()},"
-            f"{_csv_value(s.distance_m)},{_csv_value(s.pl_db)}"
-        )
+    sections = [(Polarization.VV, SampleKind.OMNI), (Polarization.VH, SampleKind.OMNI)]
+    rows = []
+    for pol, kind in sections + [(Polarization.VV, kind) for kind in DIRECTIONAL_KINDS.values()]:
+        s = analysis.samples(pol, kind)
+        columns = (s.distance_m, s.pl_db, analysis.table(pol).los[s.loc])
+        rows += [(order[kind], pol.value, *row, kind.value) for row in zip(*(c.tolist() for c in columns))]
+    for _, pol, distance_m, pl_db, los, kind in sorted(rows, key=lambda row: row[:4]):
+        lines.append(f"{kind},{pol},{str(los).lower()},{_csv_value(distance_m)},{_csv_value(pl_db)}")
     return "\n".join(lines) + "\n"
 
 
@@ -277,8 +275,8 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
             "carrier_hz": campaign.carrier_hz,
             "tx_power_dbm": campaign.tx_power_dbm,
             "n_locations": len(campaign),
-            "n_vv": len(campaign.by_polarization(Polarization.VV)),
-            "n_vh": len(campaign.by_polarization(Polarization.VH)),
+            "n_vv": len(campaign.rows(Polarization.VV)),
+            "n_vh": len(campaign.rows(Polarization.VH)),
         },
         "config": {
             "manifest": config.manifest_path.name,
@@ -329,12 +327,10 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
     if "json" in config.formats:
         texts[REPORT_JSON] = json.dumps(_report(config, analysis), indent=2, sort_keys=True) + "\n"
     if "csv" in config.formats:
-        directional = [s for kind in DIRECTIONAL_KINDS.values() for s in analysis.samples(Polarization.VV, kind)]
         texts[DELAY_CSV] = analysis.summary_csv("delay")
         texts[ANGULAR_CSV] = analysis.summary_csv("angular")
         texts[XPD_CSV] = analysis.xpd_csv()
-        vh_omni = analysis.samples(Polarization.VH, SampleKind.OMNI)
-        texts[SCATTER_CSV] = _scatter_csv([*vv_omni, *vh_omni, *directional])
+        texts[SCATTER_CSV] = _scatter_csv(analysis)
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

@@ -8,6 +8,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .measurement import (
+    LocationColumns,
     LocationMeasurement,
     Polarization,
     TapTable,
@@ -48,18 +49,18 @@ def classify_path(loc: LocationMeasurement, direction: tuple[float, float]) -> P
     return PathClass.REFLECTION
 
 
-def _check_pair(loc_vv: LocationMeasurement, loc_vh: LocationMeasurement) -> None:
-    if (loc_vv.tx_id, loc_vv.rx_id) != (loc_vh.tx_id, loc_vh.rx_id):
+def _check_pair(vv: TapTable, row_vv: int, vh: TapTable, row_vh: int, same_positions: bool) -> None:
+    tx_vv, rx_vv, pol_vv = vv.key(row_vv)
+    tx_vh, rx_vh, pol_vh = vh.key(row_vh)
+    if (tx_vv, rx_vv) != (tx_vh, rx_vh):
         raise ValidationError(
-            "rx_id",
-            f"polarization pair mixes locations: "
-            f"{loc_vv.tx_id}-{loc_vv.rx_id} vs {loc_vh.tx_id}-{loc_vh.rx_id}",
+            "rx_id", f"polarization pair mixes locations: {tx_vv}-{rx_vv} vs {tx_vh}-{rx_vh}"
         )
-    if loc_vv.polarization is not Polarization.VV:
-        raise ValidationError("polarization", f"first location must be VV, got {loc_vv.polarization.value}")
-    if loc_vh.polarization is not Polarization.VH:
-        raise ValidationError("polarization", f"second location must be VH, got {loc_vh.polarization.value}")
-    if loc_vv.tx_pos_m != loc_vh.tx_pos_m or loc_vv.rx_pos_m != loc_vh.rx_pos_m:
+    if pol_vv is not Polarization.VV:
+        raise ValidationError("polarization", f"first location must be VV, got {pol_vv.value}")
+    if pol_vh is not Polarization.VH:
+        raise ValidationError("polarization", f"second location must be VH, got {pol_vh.value}")
+    if not same_positions:
         raise ValidationError("tx_pos_m", "polarization pair was measured at different positions")
 
 
@@ -88,12 +89,13 @@ def xpd_columns(vv: TapTable, vh: TapTable, rows: Sequence[tuple[int, int]]) -> 
     are checked as in ``directional_xpd``.  Path classes come from the
     co-polar sweep, through the classification kept with ``vv``.
     """
+    rows_vv, rows_vh = np.array(rows, dtype=np.intp).reshape(-1, 2).T
+    same_positions = (vv.tx_pos_m[rows_vv] == vh.tx_pos_m[rows_vh]) & (vv.rx_pos_m[rows_vv] == vh.rx_pos_m[rows_vh])
+    for row_vv, row_vh, same in zip(rows_vv.tolist(), rows_vh.tolist(), same_positions.all(axis=1).tolist()):
+        _check_pair(vv, row_vv, vh, row_vh, same)
     pair_of_vv = np.full(len(vv), -1)
     pair_of_vh = np.full(len(vh), -1)
-    for index, (row_vv, row_vh) in enumerate(rows):
-        _check_pair(vv.locations[row_vv], vh.locations[row_vh])
-        pair_of_vv[row_vv] = index
-        pair_of_vh[row_vh] = index
+    pair_of_vv[rows_vv] = pair_of_vh[rows_vh] = np.arange(len(rows_vv))
     losses_vv, losses_vh = sweep_losses(vv), sweep_losses(vh)
     # stack both sides' sweeps; after sorting by (pair, tx, rx, side) a
     # direction shared by a pair is a VV row directly followed by its VH row
@@ -120,8 +122,8 @@ def collect_xpds(
 ) -> tuple[DirectionalXpd, ...]:
     """Directional XPDs pooled over polarization pairs."""
     pairs = tuple(pairs)
-    rows = [(k, k) for k in range(len(pairs))]
-    columns = xpd_columns(TapTable(a for a, _ in pairs), TapTable(b for _, b in pairs), rows)
+    vv, vh = (TapTable(LocationColumns.of(pair[side] for pair in pairs)) for side in (0, 1))
+    columns = xpd_columns(vv, vh, [(k, k) for k in range(len(pairs))])
     return tuple(
         DirectionalXpd(
             direction=(tx_az, rx_az),

@@ -139,7 +139,7 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
     if "delay_resolution_ns" in doc:
         delay_resolution_ns = _require(doc, "delay_resolution_ns", float, path)
     if not 0.0 < delay_resolution_ns < math.inf:
-        raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {delay_resolution_ns}")
+        raise CampaignFormatError(path, None, f"delay_resolution_ns: must be > 0 and finite, got {delay_resolution_ns}")
     raw_locations = _require(doc, "locations", list, path)
     if not raw_locations:
         raise CampaignFormatError(path, None, "locations: manifest lists no locations")
@@ -159,9 +159,9 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
         hpbw = _require(antenna, "hpbw_deg", float, path, ctx + "antenna.")
         step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
         sweeps_rel = _require(entry, "sweeps", str, path, ctx)
-        if not sweeps_rel:
-            raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file")
         sweep_path = path.parent / sweeps_rel
+        if sweep_path.is_dir():
+            raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file")
         pdps = _read_sweep_file(sweep_path, _read_text(sweep_path, digests, sweeps_rel), delay_resolution_ns)
         fields = dict(
             tx_id=_require(entry, "tx_id", str, path, ctx),

@@ -154,14 +154,15 @@ class TestManifestErrors:
             ingest_campaign(path)
 
     @pytest.mark.parametrize(
-        "value, exc", [("1 ns", CampaignFormatError), (0.0, ValidationError), (-2.0, ValidationError)]
+        "value, exc", [("1 ns", CampaignFormatError), (0.0, CampaignFormatError), (-2.0, CampaignFormatError)]
     )
     def test_bad_delay_resolution(self, tmp_path, value, exc):
         doc = json.loads(GOLDEN_MANIFEST)
         doc["delay_resolution_ns"] = value
         path = write_golden(tmp_path, manifest=json.dumps(doc))
-        with pytest.raises(exc, match="delay_resolution_ns"):
+        with pytest.raises(exc, match="delay_resolution_ns") as err:
             ingest_campaign(path)
+        assert err.value.path == str(path)
 
     def test_lattice_finer_than_the_tolerance_holds_every_step(self, tmp_path):
         # 2 ns / 1e-310 ns overflows; the line-by-line reader crashed on it
@@ -504,3 +505,69 @@ class TestWriteCampaign:
         loc = build_campaign()[0]
         with pytest.raises(ValidationError, match="tx_power_dbm"):
             write_campaign(Campaign("bad", 142e9, 5.0, (loc,)), tmp_path)
+
+    @pytest.mark.parametrize("ids", [("../../escaped", "RX1"), ("TX1", "sub/RX1"), ("TX1", "/abs")])
+    def test_ids_with_a_path_separator_are_rejected(self, tmp_path, ids):
+        import dataclasses
+
+        loc_vv, loc_vh = build_campaign()
+        escaping = dataclasses.replace(loc_vh, tx_id=ids[0], rx_id=ids[1])
+        out = tmp_path / "a" / "b" / "out"
+        with pytest.raises(ValidationError, match="path separator"):
+            write_campaign(Campaign("escape", 142e9, 0.0, (loc_vv, escaping)), out)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+@pytest.fixture(scope="module")
+def rendered_campaign(tmp_path_factory):
+    from subthz_chan import SynthesisParams, render_campaign
+
+    return ingest_campaign(render_campaign(SynthesisParams(), 6, 3, tmp_path_factory.mktemp("rendered")).manifest_path)
+
+
+class TestColumnarCampaign:
+    """An ingested campaign holds columns; objects are built from them on request."""
+
+    def rebuilt(self, campaign):
+        return Campaign(
+            campaign.campaign_id, campaign.carrier_hz, campaign.tx_power_dbm, campaign.locations,
+            campaign.delay_resolution_ns,
+        )
+
+    def test_campaign_from_objects_equals_the_ingested_one(self, rendered_campaign):
+        rebuilt = self.rebuilt(rendered_campaign)
+        assert rebuilt == rendered_campaign
+        assert repr(rebuilt) == repr(rendered_campaign)
+        assert rebuilt.columns == rendered_campaign.columns
+
+    def test_write_of_ingested_and_rebuilt_is_byte_identical(self, rendered_campaign, tmp_path):
+        first = write_campaign(rendered_campaign, tmp_path / "ingested").parent
+        second = write_campaign(self.rebuilt(rendered_campaign), tmp_path / "rebuilt").parent
+        names = sorted(str(p.relative_to(first)) for p in first.rglob("*") if p.is_file())
+        assert names == sorted(str(p.relative_to(second)) for p in second.rglob("*") if p.is_file())
+        assert len(names) == 1 + len(rendered_campaign)
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_indexing_builds_the_location_of_that_row(self, rendered_campaign):
+        locations = rendered_campaign.locations
+        assert len(locations) == len(rendered_campaign) == 12
+        assert rendered_campaign[3] == locations[3]
+        assert rendered_campaign[-1] == locations[-1]
+        assert rendered_campaign[1:3] == locations[1:3]
+        with pytest.raises(IndexError):
+            rendered_campaign[len(locations)]
+        key = locations[5].key
+        assert rendered_campaign.find(key) == 5
+        assert rendered_campaign.find((key[0], key[1], key[2].value)) == 5
+        assert rendered_campaign.find(("TX?", "RX?", Polarization.VV)) is None
+
+    def test_polarization_rows_and_pairs(self, rendered_campaign):
+        vv = rendered_campaign.rows(Polarization.VV).tolist()
+        vh = rendered_campaign.rows(Polarization.VH).tolist()
+        assert rendered_campaign.by_polarization(Polarization.VV) == tuple(rendered_campaign[i] for i in vv)
+        assert sorted(vv + vh) == list(range(len(rendered_campaign)))
+        assert rendered_campaign.paired_locations() == tuple(
+            (rendered_campaign[a], rendered_campaign[b]) for a, b in rendered_campaign.pairs()
+        )
+        assert len(rendered_campaign.pairs()) == 6

@@ -98,6 +98,17 @@ class TestIngest:
         assert main(["ingest", "--manifest", str(edited)]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {edited}: {message}")
 
+    @pytest.mark.parametrize("sweeps", [".", "sweeps"])
+    def test_sweeps_naming_a_directory_exits_2(self, manifest, tmp_path, capsys, sweeps):
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["locations"][3]["sweeps"] = sweeps
+        for entry in doc["locations"]:
+            entry["sweeps"] = str(manifest.parent / entry["sweeps"])
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ingest", "--manifest", str(edited)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {edited}: key 'locations[3].sweeps' must name a file\n"
+
 
 class TestFit:
     def test_vv_fit_fields(self, manifest, capsys):
@@ -375,4 +386,51 @@ class TestLogging:
     def test_bogus_level_falls_back(self, manifest, monkeypatch, capsys):
         monkeypatch.setenv("SUBTHZ_CHAN_LOG", "VERY_CHATTY")
         assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
+        capsys.readouterr()
+
+
+class TestObjectsOnRequest:
+    """Queries read the ingested columns: no per-location or per-sweep object is built."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        from subthz_chan import DirectionalPdp, LocationMeasurement
+
+        counts = {"pdp": 0, "location": 0}
+        for name, cls in (("pdp", DirectionalPdp), ("location", LocationMeasurement)):
+            original = cls.__post_init__
+
+            def counting(self, original=original, name=name):
+                counts[name] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    def queries(self, manifest, out):
+        m = ["--manifest", str(manifest)]
+        fits = [["fit", "pathloss", *m, "--pol", pol, "--kind", kind] for pol, kind in
+                (("VV", "omni"), ("VH", "omni"), ("VV", "B"), ("VV", "NBB"), ("VV", "NB"))]
+        return [
+            ["ingest", *m, "--format", "json"],
+            ["ingest", *m],
+            *fits,
+            ["stats", "delay", *m],
+            ["stats", "angular", *m],
+            ["xpd", "report", *m],
+            ["xpd", "report", *m, "--format", "csv"],
+            ["report", *m, "--out", str(out)],
+        ]
+
+    def test_queries_and_report_build_no_objects(self, manifest, tmp_path, capsys, built):
+        for argv in self.queries(manifest, tmp_path / "report"):
+            assert main(argv) == EXIT_OK, argv
+            assert built == {"pdp": 0, "location": 0}, argv
+        capsys.readouterr()
+
+    def test_pas_dump_builds_its_one_location(self, manifest, capsys, built):
+        argv = ["pas", "dump", "--manifest", str(manifest), "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA"]
+        assert main(argv) == EXIT_OK
+        assert built["location"] == 1
+        assert built["pdp"] >= 1
         capsys.readouterr()

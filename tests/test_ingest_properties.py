@@ -39,7 +39,9 @@ GARBLED = ("x", "", " 1.5", "1_0", "1e400", "--1", "0x10", "inf", "-0.0", "١٢"
 #: accepts; DELETE removes the key, and REPEAT appends a copy of the entry
 #: instead of replacing a key
 DELETE, REPEAT = object(), object()
-MANIFEST_VALUES = (DELETE, REPEAT, 1.0, True, "", [], {}, [math.nan, 0.0, 0.0], [1e400, 0.0, 0.0], [1.0, 2.0])
+MANIFEST_VALUES = (
+    DELETE, REPEAT, 1.0, 0.0, -2.0, True, "", ".", [], {}, [math.nan, 0.0, 0.0], [1e400, 0.0, 0.0], [1.0, 2.0]
+)
 #: top-level keys a mutation may touch; ``locations`` is left whole, so a
 #: second mutation still finds its entries
 TOP_KEYS = ("campaign_id", "carrier_hz", "tx_power_dbm", "delay_resolution_ns")
