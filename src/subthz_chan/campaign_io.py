@@ -30,6 +30,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import re
 from array import array
@@ -56,6 +57,20 @@ SWEEP_COLUMNS = ("tx_az_deg", "rx_az_deg", "delay_ns", "power_db")
 _SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 _N_COLUMNS = len(SWEEP_COLUMNS)
 _NOISE_FLOOR_RE = re.compile(r"#\s*noise_floor_db\s*=\s*(\S+)\s*$")
+_FLOOR_PREFIX = b"# noise_floor_db="
+_HEADER_LINE = f"{_SWEEP_HEADER}\n".encode()
+#: the bytes ``read_lean`` drops before it matches a file's layout: every ASCII byte but
+#: the comma, LF, ``#`` and the other ``str.splitlines`` breaks (a non-ASCII byte stays, and fails the match)
+_UNMARKED = bytes(sorted(set(range(128)) - set(b",\n#\r\x0b\x0c\x1c\x1d\x1e")))
+#: the values of a manifest entry, and their types in an entry the lean lane takes
+_ENTRY_VALUES = operator.itemgetter(
+    "sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna"
+)
+_LEAN_TYPES = (str, str, str, str, list, list, bool, dict)
+_ANTENNA_VALUES = operator.itemgetter("gain_dbi", "hpbw_deg", "az_step_deg")
+#: the types of the positions' and the antenna's values there
+_LEAN_NUMBERS = (float,) * 9
+_POLARIZATIONS = {p.value: p for p in Polarization}
 #: antenna heights of ingested locations; the manifest does not record them
 _TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
 #: characters an id may not hold, since ids name the sweep files
@@ -102,6 +117,9 @@ class Campaign:
         #: campaign was built in memory)
         self.input_sha256 = {} if input_sha256 is None else input_sha256
         self.columns = locations if isinstance(locations, LocationColumns) else LocationColumns.of(locations)
+        for name in ("carrier_hz", "tx_power_dbm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(name, f"must be finite, got {getattr(self, name)}")
         if self.carrier_hz <= 0:
             raise ValidationError("carrier_hz", "must be > 0")
         self._row_of: dict[tuple[str, str, Polarization], int] = {}
@@ -209,29 +227,82 @@ def _universal_newlines(text: str) -> str:
 class _SweepRows:
     """The data rows of a campaign's sweep files as campaign-wide columns.
 
-    ``read`` scans one file at a time and appends its rows; the value
-    checks (``first_bad_row``) and the grouping into pointings with its
-    delay checks (``_Pointings``) then run once over every row read.  Row
-    ``r`` holds ``values[4r:4r+4]`` in ``SWEEP_COLUMNS`` order and came
-    from line ``lines[r]`` of file ``i``, the first with ``ends[i] > r``.
+    ``read_lean`` or ``read`` scans one file at a time and appends its
+    rows; the value checks (``first_bad_row``) and the grouping into
+    pointings with its delay checks (``_Pointings``) then run once over
+    every row read.  Row ``r`` holds ``values[4r:4r+4]`` in
+    ``SWEEP_COLUMNS`` order and came from file ``i``, the first with
+    ``ends[i] > r``, named by ``files[i]`` relative to ``parent``.
     """
 
-    def __init__(self):
+    def __init__(self, parent: Path):
+        self.parent = parent
         self.values = array("d")
-        self.lines: list[int] = []
-        self.paths: list[Path] = []
+        self.files: list[str] = []
+        #: the line of each row of each file; None for a lean file, whose row i is on line 3 + i
+        self.lines: list[list[int] | None] = []
         self.floors: list[float | None] = []
         self.ends: list[int] = []
         #: files read to the end without a structural fault; only these are grouped
         self.complete = 0
 
-    def read(self, path: Path, text: str) -> None:
-        """Append the data rows of one sweep file.
+    def path(self, file: int) -> Path:
+        return self.parent / self.files[file]
+
+    def where(self, row: int) -> tuple[int, str]:
+        """(file index, ``path:line``) of a row."""
+        file = bisect.bisect_right(self.ends, row)
+        i = row - (self.ends[file - 1] if file else 0)
+        lines = self.lines[file]
+        return file, f"{self.path(file)}:{3 + i if lines is None else lines[i]}"
+
+    def _add(self, rel: str, lines: list[int] | None, noise_floor: float | None) -> None:
+        self.files.append(rel)
+        self.lines.append(lines)
+        self.floors.append(noise_floor)
+        self.ends.append(len(self.values) // _N_COLUMNS)
+
+    def read_lean(self, rel: str, data: bytes) -> bool:
+        """Append the rows of a sweep file laid out as ``write_campaign`` writes it;
+        False, with nothing appended, for any other file.
+
+        That layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite
+        ``v``, the header, then LF-terminated rows of four numbers, none
+        blank.  It holds no other ``#`` and no line break but LF, so ``read``
+        would see the same floor and the same values, row ``i`` on line
+        ``3 + i``.
+        """
+        marks = data.translate(None, _UNMARKED)
+        n_lines = (len(marks) - 2) // 4  # the header's and the rows'
+        if n_lines < 2 or marks != b"#\n" + b",,,\n" * n_lines:
+            return False
+        body = data.index(b"\n") + 1
+        if not (data.startswith(_FLOOR_PREFIX) and data.startswith(_HEADER_LINE, body)):
+            return False
+        try:
+            noise_floor = float(data[len(_FLOOR_PREFIX) : body - 1])
+        except ValueError:
+            return False
+        if not math.isfinite(noise_floor):
+            return False
+        start = len(self.values)
+        try:
+            self.values.extend(map(float, data[body + len(_HEADER_LINE) : -1].replace(b"\n", b",").split(b",")))
+        except ValueError:
+            del self.values[start:]
+            return False
+        self._add(rel, None, noise_floor)
+        self.complete += 1
+        return True
+
+    def read(self, rel: str, text: str) -> None:
+        """Append the data rows of one sweep file, line by line.
 
         A structural fault (or a non-numeric value) is raised after the rows
         above its line are appended, so a bad value on one of them, which a
         line-by-line reader meets first, can still be found.
         """
+        path = self.parent / rel
         noise_floor = None
         header_seen = False
         fault = None
@@ -276,10 +347,7 @@ class _SweepRows:
             values = list(map(float, tokens[: bad_row * _N_COLUMNS]))
             del lines[bad_row:]
         self.values.extend(values)
-        self.lines += lines
-        self.paths.append(path)
-        self.floors.append(noise_floor)
-        self.ends.append(len(self.lines))
+        self._add(rel, lines, noise_floor)
         if fault is None:
             if not header_seen:
                 fault = CampaignFormatError(path, None, f"missing header '{_SWEEP_HEADER}'")
@@ -303,16 +371,15 @@ class _SweepRows:
         if not bad.any():
             return None
         row = int(np.argmax(bad))
-        file = bisect.bisect_right(self.ends, row)
+        file, where = self.where(row)
         tx_az, rx_az, delay, power = self.values[row * _N_COLUMNS : (row + 1) * _N_COLUMNS]
-        where = f"({self.paths[file]}:{self.lines[row]})"
         if not 0.0 <= tx_az < 360.0:
-            return file, ValidationError("tx_az_deg", f"{tx_az} outside [0, 360) {where}")
+            return file, ValidationError("tx_az_deg", f"{tx_az} outside [0, 360) ({where})")
         if not 0.0 <= rx_az < 360.0:
-            return file, ValidationError("rx_az_deg", f"{rx_az} outside [0, 360) {where}")
+            return file, ValidationError("rx_az_deg", f"{rx_az} outside [0, 360) ({where})")
         if not math.isfinite(delay) or delay < 0:
-            return file, ValidationError("delay_ns", f"delay {delay} must be >= 0 {where}")
-        return file, ValidationError("power_db", f"power must be finite {where}")
+            return file, ValidationError("delay_ns", f"delay {delay} must be >= 0 ({where})")
+        return file, ValidationError("power_db", f"power must be finite ({where})")
 
 
 class _Pointings:
@@ -369,7 +436,7 @@ class _Pointings:
         pointing = int(self.rank[pair])
         file = int(self.file[pointing])
         tx_az, rx_az = float(self.tx_az[pointing]), float(self.rx_az[pointing])
-        path = self.rows.paths[file]
+        path = self.rows.path(file)
         if duplicate[pair]:
             message = f"duplicate delay {float(lo[pair])} ns for pointing ({tx_az}, {rx_az}) in {path}"
         else:
@@ -397,6 +464,43 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _lean_location(entry, base: str, rows: _SweepRows, digests: dict[str, str]) -> tuple | None:
+    """``_read_location`` of an entry whose values all have the exact types it
+    requires, with finite positions, and whose sweep file ``read_lean`` takes;
+    None, with nothing appended to ``rows``, for any other entry.
+
+    The file costs one read of ``base`` joined to the ``sweeps`` value, one
+    digest and one parse.  A file that cannot be opened at that string
+    path (``x.csv/``, say, which ``pathlib`` would open as ``x.csv``) is
+    left to ``_read_location`` too, which opens what the line reader opens.
+    """
+    if type(entry) is not dict:
+        return None
+    try:
+        values = _ENTRY_VALUES(entry)
+        antenna = _ANTENNA_VALUES(values[-1])
+    except (KeyError, TypeError):
+        return None
+    rel, tx_id, rx_id, pol, tx_pos, rx_pos, los, _ = values
+    if tuple(map(type, values)) != _LEAN_TYPES or pol not in _POLARIZATIONS:
+        return None
+    if (len(tx_pos), len(rx_pos)) != (3, 3):
+        return None
+    numbers = (*tx_pos, *rx_pos, *antenna)
+    if tuple(map(type, numbers)) != _LEAN_NUMBERS or not all(map(math.isfinite, numbers[:6])):
+        return None
+    try:
+        with open(os.path.join(base, rel), "rb", buffering=0) as f:
+            data = f.readall()
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        data = None
+    else:
+        digests.setdefault(rel, hashlib.sha256(data).hexdigest())
+    if data is None or not rows.read_lean(rel, data):
+        return None
+    return (tx_id, rx_id, _POLARIZATIONS[pol]), tx_pos, rx_pos, los, antenna
+
+
 def _read_location(entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str]) -> tuple:
     """(key, tx_pos_m, rx_pos_m, los, antenna) of one manifest entry, after
     reading its sweep file into ``rows``.
@@ -418,12 +522,11 @@ def _read_location(entry, index: int, path: Path, rows: _SweepRows, digests: dic
     hpbw = _require(antenna, "hpbw_deg", float, path, ctx + "antenna.")
     step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
     sweeps_rel = _require(entry, "sweeps", str, path, ctx)
-    sweep_path = path.parent / sweeps_rel
     try:
-        text = _read_text(sweep_path, digests, sweeps_rel)
+        text = _read_text(path.parent / sweeps_rel, digests, sweeps_rel)
     except IsADirectoryError:  # "" and "." among them
         raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file") from None
-    rows.read(sweep_path, text)
+    rows.read(sweeps_rel, text)
     key = (_require(entry, "tx_id", str, path, ctx), _require(entry, "rx_id", str, path, ctx), polarization)
     return (
         key,
@@ -445,7 +548,7 @@ def _first_location_fault(columns: LocationColumns) -> tuple[int, str] | None:
     gain, hpbw, step = columns.tx_antenna[:, :3].T
     with np.errstate(divide="ignore", invalid="ignore"):
         turns = 360.0 / step
-        bad = (gain <= 0) | ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0))
+        bad = ~(np.isfinite(gain) & (gain > 0)) | ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0))
         bad |= np.abs(turns - np.round(turns)) > 1e-9
     bad |= columns.distance_m <= D0_M
     bad |= np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in columns.keys], dtype=bool)
@@ -475,7 +578,8 @@ def ingest_campaign(manifest_path) -> Campaign:
     path = Path(manifest_path)
     digests: dict[str, str] = {}
     try:
-        doc = json.loads(_read_text(path, digests, path.name))
+        # integers read as floats: one too large for a float (or for int()'s digit limit) is inf
+        doc = json.loads(_read_text(path, digests, path.name), parse_int=float)
     except json.JSONDecodeError as err:
         raise CampaignFormatError(path, err.lineno, f"invalid JSON: {err.msg}")
     if not isinstance(doc, dict):
@@ -493,12 +597,15 @@ def ingest_campaign(manifest_path) -> Campaign:
     if not raw_locations:
         raise CampaignFormatError(path, None, "locations: manifest lists no locations")
 
-    rows = _SweepRows()
+    rows = _SweepRows(path.parent)
+    base = os.fspath(path.parent)
     entries: list[tuple] = []
     fault: Exception | None = None
     for index, entry in enumerate(raw_locations):
         try:
-            entries.append(_read_location(entry, index, path, rows, digests))
+            entries.append(
+                _lean_location(entry, base, rows, digests) or _read_location(entry, index, path, rows, digests)
+            )
         except (ValueError, OSError) as err:
             fault = err  # raised below, unless a check still pending on earlier rows fails first
             break
@@ -535,7 +642,7 @@ def ingest_campaign(manifest_path) -> Campaign:
         raise CampaignFormatError(path, None, str(err)) from None
     logger.info(
         "ingested %s: %d locations, %d files, %d rows, %d sweeps in %.3f s",
-        campaign_id, len(campaign), len(digests), len(rows.lines), len(columns.tx_az_deg), perf_counter() - started,
+        campaign_id, len(campaign), len(digests), rows.ends[-1], len(columns.tx_az_deg), perf_counter() - started,
     )
     return campaign
 

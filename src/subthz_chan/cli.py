@@ -190,7 +190,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _ceiling(value: float) -> float | None:
-    return value if value > 0 else None
+    # NaN is kept, for the ceiling check to reject
+    return None if value <= 0 else value
 
 
 def _thresholds(args) -> tuple[float, ...]:

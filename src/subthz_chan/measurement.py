@@ -87,6 +87,8 @@ class AntennaConfig:
     height_m: float = 1.5
 
     def __post_init__(self):
+        if not math.isfinite(self.gain_dbi):
+            raise ValidationError("gain_dbi", f"must be finite, got {self.gain_dbi}")
         if self.gain_dbi <= 0:
             raise ValidationError("gain_dbi", f"must be > 0, got {self.gain_dbi}")
         if not 0.0 < self.hpbw_deg <= self.az_step_deg <= 360.0:
@@ -181,7 +183,7 @@ class DirectionalPdp:
 
 def checked_threshold_db(threshold_db: float) -> float:
     """``threshold_db`` itself when it is a usable peak-relative threshold (> 0 dB)."""
-    if threshold_db <= 0:
+    if not threshold_db > 0:
         raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
     return threshold_db
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 from .angular import AngularSummary, campaign_angular_summary
 from .campaign_io import Campaign, ingest_campaign
 from .delay import DelaySummary, campaign_delay_summary
-from .measurement import Polarization, TapTable, ValidationError
+from .measurement import Polarization, TapTable, ValidationError, checked_threshold_db
 from .pathloss import (
     KIND_OF_CLASS,
     CiFit,
@@ -74,6 +75,15 @@ _SUMMARY_ROWS = {
 _KNOWN_FORMATS = ("csv", "json")
 
 
+def _check_overrides(carrier_hz: float | None, max_measurable_pl_db: float | None) -> None:
+    """ValidationError unless a carrier override (None: the campaign's) is finite
+    and > 0 and a path-loss ceiling (None: no ceiling) is > 0."""
+    if carrier_hz is not None and not 0.0 < carrier_hz < math.inf:
+        raise ValidationError("carrier_hz", f"must be > 0 and finite, got {carrier_hz}")
+    if max_measurable_pl_db is not None and not max_measurable_pl_db > 0:
+        raise ValidationError("max_measurable_pl_db", f"must be > 0 or None, got {max_measurable_pl_db}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one pipeline run.
@@ -93,19 +103,16 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "manifest_path", Path(self.manifest_path))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "thresholds_db", tuple(float(t) for t in self.thresholds_db))
+        object.__setattr__(self, "thresholds_db", tuple(checked_threshold_db(float(t)) for t in self.thresholds_db))
         object.__setattr__(self, "formats", tuple(str(f) for f in self.formats))
         if not self.thresholds_db:
             raise ValidationError("thresholds_db", "need at least one threshold")
-        if any(t <= 0 for t in self.thresholds_db):
-            raise ValidationError("thresholds_db", f"thresholds must be > 0, got {self.thresholds_db}")
         if not self.formats:
             raise ValidationError("formats", "need at least one output format")
         unknown = set(self.formats) - set(_KNOWN_FORMATS)
         if unknown:
             raise ValidationError("formats", f"unknown formats: {sorted(unknown)}")
-        if self.carrier_hz is not None and self.carrier_hz <= 0:
-            raise ValidationError("carrier_hz", f"must be > 0, got {self.carrier_hz}")
+        _check_overrides(self.carrier_hz, self.max_measurable_pl_db)
         if self.seed < 0:
             raise ValidationError("seed", f"must be >= 0, got {self.seed}")
 
@@ -131,8 +138,9 @@ class Analysis:
         carrier_hz: float | None = None,
         max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
     ):
+        _check_overrides(carrier_hz, max_measurable_pl_db)
         self.campaign = campaign
-        self.thresholds_db = tuple(thresholds_db)
+        self.thresholds_db = tuple(map(checked_threshold_db, thresholds_db))
         self.carrier_hz = campaign.carrier_hz if carrier_hz is None else carrier_hz
         self.max_measurable_pl_db = max_measurable_pl_db
         self._samples: dict[tuple[Polarization, SampleKind], PathLossColumns] = {}

@@ -7,7 +7,9 @@ row as it parses it, groups a file's rows into pointings with a dict and
 builds each location before reading the next file.  It shares the leaf
 helpers (key, position and text readers) with the package, so it rejects
 undecodable bytes and non-finite positions as the package does, and it
-rejects a non-finite noise floor at its comment line.
+rejects a non-finite noise floor at its comment line.  It reads every
+manifest number as a float, so an integer too large for one is infinite and
+rejected as such by the checks it shares with the package.
 """
 from __future__ import annotations
 
@@ -126,7 +128,7 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
     digests: dict[str, str] = {}
     text = _read_text(path, digests, path.name)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=float)  # every number a float, as the package reads them
     except json.JSONDecodeError as err:
         raise CampaignFormatError(path, err.lineno, f"invalid JSON: {err.msg}")
     if not isinstance(doc, dict):

@@ -231,6 +231,32 @@ class TestManifestErrors:
         with pytest.raises(CampaignFormatError, match="'locations\\[0\\].tx_pos_m' must be a 3-vector of finite numbers"):
             ingest_campaign(path)
 
+    @pytest.mark.parametrize(
+        "spelled, value, message",
+        [
+            ('"carrier_hz": 142000000000.0', "NaN", "carrier_hz: must be finite, got nan"),
+            ('"carrier_hz": 142000000000.0', "Infinity", "carrier_hz: must be finite, got inf"),
+            ('"carrier_hz": 142000000000.0', "1" + "0" * 400, "carrier_hz: must be finite, got inf"),
+            # past int()'s default 4 300-digit limit
+            ('"carrier_hz": 142000000000.0', "1" + "0" * 5000, "carrier_hz: must be finite, got inf"),
+            ('"tx_power_dbm": 5.0', "Infinity", "tx_power_dbm: must be finite, got inf"),
+            ('"tx_power_dbm": 5.0', "-" + "9" * 400, "tx_power_dbm: must be finite, got -inf"),
+            ('"gain_dbi": 27.0', "NaN", "locations[0].antenna.gain_dbi: must be finite, got nan"),
+            ('"gain_dbi": 27.0', "1" + "0" * 400, "locations[0].antenna.gain_dbi: must be finite, got inf"),
+            (
+                '"tx_pos_m": [9.886',
+                "[1" + "0" * 400,
+                "key 'locations[0].tx_pos_m' must be a 3-vector of finite numbers",
+            ),
+        ],
+    )
+    def test_number_no_float_holds_names_manifest_and_key(self, tmp_path, spelled, value, message):
+        key = spelled.split(":")[0]
+        path = write_golden(tmp_path, manifest=GOLDEN_MANIFEST.replace(spelled, f"{key}: {value}"))
+        with pytest.raises(CampaignFormatError) as err:
+            ingest_campaign(path)
+        assert str(err.value) == f"{path}: {message}"
+
     def test_undecodable_manifest(self, tmp_path):
         path = write_golden(tmp_path)
         path.write_bytes(b"\xff" + GOLDEN_MANIFEST.encode("utf-8"))
@@ -571,3 +597,67 @@ class TestColumnarCampaign:
             (rendered_campaign[a], rendered_campaign[b]) for a, b in rendered_campaign.pairs()
         )
         assert len(rendered_campaign.pairs()) == 6
+
+
+class TestLeanLane:
+    """Files laid out as ``write_campaign`` writes them skip the line reader; other valid files still read."""
+
+    @pytest.fixture
+    def line_reads(self, monkeypatch):
+        from subthz_chan import campaign_io
+
+        calls = []
+        original = campaign_io._SweepRows.read
+
+        def counting(self, rel, text):
+            calls.append(rel)
+            original(self, rel, text)
+
+        monkeypatch.setattr(campaign_io._SweepRows, "read", counting)
+        return calls
+
+    def test_written_campaign_skips_the_line_reader(self, rendered_campaign, tmp_path, line_reads):
+        assert ingest_campaign(write_campaign(rendered_campaign, tmp_path)) == rendered_campaign
+        assert ingest_campaign(write_golden(tmp_path)).campaign_id == "golden-demo"
+        assert line_reads == []
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n180.0,0.0,34.0", "\n# a comment\n180.0,0.0,34.0"),
+            lambda text: text.replace("\n180.0,0.0,34.0", "\n\n  \n180.0,0.0,34.0"),
+            lambda text: text.rstrip("\n"),
+            lambda text: text.replace("# noise_floor_db=-130.0\n", "").replace("db\n", "db\n#noise_floor_db = -130\n"),
+            lambda text: text.replace("power_db\n", "power_db  \n"),
+        ],
+        ids=["crlf", "comment", "blank_lines", "no_final_newline", "floor_below_header", "header_spaces"],
+    )
+    def test_other_valid_layouts_read_line_by_line(self, tmp_path, line_reads, edit):
+        expected = ingest_campaign(write_golden(tmp_path))
+        line_reads.clear()
+        campaign = ingest_campaign(write_golden(tmp_path, sweeps=edit(GOLDEN_SWEEPS)))
+        assert campaign == expected
+        assert repr(campaign) == repr(expected)
+        assert line_reads == ["sweeps/TX1_RX1_VV.csv"]
+
+    def test_spaces_around_values_read_the_same(self, tmp_path, line_reads):
+        # float() strips them, as the line reader strips a row before splitting it
+        expected = ingest_campaign(write_golden(tmp_path))
+        sweeps = GOLDEN_SWEEPS.replace("180.0,0.0,34.0,-82.5", " 180.0, 0.0,34.0 ,-82.5\t")
+        assert repr(ingest_campaign(write_golden(tmp_path, sweeps=sweeps))) == repr(expected)
+        assert line_reads == []
+
+    def test_row_lines_of_a_lean_file(self, tmp_path, line_reads):
+        path = write_golden(tmp_path, sweeps=GOLDEN_SWEEPS.replace("172.0,8.0", "372.0,8.0"))
+        with pytest.raises(ValidationError, match=r"tx_az_deg: 372.0 outside \[0, 360\) .*TX1_RX1_VV.csv:5\)"):
+            ingest_campaign(path)
+        assert line_reads == []
+
+    def test_sweeps_with_a_trailing_slash_opens_what_pathlib_opens(self, tmp_path, line_reads):
+        expected = ingest_campaign(write_golden(tmp_path))
+        manifest = GOLDEN_MANIFEST.replace('TX1_RX1_VV.csv"', 'TX1_RX1_VV.csv/"')
+        campaign = ingest_campaign(write_golden(tmp_path, manifest=manifest))
+        assert repr(campaign) == repr(expected)
+        assert list(campaign.input_sha256) == ["manifest.json", "sweeps/TX1_RX1_VV.csv/"]
+        assert line_reads == ["sweeps/TX1_RX1_VV.csv/"]

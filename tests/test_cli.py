@@ -60,6 +60,72 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "delay", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
+            (["stats", "angular", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
+            (["fit", "pathloss", "--carrier-hz", "nan"], "carrier_hz: must be > 0 and finite, got nan"),
+            (["fit", "pathloss", "--carrier-hz", "inf"], "carrier_hz: must be > 0 and finite, got inf"),
+            (["fit", "pathloss", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
+            (
+                ["pas", "dump", "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA", "--threshold-db", "nan"],
+                "threshold_db: must be > 0, got nan",
+            ),
+            (["report", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
+            (["report", "--carrier-hz", "nan"], "carrier_hz: must be > 0 and finite, got nan"),
+            (["report", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
+        ],
+    )
+    def test_non_finite_argument_exits_2(self, manifest, tmp_path, capsys, argv, message):
+        out = tmp_path / "report"
+        argv = [*argv, "--manifest", str(manifest), *(["--out", str(out)] if argv[0] == "report" else [])]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, key, literal, message",
+        [
+            (["fit", "pathloss"], ("carrier_hz",), "NaN", "carrier_hz: must be finite, got nan"),
+            (["fit", "pathloss"], ("tx_power_dbm",), "Infinity", "tx_power_dbm: must be finite, got inf"),
+            (["ingest"], ("carrier_hz",), "1" + "0" * 400, "carrier_hz: must be finite, got inf"),
+            (["ingest"], ("carrier_hz",), "1" + "0" * 5000, "carrier_hz: must be finite, got inf"),
+            (
+                ["stats", "delay"],
+                ("locations", 0, "antenna", "gain_dbi"),
+                "NaN",
+                "locations[0].antenna.gain_dbi: must be finite, got nan",
+            ),
+            (
+                ["xpd", "report"],
+                ("locations", 0, "antenna", "gain_dbi"),
+                "1" + "0" * 400,
+                "locations[0].antenna.gain_dbi: must be finite, got inf",
+            ),
+            (
+                ["fit", "pathloss"],
+                ("locations", 0, "tx_pos_m", 0),
+                "1" + "0" * 400,
+                "key 'locations[0].tx_pos_m' must be a 3-vector of finite numbers",
+            ),
+        ],
+    )
+    def test_manifest_number_no_float_holds_exits_2(self, manifest, tmp_path, capsys, argv, key, literal, message):
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        for entry in doc["locations"]:
+            entry["sweeps"] = str(manifest.parent / entry["sweeps"])
+        target = doc
+        for step in key[:-1]:
+            target = target[step]
+        target[key[-1]] = "@literal@"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc).replace('"@literal@"', literal), encoding="utf-8")
+        assert main([*argv, "--manifest", str(edited)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {edited}: {message}\n")
+
 
 class TestIngest:
     def test_text_summary(self, manifest, capsys):

@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -23,6 +24,7 @@ from subthz_chan import (
     render_campaign,
     write_campaign,
 )
+from subthz_chan.campaign_io import _SweepRows
 from ingest_oracle import oracle_ingest_campaign
 
 MANIFEST = "manifest.json"
@@ -31,6 +33,13 @@ MUTATIONS = (
     "delete", "duplicate", "swap", "truncate", "garble", "nan", "azimuth", "off_lattice", "dup_delay",
     "manifest", "line_endings",
 )
+#: edits at the edge of the layout ``write_campaign`` writes, which ingest reads without its line loop
+LANE_MUTATIONS = (
+    "blank", "comment", "whitespace", "line_break", "no_final_newline", "floor_below_header", "header_spaces",
+    "balanced_commas",
+)
+#: the line breaks of ``str.splitlines`` besides LF
+LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 #: replacement tokens: some are spellings ``float`` accepts, the rest are not numbers
 GARBLED = ("x", "", " 1.5", "1_0", "1e400", "--1", "0x10", "inf", "-0.0", "١٢")
@@ -40,7 +49,8 @@ GARBLED = ("x", "", " 1.5", "1_0", "1e400", "--1", "0x10", "inf", "-0.0", "١٢"
 #: instead of replacing a key
 DELETE, REPEAT = object(), object()
 MANIFEST_VALUES = (
-    DELETE, REPEAT, 1.0, 0.0, -2.0, True, "", ".", [], {}, [math.nan, 0.0, 0.0], [1e400, 0.0, 0.0], [1.0, 2.0]
+    DELETE, REPEAT, 1.0, 0.0, -2.0, True, "", ".", [], {}, [math.nan, 0.0, 0.0], [1e400, 0.0, 0.0], [1.0, 2.0],
+    math.nan, math.inf, 10**400,
 )
 #: top-level keys a mutation may touch; ``locations`` is left whole, so a
 #: second mutation still finds its entries
@@ -86,9 +96,12 @@ def _mutate_lines(kind: str, text: str, a: int, b: int, c: int) -> str:
     if not lines:
         return text
     i, j = b % len(lines), c % len(lines)
-    if len(lines) > 2 and kind in ("nan", "azimuth", "off_lattice", "dup_delay"):
+    data_row_kinds = ("nan", "azimuth", "off_lattice", "dup_delay", "comment", "whitespace", "line_break")
+    if len(lines) > 2 and kind in data_row_kinds:
         i = 2 + b % (len(lines) - 2)  # a data row of an unmutated file
     parts = lines[i].split(",")
+    if kind in LANE_MUTATIONS:
+        return _mutate_layout(kind, lines, i, a, c)
     if kind == "delete":
         del lines[i]
     elif kind == "duplicate":
@@ -116,6 +129,40 @@ def _mutate_lines(kind: str, text: str, a: int, b: int, c: int) -> str:
         lines[i] = ",".join(parts)
     else:  # dup_delay: a second bin at the same delay of the same pointing
         lines.insert(i + 1, ",".join(parts[:3] + ["-50.0"]))
+    return "\n".join(lines) + "\n"
+
+
+def _mutate_layout(kind: str, lines: list[str], i: int, a: int, c: int) -> str:
+    """A ``LANE_MUTATIONS`` edit at line ``i``: a layout the lean lane must read as the line reader
+    does, or leave to it, valid (a blank line, a moved floor) or not (a duplicate floor, a split row)."""
+    parts = lines[i].split(",")
+    if kind == "blank":
+        lines.insert(i, ("", " ", "\t ")[a % 3])
+    elif kind == "comment":
+        lines.insert(i, ("# between rows", "#", "# noise_floor_db=-1.0")[a % 3])
+    elif kind == "whitespace":
+        if a % 2:
+            lines[i] = f" {lines[i]}\t"
+        else:
+            parts[c % len(parts)] = f" {parts[c % len(parts)]} "
+            lines[i] = ",".join(parts)
+    elif kind == "line_break":
+        brk = LINE_BREAKS[a % len(LINE_BREAKS)]
+        if a // len(LINE_BREAKS) % 2 and i + 1 < len(lines):  # in place of a LF
+            lines[i : i + 2] = [lines[i] + brk + lines[i + 1]]
+        else:  # at an end of the row or of a value, where float() would strip ASCII whitespace
+            edges = [0, len(lines[i])] + [k + d for k, ch in enumerate(lines[i]) if ch == "," for d in (0, 1)]
+            k = edges[c % len(edges)]
+            lines[i] = lines[i][:k] + brk + lines[i][k:]
+    elif kind == "no_final_newline":
+        return "\n".join(lines)
+    elif kind == "floor_below_header":
+        lines.insert(1 + c % len(lines), lines.pop(0))
+    elif kind == "header_spaces":
+        lines[min(1, len(lines) - 1)] += ("  ", " \t")[a % 2]
+    elif i + 1 < len(lines):  # balanced_commas: "1,2,3,4,5" over "6,7,8", as many commas as before
+        head, *rest = lines[i + 1].split(",")
+        lines[i : i + 2] = [f"{lines[i]},{head}", ",".join(rest)]
     return "\n".join(lines) + "\n"
 
 
@@ -187,6 +234,12 @@ def test_batched_ingest_matches_line_by_line_reader(campaign_files, mutations):
     _check_mutated(campaign_files, mutations)
 
 
+@settings(max_examples=300, derandomize=True)
+@given(mutations=st.lists(mutations_of(LANE_MUTATIONS + MUTATIONS), min_size=1, max_size=2))
+def test_lean_lane_edges_match_line_by_line_reader(campaign_files, mutations):
+    _check_mutated(campaign_files, mutations)
+
+
 @settings(max_examples=200, derandomize=True)
 @given(mutations=st.lists(mutations_of(("manifest",)), min_size=1, max_size=2))
 def test_manifest_edits_match_line_by_line_reader(campaign_files, mutations):
@@ -241,3 +294,14 @@ def test_write_ingest_write_is_byte_identical(params, placements, seed):
         assert names == sorted(str(p.relative_to(second.parent)) for p in second.parent.rglob("*") if p.is_file())
         for name in names:
             assert (first.parent / name).read_bytes() == (second.parent / name).read_bytes(), name
+
+
+@settings(max_examples=15, derandomize=True)
+@given(params=synthesis_params(), placements=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_written_campaigns_skip_the_line_loop(params, placements, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = render_campaign(params, placements, seed, Path(tmp)).manifest_path
+        read = _SweepRows.read
+        with mock.patch.object(_SweepRows, "read", autospec=True, side_effect=read) as line_loop:
+            ingest_campaign(manifest)
+        assert line_loop.call_count == 0

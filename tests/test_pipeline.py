@@ -90,6 +90,24 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(**base, seed=-3)
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(thresholds_db=(20.0, float("nan"))), "threshold_db: must be > 0, got nan"),
+            (dict(carrier_hz=float("nan")), "carrier_hz: must be > 0 and finite, got nan"),
+            (dict(carrier_hz=float("inf")), "carrier_hz: must be > 0 and finite, got inf"),
+            (dict(max_measurable_pl_db=float("nan")), "max_measurable_pl_db: must be > 0 or None, got nan"),
+            (dict(max_measurable_pl_db=0.0), "max_measurable_pl_db: must be > 0 or None, got 0.0"),
+        ],
+    )
+    def test_config_and_analysis_reject_the_same_settings(self, tmp_path, setting, message):
+        with pytest.raises(ValidationError) as err:
+            RunConfig(manifest_path=tmp_path / "m.json", out_dir=tmp_path, **setting)
+        assert str(err.value) == message
+        with pytest.raises(ValidationError) as err:
+            Analysis(small_campaign(), **setting)
+        assert str(err.value) == message
+
 
 class TestReportBundle:
     def test_writes_all_files(self, report_dir):
