@@ -211,6 +211,11 @@ def _read_text(path: Path, digests: dict[str, str], key: str) -> str:
     """
     data = path.read_bytes()
     digests.setdefault(key, hashlib.sha256(data).hexdigest())
+    return _decode(path, data)
+
+
+def _decode(path: Path, data: bytes) -> str:
+    """The UTF-8 text of ``data``, read from ``path``, with universal newlines."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
@@ -270,11 +275,12 @@ class _SweepRows:
         ``v``, the header, then LF-terminated rows of four numbers, none
         blank.  It holds no other ``#`` and no line break but LF, so ``read``
         would see the same floor and the same values, row ``i`` on line
-        ``3 + i``.
+        ``3 + i``.  (The final LF is checked apart: the marks do not show a
+        last line cut short before its first comma.)
         """
         marks = data.translate(None, _UNMARKED)
         n_lines = (len(marks) - 2) // 4  # the header's and the rows'
-        if n_lines < 2 or marks != b"#\n" + b",,,\n" * n_lines:
+        if n_lines < 2 or marks != b"#\n" + b",,,\n" * n_lines or not data.endswith(b"\n"):
             return False
         body = data.index(b"\n") + 1
         if not (data.startswith(_FLOOR_PREFIX) and data.startswith(_HEADER_LINE, body)):
@@ -464,16 +470,10 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _lean_location(entry, base: str, rows: _SweepRows, digests: dict[str, str]) -> tuple | None:
-    """``_read_location`` of an entry whose values all have the exact types it
-    requires, with finite positions, and whose sweep file ``read_lean`` takes;
-    None, with nothing appended to ``rows``, for any other entry.
-
-    The file costs one read of ``base`` joined to the ``sweeps`` value, one
-    digest and one parse.  A file that cannot be opened at that string
-    path (``x.csv/``, say, which ``pathlib`` would open as ``x.csv``) is
-    left to ``_read_location`` too, which opens what the line reader opens.
-    """
+def _lean_entry(entry) -> tuple | None:
+    """(sweeps, key, tx_pos_m, rx_pos_m, los, antenna) of an entry whose values
+    all have the exact types ``_read_location`` requires, with finite
+    positions, so that none of its checks can fail; None for any other entry."""
     if type(entry) is not dict:
         return None
     try:
@@ -489,25 +489,28 @@ def _lean_location(entry, base: str, rows: _SweepRows, digests: dict[str, str]) 
     numbers = (*tx_pos, *rx_pos, *antenna)
     if tuple(map(type, numbers)) != _LEAN_NUMBERS or not all(map(math.isfinite, numbers[:6])):
         return None
+    return rel, (tx_id, rx_id, _POLARIZATIONS[pol]), tx_pos, rx_pos, los, antenna
+
+
+def _read_bytes(file: str) -> bytes | None:
+    """The bytes of ``file`` in one unbuffered read; None when it cannot be opened."""
     try:
-        with open(os.path.join(base, rel), "rb", buffering=0) as f:
-            data = f.readall()
+        with open(file, "rb", buffering=0) as f:
+            return f.readall()
     except (OSError, ValueError):  # ValueError: a NUL in the path
-        data = None
-    else:
-        digests.setdefault(rel, hashlib.sha256(data).hexdigest())
-    if data is None or not rows.read_lean(rel, data):
         return None
-    return (tx_id, rx_id, _POLARIZATIONS[pol]), tx_pos, rx_pos, los, antenna
 
 
-def _read_location(entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str]) -> tuple:
+def _read_location(
+    entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str], data: bytes | None = None
+) -> tuple:
     """(key, tx_pos_m, rx_pos_m, los, antenna) of one manifest entry, after
-    reading its sweep file into ``rows``.
+    reading its sweep file into ``rows`` line by line.
 
     Checks run in the order of the line-by-line reader: the entry keys
     the file path depends on, the file, the remaining keys.  ``antenna``
     is (gain_dbi, hpbw_deg, az_step_deg), checked with the location.
+    ``data``, when given, holds the file's bytes, already read and digested.
     """
     ctx = f"locations[{index}]."
     if not isinstance(entry, dict):
@@ -523,7 +526,8 @@ def _read_location(entry, index: int, path: Path, rows: _SweepRows, digests: dic
     step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
     sweeps_rel = _require(entry, "sweeps", str, path, ctx)
     try:
-        text = _read_text(path.parent / sweeps_rel, digests, sweeps_rel)
+        file = path.parent / sweeps_rel
+        text = _read_text(file, digests, sweeps_rel) if data is None else _decode(file, data)
     except IsADirectoryError:  # "" and "." among them
         raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file") from None
     rows.read(sweeps_rel, text)
@@ -602,10 +606,18 @@ def ingest_campaign(manifest_path) -> Campaign:
     entries: list[tuple] = []
     fault: Exception | None = None
     for index, entry in enumerate(raw_locations):
+        # an entry no check can fail whose file has the written layout takes the lean
+        # lane; every other one the line reader, which opens the file at the pathlib
+        # path if the string join (``x.csv/``, say) could not
+        lean = _lean_entry(entry)
+        data = None if lean is None else _read_bytes(os.path.join(base, lean[0]))
+        if data is not None:
+            digests.setdefault(lean[0], hashlib.sha256(data).hexdigest())
+            if rows.read_lean(lean[0], data):
+                entries.append(lean[1:])
+                continue
         try:
-            entries.append(
-                _lean_location(entry, base, rows, digests) or _read_location(entry, index, path, rows, digests)
-            )
+            entries.append(_read_location(entry, index, path, rows, digests, data))
         except (ValueError, OSError) as err:
             fault = err  # raised below, unless a check still pending on earlier rows fails first
             break

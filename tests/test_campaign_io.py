@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import re
 import warnings
 
 import pytest
@@ -616,10 +617,16 @@ class TestLeanLane:
         monkeypatch.setattr(campaign_io._SweepRows, "read", counting)
         return calls
 
-    def test_written_campaign_skips_the_line_reader(self, rendered_campaign, tmp_path, line_reads):
-        assert ingest_campaign(write_campaign(rendered_campaign, tmp_path)) == rendered_campaign
-        assert ingest_campaign(write_golden(tmp_path)).campaign_id == "golden-demo"
-        assert line_reads == []
+    @pytest.mark.parametrize("n_files", [1, 4])
+    def test_last_row_cut_short_without_newline(self, rendered_campaign, tmp_path, n_files):
+        # no comma marks the cut line; across four files the stray values would fill whole rows
+        manifest = write_campaign(rendered_campaign, tmp_path)
+        files = [manifest.parent / entry["sweeps"] for entry in json.loads(manifest.read_text())["locations"]]
+        for file in files[:n_files]:
+            file.write_bytes(file.read_bytes() + b"180.0")
+        n_lines = files[0].read_text().count("\n") + 1
+        with pytest.raises(CampaignFormatError, match=re.escape(f"{files[0]}:{n_lines}: expected 4 columns")):
+            ingest_campaign(manifest)
 
     @pytest.mark.parametrize(
         "edit",

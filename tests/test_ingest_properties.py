@@ -35,8 +35,8 @@ MUTATIONS = (
 )
 #: edits at the edge of the layout ``write_campaign`` writes, which ingest reads without its line loop
 LANE_MUTATIONS = (
-    "blank", "comment", "whitespace", "line_break", "no_final_newline", "floor_below_header", "header_spaces",
-    "balanced_commas",
+    "blank", "comment", "whitespace", "line_break", "no_final_newline", "cut_short", "floor_below_header",
+    "header_spaces", "balanced_commas",
 )
 #: the line breaks of ``str.splitlines`` besides LF
 LINE_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
@@ -155,6 +155,10 @@ def _mutate_layout(kind: str, lines: list[str], i: int, a: int, c: int) -> str:
             k = edges[c % len(edges)]
             lines[i] = lines[i][:k] + brk + lines[i][k:]
     elif kind == "no_final_newline":
+        return "\n".join(lines)
+    elif kind == "cut_short":  # the last row cut off inside its first value, so no comma shows it
+        first = lines[-1].split(",")[0]
+        lines[-1] = first[: 1 + c % max(len(first), 1)]
         return "\n".join(lines)
     elif kind == "floor_below_header":
         lines.insert(1 + c % len(lines), lines.pop(0))
