@@ -19,7 +19,7 @@ import numpy as np
 
 from .angular import Side, power_angular_spectrum
 from .campaign_io import ingest_campaign
-from .measurement import NoSignalError, Polarization, ValidationError
+from .measurement import NoSignalError, Polarization, ValidationError, checked_threshold_db
 from .pathloss import DegenerateFitError, SampleKind
 from .pipeline import (
     DEFAULT_MAX_PL_DB,
@@ -27,6 +27,7 @@ from .pipeline import (
     DIRECTIONAL_KINDS,
     Analysis,
     RunConfig,
+    check_analysis_options,
     run_pipeline,
 )
 from .synthesis import SynthesisParams, factory_campaign_layout, render_campaign
@@ -198,10 +199,14 @@ def _thresholds(args) -> tuple[float, ...]:
     return tuple(args.threshold_db) if args.threshold_db else DEFAULT_THRESHOLDS_DB
 
 
+def _analysis(manifest: Path, **options) -> Analysis:
+    """The ``Analysis`` of a campaign, its options checked before the campaign is read."""
+    check_analysis_options(**options)
+    return Analysis(ingest_campaign(manifest), **options)
+
+
 def _cmd_fit_pathloss(args) -> int:
-    analysis = Analysis(
-        ingest_campaign(args.manifest), carrier_hz=args.carrier_hz, max_measurable_pl_db=_ceiling(args.max_pl_db)
-    )
+    analysis = _analysis(args.manifest, carrier_hz=args.carrier_hz, max_measurable_pl_db=_ceiling(args.max_pl_db))
     kind = _KIND_FLAGS[args.kind]
     pol = Polarization(args.pol)
     doc = asdict(analysis.fit(pol, kind))
@@ -218,12 +223,13 @@ def _cmd_fit_pathloss(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    analysis = Analysis(ingest_campaign(args.manifest), _thresholds(args))
+    analysis = _analysis(args.manifest, thresholds_db=_thresholds(args))
     _write_or_print(analysis.summary_csv(args.stats_kind), args.out)
     return EXIT_OK
 
 
 def _cmd_pas_dump(args) -> int:
+    threshold_db = checked_threshold_db(args.threshold_db)
     campaign = ingest_campaign(args.manifest)
     pol = Polarization(args.pol)
     row = campaign.find((args.tx_id, args.rx_id, pol))
@@ -231,7 +237,7 @@ def _cmd_pas_dump(args) -> int:
         raise ValidationError(
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
-    pas = power_angular_spectrum(campaign[row], Side(args.side), args.threshold_db)
+    pas = power_angular_spectrum(campaign[row], Side(args.side), threshold_db)
     lines = ["bin_deg,power_db"]
     for bin_deg, power_mw in zip(pas.bins_deg, pas.powers_mw):
         if power_mw > 0:
@@ -241,7 +247,7 @@ def _cmd_pas_dump(args) -> int:
 
 
 def _cmd_xpd_report(args) -> int:
-    analysis = Analysis(ingest_campaign(args.manifest))
+    analysis = _analysis(args.manifest)
     if args.format == "csv":
         _write_or_print(analysis.xpd_csv(), args.out)
     else:

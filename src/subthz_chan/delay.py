@@ -14,7 +14,7 @@ from .measurement import (
     Polarization,
     TapTable,
     ValidationError,
-    db_to_linear,
+    db_to_linear_array,
     group_bounds,
     group_max,
     group_sums,
@@ -69,16 +69,17 @@ class OmniBins(NamedTuple):
 def omni_bins(table: TapTable) -> OmniBins:
     """Sum linear power per (location, delay) over all pointing pairs, gains removed.
 
-    Each tap adds ``db_to_linear(power_db - gain_sum)`` to its bin in tap
-    order, as the running sum over sweeps does.  Kept with the table, so
-    omni path loss and every delay threshold share one synthesis.
+    Each tap adds ``db_to_linear(power_db - gain_sum)`` (bit for bit,
+    through ``db_to_linear_array``) to its bin in tap order, as the
+    running sum over sweeps does.  Kept with the table, so omni path loss
+    and every delay threshold share one synthesis.
     """
     return table.kept(_omni_bins)
 
 
 def _omni_bins(table: TapTable) -> OmniBins:
     gained = table.power_db - table.gain_sum_dbi[table.tap_loc]
-    linear = np.array([db_to_linear(p) for p in gained.tolist()], dtype=float)
+    linear = db_to_linear_array(gained)
     delays, delay_rank = np.unique(table.delay_ns, return_inverse=True)
     n_delays = max(len(delays), 1)
     # unique keys come back sorted: location-major, delays ascending
@@ -175,11 +176,10 @@ def delay_stats(pdp: Pdp, threshold_db: float) -> DelayStats:
         one = np.zeros(len(pdp.delays_ns), dtype=np.intp)
         rms, mds, n_taps = _omni_spreads(one, np.array(pdp.delays_ns), np.array(pdp.powers_mw), 1, threshold_db)
     else:
-        delays, powers = zip(*pdp.detected_bins())
+        delays, powers = np.array(pdp.detected_bins()).T
         one = np.zeros(len(delays), dtype=np.intp)
-        linear = np.array([db_to_linear(p) for p in powers])
         peak = np.array([pdp.peak_db])
-        rms, mds, n_taps = _sweep_spreads(one, np.array(delays), np.array(powers), linear, peak, threshold_db)
+        rms, mds, n_taps = _sweep_spreads(one, delays, powers, db_to_linear_array(powers), peak, threshold_db)
     return DelayStats(rmsds_ns=float(rms[0]), mds_ns=float(mds[0]), threshold_db=threshold_db, n_taps=int(n_taps[0]))
 
 

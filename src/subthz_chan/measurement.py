@@ -12,6 +12,7 @@ import operator
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -71,6 +72,26 @@ def db_to_linear(value_db: float) -> float:
 
 def linear_to_db(value: float) -> float:
     return 10.0 * math.log10(value)
+
+
+def db_to_linear_array(values_db: np.ndarray) -> np.ndarray:
+    """``db_to_linear`` of each value, bit for bit.
+
+    ``math.pow`` mapped at C level makes the libm call that ``**`` makes;
+    ``np.power`` rounds some values differently in the last bit, which
+    flips exact 30 dB ties.
+    """
+    return np.fromiter(map(math.pow, repeat(10.0), (values_db / 10.0).tolist()), dtype=float, count=len(values_db))
+
+
+def log10_array(values: np.ndarray) -> np.ndarray:
+    """``math.log10`` of each value, mapped at C level (``np.log10`` rounds some values differently)."""
+    return np.fromiter(map(math.log10, values.tolist()), dtype=float, count=len(values))
+
+
+def linear_to_db_array(values: np.ndarray) -> np.ndarray:
+    """``linear_to_db`` of each value, bit for bit."""
+    return 10.0 * log10_array(values)
 
 
 @dataclass(frozen=True)
@@ -291,6 +312,17 @@ def bearings_deg(tx_pos_m: Sequence[float], rx_pos_m: Sequence[float]) -> tuple[
     return tx_to_rx, wrap_deg(tx_to_rx + 180.0)
 
 
+def bearings_deg_array(tx_pos_m: np.ndarray, rx_pos_m: np.ndarray) -> np.ndarray:
+    """``bearings_deg`` of each row of two (n, 3) position arrays, as (n, 2), bit for bit.
+
+    ``math.atan2`` and ``math.degrees`` are mapped at C level: numpy's
+    forms round some values differently.
+    """
+    dx, dy = (rx_pos_m[:, :2] - tx_pos_m[:, :2]).T.tolist()
+    tx_to_rx = np.fromiter(map(math.degrees, map(math.atan2, dy, dx)), dtype=float, count=len(dx)) % 360.0
+    return np.column_stack((tx_to_rx, (tx_to_rx + 180.0) % 360.0))
+
+
 def group_sums(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
     """Sum of ``values`` per group, added in input order.
 
@@ -447,10 +479,11 @@ class TapTable:
     clears the floor get a row, and only their ``detected_bins``, so a
     location without signal has no sweep rows (``n_sweeps`` 0).
 
-    ``power_mw`` applies the scalar ``db_to_linear`` to each tap: a
-    vectorized power differs from it in the last bit on some values, which
-    flips exact 30 dB ties.  Derived columns of a higher layer are computed
-    once per table through ``kept``.
+    ``power_mw`` is ``db_to_linear_array`` of ``power_db``: the scalar
+    ``db_to_linear`` of each tap, bit for bit, as a C-level ``math.pow``
+    map.  ``np.power`` differs from it in the last bit on some values,
+    which flips exact 30 dB ties, so it is not used.  Derived columns of a
+    higher layer are computed once per table through ``kept``.
     """
 
     def __init__(self, columns: LocationColumns, rows: np.ndarray | None = None):
@@ -485,7 +518,7 @@ class TapTable:
         self.tap_loc = self.sweep_loc[self.tap_sweep]
         self.delay_ns = columns.delay_ns[taps[above]]
         self.power_db = columns.power_db[taps[above]]
-        self.power_mw = np.array(list(map(db_to_linear, self.power_db.tolist())), dtype=float)
+        self.power_mw = db_to_linear_array(self.power_db)
         self.peak_db = columns.peak_db[sweeps]
         self._kept: dict[Callable, object] = {}
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from .measurement import (
     Polarization,
     TapTable,
     ValidationError,
-    bearings_deg,
+    bearings_deg_array,
     circular_distance_deg,
     group_sums,
-    linear_to_db,
+    linear_to_db_array,
+    log10_array,
 )
 
 
@@ -143,37 +144,39 @@ def fspl(frequency_hz: float, distance_m: float = D0_M) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT_M_S)
 
 
-class SweepLosses(NamedTuple):
-    """Directional path loss and class of every sweep row of a table."""
-
-    pl_db: np.ndarray
-    #: index into ``DIRECTION_CLASSES``
-    class_index: np.ndarray
-
-
-#: ``DirectionClass`` of each ``SweepLosses.class_index``: B, NBB, NB
+#: ``DirectionClass`` of each ``sweep_classes`` index: B, NBB, NB
 DIRECTION_CLASSES = tuple(KIND_OF_CLASS)
 _B, _NBB, _NB = range(len(DIRECTION_CLASSES))
 
 
-def sweep_losses(table: TapTable) -> SweepLosses:
-    """Path loss and class of every detectable pointing pair of a table.
+def sweep_losses(table: TapTable) -> np.ndarray:
+    """Path loss of every detectable pointing pair (sweep row) of a table.
 
     PL = tx_power + tx_gain + rx_gain - received_power, where the received
     power integrates every above-floor delay bin of that pointing pair.
-    Classes follow ``classify_directions``.  Kept with the table, so
-    directional path loss and XPD share one integration and one
-    classification.
+    Kept with the table, so directional path loss and XPD share one
+    integration.
     """
     return table.kept(_sweep_losses)
 
 
-def _sweep_losses(table: TapTable) -> SweepLosses:
+def sweep_classes(table: TapTable) -> np.ndarray:
+    """Class of every sweep row of a table, as an index into ``DIRECTION_CLASSES``.
+
+    Classes follow ``classify_directions``.  Kept with the table apart from
+    the losses, so only the callers that read classes compute them.
+    """
+    return table.kept(_classes)
+
+
+def _sweep_power_mw(table: TapTable) -> np.ndarray:
+    return group_sums(table.tap_sweep, table.power_mw, len(table.sweep_loc))
+
+
+def _sweep_losses(table: TapTable) -> np.ndarray:
     loc = table.sweep_loc
-    power = group_sums(table.tap_sweep, table.power_mw, len(loc))
-    received_dbm = np.array([linear_to_db(p) for p in power.tolist()], dtype=float)
-    pl_db = table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - received_dbm
-    return SweepLosses(pl_db, _classes(table, power))
+    received_dbm = linear_to_db_array(table.kept(_sweep_power_mw))
+    return table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - received_dbm
 
 
 def _first_per_location(rows: np.ndarray, loc: np.ndarray, keys: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -184,13 +187,13 @@ def _first_per_location(rows: np.ndarray, loc: np.ndarray, keys: tuple[np.ndarra
     return ordered[np.r_[True, loc[ordered][1:] != loc[ordered][:-1]]]
 
 
-def _classes(table: TapTable, power_mw: np.ndarray) -> np.ndarray:
+def _classes(table: TapTable) -> np.ndarray:
     loc = table.sweep_loc
     tx_az, rx_az = table.tx_az_deg, table.rx_az_deg
     classes = np.full(len(loc), _NB)
     bearings = np.zeros((len(table), 2))
-    for index in np.flatnonzero(table.los & (table.n_sweeps > 0)).tolist():
-        bearings[index] = bearings_deg(table.tx_pos_m[index].tolist(), table.rx_pos_m[index].tolist())
+    signal_los = np.flatnonzero(table.los & (table.n_sweeps > 0))
+    bearings[signal_los] = bearings_deg_array(table.tx_pos_m[signal_los], table.rx_pos_m[signal_los])
     d_tx = circular_distance_deg(tx_az, bearings[loc, 0])
     d_rx = circular_distance_deg(rx_az, bearings[loc, 1])
     boresight = (
@@ -200,7 +203,7 @@ def _classes(table: TapTable, power_mw: np.ndarray) -> np.ndarray:
     )
     classes[_first_per_location(np.flatnonzero(boresight), loc, (rx_az, tx_az, d_tx + d_rx))] = _B
     rest = np.flatnonzero(classes != _B)
-    classes[_first_per_location(rest, loc, (rx_az, tx_az, -power_mw))] = _NBB
+    classes[_first_per_location(rest, loc, (rx_az, tx_az, -table.kept(_sweep_power_mw)))] = _NBB
     return classes
 
 
@@ -215,7 +218,7 @@ def direction_path_loss_map(loc: LocationMeasurement) -> dict[tuple[float, float
     power integrates every above-floor delay bin of that pointing pair.
     """
     table = TapTable(LocationColumns.of((loc,)))
-    return dict(zip(_directions(table), sweep_losses(table).pl_db.tolist()))
+    return dict(zip(_directions(table), sweep_losses(table).tolist()))
 
 
 def classify_directions(
@@ -232,7 +235,7 @@ def classify_directions(
     """
     table = TapTable(LocationColumns.of((loc,)))
     table.require_signal()
-    classes = sweep_losses(table).class_index.tolist()
+    classes = sweep_classes(table).tolist()
     return {direction: DIRECTION_CLASSES[c] for direction, c in zip(_directions(table), classes)}
 
 
@@ -256,28 +259,20 @@ def omni_losses(
 
     The loss is recovered from the synthesized omni profile.  A location
     without signal, or (with ``max_measurable_pl_db`` set) one whose loss
-    exceeds the sounder's measurable range, is left out with a NoSignalError.
+    exceeds the sounder's measurable range, is left out with a NoSignalError;
+    the left-out locations come in table order.
     """
-    totals = omni_bins(table).total_mw.tolist()
-    tx_power_dbm = table.tx_power_dbm.tolist()
-    kept: list[int] = []
-    losses: list[float] = []
-    excluded: list[tuple[int, NoSignalError]] = []
-    for index, total in enumerate(totals):
-        err = table.no_signal(index)
-        if err is None:
-            pl_db = tx_power_dbm[index] - linear_to_db(total)
-            if max_measurable_pl_db is not None and pl_db > max_measurable_pl_db:
-                err = NoSignalError(
-                    f"{table.name(index)}: path loss {pl_db:.1f} dB "
-                    f"exceeds the {max_measurable_pl_db:g} dB measurable limit"
-                )
-        if err is None:
-            kept.append(index)
-            losses.append(pl_db)
-        else:
-            excluded.append((index, err))
-    return _columns(table, np.array(kept, dtype=np.intp), np.array(losses, dtype=float)), excluded
+    kept = np.flatnonzero(table.n_sweeps > 0)
+    pl_db = table.tx_power_dbm[kept] - linear_to_db_array(omni_bins(table).total_mw[kept])
+    excluded = {index: table.no_signal(index) for index in np.flatnonzero(table.n_sweeps == 0).tolist()}
+    if max_measurable_pl_db is not None:
+        loud = pl_db > max_measurable_pl_db
+        for index, loss in zip(kept[loud].tolist(), pl_db[loud].tolist()):
+            excluded[index] = NoSignalError(
+                f"{table.name(index)}: path loss {loss:.1f} dB exceeds the {max_measurable_pl_db:g} dB measurable limit"
+            )
+        kept, pl_db = kept[~loud], pl_db[~loud]
+    return _columns(table, kept, pl_db), sorted(excluded.items())
 
 
 def omni_path_loss(
@@ -301,7 +296,7 @@ def _directional_rows(table: TapTable, max_measurable_pl_db: float | None) -> np
     sorted by (tx_az, rx_az) within one, directions beyond the ceiling dropped."""
     rows = np.lexsort((table.rx_az_deg, table.tx_az_deg, table.sweep_loc))
     if max_measurable_pl_db is not None:
-        rows = rows[sweep_losses(table).pl_db[rows] <= max_measurable_pl_db]
+        rows = rows[sweep_losses(table)[rows] <= max_measurable_pl_db]
     return rows
 
 
@@ -313,13 +308,12 @@ def directional_samples(
     Samples come location by location, sorted by (tx_az, rx_az) within
     one; directions beyond the measurable-loss ceiling are dropped.
     """
-    losses = sweep_losses(table)
     rows = _directional_rows(table, max_measurable_pl_db)
-    classes = losses.class_index[rows]
+    classes = sweep_classes(table)[rows]
     out = {}
     for index, direction_class in enumerate(DIRECTION_CLASSES):
         kept = rows[classes == index]
-        out[KIND_OF_CLASS[direction_class]] = _columns(table, table.sweep_loc[kept], losses.pl_db[kept])
+        out[KIND_OF_CLASS[direction_class]] = _columns(table, table.sweep_loc[kept], sweep_losses(table)[kept])
     return out
 
 
@@ -333,10 +327,9 @@ def directional_path_loss(
     """
     table = TapTable(LocationColumns.of((loc,)))
     table.require_signal()
-    losses = sweep_losses(table)
     rows = _directional_rows(table, max_measurable_pl_db)
-    kinds = (KIND_OF_CLASS[DIRECTION_CLASSES[c]] for c in losses.class_index[rows].tolist())
-    return _objects(table, _columns(table, table.sweep_loc[rows], losses.pl_db[rows]), kinds)
+    kinds = (KIND_OF_CLASS[DIRECTION_CLASSES[c]] for c in sweep_classes(table)[rows].tolist())
+    return _objects(table, _columns(table, table.sweep_loc[rows], sweep_losses(table)[rows]), kinds)
 
 
 def _check_homogeneous(samples: Sequence[PathLossSample]) -> None:
@@ -348,16 +341,16 @@ def _check_homogeneous(samples: Sequence[PathLossSample]) -> None:
         raise ValidationError("kind", f"mixed sample kinds in one fit: {sorted(k.value for k in kinds)}")
 
 
-def _fit_inputs(samples: Samples, polarization: Polarization | None = None) -> tuple[list[float], list[float]]:
+def _fit_inputs(samples: Samples, polarization: Polarization | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(distances, losses) of ``samples``; objects must share one kind and polarization."""
     if isinstance(samples, PathLossColumns):
-        return samples.distance_m.tolist(), samples.pl_db.tolist()
+        return samples.distance_m, samples.pl_db
     samples = list(samples)
     _check_homogeneous(samples)
     for s in samples:
         if polarization is not None and s.polarization is not polarization:
             raise ValidationError("polarization", f"expected {polarization.value} samples, got {s.polarization.value}")
-    return [s.distance_m for s in samples], [s.pl_db for s in samples]
+    return np.array([s.distance_m for s in samples], dtype=float), np.array([s.pl_db for s in samples], dtype=float)
 
 
 def fit_ci(samples: Samples, frequency_hz: float) -> CiFit:
@@ -371,8 +364,8 @@ def fit_ci(samples: Samples, frequency_hz: float) -> CiFit:
     if len(distance_m) < 2:
         raise DegenerateFitError(f"need at least 2 samples to fit an exponent, got {len(distance_m)}")
     anchor = fspl(frequency_hz, D0_M)
-    a = np.array([10.0 * math.log10(d / D0_M) for d in distance_m])
-    b = np.array([pl - anchor for pl in pl_db])
+    a = linear_to_db_array(distance_m / D0_M)
+    b = pl_db - anchor
     denom = float(np.dot(a, a))
     if denom <= 1e-12:
         raise DegenerateFitError("all samples sit at the reference distance; exponent unconstrained")
@@ -389,12 +382,11 @@ def fit_cix(vh_samples: Samples, ci_vv: CiFit, frequency_hz: float) -> CixFit:
     co-polar model; sigma is the population RMS about that mean.
     """
     distance_m, pl_db = _fit_inputs(vh_samples, Polarization.VH)
-    if not distance_m:
+    if not len(distance_m):
         raise DegenerateFitError("need at least 1 cross-polar sample")
     anchor = fspl(frequency_hz, D0_M)
-    excess = np.array(
-        [pl - anchor - 10.0 * ci_vv.ple * math.log10(d / D0_M) for d, pl in zip(distance_m, pl_db)]
-    )
+    # (pl - anchor) - (10 ple) log10(d), in the order the scalar form rounds
+    excess = pl_db - anchor - 10.0 * ci_vv.ple * log10_array(distance_m / D0_M)
     xpd = float(np.mean(excess))
     sigma = float(np.sqrt(np.mean((excess - xpd) ** 2)))
     return CixFit(xpd_db=xpd, sigma_db=sigma, ple_vv=ci_vv.ple, n_samples=len(distance_m))

@@ -15,10 +15,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,6 +86,37 @@ def _check_overrides(carrier_hz: float | None, max_measurable_pl_db: float | Non
         raise ValidationError("max_measurable_pl_db", f"must be > 0 or None, got {max_measurable_pl_db}")
 
 
+def _checked_thresholds(thresholds_db: Iterable[float]) -> tuple[float, ...]:
+    """``thresholds_db`` as floats, each > 0 and each with a label of its own.
+
+    The report keys its sections and table rows by ``f"{t:g}"``, so two
+    thresholds with one label (20 and 20, or 30 and 30.0000001) would
+    write two rows under one name and keep only one section.
+    """
+    thresholds = tuple(checked_threshold_db(float(t)) for t in thresholds_db)
+    labelled: dict[str, float] = {}
+    for t in thresholds:
+        label = f"{t:g}"
+        if label in labelled:
+            raise ValidationError("thresholds_db", f"{labelled[label]!r} and {t!r} share the label {label!r}")
+        labelled[label] = t
+    return thresholds
+
+
+def check_analysis_options(
+    thresholds_db: Iterable[float] = DEFAULT_THRESHOLDS_DB,
+    carrier_hz: float | None = None,
+    max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
+) -> tuple[float, ...]:
+    """The checked thresholds of an ``Analysis`` with these options; ValidationError
+    for the first bad option, in the order ``Analysis`` checks them.
+
+    Lets a caller reject its options before it reads a campaign.
+    """
+    _check_overrides(carrier_hz, max_measurable_pl_db)
+    return _checked_thresholds(thresholds_db)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one pipeline run.
@@ -103,7 +136,7 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "manifest_path", Path(self.manifest_path))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "thresholds_db", tuple(checked_threshold_db(float(t)) for t in self.thresholds_db))
+        object.__setattr__(self, "thresholds_db", _checked_thresholds(self.thresholds_db))
         object.__setattr__(self, "formats", tuple(str(f) for f in self.formats))
         if not self.thresholds_db:
             raise ValidationError("thresholds_db", "need at least one threshold")
@@ -138,9 +171,8 @@ class Analysis:
         carrier_hz: float | None = None,
         max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
     ):
-        _check_overrides(carrier_hz, max_measurable_pl_db)
+        self.thresholds_db = check_analysis_options(thresholds_db, carrier_hz, max_measurable_pl_db)
         self.campaign = campaign
-        self.thresholds_db = tuple(map(checked_threshold_db, thresholds_db))
         self.carrier_hz = campaign.carrier_hz if carrier_hz is None else carrier_hz
         self.max_measurable_pl_db = max_measurable_pl_db
         self._samples: dict[tuple[Polarization, SampleKind], PathLossColumns] = {}
@@ -237,13 +269,12 @@ class Analysis:
 
     def xpd_csv(self) -> str:
         """Empirical XPD CDF points per path class, boresight first."""
-        lines = ["path_class,xpd_db,cdf"]
-        for path_class in (PathClass.BORESIGHT, PathClass.REFLECTION):
-            if path_class not in self.xpd:
-                continue
-            for value, cdf in self.xpd[path_class].cdf:
-                lines.append(f"{path_class.value},{_csv_value(value)},{_csv_value(cdf)}")
-        return "\n".join(lines) + "\n"
+        rows = [
+            zip(repeat(path_class.value), *zip(*self.xpd[path_class].cdf))
+            for path_class in (PathClass.BORESIGHT, PathClass.REFLECTION)
+            if path_class in self.xpd
+        ]
+        return "path_class,xpd_db,cdf\n" + "".join(map("%s,%.4f,%.4f\n".__mod__, chain.from_iterable(rows)))
 
     def xpd_json(self) -> dict:
         """XPD mean, population std and count per path class."""
@@ -253,20 +284,32 @@ class Analysis:
         }
 
 
+#: the (polarization, kind) sections of the scatter table, in table order: by
+#: kind (``SampleKind`` order), then polarization value
+_SCATTER_SECTIONS = (
+    (Polarization.VH, SampleKind.OMNI),
+    (Polarization.VV, SampleKind.OMNI),
+    *((Polarization.VV, kind) for kind in DIRECTIONAL_KINDS.values()),
+)
+
+
 def _scatter_csv(analysis: Analysis) -> str:
     """Omni samples of both polarizations and co-polar directional samples, sorted
-    by kind, polarization, distance and loss."""
-    lines = ["kind,polarization,los,distance_m,pl_db"]
-    order = {kind: i for i, kind in enumerate(SampleKind)}
-    sections = [(Polarization.VV, SampleKind.OMNI), (Polarization.VH, SampleKind.OMNI)]
-    rows = []
-    for pol, kind in sections + [(Polarization.VV, kind) for kind in DIRECTIONAL_KINDS.values()]:
-        s = analysis.samples(pol, kind)
-        columns = (s.distance_m, s.pl_db, analysis.table(pol).los[s.loc])
-        rows += [(order[kind], pol.value, *row, kind.value) for row in zip(*(c.tolist() for c in columns))]
-    for _, pol, distance_m, pl_db, los, kind in sorted(rows, key=lambda row: row[:4]):
-        lines.append(f"{kind},{pol},{str(los).lower()},{_csv_value(distance_m)},{_csv_value(pl_db)}")
-    return "\n".join(lines) + "\n"
+    by kind, polarization, distance and loss; ties keep location order."""
+    samples = [analysis.samples(pol, kind) for pol, kind in _SCATTER_SECTIONS]
+    section = np.repeat(np.arange(len(samples)), [len(s) for s in samples])
+    distance_m = np.concatenate([s.distance_m for s in samples])
+    pl_db = np.concatenate([s.pl_db for s in samples])
+    los = np.concatenate([analysis.table(pol).los[s.loc] for (pol, _), s in zip(_SCATTER_SECTIONS, samples)])
+    order = np.lexsort((pl_db, distance_m, section))
+    # (kind, polarization) of the row's section + (los, distance, loss)
+    labels = [(kind.value, pol.value) for pol, kind in _SCATTER_SECTIONS]
+    rows = map(
+        operator.add,
+        map(labels.__getitem__, section[order].tolist()),
+        zip(map(("false", "true").__getitem__, los[order].tolist()), distance_m[order].tolist(), pl_db[order].tolist()),
+    )
+    return "kind,polarization,los,distance_m,pl_db\n" + "".join(map("%s,%s,%s,%.4f,%.4f\n".__mod__, rows))
 
 
 def _optional_fit(analysis: Analysis, pol: Polarization, kind: SampleKind) -> dict | None:

@@ -1,8 +1,10 @@
 """Direction-resolved cross-polarization discrimination."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -14,7 +16,7 @@ from .measurement import (
     TapTable,
     ValidationError,
 )
-from .pathloss import DIRECTION_CLASSES, DirectionClass, classify_directions, sweep_losses
+from .pathloss import DIRECTION_CLASSES, DirectionClass, classify_directions, sweep_classes, sweep_losses
 
 
 class PathClass(str, Enum):
@@ -49,9 +51,20 @@ def classify_path(loc: LocationMeasurement, direction: tuple[float, float]) -> P
     return PathClass.REFLECTION
 
 
-def _check_pair(vv: TapTable, row_vv: int, vh: TapTable, row_vh: int, same_positions: bool) -> None:
-    tx_vv, rx_vv, pol_vv = vv.key(row_vv)
-    tx_vh, rx_vh, pol_vh = vh.key(row_vh)
+def _check_pairs(vv: TapTable, rows_vv: np.ndarray, vh: TapTable, rows_vh: np.ndarray) -> None:
+    """ValidationError for the first pair that mixes two placements, does not run
+    VV then VH, or was measured at different positions (checked in that order)."""
+    keys_vv = list(map(vv.columns.keys.__getitem__, vv.rows[rows_vv].tolist()))
+    keys_vh = list(map(vh.columns.keys.__getitem__, vh.rows[rows_vh].tolist()))
+    ids, pol = operator.itemgetter(0, 1), operator.itemgetter(2)
+    same_ids = list(map(operator.eq, map(ids, keys_vv), map(ids, keys_vh)))
+    vv_first = list(map(operator.is_, map(pol, keys_vv), repeat(Polarization.VV)))
+    vh_second = list(map(operator.is_, map(pol, keys_vh), repeat(Polarization.VH)))
+    same_positions = (vv.tx_pos_m[rows_vv] == vh.tx_pos_m[rows_vh]) & (vv.rx_pos_m[rows_vv] == vh.rx_pos_m[rows_vh])
+    bad = np.flatnonzero(~np.all((same_ids, vv_first, vh_second, same_positions.all(axis=1)), axis=0))
+    if not bad.size:
+        return
+    (tx_vv, rx_vv, pol_vv), (tx_vh, rx_vh, pol_vh) = keys_vv[bad[0]], keys_vh[bad[0]]
     if (tx_vv, rx_vv) != (tx_vh, rx_vh):
         raise ValidationError(
             "rx_id", f"polarization pair mixes locations: {tx_vv}-{rx_vv} vs {tx_vh}-{rx_vh}"
@@ -60,8 +73,7 @@ def _check_pair(vv: TapTable, row_vv: int, vh: TapTable, row_vh: int, same_posit
         raise ValidationError("polarization", f"first location must be VV, got {pol_vv.value}")
     if pol_vh is not Polarization.VH:
         raise ValidationError("polarization", f"second location must be VH, got {pol_vh.value}")
-    if not same_positions:
-        raise ValidationError("tx_pos_m", "polarization pair was measured at different positions")
+    raise ValidationError("tx_pos_m", "polarization pair was measured at different positions")
 
 
 class XpdColumns(NamedTuple):
@@ -90,13 +102,10 @@ def xpd_columns(vv: TapTable, vh: TapTable, rows: Sequence[tuple[int, int]]) -> 
     co-polar sweep, through the classification kept with ``vv``.
     """
     rows_vv, rows_vh = np.array(rows, dtype=np.intp).reshape(-1, 2).T
-    same_positions = (vv.tx_pos_m[rows_vv] == vh.tx_pos_m[rows_vh]) & (vv.rx_pos_m[rows_vv] == vh.rx_pos_m[rows_vh])
-    for row_vv, row_vh, same in zip(rows_vv.tolist(), rows_vh.tolist(), same_positions.all(axis=1).tolist()):
-        _check_pair(vv, row_vv, vh, row_vh, same)
+    _check_pairs(vv, rows_vv, vh, rows_vh)
     pair_of_vv = np.full(len(vv), -1)
     pair_of_vh = np.full(len(vh), -1)
     pair_of_vv[rows_vv] = pair_of_vh[rows_vh] = np.arange(len(rows_vv))
-    losses_vv, losses_vh = sweep_losses(vv), sweep_losses(vh)
     # stack both sides' sweeps; after sorting by (pair, tx, rx, side) a
     # direction shared by a pair is a VV row directly followed by its VH row
     pair = np.concatenate([pair_of_vv[vv.sweep_loc], pair_of_vh[vh.sweep_loc]])
@@ -112,8 +121,8 @@ def xpd_columns(vv: TapTable, vh: TapTable, rows: Sequence[tuple[int, int]]) -> 
         pair=p[shared],
         tx_az_deg=t[shared],
         rx_az_deg=r[shared],
-        xpd_db=losses_vh.pl_db[cross] - losses_vv.pl_db[co],
-        boresight=losses_vv.class_index[co] == DIRECTION_CLASSES.index(DirectionClass.B),
+        xpd_db=sweep_losses(vh)[cross] - sweep_losses(vv)[co],
+        boresight=sweep_classes(vv)[co] == DIRECTION_CLASSES.index(DirectionClass.B),
     )
 
 
@@ -173,7 +182,8 @@ def _summaries(xpd_db: np.ndarray, boresight: np.ndarray) -> dict[PathClass, Xpd
             mean_db=float(np.mean(arr)),
             std_db=float(np.sqrt(np.mean((arr - np.mean(arr)) ** 2))),
             n=n,
-            cdf=tuple((v, (k + 1) / n) for k, v in enumerate(arr.tolist())),
+            # (k + 1) / n divides the same doubles as the int division does
+            cdf=tuple(zip(arr.tolist(), (np.arange(1, n + 1) / n).tolist())),
         )
     return out
 

@@ -6,7 +6,7 @@ import json
 import pytest
 from conftest import make_location, make_pdp
 
-from subthz_chan import Campaign, SynthesisParams, render_campaign, write_campaign
+from subthz_chan import Campaign, SynthesisParams, cli, render_campaign, write_campaign
 from subthz_chan.cli import EXIT_DEGENERATE_FIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -24,6 +24,30 @@ def one_location_manifest(tmp_path):
         (make_location([make_pdp([100.0], [-60.0], floor=-130.0)], distance=10.0),),
     )
     return write_campaign(campaign, tmp_path / "tiny")
+
+
+#: (argv, message) of each option value the CLI rejects before it reads a campaign
+NON_FINITE_ARGUMENTS = [
+    (["stats", "delay", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
+    (["stats", "angular", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
+    (["fit", "pathloss", "--carrier-hz", "nan"], "carrier_hz: must be > 0 and finite, got nan"),
+    (["fit", "pathloss", "--carrier-hz", "inf"], "carrier_hz: must be > 0 and finite, got inf"),
+    (["fit", "pathloss", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
+    (
+        ["pas", "dump", "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA", "--threshold-db", "nan"],
+        "threshold_db: must be > 0, got nan",
+    ),
+    (["report", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
+    (["report", "--carrier-hz", "nan"], "carrier_hz: must be > 0 and finite, got nan"),
+    (["report", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
+]
+
+#: (--threshold-db values, message) of thresholds whose report labels coincide
+REPEATED_LABELS = [
+    (["30", "30.0000001"], "thresholds_db: 30.0 and 30.0000001 share the label '30'"),
+    (["20", "20"], "thresholds_db: 20.0 and 20.0 share the label '20'"),
+    (["20", "30", "20.0"], "thresholds_db: 20.0 and 20.0 share the label '20'"),
+]
 
 
 class TestExitCodes:
@@ -60,23 +84,7 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 
-    @pytest.mark.parametrize(
-        "argv, message",
-        [
-            (["stats", "delay", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
-            (["stats", "angular", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
-            (["fit", "pathloss", "--carrier-hz", "nan"], "carrier_hz: must be > 0 and finite, got nan"),
-            (["fit", "pathloss", "--carrier-hz", "inf"], "carrier_hz: must be > 0 and finite, got inf"),
-            (["fit", "pathloss", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
-            (
-                ["pas", "dump", "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA", "--threshold-db", "nan"],
-                "threshold_db: must be > 0, got nan",
-            ),
-            (["report", "--threshold-db", "nan"], "threshold_db: must be > 0, got nan"),
-            (["report", "--carrier-hz", "nan"], "carrier_hz: must be > 0 and finite, got nan"),
-            (["report", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, message", NON_FINITE_ARGUMENTS)
     def test_non_finite_argument_exits_2(self, manifest, tmp_path, capsys, argv, message):
         out = tmp_path / "report"
         argv = [*argv, "--manifest", str(manifest), *(["--out", str(out)] if argv[0] == "report" else [])]
@@ -84,6 +92,30 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["report"], ["stats", "delay"], ["stats", "angular"]])
+    @pytest.mark.parametrize("thresholds, message", REPEATED_LABELS)
+    def test_repeated_threshold_label_exits_2(self, manifest, tmp_path, capsys, command, thresholds, message):
+        out = tmp_path / "report"
+        argv = [*command, "--manifest", str(manifest), "--out", str(out)]
+        for t in thresholds:
+            argv += ["--threshold-db", t]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [*NON_FINITE_ARGUMENTS, (["stats", "delay", "--threshold-db", "20", "--threshold-db", "20"], REPEATED_LABELS[1][1])],
+    )
+    def test_argument_checked_before_ingest(self, manifest, tmp_path, capsys, monkeypatch, argv, message):
+        calls = []
+        monkeypatch.setattr(cli, "ingest_campaign", lambda path: calls.append(path))
+        argv = [*argv, "--manifest", str(manifest), *(["--out", str(tmp_path / "r")] if argv[0] == "report" else [])]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
 
     @pytest.mark.parametrize(
         "argv, key, literal, message",

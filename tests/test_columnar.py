@@ -42,6 +42,8 @@ from subthz_chan import (
     xpd_summary,
 )
 from subthz_chan.cli import EXIT_VALIDATION, main
+from subthz_chan.delay import omni_bins
+from subthz_chan.pathloss import omni_losses, sweep_losses
 
 REL = 1e-12
 
@@ -87,6 +89,21 @@ class TestTapTable:
         table = TapTable(campaign.columns)
         expected = np.array([db_to_linear(p) for p in table.power_db.tolist()])
         assert table.power_mw.tobytes() == expected.tobytes()
+        # the omni bins sum the gained taps' scalar conversions in tap order
+        gained = (table.power_db - table.gain_sum_dbi[table.tap_loc]).tolist()
+        sums: dict[tuple[int, float], float] = {}
+        for loc, delay, p in zip(table.tap_loc.tolist(), table.delay_ns.tolist(), gained):
+            sums[loc, delay] = sums.get((loc, delay), 0.0) + db_to_linear(p)
+        omni = omni_bins(table)
+        assert list(zip(omni.loc.tolist(), omni.delay_ns.tolist())) == sorted(sums)
+        assert omni.power_mw.tobytes() == np.array([sums[key] for key in sorted(sums)]).tobytes()
+        # the received power of each sweep is the scalar dB of its running sum
+        received = [0.0] * len(table.sweep_loc)
+        for sweep, p in zip(table.tap_sweep.tolist(), expected.tolist()):
+            received[sweep] += p
+        loc = table.sweep_loc
+        pl_db = table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - np.array([linear_to_db(p) for p in received])
+        assert sweep_losses(table).tobytes() == pl_db.tobytes()
 
     def test_rows_are_the_detected_bins(self, campaign):
         table = TapTable(campaign.columns)
@@ -362,3 +379,29 @@ class TestAgainstLoopReference:
             ]
             got = [(x.direction, x.xpd_db, x.path_class is PathClass.BORESIGHT) for x in directional_xpd(vv, vh)]
             assert got == expected
+
+    @pytest.mark.parametrize("ceiling", [None, 152.0, 118.0])
+    def test_omni_losses_and_exclusions(self, campaign, ceiling):
+        # the silent location sits between signal locations, so table order matters
+        rows = [len(campaign) - 1, *range(len(campaign) - 1)]
+        rows[1], rows[0] = rows[0], rows[1]
+        table = TapTable(campaign.columns, rows)
+        totals = omni_bins(table).total_mw.tolist()
+        kept, losses, excluded = [], [], []
+        for index, total in enumerate(totals):
+            err = table.no_signal(index)
+            if err is None:
+                pl_db = table.tx_power_dbm[index] - linear_to_db(total)
+                if ceiling is not None and pl_db > ceiling:
+                    err = NoSignalError(
+                        f"{table.name(index)}: path loss {pl_db:.1f} dB exceeds the {ceiling:g} dB measurable limit"
+                    )
+            if err is None:
+                kept.append(index)
+                losses.append(pl_db)
+            else:
+                excluded.append((index, str(err)))
+        samples, errors = omni_losses(table, ceiling)
+        assert (samples.loc.tolist(), samples.pl_db.tobytes()) == (kept, np.array(losses).tobytes())
+        assert [(index, str(err)) for index, err in errors] == excluded
+        assert (1, f"{table.name(1)}: no sweep clears the noise floor") in excluded

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from subthz_chan import (
     wrap_deg,
     wrap_signed_deg,
 )
+from subthz_chan.measurement import bearings_deg, bearings_deg_array, db_to_linear_array, linear_to_db_array
 from conftest import make_location, make_pdp
 
 
@@ -60,6 +62,45 @@ class TestAngleHelpers:
     @given(st.floats(-200.0, 200.0))
     def test_db_round_trip(self, value_db):
         assert linear_to_db(db_to_linear(value_db)) == pytest.approx(value_db, abs=1e-9)
+
+
+#: -0.0, the exact 30 dB steps, a 0.01 dB grid over -200...50 dB and the 20 dB tie of -29.3/-9.3
+EDGE_DB = np.concatenate(([-0.0, 0.0, -29.3, -9.3], np.arange(-300.0, 91.0, 30.0), np.linspace(-200.0, 50.0, 25_001)))
+
+
+def same_bits(got: np.ndarray, expected: list[float]) -> bool:
+    return got.dtype == np.float64 and got.tobytes() == np.array(expected, dtype=float).tobytes()
+
+
+class TestBulkConversions:
+    """The array helpers make the scalar helpers' libm calls, so they agree bit for bit."""
+
+    def test_db_to_linear_array_edges(self):
+        assert same_bits(db_to_linear_array(EDGE_DB), [db_to_linear(v) for v in EDGE_DB.tolist()])
+
+    def test_linear_to_db_array_edges(self):
+        linear = np.concatenate(([1.0, 1e-30, 1e-20, 1e-3, 1e3, 1e5, 5e-324], [db_to_linear(v) for v in EDGE_DB.tolist()]))
+        assert same_bits(linear_to_db_array(linear), [linear_to_db(v) for v in linear.tolist()])
+
+    @given(st.lists(st.floats(-200.0, 50.0), max_size=40))
+    def test_db_to_linear_array(self, values):
+        assert same_bits(db_to_linear_array(np.array(values, dtype=float)), [db_to_linear(v) for v in values])
+
+    @given(st.lists(st.floats(1e-25, 1e8), max_size=40))
+    def test_linear_to_db_array(self, values):
+        assert same_bits(linear_to_db_array(np.array(values, dtype=float)), [linear_to_db(v) for v in values])
+
+    def test_linear_to_db_array_rejects_zero_like_the_scalar(self):
+        with pytest.raises(ValueError):
+            linear_to_db_array(np.array([1.0, 0.0]))
+
+    def test_bearings_deg_array(self):
+        rng = np.random.default_rng(4)
+        tx = np.concatenate((rng.uniform(-60.0, 60.0, (500, 3)), np.zeros((4, 3))))
+        rx = np.concatenate((rng.uniform(-60.0, 60.0, (500, 3)), [[-1.0, -0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, -2.0, 0.0]]))
+        expected = [bearings_deg(a, b) for a, b in zip(tx.tolist(), rx.tolist())]
+        assert same_bits(bearings_deg_array(tx, rx), expected)
+        assert bearings_deg_array(tx[:0], rx[:0]).shape == (0, 2)
 
 
 class TestAntennaConfig:

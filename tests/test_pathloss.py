@@ -362,3 +362,29 @@ class TestCollectSamples:
     def test_ceiling_applies(self):
         loc = make_location([make_pdp([10.0], [-60.0])])
         assert collect_samples([loc], SampleKind.OMNI, max_measurable_pl_db=100.0) == ()
+
+
+class TestFitsMatchTheScalarLoop:
+    """The fits' log terms are mapped at C level; the numbers equal the per-sample loop's bit for bit."""
+
+    @given(
+        st.lists(st.tuples(st.floats(1.0001, 300.0), st.floats(60.0, 160.0)), min_size=2, max_size=30),
+        st.lists(st.tuples(st.floats(1.0001, 300.0), st.floats(60.0, 190.0)), min_size=1, max_size=30),
+    )
+    def test_ci_and_cix(self, vv, vh):
+        vv_samples = [PathLossSample(d, pl, Polarization.VV, SampleKind.OMNI, True) for d, pl in vv]
+        vh_samples = [PathLossSample(d, pl, Polarization.VH, SampleKind.OMNI, True) for d, pl in vh]
+        anchor = fspl(F_142)
+        a = np.array([10.0 * math.log10(d / 1.0) for d, _ in vv])
+        b = np.array([pl - anchor for _, pl in vv])
+        denom = float(np.dot(a, a))
+        if denom <= 1e-12:
+            return
+        ple = float(np.dot(a, b) / denom)
+        sigma = float(np.sqrt(np.mean((b - ple * a) ** 2)))
+        ci = fit_ci(vv_samples, F_142)
+        assert (ci.ple, ci.sigma_db) == (ple, sigma)
+        excess = np.array([pl - anchor - 10.0 * ple * math.log10(d / 1.0) for d, pl in vh])
+        xpd = float(np.mean(excess))
+        cix = fit_cix(vh_samples, ci, F_142)
+        assert (cix.xpd_db, cix.sigma_db) == (xpd, float(np.sqrt(np.mean((excess - xpd) ** 2))))

@@ -98,6 +98,9 @@ class TestRunConfig:
             (dict(carrier_hz=float("inf")), "carrier_hz: must be > 0 and finite, got inf"),
             (dict(max_measurable_pl_db=float("nan")), "max_measurable_pl_db: must be > 0 or None, got nan"),
             (dict(max_measurable_pl_db=0.0), "max_measurable_pl_db: must be > 0 or None, got 0.0"),
+            (dict(thresholds_db=(30.0, 30.0000001)), "thresholds_db: 30.0 and 30.0000001 share the label '30'"),
+            (dict(thresholds_db=(20, 10.0, 20.0)), "thresholds_db: 20.0 and 20.0 share the label '20'"),
+            (dict(thresholds_db=(1e-7, 1.00000001e-7)), "thresholds_db: 1e-07 and 1.00000001e-07 share the label '1e-07'"),
         ],
     )
     def test_config_and_analysis_reject_the_same_settings(self, tmp_path, setting, message):
@@ -107,6 +110,13 @@ class TestRunConfig:
         with pytest.raises(ValidationError) as err:
             Analysis(small_campaign(), **setting)
         assert str(err.value) == message
+
+
+    def test_thresholds_with_distinct_labels_are_kept(self, tmp_path):
+        thresholds = (30.0, 30.001, 3.0, 300.0)
+        config = RunConfig(manifest_path=tmp_path / "m.json", out_dir=tmp_path, thresholds_db=thresholds)
+        assert config.thresholds_db == thresholds
+        assert Analysis(small_campaign(), thresholds).thresholds_db == thresholds
 
 
 class TestReportBundle:

@@ -114,6 +114,27 @@ class TestDirectionalXpd:
             directional_xpd(loc_vv, moved)
 
 
+    def test_first_failing_pair_raises_its_own_message(self):
+        def pair(rx_id, vh_rx_id=None, distance=10.0, pols=(Polarization.VV, Polarization.VH)):
+            vv = make_location(sweep_set({(180.0, 0.0): -60.0}), pol=pols[0], rx_id=rx_id)
+            vh = make_location(sweep_set({(180.0, 0.0): -85.0}), pol=pols[1], rx_id=vh_rx_id or rx_id, distance=distance)
+            return vv, vh
+
+        cases = [
+            (pair("RX2", "RX3"), "rx_id: polarization pair mixes locations: TX1-RX2 vs TX1-RX3"),
+            (pair("RX2", pols=(Polarization.VH, Polarization.VH)), "polarization: first location must be VV, got VH"),
+            (pair("RX2", pols=(Polarization.VV, Polarization.VV)), "polarization: second location must be VH, got VV"),
+            (pair("RX2", distance=12.0), "tx_pos_m: polarization pair was measured at different positions"),
+            # a pair failing several checks reports the first of them
+            (pair("RX2", "RX3", distance=12.0, pols=(Polarization.VH, Polarization.VV)), "rx_id: polarization pair mixes locations: TX1-RX2 vs TX1-RX3"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValidationError) as err:
+                collect_xpds([pair("RX1"), bad, pair("RX4", "RX5"), pair("RX6")])
+            assert str(err.value) == message
+        assert len(collect_xpds([pair("RX1"), pair("RX2")])) == 2
+
+
 class TestClassifyPath:
     def test_boresight_and_reflection(self):
         loc = make_location(
