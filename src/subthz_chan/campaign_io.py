@@ -35,6 +35,8 @@ import os
 import re
 from array import array
 from functools import cached_property
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator
@@ -59,6 +61,9 @@ _N_COLUMNS = len(SWEEP_COLUMNS)
 _NOISE_FLOOR_RE = re.compile(r"#\s*noise_floor_db\s*=\s*(\S+)\s*$")
 _FLOOR_PREFIX = b"# noise_floor_db="
 _HEADER_LINE = f"{_SWEEP_HEADER}\n".encode()
+#: a written sweep file: this head, then one row per tap, every value by ``repr``,
+#: which round-trips exactly through ``float`` and keeps write->ingest lossless
+_SWEEP_HEAD = f"# noise_floor_db=%r\n{_SWEEP_HEADER}\n"
 #: the bytes ``read_lean`` drops before it matches a file's layout: every ASCII byte but
 #: the comma, LF, ``#`` and the other ``str.splitlines`` breaks (a non-ASCII byte stays, and fails the match)
 _UNMARKED = bytes(sorted(set(range(128)) - set(b",\n#\r\x0b\x0c\x1c\x1d\x1e")))
@@ -77,6 +82,35 @@ _TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
 _PATH_SEPARATORS = {"/", os.sep, os.altsep} - {None}
 
 logger = logging.getLogger(__name__)
+
+
+def json_template(doc: dict, depth: int = 0) -> list[str]:
+    """The layout ``json.dumps(doc, indent=2, sort_keys=True)`` gives ``doc``, nested
+    ``depth`` levels deep, as ``%`` templates.
+
+    Each ``"%s"`` value becomes a bare ``%s``, to be filled with the JSON
+    spelling of a value (``encode_basestring_ascii`` of a string, ``repr`` of
+    a finite float or an int, ``true`` or ``false``); the fields follow the
+    keys in sorted order.  The document is cut where a list holds ``None``,
+    which is where that list's items go.
+    """
+    text = json.dumps(doc, indent=2, sort_keys=True).replace('"%s"', "%s")
+    return re.split(r"\n *null", text.replace("\n", "\n" + "  " * depth))
+
+
+#: a written manifest, as ``json.dump(manifest, f, indent=2, sort_keys=True)`` writes
+#: it: the head, then per location its separator and entry, then the tail
+_MANIFEST_HEAD, _MANIFEST_TAIL = json_template(
+    {"campaign_id": "%s", "carrier_hz": "%s", "delay_resolution_ns": "%s", "locations": [None], "tx_power_dbm": "%s"}
+)
+_MANIFEST_ENTRY = "%s\n    " + json_template(
+    {
+        "antenna": {"az_step_deg": "%s", "gain_dbi": "%s", "hpbw_deg": "%s"},
+        "los": "%s", "polarization": "%s", "rx_id": "%s", "rx_pos_m": ["%s"] * 3,
+        "sweeps": "%s", "tx_id": "%s", "tx_pos_m": ["%s"] * 3,
+    },
+    depth=2,
+)[0]
 
 
 class CampaignFormatError(ValueError):
@@ -541,6 +575,24 @@ def _read_location(
     )
 
 
+def _bad_antennas(antenna: np.ndarray) -> np.ndarray:
+    """The rows of an antenna column whose (gain_dbi, hpbw_deg, az_step_deg) ``AntennaConfig`` rejects."""
+    gain, hpbw, step = antenna[:, :3].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = 360.0 / step
+        bad = ~(np.isfinite(gain) & (gain > 0)) | ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0))
+        return bad | (np.abs(turns - np.round(turns)) > 1e-9)
+
+
+def _bad_distances(columns: LocationColumns) -> np.ndarray:
+    """The locations whose TX-RX distance ``LocationMeasurement`` rejects (1 m or less, or inf)."""
+    return ~((columns.distance_m > D0_M) & (columns.distance_m < math.inf))
+
+
+def _empty_ids(columns: LocationColumns) -> np.ndarray:
+    return np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in columns.keys], dtype=bool)
+
+
 def _first_location_fault(columns: LocationColumns) -> tuple[int, str] | None:
     """(row, message) of the first location whose antenna or own fields a constructor rejects.
 
@@ -549,13 +601,7 @@ def _first_location_fault(columns: LocationColumns) -> tuple[int, str] | None:
     ids, distance); the first flagged row is built for the constructor's
     own message, antenna first.
     """
-    gain, hpbw, step = columns.tx_antenna[:, :3].T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turns = 360.0 / step
-        bad = ~(np.isfinite(gain) & (gain > 0)) | ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0))
-        bad |= np.abs(turns - np.round(turns)) > 1e-9
-    bad |= columns.distance_m <= D0_M
-    bad |= np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in columns.keys], dtype=bool)
+    bad = _bad_antennas(columns.tx_antenna) | _bad_distances(columns) | _empty_ids(columns)
     for row in np.flatnonzero(bad).tolist():
         try:
             AntennaConfig(*columns.tx_antenna[row].tolist())
@@ -664,8 +710,11 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
 
     ``ingest_campaign(write_campaign(c))`` reproduces ``c`` field for field
     (antenna heights come from the per-side defaults, not the manifest).
-    Every check runs before anything is written.
+    Every check runs before anything is written.  The manifest holds the
+    bytes ``json.dump(..., indent=2, sort_keys=True)`` writes, plus a final
+    LF; the columns are formatted in bulk, with no per-location record.
     """
+    started = perf_counter()
     c = campaign.columns
     for key in c.keys:
         for field, value in zip(("tx_id", "rx_id"), key):
@@ -674,58 +723,106 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
     names = [f"sweeps/{tx_id}_{rx_id}_{pol.value}.csv" for tx_id, rx_id, pol in c.keys]
     if len(set(names)) < len(names):
         raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")
-    floors = c.noise_floor_db[c.sweep_bounds[:-1]]
+    _check_writable(campaign)
+
+    out = Path(out_dir)
+    (out / "sweeps").mkdir(parents=True, exist_ok=True)
+    n_bytes = _write_sweep_files(c, out, names)
+    tx_ids, rx_ids, pols = zip(*c.keys)
+    entries = zip(
+        chain(("",), repeat(",")),
+        *c.tx_antenna[:, [2, 0, 1]].T.tolist(),  # az_step_deg, gain_dbi, hpbw_deg: the keys in order
+        map(("false", "true").__getitem__, c.los.tolist()),
+        map(encode_basestring_ascii, [pol.value for pol in pols]),
+        map(encode_basestring_ascii, rx_ids),
+        *c.rx_pos_m.T.tolist(),
+        map(encode_basestring_ascii, names),
+        map(encode_basestring_ascii, tx_ids),
+        *c.tx_pos_m.T.tolist(),
+    )
+    head = (campaign.campaign_id, campaign.carrier_hz, campaign.delay_resolution_ns)
+    manifest_path = out / "manifest.json"
+    with open(manifest_path, "wb") as f:
+        f.write((_MANIFEST_HEAD % tuple(map(json.dumps, head))).encode())
+        # streamed one entry at a time, never joined in memory
+        f.writelines(map(str.encode, map(_MANIFEST_ENTRY.__mod__, entries)))
+        f.write((_MANIFEST_TAIL % json.dumps(campaign.tx_power_dbm) + "\n").encode())
+        n_bytes += f.tell()
+    logger.info(
+        "wrote %s: %d locations, %d files, %d rows, %d bytes in %.3f s",
+        campaign.campaign_id, len(c), len(names) + 1, len(c.delay_ns), n_bytes, perf_counter() - started,
+    )
+    return manifest_path
+
+
+def _check_writable(campaign: Campaign) -> None:
+    """Raise the ValidationError of the first location ingest would reject, or that
+    the file format cannot hold, before anything is written.
+
+    Each check is a column mask over every location; the first location that
+    fails any check is named, with its first failing check.
+    """
+    c = campaign.columns
+    if not len(c):
+        raise ValidationError("locations", "campaign has no locations")
+    if not 0.0 < campaign.delay_resolution_ns < math.inf:
+        raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {campaign.delay_resolution_ns}")
+    sweep_loc = c.sweep_loc
+    tap_loc = np.repeat(sweep_loc, np.diff(c.tap_bounds))
+
+    def by_location(owner: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        bad = np.zeros(len(c), dtype=bool)
+        bad[owner[mask]] = True
+        return bad
+
+    def outside_circle(az: np.ndarray) -> np.ndarray:
+        return by_location(sweep_loc, ~((az >= 0.0) & (az < 360.0)))
+
+    floor, delay = c.noise_floor_db, c.delay_ns
     faults = (  # (field, message, per-location mask), checked location by location
+        ("tx_id", "tx_id and rx_id must be non-empty", _empty_ids(c)),
+        ("tx_pos_m", "position must be finite", ~np.isfinite(c.tx_pos_m).all(axis=1)),
+        ("rx_pos_m", "position must be finite", ~np.isfinite(c.rx_pos_m).all(axis=1)),
+        ("distance_m", f"TX-RX distance must be finite and exceed {D0_M} m", _bad_distances(c)),
+        ("antenna", "gain_dbi, hpbw_deg and az_step_deg must make a valid AntennaConfig", _bad_antennas(c.tx_antenna)),
         ("antenna", "manifest format stores one antenna config per location",
          (c.tx_antenna != c.rx_antenna)[:, :3].any(axis=1)),
         ("tx_power_dbm", "manifest format stores one TX power per campaign",
          c.tx_power_dbm != campaign.tx_power_dbm),
+        ("sweeps", "location has no sweeps", np.diff(c.sweep_bounds) == 0),
+        ("sweeps", "a sweep has no bins", by_location(sweep_loc, np.diff(c.tap_bounds) == 0)),
+        ("noise_floor_db", "must be finite", by_location(sweep_loc, ~np.isfinite(floor))),
         ("noise_floor_db", "sweep file format stores one noise floor per location",
-         np.logical_or.reduceat(c.noise_floor_db != floors[c.sweep_loc], c.sweep_bounds[:-1])),
+         by_location(sweep_loc[1:], (floor[1:] != floor[:-1]) & (sweep_loc[1:] == sweep_loc[:-1]))),
+        ("tx_az_deg", "azimuth outside [0, 360)", outside_circle(c.tx_az_deg)),
+        ("rx_az_deg", "azimuth outside [0, 360)", outside_circle(c.rx_az_deg)),
+        ("delay_ns", "delays must be finite and >= 0", by_location(tap_loc, ~(np.isfinite(delay) & (delay >= 0.0)))),
+        ("power_db", "powers must be finite", by_location(tap_loc, ~np.isfinite(c.power_db))),
     )
     first = min(((int(np.argmax(mask)), k) for k, (_, _, mask) in enumerate(faults) if mask.any()), default=None)
     if first is not None:
-        raise ValidationError(*faults[first[1]][:2])
-
-    out = Path(out_dir)
-    (out / "sweeps").mkdir(parents=True, exist_ok=True)
-    _write_sweep_files(c, out, names)
-    tx_pos, rx_pos, los, antenna = (column.tolist() for column in (c.tx_pos_m, c.rx_pos_m, c.los, c.tx_antenna))
-    entries = [
-        {
-            "tx_id": c.keys[row][0],
-            "rx_id": c.keys[row][1],
-            "tx_pos_m": tx_pos[row],
-            "rx_pos_m": rx_pos[row],
-            "polarization": c.keys[row][2].value,
-            "los": los[row],
-            "antenna": dict(zip(("gain_dbi", "hpbw_deg", "az_step_deg"), antenna[row])),
-            "sweeps": name,
-        }
-        for row, name in enumerate(names)
-    ]
-    manifest = {
-        "campaign_id": campaign.campaign_id,
-        "carrier_hz": campaign.carrier_hz,
-        "tx_power_dbm": campaign.tx_power_dbm,
-        "delay_resolution_ns": campaign.delay_resolution_ns,
-        "locations": entries,
-    }
-    manifest_path = out / "manifest.json"
-    with manifest_path.open("w", encoding="utf-8", newline="\n") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)  # streamed, not joined in memory first
-        f.write("\n")
-    return manifest_path
+        row, k = first
+        tx_id, rx_id, pol = c.keys[row]
+        raise ValidationError(faults[k][0], f"{faults[k][1]} (locations[{row}], {tx_id}-{rx_id} {pol.value})")
 
 
-def _write_sweep_files(c: LocationColumns, out: Path, names: list[str]) -> None:
-    """Write the sweep file of each location under the name given."""
-    sweeps, taps = c.sweep_bounds.tolist(), c.tap_bounds.tolist()
-    tx_az, rx_az, floor = (column.tolist() for column in (c.tx_az_deg, c.rx_az_deg, c.noise_floor_db))
-    for row, name in enumerate(names):
-        # repr round-trips exactly through float(), which keeps write->ingest lossless
-        lines = [f"# noise_floor_db={floor[sweeps[row]]!r}", _SWEEP_HEADER]
-        for s in range(sweeps[row], sweeps[row + 1]):
-            bins = zip(c.delay_ns[taps[s] : taps[s + 1]].tolist(), c.power_db[taps[s] : taps[s + 1]].tolist())
-            lines += [f"{tx_az[s]!r},{rx_az[s]!r},{delay!r},{power!r}" for delay, power in bins]
-        (out / name).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_sweep_files(c: LocationColumns, out: Path, names: list[str]) -> int:
+    """Write the sweep file of each location under the name given; returns the bytes written.
+
+    Every tap of the campaign is formatted in one pass, after its sweep's
+    azimuth pair, formatted once per sweep; each file is then the slice of
+    rows its location owns.
+    """
+    pointings = list(map("%r,%r,".__mod__, zip(c.tx_az_deg.tolist(), c.rx_az_deg.tolist())))
+    tap_sweep = np.repeat(np.arange(len(pointings)), np.diff(c.tap_bounds)).tolist()
+    taps = zip(map(pointings.__getitem__, tap_sweep), c.delay_ns.tolist(), c.power_db.tolist())
+    rows = list(map("%s%r,%r\n".__mod__, taps))
+    bounds = c.tap_bounds[c.sweep_bounds].tolist()
+    base = os.fspath(out)
+    n_bytes = 0
+    for name, floor, start, stop in zip(names, c.noise_floor_db[c.sweep_bounds[:-1]].tolist(), bounds, bounds[1:]):
+        data = (_SWEEP_HEAD % floor + "".join(rows[start:stop])).encode()
+        with open(os.path.join(base, name), "wb") as f:
+            f.write(data)
+        n_bytes += len(data)
+    return n_bytes

@@ -13,12 +13,14 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
 from .angular import Side, power_angular_spectrum
-from .campaign_io import ingest_campaign
+from .campaign_io import ingest_campaign, json_template
 from .measurement import NoSignalError, Polarization, ValidationError, checked_threshold_db
 from .pathloss import DegenerateFitError, SampleKind
 from .pipeline import (
@@ -38,6 +40,15 @@ EXIT_DEGENERATE_FIT = 3
 EXIT_IO = 4
 
 _KIND_FLAGS = {"omni": SampleKind.OMNI, **DIRECTIONAL_KINDS}
+
+#: the ``ingest --format json`` document, as ``json.dumps(doc, indent=2, sort_keys=True)``
+#: lays it out: the head, the locations joined by commas, the tail
+_INGEST_HEAD, _INGEST_TAIL = json_template(
+    {"campaign_id": "%s", "carrier_hz": "%s", "locations": [None], "tx_power_dbm": "%s"}
+)
+_INGEST_LOCATION = "\n    " + json_template(
+    dict.fromkeys(("distance_m", "los", "n_detectable", "n_sweeps", "polarization", "rx_id", "tx_id"), "%s"), depth=2
+)[0]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,43 +162,46 @@ def _write_or_print(text: str, out: Path | None) -> None:
 
 def _cmd_ingest(args) -> int:
     campaign = ingest_campaign(args.manifest)
-    c = campaign.columns
-    n_detectable = np.bincount(c.sweep_loc[c.detectable], minlength=len(c))
-    columns = (c.distance_m, c.los, np.diff(c.sweep_bounds), n_detectable)
-    rows = [
-        {
-            "tx_id": tx_id,
-            "rx_id": rx_id,
-            "polarization": pol.value,
-            "distance_m": round(distance_m, 4),
-            "los": los,
-            "n_sweeps": n_sweeps,
-            "n_detectable": detectable,
-        }
-        for (tx_id, rx_id, pol), distance_m, los, n_sweeps, detectable in zip(
-            c.keys, *(column.tolist() for column in columns)
-        )
-    ]
     if args.format == "json":
-        doc = {
-            "campaign_id": campaign.campaign_id,
-            "carrier_hz": campaign.carrier_hz,
-            "tx_power_dbm": campaign.tx_power_dbm,
-            "locations": rows,
-        }
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        n_vv = sum(1 for r in rows if r["polarization"] == "VV")
-        print(
-            f"campaign {campaign.campaign_id}: {len(rows)} locations "
-            f"({n_vv} VV, {len(rows) - n_vv} VH), carrier {campaign.carrier_hz / 1e9:g} GHz"
-        )
-        for r in rows:
-            print(
-                f"  {r['tx_id']}-{r['rx_id']} {r['polarization']} d={r['distance_m']:.2f} m "
-                f"{'LOS' if r['los'] else 'NLOS'} sweeps={r['n_sweeps']} detectable={r['n_detectable']}"
-            )
+        print(_ingest_json(campaign))
+        return EXIT_OK
+    tx_ids, rx_ids, pols, distance_m, los, n_sweeps, n_detectable = _location_summaries(campaign)
+    n_vv = pols.count("VV")
+    print(
+        f"campaign {campaign.campaign_id}: {len(pols)} locations "
+        f"({n_vv} VV, {len(pols) - n_vv} VH), carrier {campaign.carrier_hz / 1e9:g} GHz"
+    )
+    for tx_id, rx_id, pol, d, is_los, n, k in zip(tx_ids, rx_ids, pols, distance_m, los, n_sweeps, n_detectable):
+        print(f"  {tx_id}-{rx_id} {pol} d={d:.2f} m {'LOS' if is_los else 'NLOS'} sweeps={n} detectable={k}")
     return EXIT_OK
+
+
+def _location_summaries(campaign) -> tuple[list, ...]:
+    """(tx_id, rx_id, polarization, distance_m rounded to 4 decimals, los, n_sweeps,
+    n_detectable) of every location, as columns."""
+    c = campaign.columns
+    tx_ids, rx_ids, pols = zip(*c.keys)
+    # Python's round, which rounds the float's exact value: np.round can round a half-way spelling the other way
+    distance_m = list(map(round, c.distance_m.tolist(), repeat(4)))
+    n_detectable = np.bincount(c.sweep_loc[c.detectable], minlength=len(c))
+    n_sweeps = np.diff(c.sweep_bounds).tolist()
+    return tx_ids, rx_ids, [pol.value for pol in pols], distance_m, c.los.tolist(), n_sweeps, n_detectable.tolist()
+
+
+def _ingest_json(campaign) -> str:
+    """The ``ingest --format json`` document of an ingested (so non-empty) campaign,
+    with the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``."""
+    tx_ids, rx_ids, pols, distance_m, los, n_sweeps, n_detectable = _location_summaries(campaign)
+    locations = zip(
+        distance_m, map(("false", "true").__getitem__, los), n_detectable, n_sweeps,
+        *(map(encode_basestring_ascii, column) for column in (pols, rx_ids, tx_ids)),
+    )
+    head = map(json.dumps, (campaign.campaign_id, campaign.carrier_hz))
+    return (
+        _INGEST_HEAD % tuple(head)
+        + ",".join(map(_INGEST_LOCATION.__mod__, locations))
+        + _INGEST_TAIL % json.dumps(campaign.tx_power_dbm)
+    )
 
 
 def _ceiling(value: float) -> float | None:

@@ -276,6 +276,8 @@ class LocationMeasurement:
                 "distance_m",
                 f"TX-RX distance {self.distance_m:.3f} m must exceed {D0_M} m",
             )
+        if self.distance_m == math.inf:  # finite positions near the float limit
+            raise ValidationError("distance_m", "TX-RX distance overflows to inf")
         seen: set[tuple[float, float]] = set()
         for pdp in self.sweeps:
             if pdp.direction in seen:

@@ -11,7 +11,9 @@ the standard campaign format so the analysis side can re-ingest them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import asdict, astuple, dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -23,11 +25,11 @@ from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
     SPEED_OF_LIGHT_M_S,
     AntennaConfig,
-    DirectionalPdp,
-    LocationMeasurement,
+    LocationColumns,
     Polarization,
     ValidationError,
-    linear_to_db,
+    concat_ranges,
+    linear_to_db_array,
 )
 from .pathloss import fspl
 from .xpd import PathClass
@@ -53,6 +55,8 @@ _REFLECTION_EXCESS_MEAN_NS = 60.0
 #: noise floor written into rendered files sits this far under the
 #: faintest synthesized tap, so every tap stays detectable on re-ingest
 _FLOOR_MARGIN_DB = 6.0
+
+_TAP_VALUES = operator.attrgetter("delay_ns", "power_mw", "xpd_db")
 
 
 @dataclass(frozen=True)
@@ -400,6 +404,66 @@ def factory_campaign_layout() -> tuple[LayoutEntry, ...]:
     )
 
 
+def _rendered_columns(
+    layout: tuple[LayoutEntry, ...],
+    drops: list[ChannelDrop],
+    tx_antenna: AntennaConfig,
+    rx_antenna: AntennaConfig,
+    tx_power_dbm: float,
+) -> LocationColumns:
+    """The V-V and V-H location of each placement, sorted by (tx_id, rx_id, polarization).
+
+    Placement ``i`` puts its RX at (0, 10 i, h_rx) and its TX across the aisle.
+    Each lobe is one pointing sweep holding the lobe's taps; a V-V tap's
+    power is the tap's received power plus both antenna gains, its V-H twin
+    sits the tap's XPD lower, and each location's noise floor sits
+    ``_FLOOR_MARGIN_DB`` under its faintest tap.
+    """
+    lobes = [lobe for drop in drops for lobe in drop.lobes]
+    taps = [tap for lobe in lobes for tap in lobe.taps]
+    delay, power_mw, xpd = np.fromiter(
+        chain.from_iterable(map(_TAP_VALUES, taps)), dtype=float, count=3 * len(taps)
+    ).reshape(-1, 3).T
+    vv_db = linear_to_db_array(power_mw) + tx_antenna.gain_dbi + rx_antenna.gain_dbi
+    power = np.stack((vv_db, vv_db - xpd))  # rows: V-V, V-H
+    rx_az = np.array([lobe.center_deg for lobe in lobes], dtype=float)
+    tx_az = (180.0 - rx_az) % 360.0
+    lobe_taps = np.array([len(lobe.taps) for lobe in lobes], dtype=np.intp)
+    lobe_bounds = np.concatenate(([0], np.cumsum([len(drop.lobes) for drop in drops])))
+    tap_starts = np.concatenate(([0], np.cumsum(lobe_taps)))[lobe_bounds]
+    floors = np.minimum.reduceat(power, tap_starts[:-1], axis=1) - _FLOOR_MARGIN_DB
+
+    gap = tx_antenna.height_m - rx_antenna.height_m
+    distances = [drop.distance_m for drop in drops]
+    tx_pos = [(math.sqrt(d * d - gap * gap), 10.0 * i, tx_antenna.height_m) for i, d in enumerate(distances)]
+    rx_pos = [(0.0, 10.0 * i, rx_antenna.height_m) for i in range(len(drops))]
+    # location k is placement k // 2 in polarization k % 2 before the stable sort
+    pols = (Polarization.VV, Polarization.VH)
+    ids = [(entry.tx_id, entry.rx_id) for entry in layout]
+    order = sorted(range(2 * len(layout)), key=lambda k: (*ids[k // 2], pols[k % 2].value))
+    place, pol = np.divmod(np.array(order, dtype=np.intp), 2)
+    n_lobes = np.diff(lobe_bounds)[place]
+    sweeps = concat_ranges(lobe_bounds[place], n_lobes)
+    n_taps = tap_starts[place + 1] - tap_starts[place]
+    tap_rows = concat_ranges(tap_starts[place], n_taps)
+    return LocationColumns(
+        keys=tuple((*ids[i], pols[j]) for i, j in zip(place.tolist(), pol.tolist())),
+        tx_pos_m=np.array(tx_pos, dtype=float)[place],
+        rx_pos_m=np.array(rx_pos, dtype=float)[place],
+        los=np.array([entry.los for entry in layout], dtype=bool)[place],
+        tx_antenna=np.full((len(place), 4), astuple(tx_antenna), dtype=float),
+        rx_antenna=np.full((len(place), 4), astuple(rx_antenna), dtype=float),
+        tx_power_dbm=np.full(len(place), tx_power_dbm, dtype=float),
+        sweep_bounds=np.concatenate(([0], np.cumsum(n_lobes))),
+        tx_az_deg=tx_az[sweeps],
+        rx_az_deg=rx_az[sweeps],
+        noise_floor_db=np.repeat(floors[pol, place], n_lobes),
+        tap_bounds=np.concatenate(([0], np.cumsum(lobe_taps[sweeps]))),
+        delay_ns=delay[tap_rows],
+        power_db=power[np.repeat(pol, n_taps), tap_rows],
+    )
+
+
 @dataclass(frozen=True)
 class RenderedCampaign:
     """Where a synthesized campaign landed on disk, plus its ground truth."""
@@ -430,6 +494,8 @@ def render_campaign(
         layout = tuple(layout)
         if n_locations is not None and n_locations != len(layout):
             raise ValidationError("n_locations", f"layout holds {len(layout)} entries, not {n_locations}")
+        if not layout:
+            raise ValidationError("layout", "need at least one entry")
     else:
         if n_locations is None or n_locations < 1:
             raise ValidationError("n_locations", "need a positive count or an explicit layout")
@@ -447,7 +513,6 @@ def render_campaign(
     height_gap = tx_antenna.height_m - rx_antenna.height_m
 
     drops = []
-    locations = []
     for i, entry in enumerate(layout):
         d = entry.distance_m if entry.distance_m is not None else float(drawn[i])
         if d * d <= height_gap * height_gap:
@@ -455,56 +520,13 @@ def render_campaign(
                 "distance_m",
                 f"{d} m is shorter than the {height_gap:g} m antenna height gap",
             )
-        drop = sample_drop(params, d, int(drop_seeds[i]), los=entry.los)
-        drops.append(drop)
+        drops.append(sample_drop(params, d, int(drop_seeds[i]), los=entry.los))
 
-        y = 10.0 * i
-        rx_pos = (0.0, y, rx_antenna.height_m)
-        tx_pos = (math.sqrt(d * d - height_gap * height_gap), y, tx_antenna.height_m)
-
-        tap_rows = []  # (tx_az, rx_az, delay, vv_db, vh_db)
-        for lobe in drop.lobes:
-            rx_az = lobe.center_deg
-            tx_az = (180.0 - rx_az) % 360.0
-            for tap in lobe.taps:
-                vv_db = linear_to_db(tap.power_mw) + tx_antenna.gain_dbi + rx_antenna.gain_dbi
-                tap_rows.append((tx_az, rx_az, tap.delay_ns, vv_db, vv_db - tap.xpd_db))
-
-        for pol, col in ((Polarization.VV, 3), (Polarization.VH, 4)):
-            floor = min(row[col] for row in tap_rows) - _FLOOR_MARGIN_DB
-            sweeps = []
-            for lobe in drop.lobes:
-                rows = [row for row in tap_rows if row[1] == lobe.center_deg]
-                sweeps.append(
-                    DirectionalPdp(
-                        tx_az_deg=rows[0][0],
-                        rx_az_deg=rows[0][1],
-                        delays_ns=tuple(row[2] for row in rows),
-                        powers_db=tuple(row[col] for row in rows),
-                        noise_floor_db=floor,
-                    )
-                )
-            locations.append(
-                LocationMeasurement(
-                    tx_id=entry.tx_id,
-                    rx_id=entry.rx_id,
-                    tx_pos_m=tx_pos,
-                    rx_pos_m=rx_pos,
-                    polarization=pol,
-                    los=entry.los,
-                    sweeps=tuple(sweeps),
-                    tx_antenna=tx_antenna,
-                    rx_antenna=rx_antenna,
-                    tx_power_dbm=tx_power_dbm,
-                )
-            )
-
-    locations.sort(key=lambda loc: (loc.tx_id, loc.rx_id, loc.polarization.value))
     campaign = Campaign(
         campaign_id=campaign_id,
         carrier_hz=params.carrier_hz,
         tx_power_dbm=tx_power_dbm,
-        locations=tuple(locations),
+        locations=_rendered_columns(layout, drops, tx_antenna, rx_antenna, tx_power_dbm),
         delay_resolution_ns=params.delay_resolution_ns,
     )
     manifest_path = write_campaign(campaign, Path(out_dir))

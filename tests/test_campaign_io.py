@@ -213,6 +213,10 @@ class TestManifestErrors:
                 "locations[0].distance_m: TX-RX distance 0.500 m must exceed 1.0 m",
             ),
             ({"tx_id": ""}, "locations[0].tx_id: tx_id and rx_id must be non-empty"),
+            (
+                {"tx_pos_m": [1e308, 0.0, 3.0], "rx_pos_m": [-1e308, 0.0, 1.5]},
+                "locations[0].distance_m: TX-RX distance overflows to inf",
+            ),
         ],
     )
     def test_entry_value_names_manifest_and_entry(self, tmp_path, edit, message):
