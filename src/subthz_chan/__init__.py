@@ -21,12 +21,13 @@ from .campaign_io import Campaign, CampaignFormatError, ingest_campaign, write_c
 from .delay import (
     DelayStats,
     DelaySummary,
+    OmniBins,
     OmniPdp,
     campaign_delay_summary,
     delay_stats,
     max_delay_spread,
+    omni_bins,
     rms_delay_spread,
-    synthesize_omni_pdp,
 )
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
@@ -39,12 +40,10 @@ from .measurement import (
     Polarization,
     TapTable,
     ValidationError,
+    bearings_deg,
     circular_distance_deg,
     db_to_linear,
-    integrated_power_mw,
     linear_to_db,
-    los_bearings_deg,
-    threshold_pdp,
     wrap_deg,
     wrap_signed_deg,
 )
@@ -54,16 +53,14 @@ from .pathloss import (
     DegenerateFitError,
     DirectionClass,
     PathLossColumns,
-    PathLossSample,
     SampleKind,
-    classify_directions,
-    collect_samples,
-    direction_path_loss_map,
-    directional_path_loss,
+    directional_samples,
     fit_ci,
     fit_cix,
     fspl,
-    omni_path_loss,
+    omni_losses,
+    sweep_classes,
+    sweep_losses,
 )
 from .pipeline import Analysis, RunConfig, run_pipeline
 from .summary import SummaryRow, nearest_rank, summarize
@@ -81,14 +78,6 @@ from .synthesis import (
     render_campaign,
     sample_drop,
 )
-from .xpd import (
-    DirectionalXpd,
-    PathClass,
-    XpdClassSummary,
-    classify_path,
-    collect_xpds,
-    directional_xpd,
-    xpd_summary,
-)
+from .xpd import PathClass, XpdClassSummary, XpdColumns, xpd_columns
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -3,13 +3,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .measurement import (
-    LocationColumns,
-    LocationMeasurement,
     TapTable,
     ValidationError,
     group_bounds,
@@ -183,23 +181,24 @@ def _one(bins_deg: Sequence[float], powers: Sequence[float]) -> _Spectra:
 
 
 def power_angular_spectrum(
-    loc: LocationMeasurement, side: Side, threshold_db: float
+    table: TapTable, index: int, side: Side, threshold_db: float
 ) -> PowerAngularSpectrum:
-    """Integrate thresholded tap power into azimuth bins on the chosen side.
+    """Integrate location ``index``'s thresholded tap power into azimuth bins on the chosen side.
 
     The cut is global: a tap survives when it lies within ``threshold_db``
-    of the strongest tap over all pointing pairs (and above its own sweep's
-    noise floor), regardless of its own sweep's peak.  The cut compares in
-    dB, like ``threshold_pdp``.
+    of the location's strongest tap over all pointing pairs (and above its
+    own sweep's noise floor), regardless of its own sweep's peak.  The cut
+    compares in dB, as the sweep cut of the delay spreads does.
+    NoSignalError when no sweep of the location clears the floor.
     """
     side = Side(side)
-    table = TapTable(LocationColumns.of((loc,)))
-    table.require_signal()
+    table.require_signal(index)
     spectra = _spectra(table, side, threshold_db)
-    _check_grids(table, {side: spectra})
-    powers = np.zeros(spectra.n_bins[0])
-    powers[spectra.k] = spectra.powers_mw
-    bins = spectra.phase_deg[0] + np.arange(len(powers)) * spectra.step_deg[0]
+    _check_grids(table, {side: spectra._replace(off_grid=spectra.off_grid & (table.sweep_loc == index))})
+    mine = spectra.loc == index
+    powers = np.zeros(spectra.n_bins[index])
+    powers[spectra.k[mine]] = spectra.powers_mw[mine]
+    bins = spectra.phase_deg[index] + np.arange(len(powers)) * spectra.step_deg[index]
     return PowerAngularSpectrum(side, tuple(bins.tolist()), tuple(powers.tolist()))
 
 
@@ -323,15 +322,12 @@ class AngularSummary:
     aod_rmsas: SummaryRow
 
 
-def campaign_angular_summary(
-    locs: Iterable[LocationMeasurement] | TapTable, threshold_db: float
-) -> AngularSummary:
-    """Five-number summaries of lobe counts and RMS angular spread.
+def campaign_angular_summary(table: TapTable, threshold_db: float) -> AngularSummary:
+    """Five-number summaries of lobe counts and RMS angular spread over a table's locations.
 
     One value per location with signal per side; the PAS is built and
     thresholded at the same ``threshold_db`` used for lobe extraction.
     """
-    table = locs if isinstance(locs, TapTable) else TapTable(LocationColumns.of(locs))
     spectra = {side: _spectra(table, side, threshold_db) for side in (Side.AOA, Side.AOD)}
     _check_grids(table, spectra)
     signal = table.n_sweeps > 0

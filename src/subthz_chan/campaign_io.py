@@ -128,8 +128,9 @@ class Campaign:
 
     ``locations`` may be ``LocationMeasurement`` objects, converted by
     ``LocationColumns.of``, or the columns themselves.  Indexing,
-    iterating, ``locations``, ``by_polarization`` and ``paired_locations``
-    build validated objects on request; the analysis reads ``columns``.
+    iterating, ``locations`` and ``by_polarization`` build validated
+    objects on request, for inspection; the analysis reads ``columns``
+    through a ``TapTable``.
     """
 
     def __init__(
@@ -208,10 +209,6 @@ class Campaign:
         vv = sorted((key[:2], row) for key, row in self._row_of.items() if key[2] is Polarization.VV)
         vh = [self.find((*ids, Polarization.VH)) for ids, _ in vv]
         return [(row, vh_row) for (_, row), vh_row in zip(vv, vh) if vh_row is not None]
-
-    def paired_locations(self) -> tuple[tuple[LocationMeasurement, LocationMeasurement], ...]:
-        """(V-V, V-H) pairs sharing (tx_id, rx_id), ordered by id."""
-        return tuple((self.locations[a], self.locations[b]) for a, b in self.pairs())
 
 
 def _require(doc: dict, key: str, kind: type, path, ctx: str = ""):
@@ -465,11 +462,7 @@ class _Pointings:
         """
         lo, hi = self.delay[:-1], self.delay[1:]
         duplicate = hi == lo
-        # a step can overflow only on a lattice finer than the tolerance, which holds every step
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps = (hi - lo) / res
-            off_lattice = np.abs(steps - np.round(steps)) * res > DELAY_GRID_TOL_NS
-        bad = np.flatnonzero(self.joined & (duplicate | off_lattice))
+        bad = np.flatnonzero(self.joined & (duplicate | _off_lattice(lo, hi, res)))
         if not len(bad):
             return None
         pair = int(bad[np.argmin(self.rank[bad])])
@@ -494,6 +487,14 @@ class _Pointings:
         floors = np.repeat(np.array(self.rows.floors[:n_files], dtype=float), np.diff(sweep_bounds))
         tap_bounds = np.concatenate(([0], np.cumsum(counts)))
         return sweep_bounds, self.tx_az[:n], self.rx_az[:n], floors, tap_bounds, self.delay[taps], self.power[taps]
+
+
+def _off_lattice(lo: np.ndarray, hi: np.ndarray, res: float) -> np.ndarray:
+    """Whether each delay step from ``lo`` to ``hi`` is off the ``res`` ns lattice."""
+    # a step can overflow only on a lattice finer than the tolerance, which holds every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = (hi - lo) / res
+        return np.abs(steps - np.round(steps)) * res > DELAY_GRID_TOL_NS
 
 
 def _is_number(token: str) -> bool:
@@ -767,8 +768,10 @@ def _check_writable(campaign: Campaign) -> None:
         raise ValidationError("locations", "campaign has no locations")
     if not 0.0 < campaign.delay_resolution_ns < math.inf:
         raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {campaign.delay_resolution_ns}")
+    res = campaign.delay_resolution_ns
     sweep_loc = c.sweep_loc
-    tap_loc = np.repeat(sweep_loc, np.diff(c.tap_bounds))
+    tap_sweep = np.repeat(np.arange(len(sweep_loc)), np.diff(c.tap_bounds))
+    tap_loc = sweep_loc[tap_sweep]
 
     def by_location(owner: np.ndarray, mask: np.ndarray) -> np.ndarray:
         bad = np.zeros(len(c), dtype=bool)
@@ -779,6 +782,11 @@ def _check_writable(campaign: Campaign) -> None:
         return by_location(sweep_loc, ~((az >= 0.0) & (az < 360.0)))
 
     floor, delay = c.noise_floor_db, c.delay_ns
+    # consecutive taps of one sweep, and sweeps of one location in pointing order
+    step = tap_sweep[1:] == tap_sweep[:-1]
+    pointings = np.lexsort((c.rx_az_deg, c.tx_az_deg, sweep_loc))
+    tx_az, rx_az, loc = c.tx_az_deg[pointings], c.rx_az_deg[pointings], sweep_loc[pointings]
+    repeated = (loc[1:] == loc[:-1]) & (tx_az[1:] == tx_az[:-1]) & (rx_az[1:] == rx_az[:-1])
     faults = (  # (field, message, per-location mask), checked location by location
         ("tx_id", "tx_id and rx_id must be non-empty", _empty_ids(c)),
         ("tx_pos_m", "position must be finite", ~np.isfinite(c.tx_pos_m).all(axis=1)),
@@ -796,7 +804,11 @@ def _check_writable(campaign: Campaign) -> None:
          by_location(sweep_loc[1:], (floor[1:] != floor[:-1]) & (sweep_loc[1:] == sweep_loc[:-1]))),
         ("tx_az_deg", "azimuth outside [0, 360)", outside_circle(c.tx_az_deg)),
         ("rx_az_deg", "azimuth outside [0, 360)", outside_circle(c.rx_az_deg)),
+        ("sweeps", "two sweeps share one pointing pair", by_location(loc[1:], repeated)),
         ("delay_ns", "delays must be finite and >= 0", by_location(tap_loc, ~(np.isfinite(delay) & (delay >= 0.0)))),
+        ("delay_ns", "delays must be strictly increasing", by_location(tap_loc[1:], step & ~(delay[1:] > delay[:-1]))),
+        ("delay_ns", f"delays must sit on the {res:g} ns lattice",
+         by_location(tap_loc[1:], step & _off_lattice(delay[:-1], delay[1:], res))),
         ("power_db", "powers must be finite", by_location(tap_loc, ~np.isfinite(c.power_db))),
     )
     first = min(((int(np.argmax(mask)), k) for k, (_, _, mask) in enumerate(faults) if mask.any()), default=None)

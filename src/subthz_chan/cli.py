@@ -21,7 +21,7 @@ import numpy as np
 
 from .angular import Side, power_angular_spectrum
 from .campaign_io import ingest_campaign, json_template
-from .measurement import NoSignalError, Polarization, ValidationError, checked_threshold_db
+from .measurement import NoSignalError, Polarization, TapTable, ValidationError, checked_threshold_db
 from .pathloss import DegenerateFitError, SampleKind
 from .pipeline import (
     DEFAULT_MAX_PL_DB,
@@ -251,7 +251,7 @@ def _cmd_pas_dump(args) -> int:
         raise ValidationError(
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
-    pas = power_angular_spectrum(campaign[row], Side(args.side), threshold_db)
+    pas = power_angular_spectrum(TapTable(campaign.columns, [row]), 0, Side(args.side), threshold_db)
     lines = ["bin_deg,power_db"]
     for bin_deg, power_mw in zip(pas.bins_deg, pas.powers_mw):
         if power_mw > 0:

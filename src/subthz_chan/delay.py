@@ -3,14 +3,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
 from .measurement import (
     DirectionalPdp,
-    LocationColumns,
-    LocationMeasurement,
     Polarization,
     TapTable,
     ValidationError,
@@ -69,10 +67,12 @@ class OmniBins(NamedTuple):
 def omni_bins(table: TapTable) -> OmniBins:
     """Sum linear power per (location, delay) over all pointing pairs, gains removed.
 
-    Each tap adds ``db_to_linear(power_db - gain_sum)`` (bit for bit,
-    through ``db_to_linear_array``) to its bin in tap order, as the
-    running sum over sweeps does.  Kept with the table, so omni path loss
-    and every delay threshold share one synthesis.
+    Only the table's taps (above-floor bins of detectable sweeps)
+    contribute, at their absolute delays.  Each tap adds
+    ``db_to_linear(power_db - gain_sum)`` (bit for bit, through
+    ``db_to_linear_array``) to its bin in tap order, as the running sum
+    over sweeps does.  Kept with the table, so omni path loss and every
+    delay threshold share one synthesis.
     """
     return table.kept(_omni_bins)
 
@@ -87,23 +87,6 @@ def _omni_bins(table: TapTable) -> OmniBins:
     power = group_sums(key_of_tap, linear, len(keys))
     loc = keys // n_delays
     return OmniBins(loc, delays[keys % n_delays], power, group_sums(loc, power, len(table)))
-
-
-def synthesize_omni_pdp(loc: LocationMeasurement) -> OmniPdp:
-    """Sum linear power per delay bin over all pointing pairs, gains removed.
-
-    Only bins at or above each sweep's noise floor contribute; sweeps whose
-    peak never clears the floor are skipped entirely.  Absolute delay
-    alignment across pointing pairs is preserved.
-    """
-    table = TapTable(LocationColumns.of((loc,)))
-    table.require_signal()
-    omni = omni_bins(table)
-    return OmniPdp(
-        delays_ns=tuple(omni.delay_ns.tolist()),
-        powers_mw=tuple(omni.power_mw.tolist()),
-        source=loc.key,
-    )
 
 
 def _spreads(
@@ -204,16 +187,13 @@ class DelaySummary:
     dir_mds: SummaryRow
 
 
-def campaign_delay_summary(
-    locs: Iterable[LocationMeasurement] | TapTable, threshold_db: float
-) -> DelaySummary:
-    """Five-number summaries of RMS and maximum delay spread over a campaign.
+def campaign_delay_summary(table: TapTable, threshold_db: float) -> DelaySummary:
+    """Five-number summaries of RMS and maximum delay spread over a table's locations.
 
-    Omni rows pool one value per location (synthesized from its sweeps);
-    directional rows pool every pointing pair with detectable power.
-    Locations without signal add to neither.
+    Omni rows pool one value per location (``omni_bins``); directional
+    rows pool every pointing pair with detectable power.  Locations
+    without signal add to neither.
     """
-    table = locs if isinstance(locs, TapTable) else TapTable(LocationColumns.of(locs))
     omni = omni_bins(table)
     omni_rms, omni_mds, _ = _omni_spreads(omni.loc, omni.delay_ns, omni.power_mw, len(table), threshold_db)
     signal = table.n_sweeps > 0

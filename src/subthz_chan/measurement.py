@@ -2,14 +2,16 @@
 
 Power values are dB relative to the campaign reference (dBm at the
 receiver unless stated otherwise), delays are nanoseconds, azimuths are
-degrees in [0, 360).  All record types are immutable; operations return
-new instances instead of mutating.
+degrees in [0, 360).  The immutable records (``DirectionalPdp``,
+``LocationMeasurement``) are the validating way to build and inspect a
+campaign; ``LocationColumns`` holds a campaign's locations as flat
+columns, and every analysis runs on a ``TapTable`` built from them.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
@@ -194,13 +196,6 @@ class DirectionalPdp:
         floor = self.noise_floor_db
         return [(t, p) for t, p in zip(self.delays_ns, self.powers_db) if p >= floor]
 
-    def detected(self) -> "DirectionalPdp":
-        """This PDP with only ``detected_bins`` left; NoSignalError as there."""
-        return self._with_bins(self.detected_bins())
-
-    def _with_bins(self, bins: list[tuple[float, float]]) -> "DirectionalPdp":
-        return replace(self, delays_ns=tuple(t for t, _ in bins), powers_db=tuple(p for _, p in bins))
-
 
 def checked_threshold_db(threshold_db: float) -> float:
     """``threshold_db`` itself when it is a usable peak-relative threshold (> 0 dB)."""
@@ -225,20 +220,6 @@ def in_linear_window(power_mw, peak_mw, threshold_db: float):
     exactly 30 dB apart, and the two domains round such ties differently.
     """
     return power_mw >= peak_mw * db_to_linear(-checked_threshold_db(threshold_db))
-
-
-def threshold_pdp(pdp: DirectionalPdp, threshold_db: float) -> DirectionalPdp:
-    """Drop bins more than ``threshold_db`` below the peak or below the noise floor.
-
-    The peak bin always survives.  Bins below the noise floor are removed
-    even when they sit within the threshold window.
-    """
-    return pdp._with_bins([b for b in pdp.detected_bins() if in_db_window(b[1], pdp.peak_db, threshold_db)])
-
-
-def integrated_power_mw(pdp: DirectionalPdp) -> float:
-    """Total linear power over the detected bins of one pointing pair."""
-    return sum(db_to_linear(p) for _, p in pdp.detected_bins())
 
 
 @dataclass(frozen=True)
@@ -293,21 +274,9 @@ class LocationMeasurement:
     def distance_m(self) -> float:
         return math.dist(self.tx_pos_m, self.rx_pos_m)
 
-    @property
-    def gain_sum_dbi(self) -> float:
-        return self.tx_antenna.gain_dbi + self.rx_antenna.gain_dbi
-
-    def detectable_sweeps(self) -> tuple[DirectionalPdp, ...]:
-        return tuple(s for s in self.sweeps if s.is_detectable())
-
-
-def los_bearings_deg(loc: LocationMeasurement) -> tuple[float, float]:
-    """Geometric (TX->RX, RX->TX) azimuth bearings from the survey positions."""
-    return bearings_deg(loc.tx_pos_m, loc.rx_pos_m)
-
 
 def bearings_deg(tx_pos_m: Sequence[float], rx_pos_m: Sequence[float]) -> tuple[float, float]:
-    """``los_bearings_deg`` of a TX and an RX position."""
+    """Geometric (TX->RX, RX->TX) azimuth bearings of a TX and an RX position."""
     dx = rx_pos_m[0] - tx_pos_m[0]
     dy = rx_pos_m[1] - tx_pos_m[1]
     tx_to_rx = wrap_deg(math.degrees(math.atan2(dy, dx)))
@@ -363,7 +332,8 @@ class LocationColumns:
     order, and sweep ``s`` owns rows ``tap_bounds[s]:tap_bounds[s + 1]`` of
     the tap columns, in bin order.  An antenna row is (gain_dbi, hpbw_deg,
     az_step_deg, height_m).  ``of`` is the one conversion from validated
-    ``LocationMeasurement`` objects; ``build`` makes objects back on request.
+    ``LocationMeasurement`` objects, which ``Campaign`` makes; ``build``
+    makes objects back on request.
     """
 
     #: ``LocationMeasurement.key`` of each location

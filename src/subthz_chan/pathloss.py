@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -23,10 +21,7 @@ from .delay import omni_bins
 from .measurement import (
     D0_M,
     SPEED_OF_LIGHT_M_S,
-    LocationColumns,
-    LocationMeasurement,
     NoSignalError,
-    Polarization,
     TapTable,
     ValidationError,
     bearings_deg_array,
@@ -71,27 +66,6 @@ KIND_OF_CLASS = {
 }
 
 
-@dataclass(frozen=True)
-class PathLossSample:
-    """One path-loss observation at one TX-RX separation."""
-
-    distance_m: float
-    pl_db: float
-    polarization: Polarization
-    kind: SampleKind
-    los: bool
-
-    def __post_init__(self):
-        object.__setattr__(self, "polarization", Polarization(self.polarization))
-        object.__setattr__(self, "kind", SampleKind(self.kind))
-        if not self.distance_m > D0_M:
-            raise ValidationError(
-                "distance_m", f"must exceed the {D0_M:g} m reference, got {self.distance_m}"
-            )
-        if not math.isfinite(self.pl_db):
-            raise ValidationError("pl_db", "must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class PathLossColumns:
     """Path-loss samples of one polarization and kind, as columns in location order."""
@@ -103,10 +77,6 @@ class PathLossColumns:
 
     def __len__(self) -> int:
         return len(self.loc)
-
-
-#: what the fits take: validated samples of one polarization and kind, or their columns
-Samples = Union[Sequence[PathLossSample], PathLossColumns]
 
 
 @dataclass(frozen=True)
@@ -163,8 +133,13 @@ def sweep_losses(table: TapTable) -> np.ndarray:
 def sweep_classes(table: TapTable) -> np.ndarray:
     """Class of every sweep row of a table, as an index into ``DIRECTION_CLASSES``.
 
-    Classes follow ``classify_directions``.  Kept with the table apart from
-    the losses, so only the callers that read classes compute them.
+    At LOS locations the B pair is the one whose TX and RX azimuths both
+    fall within half an azimuth step of the geometric bearings; among
+    several candidates the smallest summed angular distance wins, then
+    lexicographic order.  The strongest remaining pair by integrated
+    power is NBB (NLOS locations have no B, only NBB).  Everything else
+    is NB.  Kept with the table apart from the losses, so only the
+    callers that read classes compute them.
     """
     return table.kept(_classes)
 
@@ -207,49 +182,8 @@ def _classes(table: TapTable) -> np.ndarray:
     return classes
 
 
-def _directions(table: TapTable) -> list[tuple[float, float]]:
-    return list(zip(table.tx_az_deg.tolist(), table.rx_az_deg.tolist()))
-
-
-def direction_path_loss_map(loc: LocationMeasurement) -> dict[tuple[float, float], float]:
-    """Directional path loss per detectable pointing pair, antenna gains removed.
-
-    PL = tx_power + tx_gain + rx_gain - received_power, where the received
-    power integrates every above-floor delay bin of that pointing pair.
-    """
-    table = TapTable(LocationColumns.of((loc,)))
-    return dict(zip(_directions(table), sweep_losses(table).tolist()))
-
-
-def classify_directions(
-    loc: LocationMeasurement,
-) -> dict[tuple[float, float], DirectionClass]:
-    """Partition detectable pointing pairs into B / NBB / NB.
-
-    At LOS locations the B pair is the one whose TX and RX azimuths both
-    fall within half an azimuth step of the geometric bearings; among
-    several candidates the smallest summed angular distance wins, then
-    lexicographic order.  The strongest remaining pair by integrated
-    power is NBB (NLOS locations have no B, only NBB).  Everything else
-    is NB.
-    """
-    table = TapTable(LocationColumns.of((loc,)))
-    table.require_signal()
-    classes = sweep_classes(table).tolist()
-    return {direction: DIRECTION_CLASSES[c] for direction, c in zip(_directions(table), classes)}
-
-
 def _columns(table: TapTable, loc: np.ndarray, pl_db: np.ndarray) -> PathLossColumns:
     return PathLossColumns(loc, table.distance_m[loc], pl_db)
-
-
-def _objects(table: TapTable, samples: PathLossColumns, kinds: Iterable[SampleKind]) -> tuple[PathLossSample, ...]:
-    """The validated ``PathLossSample`` of each sample of a table, of the kind ``kinds`` gives it."""
-    columns = (samples.loc, samples.distance_m, samples.pl_db, table.los[samples.loc])
-    return tuple(
-        PathLossSample(distance_m, pl_db, table.key(index)[2], kind, los)
-        for (index, distance_m, pl_db, los), kind in zip(zip(*(c.tolist() for c in columns)), kinds)
-    )
 
 
 def omni_losses(
@@ -273,22 +207,6 @@ def omni_losses(
             )
         kept, pl_db = kept[~loud], pl_db[~loud]
     return _columns(table, kept, pl_db), sorted(excluded.items())
-
-
-def omni_path_loss(
-    loc: LocationMeasurement, max_measurable_pl_db: float | None = None
-) -> PathLossSample:
-    """Omnidirectional path loss recovered from the synthesized omni profile.
-
-    With ``max_measurable_pl_db`` set, a location whose recovered loss
-    exceeds the sounder's measurable range raises NoSignalError instead
-    of returning an untrustworthy value.
-    """
-    table = TapTable(LocationColumns.of((loc,)))
-    samples, excluded = omni_losses(table, max_measurable_pl_db)
-    if excluded:
-        raise excluded[0][1]
-    return _objects(table, samples, (SampleKind.OMNI,))[0]
 
 
 def _directional_rows(table: TapTable, max_measurable_pl_db: float | None) -> np.ndarray:
@@ -317,43 +235,19 @@ def directional_samples(
     return out
 
 
-def directional_path_loss(
-    loc: LocationMeasurement, max_measurable_pl_db: float | None = None
-) -> tuple[PathLossSample, ...]:
-    """Per-direction path-loss samples labelled B / NBB / NB.
-
-    Directions beyond the measurable-loss ceiling are dropped; the rest
-    come back sorted by (tx_az, rx_az).
-    """
-    table = TapTable(LocationColumns.of((loc,)))
-    table.require_signal()
-    rows = _directional_rows(table, max_measurable_pl_db)
-    kinds = (KIND_OF_CLASS[DIRECTION_CLASSES[c]] for c in sweep_classes(table)[rows].tolist())
-    return _objects(table, _columns(table, table.sweep_loc[rows], sweep_losses(table)[rows]), kinds)
+def _fit_inputs(samples: PathLossColumns) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, losses) of ``samples``: every distance must exceed the
+    reference and every loss must be finite."""
+    distance_m, pl_db = samples.distance_m, samples.pl_db
+    near = ~(distance_m > D0_M)
+    if near.any():
+        raise ValidationError("distance_m", f"must exceed the {D0_M:g} m reference, got {distance_m[near][0]}")
+    if not np.isfinite(pl_db).all():
+        raise ValidationError("pl_db", "must be finite")
+    return distance_m, pl_db
 
 
-def _check_homogeneous(samples: Sequence[PathLossSample]) -> None:
-    pols = {s.polarization for s in samples}
-    kinds = {s.kind for s in samples}
-    if len(pols) > 1:
-        raise ValidationError("polarization", f"mixed polarizations in one fit: {sorted(p.value for p in pols)}")
-    if len(kinds) > 1:
-        raise ValidationError("kind", f"mixed sample kinds in one fit: {sorted(k.value for k in kinds)}")
-
-
-def _fit_inputs(samples: Samples, polarization: Polarization | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, losses) of ``samples``; objects must share one kind and polarization."""
-    if isinstance(samples, PathLossColumns):
-        return samples.distance_m, samples.pl_db
-    samples = list(samples)
-    _check_homogeneous(samples)
-    for s in samples:
-        if polarization is not None and s.polarization is not polarization:
-            raise ValidationError("polarization", f"expected {polarization.value} samples, got {s.polarization.value}")
-    return np.array([s.distance_m for s in samples], dtype=float), np.array([s.pl_db for s in samples], dtype=float)
-
-
-def fit_ci(samples: Samples, frequency_hz: float) -> CiFit:
+def fit_ci(samples: PathLossColumns, frequency_hz: float) -> CiFit:
     """MMSE close-in exponent fit anchored at the 1 m free-space loss.
 
     Minimizes sum((excess - 10 n log10 d)^2) over n, where excess is the
@@ -375,13 +269,13 @@ def fit_ci(samples: Samples, frequency_hz: float) -> CiFit:
     return CiFit(ple=ple, sigma_db=sigma, n_samples=len(distance_m), fspl_anchor_db=anchor)
 
 
-def fit_cix(vh_samples: Samples, ci_vv: CiFit, frequency_hz: float) -> CixFit:
+def fit_cix(vh_samples: PathLossColumns, ci_vv: CiFit, frequency_hz: float) -> CixFit:
     """Cross-polar discrimination fit over a fixed co-polar exponent.
 
     The offset is the mean excess of the cross-polar loss over the
     co-polar model; sigma is the population RMS about that mean.
     """
-    distance_m, pl_db = _fit_inputs(vh_samples, Polarization.VH)
+    distance_m, pl_db = _fit_inputs(vh_samples)
     if not len(distance_m):
         raise DegenerateFitError("need at least 1 cross-polar sample")
     anchor = fspl(frequency_hz, D0_M)
@@ -390,17 +284,3 @@ def fit_cix(vh_samples: Samples, ci_vv: CiFit, frequency_hz: float) -> CixFit:
     xpd = float(np.mean(excess))
     sigma = float(np.sqrt(np.mean((excess - xpd) ** 2)))
     return CixFit(xpd_db=xpd, sigma_db=sigma, ple_vv=ci_vv.ple, n_samples=len(distance_m))
-
-
-def collect_samples(
-    locs: Iterable[LocationMeasurement],
-    kind: SampleKind,
-    max_measurable_pl_db: float | None = None,
-) -> tuple[PathLossSample, ...]:
-    """Gather samples of one kind across locations, skipping signal-free ones."""
-    table = TapTable(LocationColumns.of(locs))
-    if kind is SampleKind.OMNI:
-        samples = omni_losses(table, max_measurable_pl_db)[0]
-    else:
-        samples = directional_samples(table, max_measurable_pl_db)[kind]
-    return _objects(table, samples, repeat(kind))

@@ -5,18 +5,12 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measurement import (
-    LocationColumns,
-    LocationMeasurement,
-    Polarization,
-    TapTable,
-    ValidationError,
-)
-from .pathloss import DIRECTION_CLASSES, DirectionClass, classify_directions, sweep_classes, sweep_losses
+from .measurement import Polarization, TapTable, ValidationError
+from .pathloss import DIRECTION_CLASSES, DirectionClass, sweep_classes, sweep_losses
 
 
 class PathClass(str, Enum):
@@ -24,31 +18,6 @@ class PathClass(str, Enum):
 
     BORESIGHT = "boresight"
     REFLECTION = "reflection"
-
-
-@dataclass(frozen=True)
-class DirectionalXpd:
-    """Cross-polar discrimination of one pointing pair at one location."""
-
-    direction: tuple[float, float]
-    xpd_db: float
-    path_class: PathClass
-    location: tuple[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "path_class", PathClass(self.path_class))
-        object.__setattr__(self, "direction", (float(self.direction[0]), float(self.direction[1])))
-        object.__setattr__(self, "location", (str(self.location[0]), str(self.location[1])))
-
-
-def classify_path(loc: LocationMeasurement, direction: tuple[float, float]) -> PathClass:
-    """Boresight when the pair is the B direction of the location, else reflection."""
-    classes = classify_directions(loc)
-    if direction not in classes:
-        raise ValidationError("direction", f"{direction} is not detectable at {loc.tx_id}-{loc.rx_id}")
-    if classes[direction] is DirectionClass.B:
-        return PathClass.BORESIGHT
-    return PathClass.REFLECTION
 
 
 def _check_pairs(vv: TapTable, rows_vv: np.ndarray, vh: TapTable, rows_vh: np.ndarray) -> None:
@@ -89,17 +58,36 @@ class XpdColumns(NamedTuple):
     boresight: np.ndarray
 
     def summary(self) -> dict[PathClass, XpdClassSummary]:
-        """``xpd_summary`` of these rows."""
-        return _summaries(self.xpd_db, self.boresight)
+        """Mean, population std, and empirical CDF of these rows' XPD per path class.
+
+        CDF points are (value, (k+1)/n) over the sorted values; classes
+        with no rows are left out, and the rest are keyed in order of first
+        appearance.
+        """
+        out: dict[PathClass, XpdClassSummary] = {}
+        for flag in dict.fromkeys(self.boresight.tolist()):
+            arr = np.sort(self.xpd_db[self.boresight == flag])
+            n = len(arr)
+            out[PathClass.BORESIGHT if flag else PathClass.REFLECTION] = XpdClassSummary(
+                mean_db=float(np.mean(arr)),
+                std_db=float(np.sqrt(np.mean((arr - np.mean(arr)) ** 2))),
+                n=n,
+                # (k + 1) / n divides the same doubles as the int division does
+                cdf=tuple(zip(arr.tolist(), (np.arange(1, n + 1) / n).tolist())),
+            )
+        return out
 
 
 def xpd_columns(vv: TapTable, vh: TapTable, rows: Sequence[tuple[int, int]]) -> XpdColumns:
     """Per-direction XPD = PL_cross - PL_co over directions detectable in both of a pair.
 
     ``rows`` pairs a location row of table ``vv`` with the row of ``vh``
-    that measured the same placement, each row in at most one pair; pairs
-    are checked as in ``directional_xpd``.  Path classes come from the
-    co-polar sweep, through the classification kept with ``vv``.
+    that measured the same placement, each row in at most one pair: a
+    pair must join one (tx_id, rx_id), VV then VH, measured at the same
+    positions (ValidationError otherwise).  Path classes come from the
+    co-polar sweep, through the classification kept with ``vv``: boresight
+    for its B direction, reflection for every other.  Nothing detectable
+    in both polarizations is a data fact, not an error.
     """
     rows_vv, rows_vh = np.array(rows, dtype=np.intp).reshape(-1, 2).T
     _check_pairs(vv, rows_vv, vh, rows_vh)
@@ -126,36 +114,6 @@ def xpd_columns(vv: TapTable, vh: TapTable, rows: Sequence[tuple[int, int]]) -> 
     )
 
 
-def collect_xpds(
-    pairs: Iterable[tuple[LocationMeasurement, LocationMeasurement]]
-) -> tuple[DirectionalXpd, ...]:
-    """Directional XPDs pooled over polarization pairs."""
-    pairs = tuple(pairs)
-    vv, vh = (TapTable(LocationColumns.of(pair[side] for pair in pairs)) for side in (0, 1))
-    columns = xpd_columns(vv, vh, [(k, k) for k in range(len(pairs))])
-    return tuple(
-        DirectionalXpd(
-            direction=(tx_az, rx_az),
-            xpd_db=xpd_db,
-            path_class=PathClass.BORESIGHT if boresight else PathClass.REFLECTION,
-            location=(pairs[pair][0].tx_id, pairs[pair][0].rx_id),
-        )
-        for pair, tx_az, rx_az, xpd_db, boresight in zip(*(column.tolist() for column in columns))
-    )
-
-
-def directional_xpd(
-    loc_vv: LocationMeasurement, loc_vh: LocationMeasurement
-) -> tuple[DirectionalXpd, ...]:
-    """Per-direction XPD = PL_cross - PL_co over directions detectable in both.
-
-    The two locations must be the same physical TX-RX placement measured
-    in the two polarizations.  Path classes come from the co-polar sweep.
-    Nothing detectable in both polarizations is a data fact, not an error.
-    """
-    return collect_xpds(((loc_vv, loc_vh),))
-
-
 @dataclass(frozen=True)
 class XpdClassSummary:
     """Population statistics of XPD within one path class."""
@@ -170,32 +128,3 @@ class XpdClassSummary:
             raise ValidationError("n", "summary needs at least one sample")
         if len(self.cdf) != self.n:
             raise ValidationError("cdf", "one CDF point per sample expected")
-
-
-def _summaries(xpd_db: np.ndarray, boresight: np.ndarray) -> dict[PathClass, XpdClassSummary]:
-    out: dict[PathClass, XpdClassSummary] = {}
-    # classes keyed in order of first appearance
-    for flag in dict.fromkeys(boresight.tolist()):
-        arr = np.sort(xpd_db[boresight == flag])
-        n = len(arr)
-        out[PathClass.BORESIGHT if flag else PathClass.REFLECTION] = XpdClassSummary(
-            mean_db=float(np.mean(arr)),
-            std_db=float(np.sqrt(np.mean((arr - np.mean(arr)) ** 2))),
-            n=n,
-            # (k + 1) / n divides the same doubles as the int division does
-            cdf=tuple(zip(arr.tolist(), (np.arange(1, n + 1) / n).tolist())),
-        )
-    return out
-
-
-def xpd_summary(xpds: Iterable[DirectionalXpd]) -> dict[PathClass, XpdClassSummary]:
-    """Mean, population std, and empirical CDF of XPD per path class.
-
-    CDF points are (value, (k+1)/n) over the sorted values; classes with
-    no samples are left out of the result.
-    """
-    xpds = tuple(xpds)
-    return _summaries(
-        np.array([x.xpd_db for x in xpds], dtype=float),
-        np.array([x.path_class is PathClass.BORESIGHT for x in xpds], dtype=bool),
-    )

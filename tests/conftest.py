@@ -8,8 +8,13 @@ from hypothesis import HealthCheck, settings
 from subthz_chan import (
     AntennaConfig,
     DirectionalPdp,
+    LocationColumns,
     LocationMeasurement,
+    OmniPdp,
     Polarization,
+    TapTable,
+    omni_bins,
+    sweep_losses,
 )
 
 settings.register_profile(
@@ -57,3 +62,27 @@ def make_location(
         rx_antenna=AntennaConfig.default_rx(),
         tx_power_dbm=tx_power,
     )
+
+
+def table_of(*locations) -> TapTable:
+    """The tap table of some location records, in the order given."""
+    return TapTable(LocationColumns.of(locations))
+
+
+def by_direction(table: TapTable, values) -> dict:
+    """{(tx_az, rx_az): value} of one value per sweep row of a one-location table."""
+    return dict(zip(zip(table.tx_az_deg.tolist(), table.rx_az_deg.tolist()), values.tolist()))
+
+
+def direction_path_loss_map(loc) -> dict:
+    """{(tx_az, rx_az): path loss} of each detectable pointing pair of one location."""
+    table = table_of(loc)
+    return by_direction(table, sweep_losses(table))
+
+
+def omni_pdp(table: TapTable, index: int = 0) -> OmniPdp:
+    """The ``OmniPdp`` of location ``index`` of a table, from its ``omni_bins``; NoSignalError without signal."""
+    table.require_signal(index)
+    omni = omni_bins(table)
+    mine = omni.loc == index
+    return OmniPdp(tuple(omni.delay_ns[mine].tolist()), tuple(omni.power_mw[mine].tolist()), table.key(index))

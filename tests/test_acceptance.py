@@ -10,11 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_location, make_pdp
+from conftest import make_location, make_pdp, omni_pdp, table_of
 
 from subthz_chan import (
+    Analysis,
     PathClass,
-    PathLossSample,
+    PathLossColumns,
     Polarization,
     PowerAngularSpectrum,
     RunConfig,
@@ -23,8 +24,6 @@ from subthz_chan import (
     SynthesisParams,
     campaign_angular_summary,
     campaign_delay_summary,
-    collect_samples,
-    collect_xpds,
     extract_spatial_lobes,
     factory_campaign_layout,
     fit_ci,
@@ -38,8 +37,6 @@ from subthz_chan import (
     rms_delay_spread,
     run_pipeline,
     summarize,
-    synthesize_omni_pdp,
-    xpd_summary,
 )
 from subthz_chan.summary import SummaryRow
 
@@ -52,10 +49,8 @@ def _report(num: int, desc: str, ok: bool) -> None:
     assert ok, f"criterion {num}: {desc}"
 
 
-def _omni_sample(distance_m: float, pl_db: float, pol=Polarization.VV) -> PathLossSample:
-    return PathLossSample(
-        distance_m=distance_m, pl_db=pl_db, polarization=pol, kind=SampleKind.OMNI, los=True
-    )
+def _omni_samples(distance_m, pl_db) -> PathLossColumns:
+    return PathLossColumns(np.arange(len(distance_m)), np.asarray(distance_m, dtype=float), np.asarray(pl_db, dtype=float))
 
 
 def _five_number_oracle(values: list[float]) -> SummaryRow:
@@ -117,8 +112,7 @@ def test_criterion_01_free_space_anchor():
 
 def test_criterion_02_noiseless_fit_is_exact():
     distances = np.geomspace(5.0, 50.0, 10)
-    samples = [_omni_sample(d, ANCHOR + 20.0 * math.log10(d)) for d in distances]
-    fit = fit_ci(samples, F0)
+    fit = fit_ci(_omni_samples(distances, [ANCHOR + 20.0 * math.log10(d) for d in distances]), F0)
     ok = abs(fit.ple - 2.0) <= 1e-9 and abs(fit.sigma_db) <= 1e-9
     _report(2, f"noiseless exponent-2 samples recover ple={fit.ple:.12f}, sigma={fit.sigma_db:.2e}", ok)
 
@@ -131,7 +125,7 @@ def test_criterion_03_shadowed_fit_recovery():
     start = time.monotonic()
     for _ in range(1000):
         noisy = model + rng.normal(0.0, 1.5, distances.size)
-        fit = fit_ci([_omni_sample(d, pl) for d, pl in zip(distances, noisy)], F0)
+        fit = fit_ci(_omni_samples(distances, noisy), F0)
         ples.append(fit.ple)
         sigmas.append(fit.sigma_db)
     elapsed = time.monotonic() - start
@@ -154,13 +148,11 @@ def test_criterion_04_cross_polar_recovery():
     rng = np.random.default_rng(4321)
     distances = np.geomspace(6.3, 39.6, 10)
     vv_model = ANCHOR + 18.6 * np.log10(distances)
-    ci_vv = fit_ci([_omni_sample(d, pl) for d, pl in zip(distances, vv_model)], F0)
+    ci_vv = fit_ci(_omni_samples(distances, vv_model), F0)
     xpds, tighter = [], 0
     for _ in range(1000):
         vh = vv_model + rng.normal(27.7, 2.6, distances.size)
-        vh_samples = [
-            _omni_sample(d, pl, Polarization.VH) for d, pl in zip(distances, vh)
-        ]
+        vh_samples = _omni_samples(distances, vh)
         cix = fit_cix(vh_samples, ci_vv, F0)
         ci_vh = fit_ci(vh_samples, F0)
         xpds.append(cix.xpd_db)
@@ -287,14 +279,12 @@ def test_criterion_07_lobe_extraction():
 def test_criterion_08_closed_loop_recovery(tmp_path):
     start = time.monotonic()
     rendered = render_campaign(SynthesisParams(), 500, 42, tmp_path)
-    campaign = ingest_campaign(rendered.manifest_path)
-    vv = campaign.by_polarization(Polarization.VV)
-    vh = campaign.by_polarization(Polarization.VH)
-
-    ci_vv = fit_ci(collect_samples(vv, SampleKind.OMNI, 152.0), F0)
-    cix = fit_cix(collect_samples(vh, SampleKind.OMNI, 152.0), ci_vv, F0)
-    mean_lobes = campaign_angular_summary(vv, 30.0).n_aoa_lobes.mean
-    boresight = xpd_summary(collect_xpds(campaign.paired_locations()))[PathClass.BORESIGHT]
+    analysis = Analysis(ingest_campaign(rendered.manifest_path), thresholds_db=(30.0,), carrier_hz=F0,
+                        max_measurable_pl_db=152.0)
+    ci_vv = analysis.fit(Polarization.VV, SampleKind.OMNI)
+    cix = analysis.cross_polar(SampleKind.OMNI)
+    mean_lobes = analysis.angular[30.0].n_aoa_lobes.mean
+    boresight = analysis.xpd[PathClass.BORESIGHT]
     elapsed = time.monotonic() - start
 
     truth_xpd = float(np.mean([d.effective_omni_xpd_db for d in rendered.drops]))
@@ -363,14 +353,15 @@ def test_criterion_10_summary_oracle():
     ok = True
     for _ in range(100):
         locs = [random_location(i) for i in range(int(rng.integers(3, 9)))]
+        table = table_of(*locs)
         for t in (20.0, 30.0):
-            got = campaign_delay_summary(locs, t)
+            got = campaign_delay_summary(table, t)
             omni_r, omni_m, dir_r, dir_m = [], [], [], []
-            for loc in locs:
-                omni = synthesize_omni_pdp(loc)
+            for index, loc in enumerate(locs):
+                omni = omni_pdp(table, index)
                 omni_r.append(rms_delay_spread(omni, t))
                 omni_m.append(max_delay_spread(omni, t))
-                for pdp in loc.detectable_sweeps():
+                for pdp in (s for s in loc.sweeps if s.is_detectable()):
                     dir_r.append(rms_delay_spread(pdp, t))
                     dir_m.append(max_delay_spread(pdp, t))
             ok &= got.omni_rmsds == _five_number_oracle(omni_r)
@@ -378,12 +369,12 @@ def test_criterion_10_summary_oracle():
             ok &= got.dir_rmsds == _five_number_oracle(dir_r)
             ok &= got.dir_mds == _five_number_oracle(dir_m)
 
-            got_ang = campaign_angular_summary(locs, t)
+            got_ang = campaign_angular_summary(table, t)
             lobes = {Side.AOA: [], Side.AOD: []}
             spreads = {Side.AOA: [], Side.AOD: []}
-            for loc in locs:
+            for index in range(len(locs)):
                 for side in (Side.AOA, Side.AOD):
-                    pas = power_angular_spectrum(loc, side, t)
+                    pas = power_angular_spectrum(table, index, side, t)
                     lobes[side].append(float(len(extract_spatial_lobes(pas, t))))
                     spreads[side].append(rms_angular_spread(pas))
             ok &= got_ang.n_aoa_lobes == _five_number_oracle(lobes[Side.AOA])

@@ -22,7 +22,7 @@ from subthz_chan import (
     power_angular_spectrum,
     rms_angular_spread,
 )
-from conftest import make_location, make_pdp
+from conftest import make_location, make_pdp, table_of
 
 
 def make_pas(powers, phase=0.0, side=Side.AOA):
@@ -68,7 +68,7 @@ class TestPowerAngularSpectrum:
             make_pdp([10.0], [-60.0], tx_az=0.0, rx_az=0.0),
             make_pdp([10.0], [-75.0], tx_az=8.0, rx_az=8.0),
         ]
-        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, 20.0)
+        pas = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 20.0)
         assert len(pas.bins_deg) == 45
         assert pas.powers_mw[0] == pytest.approx(db_to_linear(-60.0), rel=1e-12)
         assert pas.powers_mw[1] == pytest.approx(db_to_linear(-75.0), rel=1e-12)
@@ -81,9 +81,9 @@ class TestPowerAngularSpectrum:
             make_pdp([10.0], [-60.0], tx_az=0.0, rx_az=0.0),
             make_pdp([10.0, 12.0], [-75.0, -85.0], tx_az=8.0, rx_az=8.0),
         ]
-        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, 20.0)
+        pas = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 20.0)
         assert pas.powers_mw[1] == pytest.approx(db_to_linear(-75.0), rel=1e-12)
-        wide = power_angular_spectrum(make_location(sweeps), Side.AOA, 30.0)
+        wide = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 30.0)
         assert wide.powers_mw[1] == pytest.approx(
             db_to_linear(-75.0) + db_to_linear(-85.0), rel=1e-12
         )
@@ -91,7 +91,7 @@ class TestPowerAngularSpectrum:
     def test_noise_floor_still_applies(self):
         # within the global window but under the sweep's own floor
         sweeps = [make_pdp([10.0, 12.0], [-60.0, -65.0], floor=-63.0)]
-        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, 30.0)
+        pas = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 30.0)
         assert pas.powers_mw[0] == pytest.approx(db_to_linear(-60.0), rel=1e-12)
 
     def test_grid_phase_from_first_detectable_sweep(self):
@@ -99,7 +99,7 @@ class TestPowerAngularSpectrum:
             make_pdp([10.0], [-60.0], tx_az=4.0, rx_az=4.0),
             make_pdp([10.0], [-70.0], tx_az=12.0, rx_az=12.0),
         ]
-        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, 20.0)
+        pas = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 20.0)
         assert pas.bins_deg[0] == 4.0
         assert pas.bins_deg[-1] == 356.0
 
@@ -109,20 +109,20 @@ class TestPowerAngularSpectrum:
             make_pdp([10.0], [-70.0], tx_az=9.0, rx_az=9.0),
         ]
         with pytest.raises(ValidationError):
-            power_angular_spectrum(make_location(sweeps), Side.AOA, 20.0)
+            power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 20.0)
 
     def test_sides_use_their_own_azimuth(self):
         sweeps = [make_pdp([10.0], [-60.0], tx_az=16.0, rx_az=24.0)]
         loc = make_location(sweeps)
-        aod = power_angular_spectrum(loc, Side.AOD, 20.0)
-        aoa = power_angular_spectrum(loc, Side.AOA, 20.0)
+        aod = power_angular_spectrum(table_of(loc), 0, Side.AOD, 20.0)
+        aoa = power_angular_spectrum(table_of(loc), 0, Side.AOA, 20.0)
         assert aod.bins_deg[aod.powers_mw.index(max(aod.powers_mw))] == 16.0
         assert aoa.bins_deg[aoa.powers_mw.index(max(aoa.powers_mw))] == 24.0
 
     def test_all_noise_raises(self):
         loc = make_location([make_pdp([10.0], [-95.0], floor=-90.0)])
         with pytest.raises(NoSignalError):
-            power_angular_spectrum(loc, Side.AOA, 20.0)
+            power_angular_spectrum(table_of(loc), 0, Side.AOA, 20.0)
 
     def test_tap_cut_compares_in_db(self):
         # -29.3 dB sits exactly 20 dB under -9.3 dB, but a hair under the cut in linear power
@@ -130,13 +130,24 @@ class TestPowerAngularSpectrum:
             make_pdp([10.0], [-9.3], tx_az=180.0, rx_az=0.0, floor=-100.0),
             make_pdp([10.0], [-29.3], tx_az=172.0, rx_az=8.0, floor=-100.0),
         ]
-        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, 20.0)
+        pas = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 20.0)
         assert pas.powers_mw[0] > 0 and pas.powers_mw[1] > 0
 
     def test_rejects_nonpositive_threshold(self):
         loc = make_location([make_pdp([10.0], [-60.0])])
         with pytest.raises(ValidationError):
-            power_angular_spectrum(loc, Side.AOA, 0.0)
+            power_angular_spectrum(table_of(loc), 0, Side.AOA, 0.0)
+
+    def test_one_location_of_a_larger_table(self):
+        # location 1 has an off-grid azimuth, which only its own spectrum sees
+        here = make_location([make_pdp([10.0], [-60.0], rx_az=8.0), make_pdp([10.0], [-70.0], rx_az=16.0)])
+        off_grid = make_location([make_pdp([10.0], [-50.0]), make_pdp([10.0], [-55.0], rx_az=3.0)], rx_id="RX2")
+        table = table_of(here, off_grid)
+        assert power_angular_spectrum(table, 0, Side.AOA, 20.0) == power_angular_spectrum(
+            table_of(here), 0, Side.AOA, 20.0
+        )
+        with pytest.raises(ValidationError, match="off the uniform"):
+            power_angular_spectrum(table, 1, Side.AOA, 20.0)
 
     @given(
         st.lists(
@@ -153,7 +164,7 @@ class TestPowerAngularSpectrum:
             make_pdp([10.0], [p], tx_az=8.0 * b, rx_az=8.0 * b, floor=floor)
             for b, p in taps
         ]
-        pas = power_angular_spectrum(make_location(sweeps), Side.AOA, threshold)
+        pas = power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, threshold)
         cut = max(p for _, p in taps) - threshold
         expected = [0.0] * 45
         for b, p in taps:
@@ -335,7 +346,7 @@ class TestCampaignAngularSummary:
 
     def test_lobe_count_quartiles(self):
         locs = [self.lobe_location(k, f"RX{k}") for k in (1, 3, 5)]
-        summary = campaign_angular_summary(locs, 20.0)
+        summary = campaign_angular_summary(table_of(*locs), 20.0)
         assert summary.n_aoa_lobes.min == 1.0
         assert summary.n_aoa_lobes.median == 3.0
         assert summary.n_aoa_lobes.max == 5.0
@@ -345,5 +356,5 @@ class TestCampaignAngularSummary:
     def test_silent_location_skipped(self):
         live = self.lobe_location(2, "RX1")
         dead = make_location([make_pdp([0.0], [-95.0], floor=-90.0)], rx_id="RX9")
-        summary = campaign_angular_summary([live, dead], 20.0)
+        summary = campaign_angular_summary(table_of(live, dead), 20.0)
         assert summary.n_aoa_lobes.n == 1

@@ -73,7 +73,7 @@ class TestIngestGolden:
         # heights are per-side defaults, not stored in the manifest
         assert loc.tx_antenna.height_m == 3.0
         assert loc.rx_antenna.height_m == 1.5
-        assert loc.gain_sum_dbi == 54.0
+        assert loc.tx_antenna.gain_dbi + loc.rx_antenna.gain_dbi == 54.0
         assert loc.distance_m == pytest.approx(math.hypot(9.886, 1.5))
 
     def test_sweeps_grouped_by_pointing(self, tmp_path):
@@ -598,9 +598,9 @@ class TestColumnarCampaign:
         vh = rendered_campaign.rows(Polarization.VH).tolist()
         assert rendered_campaign.by_polarization(Polarization.VV) == tuple(rendered_campaign[i] for i in vv)
         assert sorted(vv + vh) == list(range(len(rendered_campaign)))
-        assert rendered_campaign.paired_locations() == tuple(
-            (rendered_campaign[a], rendered_campaign[b]) for a, b in rendered_campaign.pairs()
-        )
+        for a, b in rendered_campaign.pairs():
+            assert rendered_campaign[a].key == (*rendered_campaign[b].key[:2], Polarization.VV)
+            assert rendered_campaign[b].polarization is Polarization.VH
         assert len(rendered_campaign.pairs()) == 6
 
 

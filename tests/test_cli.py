@@ -5,8 +5,19 @@ import json
 
 import pytest
 from conftest import make_location, make_pdp
+from test_columnar import loop_pas
 
-from subthz_chan import Campaign, SynthesisParams, cli, render_campaign, write_campaign
+from subthz_chan import (
+    Campaign,
+    Polarization,
+    Side,
+    SynthesisParams,
+    cli,
+    ingest_campaign,
+    linear_to_db,
+    render_campaign,
+    write_campaign,
+)
 from subthz_chan.cli import EXIT_DEGENERATE_FIT, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -283,6 +294,21 @@ class TestPasDump:
             assert 0.0 <= bin_deg < 360.0
             assert power_db < 0.0
 
+    @pytest.mark.parametrize(
+        "tx_id, pol, side, threshold_db",
+        [("TX0001", "VV", "AOA", 30.0), ("TX0002", "VV", "AOD", 20.0), ("TX0003", "VH", "AOA", 10.0)],
+    )
+    def test_dump_matches_loop_oracle(self, manifest, capsys, tx_id, pol, side, threshold_db):
+        rx_id = tx_id.replace("TX", "RX")
+        argv = ["pas", "dump", "--manifest", str(manifest), "--tx-id", tx_id, "--rx-id", rx_id, "--pol", pol,
+                "--side", side, "--threshold-db", str(threshold_db)]
+        assert main(argv) == EXIT_OK
+        campaign = ingest_campaign(manifest)
+        loc = campaign[campaign.find((tx_id, rx_id, Polarization(pol)))]
+        bins, powers = loop_pas(loc, Side(side), threshold_db)
+        rows = ["%.4f,%.4f\n" % (b, linear_to_db(p)) for b, p in zip(bins, powers) if p > 0]
+        assert capsys.readouterr().out == "bin_deg,power_db\n" + "".join(rows)
+
     def test_unknown_location_is_validation_error(self, manifest, capsys):
         code = main(
             [
@@ -517,6 +543,7 @@ class TestObjectsOnRequest:
             ["stats", "angular", *m],
             ["xpd", "report", *m],
             ["xpd", "report", *m, "--format", "csv"],
+            ["pas", "dump", *m, "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA"],
             ["report", *m, "--out", str(out)],
         ]
 
@@ -524,11 +551,4 @@ class TestObjectsOnRequest:
         for argv in self.queries(manifest, tmp_path / "report"):
             assert main(argv) == EXIT_OK, argv
             assert built == {"pdp": 0, "location": 0}, argv
-        capsys.readouterr()
-
-    def test_pas_dump_builds_its_one_location(self, manifest, capsys, built):
-        argv = ["pas", "dump", "--manifest", str(manifest), "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA"]
-        assert main(argv) == EXIT_OK
-        assert built["location"] == 1
-        assert built["pdp"] >= 1
         capsys.readouterr()

@@ -1,49 +1,48 @@
-"""The tap table and its kernels against the per-location public functions."""
+"""The tap table and its kernels against one-location tables and per-object loop references."""
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_location, make_pdp
+from conftest import by_direction, make_location, make_pdp, omni_pdp, table_of
 
 from subthz_chan import (
     Analysis,
     Campaign,
     DirectionClass,
     NoSignalError,
-    PathClass,
     Polarization,
     SampleKind,
     Side,
     SynthesisParams,
     TapTable,
     ValidationError,
+    XpdColumns,
     angular_stats,
+    bearings_deg,
     campaign_angular_summary,
     circular_distance_deg,
-    classify_directions,
     db_to_linear,
     delay_stats,
-    direction_path_loss_map,
-    directional_path_loss,
-    directional_xpd,
+    directional_samples,
     ingest_campaign,
-    integrated_power_mw,
     linear_to_db,
-    los_bearings_deg,
-    omni_path_loss,
+    omni_bins,
+    omni_losses,
     power_angular_spectrum,
     render_campaign,
     summarize,
-    synthesize_omni_pdp,
+    sweep_classes,
+    sweep_losses,
     write_campaign,
-    xpd_summary,
+    xpd_columns,
 )
 from subthz_chan.cli import EXIT_VALIDATION, main
-from subthz_chan.delay import omni_bins
-from subthz_chan.pathloss import omni_losses, sweep_losses
+from subthz_chan.pathloss import DIRECTION_CLASSES
 
 REL = 1e-12
 
@@ -75,13 +74,26 @@ def assert_row_close(row, values):
         assert getattr(row, field) == pytest.approx(getattr(expected, field), rel=REL, abs=0.0), field
 
 
+def detectable(loc):
+    return [pdp for pdp in loc.sweeps if pdp.is_detectable()]
+
+
+def one_location(campaign, row):
+    """The tap table of one campaign row."""
+    return TapTable(campaign.columns, [row])
+
+
+def samples_of(table, samples):
+    """(distance_m, pl_db, los) of each sample of a table."""
+    return list(zip(samples.distance_m.tolist(), samples.pl_db.tolist(), table.los[samples.loc].tolist()))
+
+
 def assert_samples_equal(analysis, pol, kind, single):
-    batched = analysis.samples(pol, kind)
-    los = analysis.table(pol).los[batched.loc].tolist()
+    batched = samples_of(analysis.table(pol), analysis.samples(pol, kind))
     assert len(batched) == len(single)
-    for distance_m, pl_db, is_los, b in zip(batched.distance_m.tolist(), batched.pl_db.tolist(), los, single):
-        assert (distance_m, pol, kind, is_los) == (b.distance_m, b.polarization, b.kind, b.los)
-        assert pl_db == pytest.approx(b.pl_db, rel=REL, abs=0.0)
+    for (distance_m, pl_db, is_los), (b_distance_m, b_pl_db, b_los) in zip(batched, single):
+        assert (distance_m, is_los) == (b_distance_m, b_los)
+        assert pl_db == pytest.approx(b_pl_db, rel=REL, abs=0.0)
 
 
 class TestTapTable:
@@ -111,11 +123,11 @@ class TestTapTable:
         expected = [
             (index, delay, power)
             for index, loc in enumerate(campaign)
-            for pdp in loc.detectable_sweeps()
+            for pdp in detectable(loc)
             for delay, power in pdp.detected_bins()
         ]
         assert rows == expected
-        assert table.n_sweeps.tolist() == [len(loc.detectable_sweeps()) for loc in campaign]
+        assert table.n_sweeps.tolist() == [len(detectable(loc)) for loc in campaign]
 
     def test_location_without_signal_has_no_rows(self, campaign):
         table = TapTable(campaign.columns)
@@ -136,41 +148,39 @@ class TestTapTable:
 
 
 class TestKernelsMatchPerLocationFunctions:
-    """``Analysis`` over the whole campaign against the per-location functions, composed by hand."""
+    """``Analysis`` over the whole campaign against one-location tables, composed by hand."""
 
     def test_path_loss_samples_and_exclusions(self, campaign, analysis):
         for pol in Polarization:
             single, excluded = [], []
-            for loc in campaign.by_polarization(pol):
-                try:
-                    single.append(omni_path_loss(loc, analysis.max_measurable_pl_db))
-                except NoSignalError as err:
-                    excluded.append((loc.tx_id, loc.rx_id, str(err)))
+            for row in campaign.rows(pol).tolist():
+                table = one_location(campaign, row)
+                samples, errors = omni_losses(table, analysis.max_measurable_pl_db)
+                single.extend(samples_of(table, samples))
+                excluded.extend((*table.key(0)[:2], str(err)) for _, err in errors)
             assert_samples_equal(analysis, pol, SampleKind.OMNI, single)
             listed = [(e["tx_id"], e["rx_id"], e["reason"]) for e in analysis.excluded if e["polarization"] == pol.value]
             assert listed == excluded
         assert ("TX-SILENT", "RX-SILENT") in {(e["tx_id"], e["rx_id"]) for e in analysis.excluded}
-        directional = []
-        for loc in campaign.by_polarization(Polarization.VV):
-            try:
-                directional.extend(directional_path_loss(loc, analysis.max_measurable_pl_db))
-            except NoSignalError:
-                continue
-        for kind in (SampleKind.DIR_B, SampleKind.DIR_NBB, SampleKind.DIR_NB):
-            assert_samples_equal(analysis, Polarization.VV, kind, [s for s in directional if s.kind is kind])
+        directional = {kind: [] for kind in (SampleKind.DIR_B, SampleKind.DIR_NBB, SampleKind.DIR_NB)}
+        for row in campaign.rows(Polarization.VV).tolist():
+            table = one_location(campaign, row)
+            for kind, samples in directional_samples(table, analysis.max_measurable_pl_db).items():
+                directional[kind].extend(samples_of(table, samples))
+        for kind, single in directional.items():
+            assert_samples_equal(analysis, Polarization.VV, kind, single)
 
     @pytest.mark.parametrize("threshold_db", [20.0, 30.0])
     def test_delay_section(self, campaign, analysis, threshold_db):
         omni_rms, omni_mds, dir_rms, dir_mds = [], [], [], []
-        for loc in campaign.by_polarization(Polarization.VV):
-            try:
-                omni = synthesize_omni_pdp(loc)
-            except NoSignalError:
+        for row in campaign.rows(Polarization.VV).tolist():
+            table = one_location(campaign, row)
+            if table.no_signal(0):
                 continue
-            stats = delay_stats(omni, threshold_db)
+            stats = delay_stats(omni_pdp(table), threshold_db)
             omni_rms.append(stats.rmsds_ns)
             omni_mds.append(stats.mds_ns)
-            for pdp in loc.detectable_sweeps():
+            for pdp in detectable(campaign[row]):
                 stats = delay_stats(pdp, threshold_db)
                 dir_rms.append(stats.rmsds_ns)
                 dir_mds.append(stats.mds_ns)
@@ -184,11 +194,12 @@ class TestKernelsMatchPerLocationFunctions:
     def test_angular_section(self, campaign, analysis, threshold_db):
         lobes = {Side.AOA: [], Side.AOD: []}
         spreads = {Side.AOA: [], Side.AOD: []}
-        for loc in campaign.by_polarization(Polarization.VV):
-            if not loc.detectable_sweeps():
+        for row in campaign.rows(Polarization.VV).tolist():
+            table = one_location(campaign, row)
+            if table.no_signal(0):
                 continue
             for side in Side:
-                stats = angular_stats(power_angular_spectrum(loc, side, threshold_db), threshold_db)
+                stats = angular_stats(power_angular_spectrum(table, 0, side, threshold_db), threshold_db)
                 lobes[side].append(float(stats.n_lobes))
                 spreads[side].append(stats.rmsas_deg)
         summary = analysis.angular[threshold_db]
@@ -198,7 +209,10 @@ class TestKernelsMatchPerLocationFunctions:
         assert_row_close(summary.aod_rmsas, spreads[Side.AOD])
 
     def test_xpd_section(self, campaign, analysis):
-        single = xpd_summary(x for vv, vh in campaign.paired_locations() for x in directional_xpd(vv, vh))
+        pairs = [
+            xpd_columns(one_location(campaign, vv), one_location(campaign, vh), [(0, 0)]) for vv, vh in campaign.pairs()
+        ]
+        single = XpdColumns(*(np.concatenate(column) for column in zip(*pairs))).summary()
         assert set(analysis.xpd) == set(single)
         for path_class, expected in single.items():
             got = analysis.xpd[path_class]
@@ -208,6 +222,28 @@ class TestKernelsMatchPerLocationFunctions:
             for (v, f), (ev, ef) in zip(got.cdf, expected.cdf):
                 assert f == ef
                 assert v == pytest.approx(ev, rel=REL, abs=0.0)
+
+
+@pytest.mark.parametrize("module", ["delay", "pathloss", "xpd", "angular", "pipeline", "cli"])
+def test_no_analysis_callable_takes_a_location_record(module):
+    """Every statistic starts from a ``TapTable``: no public function or method takes a ``LocationMeasurement``."""
+    mod = importlib.import_module(f"subthz_chan.{module}")
+    functions = []
+    for name, value in vars(mod).items():
+        if name.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(value):
+            functions.append((name, value))
+        elif inspect.isclass(value):
+            functions += [
+                (f"{name}.{attr}", member)
+                for attr, member in vars(value).items()
+                if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_"))
+            ]
+    assert functions
+    for name, function in functions:
+        for parameter in inspect.signature(function).parameters.values():
+            assert "LocationMeasurement" not in str(parameter.annotation), f"{module}.{name}({parameter.name})"
 
 
 class TestOffGridAzimuth:
@@ -231,17 +267,17 @@ class TestOffGridAzimuth:
             [make_pdp([0.0], [-60.0], rx_az=0.0), make_pdp([0.0], [-70.0], rx_az=5.0)], tx_id="TX2"
         )
         with pytest.raises(ValidationError) as err:
-            campaign_angular_summary([off_aod, off_aoa], 30.0)
+            campaign_angular_summary(table_of(off_aod, off_aoa), 30.0)
         assert err.value.field == "tx_az_deg"
         with pytest.raises(ValidationError) as err:
-            campaign_angular_summary([off_aoa, off_aod], 30.0)
+            campaign_angular_summary(table_of(off_aoa, off_aod), 30.0)
         assert err.value.field == "rx_az_deg"
 
     def test_single_spectrum_checks_only_its_side(self):
         off_aod = make_location([make_pdp([0.0], [-60.0], tx_az=0.0), make_pdp([0.0], [-70.0], tx_az=5.0)])
-        assert power_angular_spectrum(off_aod, Side.AOA, 30.0).powers_mw[0] > 0
+        assert power_angular_spectrum(table_of(off_aod), 0, Side.AOA, 30.0).powers_mw[0] > 0
         with pytest.raises(ValidationError, match="off the uniform"):
-            power_angular_spectrum(off_aod, Side.AOD, 30.0)
+            power_angular_spectrum(table_of(off_aod), 0, Side.AOD, 30.0)
 
 
 # Per-object loops the kernels replaced, kept as the reference they must
@@ -251,9 +287,10 @@ class TestOffGridAzimuth:
 
 def loop_omni(loc):
     acc = {}
-    for pdp in loc.detectable_sweeps():
+    gain_sum_dbi = loc.tx_antenna.gain_dbi + loc.rx_antenna.gain_dbi
+    for pdp in detectable(loc):
         for delay, power in pdp.detected_bins():
-            acc[delay] = acc.get(delay, 0.0) + db_to_linear(power - loc.gain_sum_dbi)
+            acc[delay] = acc.get(delay, 0.0) + db_to_linear(power - gain_sum_dbi)
     delays = sorted(acc)
     return delays, [acc[t] for t in delays]
 
@@ -277,14 +314,14 @@ def loop_sweep_delay(pdp, threshold_db):
 
 
 def loop_pas(loc, side, threshold_db):
-    detectable = loc.detectable_sweeps()
+    sweeps = detectable(loc)
     antenna = loc.tx_antenna if side is Side.AOD else loc.rx_antenna
     step, nbins = antenna.az_step_deg, antenna.n_az_bins
     azimuth = (lambda s: s.tx_az_deg) if side is Side.AOD else (lambda s: s.rx_az_deg)
-    phase = azimuth(detectable[0]) % step
-    cut = max(s.peak_db for s in detectable) - threshold_db
+    phase = azimuth(sweeps[0]) % step
+    cut = max(s.peak_db for s in sweeps) - threshold_db
     powers = [0.0] * nbins
-    for pdp in detectable:
+    for pdp in sweeps:
         index = round((azimuth(pdp) - phase) / step) % nbins
         for _, power in pdp.detected_bins():
             if power >= cut:
@@ -306,18 +343,22 @@ def loop_lobe_count(powers, threshold_db):
     return 1 if all(marked) else sum(1 for i in range(len(marked)) if marked[i] and not marked[i - 1])
 
 
+def loop_power_mw(pdp):
+    return sum(db_to_linear(p) for _, p in pdp.detected_bins())
+
+
 def loop_losses(loc):
+    gain_sum_dbi = loc.tx_antenna.gain_dbi + loc.rx_antenna.gain_dbi
     return {
-        pdp.direction: loc.tx_power_dbm + loc.gain_sum_dbi - linear_to_db(integrated_power_mw(pdp))
-        for pdp in loc.detectable_sweeps()
+        pdp.direction: loc.tx_power_dbm + gain_sum_dbi - linear_to_db(loop_power_mw(pdp)) for pdp in detectable(loc)
     }
 
 
 def loop_classes(loc):
-    powers = {pdp.direction: integrated_power_mw(pdp) for pdp in loc.detectable_sweeps()}
+    powers = {pdp.direction: loop_power_mw(pdp) for pdp in detectable(loc)}
     classes, remaining = {}, set(powers)
     if loc.los:
-        tx_bearing, rx_bearing = los_bearings_deg(loc)
+        tx_bearing, rx_bearing = bearings_deg(loc.tx_pos_m, loc.rx_pos_m)
         candidates = []
         for tx_az, rx_az in remaining:
             d_tx = circular_distance_deg(tx_az, tx_bearing)
@@ -340,44 +381,50 @@ THRESHOLDS = (10.0, 20.0, 25.0, 30.0)
 
 class TestAgainstLoopReference:
     def test_omni_and_delay(self, campaign):
-        for loc in campaign:
-            if not loc.detectable_sweeps():
+        for row, loc in enumerate(campaign):
+            if not detectable(loc):
                 continue
             delays, powers = loop_omni(loc)
-            omni = synthesize_omni_pdp(loc)
+            omni = omni_pdp(one_location(campaign, row))
             assert (list(omni.delays_ns), list(omni.powers_mw)) == (delays, powers)
             for t in THRESHOLDS:
                 stats = delay_stats(omni, t)
                 assert (stats.rmsds_ns, stats.mds_ns, stats.n_taps) == loop_omni_delay(delays, powers, t)
-                for pdp in loc.detectable_sweeps():
+                for pdp in detectable(loc):
                     stats = delay_stats(pdp, t)
                     assert (stats.rmsds_ns, stats.mds_ns, stats.n_taps) == loop_sweep_delay(pdp, t)
 
     def test_angular(self, campaign):
-        for loc in campaign:
-            if not loc.detectable_sweeps():
+        # each location's spectrum read out of the whole campaign's table
+        table = TapTable(campaign.columns)
+        for row, loc in enumerate(campaign):
+            if not detectable(loc):
                 continue
             for side in Side:
                 for t in THRESHOLDS:
                     bins, powers = loop_pas(loc, side, t)
-                    pas = power_angular_spectrum(loc, side, t)
+                    pas = power_angular_spectrum(table, row, side, t)
                     assert (list(pas.bins_deg), list(pas.powers_mw)) == (bins, powers)
                     stats = angular_stats(pas, t)
                     assert stats.n_lobes == loop_lobe_count(powers, t)
                     assert stats.rmsas_deg == pytest.approx(loop_rms_spread(bins, powers), rel=REL, abs=1e-12)
 
     def test_losses_classes_and_xpd(self, campaign):
-        for loc in campaign:
-            assert direction_path_loss_map(loc) == loop_losses(loc)
-            if loc.detectable_sweeps():
-                assert classify_directions(loc) == loop_classes(loc)
-        for vv, vh in campaign.paired_locations():
+        for row, loc in enumerate(campaign):
+            table = one_location(campaign, row)
+            assert by_direction(table, sweep_losses(table)) == loop_losses(loc)
+            if detectable(loc):
+                classes = {d: DIRECTION_CLASSES[c] for d, c in by_direction(table, sweep_classes(table)).items()}
+                assert classes == loop_classes(loc)
+        for row_vv, row_vh in campaign.pairs():
+            vv, vh = campaign[row_vv], campaign[row_vh]
             pl_vv, pl_vh = loop_losses(vv), loop_losses(vh)
             classes = loop_classes(vv) if pl_vv else {}
             expected = [
                 (d, pl_vh[d] - pl_vv[d], classes[d] is DirectionClass.B) for d in sorted(set(pl_vv) & set(pl_vh))
             ]
-            got = [(x.direction, x.xpd_db, x.path_class is PathClass.BORESIGHT) for x in directional_xpd(vv, vh)]
+            xpds = xpd_columns(one_location(campaign, row_vv), one_location(campaign, row_vh), [(0, 0)])
+            got = list(zip(zip(xpds.tx_az_deg.tolist(), xpds.rx_az_deg.tolist()), xpds.xpd_db.tolist(), xpds.boresight.tolist()))
             assert got == expected
 
     @pytest.mark.parametrize("ceiling", [None, 152.0, 118.0])

@@ -1,4 +1,4 @@
-"""Omnidirectional PDP synthesis and delay-spread statistics."""
+"""Omnidirectional PDP synthesis (``omni_bins``) and delay-spread statistics."""
 from __future__ import annotations
 
 import math
@@ -18,16 +18,15 @@ from subthz_chan import (
     delay_stats,
     max_delay_spread,
     rms_delay_spread,
-    synthesize_omni_pdp,
 )
-from conftest import make_location, make_pdp
+from conftest import make_location, make_pdp, omni_pdp, table_of
 
 
 def omni_of(delay_power_pairs, floor=-200.0):
     """Single-sweep location -> omni PDP, for quick spread checks."""
     delays = [d for d, _ in delay_power_pairs]
     powers = [p for _, p in delay_power_pairs]
-    return synthesize_omni_pdp(make_location([make_pdp(delays, powers, floor=floor)]))
+    return omni_pdp(table_of(make_location([make_pdp(delays, powers, floor=floor)])))
 
 
 class TestOmniSynthesis:
@@ -42,7 +41,7 @@ class TestOmniSynthesis:
             make_pdp([10.0], [-60.0], rx_az=0.0),
             make_pdp([10.0], [-60.0], rx_az=8.0),
         ]
-        omni = synthesize_omni_pdp(make_location(sweeps))
+        omni = omni_pdp(table_of(make_location(sweeps)))
         assert omni.delays_ns == (10.0,)
         assert omni.powers_mw[0] == pytest.approx(2.0 * db_to_linear(-114.0), rel=1e-12)
 
@@ -51,7 +50,7 @@ class TestOmniSynthesis:
             make_pdp([10.0, 12.0], [-60.0, -70.0], rx_az=0.0),
             make_pdp([14.0], [-65.0], rx_az=8.0),
         ]
-        omni = synthesize_omni_pdp(make_location(sweeps))
+        omni = omni_pdp(table_of(make_location(sweeps)))
         assert omni.delays_ns == (10.0, 12.0, 14.0)
 
     def test_subfloor_bins_and_dead_sweeps_excluded(self):
@@ -59,13 +58,13 @@ class TestOmniSynthesis:
             make_pdp([10.0, 12.0], [-60.0, -95.0], rx_az=0.0, floor=-90.0),
             make_pdp([14.0], [-95.0], rx_az=8.0, floor=-90.0),
         ]
-        omni = synthesize_omni_pdp(make_location(sweeps))
+        omni = omni_pdp(table_of(make_location(sweeps)))
         assert omni.delays_ns == (10.0,)
 
     def test_all_noise_raises(self):
         loc = make_location([make_pdp([10.0], [-95.0], floor=-90.0)])
         with pytest.raises(NoSignalError):
-            synthesize_omni_pdp(loc)
+            omni_pdp(table_of(loc))
 
     def test_source_records_location(self):
         omni = omni_of([(10.0, -60.0)])
@@ -108,9 +107,9 @@ class TestOmniSynthesis:
 
         if not expected:
             with pytest.raises(NoSignalError):
-                synthesize_omni_pdp(loc)
+                omni_pdp(table_of(loc))
             return
-        omni = synthesize_omni_pdp(loc)
+        omni = omni_pdp(table_of(loc))
         assert omni.delays_ns == tuple(sorted(expected))
         for d, p in zip(omni.delays_ns, omni.powers_mw):
             assert p == pytest.approx(expected[d], rel=1e-12)
@@ -242,7 +241,7 @@ class TestSpreadInvariances:
 class TestCampaignDelaySummary:
     def test_single_location(self):
         loc = make_location([make_pdp([0.0], [-60.0])])
-        summary = campaign_delay_summary([loc], 20.0)
+        summary = campaign_delay_summary(table_of(loc), 20.0)
         assert summary.omni_rmsds.n == 1
         assert summary.omni_rmsds.mean == 0.0
         assert summary.dir_mds.n == 1
@@ -255,7 +254,7 @@ class TestCampaignDelaySummary:
             )
             for rx, gap in spacings.items()
         ]
-        summary = campaign_delay_summary(locs, 20.0)
+        summary = campaign_delay_summary(table_of(*locs), 20.0)
         assert summary.omni_rmsds.min == pytest.approx(0.7, abs=1e-9)
         assert summary.omni_rmsds.median == pytest.approx(10.4, abs=1e-9)
         assert summary.omni_rmsds.max == pytest.approx(66.0, abs=1e-9)
@@ -266,5 +265,5 @@ class TestCampaignDelaySummary:
     def test_silent_location_skipped(self):
         live = make_location([make_pdp([0.0], [-60.0])])
         dead = make_location([make_pdp([0.0], [-95.0], floor=-90.0)], rx_id="RX9")
-        summary = campaign_delay_summary([live, dead], 20.0)
+        summary = campaign_delay_summary(table_of(live, dead), 20.0)
         assert summary.omni_rmsds.n == 1

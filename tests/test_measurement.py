@@ -16,16 +16,15 @@ from subthz_chan import (
     Polarization,
     ValidationError,
     circular_distance_deg,
+    bearings_deg,
     db_to_linear,
-    integrated_power_mw,
     linear_to_db,
-    los_bearings_deg,
-    threshold_pdp,
+    sweep_losses,
     wrap_deg,
     wrap_signed_deg,
 )
-from subthz_chan.measurement import bearings_deg, bearings_deg_array, db_to_linear_array, linear_to_db_array
-from conftest import make_location, make_pdp
+from subthz_chan.measurement import bearings_deg_array, db_to_linear_array, in_db_window, linear_to_db_array
+from conftest import make_location, make_pdp, table_of
 
 
 class TestAngleHelpers:
@@ -170,13 +169,26 @@ class TestDirectionalPdp:
 
     def test_detected_keeps_bins_at_floor(self):
         pdp = make_pdp([0.0, 2.0, 4.0], [-60.0, -90.0, -95.0], floor=-90.0)
-        det = pdp.detected()
-        assert det.delays_ns == (0.0, 2.0)
-        assert det.powers_db == (-60.0, -90.0)
+        assert pdp.detected_bins() == [(0.0, -60.0), (2.0, -90.0)]
 
     def test_detected_raises_without_signal(self):
         with pytest.raises(NoSignalError):
-            make_pdp([0.0], [-95.0], floor=-90.0).detected()
+            make_pdp([0.0], [-95.0], floor=-90.0).detected_bins()
+
+
+def threshold_pdp(pdp, threshold_db):
+    """``pdp`` cut to the taps the delay spreads keep of a sweep: its ``TapTable`` taps
+    (above the floor) within ``threshold_db`` of the sweep's peak."""
+    table = table_of(make_location([pdp]))
+    keep = in_db_window(table.power_db, table.peak_db[table.tap_sweep], threshold_db)
+    delays, powers = table.delay_ns[keep].tolist(), table.power_db[keep].tolist()
+    return make_pdp(delays, powers, pdp.tx_az_deg, pdp.rx_az_deg, pdp.noise_floor_db)
+
+
+def integrated_power_mw(pdp):
+    """The received power of a sweep, as its path loss integrates it."""
+    table = table_of(make_location([pdp]))
+    return db_to_linear(table.tx_power_dbm[0] + table.gain_sum_dbi[0] - sweep_losses(table)[0])
 
 
 class TestThresholdPdp:
@@ -251,7 +263,7 @@ class TestLocationMeasurement:
     def test_distance_and_gains(self):
         loc = make_location([make_pdp([0.0], [-60.0])], distance=10.0)
         assert loc.distance_m == pytest.approx(10.0, abs=1e-12)
-        assert loc.gain_sum_dbi == 54.0
+        assert table_of(loc).gain_sum_dbi.tolist() == [54.0]
 
     def test_rejects_duplicate_pointing(self):
         sweeps = [
@@ -298,13 +310,13 @@ class TestLocationMeasurement:
             make_pdp([0.0], [-95.0], rx_az=8.0, floor=-90.0),
         ]
         loc = make_location(sweeps)
-        assert [s.rx_az_deg for s in loc.detectable_sweeps()] == [0.0]
+        assert table_of(loc).rx_az_deg.tolist() == [0.0]
 
 
 class TestLosBearings:
     def test_aisle_geometry(self):
         loc = make_location([make_pdp([0.0], [-60.0])], distance=10.0)
-        tx_to_rx, rx_to_tx = los_bearings_deg(loc)
+        tx_to_rx, rx_to_tx = bearings_deg(loc.tx_pos_m, loc.rx_pos_m)
         assert tx_to_rx == pytest.approx(180.0)
         assert rx_to_tx == pytest.approx(0.0)
 
@@ -323,7 +335,7 @@ class TestLosBearings:
             rx_antenna=AntennaConfig.default_rx(),
             tx_power_dbm=0.0,
         )
-        tx_to_rx, rx_to_tx = los_bearings_deg(loc)
+        tx_to_rx, rx_to_tx = bearings_deg(loc.tx_pos_m, loc.rx_pos_m)
         assert tx_to_rx == pytest.approx(315.0)
         assert rx_to_tx == pytest.approx(135.0)
 

@@ -14,21 +14,20 @@ from subthz_chan import (
     DegenerateFitError,
     DirectionClass,
     NoSignalError,
-    PathLossSample,
+    PathLossColumns,
     Polarization,
     SampleKind,
     SPEED_OF_LIGHT_M_S,
     ValidationError,
-    classify_directions,
-    collect_samples,
-    direction_path_loss_map,
-    directional_path_loss,
+    directional_samples,
     fit_ci,
     fit_cix,
     fspl,
-    omni_path_loss,
+    omni_losses,
+    sweep_classes,
 )
-from conftest import make_location, make_pdp
+from subthz_chan.pathloss import DIRECTION_CLASSES
+from conftest import by_direction, direction_path_loss_map, make_location, make_pdp, table_of
 
 F_142 = 142e9
 ANCHOR_142 = 75.4935501095445
@@ -55,6 +54,13 @@ class TestFspl:
     def test_distance_scaling(self):
         assert fspl(F_142, 10.0) == pytest.approx(ANCHOR_142 + 20.0, abs=1e-9)
         assert fspl(F_142, 100.0) == pytest.approx(ANCHOR_142 + 40.0, abs=1e-9)
+
+
+def classify_directions(loc):
+    """B / NBB / NB of each detectable pointing pair of one location; NoSignalError without one."""
+    table = table_of(loc)
+    table.require_signal()
+    return {d: DIRECTION_CLASSES[c] for d, c in by_direction(table, sweep_classes(table)).items()}
 
 
 class TestDirectionPathLossMap:
@@ -151,19 +157,20 @@ class TestClassifyDirections:
 
 class TestOmniPathLoss:
     def test_value_and_metadata(self):
-        loc = make_location([make_pdp([10.0], [-60.0])], distance=10.0)
-        sample = omni_path_loss(loc)
-        assert sample.pl_db == pytest.approx(114.0, abs=1e-9)
-        assert sample.distance_m == pytest.approx(10.0)
-        assert sample.kind is SampleKind.OMNI
-        assert sample.polarization is Polarization.VV
-        assert sample.los is True
+        table = table_of(make_location([make_pdp([10.0], [-60.0])], distance=10.0))
+        samples, excluded = omni_losses(table)
+        assert excluded == []
+        assert samples.pl_db.tolist() == [pytest.approx(114.0, abs=1e-9)]
+        assert samples.distance_m.tolist() == [pytest.approx(10.0)]
+        assert table.key(samples.loc[0])[2] is Polarization.VV
+        assert table.los[samples.loc[0]]
 
     def test_ceiling_rejects_weak_links(self):
-        loc = make_location([make_pdp([10.0], [-60.0])])
-        assert omni_path_loss(loc, max_measurable_pl_db=152.0).pl_db < 152.0
-        with pytest.raises(NoSignalError):
-            omni_path_loss(loc, max_measurable_pl_db=100.0)
+        table = table_of(make_location([make_pdp([10.0], [-60.0])]))
+        assert omni_losses(table, max_measurable_pl_db=152.0)[0].pl_db[0] < 152.0
+        samples, excluded = omni_losses(table, max_measurable_pl_db=100.0)
+        assert len(samples) == 0
+        assert [(index, type(err)) for index, err in excluded] == [(0, NoSignalError)]
 
 
 class TestDirectionalPathLoss:
@@ -172,18 +179,14 @@ class TestDirectionalPathLoss:
             make_pdp([10.0], [-80.0], tx_az=188.0, rx_az=16.0),
             make_pdp([10.0], [-60.0], tx_az=180.0, rx_az=0.0),
             make_pdp([10.0], [-70.0], tx_az=172.0, rx_az=8.0),
+            make_pdp([10.0], [-85.0], tx_az=164.0, rx_az=24.0),
         ]
-        samples = directional_path_loss(make_location(sweeps))
-        # rows come back ordered by (tx_az, rx_az), not by power
-        assert [s.kind for s in samples] == [
-            SampleKind.DIR_NBB,
-            SampleKind.DIR_B,
-            SampleKind.DIR_NB,
-        ]
-        assert samples[1].pl_db == pytest.approx(114.0, abs=1e-9)
-        assert [s.pl_db for s in samples] == [
-            pytest.approx(124.0, abs=1e-9),
-            pytest.approx(114.0, abs=1e-9),
+        samples = directional_samples(table_of(make_location(sweeps)))
+        assert samples[SampleKind.DIR_B].pl_db.tolist() == [pytest.approx(114.0, abs=1e-9)]
+        assert samples[SampleKind.DIR_NBB].pl_db.tolist() == [pytest.approx(124.0, abs=1e-9)]
+        # rows of one kind come back ordered by (tx_az, rx_az), not by power
+        assert samples[SampleKind.DIR_NB].pl_db.tolist() == [
+            pytest.approx(139.0, abs=1e-9),
             pytest.approx(134.0, abs=1e-9),
         ]
 
@@ -192,33 +195,36 @@ class TestDirectionalPathLoss:
             make_pdp([10.0], [-60.0], tx_az=180.0, rx_az=0.0),
             make_pdp([10.0], [-75.0], tx_az=172.0, rx_az=8.0),
         ]
-        samples = directional_path_loss(make_location(sweeps), max_measurable_pl_db=120.0)
-        assert [s.kind for s in samples] == [SampleKind.DIR_B]
+        samples = directional_samples(table_of(make_location(sweeps)), max_measurable_pl_db=120.0)
+        assert {kind: len(s) for kind, s in samples.items()} == {
+            SampleKind.DIR_B: 1,
+            SampleKind.DIR_NBB: 0,
+            SampleKind.DIR_NB: 0,
+        }
+
+
+def columns(pairs):
+    """``PathLossColumns`` of (distance_m, pl_db) pairs."""
+    distance_m, pl_db = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return PathLossColumns(np.arange(len(distance_m)), distance_m, pl_db)
 
 
 class TestPathLossSample:
+    """The fits' input check, which the removed sample record made: a distance at or under
+    the reference or a non-finite loss is a ValidationError."""
+
     def test_validation(self):
-        with pytest.raises(ValidationError):
-            PathLossSample(0.9, 100.0, Polarization.VV, SampleKind.OMNI, True)
-        with pytest.raises(ValidationError):
-            PathLossSample(10.0, math.inf, Polarization.VV, SampleKind.OMNI, True)
-
-    def test_string_coercion(self):
-        sample = PathLossSample(10.0, 100.0, "VH", "dir-B", False)
-        assert sample.polarization is Polarization.VH
-        assert sample.kind is SampleKind.DIR_B
-
-
-def omni_sample(distance, pl, pol=Polarization.VV):
-    return PathLossSample(distance, pl, pol, SampleKind.OMNI, True)
+        vv = CiFit(ple=2.0, sigma_db=0.0, n_samples=10, fspl_anchor_db=fspl(F_142))
+        for bad in ([(0.9, 100.0), (10.0, 110.0)], [(10.0, math.inf), (20.0, 110.0)], [(math.nan, 100.0), (10.0, 110.0)]):
+            with pytest.raises(ValidationError):
+                fit_ci(columns(bad), F_142)
+            with pytest.raises(ValidationError):
+                fit_cix(columns(bad), vv, F_142)
 
 
 class TestFitCi:
     def test_hand_example(self):
-        samples = [
-            omni_sample(10.0, ANCHOR_142 + 25.0),
-            omni_sample(100.0, ANCHOR_142 + 35.0),
-        ]
+        samples = columns([(10.0, ANCHOR_142 + 25.0), (100.0, ANCHOR_142 + 35.0)])
         fit = fit_ci(samples, F_142)
         # (10*25 + 20*35) / (100 + 400)
         assert fit.ple == 1.9
@@ -239,51 +245,33 @@ class TestFitCi:
     )
     def test_exact_recovery_noiseless(self, ple, distances):
         anchor = fspl(F_142)
-        samples = [
-            omni_sample(d, anchor + 10.0 * ple * math.log10(d)) for d in distances
-        ]
+        samples = columns([(d, anchor + 10.0 * ple * math.log10(d)) for d in distances])
         fit = fit_ci(samples, F_142)
         assert fit.ple == pytest.approx(ple, abs=1e-9)
         assert fit.sigma_db == pytest.approx(0.0, abs=1e-7)
 
     def test_order_invariance(self):
         rng = random.Random(3)
-        samples = [omni_sample(d, ANCHOR_142 + 20.0 * math.log10(d) + rng.uniform(-3, 3)) for d in (5, 10, 20, 40)]
-        shuffled = list(samples)
+        pairs = [(d, ANCHOR_142 + 20.0 * math.log10(d) + rng.uniform(-3, 3)) for d in (5, 10, 20, 40)]
+        shuffled = list(pairs)
         rng.shuffle(shuffled)
-        assert fit_ci(samples, F_142) == fit_ci(shuffled, F_142)
+        assert fit_ci(columns(pairs), F_142) == fit_ci(columns(shuffled), F_142)
 
     def test_duplication_invariance(self):
-        samples = [omni_sample(10.0, 100.0), omni_sample(50.0, 120.0)]
-        once = fit_ci(samples, F_142)
-        twice = fit_ci(samples * 2, F_142)
+        pairs = [(10.0, 100.0), (50.0, 120.0)]
+        once = fit_ci(columns(pairs), F_142)
+        twice = fit_ci(columns(pairs * 2), F_142)
         assert twice.ple == pytest.approx(once.ple, abs=1e-12)
         assert twice.sigma_db == pytest.approx(once.sigma_db, abs=1e-12)
 
     def test_needs_two_samples(self):
         with pytest.raises(DegenerateFitError):
-            fit_ci([omni_sample(10.0, 100.0)], F_142)
+            fit_ci(columns([(10.0, 100.0)]), F_142)
 
     def test_reference_distance_cluster_is_degenerate(self):
         d = 1.0 + 1e-9
         with pytest.raises(DegenerateFitError):
-            fit_ci([omni_sample(d, 80.0), omni_sample(d, 81.0)], F_142)
-
-    def test_rejects_mixed_polarizations(self):
-        samples = [
-            omni_sample(10.0, 100.0, Polarization.VV),
-            omni_sample(20.0, 110.0, Polarization.VH),
-        ]
-        with pytest.raises(ValidationError):
-            fit_ci(samples, F_142)
-
-    def test_rejects_mixed_kinds(self):
-        samples = [
-            omni_sample(10.0, 100.0),
-            PathLossSample(20.0, 110.0, Polarization.VV, SampleKind.DIR_B, True),
-        ]
-        with pytest.raises(ValidationError):
-            fit_ci(samples, F_142)
+            fit_ci(columns([(d, 80.0), (d, 81.0)]), F_142)
 
 
 class TestFitCix:
@@ -292,10 +280,7 @@ class TestFitCix:
 
     def test_exact_offset(self):
         anchor = fspl(F_142)
-        vh = [
-            PathLossSample(d, anchor + 20.0 * math.log10(d) + 27.0, Polarization.VH, SampleKind.OMNI, True)
-            for d in (5.0, 10.0, 20.0)
-        ]
+        vh = columns([(d, anchor + 20.0 * math.log10(d) + 27.0) for d in (5.0, 10.0, 20.0)])
         fit = fit_cix(vh, self.vv_fit(), F_142)
         assert fit.xpd_db == pytest.approx(27.0, abs=1e-9)
         assert fit.sigma_db == pytest.approx(0.0, abs=1e-9)
@@ -304,33 +289,20 @@ class TestFitCix:
 
     def test_single_sample_allowed(self):
         anchor = fspl(F_142)
-        vh = [PathLossSample(10.0, anchor + 20.0 + 24.0, Polarization.VH, SampleKind.OMNI, True)]
+        vh = columns([(10.0, anchor + 20.0 + 24.0)])
         assert fit_cix(vh, self.vv_fit(), F_142).xpd_db == pytest.approx(24.0, abs=1e-9)
 
     def test_empty_is_degenerate(self):
         with pytest.raises(DegenerateFitError):
-            fit_cix([], self.vv_fit(), F_142)
-
-    def test_rejects_co_polar_samples(self):
-        with pytest.raises(ValidationError):
-            fit_cix([omni_sample(10.0, 120.0)], self.vv_fit(), F_142)
+            fit_cix(columns([]), self.vv_fit(), F_142)
 
     def test_noisy_trial_recovers_offset(self):
         rng = np.random.default_rng(7)
         anchor = fspl(F_142)
         distances = np.geomspace(6.3, 39.6, 10)
-        vv = [omni_sample(float(d), anchor + 18.6 * math.log10(d)) for d in distances]
+        vv = columns([(float(d), anchor + 18.6 * math.log10(d)) for d in distances])
         ci_vv = fit_ci(vv, F_142)
-        vh = [
-            PathLossSample(
-                float(d),
-                anchor + 18.6 * math.log10(d) + rng.normal(27.7, 2.6),
-                Polarization.VH,
-                SampleKind.OMNI,
-                True,
-            )
-            for d in distances
-        ]
+        vh = columns([(float(d), anchor + 18.6 * math.log10(d) + rng.normal(27.7, 2.6)) for d in distances])
         cix = fit_cix(vh, ci_vv, F_142)
         assert cix.xpd_db == pytest.approx(27.7, abs=2.0)
         # the offset-only model rides on the exact co-polar slope, so its
@@ -340,28 +312,30 @@ class TestFitCix:
 
 
 class TestCollectSamples:
+    """Samples pooled over several locations of one table."""
+
     def test_skips_silent_locations(self):
         live = make_location([make_pdp([10.0], [-60.0])], distance=10.0)
         dead = make_location(
             [make_pdp([10.0], [-95.0], floor=-90.0)], distance=12.0, rx_id="RX9"
         )
-        samples = collect_samples([live, dead], SampleKind.OMNI)
+        samples, _ = omni_losses(table_of(live, dead))
         assert len(samples) == 1
-        assert samples[0].distance_m == pytest.approx(10.0)
+        assert samples.distance_m[0] == pytest.approx(10.0)
 
     def test_collects_directional_kind(self):
         sweeps = [
             make_pdp([10.0], [-60.0], tx_az=180.0, rx_az=0.0),
             make_pdp([10.0], [-70.0], tx_az=172.0, rx_az=8.0),
         ]
-        loc = make_location(sweeps)
-        assert [s.kind for s in collect_samples([loc], SampleKind.DIR_B)] == [SampleKind.DIR_B]
-        assert [s.kind for s in collect_samples([loc], SampleKind.DIR_NBB)] == [SampleKind.DIR_NBB]
-        assert collect_samples([loc], SampleKind.DIR_NB) == ()
+        samples = directional_samples(table_of(make_location(sweeps)))
+        assert len(samples[SampleKind.DIR_B]) == 1
+        assert len(samples[SampleKind.DIR_NBB]) == 1
+        assert len(samples[SampleKind.DIR_NB]) == 0
 
     def test_ceiling_applies(self):
         loc = make_location([make_pdp([10.0], [-60.0])])
-        assert collect_samples([loc], SampleKind.OMNI, max_measurable_pl_db=100.0) == ()
+        assert len(omni_losses(table_of(loc), max_measurable_pl_db=100.0)[0]) == 0
 
 
 class TestFitsMatchTheScalarLoop:
@@ -372,8 +346,6 @@ class TestFitsMatchTheScalarLoop:
         st.lists(st.tuples(st.floats(1.0001, 300.0), st.floats(60.0, 190.0)), min_size=1, max_size=30),
     )
     def test_ci_and_cix(self, vv, vh):
-        vv_samples = [PathLossSample(d, pl, Polarization.VV, SampleKind.OMNI, True) for d, pl in vv]
-        vh_samples = [PathLossSample(d, pl, Polarization.VH, SampleKind.OMNI, True) for d, pl in vh]
         anchor = fspl(F_142)
         a = np.array([10.0 * math.log10(d / 1.0) for d, _ in vv])
         b = np.array([pl - anchor for _, pl in vv])
@@ -382,9 +354,9 @@ class TestFitsMatchTheScalarLoop:
             return
         ple = float(np.dot(a, b) / denom)
         sigma = float(np.sqrt(np.mean((b - ple * a) ** 2)))
-        ci = fit_ci(vv_samples, F_142)
+        ci = fit_ci(columns(vv), F_142)
         assert (ci.ple, ci.sigma_db) == (ple, sigma)
         excess = np.array([pl - anchor - 10.0 * ple * math.log10(d / 1.0) for d, pl in vh])
         xpd = float(np.mean(excess))
-        cix = fit_cix(vh_samples, ci, F_142)
+        cix = fit_cix(columns(vh), ci, F_142)
         assert (cix.xpd_db, cix.sigma_db) == (xpd, float(np.sqrt(np.mean((excess - xpd) ** 2))))

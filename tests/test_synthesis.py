@@ -16,6 +16,7 @@ from subthz_chan import (
     RmsdsLaw,
     Side,
     SynthesisParams,
+    TapTable,
     ValidationError,
     XpdLaw,
     extract_spatial_lobes,
@@ -259,18 +260,18 @@ class TestRenderCampaign:
     def test_lobe_counts_survive_the_round_trip(self, tmp_path):
         rendered = render_campaign(SynthesisParams(), 6, 11, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
-        vv = campaign.by_polarization(Polarization.VV)
+        table = TapTable(campaign.columns, campaign.rows(Polarization.VV))
         # default ids TX0001... sort in layout order, aligning with drops
-        for loc, drop in zip(vv, rendered.drops):
-            pas = power_angular_spectrum(loc, Side.AOA, 30.0)
+        for index, drop in zip(range(len(table)), rendered.drops):
+            pas = power_angular_spectrum(table, index, Side.AOA, 30.0)
             assert len(extract_spatial_lobes(pas, 30.0)) == len(drop.lobes)
 
     def test_single_lobe_end_to_end(self, tmp_path):
         rendered = render_campaign(single_tap_params(), 1, 5, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
-        loc = campaign.by_polarization(Polarization.VV)[0]
-        assert len(loc.sweeps) == 1
-        pas = power_angular_spectrum(loc, Side.AOA, 20.0)
+        table = TapTable(campaign.columns, campaign.rows(Polarization.VV))
+        assert len(campaign.by_polarization(Polarization.VV)[0].sweeps) == 1
+        pas = power_angular_spectrum(table, 0, Side.AOA, 20.0)
         assert len(extract_spatial_lobes(pas, 20.0)) == 1
 
     def test_factory_layout(self, tmp_path):
@@ -305,7 +306,8 @@ class TestRenderCampaign:
     def test_cross_polar_sweeps_differ_by_tap_xpd(self, tmp_path):
         rendered = render_campaign(SynthesisParams(), 2, 13, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
-        for (loc_vv, loc_vh), drop in zip(campaign.paired_locations(), rendered.drops):
+        for (row_vv, row_vh), drop in zip(campaign.pairs(), rendered.drops):
+            loc_vv, loc_vh = campaign[row_vv], campaign[row_vh]
             vh_by_dir = {s.direction: s for s in loc_vh.sweeps}
             lobes_by_center = {l.center_deg: l for l in drop.lobes}
             for sweep_vv in loc_vv.sweeps:

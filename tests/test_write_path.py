@@ -287,6 +287,10 @@ class TestWriteChecks:
             ),
             # the first failing location is named, whichever check fails there
             ({"power_db": set_at(9, math.nan), "rx_az_deg": set_at(3, 360.0)}, "rx_az_deg: azimuth outside"),
+            # ingest would sort these, or reject the repeat, or the step off the lattice
+            ({"delay_ns": set_at(7, 98.0)}, "delay_ns: delays must be strictly increasing (locations[3], TX1-RX1 VH)"),
+            ({"delay_ns": set_at(9, 100.0)}, "delay_ns: delays must be strictly increasing (locations[4], TX2-RX1 VV)"),
+            ({"delay_ns": set_at(5, 101.0)}, "delay_ns: delays must sit on the 2 ns lattice (locations[2], TX1-RX1 VV)"),
         ],
     )
     def test_refused_before_writing(self, tmp_path, columns, message):
@@ -295,6 +299,18 @@ class TestWriteChecks:
             write_campaign(campaign, tmp_path / "out")
         assert str(err.value).startswith(message)
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_pointing(self, tmp_path):
+        # ingest would read the two sweeps back as one, their taps merged
+        sweeps = [make_pdp([100.0], [-60.0], rx_az=0.0), make_pdp([102.0], [-70.0], rx_az=8.0)]
+        campaign = with_column(Campaign("pointing", 142e9, 0.0, [make_location(sweeps)]), rx_az_deg=set_at(1, 0.0))
+        with pytest.raises(ValidationError, match=r"^sweeps: two sweeps share one pointing pair \(locations\[0\], TX1-RX1 VV\)"):
+            write_campaign(campaign, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_steps_within_tolerance_read_back(self, tmp_path):
+        campaign = with_column(valid_campaign(), delay_ns=set_at(1, 102.0 + 1e-9))
+        assert ingest_campaign(write_campaign(campaign, tmp_path / "out")) == campaign
 
     def test_empty_ids(self, tmp_path):
         c = valid_campaign().columns

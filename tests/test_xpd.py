@@ -1,22 +1,21 @@
 """Direction-resolved cross-polar discrimination."""
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from subthz_chan import (
-    DirectionalXpd,
     PathClass,
     Polarization,
     ValidationError,
-    classify_path,
-    collect_xpds,
-    direction_path_loss_map,
-    directional_xpd,
-    xpd_summary,
+    XpdColumns,
+    xpd_columns,
 )
-from conftest import make_location, make_pdp
+from conftest import direction_path_loss_map, make_location, make_pdp, table_of
 
 
 def sweep_set(taps, floor=-200.0):
@@ -33,6 +32,29 @@ def polarization_pair(vv_taps, vh_taps, tx_power=0.0, los=True):
         sweep_set(vh_taps), pol=Polarization.VH, los=los, tx_power=tx_power
     )
     return loc_vv, loc_vh
+
+
+class Xpd(NamedTuple):
+    """One row of ``XpdColumns``, with its path class and placement ids."""
+
+    direction: tuple[float, float]
+    xpd_db: float
+    path_class: PathClass
+    location: tuple[str, str]
+
+
+def collect_xpds(pairs):
+    """One ``Xpd`` per row of the ``xpd_columns`` of some (VV, VH) location pairs."""
+    vv, vh = table_of(*(pair[0] for pair in pairs)), table_of(*(pair[1] for pair in pairs))
+    columns = xpd_columns(vv, vh, [(k, k) for k in range(len(pairs))])
+    return [
+        Xpd((tx_az, rx_az), xpd_db, PathClass.BORESIGHT if boresight else PathClass.REFLECTION, vv.key(pair)[:2])
+        for pair, tx_az, rx_az, xpd_db, boresight in zip(*(column.tolist() for column in columns))
+    ]
+
+
+def directional_xpd(loc_vv, loc_vh):
+    return collect_xpds([(loc_vv, loc_vh)])
 
 
 class TestDirectionalXpd:
@@ -66,7 +88,7 @@ class TestDirectionalXpd:
         loc_vv, loc_vh = polarization_pair(
             {(180.0, 0.0): -60.0}, {(100.0, 40.0): -85.0}
         )
-        assert directional_xpd(loc_vv, loc_vh) == ()
+        assert directional_xpd(loc_vv, loc_vh) == []
 
     def test_tx_power_cancels(self):
         taps_vv = {(180.0, 0.0): -60.0}
@@ -135,28 +157,32 @@ class TestDirectionalXpd:
         assert len(collect_xpds([pair("RX1"), pair("RX2")])) == 2
 
 
+def classify_path(taps, los=True):
+    """{direction: path class} of each direction of a pair whose sweeps are alike in both polarizations."""
+    return {x.direction: x.path_class for x in directional_xpd(*polarization_pair(taps, taps, los=los))}
+
+
 class TestClassifyPath:
     def test_boresight_and_reflection(self):
-        loc = make_location(
-            sweep_set({(180.0, 0.0): -60.0, (100.0, 40.0): -70.0})
-        )
-        assert classify_path(loc, (180.0, 0.0)) is PathClass.BORESIGHT
-        assert classify_path(loc, (100.0, 40.0)) is PathClass.REFLECTION
+        classes = classify_path({(180.0, 0.0): -60.0, (100.0, 40.0): -70.0})
+        assert classes[(180.0, 0.0)] is PathClass.BORESIGHT
+        assert classes[(100.0, 40.0)] is PathClass.REFLECTION
 
     def test_nlos_is_all_reflection(self):
-        loc = make_location(sweep_set({(180.0, 0.0): -60.0}), los=False)
-        assert classify_path(loc, (180.0, 0.0)) is PathClass.REFLECTION
-
-    def test_unknown_direction_rejected(self):
-        loc = make_location(sweep_set({(180.0, 0.0): -60.0}))
-        with pytest.raises(ValidationError):
-            classify_path(loc, (0.0, 0.0))
+        classes = classify_path({(180.0, 0.0): -60.0}, los=False)
+        assert classes[(180.0, 0.0)] is PathClass.REFLECTION
 
 
-def xpd_of(value, path_class=PathClass.BORESIGHT, direction=(180.0, 0.0)):
-    return DirectionalXpd(
-        direction=direction, xpd_db=value, path_class=path_class, location=("TX1", "RX1")
-    )
+def xpd_of(value, path_class=PathClass.BORESIGHT):
+    return value, path_class
+
+
+def xpd_summary(xpds):
+    """``XpdColumns.summary`` of some (xpd_db, path class) rows."""
+    n = len(xpds)
+    xpd_db = np.array([value for value, _ in xpds], dtype=float)
+    boresight = np.array([path_class is PathClass.BORESIGHT for _, path_class in xpds], dtype=bool)
+    return XpdColumns(np.zeros(n, dtype=int), np.zeros(n), np.zeros(n), xpd_db, boresight).summary()
 
 
 class TestXpdSummary:
