@@ -4,31 +4,9 @@ spread statistics, cross-polar discrimination, and a seeded drop
 generator that renders synthetic campaigns back into the measurement
 file format.
 """
-from .angular import (
-    AngularStats,
-    AngularSummary,
-    PowerAngularSpectrum,
-    Side,
-    SpatialLobe,
-    angular_stats,
-    campaign_angular_summary,
-    circular_mean_deg,
-    extract_spatial_lobes,
-    power_angular_spectrum,
-    rms_angular_spread,
-)
+from .angular import AngularSpreads, AngularSummary, Side, angular_spreads, campaign_angular_summary, power_angular_spectrum
 from .campaign_io import Campaign, CampaignFormatError, ingest_campaign, write_campaign
-from .delay import (
-    DelayStats,
-    DelaySummary,
-    OmniBins,
-    OmniPdp,
-    campaign_delay_summary,
-    delay_stats,
-    max_delay_spread,
-    omni_bins,
-    rms_delay_spread,
-)
+from .delay import DelaySpreads, DelaySummary, OmniBins, campaign_delay_summary, delay_spreads, omni_bins
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
     SPEED_OF_LIGHT_M_S,
@@ -80,4 +58,4 @@ from .synthesis import (
 )
 from .xpd import PathClass, XpdClassSummary, XpdColumns, xpd_columns
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

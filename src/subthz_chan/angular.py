@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,78 +30,6 @@ class Side(str, Enum):
     AOA = "AOA"
 
 
-@dataclass(frozen=True)
-class PowerAngularSpectrum:
-    """Integrated linear power per azimuth bin on one side of the link.
-
-    Bins form a uniform circular grid covering [0, 360); the grid phase
-    follows the recorded sweep azimuths and need not start at 0.
-    """
-
-    side: Side
-    bins_deg: tuple[float, ...]
-    powers_mw: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "side", Side(self.side))
-        object.__setattr__(self, "bins_deg", tuple(float(b) for b in self.bins_deg))
-        object.__setattr__(self, "powers_mw", tuple(float(p) for p in self.powers_mw))
-        n = len(self.bins_deg)
-        if n < 1:
-            raise ValidationError("bins_deg", "spectrum has no bins")
-        if len(self.powers_mw) != n:
-            raise ValidationError("powers_mw", "length differs from bins_deg")
-        step = 360.0 / n
-        if not 0.0 <= self.bins_deg[0] < step:
-            raise ValidationError("bins_deg", "first bin must sit in [0, 360/n)")
-        for a, b in zip(self.bins_deg, self.bins_deg[1:]):
-            if abs((b - a) - step) > 1e-9:
-                raise ValidationError("bins_deg", "bins must form a uniform circular grid")
-        if any(p < 0 for p in self.powers_mw):
-            raise ValidationError("powers_mw", "powers must be >= 0")
-        if not any(p > 0 for p in self.powers_mw):
-            raise ValidationError("powers_mw", "at least one bin must hold power")
-
-    @property
-    def az_step_deg(self) -> float:
-        return 360.0 / len(self.bins_deg)
-
-
-@dataclass(frozen=True)
-class SpatialLobe:
-    """One contiguous run of azimuth bins within threshold of the PAS peak.
-
-    ``start_deg``/``end_deg`` are the first and last bin centers of the run;
-    ``end_deg < start_deg`` means the lobe wraps through 0.
-    """
-
-    start_deg: float
-    end_deg: float
-    peak_power_mw: float
-    lobe_power_mw: float
-
-    def __post_init__(self):
-        if self.peak_power_mw <= 0 or self.lobe_power_mw < self.peak_power_mw:
-            raise ValidationError("peak_power_mw", "need 0 < peak_power_mw <= lobe_power_mw")
-
-
-@dataclass(frozen=True)
-class AngularStats:
-    """Angular statistics of one PAS at one threshold."""
-
-    rmsas_deg: float
-    n_lobes: int
-    threshold_db: float
-
-    def __post_init__(self):
-        # the mathematical ceiling for wrapped deviations is 180 degrees;
-        # a uniform spectrum sits near 180/sqrt(3) ~ 103.92
-        if not 0.0 <= self.rmsas_deg <= 180.0 + 1e-9:
-            raise ValidationError("rmsas_deg", "must lie in [0, 180]")
-        if self.n_lobes < 1:
-            raise ValidationError("n_lobes", "a detectable PAS has at least one lobe")
-
-
 class _Spectra(NamedTuple):
     """Power angular spectra of several locations on one side, as their occupied bins.
 
@@ -119,7 +47,7 @@ class _Spectra(NamedTuple):
     phase_deg: np.ndarray
     step_deg: np.ndarray
     #: per sweep row of the table: its azimuth is off the uniform grid
-    off_grid: np.ndarray | None
+    off_grid: np.ndarray
 
 
 def _side(table: TapTable, side: Side) -> tuple[np.ndarray, np.ndarray]:
@@ -173,20 +101,15 @@ def _check_grids(table: TapTable, spectra: dict[Side, _Spectra]) -> None:
         )
 
 
-def _one(bins_deg: Sequence[float], powers: Sequence[float]) -> _Spectra:
-    """One spectrum, every bin a row."""
-    n = len(bins_deg)
-    bins, powers = np.asarray(bins_deg, dtype=float), np.asarray(powers, dtype=float)
-    return _Spectra(np.zeros(n, dtype=np.intp), np.arange(n), bins, powers, np.array([n]), None, None, None)
-
-
 def power_angular_spectrum(
     table: TapTable, index: int, side: Side, threshold_db: float
-) -> PowerAngularSpectrum:
-    """Integrate location ``index``'s thresholded tap power into azimuth bins on the chosen side.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(bin azimuths in degrees, integrated linear power per bin) of location ``index`` on one side.
 
-    The cut is global: a tap survives when it lies within ``threshold_db``
-    of the location's strongest tap over all pointing pairs (and above its
+    The bins form the location's uniform azimuth grid over [0, 360); the
+    grid phase follows its first detectable sweep and need not be 0.  The
+    cut is global: a tap survives when it lies within ``threshold_db`` of
+    the location's strongest tap over all pointing pairs (and above its
     own sweep's noise floor), regardless of its own sweep's peak.  The cut
     compares in dB, as the sweep cut of the delay spreads does.
     NoSignalError when no sweep of the location clears the floor.
@@ -198,13 +121,23 @@ def power_angular_spectrum(
     mine = spectra.loc == index
     powers = np.zeros(spectra.n_bins[index])
     powers[spectra.k[mine]] = spectra.powers_mw[mine]
-    bins = spectra.phase_deg[index] + np.arange(len(powers)) * spectra.step_deg[index]
-    return PowerAngularSpectrum(side, tuple(bins.tolist()), tuple(powers.tolist()))
+    return spectra.phase_deg[index] + np.arange(len(powers)) * spectra.step_deg[index], powers
 
 
-def _circular_means(spectra: _Spectra) -> tuple[np.ndarray, np.ndarray]:
-    """(mean azimuth, degenerate) per spectrum; a degenerate mean is tie-broken to 0."""
-    n, loc, p = len(spectra.n_bins), spectra.loc, spectra.powers_mw
+def _unit_powers(spectra: _Spectra) -> np.ndarray:
+    """Bin powers scaled by a power of two per spectrum, so each spectrum's strongest bin lies in [0.5, 1).
+
+    Received powers sit below 1 mW, so the scaling only shifts exponents up
+    and every moment keeps its bits; a spectrum of subnormal powers would
+    otherwise round the direction of its resultant away.
+    """
+    _, exponent = np.frexp(group_max(spectra.loc, spectra.powers_mw, len(spectra.n_bins)))
+    return np.ldexp(spectra.powers_mw, -exponent[spectra.loc])
+
+
+def _circular_means(spectra: _Spectra, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean azimuth, degenerate) per spectrum of bin powers ``p``; a degenerate mean is tie-broken to 0."""
+    n, loc = len(spectra.n_bins), spectra.loc
     weighted = p * np.exp(1j * np.radians(spectra.bins_deg))
     resultant = group_sums(loc, weighted.real, n) + 1j * group_sums(loc, weighted.imag, n)
     degenerate = np.abs(resultant) < DEGENERATE_RESULTANT_REL * group_sums(loc, p, n)
@@ -215,8 +148,8 @@ def _circular_means(spectra: _Spectra) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rms_spreads(spectra: _Spectra) -> np.ndarray:
-    n, loc, p = len(spectra.n_bins), spectra.loc, spectra.powers_mw
-    mean, _ = _circular_means(spectra)
+    n, loc, p = len(spectra.n_bins), spectra.loc, _unit_powers(spectra)
+    mean, _ = _circular_means(spectra, p)
     dev = (spectra.bins_deg - mean[loc] + 180.0) % 360.0 - 180.0
     # a location without signal has no bins, and a NaN spread
     with np.errstate(invalid="ignore"):
@@ -249,65 +182,39 @@ def _lobe_counts(spectra: _Spectra, threshold_db: float) -> np.ndarray:
     return np.maximum(np.bincount(spectra.loc[run_start], minlength=len(spectra.n_bins)), 1)
 
 
-def circular_mean_deg(
-    bins_deg: Sequence[float], powers: Sequence[float]
-) -> tuple[float, bool]:
-    """Power-weighted circular mean azimuth in [0, 360).
+class AngularSpreads(NamedTuple):
+    """Spatial lobes and RMS angular spread (degrees) of each location of a table, per side.
 
-    Returns (mean, degenerate).  When the power-weighted resultant vector
-    vanishes the mean is undefined; it is tie-broken to 0 and flagged.
+    One value per location at one threshold; NaN for a location without
+    signal.
     """
-    mean, degenerate = _circular_means(_one(bins_deg, powers))
-    return float(mean[0]), bool(degenerate[0])
+
+    n_aoa_lobes: np.ndarray
+    n_aod_lobes: np.ndarray
+    aoa_rmsas: np.ndarray
+    aod_rmsas: np.ndarray
 
 
-def rms_angular_spread(pas: PowerAngularSpectrum) -> float:
-    """Power-weighted RMS of wrapped deviations about the circular mean, degrees.
+def angular_spreads(table: TapTable, threshold_db: float) -> AngularSpreads:
+    """Lobe count and RMS angular spread of each location's power angular spectrum, per side.
 
-    Deviations are wrapped into (-180, 180].  For a degenerate (vanishing
-    resultant) spectrum the mean is tie-broken to 0; the uniform spectrum
-    then lands just below the 180/sqrt(3) continuum value.
+    Each spectrum is built and thresholded as ``power_angular_spectrum``
+    builds it, at the same ``threshold_db`` used for lobe extraction.  A
+    lobe is a maximal circularly-contiguous run of bins within
+    ``threshold_db`` of the spectrum's strongest bin, compared in linear
+    power; runs touching across the 0/360 seam merge, and a spectrum
+    marked everywhere is one lobe.  The RMS spread is the power-weighted
+    RMS of bin deviations from the circular mean, wrapped into
+    (-180, 180]; a vanishing mean resultant is tie-broken to 0, so the
+    uniform spectrum lands just below the 180/sqrt(3) continuum value.
+    ValidationError for the first sweep off its location's azimuth grid.
     """
-    return float(_rms_spreads(_one(pas.bins_deg, pas.powers_mw))[0])
-
-
-def extract_spatial_lobes(
-    pas: PowerAngularSpectrum, threshold_db: float
-) -> tuple[SpatialLobe, ...]:
-    """Maximal circularly-contiguous bin runs within threshold of the PAS peak.
-
-    Runs touching across the 0/360 seam merge into one lobe; a spectrum
-    that is marked everywhere yields a single all-ring lobe.  The cut
-    compares in linear power.
-    """
-    powers = pas.powers_mw
-    n = len(powers)
-    marked, run_start = _lobe_marks(_one(pas.bins_deg, powers), threshold_db)
-    if marked.all():
-        runs = [list(range(n))]
-    else:
-        runs = []
-        for start in np.flatnonzero(run_start).tolist():
-            run = [start]
-            while marked[(run[-1] + 1) % n]:
-                run.append((run[-1] + 1) % n)
-            runs.append(run)
-    return tuple(
-        SpatialLobe(
-            start_deg=pas.bins_deg[run[0]],
-            end_deg=pas.bins_deg[run[-1]],
-            peak_power_mw=max(powers[i] for i in run),
-            lobe_power_mw=sum(powers[i] for i in run),
-        )
-        for run in runs
-    )
-
-
-def angular_stats(pas: PowerAngularSpectrum, threshold_db: float) -> AngularStats:
-    return AngularStats(
-        rmsas_deg=rms_angular_spread(pas),
-        n_lobes=len(extract_spatial_lobes(pas, threshold_db)),
-        threshold_db=threshold_db,
+    spectra = {side: _spectra(table, side, threshold_db) for side in (Side.AOA, Side.AOD)}
+    _check_grids(table, spectra)
+    no_signal = table.n_sweeps == 0
+    lobes = {side: np.where(no_signal, np.nan, _lobe_counts(s, threshold_db)) for side, s in spectra.items()}
+    return AngularSpreads(
+        lobes[Side.AOA], lobes[Side.AOD], _rms_spreads(spectra[Side.AOA]), _rms_spreads(spectra[Side.AOD])
     )
 
 
@@ -323,20 +230,7 @@ class AngularSummary:
 
 
 def campaign_angular_summary(table: TapTable, threshold_db: float) -> AngularSummary:
-    """Five-number summaries of lobe counts and RMS angular spread over a table's locations.
-
-    One value per location with signal per side; the PAS is built and
-    thresholded at the same ``threshold_db`` used for lobe extraction.
-    """
-    spectra = {side: _spectra(table, side, threshold_db) for side in (Side.AOA, Side.AOD)}
-    _check_grids(table, spectra)
+    """Five-number summaries of ``angular_spreads`` over a table's locations with signal."""
+    spreads = angular_spreads(table, threshold_db)
     signal = table.n_sweeps > 0
-    lobes = {side: _lobe_counts(s, threshold_db)[signal].astype(float).tolist() for side, s in spectra.items()}
-    spreads = {side: _rms_spreads(s)[signal].tolist() for side, s in spectra.items()}
-    return AngularSummary(
-        threshold_db=threshold_db,
-        n_aoa_lobes=summarize(lobes[Side.AOA]),
-        n_aod_lobes=summarize(lobes[Side.AOD]),
-        aoa_rmsas=summarize(spreads[Side.AOA]),
-        aod_rmsas=summarize(spreads[Side.AOD]),
-    )
+    return AngularSummary(threshold_db, *(summarize(column[signal].tolist()) for column in spreads))

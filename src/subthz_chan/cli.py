@@ -251,9 +251,9 @@ def _cmd_pas_dump(args) -> int:
         raise ValidationError(
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
-    pas = power_angular_spectrum(TapTable(campaign.columns, [row]), 0, Side(args.side), threshold_db)
+    bins_deg, powers_mw = power_angular_spectrum(TapTable(campaign.columns, [row]), 0, Side(args.side), threshold_db)
     lines = ["bin_deg,power_db"]
-    for bin_deg, power_mw in zip(pas.bins_deg, pas.powers_mw):
+    for bin_deg, power_mw in zip(bins_deg.tolist(), powers_mw.tolist()):
         if power_mw > 0:
             lines.append(f"{bin_deg:.4f},{10.0 * math.log10(power_mw):.4f}")
     _write_or_print("\n".join(lines) + "\n", args.out)

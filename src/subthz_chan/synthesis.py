@@ -10,6 +10,7 @@ the standard campaign format so the analysis side can re-ingest them.
 """
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import asdict, astuple, dataclass, field
@@ -163,24 +164,63 @@ class SynthesisParams:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthesisParams":
+        """Parameters from their JSON object; ValidationError names the first malformed field.
+
+        Numbers must be JSON numbers (not booleans), lobe counts
+        integer-valued, each law an object with exactly its own keys, and
+        the distance range a two-number list.
+        """
         if not isinstance(doc, dict):
             raise ValidationError("params", f"expected a JSON object, got {type(doc).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise ValidationError("params", f"unknown fields: {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "xpd_boresight" in kwargs:
-            kwargs["xpd_boresight"] = XpdLaw(**kwargs["xpd_boresight"])
-        if "xpd_reflection" in kwargs:
-            kwargs["xpd_reflection"] = XpdLaw(**kwargs["xpd_reflection"])
-        if "lobe_count_law" in kwargs:
-            kwargs["lobe_count_law"] = LobeCountLaw(**kwargs["lobe_count_law"])
-        if "rmsds_law" in kwargs:
-            kwargs["rmsds_law"] = RmsdsLaw(**kwargs["rmsds_law"])
-        if "distance_range_m" in kwargs:
-            kwargs["distance_range_m"] = tuple(kwargs["distance_range_m"])
+        kwargs = {}
+        for name, value in doc.items():
+            law = _LAWS.get(name)
+            if law is not None:
+                kwargs[name] = _json_law(law, value, name)
+            elif name == "distance_range_m":
+                if not isinstance(value, (list, tuple)) or len(value) != 2:
+                    raise ValidationError(name, f"expected a [low, high] list, got {_json(value)}")
+                kwargs[name] = tuple(_json_number(v, name) for v in value)
+            else:
+                kwargs[name] = _json_number(value, name)
         return cls(**kwargs)
+
+
+_LAWS = {"xpd_boresight": XpdLaw, "xpd_reflection": XpdLaw, "lobe_count_law": LobeCountLaw, "rmsds_law": RmsdsLaw}
+
+#: law fields that hold a count, so must be integer-valued
+_COUNTS = {"min_count", "max_count"}
+
+
+def _json(value) -> str:
+    return json.dumps(value, default=repr)
+
+
+def _json_number(value, field: str):
+    """``value`` when it is a JSON number and not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(field, f"expected a number, got {_json(value)}")
+    return value
+
+
+def _json_law(law: type, doc, field: str):
+    """``law`` built from its JSON object, which must hold exactly the law's keys."""
+    keys = list(law.__dataclass_fields__)
+    if not isinstance(doc, dict) or set(doc) != set(keys):
+        raise ValidationError(field, f"expected an object with the keys {keys}, got {_json(doc)}")
+    values = {}
+    for key in keys:
+        value = _json_number(doc[key], f"{field}.{key}")
+        if key in _COUNTS:
+            if isinstance(value, float) and not value.is_integer():
+                raise ValidationError(f"{field}.{key}", f"expected an integer, got {_json(value)}")
+            value = int(value)
+        values[key] = value
+    return law(**values)
 
 
 @dataclass(frozen=True)
@@ -490,6 +530,8 @@ def render_campaign(
     Distances are drawn uniformly over ``params.distance_range_m`` for
     entries that do not pin one.
     """
+    if seed < 0:
+        raise ValidationError("seed", f"must be >= 0, got {seed}")
     if layout is not None:
         layout = tuple(layout)
         if n_locations is not None and n_locations != len(layout):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 from hypothesis import HealthCheck, settings
 
@@ -10,9 +12,11 @@ from subthz_chan import (
     DirectionalPdp,
     LocationColumns,
     LocationMeasurement,
-    OmniPdp,
     Polarization,
     TapTable,
+    angular_spreads,
+    delay_spreads,
+    linear_to_db,
     omni_bins,
     sweep_losses,
 )
@@ -80,9 +84,71 @@ def direction_path_loss_map(loc) -> dict:
     return by_direction(table, sweep_losses(table))
 
 
-def omni_pdp(table: TapTable, index: int = 0) -> OmniPdp:
-    """The ``OmniPdp`` of location ``index`` of a table, from its ``omni_bins``; NoSignalError without signal."""
+class OmniProfile(NamedTuple):
+    """One location's rows of ``omni_bins``."""
+
+    delays_ns: tuple[float, ...]
+    powers_mw: tuple[float, ...]
+    total_power_dbm: float
+    source: tuple[str, str, Polarization]
+
+
+def omni_pdp(table: TapTable, index: int = 0) -> OmniProfile:
+    """The omni PDP of location ``index`` of a table, from its ``omni_bins``; NoSignalError without signal."""
     table.require_signal(index)
     omni = omni_bins(table)
     mine = omni.loc == index
-    return OmniPdp(tuple(omni.delay_ns[mine].tolist()), tuple(omni.power_mw[mine].tolist()), table.key(index))
+    return OmniProfile(
+        tuple(omni.delay_ns[mine].tolist()),
+        tuple(omni.power_mw[mine].tolist()),
+        linear_to_db(omni.total_mw[index]),
+        table.key(index),
+    )
+
+
+def delay_spread_pair(pdp_or_table, threshold_db: float) -> tuple[float, float]:
+    """(RMS, maximum) delay spread of a sweep, or of the omni PDP of a one-location table, via ``delay_spreads``.
+
+    A ``DirectionalPdp`` is measured as the only sweep of a location.
+    """
+    if isinstance(pdp_or_table, DirectionalPdp):
+        spreads = delay_spreads(table_of(make_location([pdp_or_table])), threshold_db)
+        return float(spreads.dir_rmsds[0]), float(spreads.dir_mds[0])
+    spreads = delay_spreads(pdp_or_table, threshold_db)
+    return float(spreads.omni_rmsds[0]), float(spreads.omni_mds[0])
+
+
+def rms_delay_spread(pdp_or_table, threshold_db: float) -> float:
+    return delay_spread_pair(pdp_or_table, threshold_db)[0]
+
+
+def max_delay_spread(pdp_or_table, threshold_db: float) -> float:
+    return delay_spread_pair(pdp_or_table, threshold_db)[1]
+
+
+def spectrum_table(powers, phase_deg: float = 0.0, rotation_deg: float = 0.0) -> TapTable:
+    """An n-bin angular spectrum as a one-location table: one sweep per non-zero bin.
+
+    Bin ``k`` sits at RX azimuth ``phase_deg + k * 360 / n`` (turned by
+    ``rotation_deg``) on an RX antenna stepping 360 / n; each sweep holds
+    one tap of the bin's power in dB, above a floor under the weakest.
+    """
+    step = 360.0 / len(powers)
+    taps = [(k, linear_to_db(p)) for k, p in enumerate(powers) if p > 0]
+    floor = min(p for _, p in taps) - 1.0
+    sweeps = [
+        make_pdp([10.0], [p], rx_az=(phase_deg + k * step + rotation_deg) % 360.0, floor=floor) for k, p in taps
+    ]
+    loc = make_location(sweeps)
+    return table_of(replace(loc, rx_antenna=AntennaConfig(hpbw_deg=min(8.0, step), az_step_deg=step)))
+
+
+def rms_angular_spread(table: TapTable) -> float:
+    """AOA RMS angular spread of a one-location table, at a threshold above its dynamic range."""
+    threshold_db = float(table.power_db.max() - table.power_db.min()) + 1.0
+    return float(angular_spreads(table, threshold_db).aoa_rmsas[0])
+
+
+def aoa_lobe_count(table: TapTable, threshold_db: float) -> int:
+    """Spatial AOA lobes of a one-location table, via ``angular_spreads``."""
+    return int(angular_spreads(table, threshold_db).n_aoa_lobes[0])

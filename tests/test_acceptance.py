@@ -10,31 +10,37 @@ import time
 
 import numpy as np
 import pytest
-from conftest import make_location, make_pdp, omni_pdp, table_of
+from conftest import (
+    aoa_lobe_count,
+    make_location,
+    make_pdp,
+    max_delay_spread,
+    rms_angular_spread,
+    rms_delay_spread,
+    spectrum_table,
+    table_of,
+)
 
 from subthz_chan import (
     Analysis,
     PathClass,
     PathLossColumns,
     Polarization,
-    PowerAngularSpectrum,
     RunConfig,
     SampleKind,
     Side,
     SynthesisParams,
+    TapTable,
+    angular_spreads,
     campaign_angular_summary,
     campaign_delay_summary,
-    extract_spatial_lobes,
+    delay_spreads,
     factory_campaign_layout,
     fit_ci,
     fit_cix,
     fspl,
     ingest_campaign,
-    max_delay_spread,
-    power_angular_spectrum,
     render_campaign,
-    rms_angular_spread,
-    rms_delay_spread,
     run_pipeline,
     summarize,
 )
@@ -86,22 +92,6 @@ def _ring_components(marked: list[bool]) -> int:
         if j in parent:
             parent[find(i)] = find(j)
     return len({find(i) for i in parent})
-
-
-def _uniform_pas(powers, phase_deg: float = 0.0) -> PowerAngularSpectrum:
-    n = len(powers)
-    bins = tuple(phase_deg + 360.0 / n * k for k in range(n))
-    return PowerAngularSpectrum(Side.AOA, bins, tuple(powers))
-
-
-def _rotated(pas: PowerAngularSpectrum, rho: float) -> PowerAngularSpectrum:
-    angles = (np.asarray(pas.bins_deg) + rho) % 360.0
-    order = np.argsort(angles)
-    return PowerAngularSpectrum(
-        pas.side,
-        tuple(angles[order]),
-        tuple(np.asarray(pas.powers_mw)[order]),
-    )
 
 
 def test_criterion_01_free_space_anchor():
@@ -210,9 +200,9 @@ def test_criterion_05_delay_spread_properties():
 
 
 def test_criterion_06_angular_spread_properties():
-    lone = _uniform_pas([0.0] * 10 + [2.5] + [0.0] * 34)
-    pair = _uniform_pas([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # bins 0 and 90
-    flat = _uniform_pas([1.0] * 45)
+    lone = spectrum_table([0.0] * 10 + [2.5] + [0.0] * 34)
+    pair = spectrum_table([1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0])  # bins 0 and 90
+    flat = spectrum_table([1.0] * 45)
     lone_ok = rms_angular_spread(lone) == 0.0
     pair_value = rms_angular_spread(pair)
     flat_value = rms_angular_spread(flat)
@@ -222,9 +212,9 @@ def test_criterion_06_angular_spread_properties():
     for _ in range(1000):
         powers = 10.0 ** rng.uniform(-5.0, 0.0, 45)
         phase = float(rng.uniform(0.0, 8.0))
-        pas = _uniform_pas(powers, phase)
+        pas = spectrum_table(powers, phase)
         rho = float(rng.uniform(0.0, 360.0))
-        worst = max(worst, abs(rms_angular_spread(_rotated(pas, rho)) - rms_angular_spread(pas)))
+        worst = max(worst, abs(rms_angular_spread(spectrum_table(powers, phase, rho)) - rms_angular_spread(pas)))
 
     ok = (
         lone_ok
@@ -248,10 +238,10 @@ def test_criterion_07_lobe_extraction():
         for j in range(k):
             run = 1 + (j % max(segment - 1, 1))
             powers[j * segment : j * segment + run] = 1.0
-        pas = _uniform_pas(powers)
-        counts_ok &= len(extract_spatial_lobes(pas, 30.0)) == k
-        wrapped = _uniform_pas(np.roll(powers, -1))
-        counts_ok &= len(extract_spatial_lobes(wrapped, 30.0)) == k
+        pas = spectrum_table(powers)
+        counts_ok &= aoa_lobe_count(pas, 30.0) == k
+        wrapped = spectrum_table(np.roll(powers, -1))
+        counts_ok &= aoa_lobe_count(wrapped, 30.0) == k
 
     rng = np.random.default_rng(707)
     oracle_ok = True
@@ -261,11 +251,11 @@ def test_criterion_07_lobe_extraction():
         )
         if not powers.any():
             powers[int(rng.integers(0, 45))] = 1.0
-        pas = _uniform_pas(powers)
+        pas = spectrum_table(powers)
         threshold = float(rng.choice([20.0, 30.0]))
         cut = max(powers) * 10.0 ** (-threshold / 10.0)
         marked = [bool(p > 0 and p >= cut) for p in powers]
-        oracle_ok &= len(extract_spatial_lobes(pas, threshold)) == _ring_components(marked)
+        oracle_ok &= aoa_lobe_count(pas, threshold) == _ring_components(marked)
 
     ok = counts_ok and oracle_ok
     _report(
@@ -357,26 +347,27 @@ def test_criterion_10_summary_oracle():
         for t in (20.0, 30.0):
             got = campaign_delay_summary(table, t)
             omni_r, omni_m, dir_r, dir_m = [], [], [], []
-            for index, loc in enumerate(locs):
-                omni = omni_pdp(table, index)
-                omni_r.append(rms_delay_spread(omni, t))
-                omni_m.append(max_delay_spread(omni, t))
-                for pdp in (s for s in loc.sweeps if s.is_detectable()):
-                    dir_r.append(rms_delay_spread(pdp, t))
-                    dir_m.append(max_delay_spread(pdp, t))
+            lobes = {Side.AOA: [], Side.AOD: []}
+            spreads = {Side.AOA: [], Side.AOD: []}
+            # each location's statistics from its own one-location table
+            for index in range(len(locs)):
+                one = TapTable(table.columns, [index])
+                delay = delay_spreads(one, t)
+                omni_r.append(float(delay.omni_rmsds[0]))
+                omni_m.append(float(delay.omni_mds[0]))
+                dir_r.extend(delay.dir_rmsds.tolist())
+                dir_m.extend(delay.dir_mds.tolist())
+                angular = angular_spreads(one, t)
+                lobes[Side.AOA].append(float(angular.n_aoa_lobes[0]))
+                lobes[Side.AOD].append(float(angular.n_aod_lobes[0]))
+                spreads[Side.AOA].append(float(angular.aoa_rmsas[0]))
+                spreads[Side.AOD].append(float(angular.aod_rmsas[0]))
             ok &= got.omni_rmsds == _five_number_oracle(omni_r)
             ok &= got.omni_mds == _five_number_oracle(omni_m)
             ok &= got.dir_rmsds == _five_number_oracle(dir_r)
             ok &= got.dir_mds == _five_number_oracle(dir_m)
 
             got_ang = campaign_angular_summary(table, t)
-            lobes = {Side.AOA: [], Side.AOD: []}
-            spreads = {Side.AOA: [], Side.AOD: []}
-            for index in range(len(locs)):
-                for side in (Side.AOA, Side.AOD):
-                    pas = power_angular_spectrum(table, index, side, t)
-                    lobes[side].append(float(len(extract_spatial_lobes(pas, t))))
-                    spreads[side].append(rms_angular_spread(pas))
             ok &= got_ang.n_aoa_lobes == _five_number_oracle(lobes[Side.AOA])
             ok &= got_ang.n_aod_lobes == _five_number_oracle(lobes[Side.AOD])
             ok &= got_ang.aoa_rmsas == _five_number_oracle(spreads[Side.AOA])

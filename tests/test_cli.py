@@ -500,6 +500,34 @@ class TestSynth:
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"ple": "x"}', "ple"),
+            ('{"ple": null}', "ple"),
+            ('{"ple": true}', "ple"),
+            ('{"xpd_boresight": [1, 2]}', "xpd_boresight"),
+            ('{"xpd_boresight": {"mean_db": 1}}', "xpd_boresight"),
+            ('{"rmsds_law": {"log_mean": 2.3, "log_std": 0.4, "extra": 1}}', "rmsds_law"),
+            ('{"lobe_count_law": {"mean_count": 3.5, "min_count": 1.5, "max_count": 7}}', "lobe_count_law.min_count"),
+            ('{"distance_range_m": 5}', "distance_range_m"),
+            ('{"distance_range_m": [6.3]}', "distance_range_m"),
+            ('{"distance_range_m": [6.3, 20, 30]}', "distance_range_m"),
+        ],
+    )
+    def test_malformed_params_field_exits_2(self, tmp_path, capsys, doc, field):
+        params_path = tmp_path / "params.json"
+        params_path.write_text(doc)
+        out = tmp_path / "c"
+        assert main(["synth", "--n", "2", "--out", str(out), "--params", str(params_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{field}:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(["synth", "--n", "2", "--seed", "-1", "--out", str(tmp_path / "c")]) == EXIT_VALIDATION
+        assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestLogging:
     def test_log_env_var(self, manifest, monkeypatch, capsys):

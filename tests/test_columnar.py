@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,12 +23,12 @@ from subthz_chan import (
     TapTable,
     ValidationError,
     XpdColumns,
-    angular_stats,
+    angular_spreads,
     bearings_deg,
     campaign_angular_summary,
     circular_distance_deg,
     db_to_linear,
-    delay_stats,
+    delay_spreads,
     directional_samples,
     ingest_campaign,
     linear_to_db,
@@ -177,13 +178,11 @@ class TestKernelsMatchPerLocationFunctions:
             table = one_location(campaign, row)
             if table.no_signal(0):
                 continue
-            stats = delay_stats(omni_pdp(table), threshold_db)
-            omni_rms.append(stats.rmsds_ns)
-            omni_mds.append(stats.mds_ns)
-            for pdp in detectable(campaign[row]):
-                stats = delay_stats(pdp, threshold_db)
-                dir_rms.append(stats.rmsds_ns)
-                dir_mds.append(stats.mds_ns)
+            spreads = delay_spreads(table, threshold_db)
+            omni_rms.append(float(spreads.omni_rmsds[0]))
+            omni_mds.append(float(spreads.omni_mds[0]))
+            dir_rms.extend(spreads.dir_rmsds.tolist())
+            dir_mds.extend(spreads.dir_mds.tolist())
         summary = analysis.delay[threshold_db]
         assert_row_close(summary.omni_rmsds, omni_rms)
         assert_row_close(summary.omni_mds, omni_mds)
@@ -198,10 +197,11 @@ class TestKernelsMatchPerLocationFunctions:
             table = one_location(campaign, row)
             if table.no_signal(0):
                 continue
-            for side in Side:
-                stats = angular_stats(power_angular_spectrum(table, 0, side, threshold_db), threshold_db)
-                lobes[side].append(float(stats.n_lobes))
-                spreads[side].append(stats.rmsas_deg)
+            stats = angular_spreads(table, threshold_db)
+            lobes[Side.AOA].append(float(stats.n_aoa_lobes[0]))
+            lobes[Side.AOD].append(float(stats.n_aod_lobes[0]))
+            spreads[Side.AOA].append(float(stats.aoa_rmsas[0]))
+            spreads[Side.AOD].append(float(stats.aod_rmsas[0]))
         summary = analysis.angular[threshold_db]
         assert summary.n_aoa_lobes == summarize(lobes[Side.AOA])
         assert summary.n_aod_lobes == summarize(lobes[Side.AOD])
@@ -224,9 +224,13 @@ class TestKernelsMatchPerLocationFunctions:
                 assert v == pytest.approx(ev, rel=REL, abs=0.0)
 
 
+#: record types no analysis callable may take: a location, a sweep, or a one-PDP / one-spectrum record
+RECORD_ANNOTATION = re.compile(r"\b(LocationMeasurement|DirectionalPdp|OmniPdp|Pdp|PowerAngularSpectrum)\b")
+
+
 @pytest.mark.parametrize("module", ["delay", "pathloss", "xpd", "angular", "pipeline", "cli"])
 def test_no_analysis_callable_takes_a_location_record(module):
-    """Every statistic starts from a ``TapTable``: no public function or method takes a ``LocationMeasurement``."""
+    """Every statistic starts from a ``TapTable``: no public function or method takes a record of one location, sweep, PDP or spectrum."""
     mod = importlib.import_module(f"subthz_chan.{module}")
     functions = []
     for name, value in vars(mod).items():
@@ -243,7 +247,7 @@ def test_no_analysis_callable_takes_a_location_record(module):
     assert functions
     for name, function in functions:
         for parameter in inspect.signature(function).parameters.values():
-            assert "LocationMeasurement" not in str(parameter.annotation), f"{module}.{name}({parameter.name})"
+            assert not RECORD_ANNOTATION.search(str(parameter.annotation)), f"{module}.{name}({parameter.name})"
 
 
 class TestOffGridAzimuth:
@@ -275,7 +279,7 @@ class TestOffGridAzimuth:
 
     def test_single_spectrum_checks_only_its_side(self):
         off_aod = make_location([make_pdp([0.0], [-60.0], tx_az=0.0), make_pdp([0.0], [-70.0], tx_az=5.0)])
-        assert power_angular_spectrum(table_of(off_aod), 0, Side.AOA, 30.0).powers_mw[0] > 0
+        assert power_angular_spectrum(table_of(off_aod), 0, Side.AOA, 30.0)[1][0] > 0
         with pytest.raises(ValidationError, match="off the uniform"):
             power_angular_spectrum(table_of(off_aod), 0, Side.AOD, 30.0)
 
@@ -300,7 +304,7 @@ def loop_spreads(taps):
     t0 = taps[0][0]
     m1 = sum(p * (t - t0) for t, p in taps) / total
     m2 = sum(p * (t - t0) ** 2 for t, p in taps) / total
-    return math.sqrt(max(m2 - m1 * m1, 0.0)), taps[-1][0] - t0, len(taps)
+    return math.sqrt(max(m2 - m1 * m1, 0.0)), taps[-1][0] - t0
 
 
 def loop_omni_delay(delays, powers, threshold_db):
@@ -385,29 +389,32 @@ class TestAgainstLoopReference:
             if not detectable(loc):
                 continue
             delays, powers = loop_omni(loc)
-            omni = omni_pdp(one_location(campaign, row))
+            table = one_location(campaign, row)
+            omni = omni_pdp(table)
             assert (list(omni.delays_ns), list(omni.powers_mw)) == (delays, powers)
             for t in THRESHOLDS:
-                stats = delay_stats(omni, t)
-                assert (stats.rmsds_ns, stats.mds_ns, stats.n_taps) == loop_omni_delay(delays, powers, t)
-                for pdp in detectable(loc):
-                    stats = delay_stats(pdp, t)
-                    assert (stats.rmsds_ns, stats.mds_ns, stats.n_taps) == loop_sweep_delay(pdp, t)
+                spreads = delay_spreads(table, t)
+                assert (spreads.omni_rmsds[0], spreads.omni_mds[0]) == loop_omni_delay(delays, powers, t)
+                got = list(zip(spreads.dir_rmsds.tolist(), spreads.dir_mds.tolist()))
+                assert got == [loop_sweep_delay(pdp, t) for pdp in detectable(loc)]
 
     def test_angular(self, campaign):
         # each location's spectrum read out of the whole campaign's table
         table = TapTable(campaign.columns)
+        stats = {t: angular_spreads(table, t) for t in THRESHOLDS}
+        columns = {Side.AOA: ("n_aoa_lobes", "aoa_rmsas"), Side.AOD: ("n_aod_lobes", "aod_rmsas")}
         for row, loc in enumerate(campaign):
             if not detectable(loc):
+                assert np.isnan([column[row] for t in THRESHOLDS for column in stats[t]]).all()
                 continue
             for side in Side:
                 for t in THRESHOLDS:
                     bins, powers = loop_pas(loc, side, t)
-                    pas = power_angular_spectrum(table, row, side, t)
-                    assert (list(pas.bins_deg), list(pas.powers_mw)) == (bins, powers)
-                    stats = angular_stats(pas, t)
-                    assert stats.n_lobes == loop_lobe_count(powers, t)
-                    assert stats.rmsas_deg == pytest.approx(loop_rms_spread(bins, powers), rel=REL, abs=1e-12)
+                    got_bins, got_powers = power_angular_spectrum(table, row, side, t)
+                    assert (got_bins.tolist(), got_powers.tolist()) == (bins, powers)
+                    n_lobes, rmsas = (getattr(stats[t], name) for name in columns[side])
+                    assert n_lobes[row] == loop_lobe_count(powers, t)
+                    assert rmsas[row] == pytest.approx(loop_rms_spread(bins, powers), rel=REL, abs=1e-12)
 
     def test_losses_classes_and_xpd(self, campaign):
         for row, loc in enumerate(campaign):

@@ -8,30 +8,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subthz_chan import (
-    DelayStats,
     NoSignalError,
-    OmniPdp,
     Polarization,
     ValidationError,
     campaign_delay_summary,
     db_to_linear,
-    delay_stats,
-    max_delay_spread,
-    rms_delay_spread,
+    delay_spreads,
+    linear_to_db,
 )
-from conftest import make_location, make_pdp, omni_pdp, table_of
+from conftest import make_location, make_pdp, max_delay_spread, omni_pdp, rms_delay_spread, table_of
 
 
 def omni_of(delay_power_pairs, floor=-200.0):
-    """Single-sweep location -> omni PDP, for quick spread checks."""
+    """The one-location table of a single sweep, for quick omni spread checks."""
     delays = [d for d, _ in delay_power_pairs]
     powers = [p for _, p in delay_power_pairs]
-    return omni_pdp(table_of(make_location([make_pdp(delays, powers, floor=floor)])))
+    return table_of(make_location([make_pdp(delays, powers, floor=floor)]))
 
 
 class TestOmniSynthesis:
     def test_single_tap_removes_both_gains(self):
-        omni = omni_of([(10.0, -60.0)])
+        omni = omni_pdp(omni_of([(10.0, -60.0)]))
         assert omni.delays_ns == (10.0,)
         assert omni.powers_mw[0] == pytest.approx(db_to_linear(-60.0 - 54.0), rel=1e-12)
         assert omni.total_power_dbm == pytest.approx(-114.0, abs=1e-9)
@@ -67,7 +64,7 @@ class TestOmniSynthesis:
             omni_pdp(table_of(loc))
 
     def test_source_records_location(self):
-        omni = omni_of([(10.0, -60.0)])
+        omni = omni_pdp(omni_of([(10.0, -60.0)]))
         assert omni.source == ("TX1", "RX1", Polarization.VV)
 
     @given(
@@ -115,16 +112,6 @@ class TestOmniSynthesis:
             assert p == pytest.approx(expected[d], rel=1e-12)
 
 
-class TestOmniPdpValidation:
-    def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValidationError):
-            OmniPdp((0.0,), (0.0,), ("TX1", "RX1", Polarization.VV))
-
-    def test_rejects_unsorted_delays(self):
-        with pytest.raises(ValidationError):
-            OmniPdp((2.0, 0.0), (1e-9, 1e-9), ("TX1", "RX1", Polarization.VV))
-
-
 class TestSpreads:
     def test_single_tap_is_zero(self):
         omni = omni_of([(10.0, -60.0)])
@@ -158,9 +145,16 @@ class TestSpreads:
         assert max_delay_spread(pdp, 20.0) == 2.0
 
     def test_omni_cut_compares_in_linear_power(self):
-        # exactly 1000x apart in linear power, a hair over 30 dB apart in dB
-        powers = (7.579786075000084e-06, 7.579786075000084e-09)
-        omni = OmniPdp((0.0, 4.0), powers, ("TX1", "RX1", Polarization.VV))
+        # the 4 ns bin sums two sweeps' taps to exactly 1000x under the 0 ns
+        # bin in linear power, a hair over 30 dB under it in dB
+        sweeps = [
+            make_pdp([0.0, 4.0], [-8.42, -38.88], rx_az=0.0),
+            make_pdp([4.0], [-48.398234873427654], rx_az=8.0),
+        ]
+        omni = table_of(make_location(sweeps))
+        strong, weak = omni_pdp(omni).powers_mw
+        assert weak == strong * db_to_linear(-30.0)
+        assert 10.0 * math.log10(weak) < 10.0 * math.log10(strong) - 30.0
         assert max_delay_spread(omni, 30.0) == 4.0
 
     def test_directional_input_accepted(self):
@@ -175,38 +169,35 @@ class TestSpreads:
 class TestDelayStats:
     def test_counts_surviving_taps(self):
         omni = omni_of([(0.0, -60.0), (10.0, -79.0), (20.0, -81.0)])
-        stats = delay_stats(omni, 20.0)
-        assert stats.n_taps == 2
-        assert stats.threshold_db == 20.0
-        assert stats.mds_ns == 10.0
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            DelayStats(rmsds_ns=6.0, mds_ns=5.0, threshold_db=20.0, n_taps=2)
-        with pytest.raises(ValidationError):
-            DelayStats(rmsds_ns=0.0, mds_ns=0.0, threshold_db=20.0, n_taps=0)
+        stats = delay_spreads(omni, 20.0)
+        # the 20 ns tap is cut, so two taps survive
+        assert stats.omni_mds[0] == 10.0
+        assert stats.omni_rmsds[0] == pytest.approx(
+            10.0 * math.sqrt(db_to_linear(-19.0)) / (1.0 + db_to_linear(-19.0)), abs=1e-12
+        )
 
 
 @st.composite
 def omni_pdps(draw):
+    """(delays, omni powers in mW) of a one-sweep location, whose omni PDP has one bin per tap."""
     n = draw(st.integers(1, 10))
     delays = sorted(draw(st.sets(st.integers(0, 400), min_size=n, max_size=n)))
     powers = draw(st.lists(st.floats(1e-12, 1e-3), min_size=n, max_size=n))
-    return OmniPdp(
-        delays_ns=tuple(float(d) for d in delays),
-        powers_mw=tuple(powers),
-        source=("TX1", "RX1", Polarization.VV),
-    )
+    return [float(d) for d in delays], powers
+
+
+def omni_table(delays, powers_mw):
+    """The one-location table of a sweep whose omni bins hold ``powers_mw`` (to the last bits)."""
+    gain_sum_dbi = 54.0  # make_location's two 27 dBi horns
+    return table_of(make_location([make_pdp(delays, [linear_to_db(p) + gain_sum_dbi for p in powers_mw])]))
 
 
 class TestSpreadInvariances:
     @given(omni_pdps(), st.sampled_from([20.0, 30.0]))
-    def test_shift_invariance(self, omni, threshold):
-        shifted = OmniPdp(
-            delays_ns=tuple(d + 1000.0 for d in omni.delays_ns),
-            powers_mw=omni.powers_mw,
-            source=omni.source,
-        )
+    def test_shift_invariance(self, profile, threshold):
+        delays, powers = profile
+        omni = omni_table(delays, powers)
+        shifted = omni_table([d + 1000.0 for d in delays], powers)
         assert rms_delay_spread(shifted, threshold) == pytest.approx(
             rms_delay_spread(omni, threshold), abs=1e-9
         )
@@ -215,12 +206,10 @@ class TestSpreadInvariances:
         )
 
     @given(omni_pdps(), st.sampled_from([20.0, 30.0]))
-    def test_power_scale_invariance(self, omni, threshold):
-        scaled = OmniPdp(
-            delays_ns=omni.delays_ns,
-            powers_mw=tuple(p * 1e3 for p in omni.powers_mw),
-            source=omni.source,
-        )
+    def test_power_scale_invariance(self, profile, threshold):
+        delays, powers = profile
+        omni = omni_table(delays, powers)
+        scaled = omni_table(delays, [p * 1e3 for p in powers])
         assert rms_delay_spread(scaled, threshold) == pytest.approx(
             rms_delay_spread(omni, threshold), abs=1e-9
         )
@@ -229,11 +218,13 @@ class TestSpreadInvariances:
         )
 
     @given(omni_pdps())
-    def test_wider_window_never_shrinks_extent(self, omni):
+    def test_wider_window_never_shrinks_extent(self, profile):
+        omni = omni_table(*profile)
         assert max_delay_spread(omni, 20.0) <= max_delay_spread(omni, 30.0)
 
     @given(omni_pdps(), st.sampled_from([20.0, 30.0]))
-    def test_rms_at_most_half_extent(self, omni, threshold):
+    def test_rms_at_most_half_extent(self, profile, threshold):
+        omni = omni_table(*profile)
         rms = rms_delay_spread(omni, threshold)
         assert rms <= max_delay_spread(omni, threshold) / 2.0 + 1e-9
 

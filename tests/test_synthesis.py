@@ -14,16 +14,14 @@ from subthz_chan import (
     PathClass,
     Polarization,
     RmsdsLaw,
-    Side,
     SynthesisParams,
     TapTable,
     ValidationError,
     XpdLaw,
-    extract_spatial_lobes,
+    angular_spreads,
     factory_campaign_layout,
     fspl,
     ingest_campaign,
-    power_angular_spectrum,
     render_campaign,
     sample_drop,
 )
@@ -93,6 +91,35 @@ class TestParamsJson:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError):
             SynthesisParams.from_json_dict({"plexponent": 2.0})
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"ple": "x"}, "ple"),
+            ({"ple": None}, "ple"),
+            ({"ple": True}, "ple"),
+            ({"xpd_boresight": [1, 2]}, "xpd_boresight"),
+            ({"xpd_boresight": {"mean_db": 1}}, "xpd_boresight"),
+            ({"xpd_reflection": {"mean_db": "1", "std_db": 2}}, "xpd_reflection.mean_db"),
+            ({"rmsds_law": {"log_mean": 2.3, "log_std": 0.4, "extra": 1}}, "rmsds_law"),
+            ({"lobe_count_law": {"mean_count": 3.5, "min_count": 1.5, "max_count": 7}}, "lobe_count_law.min_count"),
+            ({"lobe_count_law": {"mean_count": 3.5, "min_count": 1, "max_count": False}}, "lobe_count_law.max_count"),
+            ({"distance_range_m": 5}, "distance_range_m"),
+            ({"distance_range_m": [6.3]}, "distance_range_m"),
+            ({"distance_range_m": [6.3, 20, 30]}, "distance_range_m"),
+            ({"distance_range_m": [6.3, "20"]}, "distance_range_m"),
+        ],
+    )
+    def test_malformed_field_names_it(self, doc, field):
+        with pytest.raises(ValidationError) as err:
+            SynthesisParams.from_json_dict(doc)
+        assert err.value.field == field
+
+    def test_integral_counts_accepted(self):
+        doc = {"lobe_count_law": {"mean_count": 3, "min_count": 2.0, "max_count": 7}}
+        law = SynthesisParams.from_json_dict(doc).lobe_count_law
+        assert law == LobeCountLaw(3, 2, 7)
+        assert type(law.min_count) is int
 
 
 class TestLobeTapProfile:
@@ -257,22 +284,26 @@ class TestRenderCampaign:
         assert len(rendered.drops) == 4
         assert campaign.carrier_hz == 142e9
 
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ValidationError) as err:
+            render_campaign(SynthesisParams(), 2, -1, tmp_path)
+        assert err.value.field == "seed"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_lobe_counts_survive_the_round_trip(self, tmp_path):
         rendered = render_campaign(SynthesisParams(), 6, 11, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
         table = TapTable(campaign.columns, campaign.rows(Polarization.VV))
         # default ids TX0001... sort in layout order, aligning with drops
-        for index, drop in zip(range(len(table)), rendered.drops):
-            pas = power_angular_spectrum(table, index, Side.AOA, 30.0)
-            assert len(extract_spatial_lobes(pas, 30.0)) == len(drop.lobes)
+        lobes = angular_spreads(table, 30.0).n_aoa_lobes
+        assert lobes.tolist() == [len(drop.lobes) for drop in rendered.drops]
 
     def test_single_lobe_end_to_end(self, tmp_path):
         rendered = render_campaign(single_tap_params(), 1, 5, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
         table = TapTable(campaign.columns, campaign.rows(Polarization.VV))
         assert len(campaign.by_polarization(Polarization.VV)[0].sweeps) == 1
-        pas = power_angular_spectrum(table, 0, Side.AOA, 20.0)
-        assert len(extract_spatial_lobes(pas, 20.0)) == 1
+        assert angular_spreads(table, 20.0).n_aoa_lobes[0] == 1
 
     def test_factory_layout(self, tmp_path):
         layout = factory_campaign_layout()
