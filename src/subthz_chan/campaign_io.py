@@ -34,6 +34,7 @@ import operator
 import os
 import re
 from array import array
+from dataclasses import fields
 from functools import cached_property
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -44,15 +45,17 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .measurement import (
-    D0_M,
     DEFAULT_DELAY_RESOLUTION_NS,
-    DELAY_GRID_TOL_NS,
-    AntennaConfig,
+    ROW_RULES,
     LocationColumns,
     LocationMeasurement,
     Polarization,
     ValidationError,
+    checked_delay_resolution,
     concat_ranges,
+    first_flagged,
+    not_increasing,
+    off_lattice,
 )
 
 SWEEP_COLUMNS = ("tx_az_deg", "rx_az_deg", "delay_ns", "power_db")
@@ -127,7 +130,8 @@ class Campaign:
     """An ingested campaign: one location per ``key``, held as ``LocationColumns``.
 
     ``locations`` may be ``LocationMeasurement`` objects, converted by
-    ``LocationColumns.of``, or the columns themselves.  Indexing,
+    ``LocationColumns.of``, or the columns themselves, which are checked by
+    ``LocationColumns.first_fault`` and then made read-only.  Indexing,
     iterating, ``locations`` and ``by_polarization`` build validated
     objects on request, for inspection; the analysis reads ``columns``
     through a ``TapTable``.
@@ -152,6 +156,7 @@ class Campaign:
         #: campaign was built in memory)
         self.input_sha256 = {} if input_sha256 is None else input_sha256
         self.columns = locations if isinstance(locations, LocationColumns) else LocationColumns.of(locations)
+        _check_locations(self.columns, delay_resolution_ns)
         for name in ("carrier_hz", "tx_power_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(name, f"must be finite, got {getattr(self, name)}")
@@ -163,6 +168,8 @@ class Campaign:
             if first != row:
                 where = f"{key[0]}-{key[1]} ({key[2].value}) of locations[{first}]"
                 raise ValidationError(f"locations[{row}]", f"repeats location {where}")
+        for field in fields(LocationColumns)[1:]:
+            getattr(self.columns, field.name).flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Campaign):
@@ -209,6 +216,14 @@ class Campaign:
         vv = sorted((key[:2], row) for key, row in self._row_of.items() if key[2] is Polarization.VV)
         vh = [self.find((*ids, Polarization.VH)) for ids, _ in vv]
         return [(row, vh_row) for (_, row), vh_row in zip(vv, vh) if vh_row is not None]
+
+
+def _check_locations(columns: LocationColumns, delay_resolution_ns: float) -> None:
+    """Raise the ValidationError of the first location ``columns.first_fault`` finds."""
+    fault = columns.first_fault(delay_resolution_ns)
+    if fault is not None:
+        row, field, message = fault
+        raise ValidationError(f"locations[{row}].{field}", message)
 
 
 def _require(doc: dict, key: str, kind: type, path, ctx: str = ""):
@@ -401,22 +416,17 @@ class _SweepRows:
         return tuple(np.frombuffer(self.values, dtype=float).reshape(-1, _N_COLUMNS).T)
 
     def first_bad_row(self) -> tuple[int, ValidationError] | None:
-        """(file index, error) of the first row with a bad value, checked column by column."""
-        tx, rx, delay, power = self.columns()
-        bad = ~((tx >= 0.0) & (tx < 360.0) & (rx >= 0.0) & (rx < 360.0))
-        bad |= ~(np.isfinite(delay) & (delay >= 0.0)) | ~np.isfinite(power)
+        """(file index, error) of the first row with a bad value, by ``ROW_RULES``
+        checked column by column."""
+        masks = [bad(column) for column, (_, bad, _) in zip(self.columns(), ROW_RULES)]
+        bad = np.logical_or.reduce(masks)
         if not bad.any():
             return None
         row = int(np.argmax(bad))
         file, where = self.where(row)
-        tx_az, rx_az, delay, power = self.values[row * _N_COLUMNS : (row + 1) * _N_COLUMNS]
-        if not 0.0 <= tx_az < 360.0:
-            return file, ValidationError("tx_az_deg", f"{tx_az} outside [0, 360) ({where})")
-        if not 0.0 <= rx_az < 360.0:
-            return file, ValidationError("rx_az_deg", f"{rx_az} outside [0, 360) ({where})")
-        if not math.isfinite(delay) or delay < 0:
-            return file, ValidationError("delay_ns", f"delay {delay} must be >= 0 ({where})")
-        return file, ValidationError("power_db", f"power must be finite ({where})")
+        k = next(k for k, mask in enumerate(masks) if mask[row])
+        field, _, message = ROW_RULES[k]
+        return file, ValidationError(field, f"{message(self.values[row * _N_COLUMNS + k])} ({where})")
 
 
 class _Pointings:
@@ -461,8 +471,8 @@ class _Pointings:
         delay order within a pointing.
         """
         lo, hi = self.delay[:-1], self.delay[1:]
-        duplicate = hi == lo
-        bad = np.flatnonzero(self.joined & (duplicate | _off_lattice(lo, hi, res)))
+        duplicate = not_increasing(lo, hi)  # the delays are finite and sorted: only a repeat fails
+        bad = np.flatnonzero(self.joined & (duplicate | off_lattice(lo, hi, res)))
         if not len(bad):
             return None
         pair = int(bad[np.argmin(self.rank[bad])])
@@ -487,14 +497,6 @@ class _Pointings:
         floors = np.repeat(np.array(self.rows.floors[:n_files], dtype=float), np.diff(sweep_bounds))
         tap_bounds = np.concatenate(([0], np.cumsum(counts)))
         return sweep_bounds, self.tx_az[:n], self.rx_az[:n], floors, tap_bounds, self.delay[taps], self.power[taps]
-
-
-def _off_lattice(lo: np.ndarray, hi: np.ndarray, res: float) -> np.ndarray:
-    """Whether each delay step from ``lo`` to ``hi`` is off the ``res`` ns lattice."""
-    # a step can overflow only on a lattice finer than the tolerance, which holds every step
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps = (hi - lo) / res
-        return np.abs(steps - np.round(steps)) * res > DELAY_GRID_TOL_NS
 
 
 def _is_number(token: str) -> bool:
@@ -576,45 +578,6 @@ def _read_location(
     )
 
 
-def _bad_antennas(antenna: np.ndarray) -> np.ndarray:
-    """The rows of an antenna column whose (gain_dbi, hpbw_deg, az_step_deg) ``AntennaConfig`` rejects."""
-    gain, hpbw, step = antenna[:, :3].T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        turns = 360.0 / step
-        bad = ~(np.isfinite(gain) & (gain > 0)) | ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0))
-        return bad | (np.abs(turns - np.round(turns)) > 1e-9)
-
-
-def _bad_distances(columns: LocationColumns) -> np.ndarray:
-    """The locations whose TX-RX distance ``LocationMeasurement`` rejects (1 m or less, or inf)."""
-    return ~((columns.distance_m > D0_M) & (columns.distance_m < math.inf))
-
-
-def _empty_ids(columns: LocationColumns) -> np.ndarray:
-    return np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in columns.keys], dtype=bool)
-
-
-def _first_location_fault(columns: LocationColumns) -> tuple[int, str] | None:
-    """(row, message) of the first location whose antenna or own fields a constructor rejects.
-
-    The masks flag what the ``AntennaConfig`` and ``LocationMeasurement``
-    checks reject that ingest has not checked yet (antenna values, empty
-    ids, distance); the first flagged row is built for the constructor's
-    own message, antenna first.
-    """
-    bad = _bad_antennas(columns.tx_antenna) | _bad_distances(columns) | _empty_ids(columns)
-    for row in np.flatnonzero(bad).tolist():
-        try:
-            AntennaConfig(*columns.tx_antenna[row].tolist())
-        except ValidationError as err:
-            return row, f"antenna.{err}"
-        try:
-            columns.build((row,))
-        except ValidationError as err:
-            return row, str(err)
-    return None
-
-
 def ingest_campaign(manifest_path) -> Campaign:
     """Parse and validate a campaign manifest plus every referenced sweep file.
 
@@ -642,8 +605,10 @@ def ingest_campaign(manifest_path) -> Campaign:
     delay_resolution_ns = DEFAULT_DELAY_RESOLUTION_NS
     if "delay_resolution_ns" in doc:
         delay_resolution_ns = _require(doc, "delay_resolution_ns", float, path)
-    if not 0.0 < delay_resolution_ns < math.inf:
-        raise CampaignFormatError(path, None, f"delay_resolution_ns: must be > 0 and finite, got {delay_resolution_ns}")
+    try:
+        checked_delay_resolution(delay_resolution_ns)
+    except ValidationError as err:
+        raise CampaignFormatError(path, None, str(err)) from None
     raw_locations = _require(doc, "locations", list, path)
     if not raw_locations:
         raise CampaignFormatError(path, None, "locations: manifest lists no locations")
@@ -688,17 +653,16 @@ def ingest_campaign(manifest_path) -> Campaign:
             np.column_stack((antenna, np.full(n_built, _RX_HEIGHT_M))), np.full(n_built, tx_power_dbm),
             *pointings.columns(n_built),
         )
-        # a location's own errors come before any fault in a later location
-        location_fault = _first_location_fault(columns)
-        if location_fault is not None:
-            row, message = location_fault
-            raise CampaignFormatError(path, None, f"locations[{row}].{message}")
+    try:
+        if fault is None:
+            campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, digests)
+        elif n_built:
+            # a location's own errors come before any fault in a later location
+            _check_locations(columns, delay_resolution_ns)
+    except ValidationError as err:  # a location's own fault, carrier_hz, or a repeated location key
+        raise CampaignFormatError(path, None, str(err)) from None
     if fault is not None:
         raise fault
-    try:
-        campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, digests)
-    except ValidationError as err:  # a repeated location key, or carrier_hz
-        raise CampaignFormatError(path, None, str(err)) from None
     logger.info(
         "ingested %s: %d locations, %d files, %d rows, %d sweeps in %.3f s",
         campaign_id, len(campaign), len(digests), rows.ends[-1], len(columns.tx_az_deg), perf_counter() - started,
@@ -717,14 +681,7 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
     """
     started = perf_counter()
     c = campaign.columns
-    for key in c.keys:
-        for field, value in zip(("tx_id", "rx_id"), key):
-            if any(sep in value for sep in _PATH_SEPARATORS):
-                raise ValidationError(field, f"{value!r} contains a path separator")
-    names = [f"sweeps/{tx_id}_{rx_id}_{pol.value}.csv" for tx_id, rx_id, pol in c.keys]
-    if len(set(names)) < len(names):
-        raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")
-    _check_writable(campaign)
+    names = _check_writable(campaign)
 
     out = Path(out_dir)
     (out / "sweeps").mkdir(parents=True, exist_ok=True)
@@ -756,66 +713,33 @@ def write_campaign(campaign: Campaign, out_dir) -> Path:
     return manifest_path
 
 
-def _check_writable(campaign: Campaign) -> None:
-    """Raise the ValidationError of the first location ingest would reject, or that
-    the file format cannot hold, before anything is written.
-
-    Each check is a column mask over every location; the first location that
-    fails any check is named, with its first failing check.
-    """
+def _check_writable(campaign: Campaign) -> list[str]:
+    """The sweep file name of each location, after raising the ValidationError of the
+    first rule the file format adds to the ones ``Campaign`` checks."""
     c = campaign.columns
     if not len(c):
         raise ValidationError("locations", "campaign has no locations")
-    if not 0.0 < campaign.delay_resolution_ns < math.inf:
-        raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {campaign.delay_resolution_ns}")
-    res = campaign.delay_resolution_ns
-    sweep_loc = c.sweep_loc
-    tap_sweep = np.repeat(np.arange(len(sweep_loc)), np.diff(c.tap_bounds))
-    tap_loc = sweep_loc[tap_sweep]
-
-    def by_location(owner: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        bad = np.zeros(len(c), dtype=bool)
-        bad[owner[mask]] = True
-        return bad
-
-    def outside_circle(az: np.ndarray) -> np.ndarray:
-        return by_location(sweep_loc, ~((az >= 0.0) & (az < 360.0)))
-
-    floor, delay = c.noise_floor_db, c.delay_ns
-    # consecutive taps of one sweep, and sweeps of one location in pointing order
-    step = tap_sweep[1:] == tap_sweep[:-1]
-    pointings = np.lexsort((c.rx_az_deg, c.tx_az_deg, sweep_loc))
-    tx_az, rx_az, loc = c.tx_az_deg[pointings], c.rx_az_deg[pointings], sweep_loc[pointings]
-    repeated = (loc[1:] == loc[:-1]) & (tx_az[1:] == tx_az[:-1]) & (rx_az[1:] == rx_az[:-1])
-    faults = (  # (field, message, per-location mask), checked location by location
-        ("tx_id", "tx_id and rx_id must be non-empty", _empty_ids(c)),
-        ("tx_pos_m", "position must be finite", ~np.isfinite(c.tx_pos_m).all(axis=1)),
-        ("rx_pos_m", "position must be finite", ~np.isfinite(c.rx_pos_m).all(axis=1)),
-        ("distance_m", f"TX-RX distance must be finite and exceed {D0_M} m", _bad_distances(c)),
-        ("antenna", "gain_dbi, hpbw_deg and az_step_deg must make a valid AntennaConfig", _bad_antennas(c.tx_antenna)),
-        ("antenna", "manifest format stores one antenna config per location",
-         (c.tx_antenna != c.rx_antenna)[:, :3].any(axis=1)),
-        ("tx_power_dbm", "manifest format stores one TX power per campaign",
-         c.tx_power_dbm != campaign.tx_power_dbm),
-        ("sweeps", "location has no sweeps", np.diff(c.sweep_bounds) == 0),
-        ("sweeps", "a sweep has no bins", by_location(sweep_loc, np.diff(c.tap_bounds) == 0)),
-        ("noise_floor_db", "must be finite", by_location(sweep_loc, ~np.isfinite(floor))),
-        ("noise_floor_db", "sweep file format stores one noise floor per location",
-         by_location(sweep_loc[1:], (floor[1:] != floor[:-1]) & (sweep_loc[1:] == sweep_loc[:-1]))),
-        ("tx_az_deg", "azimuth outside [0, 360)", outside_circle(c.tx_az_deg)),
-        ("rx_az_deg", "azimuth outside [0, 360)", outside_circle(c.rx_az_deg)),
-        ("sweeps", "two sweeps share one pointing pair", by_location(loc[1:], repeated)),
-        ("delay_ns", "delays must be finite and >= 0", by_location(tap_loc, ~(np.isfinite(delay) & (delay >= 0.0)))),
-        ("delay_ns", "delays must be strictly increasing", by_location(tap_loc[1:], step & ~(delay[1:] > delay[:-1]))),
-        ("delay_ns", f"delays must sit on the {res:g} ns lattice",
-         by_location(tap_loc[1:], step & _off_lattice(delay[:-1], delay[1:], res))),
-        ("power_db", "powers must be finite", by_location(tap_loc, ~np.isfinite(c.power_db))),
-    )
-    first = min(((int(np.argmax(mask)), k) for k, (_, _, mask) in enumerate(faults) if mask.any()), default=None)
-    if first is not None:
-        row, k = first
+    for key in c.keys:
+        for field, value in zip(("tx_id", "rx_id"), key):
+            if any(sep in value for sep in _PATH_SEPARATORS):
+                raise ValidationError(field, f"{value!r} contains a path separator")
+    names = [f"sweeps/{tx_id}_{rx_id}_{pol.value}.csv" for tx_id, rx_id, pol in c.keys]
+    if len(set(names)) < len(names):
+        raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")
+    rows, sweep_loc, floor = np.arange(len(c)), c.sweep_loc, c.noise_floor_db
+    fault = first_flagged((
+        ("antenna", rows, (c.tx_antenna != c.rx_antenna)[:, :3].any(axis=1),
+         lambda _: "manifest format stores one antenna config per location"),
+        ("tx_power_dbm", rows, c.tx_power_dbm != campaign.tx_power_dbm,
+         lambda _: "manifest format stores one TX power per campaign"),
+        ("noise_floor_db", sweep_loc[1:], (floor[1:] != floor[:-1]) & (sweep_loc[1:] == sweep_loc[:-1]),
+         lambda _: "sweep file format stores one noise floor per location"),
+    ))
+    if fault is not None:
+        row, field, message = fault
         tx_id, rx_id, pol = c.keys[row]
-        raise ValidationError(faults[k][0], f"{faults[k][1]} (locations[{row}], {tx_id}-{rx_id} {pol.value})")
+        raise ValidationError(field, f"{message} (locations[{row}], {tx_id}-{rx_id} {pol.value})")
+    return names
 
 
 def _write_sweep_files(c: LocationColumns, out: Path, names: list[str]) -> int:

@@ -2,16 +2,17 @@
 
 Power values are dB relative to the campaign reference (dBm at the
 receiver unless stated otherwise), delays are nanoseconds, azimuths are
-degrees in [0, 360).  The immutable records (``DirectionalPdp``,
-``LocationMeasurement``) are the validating way to build and inspect a
-campaign; ``LocationColumns`` holds a campaign's locations as flat
-columns, and every analysis runs on a ``TapTable`` built from them.
+degrees in [0, 360).  ``LocationColumns`` holds a campaign's locations as
+flat columns, whose data-model rules ``LocationColumns.first_fault`` holds;
+the immutable records (``DirectionalPdp``, ``LocationMeasurement``) serve to
+build and inspect single locations, and every analysis runs on a
+``TapTable`` built from the columns.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
@@ -110,19 +111,9 @@ class AntennaConfig:
     height_m: float = 1.5
 
     def __post_init__(self):
-        if not math.isfinite(self.gain_dbi):
-            raise ValidationError("gain_dbi", f"must be finite, got {self.gain_dbi}")
-        if self.gain_dbi <= 0:
-            raise ValidationError("gain_dbi", f"must be > 0, got {self.gain_dbi}")
-        if not 0.0 < self.hpbw_deg <= self.az_step_deg <= 360.0:
-            raise ValidationError(
-                "hpbw_deg",
-                f"need 0 < hpbw_deg <= az_step_deg <= 360, got "
-                f"hpbw={self.hpbw_deg}, step={self.az_step_deg}",
-            )
-        turns = 360.0 / self.az_step_deg
-        if abs(turns - round(turns)) > 1e-9:
-            raise ValidationError("az_step_deg", f"{self.az_step_deg} does not divide 360 evenly")
+        fault = first_flagged(_antenna_rules(np.array([astuple(self)], dtype=float)))
+        if fault is not None:
+            raise ValidationError(*fault[1:])
 
     @classmethod
     def default_tx(cls) -> "AntennaConfig":
@@ -202,6 +193,78 @@ def checked_threshold_db(threshold_db: float) -> float:
     if not threshold_db > 0:
         raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
     return threshold_db
+
+
+def checked_delay_resolution(delay_resolution_ns: float) -> float:
+    """``delay_resolution_ns`` itself when it is a usable delay-lattice spacing (> 0 and finite)."""
+    if not 0.0 < delay_resolution_ns < math.inf:
+        raise ValidationError("delay_resolution_ns", f"must be > 0 and finite, got {delay_resolution_ns}")
+    return delay_resolution_ns
+
+
+def not_increasing(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Whether each delay step from ``lo`` to ``hi`` fails to increase (a NaN fails)."""
+    return ~(hi > lo)
+
+
+def off_lattice(lo: np.ndarray, hi: np.ndarray, res: float) -> np.ndarray:
+    """Whether each delay step from ``lo`` to ``hi`` is off the ``res`` ns lattice."""
+    # a step can overflow only on a lattice finer than the tolerance, which holds every step
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = (hi - lo) / res
+        return np.abs(steps - np.round(steps)) * res > DELAY_GRID_TOL_NS
+
+
+def _outside_circle(az: np.ndarray) -> np.ndarray:
+    return ~((az >= 0.0) & (az < 360.0))
+
+
+#: the rules on each value of a sweep-file row, in the file's column order:
+#: (column, mask of the bad values of a column, message of a bad value);
+#: ingest adds the row's file and line to the message
+ROW_RULES = (
+    ("tx_az_deg", _outside_circle, "{} outside [0, 360)".format),
+    ("rx_az_deg", _outside_circle, "{} outside [0, 360)".format),
+    ("delay_ns", lambda delay: ~(np.isfinite(delay) & (delay >= 0.0)), "delay {} must be >= 0".format),
+    ("power_db", lambda power: ~np.isfinite(power), lambda power: "power must be finite"),
+)
+
+
+def _antenna_rules(antenna: np.ndarray, prefix: str = "") -> tuple:
+    """The ``AntennaConfig`` rules over rows of (gain_dbi, hpbw_deg, az_step_deg, ...),
+    as ``first_flagged`` takes them, one location per row, fields after ``prefix``."""
+    gain, hpbw, step = antenna[:, :3].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = 360.0 / step
+        uneven = np.abs(turns - np.round(turns)) > 1e-9
+    rows = np.arange(len(antenna))
+    return (
+        (f"{prefix}gain_dbi", rows, ~np.isfinite(gain), lambda i: f"must be finite, got {gain[i]}"),
+        (f"{prefix}gain_dbi", rows, ~(gain > 0), lambda i: f"must be > 0, got {gain[i]}"),
+        (
+            f"{prefix}hpbw_deg", rows, ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0)),
+            lambda i: f"need 0 < hpbw_deg <= az_step_deg <= 360, got hpbw={hpbw[i]}, step={step[i]}",
+        ),
+        (f"{prefix}az_step_deg", rows, uneven, lambda i: f"{step[i]} does not divide 360 evenly"),
+    )
+
+
+def first_flagged(rules: Sequence[tuple]) -> tuple[int, str, str] | None:
+    """(location, field, message) of the first location a rule flags, by its first rule and item.
+
+    A rule is ``(field, owner, bad, message)``: ``bad`` flags items, ``owner`` is each
+    item's location, non-decreasing, and ``message(item)`` describes a flagged item.
+    """
+    found = []
+    for k, (_, owner, bad, _) in enumerate(rules):
+        if bad.any():
+            item = int(np.argmax(bad))
+            found.append((int(owner[item]), k, item))
+    if not found:
+        return None
+    row, k, item = min(found)
+    field, _, _, message = rules[k]
+    return row, field, message(item)
 
 
 def in_db_window(power_db, peak_db, threshold_db: float):
@@ -409,6 +472,47 @@ class LocationColumns:
     def detectable(self) -> np.ndarray:
         """``DirectionalPdp.is_detectable`` of each sweep."""
         return self.peak_db > self.noise_floor_db
+
+    def first_fault(self, delay_resolution_ns: float) -> tuple[int, str, str] | None:
+        """(row, field, message) of the first location that breaks a data-model rule, or None.
+
+        Within a location the rules run in the order of the table below;
+        ``delay_resolution_ns`` must be > 0 and finite, else ValidationError.
+        """
+        res = checked_delay_resolution(delay_resolution_ns)
+        rows, sweep_loc, distance = np.arange(len(self)), self.sweep_loc, self.distance_m
+        tap_sweep = np.repeat(np.arange(len(sweep_loc)), np.diff(self.tap_bounds))
+        tap_loc, step = sweep_loc[tap_sweep], tap_sweep[1:] == tap_sweep[:-1]  # taps t and t + 1 of one sweep
+        tx_az, rx_az, floor, delay, power = self.tx_az_deg, self.rx_az_deg, self.noise_floor_db, self.delay_ns, self.power_db
+        order = np.lexsort((rx_az, tx_az))  # stable: one pointing's sweeps stay in location order
+        a, b = order[:-1], order[1:]
+        repeats = np.zeros(len(sweep_loc), dtype=bool)
+        repeats[b[(sweep_loc[a] == sweep_loc[b]) & (tx_az[a] == tx_az[b]) & (rx_az[a] == rx_az[b])]] = True
+        (_, az_bad, az_message), _, (_, delay_bad, delay_message), (_, power_bad, power_message) = ROW_RULES
+        return first_flagged((
+            *_antenna_rules(self.tx_antenna, "antenna."),
+            *_antenna_rules(self.rx_antenna, "antenna."),
+            ("tx_pos_m", rows, ~np.isfinite(self.tx_pos_m).all(axis=1),
+             lambda i: f"position {tuple(self.tx_pos_m[i].tolist())} must be finite"),
+            ("rx_pos_m", rows, ~np.isfinite(self.rx_pos_m).all(axis=1),
+             lambda i: f"position {tuple(self.rx_pos_m[i].tolist())} must be finite"),
+            ("tx_id", rows, np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in self.keys], dtype=bool),
+             lambda i: "tx_id and rx_id must be non-empty"),
+            ("sweeps", rows, np.diff(self.sweep_bounds) < 1, lambda i: "location has no sweeps"),
+            ("distance_m", rows, ~(distance > D0_M), lambda i: f"TX-RX distance {distance[i]:.3f} m must exceed {D0_M} m"),
+            ("distance_m", rows, distance == math.inf, lambda i: "TX-RX distance overflows to inf"),
+            ("sweeps", sweep_loc, np.diff(self.tap_bounds) < 1, lambda s: f"PDP ({tx_az[s]}, {rx_az[s]}) has no bins"),
+            ("noise_floor_db", sweep_loc, ~np.isfinite(floor), lambda s: f"must be finite, got {floor[s]}"),
+            ("tx_az_deg", sweep_loc, az_bad(tx_az), lambda s: az_message(tx_az[s])),
+            ("rx_az_deg", sweep_loc, az_bad(rx_az), lambda s: az_message(rx_az[s])),
+            ("sweeps", sweep_loc, repeats, lambda s: f"duplicate pointing pair ({tx_az[s]}, {rx_az[s]})"),
+            ("delay_ns", tap_loc, delay_bad(delay), lambda t: delay_message(delay[t])),
+            ("delay_ns", tap_loc[1:], step & not_increasing(delay[:-1], delay[1:]),
+             lambda t: f"delays must be strictly increasing, got {delay[t]} then {delay[t + 1]}"),
+            ("delay_ns", tap_loc[1:], step & off_lattice(delay[:-1], delay[1:], res),
+             lambda t: f"delays must sit on the {res:g} ns lattice, got {delay[t]} then {delay[t + 1]}"),
+            ("power_db", tap_loc, power_bad(power), lambda t: power_message(power[t])),
+        ))
 
     def build(self, rows: Iterable[int]) -> tuple[LocationMeasurement, ...]:
         """The ``LocationMeasurement`` of each of ``rows``, validated by its constructor."""

@@ -59,6 +59,10 @@ _FLOOR_MARGIN_DB = 6.0
 
 _TAP_VALUES = operator.attrgetter("delay_ns", "power_mw", "xpd_db")
 
+#: the most path loss one knob may add to a drop: tap powers then stay far
+#: above the smallest float through the tap weights and XPDs
+_MAX_PATH_LOSS_DB = 1000.0
+
 
 @dataclass(frozen=True)
 class XpdLaw:
@@ -146,6 +150,17 @@ class SynthesisParams:
             raise ValidationError("distance_range_m", f"need {D0_M:g} < low < high, got {self.distance_range_m}")
         if abs(360.0 / self.az_step_deg - round(360.0 / self.az_step_deg)) > 1e-9:
             raise ValidationError("az_step_deg", "must divide 360")
+        decades = math.log10(hi / D0_M)
+        for name, loss_db in (  # each knob's own share of the largest path loss a drop can draw
+            ("carrier_hz", fspl(self.carrier_hz, D0_M)),
+            ("distance_range_m", 20.0 * decades),  # free-space spreading to the far end
+            ("ple", 10.0 * self.ple * decades),
+            ("nlos_ple", 10.0 * self.nlos_ple * decades),
+            ("shadow_sigma_db", 10.0 * self.shadow_sigma_db),  # a ten-sigma draw
+        ):
+            if not loss_db <= _MAX_PATH_LOSS_DB:
+                limit = f"over the {_MAX_PATH_LOSS_DB:g} dB a drop can carry"
+                raise ValidationError(name, f"{getattr(self, name)} adds {loss_db:.4g} dB of path loss, {limit}")
         # greedy non-adjacent lobe placement removes at most 3 grid bins
         # per placed lobe, so this bound keeps placement always feasible
         if self.lobe_count_law.max_count > self.n_az_bins // 3:

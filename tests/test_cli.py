@@ -513,6 +513,11 @@ class TestSynth:
             ('{"distance_range_m": 5}', "distance_range_m"),
             ('{"distance_range_m": [6.3]}', "distance_range_m"),
             ('{"distance_range_m": [6.3, 20, 30]}', "distance_range_m"),
+            # values no drop can be drawn with: each names its own field, not the tap power they broke
+            ('{"distance_range_m": [6.3, 1e308]}', "distance_range_m"),
+            ('{"ple": Infinity}', "ple"),
+            ('{"carrier_hz": 1e308}', "carrier_hz"),
+            ('{"shadow_sigma_db": 1e308}', "shadow_sigma_db"),
         ],
     )
     def test_malformed_params_field_exits_2(self, tmp_path, capsys, doc, field):

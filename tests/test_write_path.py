@@ -245,9 +245,6 @@ def with_column(campaign: Campaign, **columns) -> Campaign:
     return Campaign(campaign.campaign_id, campaign.carrier_hz, campaign.tx_power_dbm, dataclasses.replace(c, **values))
 
 
-BAD_ANTENNA = "antenna: gain_dbi, hpbw_deg and az_step_deg must make a valid AntennaConfig"
-
-
 def set_at(index, value):
     def edit(column):
         column[index] = value
@@ -256,93 +253,111 @@ def set_at(index, value):
 
 
 class TestWriteChecks:
-    """A campaign that ingest would reject is refused before anything is written."""
+    """A campaign that ingest would reject cannot be built, so it never reaches the
+    writer; the writer refuses what only the file format cannot hold."""
 
     @pytest.mark.parametrize(
         "columns, message",
         [
-            ({"tx_pos_m": set_at((3, 1), math.nan)}, "tx_pos_m: position must be finite (locations[3], TX1-RX1 VH)"),
-            ({"rx_pos_m": set_at((2, 0), math.inf)}, "rx_pos_m: position must be finite (locations[2], TX1-RX1 VV)"),
-            ({"power_db": set_at(5, math.nan)}, "power_db: powers must be finite (locations[2], TX1-RX1 VV)"),
-            ({"rx_az_deg": set_at(4, 400.0)}, "rx_az_deg: azimuth outside [0, 360) (locations[4], TX2-RX1 VV)"),
-            ({"tx_az_deg": set_at(1, -8.0)}, "tx_az_deg: azimuth outside [0, 360) (locations[1], TX0-RX1 VH)"),
-            ({"delay_ns": set_at(0, -2.0)}, "delay_ns: delays must be finite and >= 0 (locations[0], TX0-RX1 VV)"),
-            ({"delay_ns": set_at(7, math.nan)}, "delay_ns: delays must be finite and >= 0 (locations[3], TX1-RX1 VH)"),
-            ({"noise_floor_db": set_at(5, math.inf)}, "noise_floor_db: must be finite (locations[5], TX2-RX1 VH)"),
+            (
+                {"tx_pos_m": set_at((3, 1), math.nan)},
+                "locations[3].tx_pos_m: position (9.886859966642595, nan, 3.0) must be finite",
+            ),
+            ({"rx_pos_m": set_at((2, 0), math.inf)}, "locations[2].rx_pos_m: position (inf, 0.0, 1.5) must be finite"),
+            ({"power_db": set_at(5, math.nan)}, "locations[2].power_db: power must be finite"),
+            ({"rx_az_deg": set_at(4, 400.0)}, "locations[4].rx_az_deg: 400.0 outside [0, 360)"),
+            ({"tx_az_deg": set_at(1, -8.0)}, "locations[1].tx_az_deg: -8.0 outside [0, 360)"),
+            ({"delay_ns": set_at(0, -2.0)}, "locations[0].delay_ns: delay -2.0 must be >= 0"),
+            ({"delay_ns": set_at(7, math.nan)}, "locations[3].delay_ns: delay nan must be >= 0"),
+            ({"noise_floor_db": set_at(5, math.inf)}, "locations[5].noise_floor_db: must be finite, got inf"),
             (
                 {"tx_antenna": set_at((1, 0), math.nan), "rx_antenna": set_at((1, 0), math.nan)},
-                f"{BAD_ANTENNA} (locations[1], TX0-RX1 VH)",
+                "locations[1].antenna.gain_dbi: must be finite, got nan",
             ),
             (
                 {"tx_antenna": set_at((4, 1), 9.0), "rx_antenna": set_at((4, 1), 9.0)},
-                f"{BAD_ANTENNA} (locations[4], TX2-RX1 VV)",
+                "locations[4].antenna.hpbw_deg: need 0 < hpbw_deg <= az_step_deg <= 360, got hpbw=9.0, step=8.0",
             ),
             (
                 {"tx_pos_m": set_at((2, slice(None)), (0.5, 0.0, 1.5))},
-                "distance_m: TX-RX distance must be finite and exceed 1.0 m (locations[2], TX1-RX1 VV)",
+                "locations[2].distance_m: TX-RX distance 0.500 m must exceed 1.0 m",
             ),
             (
                 {"tx_pos_m": set_at((2, 0), 1e308), "rx_pos_m": set_at((2, 0), -1e308)},
-                "distance_m: TX-RX distance must be finite and exceed 1.0 m (locations[2], TX1-RX1 VV)",
+                "locations[2].distance_m: TX-RX distance overflows to inf",
             ),
             # the first failing location is named, whichever check fails there
-            ({"power_db": set_at(9, math.nan), "rx_az_deg": set_at(3, 360.0)}, "rx_az_deg: azimuth outside"),
+            ({"power_db": set_at(9, math.nan), "rx_az_deg": set_at(3, 360.0)}, "locations[3].rx_az_deg: 360.0 outside"),
             # ingest would sort these, or reject the repeat, or the step off the lattice
-            ({"delay_ns": set_at(7, 98.0)}, "delay_ns: delays must be strictly increasing (locations[3], TX1-RX1 VH)"),
-            ({"delay_ns": set_at(9, 100.0)}, "delay_ns: delays must be strictly increasing (locations[4], TX2-RX1 VV)"),
-            ({"delay_ns": set_at(5, 101.0)}, "delay_ns: delays must sit on the 2 ns lattice (locations[2], TX1-RX1 VV)"),
+            (
+                {"delay_ns": set_at(7, 98.0)},
+                "locations[3].delay_ns: delays must be strictly increasing, got 100.0 then 98.0",
+            ),
+            (
+                {"delay_ns": set_at(9, 100.0)},
+                "locations[4].delay_ns: delays must be strictly increasing, got 100.0 then 100.0",
+            ),
+            (
+                {"delay_ns": set_at(5, 101.0)},
+                "locations[2].delay_ns: delays must sit on the 2 ns lattice, got 100.0 then 101.0",
+            ),
         ],
     )
-    def test_refused_before_writing(self, tmp_path, columns, message):
-        campaign = with_column(valid_campaign(), **columns)
+    def test_refused_before_writing(self, columns, message):
         with pytest.raises(ValidationError) as err:
-            write_campaign(campaign, tmp_path / "out")
+            with_column(valid_campaign(), **columns)
         assert str(err.value).startswith(message)
-        assert not (tmp_path / "out").exists()
 
-    def test_repeated_pointing(self, tmp_path):
+    def test_repeated_pointing(self):
         # ingest would read the two sweeps back as one, their taps merged
         sweeps = [make_pdp([100.0], [-60.0], rx_az=0.0), make_pdp([102.0], [-70.0], rx_az=8.0)]
-        campaign = with_column(Campaign("pointing", 142e9, 0.0, [make_location(sweeps)]), rx_az_deg=set_at(1, 0.0))
-        with pytest.raises(ValidationError, match=r"^sweeps: two sweeps share one pointing pair \(locations\[0\], TX1-RX1 VV\)"):
-            write_campaign(campaign, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        campaign = Campaign("pointing", 142e9, 0.0, [make_location(sweeps)])
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.sweeps: duplicate pointing pair \(0\.0, 0\.0\)$"):
+            with_column(campaign, rx_az_deg=set_at(1, 0.0))
 
     def test_steps_within_tolerance_read_back(self, tmp_path):
         campaign = with_column(valid_campaign(), delay_ns=set_at(1, 102.0 + 1e-9))
         assert ingest_campaign(write_campaign(campaign, tmp_path / "out")) == campaign
 
-    def test_empty_ids(self, tmp_path):
+    def test_empty_ids(self):
         c = valid_campaign().columns
         keys = c.keys[:3] + (("", "RX1", Polarization.VH),) + c.keys[4:]
-        campaign = Campaign("ids", 142e9, 0.0, dataclasses.replace(c, keys=keys))
-        with pytest.raises(ValidationError, match=r"^tx_id: tx_id and rx_id must be non-empty \(locations\[3\]"):
-            write_campaign(campaign, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValidationError, match=r"^locations\[3\]\.tx_id: tx_id and rx_id must be non-empty$"):
+            Campaign("ids", 142e9, 0.0, dataclasses.replace(c, keys=keys))
 
-    @pytest.mark.parametrize("resolution", [0.0, math.nan, math.inf])
-    def test_delay_resolution(self, tmp_path, resolution):
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.nan, math.inf])
+    def test_delay_resolution(self, resolution):
         c = valid_campaign()
-        campaign = Campaign("res", 142e9, 0.0, c.columns, resolution)
-        with pytest.raises(ValidationError, match="delay_resolution_ns: must be > 0 and finite"):
-            write_campaign(campaign, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        with pytest.raises(ValidationError, match="^delay_resolution_ns: must be > 0 and finite, got"):
+            Campaign("res", 142e9, 0.0, c.columns, resolution)
 
     def test_no_locations_sweeps_or_bins(self, tmp_path):
         with pytest.raises(ValidationError, match="campaign has no locations"):
             write_campaign(Campaign("empty", 142e9, 0.0, ()), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
         c = valid_campaign().columns
         bounds = c.sweep_bounds.copy()
         bounds[2] = bounds[1]  # location 1 loses its sweep to location 2
-        campaign = Campaign("sweeps", 142e9, 0.0, dataclasses.replace(c, sweep_bounds=bounds))
-        with pytest.raises(ValidationError, match=r"^sweeps: location has no sweeps \(locations\[1\]"):
-            write_campaign(campaign, tmp_path / "out")
+        with pytest.raises(ValidationError, match=r"^locations\[1\]\.sweeps: location has no sweeps$"):
+            Campaign("sweeps", 142e9, 0.0, dataclasses.replace(c, sweep_bounds=bounds))
         taps = c.tap_bounds.copy()
         taps[4] = taps[3]  # sweep 3 (location 3's) loses its bins to sweep 4
-        campaign = Campaign("bins", 142e9, 0.0, dataclasses.replace(c, tap_bounds=taps))
-        with pytest.raises(ValidationError, match=r"^sweeps: a sweep has no bins \(locations\[3\]"):
+        with pytest.raises(ValidationError, match=r"^locations\[3\]\.sweeps: PDP \(0\.0, 0\.0\) has no bins$"):
+            Campaign("bins", 142e9, 0.0, dataclasses.replace(c, tap_bounds=taps))
+
+    def test_varying_noise_floor(self, tmp_path):
+        sweeps = [make_pdp([100.0], [-60.0], rx_az=0.0, floor=-130.0), make_pdp([102.0], [-70.0], rx_az=8.0, floor=-120.0)]
+        campaign = Campaign("floors", 142e9, 0.0, [make_location(sweeps, tx_id="TX0"), make_location(sweeps)])
+        message = r"^noise_floor_db: sweep file format stores one noise floor per location \(locations\[0\], TX0-RX1 VV\)$"
+        with pytest.raises(ValidationError, match=message):
             write_campaign(campaign, tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_columns_are_read_only(self):
+        campaign = valid_campaign()
+        with pytest.raises(ValueError, match="read-only"):
+            campaign.columns.delay_ns[0] = 98.0
+        assert campaign.columns.delay_ns[0] == 100.0
 
     def test_infinite_distance_is_rejected_by_the_record(self):
         sweeps, antenna, far = (make_pdp([0.0], [-60.0]),), AntennaConfig(), 1e308
