@@ -67,9 +67,13 @@ _HEADER_LINE = f"{_SWEEP_HEADER}\n".encode()
 #: a written sweep file: this head, then one row per tap, every value by ``repr``,
 #: which round-trips exactly through ``float`` and keeps write->ingest lossless
 _SWEEP_HEAD = f"# noise_floor_db=%r\n{_SWEEP_HEADER}\n"
-#: the bytes ``read_lean`` drops before it matches a file's layout: every ASCII byte but
+#: the bytes ingest's lean lane drops before it matches a file's layout: every ASCII byte but
 #: the comma, LF, ``#`` and the other ``str.splitlines`` breaks (a non-ASCII byte stays, and fails the match)
 _UNMARKED = bytes(sorted(set(range(128)) - set(b",\n#\r\x0b\x0c\x1c\x1d\x1e")))
+#: ``os.open`` flags of a sweep file read, and the size of its first read, which holds a
+#: written file of up to about 300 rows; larger files take more reads
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_FIRST_READ = 8192
 #: the values of a manifest entry, and their types in an entry the lean lane takes
 _ENTRY_VALUES = operator.itemgetter(
     "sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna"
@@ -162,14 +166,19 @@ class Campaign:
                 raise ValidationError(name, f"must be finite, got {getattr(self, name)}")
         if self.carrier_hz <= 0:
             raise ValidationError("carrier_hz", "must be > 0")
-        self._row_of: dict[tuple[str, str, Polarization], int] = {}
-        for row, key in enumerate(self.columns.keys):
-            first = self._row_of.setdefault(key, row)
-            if first != row:
-                where = f"{key[0]}-{key[1]} ({key[2].value}) of locations[{first}]"
-                raise ValidationError(f"locations[{row}]", f"repeats location {where}")
+        keys = self.columns.keys
+        self._row_of = dict(zip(keys, range(len(keys))))
+        if len(self._row_of) < len(keys):
+            _raise_repeat(keys)
+        pols = list(map(operator.itemgetter(2), keys))
+        #: the rows of each polarization, in campaign order
+        self._rows = {
+            pol: np.flatnonzero(np.fromiter(map(operator.is_, pols, repeat(pol)), bool, len(pols))) for pol in Polarization
+        }
         for field in fields(LocationColumns)[1:]:
             getattr(self.columns, field.name).flags.writeable = False
+        for rows in self._rows.values():
+            rows.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Campaign):
@@ -204,18 +213,28 @@ class Campaign:
         return self._row_of.get(key)
 
     def rows(self, pol: Polarization) -> np.ndarray:
-        """The rows of the locations of one polarization, in campaign order."""
-        pol = Polarization(pol)
-        return np.array([row for row, key in enumerate(self.columns.keys) if key[2] is pol], dtype=np.intp)
+        """The rows of the locations of one polarization, in campaign order (read-only)."""
+        return self._rows[Polarization(pol)]
 
     def by_polarization(self, pol: Polarization) -> tuple[LocationMeasurement, ...]:
         return tuple(self.locations[row] for row in self.rows(pol).tolist())
 
     def pairs(self) -> list[tuple[int, int]]:
         """(V-V row, V-H row) of each placement measured in both polarizations, ordered by id."""
-        vv = sorted((key[:2], row) for key, row in self._row_of.items() if key[2] is Polarization.VV)
-        vh = [self.find((*ids, Polarization.VH)) for ids, _ in vv]
-        return [(row, vh_row) for (_, row), vh_row in zip(vv, vh) if vh_row is not None]
+        keys = self.columns.keys
+        by_id = sorted((keys[row][:2], row) for row in self._rows[Polarization.VV].tolist())
+        vh = map(self._row_of.get, [(*ids, Polarization.VH) for ids, _ in by_id])
+        return [(row, vh_row) for (_, row), vh_row in zip(by_id, vh) if vh_row is not None]
+
+
+def _raise_repeat(keys: tuple) -> None:
+    """Raise the ValidationError of the first location whose key an earlier location holds."""
+    first: dict = {}
+    for row, key in enumerate(keys):
+        earlier = first.setdefault(key, row)
+        if earlier != row:
+            where = f"{key[0]}-{key[1]} ({key[2].value}) of locations[{earlier}]"
+            raise ValidationError(f"locations[{row}]", f"repeats location {where}")
 
 
 def _check_locations(columns: LocationColumns, delay_resolution_ns: float) -> None:
@@ -278,12 +297,13 @@ def _universal_newlines(text: str) -> str:
 class _SweepRows:
     """The data rows of a campaign's sweep files as campaign-wide columns.
 
-    ``read_lean`` or ``read`` scans one file at a time and appends its
-    rows; the value checks (``first_bad_row``) and the grouping into
-    pointings with its delay checks (``_Pointings``) then run once over
-    every row read.  Row ``r`` holds ``values[4r:4r+4]`` in
-    ``SWEEP_COLUMNS`` order and came from file ``i``, the first with
-    ``ends[i] > r``, named by ``files[i]`` relative to ``parent``.
+    Ingest's lean lane (for files laid out as ``write_campaign`` writes
+    them) or ``read`` scans one file at a time and appends its rows; the
+    value checks (``first_bad_row``) and the grouping into pointings with
+    its delay checks (``_Pointings``) then run once over every row read.
+    Row ``r`` holds ``values[4r:4r+4]`` in ``SWEEP_COLUMNS`` order and
+    came from file ``i``, the first with ``ends[i] > r``, named by
+    ``files[i]`` relative to ``parent``.
     """
 
     def __init__(self, parent: Path):
@@ -312,40 +332,6 @@ class _SweepRows:
         self.lines.append(lines)
         self.floors.append(noise_floor)
         self.ends.append(len(self.values) // _N_COLUMNS)
-
-    def read_lean(self, rel: str, data: bytes) -> bool:
-        """Append the rows of a sweep file laid out as ``write_campaign`` writes it;
-        False, with nothing appended, for any other file.
-
-        That layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite
-        ``v``, the header, then LF-terminated rows of four numbers, none
-        blank.  It holds no other ``#`` and no line break but LF, so ``read``
-        would see the same floor and the same values, row ``i`` on line
-        ``3 + i``.  (The final LF is checked apart: the marks do not show a
-        last line cut short before its first comma.)
-        """
-        marks = data.translate(None, _UNMARKED)
-        n_lines = (len(marks) - 2) // 4  # the header's and the rows'
-        if n_lines < 2 or marks != b"#\n" + b",,,\n" * n_lines or not data.endswith(b"\n"):
-            return False
-        body = data.index(b"\n") + 1
-        if not (data.startswith(_FLOOR_PREFIX) and data.startswith(_HEADER_LINE, body)):
-            return False
-        try:
-            noise_floor = float(data[len(_FLOOR_PREFIX) : body - 1])
-        except ValueError:
-            return False
-        if not math.isfinite(noise_floor):
-            return False
-        start = len(self.values)
-        try:
-            self.values.extend(map(float, data[body + len(_HEADER_LINE) : -1].replace(b"\n", b",").split(b",")))
-        except ValueError:
-            del self.values[start:]
-            return False
-        self._add(rel, None, noise_floor)
-        self.complete += 1
-        return True
 
     def read(self, rel: str, text: str) -> None:
         """Append the data rows of one sweep file, line by line.
@@ -529,15 +515,6 @@ def _lean_entry(entry) -> tuple | None:
     return rel, (tx_id, rx_id, _POLARIZATIONS[pol]), tx_pos, rx_pos, los, antenna
 
 
-def _read_bytes(file: str) -> bytes | None:
-    """The bytes of ``file`` in one unbuffered read; None when it cannot be opened."""
-    try:
-        with open(file, "rb", buffering=0) as f:
-            return f.readall()
-    except (OSError, ValueError):  # ValueError: a NUL in the path
-        return None
-
-
 def _read_location(
     entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str], data: bytes | None = None
 ) -> tuple:
@@ -578,6 +555,74 @@ def _read_location(
     )
 
 
+def _read_entries(raw_locations: list, path: Path, rows: _SweepRows, digests: dict[str, str]) -> tuple[list, Exception | None]:
+    """The ``_read_location`` values of the manifest entries up to the first fault, and that
+    fault (None when every entry read); each sweep file is read into ``rows``.
+
+    An entry no check can fail (``_lean_entry``) whose file has the written layout takes the
+    lean lane, one pass over the file's bytes; every other one the line reader, which gets the
+    bytes already read or opens the file at the pathlib path if the lean lane could not
+    (``x.csv/``, say).  Sweep paths resolve against the manifest's directory.
+    """
+    base = os.fspath(path.parent)
+    values, add_file, add_lines, add_floor, add_end = (
+        rows.values, rows.files.append, rows.lines.append, rows.floors.append, rows.ends.append
+    )
+    entries: list[tuple] = []
+    for index, entry in enumerate(raw_locations):
+        lean = _lean_entry(entry)
+        data = None
+        if lean is not None:
+            rel = lean[0]
+            try:
+                fd = os.open(os.path.join(base, rel), _READ_FLAGS)
+            except (OSError, ValueError):  # ValueError: a NUL in the path
+                pass
+            else:
+                try:
+                    chunks = [os.read(fd, _FIRST_READ)]
+                    while chunks[-1]:
+                        chunks.append(os.read(fd, 1 << 16))
+                    data = b"".join(chunks)
+                except OSError:  # a directory, say
+                    pass
+                finally:
+                    os.close(fd)
+        if data is not None:
+            digests.setdefault(rel, hashlib.sha256(data).hexdigest())
+            # the written layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite ``v``,
+            # the header, then LF-terminated rows of four numbers, none blank.  It holds no
+            # other ``#`` and no line break but LF, so ``read`` would see the same floor and
+            # the same values, row ``i`` on line ``3 + i``.  (The final LF is checked apart:
+            # the marks do not show a last line cut short before its first comma.)
+            marks = data.translate(None, _UNMARKED)
+            n_lines = (len(marks) - 2) // 4  # the header's and the rows'
+            body = data.find(b"\n") + 1
+            if (
+                n_lines >= 2 and marks == b"#\n" + b",,,\n" * n_lines and data.endswith(b"\n")
+                and data.startswith(_FLOOR_PREFIX) and data.startswith(_HEADER_LINE, body)
+            ):
+                try:
+                    floor = float(data[len(_FLOOR_PREFIX) : body - 1])
+                    parsed = list(map(float, data[body + len(_HEADER_LINE) : -1].replace(b"\n", b",").split(b",")))
+                except ValueError:
+                    floor = math.nan
+                if math.isfinite(floor):
+                    values.fromlist(parsed)  # faster than extending by the map itself
+                    add_file(rel)
+                    add_lines(None)
+                    add_floor(floor)
+                    add_end(len(values) // _N_COLUMNS)
+                    rows.complete += 1
+                    entries.append(lean[1:])
+                    continue
+        try:
+            entries.append(_read_location(entry, index, path, rows, digests, data))
+        except (ValueError, OSError) as err:
+            return entries, err
+    return entries, None
+
+
 def ingest_campaign(manifest_path) -> Campaign:
     """Parse and validate a campaign manifest plus every referenced sweep file.
 
@@ -614,25 +659,8 @@ def ingest_campaign(manifest_path) -> Campaign:
         raise CampaignFormatError(path, None, "locations: manifest lists no locations")
 
     rows = _SweepRows(path.parent)
-    base = os.fspath(path.parent)
-    entries: list[tuple] = []
-    fault: Exception | None = None
-    for index, entry in enumerate(raw_locations):
-        # an entry no check can fail whose file has the written layout takes the lean
-        # lane; every other one the line reader, which opens the file at the pathlib
-        # path if the string join (``x.csv/``, say) could not
-        lean = _lean_entry(entry)
-        data = None if lean is None else _read_bytes(os.path.join(base, lean[0]))
-        if data is not None:
-            digests.setdefault(lean[0], hashlib.sha256(data).hexdigest())
-            if rows.read_lean(lean[0], data):
-                entries.append(lean[1:])
-                continue
-        try:
-            entries.append(_read_location(entry, index, path, rows, digests, data))
-        except (ValueError, OSError) as err:
-            fault = err  # raised below, unless a check still pending on earlier rows fails first
-            break
+    # the fault is raised below, unless a check still pending on earlier rows fails first
+    entries, fault = _read_entries(raw_locations, path, rows, digests)
     del doc, raw_locations  # the parsed manifest can outweigh the columns; free it before grouping
 
     # a file's pointings are formed only when all of its rows passed, as the
@@ -719,10 +747,13 @@ def _check_writable(campaign: Campaign) -> list[str]:
     c = campaign.columns
     if not len(c):
         raise ValidationError("locations", "campaign has no locations")
-    for key in c.keys:
-        for field, value in zip(("tx_id", "rx_id"), key):
-            if any(sep in value for sep in _PATH_SEPARATORS):
-                raise ValidationError(field, f"{value!r} contains a path separator")
+    # one search over every id; the loop only names the first offending one
+    ids = "".join(map("".join, map(operator.itemgetter(0, 1), c.keys)))
+    if any(sep in ids for sep in _PATH_SEPARATORS):
+        for key in c.keys:
+            for field, value in zip(("tx_id", "rx_id"), key):
+                if any(sep in value for sep in _PATH_SEPARATORS):
+                    raise ValidationError(field, f"{value!r} contains a path separator")
     names = [f"sweeps/{tx_id}_{rx_id}_{pol.value}.csv" for tx_id, rx_id, pol in c.keys]
     if len(set(names)) < len(names):
         raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")

@@ -51,107 +51,6 @@ _INGEST_LOCATION = "\n    " + json_template(
 )[0]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="subthz-chan",
-        description="Sub-THz channel-sounder campaign analysis and synthesis",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_manifest(p):
-        p.add_argument("--manifest", type=Path, required=True, help="campaign manifest JSON")
-
-    def add_thresholds(p):
-        p.add_argument(
-            "--threshold-db",
-            type=float,
-            action="append",
-            help="threshold below peak in dB; repeatable (default 20 and 30)",
-        )
-
-    def add_out(p, required=False):
-        p.add_argument("--out", type=Path, required=required, help="output file or directory")
-
-    p_ingest = sub.add_parser("ingest", help="validate a campaign and summarize it")
-    add_manifest(p_ingest)
-    p_ingest.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_fit = sub.add_parser("fit", help="fit path-loss models")
-    fit_sub = p_fit.add_subparsers(dest="fit_target", required=True)
-    p_fit_pl = fit_sub.add_parser("pathloss", help="close-in exponent fit on one sample class")
-    add_manifest(p_fit_pl)
-    p_fit_pl.add_argument("--pol", choices=[p.value for p in Polarization], default="VV")
-    p_fit_pl.add_argument("--kind", choices=sorted(_KIND_FLAGS), default="omni")
-    p_fit_pl.add_argument("--carrier-hz", type=float, default=None, help="override the manifest carrier")
-    p_fit_pl.add_argument(
-        "--max-pl-db",
-        type=float,
-        default=DEFAULT_MAX_PL_DB,
-        help="measurable path-loss ceiling; non-positive disables it",
-    )
-    p_fit_pl.add_argument("--scatter-csv", type=Path, default=None, help="also write distance/loss pairs here")
-
-    p_stats = sub.add_parser("stats", help="campaign summary tables")
-    stats_sub = p_stats.add_subparsers(dest="stats_kind", required=True)
-    for name, help_text in (("delay", "delay-spread table"), ("angular", "angular-spread and lobe table")):
-        p_s = stats_sub.add_parser(name, help=help_text)
-        add_manifest(p_s)
-        add_thresholds(p_s)
-        add_out(p_s)
-
-    p_pas = sub.add_parser("pas", help="power angular spectrum tools")
-    pas_sub = p_pas.add_subparsers(dest="pas_action", required=True)
-    p_pas_dump = pas_sub.add_parser("dump", help="per-bin spectrum of one location")
-    add_manifest(p_pas_dump)
-    p_pas_dump.add_argument("--tx-id", required=True)
-    p_pas_dump.add_argument("--rx-id", required=True)
-    p_pas_dump.add_argument("--pol", choices=[p.value for p in Polarization], default="VV")
-    p_pas_dump.add_argument("--side", choices=[s.value for s in Side], required=True)
-    p_pas_dump.add_argument("--threshold-db", type=float, default=30.0)
-    add_out(p_pas_dump)
-
-    p_xpd = sub.add_parser("xpd", help="cross-polar discrimination analysis")
-    xpd_sub = p_xpd.add_subparsers(dest="xpd_action", required=True)
-    p_xpd_report = xpd_sub.add_parser("report", help="per-class XPD summary and CDF")
-    add_manifest(p_xpd_report)
-    p_xpd_report.add_argument("--format", choices=("json", "csv"), default="json")
-    add_out(p_xpd_report)
-
-    p_synth = sub.add_parser("synth", help="render a synthetic campaign")
-    p_synth.add_argument("--params", type=Path, default=None, help="generator parameters JSON")
-    p_synth.add_argument("--n", type=int, default=None, help="number of TX-RX placements")
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--out", type=Path, required=True, help="campaign output directory")
-    p_synth.add_argument(
-        "--factory-layout",
-        action="store_true",
-        help="use the fixed 13-placement floor plan instead of --n drawn placements",
-    )
-    p_synth.add_argument("--tx-power-dbm", type=float, default=0.0)
-    p_synth.add_argument("--campaign-id", default="synthetic-factory-142ghz")
-    p_synth.add_argument("--truth-out", type=Path, default=None, help="write ground-truth drops JSON here")
-
-    p_report = sub.add_parser("report", help="run the full pipeline and write the report bundle")
-    add_manifest(p_report)
-    add_thresholds(p_report)
-    add_out(p_report, required=True)
-    p_report.add_argument("--carrier-hz", type=float, default=None, help="override the manifest carrier")
-    p_report.add_argument("--seed", type=int, default=0)
-    p_report.add_argument(
-        "--format",
-        action="append",
-        choices=("csv", "json"),
-        help="report formats; repeatable (default both)",
-    )
-    p_report.add_argument(
-        "--max-pl-db",
-        type=float,
-        default=DEFAULT_MAX_PL_DB,
-        help="measurable path-loss ceiling; non-positive disables it",
-    )
-    return parser
-
-
 def _write_or_print(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -307,21 +206,145 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+def _add_manifest(p) -> None:
+    p.add_argument("--manifest", type=Path, required=True, help="campaign manifest JSON")
+
+
+def _add_thresholds(p) -> None:
+    p.add_argument(
+        "--threshold-db",
+        type=float,
+        action="append",
+        help="threshold below peak in dB; repeatable (default 20 and 30)",
+    )
+
+
+def _add_out(p, required=False) -> None:
+    p.add_argument("--out", type=Path, required=required, help="output file or directory")
+
+
+def _add_max_pl(p) -> None:
+    p.add_argument(
+        "--max-pl-db",
+        type=float,
+        default=DEFAULT_MAX_PL_DB,
+        help="measurable path-loss ceiling; non-positive disables it",
+    )
+
+
+def _ingest_arguments(p) -> None:
+    _add_manifest(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _fit_arguments(p) -> None:
+    p = p.add_subparsers(dest="fit_target", required=True).add_parser(
+        "pathloss", help="close-in exponent fit on one sample class"
+    )
+    _add_manifest(p)
+    p.add_argument("--pol", choices=[pol.value for pol in Polarization], default="VV")
+    p.add_argument("--kind", choices=sorted(_KIND_FLAGS), default="omni")
+    p.add_argument("--carrier-hz", type=float, default=None, help="override the manifest carrier")
+    _add_max_pl(p)
+    p.add_argument("--scatter-csv", type=Path, default=None, help="also write distance/loss pairs here")
+
+
+def _stats_arguments(p) -> None:
+    stats_sub = p.add_subparsers(dest="stats_kind", required=True)
+    for name, help_text in (("delay", "delay-spread table"), ("angular", "angular-spread and lobe table")):
+        p_s = stats_sub.add_parser(name, help=help_text)
+        _add_manifest(p_s)
+        _add_thresholds(p_s)
+        _add_out(p_s)
+
+
+def _pas_arguments(p) -> None:
+    p = p.add_subparsers(dest="pas_action", required=True).add_parser("dump", help="per-bin spectrum of one location")
+    _add_manifest(p)
+    p.add_argument("--tx-id", required=True)
+    p.add_argument("--rx-id", required=True)
+    p.add_argument("--pol", choices=[pol.value for pol in Polarization], default="VV")
+    p.add_argument("--side", choices=[s.value for s in Side], required=True)
+    p.add_argument("--threshold-db", type=float, default=30.0)
+    _add_out(p)
+
+
+def _xpd_arguments(p) -> None:
+    p = p.add_subparsers(dest="xpd_action", required=True).add_parser("report", help="per-class XPD summary and CDF")
+    _add_manifest(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_out(p)
+
+
+def _synth_arguments(p) -> None:
+    p.add_argument("--params", type=Path, default=None, help="generator parameters JSON")
+    p.add_argument("--n", type=int, default=None, help="number of TX-RX placements")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=Path, required=True, help="campaign output directory")
+    p.add_argument(
+        "--factory-layout",
+        action="store_true",
+        help="use the fixed 13-placement floor plan instead of --n drawn placements",
+    )
+    p.add_argument("--tx-power-dbm", type=float, default=0.0)
+    p.add_argument("--campaign-id", default="synthetic-factory-142ghz")
+    p.add_argument("--truth-out", type=Path, default=None, help="write ground-truth drops JSON here")
+
+
+def _report_arguments(p) -> None:
+    _add_manifest(p)
+    _add_thresholds(p)
+    _add_out(p, required=True)
+    p.add_argument("--carrier-hz", type=float, default=None, help="override the manifest carrier")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--format",
+        action="append",
+        choices=("csv", "json"),
+        help="report formats; repeatable (default both)",
+    )
+    _add_max_pl(p)
+
+
+#: each command: its help, the function adding its arguments to its parser, its handler
+_COMMANDS = {
+    "ingest": ("validate a campaign and summarize it", _ingest_arguments, _cmd_ingest),
+    "fit": ("fit path-loss models", _fit_arguments, _cmd_fit_pathloss),
+    "stats": ("campaign summary tables", _stats_arguments, _cmd_stats),
+    "pas": ("power angular spectrum tools", _pas_arguments, _cmd_pas_dump),
+    "xpd": ("cross-polar discrimination analysis", _xpd_arguments, _cmd_xpd_report),
+    "synth": ("render a synthetic campaign", _synth_arguments, _cmd_synth),
+    "report": ("run the full pipeline and write the report bundle", _report_arguments, _cmd_report),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with the arguments of ``command`` only, or of every command when None.
+
+    Every command is registered, with its help, so usage lines and errors
+    read the same whichever parser parses a command line that starts with
+    ``command``; ``--help`` and bad or missing commands need the full one.
+    """
+    parser = argparse.ArgumentParser(
+        prog="subthz-chan",
+        description="Sub-THz channel-sounder campaign analysis and synthesis",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     level_name = os.environ.get("SUBTHZ_CHAN_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "ingest": _cmd_ingest,
-        "fit": _cmd_fit_pathloss,
-        "stats": _cmd_stats,
-        "pas": _cmd_pas_dump,
-        "xpd": _cmd_xpd_report,
-        "synth": _cmd_synth,
-        "report": _cmd_report,
-    }
+    argv = sys.argv[1:] if argv is None else argv
+    # only the command that runs gets its arguments built
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except DegenerateFitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_FIT

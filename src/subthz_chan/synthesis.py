@@ -29,6 +29,7 @@ from .measurement import (
     LocationColumns,
     Polarization,
     ValidationError,
+    checked_delay_resolution,
     concat_ranges,
     linear_to_db_array,
 )
@@ -62,6 +63,10 @@ _TAP_VALUES = operator.attrgetter("delay_ns", "power_mw", "xpd_db")
 #: the most path loss one knob may add to a drop: tap powers then stay far
 #: above the smallest float through the tap weights and XPDs
 _MAX_PATH_LOSS_DB = 1000.0
+#: the finest delay lattice, in float spacings at the far-end direct delay plus the far
+#: tap's cap: taps one bin apart then stay distinct floats out to 2**10 times that
+#: delay, far beyond any reflection excess a drop draws
+_MIN_LATTICE_ULPS = 2.0**10
 
 
 @dataclass(frozen=True)
@@ -161,6 +166,14 @@ class SynthesisParams:
             if not loss_db <= _MAX_PATH_LOSS_DB:
                 limit = f"over the {_MAX_PATH_LOSS_DB:g} dB a drop can carry"
                 raise ValidationError(name, f"{getattr(self, name)} adds {loss_db:.4g} dB of path loss, {limit}")
+        # a lattice finer than the float spacing of the delays it reaches would merge adjacent taps
+        res = checked_delay_resolution(self.delay_resolution_ns)
+        far_ns = hi / _SPEED_OF_LIGHT_M_NS + _MAX_FAR_TAP_NS
+        finest_ns = _MIN_LATTICE_ULPS * math.ulp(far_ns)
+        if not res >= finest_ns:
+            raise ValidationError(
+                "delay_resolution_ns", f"{res} ns cannot resolve delays near {far_ns:.4g} ns; need >= {finest_ns:.3g} ns"
+            )
         # greedy non-adjacent lobe placement removes at most 3 grid bins
         # per placed lobe, so this bound keeps placement always feasible
         if self.lobe_count_law.max_count > self.n_az_bins // 3:

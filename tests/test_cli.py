@@ -518,6 +518,9 @@ class TestSynth:
             ('{"ple": Infinity}', "ple"),
             ('{"carrier_hz": 1e308}', "carrier_hz"),
             ('{"shadow_sigma_db": 1e308}', "shadow_sigma_db"),
+            # a lattice below the float spacing of the delays: adjacent taps would share one delay
+            ('{"delay_resolution_ns": 1e-300}', "delay_resolution_ns"),
+            ('{"delay_resolution_ns": 5e-324}', "delay_resolution_ns"),
         ],
     )
     def test_malformed_params_field_exits_2(self, tmp_path, capsys, doc, field):
