@@ -58,4 +58,4 @@ from .synthesis import (
 )
 from .xpd import PathClass, XpdClassSummary, XpdColumns, xpd_columns
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -134,11 +134,11 @@ class Campaign:
     """An ingested campaign: one location per ``key``, held as ``LocationColumns``.
 
     ``locations`` may be ``LocationMeasurement`` objects, converted by
-    ``LocationColumns.of``, or the columns themselves, which are checked by
-    ``LocationColumns.first_fault`` and then made read-only.  Indexing,
-    iterating, ``locations`` and ``by_polarization`` build validated
-    objects on request, for inspection; the analysis reads ``columns``
-    through a ``TapTable``.
+    ``LocationColumns.of``, or the columns themselves; either way this is the
+    one check of a location's values (``shape_fault``, then ``first_fault``),
+    after which the columns are read-only.  Indexing, iterating, ``locations``
+    and ``by_polarization`` build objects from them on request, for
+    inspection; the analysis reads ``columns`` through a ``TapTable``.
     """
 
     def __init__(
@@ -238,8 +238,8 @@ def _raise_repeat(keys: tuple) -> None:
 
 
 def _check_locations(columns: LocationColumns, delay_resolution_ns: float) -> None:
-    """Raise the ValidationError of the first location ``columns.first_fault`` finds."""
-    fault = columns.first_fault(delay_resolution_ns)
+    """Raise the ValidationError of the first location out of shape or breaking a rule."""
+    fault = columns.shape_fault() or columns.first_fault(delay_resolution_ns)
     if fault is not None:
         row, field, message = fault
         raise ValidationError(f"locations[{row}].{field}", message)

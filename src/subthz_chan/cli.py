@@ -197,7 +197,6 @@ def _cmd_report(args) -> int:
         out_dir=args.out,
         thresholds_db=_thresholds(args),
         carrier_hz=args.carrier_hz,
-        seed=args.seed,
         formats=tuple(args.format) if args.format else ("csv", "json"),
         max_measurable_pl_db=_ceiling(args.max_pl_db),
     )
@@ -296,7 +295,6 @@ def _report_arguments(p) -> None:
     _add_thresholds(p)
     _add_out(p, required=True)
     p.add_argument("--carrier-hz", type=float, default=None, help="override the manifest carrier")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--format",
         action="append",

@@ -3,10 +3,10 @@
 Power values are dB relative to the campaign reference (dBm at the
 receiver unless stated otherwise), delays are nanoseconds, azimuths are
 degrees in [0, 360).  ``LocationColumns`` holds a campaign's locations as
-flat columns, whose data-model rules ``LocationColumns.first_fault`` holds;
-the immutable records (``DirectionalPdp``, ``LocationMeasurement``) serve to
-build and inspect single locations, and every analysis runs on a
-``TapTable`` built from the columns.
+flat columns, whose shape and data-model rules ``LocationColumns.first_fault``
+holds; the immutable records (``DirectionalPdp``, ``LocationMeasurement``)
+serve to build and inspect single locations and check nothing themselves, and
+every analysis runs on a ``TapTable`` built from the columns.
 """
 from __future__ import annotations
 
@@ -30,6 +30,10 @@ DEFAULT_DELAY_RESOLUTION_NS = 2.0
 
 #: slack when checking that recorded delays sit on the sounder's delay lattice
 DELAY_GRID_TOL_NS = 1e-6
+
+#: the largest magnitude of a tap power (dB) and of an antenna gain (dBi): every linear power
+#: the analysis forms, a tap's power less both gains included, is then a normal float
+DB_LIMIT = 1000.0
 
 
 class ValidationError(ValueError):
@@ -132,8 +136,8 @@ class AntennaConfig:
 class DirectionalPdp:
     """Power delay profile for one fixed (TX azimuth, RX azimuth) pointing pair.
 
-    Delays must be strictly increasing; bins removed by thresholding are
-    simply absent, so gaps in the delay axis are legal.
+    Delays must be strictly increasing (``Campaign`` checks it); bins removed by
+    thresholding are simply absent, so gaps in the delay axis are legal.
     """
 
     tx_az_deg: float
@@ -143,49 +147,12 @@ class DirectionalPdp:
     noise_floor_db: float
 
     def __post_init__(self):
-        delays = tuple(map(float, self.delays_ns))
-        powers = tuple(map(float, self.powers_db))
-        object.__setattr__(self, "delays_ns", delays)
-        object.__setattr__(self, "powers_db", powers)
-        for name in ("tx_az_deg", "rx_az_deg"):
-            az = getattr(self, name)
-            if not 0.0 <= az < 360.0:
-                raise ValidationError(name, f"azimuth {az} outside [0, 360)")
-        if not delays:
-            raise ValidationError("delays_ns", "PDP has no bins")
-        if len(powers) != len(delays):
-            raise ValidationError("powers_db", "length differs from delays_ns")
-        # ge is false when either side is NaN, so a NaN delay is not reported as out of order
-        if any(map(operator.ge, delays, delays[1:])):
-            raise ValidationError("delays_ns", "delays must be strictly increasing")
-        if not all(map(math.isfinite, powers)):
-            raise ValidationError("powers_db", "powers must be finite")
-        if not math.isfinite(self.noise_floor_db):
-            raise ValidationError("noise_floor_db", "must be finite")
+        object.__setattr__(self, "delays_ns", tuple(map(float, self.delays_ns)))
+        object.__setattr__(self, "powers_db", tuple(map(float, self.powers_db)))
 
     @property
     def direction(self) -> tuple[float, float]:
         return (self.tx_az_deg, self.rx_az_deg)
-
-    @property
-    def peak_db(self) -> float:
-        return max(self.powers_db)
-
-    def is_detectable(self) -> bool:
-        return self.peak_db > self.noise_floor_db
-
-    def detected_bins(self) -> list[tuple[float, float]]:
-        """(delay_ns, power_db) of the bins at or above the noise floor.
-
-        Raises NoSignalError when not even the peak clears the floor.
-        """
-        if not self.is_detectable():
-            raise NoSignalError(
-                f"({self.tx_az_deg}, {self.rx_az_deg}): peak {self.peak_db:.1f} dB "
-                f"does not clear the noise floor {self.noise_floor_db:.1f} dB"
-            )
-        floor = self.noise_floor_db
-        return [(t, p) for t, p in zip(self.delays_ns, self.powers_db) if p >= floor]
 
 
 def checked_threshold_db(threshold_db: float) -> float:
@@ -226,7 +193,8 @@ ROW_RULES = (
     ("tx_az_deg", _outside_circle, "{} outside [0, 360)".format),
     ("rx_az_deg", _outside_circle, "{} outside [0, 360)".format),
     ("delay_ns", lambda delay: ~(np.isfinite(delay) & (delay >= 0.0)), "delay {} must be >= 0".format),
-    ("power_db", lambda power: ~np.isfinite(power), lambda power: "power must be finite"),
+    ("power_db", lambda power: ~(np.abs(power) <= DB_LIMIT),
+     lambda p: f"power {p} dB outside [-{DB_LIMIT:g}, {DB_LIMIT:g}]" if math.isfinite(p) else "power must be finite"),
 )
 
 
@@ -241,6 +209,7 @@ def _antenna_rules(antenna: np.ndarray, prefix: str = "") -> tuple:
     return (
         (f"{prefix}gain_dbi", rows, ~np.isfinite(gain), lambda i: f"must be finite, got {gain[i]}"),
         (f"{prefix}gain_dbi", rows, ~(gain > 0), lambda i: f"must be > 0, got {gain[i]}"),
+        (f"{prefix}gain_dbi", rows, ~(gain <= DB_LIMIT), lambda i: f"must be <= {DB_LIMIT:g}, got {gain[i]}"),
         (
             f"{prefix}hpbw_deg", rows, ~((0.0 < hpbw) & (hpbw <= step) & (step <= 360.0)),
             lambda i: f"need 0 < hpbw_deg <= az_step_deg <= 360, got hpbw={hpbw[i]}, step={step[i]}",
@@ -287,7 +256,7 @@ def in_linear_window(power_mw, peak_mw, threshold_db: float):
 
 @dataclass(frozen=True)
 class LocationMeasurement:
-    """All sweeps, geometry and polarization setup for one TX-RX pair."""
+    """All sweeps, geometry and polarization setup for one TX-RX pair; ``Campaign`` checks it."""
 
     tx_id: str
     rx_id: str
@@ -301,34 +270,10 @@ class LocationMeasurement:
     tx_power_dbm: float
 
     def __post_init__(self):
-        for name in ("tx_pos_m", "rx_pos_m"):
-            pos = getattr(self, name)
-            if len(pos) != 3:
-                raise ValidationError(name, "position must be a 3-vector")
-            pos = tuple(map(float, pos))
-            if not all(map(math.isfinite, pos)):
-                raise ValidationError(name, f"position {pos} must be finite")
-            object.__setattr__(self, name, pos)
+        object.__setattr__(self, "tx_pos_m", tuple(map(float, self.tx_pos_m)))
+        object.__setattr__(self, "rx_pos_m", tuple(map(float, self.rx_pos_m)))
         object.__setattr__(self, "sweeps", tuple(self.sweeps))
         object.__setattr__(self, "polarization", Polarization(self.polarization))
-        if not self.tx_id or not self.rx_id:
-            raise ValidationError("tx_id", "tx_id and rx_id must be non-empty")
-        if not self.sweeps:
-            raise ValidationError("sweeps", "location has no sweeps")
-        if self.distance_m <= D0_M:
-            raise ValidationError(
-                "distance_m",
-                f"TX-RX distance {self.distance_m:.3f} m must exceed {D0_M} m",
-            )
-        if self.distance_m == math.inf:  # finite positions near the float limit
-            raise ValidationError("distance_m", "TX-RX distance overflows to inf")
-        seen: set[tuple[float, float]] = set()
-        for pdp in self.sweeps:
-            if pdp.direction in seen:
-                raise ValidationError(
-                    "sweeps", f"duplicate pointing pair {pdp.direction}"
-                )
-            seen.add(pdp.direction)
 
     #: (tx_id, rx_id, polarization): what identifies a location within a campaign
     key = property(operator.attrgetter("tx_id", "rx_id", "polarization"))
@@ -394,7 +339,7 @@ class LocationColumns:
     ``sweep_bounds[i]:sweep_bounds[i + 1]`` of the sweep columns, in sweep
     order, and sweep ``s`` owns rows ``tap_bounds[s]:tap_bounds[s + 1]`` of
     the tap columns, in bin order.  An antenna row is (gain_dbi, hpbw_deg,
-    az_step_deg, height_m).  ``of`` is the one conversion from validated
+    az_step_deg, height_m).  ``of`` is the one conversion from
     ``LocationMeasurement`` objects, which ``Campaign`` makes; ``build``
     makes objects back on request.
     """
@@ -417,13 +362,19 @@ class LocationColumns:
 
     @classmethod
     def of(cls, locations: Iterable[LocationMeasurement]) -> "LocationColumns":
-        """The columns of validated location records, in the order given."""
+        """The columns of location records, in order, for ``Campaign`` to check; ValidationError names a record
+        they cannot hold (a position not of 3 numbers, more or fewer powers than delays) ``locations[i].<field>``."""
         locs = tuple(locations)
+        for i, loc in enumerate(locs):
+            for name in ("tx_pos_m", "rx_pos_m"):
+                if len(getattr(loc, name)) != 3:
+                    raise ValidationError(f"locations[{i}].{name}", f"position {getattr(loc, name)} must be 3 numbers")
+            for pdp in loc.sweeps:
+                if len(pdp.powers_db) != len(pdp.delays_ns):
+                    message = f"PDP {pdp.direction} has {len(pdp.powers_db)} powers for {len(pdp.delays_ns)} delays"
+                    raise ValidationError(f"locations[{i}].powers_db", message)
         sweeps = [pdp for loc in locs for pdp in loc.sweeps]
-
-        def antennas(side: str) -> np.ndarray:
-            rows = [(a.gain_dbi, a.hpbw_deg, a.az_step_deg, a.height_m) for a in (getattr(l, side) for l in locs)]
-            return np.array(rows, dtype=float).reshape(-1, 4)
+        antenna = operator.attrgetter("gain_dbi", "hpbw_deg", "az_step_deg", "height_m")
 
         def bounds(counts: Iterable[int]) -> np.ndarray:
             return np.concatenate(([0], np.cumsum(np.fromiter(counts, dtype=np.intp))))
@@ -433,8 +384,8 @@ class LocationColumns:
             tx_pos_m=np.array([loc.tx_pos_m for loc in locs], dtype=float).reshape(-1, 3),
             rx_pos_m=np.array([loc.rx_pos_m for loc in locs], dtype=float).reshape(-1, 3),
             los=np.array([loc.los for loc in locs], dtype=bool),
-            tx_antenna=antennas("tx_antenna"),
-            rx_antenna=antennas("rx_antenna"),
+            tx_antenna=np.array([antenna(loc.tx_antenna) for loc in locs], dtype=float).reshape(-1, 4),
+            rx_antenna=np.array([antenna(loc.rx_antenna) for loc in locs], dtype=float).reshape(-1, 4),
             tx_power_dbm=np.array([loc.tx_power_dbm for loc in locs], dtype=float),
             sweep_bounds=bounds(len(loc.sweeps) for loc in locs),
             tx_az_deg=np.array([pdp.tx_az_deg for pdp in sweeps], dtype=float),
@@ -465,19 +416,48 @@ class LocationColumns:
 
     @cached_property
     def peak_db(self) -> np.ndarray:
-        """``DirectionalPdp.peak_db`` of each sweep."""
+        """The largest power of each sweep."""
         return np.maximum.reduceat(self.power_db, self.tap_bounds[:-1])
 
     @cached_property
     def detectable(self) -> np.ndarray:
-        """``DirectionalPdp.is_detectable`` of each sweep."""
+        """Whether the peak of each sweep clears its noise floor (strictly)."""
         return self.peak_db > self.noise_floor_db
+
+    def shape_fault(self) -> tuple[int, str, str] | None:
+        """(row, field, message) of the first column out of shape, or None: location columns hold a row
+        per key, sweep and tap columns one per ``tx_az_deg`` and ``delay_ns``, and the bounds, one more,
+        run up from 0 to that count.  A fault names the location of its first row out of step."""
+        n, counts = len(self.keys), (np.size(self.tx_az_deg), np.size(self.delay_ns))
+
+        def owner(level: int, row: int) -> int:  # of a row of location, sweep or tap columns; past the end: the last
+            for bounds in (self.sweep_bounds, self.tap_bounds)[:level][::-1]:
+                row = int(np.searchsorted(bounds, row, side="right")) - 1
+            return max(min(row, n - 1), 0)
+
+        for name, level, need in (
+            ("tx_pos_m", 0, (n, 3)), ("rx_pos_m", 0, (n, 3)), ("los", 0, (n,)), ("tx_antenna", 0, (n, 4)),
+            ("rx_antenna", 0, (n, 4)), ("tx_power_dbm", 0, (n,)), ("sweep_bounds", 0, (n + 1,)),
+            *((name, 1, (counts[0],)) for name in ("tx_az_deg", "rx_az_deg", "noise_floor_db")),
+            ("tap_bounds", 1, (counts[0] + 1,)), ("delay_ns", 2, (counts[1],)), ("power_db", 2, (counts[1],)),
+        ):
+            shape = np.shape(column := getattr(self, name))
+            if shape != need:
+                rows = shape[0] if shape else 0
+                return owner(level, 0 if rows == need[0] else min(rows, need[0])), name, f"has shape {shape}, need {need}"
+            if name.endswith("_bounds"):
+                bad = np.append(column[0] != 0, column[1:] < column[:-1]) | (column.dtype.kind not in "iu")
+                bad[-1] |= column[-1] != counts[level]
+                i, message = int(np.argmax(bad)), f"must be integers from 0 up to {counts[level]}"
+                if bad[i]:
+                    return owner(level, max(i - 1, 0)), name, f"{message}, got {column[i]} at [{i}]"
+        return None
 
     def first_fault(self, delay_resolution_ns: float) -> tuple[int, str, str] | None:
         """(row, field, message) of the first location that breaks a data-model rule, or None.
 
-        Within a location the rules run in the order of the table below;
-        ``delay_resolution_ns`` must be > 0 and finite, else ValidationError.
+        The rules assume the shapes ``shape_fault`` checks; within a location they run in the
+        order of the table below.  ``delay_resolution_ns`` must be > 0 and finite.
         """
         res = checked_delay_resolution(delay_resolution_ns)
         rows, sweep_loc, distance = np.arange(len(self)), self.sweep_loc, self.distance_m
@@ -492,10 +472,8 @@ class LocationColumns:
         return first_flagged((
             *_antenna_rules(self.tx_antenna, "antenna."),
             *_antenna_rules(self.rx_antenna, "antenna."),
-            ("tx_pos_m", rows, ~np.isfinite(self.tx_pos_m).all(axis=1),
-             lambda i: f"position {tuple(self.tx_pos_m[i].tolist())} must be finite"),
-            ("rx_pos_m", rows, ~np.isfinite(self.rx_pos_m).all(axis=1),
-             lambda i: f"position {tuple(self.rx_pos_m[i].tolist())} must be finite"),
+            *((name, rows, ~np.isfinite(pos).all(axis=1), lambda i, p=pos: f"position {tuple(p[i].tolist())} must be finite")
+              for name, pos in (("tx_pos_m", self.tx_pos_m), ("rx_pos_m", self.rx_pos_m))),
             ("tx_id", rows, np.array([not (tx_id and rx_id) for tx_id, rx_id, _ in self.keys], dtype=bool),
              lambda i: "tx_id and rx_id must be non-empty"),
             ("sweeps", rows, np.diff(self.sweep_bounds) < 1, lambda i: "location has no sweeps"),
@@ -515,7 +493,7 @@ class LocationColumns:
         ))
 
     def build(self, rows: Iterable[int]) -> tuple[LocationMeasurement, ...]:
-        """The ``LocationMeasurement`` of each of ``rows``, validated by its constructor."""
+        """The ``LocationMeasurement`` of each of ``rows``."""
         # every column but ``keys``, as lists, in field order
         tx_pos, rx_pos, los, tx_antenna, rx_antenna, tx_power, sweeps, tx_az, rx_az, floor, taps, delay, power = (
             getattr(self, f.name).tolist() for f in fields(self)[1:]
@@ -525,20 +503,10 @@ class LocationColumns:
         antenna = {row: AntennaConfig(*row) for row in {tuple(a[i]) for a in (tx_antenna, rx_antenna) for i in rows}}
         return tuple(
             LocationMeasurement(
-                *self.keys[i][:2],
-                tx_pos_m=tuple(tx_pos[i]),
-                rx_pos_m=tuple(rx_pos[i]),
-                polarization=self.keys[i][2],
-                los=los[i],
-                sweeps=tuple(
-                    DirectionalPdp(
-                        tx_az[s], rx_az[s], delay[taps[s] : taps[s + 1]], power[taps[s] : taps[s + 1]], floor[s]
-                    )
-                    for s in range(sweeps[i], sweeps[i + 1])
-                ),
-                tx_antenna=antenna[tuple(tx_antenna[i])],
-                rx_antenna=antenna[tuple(rx_antenna[i])],
-                tx_power_dbm=tx_power[i],
+                *self.keys[i][:2], tx_pos[i], rx_pos[i], self.keys[i][2], los[i],
+                [DirectionalPdp(tx_az[s], rx_az[s], delay[taps[s] : taps[s + 1]], power[taps[s] : taps[s + 1]], floor[s])
+                 for s in range(sweeps[i], sweeps[i + 1])],
+                antenna[tuple(tx_antenna[i])], antenna[tuple(rx_antenna[i])], tx_power[i],
             )
             for i in rows
         )
@@ -552,8 +520,8 @@ class TapTable:
     columns (``tap_*``, ``delay_ns``, ``power_db``, ``power_mw``) run in
     location -> sweep -> delay order, sweep columns in location -> sweep
     order, and location columns in table order.  Only sweeps whose peak
-    clears the floor get a row, and only their ``detected_bins``, so a
-    location without signal has no sweep rows (``n_sweeps`` 0).
+    clears the floor get a row, and only their bins at or above the floor,
+    so a location without signal has no sweep rows (``n_sweeps`` 0).
 
     ``power_mw`` is ``db_to_linear_array`` of ``power_db``: the scalar
     ``db_to_linear`` of each tap, bit for bit, as a C-level ``math.pow``

@@ -129,7 +129,6 @@ class RunConfig:
     out_dir: Path
     thresholds_db: tuple[float, ...] = DEFAULT_THRESHOLDS_DB
     carrier_hz: float | None = None
-    seed: int = 0
     formats: tuple[str, ...] = ("csv", "json")
     max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB
 
@@ -146,8 +145,6 @@ class RunConfig:
         if unknown:
             raise ValidationError("formats", f"unknown formats: {sorted(unknown)}")
         _check_overrides(self.carrier_hz, self.max_measurable_pl_db)
-        if self.seed < 0:
-            raise ValidationError("seed", f"must be >= 0, got {self.seed}")
 
 
 def _csv_value(value: float) -> str:
@@ -335,7 +332,7 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
             "carrier_hz": analysis.carrier_hz,
             "max_measurable_pl_db": config.max_measurable_pl_db,
             "delay_resolution_ns": campaign.delay_resolution_ns,
-            "seed": config.seed,
+            "seed": 0,  # nothing is drawn at random; kept for the benchmark's stored reports (perfbench/reference)
             "formats": sorted(config.formats),
         },
         "inputs_sha256": campaign.input_sha256,

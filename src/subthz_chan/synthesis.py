@@ -60,9 +60,9 @@ _FLOOR_MARGIN_DB = 6.0
 
 _TAP_VALUES = operator.attrgetter("delay_ns", "power_mw", "xpd_db")
 
-#: the most path loss one knob may add to a drop: tap powers then stay far
-#: above the smallest float through the tap weights and XPDs
-_MAX_PATH_LOSS_DB = 1000.0
+#: the most one knob may move a rendered tap's power: with five knobs adding up along a tap (carrier,
+#: PLE, shadowing, XPD, lobe count), 54 dBi of gains and weights down to -93 dB, taps stay in ``DB_LIMIT``
+_MAX_KNOB_DB = 150.0
 #: the finest delay lattice, in float spacings at the far-end direct delay plus the far
 #: tap's cap: taps one bin apart then stay distinct floats out to 2**10 times that
 #: delay, far beyond any reflection excess a drop draws
@@ -156,16 +156,19 @@ class SynthesisParams:
         if abs(360.0 / self.az_step_deg - round(360.0 / self.az_step_deg)) > 1e-9:
             raise ValidationError("az_step_deg", "must divide 360")
         decades = math.log10(hi / D0_M)
-        for name, loss_db in (  # each knob's own share of the largest path loss a drop can draw
-            ("carrier_hz", fspl(self.carrier_hz, D0_M)),
+        for name, share_db in (  # how far each knob on its own can move a tap's power
+            ("carrier_hz", abs(fspl(self.carrier_hz, D0_M))),
             ("distance_range_m", 20.0 * decades),  # free-space spreading to the far end
             ("ple", 10.0 * self.ple * decades),
             ("nlos_ple", 10.0 * self.nlos_ple * decades),
             ("shadow_sigma_db", 10.0 * self.shadow_sigma_db),  # a ten-sigma draw
+            ("xpd_boresight", abs(self.xpd_boresight.mean_db) + 10.0 * self.xpd_boresight.std_db),
+            ("xpd_reflection", abs(self.xpd_reflection.mean_db) + 10.0 * self.xpd_reflection.std_db),
+            ("lobe_count_law", _LOBE_STEP_DB * (self.lobe_count_law.max_count - 1)),  # the faintest lobe
         ):
-            if not loss_db <= _MAX_PATH_LOSS_DB:
-                limit = f"over the {_MAX_PATH_LOSS_DB:g} dB a drop can carry"
-                raise ValidationError(name, f"{getattr(self, name)} adds {loss_db:.4g} dB of path loss, {limit}")
+            if not share_db <= _MAX_KNOB_DB:
+                limit = f"over the {_MAX_KNOB_DB:g} dB one knob may"
+                raise ValidationError(name, f"{getattr(self, name)} moves tap powers by {share_db:.4g} dB, {limit}")
         # a lattice finer than the float spacing of the delays it reaches would merge adjacent taps
         res = checked_delay_resolution(self.delay_resolution_ns)
         far_ns = hi / _SPEED_OF_LIGHT_M_NS + _MAX_FAR_TAP_NS

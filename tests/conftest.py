@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, settings
 
 from subthz_chan import (
     AntennaConfig,
+    Campaign,
     DirectionalPdp,
     LocationColumns,
     LocationMeasurement,
@@ -66,6 +67,11 @@ def make_location(
         rx_antenna=AntennaConfig.default_rx(),
         tx_power_dbm=tx_power,
     )
+
+
+def campaign_of(*locations) -> Campaign:
+    """A 142 GHz campaign of some location records: the one place their values are checked."""
+    return Campaign("test", 142e9, 0.0, locations)
 
 
 def table_of(*locations) -> TapTable:

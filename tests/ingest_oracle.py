@@ -28,10 +28,12 @@ from subthz_chan.campaign_io import (
     _require,
 )
 from subthz_chan.measurement import (
+    DB_LIMIT,
     DEFAULT_DELAY_RESOLUTION_NS,
     DELAY_GRID_TOL_NS,
     AntennaConfig,
     DirectionalPdp,
+    LocationColumns,
     LocationMeasurement,
     Polarization,
     ValidationError,
@@ -78,6 +80,8 @@ def _read_sweep_file(path: Path, text: str, delay_resolution_ns: float) -> tuple
             raise ValidationError("delay_ns", f"delay {delay} must be >= 0 ({path}:{lineno})")
         if not math.isfinite(power):
             raise ValidationError("power_db", f"power must be finite ({path}:{lineno})")
+        if not abs(power) <= DB_LIMIT:
+            raise ValidationError("power_db", f"power {power} dB outside [-{DB_LIMIT:g}, {DB_LIMIT:g}] ({path}:{lineno})")
         rows.append((tx_az, rx_az, delay, power))
     if not header_seen:
         raise CampaignFormatError(path, None, f"missing header '{_SWEEP_HEADER}'")
@@ -177,14 +181,14 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
             antennas = AntennaConfig(gain, hpbw, step, height_m=3.0), AntennaConfig(gain, hpbw, step, height_m=1.5)
         except ValidationError as err:
             raise CampaignFormatError(path, None, f"{ctx}antenna.{err}")
-        try:
-            locations.append(
-                LocationMeasurement(
-                    **fields, sweeps=pdps, tx_antenna=antennas[0], rx_antenna=antennas[1], tx_power_dbm=tx_power_dbm
-                )
-            )
-        except ValidationError as err:
-            raise CampaignFormatError(path, None, f"{ctx}{err}")
+        location = LocationMeasurement(
+            **fields, sweeps=pdps, tx_antenna=antennas[0], rx_antenna=antennas[1], tx_power_dbm=tx_power_dbm
+        )
+        # the record checks nothing itself: the location's own rules, before the next file is read
+        fault = LocationColumns.of([location]).first_fault(delay_resolution_ns)
+        if fault is not None:
+            raise CampaignFormatError(path, None, f"{ctx}{fault[1]}: {fault[2]}")
+        locations.append(location)
     try:
         return Campaign(campaign_id, carrier_hz, tx_power_dbm, tuple(locations), delay_resolution_ns, digests)
     except ValidationError as err:

@@ -1,8 +1,11 @@
 """Command-line interface, exercised in-process through main()."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 from conftest import make_location, make_pdp
 from test_columnar import loop_pas
@@ -12,6 +15,7 @@ from subthz_chan import (
     Polarization,
     Side,
     SynthesisParams,
+    ValidationError,
     cli,
     ingest_campaign,
     linear_to_db,
@@ -81,6 +85,13 @@ class TestExitCodes:
         code = main(["fit", "pathloss", "--manifest", str(path)])
         assert code == EXIT_DEGENERATE_FIT
         assert "error:" in capsys.readouterr().err
+
+    def test_report_has_no_seed_option(self, manifest, tmp_path, capsys):
+        # nothing in the analysis is drawn at random, so there is no seed to set
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "r"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -168,6 +179,75 @@ class TestExitCodes:
         assert main([*argv, "--manifest", str(edited)]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {edited}: {message}\n")
+
+
+def three_location_manifest(tmp_path):
+    """Three co-polar locations, each one sweep of taps at -60/-70 dB over a -90 dB floor."""
+    sweeps = (make_pdp([100.0, 102.0], [-60.0, -70.0], floor=-90.0),)
+    locations = [make_location(sweeps, distance=10.0 * (i + 1), tx_id=f"TX{i}") for i in range(3)]
+    return write_campaign(Campaign("range", 142e9, 0.0, locations), tmp_path / "range")
+
+
+def with_taps(manifest, powers, floor):
+    """Set the taps of location 1 of ``manifest`` (its sweep file) to ``powers`` over ``floor``;
+    returns that file, after checking that ``Campaign`` refuses the same columns."""
+    columns = ingest_campaign(manifest).columns
+    edited = dataclasses.replace(columns, power_db=np.array([*columns.power_db[:2], *powers, *columns.power_db[4:]]))
+    with pytest.raises(ValidationError, match=rf"^locations\[1\]\.power_db: power {powers[0]!r} dB outside \[-1000, 1000\]$"):
+        Campaign("range", 142e9, 0.0, edited)
+    sweep_file = manifest.parent / "sweeps" / "TX1_RX1_VV.csv"
+    lines = sweep_file.read_text().splitlines(keepends=True)
+    lines[0] = f"# noise_floor_db={floor!r}\n"
+    lines[2:] = [line.rsplit(",", 1)[0] + f",{p!r}\n" for line, p in zip(lines[2:], powers)]
+    sweep_file.write_text("".join(lines))
+    return sweep_file
+
+
+#: the subcommands that analyse a campaign, with the arguments each needs beyond the manifest
+ANALYSES = [["report", "--out"], ["fit", "pathloss"], ["stats", "delay"], ["stats", "angular"]]
+
+
+def run_analysis(argv, manifest, tmp_path) -> int:
+    out = ["--out", str(tmp_path / "report")] if argv[-1] == "--out" else []
+    return main([*(argv[:1] if out else argv), "--manifest", str(manifest), *out])
+
+
+class TestValuesOutsideTheFloatRange:
+    """Finite dB values whose linear power no float holds are refused where they are read,
+    not met as an overflow, a math domain error or a NaN statistic."""
+
+    @pytest.mark.parametrize("argv", ANALYSES, ids=" ".join)
+    def test_taps_far_above_the_reference_exit_2(self, tmp_path, capsys, argv):
+        manifest = three_location_manifest(tmp_path)
+        sweep_file = with_taps(manifest, (4000.0, 3990.0), -90.0)
+        assert run_analysis(argv, manifest, tmp_path) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"error: power_db: power 4000.0 dB outside [-1000, 1000] ({sweep_file}:3)\n"
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("argv", ANALYSES, ids=" ".join)
+    def test_taps_far_below_the_reference_exit_2(self, tmp_path, capsys, argv):
+        manifest = three_location_manifest(tmp_path)
+        sweep_file = with_taps(manifest, (-4000.0, -4010.0), -5000.0)
+        assert run_analysis(argv, manifest, tmp_path) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        message = f"power_db: power -4000.0 dB outside [-1000, 1000] ({sweep_file}:3)"
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", ANALYSES, ids=" ".join)
+    def test_gain_far_above_any_antenna_exits_2(self, tmp_path, capsys, argv):
+        manifest = three_location_manifest(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["locations"][1]["antenna"]["gain_dbi"] = 2000.0
+        manifest.write_text(json.dumps(doc))
+        assert run_analysis(argv, manifest, tmp_path) == EXIT_VALIDATION
+        message = "locations[1].antenna.gain_dbi: must be <= 1000, got 2000.0"
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+        columns = ingest_campaign(three_location_manifest(tmp_path / "again")).columns
+        antenna = columns.rx_antenna.copy()
+        antenna[1, 0] = 2000.0
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            Campaign("range", 142e9, 0.0, dataclasses.replace(columns, rx_antenna=antenna))
 
 
 class TestIngest:

@@ -75,8 +75,18 @@ def assert_row_close(row, values):
         assert getattr(row, field) == pytest.approx(getattr(expected, field), rel=REL, abs=0.0), field
 
 
+def peak_db(pdp):
+    return max(pdp.powers_db)
+
+
 def detectable(loc):
-    return [pdp for pdp in loc.sweeps if pdp.is_detectable()]
+    """The sweeps of a location whose peak clears the noise floor (strictly)."""
+    return [pdp for pdp in loc.sweeps if peak_db(pdp) > pdp.noise_floor_db]
+
+
+def detected_bins(pdp):
+    """(delay_ns, power_db) of the bins of a sweep at or above its noise floor."""
+    return [(t, p) for t, p in zip(pdp.delays_ns, pdp.powers_db) if p >= pdp.noise_floor_db]
 
 
 def one_location(campaign, row):
@@ -125,7 +135,7 @@ class TestTapTable:
             (index, delay, power)
             for index, loc in enumerate(campaign)
             for pdp in detectable(loc)
-            for delay, power in pdp.detected_bins()
+            for delay, power in detected_bins(pdp)
         ]
         assert rows == expected
         assert table.n_sweeps.tolist() == [len(detectable(loc)) for loc in campaign]
@@ -293,7 +303,7 @@ def loop_omni(loc):
     acc = {}
     gain_sum_dbi = loc.tx_antenna.gain_dbi + loc.rx_antenna.gain_dbi
     for pdp in detectable(loc):
-        for delay, power in pdp.detected_bins():
+        for delay, power in detected_bins(pdp):
             acc[delay] = acc.get(delay, 0.0) + db_to_linear(power - gain_sum_dbi)
     delays = sorted(acc)
     return delays, [acc[t] for t in delays]
@@ -313,8 +323,8 @@ def loop_omni_delay(delays, powers, threshold_db):
 
 
 def loop_sweep_delay(pdp, threshold_db):
-    cut = pdp.peak_db - threshold_db
-    return loop_spreads([(t, db_to_linear(p)) for t, p in pdp.detected_bins() if p >= cut])
+    cut = peak_db(pdp) - threshold_db
+    return loop_spreads([(t, db_to_linear(p)) for t, p in detected_bins(pdp) if p >= cut])
 
 
 def loop_pas(loc, side, threshold_db):
@@ -323,11 +333,11 @@ def loop_pas(loc, side, threshold_db):
     step, nbins = antenna.az_step_deg, antenna.n_az_bins
     azimuth = (lambda s: s.tx_az_deg) if side is Side.AOD else (lambda s: s.rx_az_deg)
     phase = azimuth(sweeps[0]) % step
-    cut = max(s.peak_db for s in sweeps) - threshold_db
+    cut = max(map(peak_db, sweeps)) - threshold_db
     powers = [0.0] * nbins
     for pdp in sweeps:
         index = round((azimuth(pdp) - phase) / step) % nbins
-        for _, power in pdp.detected_bins():
+        for _, power in detected_bins(pdp):
             if power >= cut:
                 powers[index] += db_to_linear(power)
     return [phase + k * step for k in range(nbins)], powers
@@ -348,7 +358,7 @@ def loop_lobe_count(powers, threshold_db):
 
 
 def loop_power_mw(pdp):
-    return sum(db_to_linear(p) for _, p in pdp.detected_bins())
+    return sum(db_to_linear(p) for _, p in detected_bins(pdp))
 
 
 def loop_losses(loc):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from subthz_chan import (
     AntennaConfig,
     DirectionalPdp,
+    LocationColumns,
     NoSignalError,
     Polarization,
     ValidationError,
@@ -24,7 +25,7 @@ from subthz_chan import (
     wrap_signed_deg,
 )
 from subthz_chan.measurement import bearings_deg_array, db_to_linear_array, in_db_window, linear_to_db_array
-from conftest import make_location, make_pdp, table_of
+from conftest import campaign_of, make_location, make_pdp, table_of
 
 
 class TestAngleHelpers:
@@ -136,44 +137,45 @@ class TestDirectionalPdp:
     def test_basic_properties(self):
         pdp = make_pdp([0.0, 2.0], [-60.0, -70.0], tx_az=16.0, rx_az=24.0)
         assert pdp.direction == (16.0, 24.0)
-        assert pdp.peak_db == -60.0
-        assert pdp.is_detectable()
+        columns = LocationColumns.of([make_location([pdp])])
+        assert columns.peak_db.tolist() == [-60.0]
+        assert columns.detectable.tolist() == [True]
 
     def test_rejects_azimuth_outside_circle(self):
-        with pytest.raises(ValidationError):
-            make_pdp([0.0], [-60.0], tx_az=360.0)
-        with pytest.raises(ValidationError):
-            make_pdp([0.0], [-60.0], rx_az=-1.0)
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.tx_az_deg: 360.0 outside"):
+            campaign_of(make_location([make_pdp([0.0], [-60.0], tx_az=360.0)]))
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.rx_az_deg: -1.0 outside"):
+            campaign_of(make_location([make_pdp([0.0], [-60.0], rx_az=-1.0)]))
 
     def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValidationError):
-            make_pdp([], [])
-        with pytest.raises(ValidationError):
-            make_pdp([0.0, 2.0], [-60.0])
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.sweeps: PDP \(0.0, 0.0\) has no bins"):
+            campaign_of(make_location([make_pdp([], [])]))
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.powers_db: PDP \(0.0, 0.0\) has 1 powers for 2"):
+            campaign_of(make_location([make_pdp([0.0, 2.0], [-60.0])]))
 
     def test_rejects_unsorted_delays(self):
-        with pytest.raises(ValidationError):
-            make_pdp([2.0, 0.0], [-60.0, -61.0])
-        with pytest.raises(ValidationError):
-            make_pdp([0.0, 0.0], [-60.0, -61.0])
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.delay_ns: delays must be strictly increasing"):
+            campaign_of(make_location([make_pdp([2.0, 0.0], [-60.0, -61.0])]))
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.delay_ns: delays must be strictly increasing"):
+            campaign_of(make_location([make_pdp([0.0, 0.0], [-60.0, -61.0])]))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            make_pdp([0.0], [math.nan])
-        with pytest.raises(ValidationError):
-            make_pdp([0.0], [-60.0], floor=math.inf)
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.power_db: power must be finite"):
+            campaign_of(make_location([make_pdp([0.0], [math.nan])]))
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.noise_floor_db: must be finite"):
+            campaign_of(make_location([make_pdp([0.0], [-60.0], floor=math.inf)]))
 
     def test_peak_at_floor_is_not_detectable(self):
         # detectability needs strictly positive margin over the floor
-        assert not make_pdp([0.0], [-90.0], floor=-90.0).is_detectable()
+        assert LocationColumns.of([make_location([make_pdp([0.0], [-90.0], floor=-90.0)])]).detectable.tolist() == [False]
 
     def test_detected_keeps_bins_at_floor(self):
-        pdp = make_pdp([0.0, 2.0, 4.0], [-60.0, -90.0, -95.0], floor=-90.0)
-        assert pdp.detected_bins() == [(0.0, -60.0), (2.0, -90.0)]
+        table = table_of(make_location([make_pdp([0.0, 2.0, 4.0], [-60.0, -90.0, -95.0], floor=-90.0)]))
+        assert list(zip(table.delay_ns.tolist(), table.power_db.tolist())) == [(0.0, -60.0), (2.0, -90.0)]
 
     def test_detected_raises_without_signal(self):
         with pytest.raises(NoSignalError):
-            make_pdp([0.0], [-95.0], floor=-90.0).detected_bins()
+            table_of(make_location([make_pdp([0.0], [-95.0], floor=-90.0)])).require_signal()
 
 
 def threshold_pdp(pdp, threshold_db):
@@ -270,39 +272,40 @@ class TestLocationMeasurement:
             make_pdp([0.0], [-60.0], tx_az=0.0, rx_az=8.0),
             make_pdp([2.0], [-70.0], tx_az=0.0, rx_az=8.0),
         ]
-        with pytest.raises(ValidationError):
-            make_location(sweeps)
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.sweeps: duplicate pointing pair \(0.0, 8.0\)"):
+            campaign_of(make_location(sweeps))
 
     def test_rejects_distance_under_reference(self):
         from subthz_chan import LocationMeasurement
 
-        with pytest.raises(ValidationError):
-            LocationMeasurement(
-                tx_id="TX1",
-                rx_id="RX1",
-                tx_pos_m=(0.0, 0.0, 3.0),
-                rx_pos_m=(0.5, 0.0, 3.0),
-                polarization=Polarization.VV,
-                los=True,
-                sweeps=(make_pdp([0.0], [-60.0]),),
-                tx_antenna=AntennaConfig.default_tx(),
-                rx_antenna=AntennaConfig.default_rx(),
-                tx_power_dbm=0.0,
-            )
+        loc = LocationMeasurement(
+            tx_id="TX1",
+            rx_id="RX1",
+            tx_pos_m=(0.0, 0.0, 3.0),
+            rx_pos_m=(0.5, 0.0, 3.0),
+            polarization=Polarization.VV,
+            los=True,
+            sweeps=(make_pdp([0.0], [-60.0]),),
+            tx_antenna=AntennaConfig.default_tx(),
+            rx_antenna=AntennaConfig.default_rx(),
+            tx_power_dbm=0.0,
+        )
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.distance_m: TX-RX distance 0.500 m must exceed"):
+            campaign_of(loc)
 
     def test_rejects_empty_sweeps_and_ids(self):
-        with pytest.raises(ValidationError):
-            make_location([])
-        with pytest.raises(ValidationError):
-            make_location([make_pdp([0.0], [-60.0])], tx_id="")
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.sweeps: location has no sweeps"):
+            campaign_of(make_location([]))
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.tx_id: tx_id and rx_id must be non-empty"):
+            campaign_of(make_location([make_pdp([0.0], [-60.0])], tx_id=""))
 
     @pytest.mark.parametrize("coordinate", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_position(self, coordinate):
         # a NaN distance would pass the reference-distance check, which NaN compares false against
         loc = make_location([make_pdp([0.0], [-60.0])])
         for name in ("tx_pos_m", "rx_pos_m"):
-            with pytest.raises(ValidationError, match=f"{name}: position .* must be finite"):
-                dataclasses.replace(loc, **{name: (coordinate, 0.0, 1.5)})
+            with pytest.raises(ValidationError, match=rf"^locations\[0\]\.{name}: position .* must be finite"):
+                campaign_of(dataclasses.replace(loc, **{name: (coordinate, 0.0, 1.5)}))
 
     def test_detectable_sweeps_filters(self):
         sweeps = [

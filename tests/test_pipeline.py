@@ -87,8 +87,6 @@ class TestRunConfig:
             RunConfig(**base, formats=("csv", "parquet"))
         with pytest.raises(ValidationError):
             RunConfig(**base, carrier_hz=0.0)
-        with pytest.raises(ValidationError):
-            RunConfig(**base, seed=-3)
 
     @pytest.mark.parametrize(
         "setting, message",

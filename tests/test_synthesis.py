@@ -25,6 +25,7 @@ from subthz_chan import (
     render_campaign,
     sample_drop,
 )
+from subthz_chan.measurement import DB_LIMIT
 from subthz_chan.synthesis import _lobe_tap_profile
 
 
@@ -283,6 +284,37 @@ class TestRenderCampaign:
         assert len(campaign) == 8
         assert len(rendered.drops) == 4
         assert campaign.carrier_hz == 142e9
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # every knob at its share of a tap's power, pushing taps down: a 750 THz carrier,
+            # PLE 9.3 to 39.6 m, 15 dB shadowing, XPDs of 150 dB and 51 lobes 3 dB apart
+            dict(carrier_hz=7.5e14, ple=9.3, nlos_ple=9.3, shadow_sigma_db=15.0, xpd_boresight=XpdLaw(150.0, 0.0),
+                 xpd_reflection=XpdLaw(140.0, 1.0), az_step_deg=2.0, lobe_count_law=LobeCountLaw(51.0, 51, 51)),
+            # and pushing them up: a 0.8 Hz carrier gains 150 dB at 1 m, negative XPDs raise V-H over V-V
+            dict(carrier_hz=0.8, shadow_sigma_db=15.0, xpd_boresight=XpdLaw(-150.0, 0.0), xpd_reflection=XpdLaw(-140.0, 1.0)),
+        ],
+        ids=["faintest", "strongest"],
+    )
+    def test_knobs_at_their_share_render_a_campaign_that_reads_back(self, tmp_path, params):
+        # each knob may move a tap's power by 150 dB, so no rendered tap leaves the +-1000 dB a campaign holds
+        rendered = render_campaign(SynthesisParams(**params), 3, 7, tmp_path)
+        power = ingest_campaign(rendered.manifest_path).columns.power_db
+        assert np.abs(power).max() <= DB_LIMIT
+
+    @pytest.mark.parametrize(
+        "params, field",
+        [
+            (dict(carrier_hz=0.7), "carrier_hz"),
+            (dict(xpd_reflection=XpdLaw(1e6, 4.3)), "xpd_reflection"),
+            (dict(xpd_boresight=XpdLaw(26.2, 20.0)), "xpd_boresight"),
+            (dict(az_step_deg=2.0, lobe_count_law=LobeCountLaw(3.5, 1, 52)), "lobe_count_law"),
+        ],
+    )
+    def test_knob_past_its_share_is_named(self, params, field):
+        with pytest.raises(ValidationError, match=rf"^{field}: .* moves tap powers by .* dB, over the 150 dB one knob may$"):
+            SynthesisParams(**params)
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ValidationError) as err:

@@ -27,10 +27,13 @@ from subthz_chan import (
     ingest_campaign,
     write_campaign,
 )
+from subthz_chan.measurement import DB_LIMIT
 
 RESOLUTION_NS = 2.0
 STEP_DEG = 8.0
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: the tap powers a campaign may hold
+POWERS = st.floats(-DB_LIMIT, DB_LIMIT)
 
 
 @st.composite
@@ -57,7 +60,7 @@ def column_campaigns(draw) -> Campaign:
             pointings.append((STEP_DEG * i, STEP_DEG * j))
             floors.append(floor)
             delays += [RESOLUTION_NS * k for k in lattice]
-            powers += draw(st.lists(FINITE, min_size=len(lattice), max_size=len(lattice)))
+            powers += draw(st.lists(POWERS, min_size=len(lattice), max_size=len(lattice)))
             tap_counts.append(len(lattice))
         sweep_counts.append(len(location_pointings))
 
@@ -111,12 +114,12 @@ def test_write_then_ingest_gives_the_campaign_back(campaign):
 VALUE_EDITS = {
     "tx_pos_m": [np.nan, np.inf],
     "rx_pos_m": [-np.inf, np.nan],
-    "tx_antenna": [0.0, np.nan],
+    "tx_antenna": [0.0, np.nan, 2000.0],
     "noise_floor_db": [np.nan, -np.inf],
     "tx_az_deg": [360.0, -8.0, np.nan],
     "rx_az_deg": [400.0, np.nan],
     "delay_ns": [-2.0, np.nan, np.inf],
-    "power_db": [np.nan, np.inf, -np.inf],
+    "power_db": [np.nan, np.inf, -np.inf, 1000.5, -4000.0],
 }
 #: the field each edited column is named by
 FIELDS = {"tx_antenna": "antenna.gain_dbi"}
@@ -180,7 +183,7 @@ ROW_EDITS = {
     "tx_az_deg": [360.0, -8.0, np.nan],
     "rx_az_deg": [400.0, np.inf],
     "delay_ns": [-2.0, np.nan],
-    "power_db": [np.nan, -np.inf],
+    "power_db": [np.nan, -np.inf, 4000.0, -1e300],
 }
 FILE_COLUMNS = ("tx_az_deg", "rx_az_deg", "delay_ns", "power_db")
 
@@ -239,3 +242,60 @@ def test_ingest_builds_no_record_for_a_location_fault(tmp_path, monkeypatch, edi
         ingest_campaign(manifest)
     assert str(err.value) == f"{manifest}: {message}"
     assert built == []
+
+
+def three_locations() -> list[LocationMeasurement]:
+    """Three locations of one and two sweeps, two taps each."""
+    antenna = AntennaConfig()
+    first, second, third = (
+        DirectionalPdp(0.0, 0.0, (100.0, 102.0), (-60.0, -70.0), -130.0),
+        DirectionalPdp(8.0, 8.0, (104.0, 106.0), (-65.0, -75.0), -130.0),
+        DirectionalPdp(16.0, 0.0, (110.0, 112.0), (-61.0, -71.0), -130.0),
+    )
+    sweeps = [(first,), (first, second), (third,)]
+    return [
+        LocationMeasurement(f"TX{i}", "RX1", (10.0, 0.0, 3.0), (0.0, 0.0, 1.5), "VV", True, s, antenna, antenna, 0.0)
+        for i, s in enumerate(sweeps)
+    ]
+
+
+def columns_with(**edits) -> LocationColumns:
+    """The columns of ``three_locations`` with each named column replaced by ``edit(column)``."""
+    columns = LocationColumns.of(three_locations())
+    return dataclasses.replace(columns, **{name: edit(getattr(columns, name)) for name, edit in edits.items()})
+
+
+def with_short_powers(locations: list[LocationMeasurement]) -> list[LocationMeasurement]:
+    """``locations`` with one power of the second sweep of location 1 dropped."""
+    loc = locations[1]
+    locations[1] = dataclasses.replace(loc, sweeps=(loc.sweeps[0], dataclasses.replace(loc.sweeps[1], powers_db=(-65.0,))))
+    return locations
+
+
+@pytest.mark.parametrize(
+    "locations, message",
+    [
+        # hand-built columns whose shapes their counts do not imply
+        (lambda: columns_with(power_db=lambda p: p[:-1]), "locations[2].power_db: has shape (7,), need (8,)"),
+        (lambda: columns_with(los=lambda los: los[:-1]), "locations[2].los: has shape (2,), need (3,)"),
+        (lambda: columns_with(tx_pos_m=lambda pos: pos[:, :2]), "locations[0].tx_pos_m: has shape (3, 2), need (3, 3)"),
+        (lambda: columns_with(tap_bounds=lambda b: b + np.arange(len(b)) // 4),
+         "locations[2].tap_bounds: must be integers from 0 up to 8, got 9 at [4]"),
+        (lambda: columns_with(sweep_bounds=lambda b: b[[0, 2, 1, 3]]),
+         "locations[1].sweep_bounds: must be integers from 0 up to 4, got 1 at [2]"),
+        (lambda: columns_with(tap_bounds=lambda b: b.astype(float)),
+         "locations[0].tap_bounds: must be integers from 0 up to 8, got 0.0 at [0]"),
+        # records the columns cannot hold
+        (lambda: [dataclasses.replace(three_locations()[0], tx_pos_m=(10.0, 0.0))],
+         "locations[0].tx_pos_m: position (10.0, 0.0) must be 3 numbers"),
+        (lambda: [*three_locations()[:2], dataclasses.replace(three_locations()[2], rx_pos_m=(0.0, 0.0))],
+         "locations[2].rx_pos_m: position (0.0, 0.0) must be 3 numbers"),
+        (lambda: with_short_powers(three_locations()), "locations[1].powers_db: PDP (8.0, 8.0) has 1 powers for 2 delays"),
+    ],
+    ids=["power_db short", "los short", "tx_pos_m (n, 2)", "tap_bounds past the taps", "sweep_bounds decrease",
+         "tap_bounds of floats", "2-vector position, 1 location", "2-vector position, 3 locations", "powers short"],
+)
+def test_a_shape_fault_names_its_location_and_field(locations, message):
+    with pytest.raises(ValidationError) as err:
+        Campaign("shapes", 142e9, 0.0, locations())
+    assert str(err.value) == message

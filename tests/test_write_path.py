@@ -48,6 +48,7 @@ from subthz_chan import (
     write_campaign,
 )
 from subthz_chan.cli import _ingest_json, main
+from subthz_chan.measurement import DB_LIMIT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -182,6 +183,8 @@ def assert_same_documents(campaign: Campaign) -> None:
 #: ids a JSON string must escape: non-ASCII, quote, backslash and control characters
 ID = st.text(st.characters(blacklist_characters="/\x00", blacklist_categories=("Cs",)), min_size=1, max_size=6)
 NUMBER = st.sampled_from([-0.0, 0.0, 1e-05, 1e16, 0.1, 1.00025]) | st.floats(allow_nan=False, allow_infinity=False)
+#: the tap powers a campaign may hold, the limits among them
+POWER = st.sampled_from([-0.0, 0.0, 1e-05, 0.1, 1.00025, DB_LIMIT, -DB_LIMIT]) | st.floats(-DB_LIMIT, DB_LIMIT)
 
 
 class TestJsonLayout:
@@ -192,11 +195,11 @@ class TestJsonLayout:
         tx_pos=st.tuples(NUMBER, NUMBER, NUMBER),
         rx_pos=st.tuples(NUMBER, NUMBER, NUMBER),
         los=st.booleans(),
-        gain=st.sampled_from([27.0, 27, 1e-05, 1e16, 0.5]),
+        gain=st.sampled_from([27.0, 27, 1e-05, DB_LIMIT, 0.5]),
         carrier_hz=st.sampled_from([142e9, 142_000_000_000, 1e16, 0.1]),
         tx_power_dbm=st.sampled_from([0.0, -0.0, 0, 10, 1e-05, 1e16, -7.25]),
         floor=NUMBER,
-        powers=st.lists(NUMBER, min_size=1, max_size=3),
+        powers=st.lists(POWER, min_size=1, max_size=3),
         res=st.sampled_from([2.0, 1, 1e-05]),
     )
     def test_matches_json_dumps(self, ids, tx_pos, rx_pos, los, gain, carrier_hz, tx_power_dbm, floor, powers, res):
@@ -216,7 +219,7 @@ class TestJsonLayout:
     def test_table(self, ids, tx_pos):
         antenna = AntennaConfig(gain_dbi=1e-05, hpbw_deg=7.2, az_step_deg=7.2)
         campaign = two_locations(*ids, tx_pos, (0.0, 0.0, 0.0), True, antenna, 142_000_000_000, 0, -0.0,
-                                 [(0.0, 1e16), (2.0, -0.0), (4.0, 1e-05)])
+                                 [(0.0, DB_LIMIT), (2.0, -0.0), (4.0, 1e-05)])
         assert_same_documents(campaign)
 
     def test_distance_rounds_as_python_round(self):
@@ -361,8 +364,9 @@ class TestWriteChecks:
 
     def test_infinite_distance_is_rejected_by_the_record(self):
         sweeps, antenna, far = (make_pdp([0.0], [-60.0]),), AntennaConfig(), 1e308
-        with pytest.raises(ValidationError, match="distance_m: TX-RX distance overflows to inf"):
-            LocationMeasurement("TX", "RX", (far, 0.0, 0.0), (-far, 0.0, 0.0), "VV", True, sweeps, antenna, antenna, 0.0)
+        record = LocationMeasurement("TX", "RX", (far, 0.0, 0.0), (-far, 0.0, 0.0), "VV", True, sweeps, antenna, antenna, 0.0)
+        with pytest.raises(ValidationError, match=r"^locations\[0\]\.distance_m: TX-RX distance overflows to inf$"):
+            Campaign("c", 142e9, 0.0, (record,))
 
 
 class TestWriteLog:
