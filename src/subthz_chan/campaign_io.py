@@ -36,7 +36,7 @@ import re
 from array import array
 from dataclasses import fields
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from time import perf_counter
@@ -74,14 +74,11 @@ _UNMARKED = bytes(sorted(set(range(128)) - set(b",\n#\r\x0b\x0c\x1c\x1d\x1e")))
 #: written file of up to about 300 rows; larger files take more reads
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 _FIRST_READ = 8192
-#: the values of a manifest entry, and their types in an entry the lean lane takes
-_ENTRY_VALUES = operator.itemgetter(
-    "sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna"
-)
+#: the keys of a manifest entry, and the exact types of their values in an entry the lean lane takes
+_ENTRY_KEYS = ("sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna")
 _LEAN_TYPES = (str, str, str, str, list, list, bool, dict)
-_ANTENNA_VALUES = operator.itemgetter("gain_dbi", "hpbw_deg", "az_step_deg")
-#: the types of the positions' and the antenna's values there
-_LEAN_NUMBERS = (float,) * 9
+_ANTENNA_KEYS = ("gain_dbi", "hpbw_deg", "az_step_deg")
+_ANTENNA_VALUES = operator.itemgetter(*_ANTENNA_KEYS)
 _POLARIZATIONS = {p.value: p for p in Polarization}
 #: antenna heights of ingested locations; the manifest does not record them
 _TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
@@ -302,20 +299,20 @@ class _SweepRows:
     value checks (``first_bad_row``) and the grouping into pointings with
     its delay checks (``_Pointings``) then run once over every row read.
     Row ``r`` holds ``values[4r:4r+4]`` in ``SWEEP_COLUMNS`` order and
-    came from file ``i``, the first with ``ends[i] > r``, named by
-    ``files[i]`` relative to ``parent``.
+    came from file ``i``, the first with ``ends[i] > r``: manifest entry
+    ``i``'s, named by its ``sweeps`` value ``files[i]`` relative to ``parent``.
     """
 
-    def __init__(self, parent: Path):
+    def __init__(self, parent: Path, files: list):
         self.parent = parent
+        self.files = files
         self.values = array("d")
-        self.files: list[str] = []
-        #: the line of each row of each file; None for a lean file, whose row i is on line 3 + i
-        self.lines: list[list[int] | None] = []
+        #: the line of each row of each file the line reader read; row i of any other file is on line 3 + i
+        self.lines: dict[int, list[int]] = {}
         self.floors: list[float | None] = []
         self.ends: list[int] = []
-        #: files read to the end without a structural fault; only these are grouped
-        self.complete = 0
+        #: whether the last file read stopped at a structural fault; only files read through are grouped
+        self.partial = False
 
     def path(self, file: int) -> Path:
         return self.parent / self.files[file]
@@ -324,17 +321,11 @@ class _SweepRows:
         """(file index, ``path:line``) of a row."""
         file = bisect.bisect_right(self.ends, row)
         i = row - (self.ends[file - 1] if file else 0)
-        lines = self.lines[file]
+        lines = self.lines.get(file)
         return file, f"{self.path(file)}:{3 + i if lines is None else lines[i]}"
 
-    def _add(self, rel: str, lines: list[int] | None, noise_floor: float | None) -> None:
-        self.files.append(rel)
-        self.lines.append(lines)
-        self.floors.append(noise_floor)
-        self.ends.append(len(self.values) // _N_COLUMNS)
-
     def read(self, rel: str, text: str) -> None:
-        """Append the data rows of one sweep file, line by line.
+        """Append the data rows of the next sweep file, ``rel``, line by line.
 
         A structural fault (or a non-numeric value) is raised after the rows
         above its line are appended, so a bad value on one of them, which a
@@ -385,7 +376,9 @@ class _SweepRows:
             values = list(map(float, tokens[: bad_row * _N_COLUMNS]))
             del lines[bad_row:]
         self.values.extend(values)
-        self._add(rel, lines, noise_floor)
+        self.lines[len(self.ends)] = lines
+        self.floors.append(noise_floor)
+        self.ends.append(len(self.values) // _N_COLUMNS)
         if fault is None:
             if not header_seen:
                 fault = CampaignFormatError(path, None, f"missing header '{_SWEEP_HEADER}'")
@@ -394,8 +387,8 @@ class _SweepRows:
             elif not lines:
                 fault = CampaignFormatError(path, None, "sweep file has no data rows")
         if fault is not None:
+            self.partial = True
             raise fault
-        self.complete += 1
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """(tx_az, rx_az, delay, power) of every row read."""
@@ -493,51 +486,59 @@ def _is_number(token: str) -> bool:
     return True
 
 
-def _lean_entry(entry) -> tuple | None:
-    """(sweeps, key, tx_pos_m, rx_pos_m, los, antenna) of an entry whose values
-    all have the exact types ``_read_location`` requires, with finite
-    positions, so that none of its checks can fail; None for any other entry."""
-    if type(entry) is not dict:
-        return None
-    try:
-        values = _ENTRY_VALUES(entry)
-        antenna = _ANTENNA_VALUES(values[-1])
-    except (KeyError, TypeError):
-        return None
-    rel, tx_id, rx_id, pol, tx_pos, rx_pos, los, _ = values
-    if tuple(map(type, values)) != _LEAN_TYPES or pol not in _POLARIZATIONS:
-        return None
-    if (len(tx_pos), len(rx_pos)) != (3, 3):
-        return None
-    numbers = (*tx_pos, *rx_pos, *antenna)
-    if tuple(map(type, numbers)) != _LEAN_NUMBERS or not all(map(math.isfinite, numbers[:6])):
-        return None
-    return rel, (tx_id, rx_id, _POLARIZATIONS[pol]), tx_pos, rx_pos, los, antenna
+def _entry_values(locations: list) -> dict[str, list]:
+    """One list per ``_ENTRY_KEYS`` key of each manifest entry's value, None where it has none."""
+    if list(map(type, locations)).count(dict) < len(locations):  # an entry that is not an object has none
+        locations = [entry if type(entry) is dict else {} for entry in locations]
+    return {key: list(map(dict.get, locations, repeat(key))) for key in _ENTRY_KEYS}
+
+
+def _lean_rows(entries: dict[str, list]) -> np.ndarray:
+    """Whether each manifest entry (``_entry_values``) has values of the exact types ``_read_location``
+    requires, a known polarization, positions of three finite floats and float antenna values, so that
+    none of its checks can fail.  Each test runs only on the entries that passed the tests before it."""
+    types = zip(*(map(type, entries[key]) for key in _ENTRY_KEYS))
+    lean = np.fromiter(map(_LEAN_TYPES.__eq__, types), bool, len(entries["sweeps"]))
+    positions = ("tx_pos_m", "rx_pos_m")
+    for key, test in (
+        ("polarization", lambda pols: np.fromiter(map(_POLARIZATIONS.__contains__, pols), bool, len(pols))),
+        *((key, lambda ps: np.fromiter(map(len, ps), np.intp, len(ps)) == 3) for key in positions),
+        *((key, lambda ps: _all_floats(ps, len(ps))) for key in positions),
+        *((key, lambda ps: np.isfinite(_floats(ps)).all(axis=1)) for key in positions),
+        ("antenna", lambda ants: _all_floats(zip(*(map(dict.get, ants, repeat(k)) for k in _ANTENNA_KEYS)), len(ants))),
+    ):
+        lean[lean] = test(list(compress(entries[key], lean.tolist())))
+    return lean
+
+
+def _all_floats(triples: Iterable, n: int) -> np.ndarray:
+    """Whether each of ``n`` sequences of three parsed JSON values holds three floats (JSON makes no subclass)."""
+    return np.fromiter(map(isinstance, chain.from_iterable(triples), repeat(float)), bool, 3 * n).reshape(-1, 3).all(axis=1)
+
+
+def _floats(triples: list) -> np.ndarray:
+    """An (n, 3) array of ``n`` sequences of three floats."""
+    return np.fromiter(chain.from_iterable(triples), float, 3 * len(triples)).reshape(-1, 3)
 
 
 def _read_location(
     entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str], data: bytes | None = None
-) -> tuple:
-    """(key, tx_pos_m, rx_pos_m, los, antenna) of one manifest entry, after
-    reading its sweep file into ``rows`` line by line.
+) -> None:
+    """Check one manifest entry and read its sweep file into ``rows`` line by line.
 
     Checks run in the order of the line-by-line reader: the entry keys
-    the file path depends on, the file, the remaining keys.  ``antenna``
-    is (gain_dbi, hpbw_deg, az_step_deg), checked with the location.
-    ``data``, when given, holds the file's bytes, already read and digested.
+    the file path depends on, the file, the remaining keys.  ``data``, when
+    given, holds the file's bytes, already read and digested.
     """
     ctx = f"locations[{index}]."
     if not isinstance(entry, dict):
         raise CampaignFormatError(path, None, f"locations[{index}] must be an object")
     pol_raw = _require(entry, "polarization", str, path, ctx)
-    try:
-        polarization = Polarization(pol_raw)
-    except ValueError:
-        raise CampaignFormatError(path, None, f"{ctx}polarization: unknown polarization '{pol_raw}'") from None
+    if pol_raw not in _POLARIZATIONS:
+        raise CampaignFormatError(path, None, f"{ctx}polarization: unknown polarization '{pol_raw}'")
     antenna = _require(entry, "antenna", dict, path, ctx)
-    gain = _require(antenna, "gain_dbi", float, path, ctx + "antenna.")
-    hpbw = _require(antenna, "hpbw_deg", float, path, ctx + "antenna.")
-    step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
+    for key in _ANTENNA_KEYS:
+        _require(antenna, key, float, path, ctx + "antenna.")
     sweeps_rel = _require(entry, "sweeps", str, path, ctx)
     try:
         file = path.parent / sweeps_rel
@@ -545,49 +546,47 @@ def _read_location(
     except IsADirectoryError:  # "" and "." among them
         raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file") from None
     rows.read(sweeps_rel, text)
-    key = (_require(entry, "tx_id", str, path, ctx), _require(entry, "rx_id", str, path, ctx), polarization)
-    return (
-        key,
-        _position(entry, "tx_pos_m", path, ctx),
-        _position(entry, "rx_pos_m", path, ctx),
-        _require(entry, "los", bool, path, ctx),
-        (gain, hpbw, step),
-    )
+    _require(entry, "tx_id", str, path, ctx)
+    _require(entry, "rx_id", str, path, ctx)
+    _position(entry, "tx_pos_m", path, ctx)
+    _position(entry, "rx_pos_m", path, ctx)
+    _require(entry, "los", bool, path, ctx)
 
 
-def _read_entries(raw_locations: list, path: Path, rows: _SweepRows, digests: dict[str, str]) -> tuple[list, Exception | None]:
-    """The ``_read_location`` values of the manifest entries up to the first fault, and that
-    fault (None when every entry read); each sweep file is read into ``rows``.
+def _read_entries(
+    raw_locations: list, entries: dict[str, list], path: Path, rows: _SweepRows, digests: dict[str, str]
+) -> tuple[int, Exception | None]:
+    """The number of manifest entries read before the first fault, and that fault (None when every
+    entry read); each sweep file is read into ``rows``.
 
-    An entry no check can fail (``_lean_entry``) whose file has the written layout takes the
-    lean lane, one pass over the file's bytes; every other one the line reader, which gets the
-    bytes already read or opens the file at the pathlib path if the lean lane could not
-    (``x.csv/``, say).  Sweep paths resolve against the manifest's directory.
+    An entry no check can fail (``_lean_rows``) whose file has the written layout takes the lean lane, one
+    pass over the file's bytes; every other one the line reader, which gets the bytes already read or opens
+    the file at the pathlib path if the lean lane could not (``x.csv/``, say).  Sweep paths resolve against
+    the manifest's directory as ``os.path.join`` joins them, in one pass for the lean entries.
     """
     base = os.fspath(path.parent)
-    values, add_file, add_lines, add_floor, add_end = (
-        rows.values, rows.files.append, rows.lines.append, rows.floors.append, rows.ends.append
-    )
-    entries: list[tuple] = []
-    for index, entry in enumerate(raw_locations):
-        lean = _lean_entry(entry)
+    lean = _lean_rows(entries).tolist()
+    rels = list(compress(entries["sweeps"], lean))
+    files = list(map(os.path.join(base, "").__add__, rels))
+    for i in compress(range(len(rels)), map(str.startswith, rels, repeat(tuple(_PATH_SEPARATORS)))):
+        files[i] = os.path.join(base, rels[i])  # a rooted path, which the join does not append to the base
+    lean_files = zip(rels, files)
+    values, add_floor, add_end = rows.values, rows.floors.append, rows.ends.append
+    for index, take in enumerate(lean):
         data = None
-        if lean is not None:
-            rel = lean[0]
+        if take:
+            rel, file = next(lean_files)
             try:
-                fd = os.open(os.path.join(base, rel), _READ_FLAGS)
-            except (OSError, ValueError):  # ValueError: a NUL in the path
-                pass
-            else:
+                fd = os.open(file, _READ_FLAGS)
                 try:
                     chunks = [os.read(fd, _FIRST_READ)]
                     while chunks[-1]:
                         chunks.append(os.read(fd, 1 << 16))
                     data = b"".join(chunks)
-                except OSError:  # a directory, say
-                    pass
                 finally:
                     os.close(fd)
+            except (OSError, ValueError):  # no such file, a directory; ValueError: a NUL in the path
+                pass
         if data is not None:
             digests.setdefault(rel, hashlib.sha256(data).hexdigest())
             # the written layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite ``v``,
@@ -609,18 +608,14 @@ def _read_entries(raw_locations: list, path: Path, rows: _SweepRows, digests: di
                     floor = math.nan
                 if math.isfinite(floor):
                     values.fromlist(parsed)  # faster than extending by the map itself
-                    add_file(rel)
-                    add_lines(None)
                     add_floor(floor)
                     add_end(len(values) // _N_COLUMNS)
-                    rows.complete += 1
-                    entries.append(lean[1:])
                     continue
         try:
-            entries.append(_read_location(entry, index, path, rows, digests, data))
+            _read_location(raw_locations[index], index, path, rows, digests, data)
         except (ValueError, OSError) as err:
-            return entries, err
-    return entries, None
+            return index, err
+    return len(lean), None
 
 
 def ingest_campaign(manifest_path) -> Campaign:
@@ -658,29 +653,34 @@ def ingest_campaign(manifest_path) -> Campaign:
     if not raw_locations:
         raise CampaignFormatError(path, None, "locations: manifest lists no locations")
 
-    rows = _SweepRows(path.parent)
+    entries = _entry_values(raw_locations)
+    rows = _SweepRows(path.parent, entries["sweeps"])
     # the fault is raised below, unless a check still pending on earlier rows fails first
-    entries, fault = _read_entries(raw_locations, path, rows, digests)
-    del doc, raw_locations  # the parsed manifest can outweigh the columns; free it before grouping
+    n_read, fault = _read_entries(raw_locations, entries, path, rows, digests)
+    # the location columns of the entries read, whose values all have the types the checks require
+    read = slice(n_read)
+    pols = map(_POLARIZATIONS.__getitem__, entries["polarization"][read])
+    antenna = _floats(list(map(_ANTENNA_VALUES, entries["antenna"][read])))
+    location = (
+        tuple(zip(entries["tx_id"][read], entries["rx_id"][read], pols)), _floats(entries["tx_pos_m"][read]),
+        _floats(entries["rx_pos_m"][read]), np.array(entries["los"][read], dtype=bool),
+        np.column_stack((antenna, np.full(n_read, _TX_HEIGHT_M))), np.column_stack((antenna, np.full(n_read, _RX_HEIGHT_M))),
+        np.full(n_read, tx_power_dbm),
+    )
+    del doc, raw_locations, entries  # the parsed manifest can outweigh the columns; free it before grouping
 
     # a file's pointings are formed only when all of its rows passed, as the
     # line-by-line reader grouped a file only after reading it through
     bad_row = rows.first_bad_row()
-    n_grouped = rows.complete if bad_row is None else min(rows.complete, bad_row[0])
+    complete = len(rows.ends) - rows.partial
+    n_grouped = complete if bad_row is None else min(complete, bad_row[0])
     pointings = _Pointings(rows, n_grouped) if n_grouped else None
     late = (pointings.first_fault(delay_resolution_ns) if pointings else None) or bad_row
-    n_built = len(entries)
+    n_built = n_read
     if late is not None:
         n_built, fault = late
     if n_built:
-        keys, tx_pos, rx_pos, los, antennas = zip(*entries[:n_built])
-        antenna = np.array(antennas, dtype=float)
-        columns = LocationColumns(
-            keys, np.array(tx_pos, dtype=float), np.array(rx_pos, dtype=float),
-            np.array(los, dtype=bool), np.column_stack((antenna, np.full(n_built, _TX_HEIGHT_M))),
-            np.column_stack((antenna, np.full(n_built, _RX_HEIGHT_M))), np.full(n_built, tx_power_dbm),
-            *pointings.columns(n_built),
-        )
+        columns = LocationColumns(*(column[:n_built] for column in location), *pointings.columns(n_built))
     try:
         if fault is None:
             campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, digests)

@@ -35,6 +35,11 @@ DELAY_GRID_TOL_NS = 1e-6
 #: the analysis forms, a tap's power less both gains included, is then a normal float
 DB_LIMIT = 1000.0
 
+#: the largest tap delay (ns): a delay's square times the largest linear power (1e100, by
+#: ``DB_LIMIT``) is then 1e200, so every moment ``delay._spreads`` forms, a sum over the taps of
+#: a location included, is finite
+DELAY_LIMIT_NS = 1e50
+
 
 class ValidationError(ValueError):
     """A record violates a data-model invariant; ``field`` names the offender."""
@@ -192,7 +197,8 @@ def _outside_circle(az: np.ndarray) -> np.ndarray:
 ROW_RULES = (
     ("tx_az_deg", _outside_circle, "{} outside [0, 360)".format),
     ("rx_az_deg", _outside_circle, "{} outside [0, 360)".format),
-    ("delay_ns", lambda delay: ~(np.isfinite(delay) & (delay >= 0.0)), "delay {} must be >= 0".format),
+    ("delay_ns", lambda delay: ~((delay >= 0.0) & (delay <= DELAY_LIMIT_NS)),
+     lambda d: f"delay {d} must be <= {DELAY_LIMIT_NS:g}" if DELAY_LIMIT_NS < d < math.inf else f"delay {d} must be >= 0"),
     ("power_db", lambda power: ~(np.abs(power) <= DB_LIMIT),
      lambda p: f"power {p} dB outside [-{DB_LIMIT:g}, {DB_LIMIT:g}]" if math.isfinite(p) else "power must be finite"),
 )
@@ -427,7 +433,9 @@ class LocationColumns:
     def shape_fault(self) -> tuple[int, str, str] | None:
         """(row, field, message) of the first column out of shape, or None: location columns hold a row
         per key, sweep and tap columns one per ``tx_az_deg`` and ``delay_ns``, and the bounds, one more,
-        run up from 0 to that count.  A fault names the location of its first row out of step."""
+        run up from 0 to that count.  Every column is a numpy array: the bounds of integers, ``los`` of
+        bools, the rest of float64.  A fault names the location of its first row out of step (its first
+        row, for a column of the wrong type)."""
         n, counts = len(self.keys), (np.size(self.tx_az_deg), np.size(self.delay_ns))
 
         def owner(level: int, row: int) -> int:  # of a row of location, sweep or tap columns; past the end: the last
@@ -445,12 +453,16 @@ class LocationColumns:
             if shape != need:
                 rows = shape[0] if shape else 0
                 return owner(level, 0 if rows == need[0] else min(rows, need[0])), name, f"has shape {shape}, need {need}"
+            if not isinstance(column, np.ndarray):
+                return owner(level, 0), name, f"has type {type(column).__name__}, need a numpy array"
             if name.endswith("_bounds"):
                 bad = np.append(column[0] != 0, column[1:] < column[:-1]) | (column.dtype.kind not in "iu")
                 bad[-1] |= column[-1] != counts[level]
                 i, message = int(np.argmax(bad)), f"must be integers from 0 up to {counts[level]}"
                 if bad[i]:
                     return owner(level, max(i - 1, 0)), name, f"{message}, got {column[i]} at [{i}]"
+            elif column.dtype != (dtype := np.dtype(bool if name == "los" else float)):
+                return owner(level, 0), name, f"has dtype {column.dtype}, need {dtype}"
         return None
 
     def first_fault(self, delay_resolution_ns: float) -> tuple[int, str, str] | None:

@@ -249,6 +249,26 @@ class TestValuesOutsideTheFloatRange:
         with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
             Campaign("range", 142e9, 0.0, dataclasses.replace(columns, rx_antenna=antenna))
 
+    @pytest.mark.parametrize("argv", ANALYSES, ids=" ".join)
+    def test_a_delay_past_the_limit_exits_2(self, tmp_path, capsys, argv):
+        # a 2e200 ns delay squares to inf in the delay moments; 1e50 ns is the most a campaign holds
+        manifest = three_location_manifest(tmp_path)
+        columns = ingest_campaign(manifest).columns
+        delay = columns.delay_ns.copy()
+        delay[3] = 2e200
+        with pytest.raises(ValidationError, match=r"^locations\[1\]\.delay_ns: delay 2e\+200 must be <= 1e\+50$"):
+            Campaign("range", 142e9, 0.0, dataclasses.replace(columns, delay_ns=delay))
+        sweep_file = manifest.parent / "sweeps" / "TX1_RX1_VV.csv"
+        text = sweep_file.read_text()
+        assert text.endswith(",102.0,-70.0\n")
+        sweep_file.write_text(text.replace(",102.0,-70.0\n", ",2e+200,-70.0\n"))
+        message = f"delay_ns: delay 2e+200 must be <= 1e+50 ({sweep_file}:4)"
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)}$"):
+            ingest_campaign(manifest)
+        assert run_analysis(argv, manifest, tmp_path) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report").exists()
+
 
 class TestIngest:
     def test_text_summary(self, manifest, capsys):

@@ -251,6 +251,41 @@ def test_manifest_edits_match_line_by_line_reader(campaign_files, mutations):
     _check_mutated(campaign_files, mutations)
 
 
+#: edits of one whole manifest entry: the entry replaced by a value that is not an object, a NUL
+#: in its sweep path, a polarization in the wrong case, a key neither reader knows
+ENTRY_EDITS = {
+    "list": lambda entry: [],
+    "string": lambda entry: "x",
+    "null": lambda entry: None,
+    "nul in sweeps": lambda entry: {**entry, "sweeps": entry["sweeps"].replace("/", "/\0", 1)},
+    "vv": lambda entry: {**entry, "polarization": "vv"},
+    "unknown key": lambda entry: {**entry, "note": "an extra key"},
+}
+
+
+@pytest.mark.parametrize("position", [0, 3, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("edit", list(ENTRY_EDITS))
+def test_entry_edits_match_line_by_line_reader(campaign_files, edit, position):
+    files = dict(campaign_files)
+    doc = json.loads(files[MANIFEST])
+    doc["locations"][position] = ENTRY_EDITS[edit](doc["locations"][position])
+    files[MANIFEST] = json.dumps(doc, indent=2)
+    if edit != "nul in sweeps":
+        _check_same_outcome(files, {MANIFEST})
+        return
+    # no file name holds a NUL: both readers fail on the path itself, with the interpreter's
+    # ValueError, which names neither the manifest nor the entry
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "sweeps").mkdir()
+        for rel, text in files.items():
+            (root / rel).write_bytes(text.encode("utf-8"))
+        for ingest in (oracle_ingest_campaign, ingest_campaign):
+            with pytest.raises(ValueError, match="^embedded null byte$") as err:
+                ingest(root / MANIFEST)
+            assert type(err.value) is ValueError
+
+
 def test_pointing_keeps_the_azimuths_of_its_first_row(campaign_files):
     # -0.0 and 0.0 are one pointing; its first row (not its lowest delay) spells it
     files = dict(campaign_files)

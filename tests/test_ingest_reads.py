@@ -87,6 +87,28 @@ def test_paths_only_pathlib_opens_are_opened_once(manifest, opened):
     assert not live
 
 
+def test_an_absolute_sweep_path_reads_as_the_relative_one(manifest, opened, monkeypatch):
+    from subthz_chan import campaign_io
+
+    expected = ingest_campaign(manifest)
+    doc = json.loads(manifest.read_text())
+    rel = doc["locations"][1]["sweeps"]
+    absolute = str(manifest.parent / rel)
+    assert os.path.isabs(absolute)
+    doc["locations"][1]["sweeps"] = absolute
+    manifest.write_text(json.dumps(doc))
+    names, live = opened
+    names.clear()  # the edits' own opens
+    monkeypatch.setattr(campaign_io._SweepRows, "read", lambda *args: pytest.fail("line reader used"))
+    campaign = ingest_campaign(manifest)
+    assert campaign == expected
+    assert names == Counter(sweep_names(manifest)) and set(names.values()) == {1}
+    assert not live
+    # keyed by each path as the manifest spells it
+    assert set(campaign.input_sha256) == set(expected.input_sha256) - {rel} | {absolute}
+    assert campaign.input_sha256[absolute] == expected.input_sha256[rel]
+
+
 @pytest.mark.parametrize("rel", ["sweeps", "", "missing.csv", "bad\0name.csv"], ids=repr)
 def test_unreadable_paths_close_what_they_open(manifest, opened, rel):
     doc = json.loads(manifest.read_text())

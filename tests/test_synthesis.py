@@ -25,8 +25,8 @@ from subthz_chan import (
     render_campaign,
     sample_drop,
 )
-from subthz_chan.measurement import DB_LIMIT
-from subthz_chan.synthesis import _lobe_tap_profile
+from subthz_chan.measurement import DB_LIMIT, DELAY_LIMIT_NS, SPEED_OF_LIGHT_M_S
+from subthz_chan.synthesis import _MAX_FAR_TAP_NS, _lobe_tap_profile
 
 
 def weighted_rms(profile):
@@ -315,6 +315,13 @@ class TestRenderCampaign:
     def test_knob_past_its_share_is_named(self, params, field):
         with pytest.raises(ValidationError, match=rf"^{field}: .* moves tap powers by .* dB, over the 150 dB one knob may$"):
             SynthesisParams(**params)
+
+    def test_no_distance_renders_past_the_delay_limit(self):
+        # the distance knob's 150 dB share caps the far end at 10**7.5 m, about 1e8 ns of delay
+        far_m = 10.0 ** (150.0 / 20.0)
+        with pytest.raises(ValidationError, match=r"^distance_range_m: .* over the 150 dB one knob may$"):
+            SynthesisParams(distance_range_m=(6.3, far_m * 1.01))
+        assert far_m / SPEED_OF_LIGHT_M_S * 1e9 + _MAX_FAR_TAP_NS < DELAY_LIMIT_NS
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(ValidationError) as err:

@@ -285,6 +285,11 @@ def with_short_powers(locations: list[LocationMeasurement]) -> list[LocationMeas
          "locations[1].sweep_bounds: must be integers from 0 up to 4, got 1 at [2]"),
         (lambda: columns_with(tap_bounds=lambda b: b.astype(float)),
          "locations[0].tap_bounds: must be integers from 0 up to 8, got 0.0 at [0]"),
+        # columns of the right shape but not of the type the analysis reads
+        (lambda: columns_with(los=lambda los: los.tolist()), "locations[0].los: has type list, need a numpy array"),
+        (lambda: columns_with(power_db=lambda p: p.tolist()), "locations[0].power_db: has type list, need a numpy array"),
+        (lambda: columns_with(tx_az_deg=lambda az: az.astype(np.int64)),
+         "locations[0].tx_az_deg: has dtype int64, need float64"),
         # records the columns cannot hold
         (lambda: [dataclasses.replace(three_locations()[0], tx_pos_m=(10.0, 0.0))],
          "locations[0].tx_pos_m: position (10.0, 0.0) must be 3 numbers"),
@@ -293,7 +298,7 @@ def with_short_powers(locations: list[LocationMeasurement]) -> list[LocationMeas
         (lambda: with_short_powers(three_locations()), "locations[1].powers_db: PDP (8.0, 8.0) has 1 powers for 2 delays"),
     ],
     ids=["power_db short", "los short", "tx_pos_m (n, 2)", "tap_bounds past the taps", "sweep_bounds decrease",
-         "tap_bounds of floats", "2-vector position, 1 location", "2-vector position, 3 locations", "powers short"],
+         "tap_bounds of floats", "los a list", "power_db a list", "tx_az_deg of integers", "2-vector position, 1 location", "2-vector position, 3 locations", "powers short"],
 )
 def test_a_shape_fault_names_its_location_and_field(locations, message):
     with pytest.raises(ValidationError) as err:
