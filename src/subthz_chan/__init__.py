@@ -4,8 +4,11 @@ spread statistics, cross-polar discrimination, and a seeded drop
 generator that renders synthetic campaigns back into the measurement
 file format.
 """
+# first: campaign_io reads it while the package is still being imported
+__version__ = "0.6.0"
+
 from .angular import AngularSpreads, AngularSummary, Side, angular_spreads, campaign_angular_summary, power_angular_spectrum
-from .campaign_io import Campaign, CampaignFormatError, ingest_campaign, write_campaign
+from .campaign_io import Campaign, CampaignFormatError, cache_path, ingest_campaign, load_campaign, write_campaign
 from .delay import DelaySpreads, DelaySummary, OmniBins, campaign_delay_summary, delay_spreads, omni_bins
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
@@ -58,4 +61,3 @@ from .synthesis import (
 )
 from .xpd import PathClass, XpdClassSummary, XpdColumns, xpd_columns
 
-__version__ = "0.5.0"

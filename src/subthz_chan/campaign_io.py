@@ -26,6 +26,7 @@ be omitted.
 from __future__ import annotations
 
 import bisect
+import errno
 import hashlib
 import json
 import logging
@@ -44,6 +45,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import __version__
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
     ROW_RULES,
@@ -74,6 +76,13 @@ _UNMARKED = bytes(sorted(set(range(128)) - set(b",\n#\r\x0b\x0c\x1c\x1d\x1e")))
 #: written file of up to about 300 rows; larger files take more reads
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 _FIRST_READ = 8192
+#: the name ``cache_path`` appends to a manifest's, the first word of a cache file and the number of its
+#: layout, the alignment of its columns, and the ``LocationColumns`` fields it holds as raw bytes, in order
+#: (the keys go in its JSON line)
+_CACHE_SUFFIX = ".ingest-cache"
+_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "1"
+_CACHE_ALIGN = 8
+_CACHED_COLUMNS = tuple(field.name for field in fields(LocationColumns)[1:])
 #: the keys of a manifest entry, and the exact types of their values in an entry the lean lane takes
 _ENTRY_KEYS = ("sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna")
 _LEAN_TYPES = (str, str, str, str, list, list, bool, dict)
@@ -271,9 +280,31 @@ def _read_text(path: Path, digests: dict[str, str], key: str) -> str:
     Undecodable bytes raise CampaignFormatError at the line holding the
     first of them, counting lines as the newline-translated text does.
     """
-    data = path.read_bytes()
+    data = _read_file(path)
     digests.setdefault(key, hashlib.sha256(data).hexdigest())
     return _decode(path, data)
+
+
+def _read_file(file) -> bytes:
+    """The bytes of ``file``, read with ``os.open`` and ``os.read``: one read for a sweep file as written.
+
+    Raises OSError naming ``file`` when it cannot be read, IsADirectoryError when it names no file:
+    a directory, or a path holding a NUL, which no file name holds.
+    """
+    file = os.fspath(file)
+    try:
+        fd = os.open(file, _READ_FLAGS)
+    except ValueError:  # the NUL
+        raise IsADirectoryError(errno.EISDIR, "path holds a NUL byte", file) from None
+    try:
+        chunks = [os.read(fd, _FIRST_READ)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, 1 << 16))
+    except IsADirectoryError:  # os.read names no file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), file) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _decode(path: Path, data: bytes) -> str:
@@ -543,7 +574,7 @@ def _read_location(
     try:
         file = path.parent / sweeps_rel
         text = _read_text(file, digests, sweeps_rel) if data is None else _decode(file, data)
-    except IsADirectoryError:  # "" and "." among them
+    except IsADirectoryError:  # a directory ("" and "." among them), or a NUL in the path
         raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file") from None
     rows.read(sweeps_rel, text)
     _require(entry, "tx_id", str, path, ctx)
@@ -551,6 +582,16 @@ def _read_location(
     _position(entry, "tx_pos_m", path, ctx)
     _position(entry, "rx_pos_m", path, ctx)
     _require(entry, "los", bool, path, ctx)
+
+
+def _sweep_paths(manifest: Path, rels: list[str]) -> list[str]:
+    """The path of each sweep file named ``rels[i]`` by ``manifest``, as ``os.path.join`` joins it to the
+    manifest's directory; in one pass, but for a rooted name, which the join does not append."""
+    base = os.fspath(manifest.parent)
+    files = list(map(os.path.join(base, "").__add__, rels))
+    for i in compress(range(len(rels)), map(str.startswith, rels, repeat(tuple(_PATH_SEPARATORS)))):
+        files[i] = os.path.join(base, rels[i])
+    return files
 
 
 def _read_entries(
@@ -561,31 +602,19 @@ def _read_entries(
 
     An entry no check can fail (``_lean_rows``) whose file has the written layout takes the lean lane, one
     pass over the file's bytes; every other one the line reader, which gets the bytes already read or opens
-    the file at the pathlib path if the lean lane could not (``x.csv/``, say).  Sweep paths resolve against
-    the manifest's directory as ``os.path.join`` joins them, in one pass for the lean entries.
+    the file at the pathlib path if the lean lane could not (``x.csv/``, say).
     """
-    base = os.fspath(path.parent)
     lean = _lean_rows(entries).tolist()
     rels = list(compress(entries["sweeps"], lean))
-    files = list(map(os.path.join(base, "").__add__, rels))
-    for i in compress(range(len(rels)), map(str.startswith, rels, repeat(tuple(_PATH_SEPARATORS)))):
-        files[i] = os.path.join(base, rels[i])  # a rooted path, which the join does not append to the base
-    lean_files = zip(rels, files)
+    lean_files = zip(rels, _sweep_paths(path, rels))
     values, add_floor, add_end = rows.values, rows.floors.append, rows.ends.append
     for index, take in enumerate(lean):
         data = None
         if take:
             rel, file = next(lean_files)
             try:
-                fd = os.open(file, _READ_FLAGS)
-                try:
-                    chunks = [os.read(fd, _FIRST_READ)]
-                    while chunks[-1]:
-                        chunks.append(os.read(fd, 1 << 16))
-                    data = b"".join(chunks)
-                finally:
-                    os.close(fd)
-            except (OSError, ValueError):  # no such file, a directory; ValueError: a NUL in the path
+                data = _read_file(file)
+            except OSError:  # no such file, not a file
                 pass
         if data is not None:
             digests.setdefault(rel, hashlib.sha256(data).hexdigest())
@@ -696,6 +725,142 @@ def ingest_campaign(manifest_path) -> Campaign:
         campaign_id, len(campaign), len(digests), rows.ends[-1], len(columns.tx_az_deg), perf_counter() - started,
     )
     return campaign
+
+
+def cache_path(manifest_path) -> Path:
+    """The ingest cache file ``load_campaign`` keeps for a manifest: ``.<name>.ingest-cache`` beside it."""
+    path = Path(manifest_path)
+    return path.with_name(f".{path.name}{_CACHE_SUFFIX}")
+
+
+def load_campaign(manifest_path) -> Campaign:
+    """``ingest_campaign(manifest_path)``, from the manifest's cache file when that still holds it.
+
+    A hit needs the manifest's bytes to hash to the cache's key, every sweep
+    file the manifest names to be read again and hash to its stored digest,
+    and the cached columns to pass ``Campaign``.  Anything else is a miss,
+    which runs ``ingest_campaign`` (so raises what it raises) and rewrites
+    the cache after a successful parse; a cache that cannot be written is
+    skipped.  Logs one INFO line saying hit or miss, and why on a miss.
+    """
+    started = perf_counter()
+    path = Path(manifest_path)
+    cache = cache_path(path)
+    try:
+        campaign = _cached(path, cache)
+    except _Miss as miss:
+        reason = str(miss)
+    except Exception:  # whatever a damaged cache makes its decoding raise, ValidationError included
+        reason = "cache rejected"
+    else:
+        logger.info(
+            "ingest cache hit for %s: %d files re-hashed in %.3f s",
+            path, len(campaign.input_sha256), perf_counter() - started,
+        )
+        return campaign
+    logger.info("ingest cache miss for %s: %s", path, reason)
+    campaign = ingest_campaign(path)
+    _write_cache(path, campaign)
+    return campaign
+
+
+class _Miss(Exception):
+    """Why a cache file does not hold its manifest's campaign."""
+
+
+def _cached(path: Path, cache: Path) -> Campaign:
+    """The campaign ``cache`` holds for the manifest at ``path``; raises _Miss, or whatever a damaged
+    cache makes the decoding raise, when it holds none."""
+    try:
+        data = _read_file(cache)
+    except FileNotFoundError:
+        raise _Miss("no cache") from None
+    end = data.index(b"\n")
+    magic, layout, version, key, body_digest = data[:end].decode("ascii").split(" ")
+    if (magic, layout, version) != (_CACHE_MAGIC, _CACHE_FORMAT, __version__):
+        raise _Miss("cache rejected")
+    try:
+        manifest = _read_file(path)
+    except OSError:
+        raise _Miss("key mismatch") from None
+    if hashlib.sha256(manifest).hexdigest() != key:
+        raise _Miss("key mismatch")
+    if hashlib.sha256(memoryview(data)[end + 1 :]).hexdigest() != body_digest:
+        raise _Miss("cache rejected")
+    meta_end = data.index(b"\n", end + 1)
+    meta = json.loads(data[end + 1 : meta_end])
+    digests = dict(meta["input_sha256"])
+    if next(iter(digests.items())) != (path.name, key):
+        raise _Miss("key mismatch")
+    rels = list(digests)[1:]
+    for rel, file in zip(rels, _sweep_paths(path, rels)):
+        if _sweep_digest(file, path.parent, rel) != digests[rel]:
+            raise _Miss(f"digest mismatch on {rel}")
+    columns, offset = [], meta_end + 1
+    for dtype, shape in meta["columns"]:
+        offset += -offset % _CACHE_ALIGN
+        column = np.frombuffer(data, np.dtype(dtype), math.prod(shape), offset).reshape(shape)
+        columns.append(column)
+        offset += column.nbytes
+    if offset != len(data):
+        raise _Miss("cache rejected")
+    keys = tuple(zip(meta["tx_id"], meta["rx_id"], map(_POLARIZATIONS.__getitem__, meta["polarization"]), strict=True))
+    return Campaign(
+        meta["campaign_id"], meta["carrier_hz"], meta["tx_power_dbm"], LocationColumns(keys, *columns),
+        meta["delay_resolution_ns"], digests,
+    )
+
+
+def _sweep_digest(file: str, parent: Path, rel: str) -> str | None:
+    """SHA-256 of the sweep file ingest reads for ``rel``: at its joined path ``file``, or else at the line
+    reader's pathlib path (``x.csv/``, say); None when neither can be read."""
+    try:
+        return hashlib.sha256(_read_file(file)).hexdigest()
+    except OSError:
+        pass
+    try:
+        return hashlib.sha256(_read_file(parent / rel)).hexdigest()
+    except OSError:
+        return None
+
+
+def _write_cache(path: Path, campaign: Campaign) -> None:
+    """Write ``campaign``, as ingested from the manifest at ``path``, to its cache file, through a
+    temporary name; skipped when that fails.  The file holds a header line (magic, format number,
+    ``__version__``, the manifest's SHA-256, the body's), then the body: one JSON line with the campaign
+    scalars, ``input_sha256`` in order, the keys and each ``_CACHED_COLUMNS`` column's dtype and shape,
+    then each column's bytes, starting on a multiple of 8."""
+    c = campaign.columns
+    columns = [np.ascontiguousarray(getattr(c, name)) for name in _CACHED_COLUMNS]
+    tx_ids, rx_ids, pols = zip(*c.keys)
+    meta = {
+        "campaign_id": campaign.campaign_id, "carrier_hz": campaign.carrier_hz,
+        "tx_power_dbm": campaign.tx_power_dbm, "delay_resolution_ns": campaign.delay_resolution_ns,
+        "input_sha256": list(campaign.input_sha256.items()),
+        "tx_id": tx_ids, "rx_id": rx_ids, "polarization": [pol.value for pol in pols],
+        "columns": [(column.dtype.str, column.shape) for column in columns],
+    }
+    head = f"{_CACHE_MAGIC} {_CACHE_FORMAT} {__version__} {campaign.input_sha256[path.name]} "
+    body = [json.dumps(meta, sort_keys=True).encode() + b"\n"]
+    offset = len(head) + 64 + 1 + len(body[0])  # where the first column would start, unaligned
+    for column in columns:
+        body += [bytes(-offset % _CACHE_ALIGN), column]
+        offset += -offset % _CACHE_ALIGN + column.nbytes
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    cache = cache_path(path)
+    temporary = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "wb") as f:
+            f.write(f"{head}{digest.hexdigest()}\n".encode())
+            f.writelines(body)  # the columns straight from their buffers, never joined
+        os.replace(temporary, cache)
+    except OSError:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
 
 
 def write_campaign(campaign: Campaign, out_dir) -> Path:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 validation or data-format failure, 3 degenerate
 fit, 4 I/O failure.  The ``SUBTHZ_CHAN_LOG`` environment variable sets
-the log level (DEBUG, INFO, WARNING, ...).
+the log level (DEBUG, INFO, WARNING, ...).  Every command that reads a
+campaign loads it with ``load_campaign``, which keeps an ingest cache file
+next to the manifest.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .angular import Side, power_angular_spectrum
-from .campaign_io import ingest_campaign, json_template
+from .campaign_io import json_template, load_campaign
 from .measurement import NoSignalError, Polarization, TapTable, ValidationError, checked_threshold_db
 from .pathloss import DegenerateFitError, SampleKind
 from .pipeline import (
@@ -60,7 +62,7 @@ def _write_or_print(text: str, out: Path | None) -> None:
 
 
 def _cmd_ingest(args) -> int:
-    campaign = ingest_campaign(args.manifest)
+    campaign = load_campaign(args.manifest)
     if args.format == "json":
         print(_ingest_json(campaign))
         return EXIT_OK
@@ -115,7 +117,7 @@ def _thresholds(args) -> tuple[float, ...]:
 def _analysis(manifest: Path, **options) -> Analysis:
     """The ``Analysis`` of a campaign, its options checked before the campaign is read."""
     check_analysis_options(**options)
-    return Analysis(ingest_campaign(manifest), **options)
+    return Analysis(load_campaign(manifest), **options)
 
 
 def _cmd_fit_pathloss(args) -> int:
@@ -143,7 +145,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_pas_dump(args) -> int:
     threshold_db = checked_threshold_db(args.threshold_db)
-    campaign = ingest_campaign(args.manifest)
+    campaign = load_campaign(args.manifest)
     pol = Polarization(args.pol)
     row = campaign.find((args.tx_id, args.rx_id, pol))
     if row is None:

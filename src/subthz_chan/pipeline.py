@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .angular import AngularSummary, campaign_angular_summary
-from .campaign_io import Campaign, ingest_campaign
+from .campaign_io import Campaign, load_campaign
 from .delay import DelaySummary, campaign_delay_summary
 from .measurement import Polarization, TapTable, ValidationError, checked_threshold_db
 from .pathloss import (
@@ -352,13 +352,14 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
 
 
 def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
-    """Run ingest, fits, summaries, and XPD analysis; write the report bundle.
+    """Load the campaign through the ingest cache (``load_campaign``), run fits,
+    summaries, and XPD analysis; write the report bundle.
 
     Returns the written file paths.  Locations without detectable signal
     (or beyond the measurable path-loss ceiling) are excluded from the
     path-loss fits and listed in the JSON report.
     """
-    campaign = ingest_campaign(config.manifest_path)
+    campaign = load_campaign(config.manifest_path)
     analysis = Analysis(campaign, config.thresholds_db, config.carrier_hz, config.max_measurable_pl_db)
     # reading the exclusions logs each one, so all of them precede the co-polar check's error
     logger.info(

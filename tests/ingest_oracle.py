@@ -166,7 +166,7 @@ def oracle_ingest_campaign(manifest_path) -> Campaign:
         step = _require(antenna, "az_step_deg", float, path, ctx + "antenna.")
         sweeps_rel = _require(entry, "sweeps", str, path, ctx)
         sweep_path = path.parent / sweeps_rel
-        if sweep_path.is_dir():
+        if "\0" in sweeps_rel or sweep_path.is_dir():  # no file name holds a NUL
             raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file")
         pdps = _read_sweep_file(sweep_path, _read_text(sweep_path, digests, sweeps_rel), delay_resolution_ns)
         fields = dict(

@@ -133,7 +133,7 @@ class TestExitCodes:
     )
     def test_argument_checked_before_ingest(self, manifest, tmp_path, capsys, monkeypatch, argv, message):
         calls = []
-        monkeypatch.setattr(cli, "ingest_campaign", lambda path: calls.append(path))
+        monkeypatch.setattr(cli, "load_campaign", lambda path: calls.append(path))
         argv = [*argv, "--manifest", str(manifest), *(["--out", str(tmp_path / "r")] if argv[0] == "report" else [])]
         assert main(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -316,6 +316,19 @@ class TestIngest:
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["ingest", "--manifest", str(edited)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {edited}: key 'locations[3].sweeps' must name a file\n"
+
+    @pytest.mark.parametrize("command", [["ingest"], ["stats", "delay"], ["report"]], ids=" ".join)
+    def test_nul_in_sweeps_exits_2_naming_the_entry(self, manifest, tmp_path, capsys, command):
+        # no file name holds a NUL, so the path names no file, as a directory's does
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        for entry in doc["locations"]:
+            entry["sweeps"] = str(manifest.parent / entry["sweeps"])
+        doc["locations"][3]["sweeps"] = doc["locations"][3]["sweeps"].replace("/sweeps/", "/sweeps/\0", 1)
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc), encoding="utf-8")
+        out = ["--out", str(tmp_path / "r")] if command == ["report"] else []
+        assert main([*command, "--manifest", str(edited), *out]) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {edited}: key 'locations[3].sweeps' must name a file\n"
 
 
