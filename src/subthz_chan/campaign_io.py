@@ -286,7 +286,8 @@ def _read_text(path: Path, digests: dict[str, str], key: str) -> str:
 
 
 def _read_file(file) -> bytes:
-    """The bytes of ``file``, read with ``os.open`` and ``os.read``: one read for a sweep file as written.
+    """The bytes of ``file``, read with ``os.open`` and ``os.read``: two reads for a file of at most
+    ``_FIRST_READ`` bytes, as a written sweep file is, the second seeing end of file.
 
     Raises OSError naming ``file`` when it cannot be read, IsADirectoryError when it names no file:
     a directory, or a path holding a NUL, which no file name holds.
@@ -297,14 +298,19 @@ def _read_file(file) -> bytes:
     except ValueError:  # the NUL
         raise IsADirectoryError(errno.EISDIR, "path holds a NUL byte", file) from None
     try:
-        chunks = [os.read(fd, _FIRST_READ)]
-        while chunks[-1]:
-            chunks.append(os.read(fd, 1 << 16))
+        data = os.read(fd, _FIRST_READ)
+        # a short read is end of file only for a regular file; the next read, empty, confirms it
+        more = data and os.read(fd, 1 << 16)
+        if more:
+            chunks = [data, more]
+            while chunks[-1]:
+                chunks.append(os.read(fd, 1 << 16))
+            data = b"".join(chunks)
     except IsADirectoryError:  # os.read names no file
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), file) from None
     finally:
         os.close(fd)
-    return b"".join(chunks)
+    return data
 
 
 def _decode(path: Path, data: bytes) -> str:
@@ -794,7 +800,14 @@ def _cached(path: Path, cache: Path) -> Campaign:
         raise _Miss("key mismatch")
     rels = list(digests)[1:]
     for rel, file in zip(rels, _sweep_paths(path, rels)):
-        if _sweep_digest(file, path.parent, rel) != digests[rel]:
+        try:
+            sweep = _read_file(file)
+        except OSError:  # ingest then reads the file at the line reader's pathlib path (``x.csv/``, say)
+            try:
+                sweep = _read_file(path.parent / rel)
+            except OSError:
+                raise _Miss(f"digest mismatch on {rel}") from None
+        if hashlib.sha256(sweep).hexdigest() != digests[rel]:
             raise _Miss(f"digest mismatch on {rel}")
     columns, offset = [], meta_end + 1
     for dtype, shape in meta["columns"]:
@@ -809,19 +822,6 @@ def _cached(path: Path, cache: Path) -> Campaign:
         meta["campaign_id"], meta["carrier_hz"], meta["tx_power_dbm"], LocationColumns(keys, *columns),
         meta["delay_resolution_ns"], digests,
     )
-
-
-def _sweep_digest(file: str, parent: Path, rel: str) -> str | None:
-    """SHA-256 of the sweep file ingest reads for ``rel``: at its joined path ``file``, or else at the line
-    reader's pathlib path (``x.csv/``, say); None when neither can be read."""
-    try:
-        return hashlib.sha256(_read_file(file)).hexdigest()
-    except OSError:
-        pass
-    try:
-        return hashlib.sha256(_read_file(parent / rel)).hexdigest()
-    except OSError:
-        return None
 
 
 def _write_cache(path: Path, campaign: Campaign) -> None:

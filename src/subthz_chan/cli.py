@@ -319,21 +319,24 @@ _COMMANDS = {
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser, with the arguments of ``command`` only, or of every command when None.
+    """The CLI's parser, with the subparser of ``command`` only, or of every command when None.
 
-    Every command is registered, with its help, so usage lines and errors
-    read the same whichever parser parses a command line that starts with
-    ``command``; ``--help`` and bad or missing commands need the full one.
+    A one-command parser spells out every command in its usage line, as the
+    full parser's usage does, so usage lines and errors read the same whichever
+    parser reads a line that starts with ``command``.  Only the full parser
+    names the command argument in an error (a missing or bad command, as
+    ``command``), which a set metavar would rename; ``--help`` and bad or
+    missing commands need the full parser.
     """
     parser = argparse.ArgumentParser(
         prog="subthz-chan",
         description="Sub-THz channel-sounder campaign analysis and synthesis",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
         if command is None or command == name:
-            add_arguments(p)
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 

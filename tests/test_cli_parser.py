@@ -1,10 +1,11 @@
 """The per-command CLI parser reads every command line as the full parser does.
 
-``main`` builds only the arguments of the command that runs; help text,
+``main`` builds only the subparser of the command that runs; help text,
 usage lines and argument errors must not show which parser was built.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 
@@ -82,8 +83,38 @@ def test_every_command_is_registered_with_its_help():
 def test_command_parser_leaves_other_commands_empty():
     parser = cli._build_parser("ingest")
     assert parse(parser, ["ingest", "--manifest", "m.json"])[0]["manifest"].name == "m.json"
-    # no other command's arguments were added: its required options go unnoticed
-    assert parse(parser, ["report"])[0] == {"command": "report"}
+    # no other command's subparser was built
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["ingest"]
+
+
+#: a shortest valid line of every command and subcommand
+VALID_LINES = [
+    ["ingest", "--manifest", "m.json"],
+    ["fit", "pathloss", "--manifest", "m.json"],
+    ["stats", "delay", "--manifest", "m.json"],
+    ["stats", "angular", "--manifest", "m.json"],
+    ["pas", "dump", "--manifest", "m.json", "--tx-id", "A", "--rx-id", "B", "--side", "AOA"],
+    ["xpd", "report", "--manifest", "m.json"],
+    ["synth", "--out", "o"],
+    ["report", "--manifest", "m.json", "--out", "o"],
+]
+
+
+@pytest.mark.parametrize("line", VALID_LINES, ids=lambda line: " ".join(line[:2]))
+def test_a_stray_argument_reaches_the_top_level_usage(line):
+    # the subparser passes ``extra`` up: the top-level parser writes its usage line, the metavar's
+    result = parse(cli._build_parser(line[0]), line + ["extra"])
+    assert result == parse(cli._build_parser(None), line + ["extra"])
+    assert parse(cli._build_parser(line[0]), line)[0]["command"] == line[0]
+    usage = cli._build_parser(None).format_usage()
+    assert result == (2, "", f"{usage}subthz-chan: error: unrecognized arguments: extra\n")
+
+
+def test_the_full_parser_names_the_command_argument_command():
+    # a metavar would rename it in these errors, which only the full parser writes
+    assert parse(cli._build_parser(None), [])[2].endswith("error: the following arguments are required: command\n")
+    assert "error: argument command: invalid choice: 'bogus'" in parse(cli._build_parser(None), ["bogus"])[2]
 
 
 @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"], ["--", "ingest"]], ids=repr)

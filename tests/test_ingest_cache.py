@@ -10,6 +10,7 @@ import json
 import logging
 import os
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -278,6 +279,61 @@ def test_a_sweep_path_only_the_line_reader_opens_still_hits(manifest, caplog):
     with caplog.at_level(logging.INFO, logger=LOGGER):
         assert load_campaign(manifest) == expected
     assert _messages(caplog)[0].startswith(f"ingest cache hit for {manifest}: ")
+
+
+@pytest.fixture
+def long_sweep(manifest) -> str:
+    """The name of a sweep file of ``manifest`` grown by a comment line past what two reads take."""
+    rel = json.loads(manifest.read_text())["locations"][1]["sweeps"]
+    with open(manifest.parent / rel, "a", encoding="ascii") as f:
+        f.write("#" + "x" * (campaign_io._FIRST_READ + (1 << 16)) + "\n")
+    return rel
+
+
+def test_a_sweep_file_read_in_chunks_hits(manifest, long_sweep, caplog):
+    expected = ingest_campaign(manifest)
+    assert load_campaign(manifest) == expected
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        warm = load_campaign(manifest)
+    assert warm == expected and list(warm.input_sha256.items()) == list(expected.input_sha256.items())
+    assert _messages(caplog)[0].startswith(f"ingest cache hit for {manifest}: ")
+
+
+@pytest.mark.parametrize("edit", ["one byte appended", "one byte cut"])
+def test_a_long_sweep_file_one_byte_longer_or_shorter_misses(manifest, long_sweep, caplog, edit):
+    load_campaign(manifest)
+    file = manifest.parent / long_sweep
+    data = file.read_bytes()
+    file.write_bytes(data + b"#" if edit == "one byte appended" else data[:-1])
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        assert load_campaign(manifest) == ingest_campaign(manifest)
+    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {long_sweep}"
+
+
+def test_a_hit_opens_each_file_once(manifest, monkeypatch):
+    # the cache, the manifest, then each sweep file at its joined path: no file reaches the pathlib fallback;
+    # each file, shorter than the first read, takes two reads, the second seeing end of file
+    load_campaign(manifest)
+    opened, reads = [], []
+    os_open, os_read = os.open, os.read
+
+    def counting_open(file, *args):
+        if sys._getframe(1).f_globals["__name__"] == campaign_io.__name__:
+            opened.append(file)
+        return os_open(file, *args)
+
+    def counting_read(fd, n):
+        if sys._getframe(1).f_globals["__name__"] == campaign_io.__name__:
+            reads.append(n)
+        return os_read(fd, n)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "read", counting_read)
+    campaign = load_campaign(manifest)
+    rels = list(campaign.input_sha256)[1:]
+    assert len(opened) == len(rels) + 2
+    assert opened == [str(cache_path(manifest)), str(manifest), *(str(manifest.parent / rel) for rel in rels)]
+    assert len(reads) == 2 * len(opened)
 
 
 def test_silent_at_warning(manifest, caplog):
