@@ -76,6 +76,8 @@ _UNMARKED = bytes(sorted(set(range(128)) - set(b",\n#\r\x0b\x0c\x1c\x1d\x1e")))
 #: written file of up to about 300 rows; larger files take more reads
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
 _FIRST_READ = 8192
+#: ``os.open`` flags of a sweep file write, those of ``open(path, "wb")``
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 #: the name ``cache_path`` appends to a manifest's, the first word of a cache file and the number of its
 #: layout, the alignment of its columns, and the ``LocationColumns`` fields it holds as raw bytes, in order
 #: (the keys go in its JSON line)
@@ -311,6 +313,18 @@ def _read_file(file) -> bytes:
     finally:
         os.close(fd)
     return data
+
+
+def _write_file(file: str, data: bytes) -> None:
+    """Write ``data`` to ``file`` as ``open(file, "wb")`` does (a new file gets mode 0o666 less
+    the umask), without the buffered file object."""
+    fd = os.open(file, _WRITE_FLAGS, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):  # a short write; the rest goes in further writes
+            written += os.write(fd, memoryview(data)[written:])
+    finally:
+        os.close(fd)
 
 
 def _decode(path: Path, data: bytes) -> str:
@@ -954,7 +968,6 @@ def _write_sweep_files(c: LocationColumns, out: Path, names: list[str]) -> int:
     n_bytes = 0
     for name, floor, start, stop in zip(names, c.noise_floor_db[c.sweep_bounds[:-1]].tolist(), bounds, bounds[1:]):
         data = (_SWEEP_HEAD % floor + "".join(rows[start:stop])).encode()
-        with open(os.path.join(base, name), "wb") as f:
-            f.write(data)
+        _write_file(os.path.join(base, name), data)
         n_bytes += len(data)
     return n_bytes

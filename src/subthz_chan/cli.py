@@ -186,9 +186,8 @@ def _cmd_synth(args) -> int:
         campaign_id=args.campaign_id,
     )
     if args.truth_out is not None:
-        truth = [{**asdict(d), "effective_omni_xpd_db": d.effective_omni_xpd_db} for d in rendered.drops]
         args.truth_out.parent.mkdir(parents=True, exist_ok=True)
-        args.truth_out.write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        args.truth_out.write_text(rendered.truth_json() + "\n", encoding="utf-8")
     print(rendered.manifest_path)
     return EXIT_OK
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, astuple, dataclass, field
-from itertools import chain
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .campaign_io import Campaign, write_campaign
+from .campaign_io import Campaign, json_template, write_campaign
 from .measurement import (
     D0_M,
     DEFAULT_DELAY_RESOLUTION_NS,
@@ -31,6 +31,7 @@ from .measurement import (
     ValidationError,
     checked_delay_resolution,
     concat_ranges,
+    db_to_linear_array,
     linear_to_db_array,
 )
 from .pathloss import fspl
@@ -57,8 +58,6 @@ _REFLECTION_EXCESS_MEAN_NS = 60.0
 #: noise floor written into rendered files sits this far under the
 #: faintest synthesized tap, so every tap stays detectable on re-ingest
 _FLOOR_MARGIN_DB = 6.0
-
-_TAP_VALUES = operator.attrgetter("delay_ns", "power_mw", "xpd_db")
 
 #: the most one knob may move a rendered tap's power: with five knobs adding up along a tap (carrier,
 #: PLE, shadowing, XPD, lobe count), 54 dBi of gains and weights down to -93 dB, taps stay in ``DB_LIMIT``
@@ -320,7 +319,10 @@ class ChannelDrop:
 
     @property
     def effective_omni_xpd_db(self) -> float:
-        """Cross-to-co ratio of the whole drop after omni recombination."""
+        """Cross-to-co ratio of the whole drop after omni recombination.
+
+        ``RenderedCampaign.truth_json`` adds up the same sums in the same
+        order from the drop columns; keep the two in step."""
         co = self.total_power_mw
         cross = sum(t.power_mw * 10.0 ** (-t.xpd_db / 10.0) for lobe in self.lobes for t in lobe.taps)
         return 10.0 * math.log10(co / cross)
@@ -376,70 +378,103 @@ def _draw_lobe_centers(rng: np.random.Generator, nbins: int, count: int, fix_fir
         take(0)
     while len(chosen) < count:
         pool = sorted(allowed)
-        take(int(rng.choice(pool)))
+        # the draw ``rng.choice(pool)`` makes, without its array conversion
+        take(pool[int(rng.integers(0, len(pool)))])
     return chosen
 
 
-def sample_drop(
-    params: SynthesisParams, distance_m: float, seed: int, los: bool = True
-) -> ChannelDrop:
-    """Draw one channel realization at the given separation.
+class _Drops:
+    """Drops drawn straight into campaign-wide columns, one drop after another.
 
-    Draw order is fixed (shadowing, lobe count, lobe centers, then per
-    lobe: excess delay, target spread, per-tap XPDs) so a seed pins the
-    drop exactly.
+    Lobe ``l`` holds taps ``tap_bounds[l]:tap_bounds[l + 1]`` and drop ``i``
+    lobes ``lobe_bounds[i]:lobe_bounds[i + 1]``.  ``records`` builds the
+    drops' records; drops compare equal when every column is equal.
     """
-    if not distance_m > D0_M:
-        raise ValidationError("distance_m", f"must exceed {D0_M:g} m, got {distance_m}")
-    if seed < 0:
-        raise ValidationError("seed", f"must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    res = params.delay_resolution_ns
 
-    ple = params.ple if los else params.nlos_ple
-    shadow = rng.normal(0.0, params.shadow_sigma_db)
-    pl_db = fspl(params.carrier_hz, D0_M) + 10.0 * ple * math.log10(distance_m / D0_M) + shadow
+    def __init__(self, params: SynthesisParams):
+        self.params = params
+        self.delay_ns, self.power_mw, self.xpd_db = [], [], []  # per tap
+        self.center_deg, self.tap_bounds = [], [0]  # per lobe
+        self.distance_m, self.los, self.seed, self.pl_db, self.lobe_bounds = [], [], [], [], [0]  # per drop
 
-    law = params.lobe_count_law
-    n_lobes = law.min_count + int(rng.poisson(law.mean_count - law.min_count))
-    n_lobes = min(n_lobes, law.max_count)
+    def __eq__(self, other) -> bool:
+        return type(other) is _Drops and vars(self) == vars(other)
 
-    centers = _draw_lobe_centers(rng, params.n_az_bins, n_lobes, fix_first=los)
-    direct_delay = res * round(distance_m / _SPEED_OF_LIGHT_M_NS / res)
+    def draw(self, distance_m: float, seed: int, los: bool) -> None:
+        """Append one drop.  Draw order is fixed (shadowing, lobe count, lobe
+        centers, then per lobe: excess delay, target spread, per-tap XPDs), so
+        a seed pins the drop exactly."""
+        if not distance_m > D0_M:
+            raise ValidationError("distance_m", f"must exceed {D0_M:g} m, got {distance_m}")
+        if seed < 0:
+            raise ValidationError("seed", f"must be >= 0, got {seed}")
+        params = self.params
+        rng = np.random.default_rng(seed)
+        res = params.delay_resolution_ns
 
-    raw: list[tuple[float, list[tuple[float, float, float, PathClass]]]] = []
-    total_rel = 0.0
-    for k, idx in enumerate(centers):
-        on_boresight = los and k == 0
-        if on_boresight:
-            lobe_delay = direct_delay
-        else:
-            excess = rng.exponential(_REFLECTION_EXCESS_MEAN_NS)
-            lobe_delay = direct_delay + res * max(1, round(excess / res))
-        target = rng.lognormal(params.rmsds_law.log_mean, params.rmsds_law.log_std)
-        lobe_rel = 10.0 ** (-_LOBE_STEP_DB * k / 10.0)
-        taps = []
-        for j, (offset, rel) in enumerate(_lobe_tap_profile(target, res)):
-            tap_class = PathClass.BORESIGHT if on_boresight and j == 0 else PathClass.REFLECTION
-            xpd_law = params.xpd_boresight if tap_class is PathClass.BORESIGHT else params.xpd_reflection
-            xpd = float(rng.normal(xpd_law.mean_db, xpd_law.std_db))
-            weight = lobe_rel * rel
-            taps.append((lobe_delay + offset, weight, xpd, tap_class))
-            total_rel += weight
-        raw.append((idx * params.az_step_deg, taps))
+        ple = params.ple if los else params.nlos_ple
+        shadow = rng.normal(0.0, params.shadow_sigma_db)
+        pl_db = fspl(params.carrier_hz, D0_M) + 10.0 * ple * math.log10(distance_m / D0_M) + shadow
 
-    scale = 10.0 ** (-pl_db / 10.0) / total_rel
-    lobes = tuple(
-        SynthLobe(
-            center_deg=center,
-            taps=tuple(
-                SynthTap(delay_ns=d, power_mw=w * scale, xpd_db=x, path_class=c)
-                for d, w, x, c in taps
-            ),
-        )
-        for center, taps in raw
-    )
-    return ChannelDrop(distance_m=distance_m, pl_db=pl_db, los=los, seed=seed, lobes=lobes)
+        law = params.lobe_count_law
+        n_lobes = law.min_count + int(rng.poisson(law.mean_count - law.min_count))
+        n_lobes = min(n_lobes, law.max_count)
+
+        centers = _draw_lobe_centers(rng, params.n_az_bins, n_lobes, fix_first=los)
+        direct_delay = res * round(distance_m / _SPEED_OF_LIGHT_M_NS / res)
+
+        # the drop's taps hold relative weights until its scale turns them into linear powers
+        delays, weights, xpds = self.delay_ns, self.power_mw, self.xpd_db
+        first = len(weights)
+        total_rel = 0.0
+        for k, idx in enumerate(centers):
+            on_boresight = los and k == 0
+            if on_boresight:
+                lobe_delay = direct_delay
+            else:
+                excess = rng.exponential(_REFLECTION_EXCESS_MEAN_NS)
+                lobe_delay = direct_delay + res * max(1, round(excess / res))
+            target = rng.lognormal(params.rmsds_law.log_mean, params.rmsds_law.log_std)
+            lobe_rel = 10.0 ** (-_LOBE_STEP_DB * k / 10.0)
+            for j, (offset, rel) in enumerate(_lobe_tap_profile(target, res)):
+                xpd_law = params.xpd_boresight if on_boresight and j == 0 else params.xpd_reflection
+                xpds.append(float(rng.normal(xpd_law.mean_db, xpd_law.std_db)))
+                weight = lobe_rel * rel
+                delays.append(lobe_delay + offset)
+                weights.append(weight)
+                total_rel += weight
+            self.center_deg.append(idx * params.az_step_deg)
+            self.tap_bounds.append(len(delays))
+        scale = 10.0 ** (-pl_db / 10.0) / total_rel
+        weights[first:] = [weight * scale for weight in weights[first:]]
+        self.lobe_bounds.append(len(self.center_deg))
+        self.distance_m.append(distance_m)
+        self.los.append(los)
+        self.seed.append(seed)
+        self.pl_db.append(pl_db)
+
+    def path_classes(self) -> list[PathClass]:
+        """The class of each tap: the first tap of a LOS drop is boresight, every other one a reflection."""
+        classes = [PathClass.REFLECTION] * len(self.delay_ns)
+        for lobe in compress(self.lobe_bounds, self.los):
+            classes[self.tap_bounds[lobe]] = PathClass.BORESIGHT
+        return classes
+
+    def records(self) -> tuple[ChannelDrop, ...]:
+        """The ``ChannelDrop`` of each drop, with its lobes and taps."""
+        taps, lobes = self.tap_bounds, self.lobe_bounds
+        tap_records = list(map(SynthTap, self.delay_ns, self.power_mw, self.xpd_db, self.path_classes()))
+        lobe_records = [SynthLobe(c, tap_records[a:b]) for c, a, b in zip(self.center_deg, taps, taps[1:])]
+        lobes_of = (lobe_records[a:b] for a, b in zip(lobes, lobes[1:]))
+        return tuple(map(ChannelDrop, self.distance_m, self.pl_db, self.los, self.seed, lobes_of))
+
+
+def sample_drop(params: SynthesisParams, distance_m: float, seed: int, los: bool = True) -> ChannelDrop:
+    """Draw one channel realization at the given separation: the drop
+    ``render_campaign`` draws for a placement at that distance and seed."""
+    drops = _Drops(params)
+    drops.draw(distance_m, seed, los)
+    return drops.records()[0]
 
 
 @dataclass(frozen=True)
@@ -477,7 +512,7 @@ def factory_campaign_layout() -> tuple[LayoutEntry, ...]:
 
 def _rendered_columns(
     layout: tuple[LayoutEntry, ...],
-    drops: list[ChannelDrop],
+    drops: _Drops,
     tx_antenna: AntennaConfig,
     rx_antenna: AntennaConfig,
     tx_power_dbm: float,
@@ -490,24 +525,19 @@ def _rendered_columns(
     sits the tap's XPD lower, and each location's noise floor sits
     ``_FLOOR_MARGIN_DB`` under its faintest tap.
     """
-    lobes = [lobe for drop in drops for lobe in drop.lobes]
-    taps = [tap for lobe in lobes for tap in lobe.taps]
-    delay, power_mw, xpd = np.fromiter(
-        chain.from_iterable(map(_TAP_VALUES, taps)), dtype=float, count=3 * len(taps)
-    ).reshape(-1, 3).T
-    vv_db = linear_to_db_array(power_mw) + tx_antenna.gain_dbi + rx_antenna.gain_dbi
-    power = np.stack((vv_db, vv_db - xpd))  # rows: V-V, V-H
-    rx_az = np.array([lobe.center_deg for lobe in lobes], dtype=float)
+    delay = np.array(drops.delay_ns)
+    vv_db = linear_to_db_array(np.array(drops.power_mw)) + tx_antenna.gain_dbi + rx_antenna.gain_dbi
+    power = np.stack((vv_db, vv_db - np.array(drops.xpd_db)))  # rows: V-V, V-H
+    rx_az = np.array(drops.center_deg, dtype=float)
     tx_az = (180.0 - rx_az) % 360.0
-    lobe_taps = np.array([len(lobe.taps) for lobe in lobes], dtype=np.intp)
-    lobe_bounds = np.concatenate(([0], np.cumsum([len(drop.lobes) for drop in drops])))
-    tap_starts = np.concatenate(([0], np.cumsum(lobe_taps)))[lobe_bounds]
+    tap_bounds, lobe_bounds = np.array(drops.tap_bounds), np.array(drops.lobe_bounds)
+    lobe_taps = np.diff(tap_bounds)
+    tap_starts = tap_bounds[lobe_bounds]
     floors = np.minimum.reduceat(power, tap_starts[:-1], axis=1) - _FLOOR_MARGIN_DB
 
     gap = tx_antenna.height_m - rx_antenna.height_m
-    distances = [drop.distance_m for drop in drops]
-    tx_pos = [(math.sqrt(d * d - gap * gap), 10.0 * i, tx_antenna.height_m) for i, d in enumerate(distances)]
-    rx_pos = [(0.0, 10.0 * i, rx_antenna.height_m) for i in range(len(drops))]
+    tx_pos = [(math.sqrt(d * d - gap * gap), 10.0 * i, tx_antenna.height_m) for i, d in enumerate(drops.distance_m)]
+    rx_pos = [(0.0, 10.0 * i, rx_antenna.height_m) for i in range(len(layout))]
     # location k is placement k // 2 in polarization k % 2 before the stable sort
     pols = (Polarization.VV, Polarization.VH)
     ids = [(entry.tx_id, entry.rx_id) for entry in layout]
@@ -537,10 +567,46 @@ def _rendered_columns(
 
 @dataclass(frozen=True)
 class RenderedCampaign:
-    """Where a synthesized campaign landed on disk, plus its ground truth."""
+    """Where a synthesized campaign landed on disk, plus its ground truth.
+
+    The truth is held as the drop columns the render drew; ``drops`` builds
+    their records on first read.
+    """
 
     manifest_path: Path
-    drops: tuple[ChannelDrop, ...]
+    _drops: _Drops = field(repr=False, hash=False)
+
+    @cached_property
+    def drops(self) -> tuple[ChannelDrop, ...]:
+        return self._drops.records()
+
+    def truth_json(self) -> str:
+        """The bytes ``json.dumps(truth, indent=2, sort_keys=True)`` gives ``truth``, the list of
+        ``{**asdict(drop), "effective_omni_xpd_db": drop.effective_omni_xpd_db}`` of each drop.
+
+        Laid out by ``json_template`` straight from the columns; the omni XPD
+        adds up in ``ChannelDrop``'s order, so every value has the same bits.
+        """
+        d = self._drops
+        taps, lobes, power = d.tap_bounds, d.lobe_bounds, d.power_mw
+        cross = (np.array(power) * db_to_linear_array(-np.array(d.xpd_db))).tolist()
+        lobe_power = [sum(power[a:b]) for a, b in zip(taps, taps[1:])]
+        omni_xpd = [
+            10.0 * math.log10(sum(lobe_power[a:b]) / sum(cross[taps[a] : taps[b]])) for a, b in zip(lobes, lobes[1:])
+        ]
+        classes = [f'"{c.value}"' for c in d.path_classes()]
+        drop_keys = ("distance_m", "effective_omni_xpd_db", "los", "pl_db", "seed")
+        tap = "\n          " + json_template(dict.fromkeys(("delay_ns", "path_class", "power_mw", "xpd_db"), "%s"), 5)[0]
+        lobe = "\n      " + "%s".join(json_template({"center_deg": "%s", "taps": [None]}, 3))
+        drop = "\n  " + "%s".join(json_template({**dict.fromkeys(drop_keys, "%s"), "lobes": [None]}, 1))
+        tap_docs = list(map(tap.__mod__, zip(d.delay_ns, classes, power, d.xpd_db)))
+        lobe_docs = [lobe % (center, ",".join(tap_docs[a:b])) for center, a, b in zip(d.center_deg, taps, taps[1:])]
+        drops = zip(d.distance_m, omni_xpd, lobes, lobes[1:], d.los, d.pl_db, d.seed)
+        drop_docs = [
+            drop % (distance, xpd, ",".join(lobe_docs[a:b]), ("false", "true")[los], pl_db, seed)
+            for distance, xpd, a, b, los, pl_db, seed in drops
+        ]
+        return "[" + ",".join(drop_docs) + "\n]"
 
 
 def render_campaign(
@@ -585,7 +651,7 @@ def render_campaign(
     rx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=1.5)
     height_gap = tx_antenna.height_m - rx_antenna.height_m
 
-    drops = []
+    drops = _Drops(params)
     for i, entry in enumerate(layout):
         d = entry.distance_m if entry.distance_m is not None else float(drawn[i])
         if d * d <= height_gap * height_gap:
@@ -593,7 +659,7 @@ def render_campaign(
                 "distance_m",
                 f"{d} m is shorter than the {height_gap:g} m antenna height gap",
             )
-        drops.append(sample_drop(params, d, int(drop_seeds[i]), los=entry.los))
+        drops.draw(d, int(drop_seeds[i]), entry.los)
 
     campaign = Campaign(
         campaign_id=campaign_id,
@@ -603,4 +669,4 @@ def render_campaign(
         delay_resolution_ns=params.delay_resolution_ns,
     )
     manifest_path = write_campaign(campaign, Path(out_dir))
-    return RenderedCampaign(manifest_path=manifest_path, drops=tuple(drops))
+    return RenderedCampaign(manifest_path, drops)

@@ -1,10 +1,12 @@
 """The columnar write path against the per-record writers it replaced.
 
-``render_campaign`` fills a campaign's columns straight from the drops,
-``write_campaign`` formats every column in bulk, and ``ingest --format
-json`` fills a fixed template per location.  ``write_reference`` keeps the
-record-building render, the per-location sweep writer, the ``json.dump``
-manifest and the dict-building document: the bytes must be equal.
+``render_campaign`` draws its drops into columns and fills a campaign's
+columns straight from them, ``write_campaign`` formats every column in bulk
+and writes each sweep file through ``os.write``, ``ingest --format json``
+fills a fixed template per location, and the truth file one per drop.
+``write_reference`` keeps the record-building draw and render, the
+per-location sweep writer, the ``json.dump`` manifest and the dict-building
+documents: the drops and the bytes must be equal.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import json
 import logging
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -26,28 +29,35 @@ from conftest import make_location, make_pdp
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from write_reference import (
+    _reference_lobe_centers,
     reference_ingest_json,
     reference_ingest_text,
     reference_render_campaign,
+    reference_sample_drop,
+    reference_truth_json,
     reference_write_campaign,
 )
 
 from subthz_chan import (
     AntennaConfig,
     Campaign,
+    ChannelDrop,
     DirectionalPdp,
     LocationColumns,
     LocationMeasurement,
     Polarization,
+    SynthLobe,
+    SynthTap,
     SynthesisParams,
     ValidationError,
     factory_campaign_layout,
     ingest_campaign,
     render_campaign,
+    sample_drop,
     synthesis,
     write_campaign,
 )
-from subthz_chan.cli import _ingest_json, main
+from subthz_chan.cli import EXIT_IO, _ingest_json, main
 from subthz_chan.measurement import DB_LIMIT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -64,6 +74,12 @@ def ingest_stdout(manifest: Path, fmt: str) -> str:
     return out.getvalue()
 
 
+#: the default parameters and a 1 ns lattice on a 7.2 degree grid
+PARAMS = {
+    "default": SynthesisParams(),
+    "lattice-1ns": SynthesisParams(delay_resolution_ns=1.0, az_step_deg=7.2, carrier_hz=140_000_000_000),
+}
+
 #: (id, params, placements, seed, keyword arguments of both renders)
 RENDERS = [
     ("n1-seed3", SynthesisParams(), 1, 3, {}),
@@ -73,7 +89,7 @@ RENDERS = [
     ("factory-seed7", SynthesisParams(), None, 7, {"layout": factory_campaign_layout()}),
     (
         "lattice-1ns",
-        SynthesisParams(delay_resolution_ns=1.0, az_step_deg=7.2, carrier_hz=140_000_000_000),
+        PARAMS["lattice-1ns"],
         30,
         5,
         {"tx_power_dbm": 10, "campaign_id": 'fäctory "1 ns"\\\x01'},
@@ -110,6 +126,10 @@ class TestRender:
 
     def test_drops_unchanged(self, render):
         assert render["rendered"].drops == render["drops"]
+        assert repr(render["rendered"].drops) == repr(render["drops"])
+
+    def test_truth_json(self, render):
+        assert render["rendered"].truth_json() == reference_truth_json(render["drops"])
 
     def test_ingest_outputs(self, render):
         manifest = render["rendered"].manifest_path
@@ -119,15 +139,56 @@ class TestRender:
 
     def test_builds_no_record(self, tmp_path, monkeypatch):
         built = []
-        for cls in (DirectionalPdp, LocationMeasurement):
-            monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
-        render_campaign(SynthesisParams(), 5, 2, tmp_path)
+        for cls in (DirectionalPdp, LocationMeasurement, SynthTap, SynthLobe, ChannelDrop):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: built.append(self) or check(self))
+        rendered = render_campaign(SynthesisParams(), 5, 2, tmp_path)
+        rendered.truth_json()
         assert built == []
+        drops = rendered.drops
+        assert {type(record) for record in built} == {SynthTap, SynthLobe, ChannelDrop}
+        assert sum(isinstance(record, ChannelDrop) for record in built) == len(drops) == 5
+        assert rendered.drops is drops
+
+    def test_rendered_campaign_is_a_frozen_value(self, tmp_path):
+        first, again, other = (render_campaign(SynthesisParams(), 5, seed, tmp_path) for seed in (2, 2, 3))
+        assert first == again and hash(first) == hash(again)
+        assert first != other and first.manifest_path == other.manifest_path
+        assert repr(first) == f"RenderedCampaign(manifest_path={first.manifest_path!r})"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.manifest_path = tmp_path
+        assert first.drops == again.drops and first == again
 
     def test_empty_layout_is_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="layout"):
             render_campaign(SynthesisParams(), None, 0, tmp_path / "c", layout=[])
         assert not (tmp_path / "c").exists()
+
+
+class TestDrawOracle:
+    """``sample_drop`` draws from campaign-wide columns; the record-building draw, with
+    ``rng.choice`` placing the lobes, must give the same drops."""
+
+    @pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
+    @pytest.mark.parametrize("name", list(PARAMS))
+    def test_seed_sweep(self, name, los):
+        params = PARAMS[name]
+        rng = np.random.default_rng(17)
+        distances = rng.uniform(*params.distance_range_m, 300).tolist()
+        for seed, distance in zip(rng.integers(0, 2**63 - 1, 300).tolist(), distances):
+            drop = sample_drop(params, distance, seed, los)
+            expected = reference_sample_drop(params, distance, seed, los)
+            assert drop == expected, seed
+            assert repr(drop) == repr(expected), seed
+
+    @pytest.mark.parametrize("nbins, count", [(6, 2), (45, 7), (45, 15), (50, 16), (200, 40), (360, 120)])
+    def test_lobe_centres_leave_the_stream_aligned(self, nbins, count):
+        for seed in range(100):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            fix_first = seed % 2 == 0
+            centers = synthesis._draw_lobe_centers(rng, nbins, count, fix_first)
+            assert centers == _reference_lobe_centers(reference, nbins, count, fix_first), seed
+            assert rng.random() == reference.random(), seed
 
 
 def silent_location(like: LocationMeasurement) -> LocationMeasurement:
@@ -161,6 +222,71 @@ class TestWrite:
         sweep.write_bytes(b"x" * 10_000)
         columnar = write_campaign(campaign, tmp_path / "columnar").parent
         assert tree(columnar) == tree(reference_write_campaign(campaign, tmp_path / "records").parent)
+
+
+class TestWriteFile:
+    """Sweep files go through ``os.open`` and ``os.write`` with ``open(path, "wb")``'s semantics."""
+
+    def test_short_writes_write_the_whole_file(self, tmp_path, monkeypatch):
+        write, sizes = os.write, []
+
+        def one_byte(fd, data):
+            sizes.append(len(data))
+            return write(fd, bytes(data[:1]))
+
+        campaign = valid_campaign()
+        monkeypatch.setattr(os, "write", one_byte)
+        columnar = write_campaign(campaign, tmp_path / "columnar").parent
+        monkeypatch.undo()
+        assert tree(columnar) == tree(reference_write_campaign(campaign, tmp_path / "records").parent)
+        assert len(sizes) == sum(len(data) for name, data in tree(columnar).items() if name.startswith("sweeps"))
+
+    def test_writes_over_another_campaign(self, tmp_path):
+        # the same file names, with sweep files longer, shorter and as long as the new ones;
+        # like ``open(path, "wb")``, the write keeps each file's inode
+        for seed in (1, 2):
+            manifest = render_campaign(SynthesisParams(), 40, seed, tmp_path / "over").manifest_path
+        inodes = {p: p.stat().st_ino for p in (manifest.parent / "sweeps").iterdir()}
+        seed_1 = ingest_campaign(render_campaign(SynthesisParams(), 40, 1, tmp_path / "old").manifest_path)
+        write_campaign(seed_1, tmp_path / "over")
+        fresh = render_campaign(SynthesisParams(), 40, 1, tmp_path / "fresh").manifest_path
+        assert tree(manifest.parent) == tree(fresh.parent)
+        assert {p: p.stat().st_ino for p in (manifest.parent / "sweeps").iterdir()} == inodes
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000, 0o137])
+    def test_new_files_get_the_mode_open_gives(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            manifest = write_campaign(valid_campaign(), tmp_path / "out")
+            with open(tmp_path / "by_open", "wb"):
+                pass
+        finally:
+            os.umask(previous)
+        mode = stat.S_IMODE((tmp_path / "by_open").stat().st_mode)
+        assert mode == 0o666 & ~umask
+        assert {stat.S_IMODE(p.stat().st_mode) for p in (manifest.parent / "sweeps").iterdir()} == {mode}
+
+    def test_one_open_per_sweep_file(self, tmp_path, monkeypatch):
+        real_open, opened = os.open, []
+        monkeypatch.setattr(os, "open", lambda path, *args: opened.append(path) or real_open(path, *args))
+        manifest = write_campaign(valid_campaign(), tmp_path / "out")
+        monkeypatch.undo()
+        assert sorted(opened) == sorted(map(str, (manifest.parent / "sweeps").iterdir()))
+        assert len(opened) == 6
+
+    @pytest.mark.parametrize("blocked", ["out/sweeps/TX0001_RX0001_VH.csv", "file/out/sweeps"])
+    def test_unwritable_out_exits_4_naming_the_path(self, tmp_path, capsys, blocked):
+        if blocked.startswith("file"):
+            (tmp_path / "file").write_bytes(b"")
+            out = tmp_path / "file" / "out"
+        else:
+            (tmp_path / blocked).mkdir(parents=True)
+            out = tmp_path / "out"
+        assert main(["synth", "--n", "2", "--seed", "1", "--out", str(out)]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno ")
+        assert f"'{tmp_path / blocked}'" in captured.err
 
 
 def two_locations(tx_id, rx_id, tx_pos, rx_pos, los, antenna, carrier_hz, tx_power_dbm, floor, rows, resolution=2.0):

@@ -1,17 +1,21 @@
 """The per-record write path that the columnar writers replaced.
 
 Kept as a byte reference: the package's ``render_campaign``,
-``write_campaign`` and ``ingest --format json`` must produce the bytes
-these do.  ``reference_render_campaign`` builds a validated
+``write_campaign``, ``ingest --format json`` and ``synth --truth-out``
+must produce the bytes these do, and its ``sample_drop`` the drops.  ``reference_sample_drop``
+draws a drop record by record, with ``rng.choice`` placing the lobes;
+``reference_render_campaign`` draws each drop with it, builds a validated
 ``DirectionalPdp`` per lobe and a ``LocationMeasurement`` per location and
 sorts the records; ``reference_write_campaign`` writes each sweep file
 from per-location f-strings and the manifest with ``json.dump``;
 ``reference_ingest_json`` and ``reference_ingest_text`` build one dict per
-location, for ``json.dumps`` and for the text lines.
+location, for ``json.dumps`` and for the text lines, and
+``reference_truth_json`` one dict per drop.
 None of them checks what it writes.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -20,13 +24,90 @@ import numpy as np
 
 from subthz_chan.campaign_io import _SWEEP_HEADER, Campaign
 from subthz_chan.measurement import (
+    D0_M,
     AntennaConfig,
     DirectionalPdp,
     LocationMeasurement,
     Polarization,
     linear_to_db,
 )
-from subthz_chan.synthesis import _FLOOR_MARGIN_DB, LayoutEntry, sample_drop
+from subthz_chan.pathloss import fspl
+from subthz_chan.synthesis import (
+    _FLOOR_MARGIN_DB,
+    _LOBE_STEP_DB,
+    _REFLECTION_EXCESS_MEAN_NS,
+    _SPEED_OF_LIGHT_M_NS,
+    ChannelDrop,
+    LayoutEntry,
+    SynthLobe,
+    SynthTap,
+    _lobe_tap_profile,
+)
+from subthz_chan.xpd import PathClass
+
+
+def _reference_lobe_centers(rng: np.random.Generator, nbins: int, count: int, fix_first: bool) -> list[int]:
+    chosen: list[int] = []
+    allowed = set(range(nbins))
+
+    def take(idx: int) -> None:
+        chosen.append(idx)
+        allowed.difference_update({(idx - 1) % nbins, idx, (idx + 1) % nbins})
+
+    if fix_first:
+        take(0)
+    while len(chosen) < count:
+        pool = sorted(allowed)
+        take(int(rng.choice(pool)))
+    return chosen
+
+
+def reference_sample_drop(params, distance_m: float, seed: int, los: bool = True) -> ChannelDrop:
+    """The drop ``sample_drop`` draws, drawn and built record by record."""
+    rng = np.random.default_rng(seed)
+    res = params.delay_resolution_ns
+
+    ple = params.ple if los else params.nlos_ple
+    shadow = rng.normal(0.0, params.shadow_sigma_db)
+    pl_db = fspl(params.carrier_hz, D0_M) + 10.0 * ple * math.log10(distance_m / D0_M) + shadow
+
+    law = params.lobe_count_law
+    n_lobes = law.min_count + int(rng.poisson(law.mean_count - law.min_count))
+    n_lobes = min(n_lobes, law.max_count)
+
+    centers = _reference_lobe_centers(rng, params.n_az_bins, n_lobes, fix_first=los)
+    direct_delay = res * round(distance_m / _SPEED_OF_LIGHT_M_NS / res)
+
+    raw = []
+    total_rel = 0.0
+    for k, idx in enumerate(centers):
+        on_boresight = los and k == 0
+        if on_boresight:
+            lobe_delay = direct_delay
+        else:
+            excess = rng.exponential(_REFLECTION_EXCESS_MEAN_NS)
+            lobe_delay = direct_delay + res * max(1, round(excess / res))
+        target = rng.lognormal(params.rmsds_law.log_mean, params.rmsds_law.log_std)
+        lobe_rel = 10.0 ** (-_LOBE_STEP_DB * k / 10.0)
+        taps = []
+        for j, (offset, rel) in enumerate(_lobe_tap_profile(target, res)):
+            tap_class = PathClass.BORESIGHT if on_boresight and j == 0 else PathClass.REFLECTION
+            xpd_law = params.xpd_boresight if tap_class is PathClass.BORESIGHT else params.xpd_reflection
+            xpd = float(rng.normal(xpd_law.mean_db, xpd_law.std_db))
+            weight = lobe_rel * rel
+            taps.append((lobe_delay + offset, weight, xpd, tap_class))
+            total_rel += weight
+        raw.append((idx * params.az_step_deg, taps))
+
+    scale = 10.0 ** (-pl_db / 10.0) / total_rel
+    lobes = tuple(
+        SynthLobe(
+            center_deg=center,
+            taps=tuple(SynthTap(delay_ns=d, power_mw=w * scale, xpd_db=x, path_class=c) for d, w, x, c in taps),
+        )
+        for center, taps in raw
+    )
+    return ChannelDrop(distance_m=distance_m, pl_db=pl_db, los=los, seed=seed, lobes=lobes)
 
 
 def reference_write_campaign(campaign: Campaign, out_dir) -> Path:
@@ -151,7 +232,7 @@ def reference_render_campaign(
     locations = []
     for i, entry in enumerate(layout):
         d = entry.distance_m if entry.distance_m is not None else float(drawn[i])
-        drop = sample_drop(params, d, int(drop_seeds[i]), los=entry.los)
+        drop = reference_sample_drop(params, d, int(drop_seeds[i]), los=entry.los)
         drops.append(drop)
 
         y = 10.0 * i
@@ -204,3 +285,9 @@ def reference_render_campaign(
         delay_resolution_ns=params.delay_resolution_ns,
     )
     return tuple(locations), tuple(drops), reference_write_campaign(campaign, Path(out_dir))
+
+
+def reference_truth_json(drops) -> str:
+    """The ``synth --truth-out`` document, without its final LF: one dict per drop, for ``json.dumps``."""
+    truth = [{**dataclasses.asdict(d), "effective_omni_xpd_db": d.effective_omni_xpd_db} for d in drops]
+    return json.dumps(truth, indent=2, sort_keys=True)
