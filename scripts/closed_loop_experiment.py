@@ -43,8 +43,8 @@ def main() -> None:
         angular = analysis.angular[30.0]
         classes = analysis.xpd
 
-        truth_xpd = float(np.mean([d.effective_omni_xpd_db for d in rendered.drops]))
-        truth_lobes = float(np.mean([len(d.lobes) for d in rendered.drops]))
+        truth_xpd = float(np.mean(rendered.truth.omni_xpd_db))
+        truth_lobes = float(np.mean(np.diff(rendered.truth.lobe_bounds)))
 
         print(f"{args.n} placements, seed {args.seed}")
         print(f"{'quantity':<28}{'truth':>10}{'recovered':>12}")

@@ -5,7 +5,7 @@ generator that renders synthetic campaigns back into the measurement
 file format.
 """
 # first: campaign_io reads it while the package is still being imported
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .angular import AngularSpreads, AngularSummary, Side, angular_spreads, campaign_angular_summary, power_angular_spectrum
 from .campaign_io import Campaign, CampaignFormatError, cache_path, ingest_campaign, load_campaign, write_campaign
@@ -46,18 +46,16 @@ from .pathloss import (
 from .pipeline import Analysis, RunConfig, run_pipeline
 from .summary import SummaryRow, nearest_rank, summarize
 from .synthesis import (
-    ChannelDrop,
+    DropColumns,
     LayoutEntry,
     LobeCountLaw,
     RenderedCampaign,
     RmsdsLaw,
-    SynthLobe,
-    SynthTap,
     SynthesisParams,
     XpdLaw,
+    draw_drops,
     factory_campaign_layout,
     render_campaign,
-    sample_drop,
 )
 from .xpd import PathClass, XpdClassSummary, XpdColumns, xpd_columns
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -154,12 +153,9 @@ class SynthesisParams:
             raise ValidationError("distance_range_m", f"need {D0_M:g} < low < high, got {self.distance_range_m}")
         if abs(360.0 / self.az_step_deg - round(360.0 / self.az_step_deg)) > 1e-9:
             raise ValidationError("az_step_deg", "must divide 360")
-        decades = math.log10(hi / D0_M)
+        checked_delay_resolution(self.delay_resolution_ns)
         for name, share_db in (  # how far each knob on its own can move a tap's power
             ("carrier_hz", abs(fspl(self.carrier_hz, D0_M))),
-            ("distance_range_m", 20.0 * decades),  # free-space spreading to the far end
-            ("ple", 10.0 * self.ple * decades),
-            ("nlos_ple", 10.0 * self.nlos_ple * decades),
             ("shadow_sigma_db", 10.0 * self.shadow_sigma_db),  # a ten-sigma draw
             ("xpd_boresight", abs(self.xpd_boresight.mean_db) + 10.0 * self.xpd_boresight.std_db),
             ("xpd_reflection", abs(self.xpd_reflection.mean_db) + 10.0 * self.xpd_reflection.std_db),
@@ -168,14 +164,7 @@ class SynthesisParams:
             if not share_db <= _MAX_KNOB_DB:
                 limit = f"over the {_MAX_KNOB_DB:g} dB one knob may"
                 raise ValidationError(name, f"{getattr(self, name)} moves tap powers by {share_db:.4g} dB, {limit}")
-        # a lattice finer than the float spacing of the delays it reaches would merge adjacent taps
-        res = checked_delay_resolution(self.delay_resolution_ns)
-        far_ns = hi / _SPEED_OF_LIGHT_M_NS + _MAX_FAR_TAP_NS
-        finest_ns = _MIN_LATTICE_ULPS * math.ulp(far_ns)
-        if not res >= finest_ns:
-            raise ValidationError(
-                "delay_resolution_ns", f"{res} ns cannot resolve delays near {far_ns:.4g} ns; need >= {finest_ns:.3g} ns"
-            )
+        self._check_far_end(hi)
         # greedy non-adjacent lobe placement removes at most 3 grid bins
         # per placed lobe, so this bound keeps placement always feasible
         if self.lobe_count_law.max_count > self.n_az_bins // 3:
@@ -184,6 +173,27 @@ class SynthesisParams:
                 f"max_count {self.lobe_count_law.max_count} exceeds {self.n_az_bins // 3} "
                 f"placeable lobes on a {self.n_az_bins}-bin grid",
             )
+
+    def _check_far_end(self, far_m: float, field_name: str | None = None) -> None:
+        """ValidationError naming ``field_name``, else the knob, if a drop drawn ``far_m`` metres out would have the
+        spreading or a PLE move a tap's power by over ``_MAX_KNOB_DB``, or delays the lattice cannot resolve."""
+        decades = math.log10(far_m / D0_M)
+        for name, share_db in (
+            ("distance_range_m", 20.0 * decades),
+            ("ple", 10.0 * self.ple * decades),
+            ("nlos_ple", 10.0 * self.nlos_ple * decades),
+        ):
+            if not share_db <= _MAX_KNOB_DB:
+                knob = f"{far_m} m" if name == "distance_range_m" else f"{name} {getattr(self, name)} to {far_m} m"
+                limit = f"over the {_MAX_KNOB_DB:g} dB one knob may"
+                raise ValidationError(field_name or name, f"{knob} moves tap powers by {share_db:.4g} dB, {limit}")
+        # a lattice finer than the float spacing of the delays it reaches would merge adjacent taps
+        res = self.delay_resolution_ns
+        far_ns = far_m / _SPEED_OF_LIGHT_M_NS + _MAX_FAR_TAP_NS
+        finest_ns = _MIN_LATTICE_ULPS * math.ulp(far_ns)
+        if not res >= finest_ns:
+            message = f"{res} ns cannot resolve delays near {far_ns:.4g} ns; need >= {finest_ns:.3g} ns"
+            raise ValidationError(field_name or "delay_resolution_ns", message)
 
     @property
     def n_az_bins(self) -> int:
@@ -253,81 +263,6 @@ def _json_law(law: type, doc, field: str):
     return law(**values)
 
 
-@dataclass(frozen=True)
-class SynthTap:
-    """One synthesized delay tap inside a lobe."""
-
-    delay_ns: float
-    power_mw: float
-    xpd_db: float
-    path_class: PathClass
-
-    def __post_init__(self):
-        object.__setattr__(self, "path_class", PathClass(self.path_class))
-        if self.delay_ns < 0:
-            raise ValidationError("delay_ns", "must be >= 0")
-        if not self.power_mw > 0:
-            raise ValidationError("power_mw", "must be > 0")
-        if not math.isfinite(self.xpd_db):
-            raise ValidationError("xpd_db", "must be finite")
-
-
-@dataclass(frozen=True)
-class SynthLobe:
-    """A spatial lobe: one azimuth bin holding a short tap cluster."""
-
-    center_deg: float
-    taps: tuple[SynthTap, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", tuple(self.taps))
-        if not 0.0 <= self.center_deg < 360.0:
-            raise ValidationError("center_deg", "must lie in [0, 360)")
-        if not self.taps:
-            raise ValidationError("taps", "a lobe needs at least one tap")
-        delays = [t.delay_ns for t in self.taps]
-        if any(b <= a for a, b in zip(delays, delays[1:])):
-            raise ValidationError("taps", "tap delays must be strictly increasing")
-
-    @property
-    def power_mw(self) -> float:
-        return sum(t.power_mw for t in self.taps)
-
-
-@dataclass(frozen=True)
-class ChannelDrop:
-    """One synthesized channel realization with its ground truth."""
-
-    distance_m: float
-    pl_db: float
-    los: bool
-    seed: int
-    lobes: tuple[SynthLobe, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lobes", tuple(self.lobes))
-        if not self.distance_m > D0_M:
-            raise ValidationError("distance_m", f"must exceed {D0_M:g} m, got {self.distance_m}")
-        if not math.isfinite(self.pl_db):
-            raise ValidationError("pl_db", "must be finite")
-        if not self.lobes:
-            raise ValidationError("lobes", "a drop needs at least one lobe")
-
-    @property
-    def total_power_mw(self) -> float:
-        return sum(lobe.power_mw for lobe in self.lobes)
-
-    @property
-    def effective_omni_xpd_db(self) -> float:
-        """Cross-to-co ratio of the whole drop after omni recombination.
-
-        ``RenderedCampaign.truth_json`` adds up the same sums in the same
-        order from the drop columns; keep the two in step."""
-        co = self.total_power_mw
-        cross = sum(t.power_mw * 10.0 ** (-t.xpd_db / 10.0) for lobe in self.lobes for t in lobe.taps)
-        return 10.0 * math.log10(co / cross)
-
-
 def _lobe_tap_profile(target_rmsds_ns: float, res_ns: float) -> list[tuple[float, float]]:
     """Relative tap layout (delay offset, weight) realizing a delay spread.
 
@@ -383,52 +318,89 @@ def _draw_lobe_centers(rng: np.random.Generator, nbins: int, count: int, fix_fir
     return chosen
 
 
-class _Drops:
-    """Drops drawn straight into campaign-wide columns, one drop after another.
+@dataclass(frozen=True, eq=False)
+class DropColumns:
+    """Drops, their lobes and the lobes' taps as flat read-only columns: the generator's ground truth.
 
-    Lobe ``l`` holds taps ``tap_bounds[l]:tap_bounds[l + 1]`` and drop ``i``
-    lobes ``lobe_bounds[i]:lobe_bounds[i + 1]``.  ``records`` builds the
-    drops' records; drops compare equal when every column is equal.
+    Drop ``i`` owns lobes ``lobe_bounds[i]:lobe_bounds[i + 1]`` and lobe ``l`` taps
+    ``tap_bounds[l]:tap_bounds[l + 1]``, in draw order.  Tap powers are linear, before
+    antenna gains; ``boresight`` marks a tap's path class (else a reflection).
     """
 
-    def __init__(self, params: SynthesisParams):
-        self.params = params
-        self.delay_ns, self.power_mw, self.xpd_db = [], [], []  # per tap
-        self.center_deg, self.tap_bounds = [], [0]  # per lobe
-        self.distance_m, self.los, self.seed, self.pl_db, self.lobe_bounds = [], [], [], [], [0]  # per drop
+    # per tap
+    delay_ns: np.ndarray
+    power_mw: np.ndarray
+    xpd_db: np.ndarray
+    boresight: np.ndarray
+    # per lobe
+    center_deg: np.ndarray
+    tap_bounds: np.ndarray
+    # per drop
+    distance_m: np.ndarray
+    los: np.ndarray
+    seed: np.ndarray
+    pl_db: np.ndarray
+    lobe_bounds: np.ndarray
 
     def __eq__(self, other) -> bool:
-        return type(other) is _Drops and vars(self) == vars(other)
+        if not isinstance(other, DropColumns):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
-    def draw(self, distance_m: float, seed: int, los: bool) -> None:
-        """Append one drop.  Draw order is fixed (shadowing, lobe count, lobe
-        centers, then per lobe: excess delay, target spread, per-tap XPDs), so
-        a seed pins the drop exactly."""
+    @cached_property
+    def omni_xpd_db(self) -> np.ndarray:
+        """Each drop's co- to cross-polar power after omni recombination, in dB: builtin ``sum``s
+        per lobe, then per drop, over cross powers mapped through ``math.pow``, as the truth file has it."""
+        taps, lobes, power = self.tap_bounds.tolist(), self.lobe_bounds.tolist(), self.power_mw.tolist()
+        cross = (self.power_mw * db_to_linear_array(-self.xpd_db)).tolist()
+        lobe_power = [sum(power[a:b]) for a, b in zip(taps, taps[1:])]
+        ratios = [sum(lobe_power[a:b]) / sum(cross[taps[a] : taps[b]]) for a, b in zip(lobes, lobes[1:])]
+        return _read_only([10.0 * math.log10(ratio) for ratio in ratios], float)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def draw_drops(
+    params: SynthesisParams, distances_m: Sequence[float], seeds: Sequence[int], los: Sequence[bool]
+) -> DropColumns:
+    """Drop ``i`` drawn ``distances_m[i]`` out from ``seeds[i]``, LOS when ``los[i]``, for each ``i``.
+
+    Each drop draws from its own seed in a fixed order (shadowing, lobe count,
+    lobe centres, then per lobe: excess delay, target spread, per-tap XPDs), so
+    a seed pins its drop whatever is drawn beside it.  ``render_campaign`` draws through this.
+    """
+    distances_m, seeds, los = list(distances_m), list(seeds), list(los)
+    if not len(distances_m) == len(seeds) == len(los):
+        counts = f"{len(distances_m)} distances, {len(seeds)} seeds and {len(los)} LOS flags"
+        raise ValidationError("seeds", f"need one seed and one LOS flag per distance, got {counts}")
+    for i, (distance_m, seed) in enumerate(zip(distances_m, seeds)):
         if not distance_m > D0_M:
-            raise ValidationError("distance_m", f"must exceed {D0_M:g} m, got {distance_m}")
-        if seed < 0:
-            raise ValidationError("seed", f"must be >= 0, got {seed}")
-        params = self.params
+            raise ValidationError(f"distances_m[{i}]", f"must exceed {D0_M:g} m, got {distance_m}")
+        params._check_far_end(distance_m, f"distances_m[{i}]")
+        if not 0 <= seed < 2**63:
+            raise ValidationError(f"seeds[{i}]", f"must lie in [0, 2**63), got {seed}")
+    res = params.delay_resolution_ns
+    law = params.lobe_count_law
+    delays, powers, xpds, boresight = [], [], [], []  # per tap
+    centers_deg, tap_bounds = [], [0]  # per lobe
+    pls, lobe_bounds = [], [0]  # per drop
+    for distance_m, seed, is_los in zip(distances_m, seeds, los):
         rng = np.random.default_rng(seed)
-        res = params.delay_resolution_ns
-
-        ple = params.ple if los else params.nlos_ple
+        ple = params.ple if is_los else params.nlos_ple
         shadow = rng.normal(0.0, params.shadow_sigma_db)
         pl_db = fspl(params.carrier_hz, D0_M) + 10.0 * ple * math.log10(distance_m / D0_M) + shadow
-
-        law = params.lobe_count_law
-        n_lobes = law.min_count + int(rng.poisson(law.mean_count - law.min_count))
-        n_lobes = min(n_lobes, law.max_count)
-
-        centers = _draw_lobe_centers(rng, params.n_az_bins, n_lobes, fix_first=los)
+        n_lobes = min(law.min_count + int(rng.poisson(law.mean_count - law.min_count)), law.max_count)
+        centers = _draw_lobe_centers(rng, params.n_az_bins, n_lobes, fix_first=is_los)
         direct_delay = res * round(distance_m / _SPEED_OF_LIGHT_M_NS / res)
-
         # the drop's taps hold relative weights until its scale turns them into linear powers
-        delays, weights, xpds = self.delay_ns, self.power_mw, self.xpd_db
-        first = len(weights)
+        first = len(powers)
         total_rel = 0.0
         for k, idx in enumerate(centers):
-            on_boresight = los and k == 0
+            on_boresight = is_los and k == 0
             if on_boresight:
                 lobe_delay = direct_delay
             else:
@@ -437,44 +409,33 @@ class _Drops:
             target = rng.lognormal(params.rmsds_law.log_mean, params.rmsds_law.log_std)
             lobe_rel = 10.0 ** (-_LOBE_STEP_DB * k / 10.0)
             for j, (offset, rel) in enumerate(_lobe_tap_profile(target, res)):
-                xpd_law = params.xpd_boresight if on_boresight and j == 0 else params.xpd_reflection
+                tap_on_boresight = on_boresight and j == 0
+                xpd_law = params.xpd_boresight if tap_on_boresight else params.xpd_reflection
                 xpds.append(float(rng.normal(xpd_law.mean_db, xpd_law.std_db)))
+                boresight.append(tap_on_boresight)
                 weight = lobe_rel * rel
                 delays.append(lobe_delay + offset)
-                weights.append(weight)
+                powers.append(weight)
                 total_rel += weight
-            self.center_deg.append(idx * params.az_step_deg)
-            self.tap_bounds.append(len(delays))
+            centers_deg.append(idx * params.az_step_deg)
+            tap_bounds.append(len(delays))
         scale = 10.0 ** (-pl_db / 10.0) / total_rel
-        weights[first:] = [weight * scale for weight in weights[first:]]
-        self.lobe_bounds.append(len(self.center_deg))
-        self.distance_m.append(distance_m)
-        self.los.append(los)
-        self.seed.append(seed)
-        self.pl_db.append(pl_db)
-
-    def path_classes(self) -> list[PathClass]:
-        """The class of each tap: the first tap of a LOS drop is boresight, every other one a reflection."""
-        classes = [PathClass.REFLECTION] * len(self.delay_ns)
-        for lobe in compress(self.lobe_bounds, self.los):
-            classes[self.tap_bounds[lobe]] = PathClass.BORESIGHT
-        return classes
-
-    def records(self) -> tuple[ChannelDrop, ...]:
-        """The ``ChannelDrop`` of each drop, with its lobes and taps."""
-        taps, lobes = self.tap_bounds, self.lobe_bounds
-        tap_records = list(map(SynthTap, self.delay_ns, self.power_mw, self.xpd_db, self.path_classes()))
-        lobe_records = [SynthLobe(c, tap_records[a:b]) for c, a, b in zip(self.center_deg, taps, taps[1:])]
-        lobes_of = (lobe_records[a:b] for a, b in zip(lobes, lobes[1:]))
-        return tuple(map(ChannelDrop, self.distance_m, self.pl_db, self.los, self.seed, lobes_of))
-
-
-def sample_drop(params: SynthesisParams, distance_m: float, seed: int, los: bool = True) -> ChannelDrop:
-    """Draw one channel realization at the given separation: the drop
-    ``render_campaign`` draws for a placement at that distance and seed."""
-    drops = _Drops(params)
-    drops.draw(distance_m, seed, los)
-    return drops.records()[0]
+        powers[first:] = [weight * scale for weight in powers[first:]]
+        pls.append(pl_db)
+        lobe_bounds.append(len(centers_deg))
+    return DropColumns(
+        delay_ns=_read_only(delays, float),
+        power_mw=_read_only(powers, float),
+        xpd_db=_read_only(xpds, float),
+        boresight=_read_only(boresight, bool),
+        center_deg=_read_only(centers_deg, float),
+        tap_bounds=_read_only(tap_bounds, np.intp),
+        distance_m=_read_only(distances_m, float),
+        los=_read_only(los, bool),
+        seed=_read_only(seeds, np.int64),
+        pl_db=_read_only(pls, float),
+        lobe_bounds=_read_only(lobe_bounds, np.intp),
+    )
 
 
 @dataclass(frozen=True)
@@ -512,7 +473,7 @@ def factory_campaign_layout() -> tuple[LayoutEntry, ...]:
 
 def _rendered_columns(
     layout: tuple[LayoutEntry, ...],
-    drops: _Drops,
+    drops: DropColumns,
     tx_antenna: AntennaConfig,
     rx_antenna: AntennaConfig,
     tx_power_dbm: float,
@@ -525,18 +486,18 @@ def _rendered_columns(
     sits the tap's XPD lower, and each location's noise floor sits
     ``_FLOOR_MARGIN_DB`` under its faintest tap.
     """
-    delay = np.array(drops.delay_ns)
-    vv_db = linear_to_db_array(np.array(drops.power_mw)) + tx_antenna.gain_dbi + rx_antenna.gain_dbi
-    power = np.stack((vv_db, vv_db - np.array(drops.xpd_db)))  # rows: V-V, V-H
-    rx_az = np.array(drops.center_deg, dtype=float)
+    vv_db = linear_to_db_array(drops.power_mw) + tx_antenna.gain_dbi + rx_antenna.gain_dbi
+    power = np.stack((vv_db, vv_db - drops.xpd_db))  # rows: V-V, V-H
+    rx_az = drops.center_deg
     tx_az = (180.0 - rx_az) % 360.0
-    tap_bounds, lobe_bounds = np.array(drops.tap_bounds), np.array(drops.lobe_bounds)
+    tap_bounds, lobe_bounds = drops.tap_bounds, drops.lobe_bounds
     lobe_taps = np.diff(tap_bounds)
     tap_starts = tap_bounds[lobe_bounds]
     floors = np.minimum.reduceat(power, tap_starts[:-1], axis=1) - _FLOOR_MARGIN_DB
 
     gap = tx_antenna.height_m - rx_antenna.height_m
-    tx_pos = [(math.sqrt(d * d - gap * gap), 10.0 * i, tx_antenna.height_m) for i, d in enumerate(drops.distance_m)]
+    distances = drops.distance_m.tolist()
+    tx_pos = [(math.sqrt(d * d - gap * gap), 10.0 * i, tx_antenna.height_m) for i, d in enumerate(distances)]
     rx_pos = [(0.0, 10.0 * i, rx_antenna.height_m) for i in range(len(layout))]
     # location k is placement k // 2 in polarization k % 2 before the stable sort
     pols = (Polarization.VV, Polarization.VH)
@@ -551,7 +512,7 @@ def _rendered_columns(
         keys=tuple((*ids[i], pols[j]) for i, j in zip(place.tolist(), pol.tolist())),
         tx_pos_m=np.array(tx_pos, dtype=float)[place],
         rx_pos_m=np.array(rx_pos, dtype=float)[place],
-        los=np.array([entry.los for entry in layout], dtype=bool)[place],
+        los=drops.los[place],
         tx_antenna=np.full((len(place), 4), astuple(tx_antenna), dtype=float),
         rx_antenna=np.full((len(place), 4), astuple(rx_antenna), dtype=float),
         tx_power_dbm=np.full(len(place), tx_power_dbm, dtype=float),
@@ -560,51 +521,39 @@ def _rendered_columns(
         rx_az_deg=rx_az[sweeps],
         noise_floor_db=np.repeat(floors[pol, place], n_lobes),
         tap_bounds=np.concatenate(([0], np.cumsum(lobe_taps[sweeps]))),
-        delay_ns=delay[tap_rows],
+        delay_ns=drops.delay_ns[tap_rows],
         power_db=power[np.repeat(pol, n_taps), tap_rows],
     )
 
 
 @dataclass(frozen=True)
 class RenderedCampaign:
-    """Where a synthesized campaign landed on disk, plus its ground truth.
-
-    The truth is held as the drop columns the render drew; ``drops`` builds
-    their records on first read.
-    """
+    """Where a synthesized campaign landed on disk, plus its ground truth: the
+    drops the render drew, one per placement in layout order."""
 
     manifest_path: Path
-    _drops: _Drops = field(repr=False, hash=False)
-
-    @cached_property
-    def drops(self) -> tuple[ChannelDrop, ...]:
-        return self._drops.records()
+    truth: DropColumns = field(repr=False, hash=False)
 
     def truth_json(self) -> str:
-        """The bytes ``json.dumps(truth, indent=2, sort_keys=True)`` gives ``truth``, the list of
-        ``{**asdict(drop), "effective_omni_xpd_db": drop.effective_omni_xpd_db}`` of each drop.
-
-        Laid out by ``json_template`` straight from the columns; the omni XPD
-        adds up in ``ChannelDrop``'s order, so every value has the same bits.
-        """
-        d = self._drops
-        taps, lobes, power = d.tap_bounds, d.lobe_bounds, d.power_mw
-        cross = (np.array(power) * db_to_linear_array(-np.array(d.xpd_db))).tolist()
-        lobe_power = [sum(power[a:b]) for a, b in zip(taps, taps[1:])]
-        omni_xpd = [
-            10.0 * math.log10(sum(lobe_power[a:b]) / sum(cross[taps[a] : taps[b]])) for a, b in zip(lobes, lobes[1:])
-        ]
-        classes = [f'"{c.value}"' for c in d.path_classes()]
+        """The ``synth --truth-out`` document, laid out by ``json_template`` from the truth columns in the bytes
+        of ``json.dumps(..., indent=2, sort_keys=True)``: a list of drops, each with its lobes, each with its
+        taps; ``omni_xpd_db`` is written as ``effective_omni_xpd_db`` and ``boresight`` as ``path_class``."""
+        t = self.truth
+        taps, lobes = t.tap_bounds.tolist(), t.lobe_bounds.tolist()
+        class_json = [f'"{c.value}"' for c in (PathClass.REFLECTION, PathClass.BORESIGHT)]  # by boresight flag
+        classes = [class_json[flag] for flag in t.boresight.tolist()]
         drop_keys = ("distance_m", "effective_omni_xpd_db", "los", "pl_db", "seed")
         tap = "\n          " + json_template(dict.fromkeys(("delay_ns", "path_class", "power_mw", "xpd_db"), "%s"), 5)[0]
         lobe = "\n      " + "%s".join(json_template({"center_deg": "%s", "taps": [None]}, 3))
         drop = "\n  " + "%s".join(json_template({**dict.fromkeys(drop_keys, "%s"), "lobes": [None]}, 1))
-        tap_docs = list(map(tap.__mod__, zip(d.delay_ns, classes, power, d.xpd_db)))
-        lobe_docs = [lobe % (center, ",".join(tap_docs[a:b])) for center, a, b in zip(d.center_deg, taps, taps[1:])]
-        drops = zip(d.distance_m, omni_xpd, lobes, lobes[1:], d.los, d.pl_db, d.seed)
+        tap_docs = list(map(tap.__mod__, zip(t.delay_ns.tolist(), classes, t.power_mw.tolist(), t.xpd_db.tolist())))
+        centers = t.center_deg.tolist()
+        lobe_docs = [lobe % (center, ",".join(tap_docs[a:b])) for center, a, b in zip(centers, taps, taps[1:])]
+        per_drop = (t.distance_m, t.omni_xpd_db, t.los, t.pl_db, t.seed)
+        drops = zip(*(column.tolist() for column in per_drop), lobes, lobes[1:])
         drop_docs = [
             drop % (distance, xpd, ",".join(lobe_docs[a:b]), ("false", "true")[los], pl_db, seed)
-            for distance, xpd, a, b, los, pl_db, seed in drops
+            for distance, xpd, los, pl_db, seed, a, b in drops
         ]
         return "[" + ",".join(drop_docs) + "\n]"
 
@@ -643,30 +592,29 @@ def render_campaign(
     master = np.random.default_rng(seed)
     lo, hi = params.distance_range_m
     # drawn unconditionally so pinned-distance layouts share the seed stream
-    drawn = master.uniform(lo, hi, len(layout))
-    drop_seeds = master.integers(0, 2**63 - 1, len(layout))
+    drawn = master.uniform(lo, hi, len(layout)).tolist()
+    drop_seeds = master.integers(0, 2**63 - 1, len(layout)).tolist()
 
     step = params.az_step_deg
     tx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=3.0)
     rx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=1.5)
     height_gap = tx_antenna.height_m - rx_antenna.height_m
 
-    drops = _Drops(params)
-    for i, entry in enumerate(layout):
-        d = entry.distance_m if entry.distance_m is not None else float(drawn[i])
-        if d * d <= height_gap * height_gap:
-            raise ValidationError(
-                "distance_m",
-                f"{d} m is shorter than the {height_gap:g} m antenna height gap",
-            )
-        drops.draw(d, int(drop_seeds[i]), entry.los)
+    distances = [drawn[i] if entry.distance_m is None else entry.distance_m for i, entry in enumerate(layout)]
+    for i, (entry, d) in enumerate(zip(layout, distances)):
+        name = "distance_range_m" if entry.distance_m is None else f"layout[{i}].distance_m"
+        if not d > height_gap:
+            raise ValidationError(name, f"{d} m is shorter than the {height_gap:g} m antenna height gap")
+        if entry.distance_m is not None:  # a drawn distance lies within the range's checked far end
+            params._check_far_end(d, name)
+    truth = draw_drops(params, distances, drop_seeds, [entry.los for entry in layout])
 
     campaign = Campaign(
         campaign_id=campaign_id,
         carrier_hz=params.carrier_hz,
         tx_power_dbm=tx_power_dbm,
-        locations=_rendered_columns(layout, drops, tx_antenna, rx_antenna, tx_power_dbm),
+        locations=_rendered_columns(layout, truth, tx_antenna, rx_antenna, tx_power_dbm),
         delay_resolution_ns=params.delay_resolution_ns,
     )
     manifest_path = write_campaign(campaign, Path(out_dir))
-    return RenderedCampaign(manifest_path, drops)
+    return RenderedCampaign(manifest_path, truth)

@@ -277,7 +277,7 @@ def test_criterion_08_closed_loop_recovery(tmp_path):
     boresight = analysis.xpd[PathClass.BORESIGHT]
     elapsed = time.monotonic() - start
 
-    truth_xpd = float(np.mean([d.effective_omni_xpd_db for d in rendered.drops]))
+    truth_xpd = float(np.mean(rendered.truth.omni_xpd_db))
     ok = (
         abs(ci_vv.ple - 1.86) <= 0.1
         and abs(cix.xpd_db - truth_xpd) <= 1.0

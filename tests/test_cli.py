@@ -562,16 +562,17 @@ class TestSynth:
         truth = json.loads(truth_path.read_text())
         rendered = render_campaign(SynthesisParams(), 2, 11, tmp_path / "direct")
         assert len(truth) == 2
-        for doc, drop in zip(truth, rendered.drops):
-            assert doc["distance_m"] == drop.distance_m
-            assert doc["pl_db"] == drop.pl_db
-            assert doc["seed"] == drop.seed
-            assert len(doc["lobes"]) == len(drop.lobes)
-            for lobe_doc, lobe in zip(doc["lobes"], drop.lobes):
-                assert lobe_doc["center_deg"] == lobe.center_deg
-                assert [t["delay_ns"] for t in lobe_doc["taps"]] == [
-                    t.delay_ns for t in lobe.taps
-                ]
+        columns = rendered.truth
+        taps, lobes = columns.tap_bounds.tolist(), columns.lobe_bounds.tolist()
+        for i, doc in enumerate(truth):
+            assert doc["distance_m"] == columns.distance_m[i]
+            assert doc["pl_db"] == columns.pl_db[i]
+            assert doc["seed"] == columns.seed[i]
+            assert len(doc["lobes"]) == lobes[i + 1] - lobes[i]
+            for lobe_doc, lobe in zip(doc["lobes"], range(lobes[i], lobes[i + 1])):
+                assert lobe_doc["center_deg"] == columns.center_deg[lobe]
+                delays = columns.delay_ns[taps[lobe] : taps[lobe + 1]].tolist()
+                assert [t["delay_ns"] for t in lobe_doc["taps"]] == delays
 
     def test_params_file(self, tmp_path, capsys):
         params_path = tmp_path / "params.json"

@@ -39,13 +39,6 @@ def test_closed_loop_experiment_prints_its_table():
     assert "truth" in result.stdout and "recovered" in result.stdout
 
 
-def test_generate_demo_campaign_writes_a_manifest(tmp_path):
-    out = tmp_path / "demo"
-    result = run_script("generate_demo_campaign.py", "--out", str(out))
-    assert result.returncode == 0, result.stderr
-    assert (out / "manifest.json").is_file()
-
-
 @pytest.fixture(scope="module")
 def two_bundles(tmp_path_factory):
     """Two report bundles of the same rendered campaign."""

@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from subthz_chan import (
-    ChannelDrop,
     LayoutEntry,
     LobeCountLaw,
-    PathClass,
     Polarization,
     RmsdsLaw,
     SynthesisParams,
@@ -19,11 +17,11 @@ from subthz_chan import (
     ValidationError,
     XpdLaw,
     angular_spreads,
+    draw_drops,
     factory_campaign_layout,
     fspl,
     ingest_campaign,
     render_campaign,
-    sample_drop,
 )
 from subthz_chan.measurement import DB_LIMIT, DELAY_LIMIT_NS, SPEED_OF_LIGHT_M_S
 from subthz_chan.synthesis import _MAX_FAR_TAP_NS, _lobe_tap_profile
@@ -152,37 +150,45 @@ class TestLobeTapProfile:
                 assert abs(d / 2.0 - round(d / 2.0)) < 1e-9
 
 
+def draw_one(params, distance_m, seed, los=True):
+    """The columns of the one drop ``draw_drops`` draws at ``distance_m`` from ``seed``."""
+    return draw_drops(params, [distance_m], [seed], [los])
+
+
+def lobe_powers(truth) -> np.ndarray:
+    return np.add.reduceat(truth.power_mw, truth.tap_bounds[:-1])
+
+
 class TestSampleDrop:
     def test_deterministic(self):
         params = SynthesisParams()
-        assert sample_drop(params, 20.0, 42) == sample_drop(params, 20.0, 42)
-        assert sample_drop(params, 20.0, 42) != sample_drop(params, 20.0, 43)
+        assert draw_one(params, 20.0, 42) == draw_one(params, 20.0, 42)
+        assert draw_one(params, 20.0, 42) != draw_one(params, 20.0, 43)
 
     def test_degenerate_profile_hits_model_exactly(self):
         params = single_tap_params()
-        drop = sample_drop(params, 20.0, 123)
+        drop = draw_one(params, 20.0, 123)
         expected = fspl(142e9) + 18.6 * math.log10(20.0)
-        assert drop.pl_db == pytest.approx(expected, abs=1e-12)
-        assert len(drop.lobes) == 1
-        assert len(drop.lobes[0].taps) == 1
-        tap = drop.lobes[0].taps[0]
-        assert tap.path_class is PathClass.BORESIGHT
-        assert drop.lobes[0].center_deg == 0.0
-        assert drop.total_power_mw == pytest.approx(10.0 ** (-drop.pl_db / 10.0), rel=1e-12)
+        assert drop.pl_db[0] == pytest.approx(expected, abs=1e-12)
+        assert len(drop.center_deg) == 1
+        assert len(drop.delay_ns) == 1
+        assert drop.boresight.tolist() == [True]
+        assert drop.center_deg[0] == 0.0
+        assert drop.power_mw.sum() == pytest.approx(10.0 ** (-drop.pl_db[0] / 10.0), rel=1e-12)
 
     def test_total_power_matches_loss_exactly(self):
         params = SynthesisParams()
         for seed in range(25):
-            drop = sample_drop(params, 17.3, seed)
-            assert drop.total_power_mw == pytest.approx(
-                10.0 ** (-drop.pl_db / 10.0), rel=1e-9
+            drop = draw_one(params, 17.3, seed)
+            assert drop.power_mw.sum() == pytest.approx(
+                10.0 ** (-drop.pl_db[0] / 10.0), rel=1e-9
             )
 
     def test_lobe_centers_distinct_and_non_adjacent(self):
         params = SynthesisParams()
         for seed in range(50):
-            drop = sample_drop(params, 25.0, seed)
-            bins = [round(l.center_deg / 8.0) for l in drop.lobes]
+            drop = draw_one(params, 25.0, seed)
+            bins = [round(c / 8.0) for c in drop.center_deg.tolist()]
             assert len(set(bins)) == len(bins)
             for i, a in enumerate(bins):
                 for b in bins[i + 1 :]:
@@ -192,77 +198,87 @@ class TestSampleDrop:
     def test_los_boresight_structure(self):
         params = SynthesisParams()
         for seed in range(25):
-            drop = sample_drop(params, 25.0, seed, los=True)
-            assert drop.lobes[0].center_deg == 0.0
-            classes = [t.path_class for lobe in drop.lobes for t in lobe.taps]
-            assert classes[0] is PathClass.BORESIGHT
-            assert classes.count(PathClass.BORESIGHT) == 1
+            drop = draw_one(params, 25.0, seed, los=True)
+            assert drop.center_deg[0] == 0.0
+            assert drop.boresight[0]
+            assert drop.boresight.sum() == 1
 
     def test_nlos_is_all_reflection(self):
         params = SynthesisParams()
-        drop = sample_drop(params, 25.0, 5, los=False)
-        for lobe in drop.lobes:
-            for tap in lobe.taps:
-                assert tap.path_class is PathClass.REFLECTION
+        drop = draw_one(params, 25.0, 5, los=False)
+        assert len(drop.boresight) > 0
+        assert not drop.boresight.any()
 
     def test_delays_on_lattice_and_bounded(self):
         params = SynthesisParams()
         direct = 2.0 * round(25.0 / 0.299792458 / 2.0)
         for seed in range(25):
-            drop = sample_drop(params, 25.0, seed)
-            for lobe in drop.lobes:
-                first = lobe.taps[0].delay_ns
+            drop = draw_one(params, 25.0, seed)
+            bounds = drop.tap_bounds.tolist()
+            for a, b in zip(bounds, bounds[1:]):
+                first = drop.delay_ns[a]
                 assert first >= direct
-                for tap in lobe.taps:
-                    assert abs(tap.delay_ns / 2.0 - round(tap.delay_ns / 2.0)) < 1e-9
-                    assert tap.delay_ns - first <= 1000.0 + 1e-9
+                for delay in drop.delay_ns[a:b].tolist():
+                    assert abs(delay / 2.0 - round(delay / 2.0)) < 1e-9
+                    assert delay - first <= 1000.0 + 1e-9
 
     def test_lobe_power_ladder(self):
         params = SynthesisParams()
         for seed in range(25):
-            drop = sample_drop(params, 25.0, seed)
-            p0 = drop.lobes[0].power_mw
-            for k, lobe in enumerate(drop.lobes):
-                assert lobe.power_mw / p0 == pytest.approx(10.0 ** (-0.3 * k), rel=5e-3)
+            powers = lobe_powers(draw_one(params, 25.0, seed))
+            for k, power in enumerate(powers):
+                assert power / powers[0] == pytest.approx(10.0 ** (-0.3 * k), rel=5e-3)
 
     def test_mean_loss_tracks_model(self):
         params = SynthesisParams()
         model = fspl(142e9) + 18.6 * math.log10(20.0)
-        mean = np.mean([sample_drop(params, 20.0, s).pl_db for s in range(4000)])
+        mean = np.mean(draw_drops(params, [20.0] * 4000, range(4000), [True] * 4000).pl_db)
         assert mean == pytest.approx(model, abs=0.1)
 
     def test_effective_xpd_between_tap_extremes(self):
         params = SynthesisParams()
         for seed in range(25):
-            drop = sample_drop(params, 20.0, seed)
-            xpds = [t.xpd_db for lobe in drop.lobes for t in lobe.taps]
-            assert min(xpds) - 1e-9 <= drop.effective_omni_xpd_db <= max(xpds) + 1e-9
+            drop = draw_one(params, 20.0, seed)
+            assert drop.xpd_db.min() - 1e-9 <= drop.omni_xpd_db[0] <= drop.xpd_db.max() + 1e-9
 
     def test_rejects_bad_arguments(self):
         params = SynthesisParams()
-        with pytest.raises(ValidationError):
-            sample_drop(params, 0.5, 0)
-        with pytest.raises(ValidationError):
-            sample_drop(params, 20.0, -1)
+        for distances, seeds, los, field in (
+            ([20.0, 0.5], [0, 0], [True, True], "distances_m[1]"),
+            ([math.nan], [0], [True], "distances_m[0]"),
+            ([math.inf], [0], [True], "distances_m[0]"),
+            ([1e60], [0], [True], "distances_m[0]"),
+            ([20.0], [-1], [True], "seeds[0]"),
+            ([20.0], [2**63], [True], "seeds[0]"),
+            ([20.0, 21.0], [0], [True, True], "seeds"),
+            ([20.0], [0], [True, False], "seeds"),
+        ):
+            with pytest.raises(ValidationError) as err:
+                draw_drops(params, distances, seeds, los)
+            assert err.value.field == field
+        assert draw_drops(params, [], [], []).distance_m.size == 0
 
     def test_lobe_count_law_respected(self):
         law = LobeCountLaw(3.5, 1, 7)
         params = SynthesisParams(lobe_count_law=law)
-        counts = [len(sample_drop(params, 20.0, s).lobes) for s in range(300)]
+        counts = np.diff(draw_drops(params, [20.0] * 300, range(300), [True] * 300).lobe_bounds)
         assert min(counts) >= 1
         assert max(counts) <= 7
         assert np.mean(counts) == pytest.approx(3.5, abs=0.35)
 
 
 class TestChannelDrop:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            ChannelDrop(distance_m=0.5, pl_db=100.0, los=True, seed=0, lobes=())
-
     def test_seed_reproduces_drop(self):
         params = SynthesisParams()
-        drop = sample_drop(params, 14.0, 99)
-        assert sample_drop(params, drop.distance_m, drop.seed, los=drop.los) == drop
+        drops = draw_drops(params, [25.0, 14.0, 9.0], [98, 99, 100], [False, True, True])
+        again = draw_one(params, drops.distance_m[1], drops.seed[1], los=drops.los[1])
+        lobes = slice(*drops.lobe_bounds[1:3])
+        taps = slice(*drops.tap_bounds[drops.lobe_bounds[1:3]])
+        for name in ("delay_ns", "power_mw", "xpd_db", "boresight"):
+            assert np.array_equal(getattr(again, name), getattr(drops, name)[taps]), name
+        assert np.array_equal(again.center_deg, drops.center_deg[lobes])
+        for name in ("distance_m", "los", "seed", "pl_db", "omni_xpd_db"):
+            assert getattr(again, name)[0] == getattr(drops, name)[1], name
 
 
 class TestRenderCampaign:
@@ -282,7 +298,7 @@ class TestRenderCampaign:
         rendered = render_campaign(SynthesisParams(), 4, 3, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
         assert len(campaign) == 8
-        assert len(rendered.drops) == 4
+        assert len(rendered.truth.distance_m) == 4
         assert campaign.carrier_hz == 142e9
 
     @pytest.mark.parametrize(
@@ -335,7 +351,7 @@ class TestRenderCampaign:
         table = TapTable(campaign.columns, campaign.rows(Polarization.VV))
         # default ids TX0001... sort in layout order, aligning with drops
         lobes = angular_spreads(table, 30.0).n_aoa_lobes
-        assert lobes.tolist() == [len(drop.lobes) for drop in rendered.drops]
+        assert lobes.tolist() == np.diff(rendered.truth.lobe_bounds).tolist()
 
     def test_single_lobe_end_to_end(self, tmp_path):
         rendered = render_campaign(single_tap_params(), 1, 5, tmp_path)
@@ -357,7 +373,7 @@ class TestRenderCampaign:
         by_pair = {}
         for loc in campaign:
             by_pair.setdefault((loc.tx_id, loc.rx_id), []).append(loc)
-        for entry, drop in zip(layout, rendered.drops):
+        for entry, distance in zip(layout, rendered.truth.distance_m.tolist()):
             vv = next(
                 l
                 for l in by_pair[(entry.tx_id, entry.rx_id)]
@@ -365,7 +381,7 @@ class TestRenderCampaign:
             )
             assert vv.distance_m == pytest.approx(entry.distance_m, abs=1e-9)
             assert vv.los is entry.los
-            assert drop.distance_m == entry.distance_m
+            assert distance == entry.distance_m
 
     def test_los_boresight_pair_present(self, tmp_path):
         rendered = render_campaign(SynthesisParams(), 3, 9, tmp_path)
@@ -376,18 +392,21 @@ class TestRenderCampaign:
     def test_cross_polar_sweeps_differ_by_tap_xpd(self, tmp_path):
         rendered = render_campaign(SynthesisParams(), 2, 13, tmp_path)
         campaign = ingest_campaign(rendered.manifest_path)
-        for (row_vv, row_vh), drop in zip(campaign.pairs(), rendered.drops):
+        truth = rendered.truth
+        taps = truth.tap_bounds.tolist()
+        for i, (row_vv, row_vh) in enumerate(campaign.pairs()):
             loc_vv, loc_vh = campaign[row_vv], campaign[row_vh]
             vh_by_dir = {s.direction: s for s in loc_vh.sweeps}
-            lobes_by_center = {l.center_deg: l for l in drop.lobes}
+            lobes = range(truth.lobe_bounds[i], truth.lobe_bounds[i + 1])
+            lobes_by_center = {truth.center_deg[l]: l for l in lobes}
             for sweep_vv in loc_vv.sweeps:
                 sweep_vh = vh_by_dir[sweep_vv.direction]
                 assert sweep_vh.delays_ns == sweep_vv.delays_ns
                 lobe = lobes_by_center[sweep_vv.rx_az_deg]
-                for tap, p_vv, p_vh in zip(
-                    lobe.taps, sweep_vv.powers_db, sweep_vh.powers_db
+                for xpd_db, p_vv, p_vh in zip(
+                    truth.xpd_db[taps[lobe] : taps[lobe + 1]], sweep_vv.powers_db, sweep_vh.powers_db
                 ):
-                    assert p_vv - p_vh == pytest.approx(tap.xpd_db, abs=1e-9)
+                    assert p_vv - p_vh == pytest.approx(xpd_db, abs=1e-9)
 
     def test_layout_count_mismatch(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -396,6 +415,25 @@ class TestRenderCampaign:
             )
         with pytest.raises(ValidationError):
             render_campaign(SynthesisParams(), None, 0, tmp_path)
+
+    @pytest.mark.parametrize("distance_m", [math.inf, 1e300, 1e60])
+    def test_pinned_distance_past_the_far_end_is_named(self, tmp_path, distance_m):
+        # the far-end rules of distance_range_m hold for a pinned distance, checked before anything is drawn
+        layout = [LayoutEntry("A", "B", distance_m), LayoutEntry("A", "C", 10.0)]
+        message = r"^layout\[0\]\.distance_m: .* moves tap powers by .* dB, over the 150 dB one knob may$"
+        with pytest.raises(ValidationError, match=message) as err:
+            render_campaign(SynthesisParams(), None, 0, tmp_path / "out", layout=layout)
+        assert err.value.field == "layout[0].distance_m"
+        assert not (tmp_path / "out").exists()
+
+    def test_pinned_distance_past_the_lattice_is_named(self, tmp_path):
+        # every share fits 10**7 m, but a 1e-6 ns lattice cannot resolve the delays out there
+        params = SynthesisParams(ple=1.0, nlos_ple=1.0, delay_resolution_ns=1e-6)
+        layout = [LayoutEntry("A", "B", 10.0), LayoutEntry("A", "C", 1e7)]
+        with pytest.raises(ValidationError, match=r"cannot resolve delays near") as err:
+            render_campaign(params, None, 0, tmp_path / "out", layout=layout)
+        assert err.value.field == "layout[1].distance_m"
+        assert not (tmp_path / "out").exists()
 
     def test_distance_under_height_gap_rejected(self, tmp_path):
         layout = [LayoutEntry("TX1", "RX1", 1.2)]

@@ -30,6 +30,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from write_reference import (
     _reference_lobe_centers,
+    column_drop_tuples,
+    drop_tuple,
     reference_ingest_json,
     reference_ingest_text,
     reference_render_campaign,
@@ -41,19 +43,16 @@ from write_reference import (
 from subthz_chan import (
     AntennaConfig,
     Campaign,
-    ChannelDrop,
     DirectionalPdp,
     LocationColumns,
     LocationMeasurement,
     Polarization,
-    SynthLobe,
-    SynthTap,
     SynthesisParams,
     ValidationError,
+    draw_drops,
     factory_campaign_layout,
     ingest_campaign,
     render_campaign,
-    sample_drop,
     synthesis,
     write_campaign,
 )
@@ -125,8 +124,9 @@ class TestRender:
             assert getattr(columns, field.name).dtype == getattr(expected, field.name).dtype, field.name
 
     def test_drops_unchanged(self, render):
-        assert render["rendered"].drops == render["drops"]
-        assert repr(render["rendered"].drops) == repr(render["drops"])
+        drops, expected = column_drop_tuples(render["rendered"].truth), [drop_tuple(d) for d in render["drops"]]
+        assert drops == expected
+        assert repr(drops) == repr(expected)
 
     def test_truth_json(self, render):
         assert render["rendered"].truth_json() == reference_truth_json(render["drops"])
@@ -139,16 +139,25 @@ class TestRender:
 
     def test_builds_no_record(self, tmp_path, monkeypatch):
         built = []
-        for cls in (DirectionalPdp, LocationMeasurement, SynthTap, SynthLobe, ChannelDrop):
+        for cls in (DirectionalPdp, LocationMeasurement):
             check = cls.__post_init__
             monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: built.append(self) or check(self))
         rendered = render_campaign(SynthesisParams(), 5, 2, tmp_path)
         rendered.truth_json()
         assert built == []
-        drops = rendered.drops
-        assert {type(record) for record in built} == {SynthTap, SynthLobe, ChannelDrop}
-        assert sum(isinstance(record, ChannelDrop) for record in built) == len(drops) == 5
-        assert rendered.drops is drops
+        assert len(rendered.truth.distance_m) == 5
+
+    def test_truth_is_read_only(self, tmp_path):
+        truth = render_campaign(SynthesisParams(), 3, 2, tmp_path).truth
+        for f in dataclasses.fields(truth):
+            column = getattr(truth, f.name)
+            assert isinstance(column, np.ndarray) and not column.flags.writeable, f.name
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        assert not truth.omni_xpd_db.flags.writeable
+        assert truth.omni_xpd_db is truth.omni_xpd_db
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            truth.pl_db = truth.pl_db
 
     def test_rendered_campaign_is_a_frozen_value(self, tmp_path):
         first, again, other = (render_campaign(SynthesisParams(), 5, seed, tmp_path) for seed in (2, 2, 3))
@@ -157,7 +166,8 @@ class TestRender:
         assert repr(first) == f"RenderedCampaign(manifest_path={first.manifest_path!r})"
         with pytest.raises(dataclasses.FrozenInstanceError):
             first.manifest_path = tmp_path
-        assert first.drops == again.drops and first == again
+        assert first.truth == again.truth and first == again
+        assert first.truth != other.truth
 
     def test_empty_layout_is_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="layout"):
@@ -166,7 +176,7 @@ class TestRender:
 
 
 class TestDrawOracle:
-    """``sample_drop`` draws from campaign-wide columns; the record-building draw, with
+    """``draw_drops`` draws into campaign-wide columns; the record-building draw, with
     ``rng.choice`` placing the lobes, must give the same drops."""
 
     @pytest.mark.parametrize("los", [True, False], ids=["los", "nlos"])
@@ -175,11 +185,15 @@ class TestDrawOracle:
         params = PARAMS[name]
         rng = np.random.default_rng(17)
         distances = rng.uniform(*params.distance_range_m, 300).tolist()
-        for seed, distance in zip(rng.integers(0, 2**63 - 1, 300).tolist(), distances):
-            drop = sample_drop(params, distance, seed, los)
-            expected = reference_sample_drop(params, distance, seed, los)
+        seeds = rng.integers(0, 2**63 - 1, 300).tolist()
+        truth = draw_drops(params, distances, seeds, [los] * 300)
+        assert len(truth.distance_m) == 300
+        for i, (drop, seed, distance) in enumerate(zip(column_drop_tuples(truth), seeds, distances)):
+            oracle = reference_sample_drop(params, distance, seed, los)
+            expected = drop_tuple(oracle)
             assert drop == expected, seed
             assert repr(drop) == repr(expected), seed
+            assert truth.omni_xpd_db[i].item().hex() == oracle.effective_omni_xpd_db.hex(), seed
 
     @pytest.mark.parametrize("nbins, count", [(6, 2), (45, 7), (45, 15), (50, 16), (200, 40), (360, 120)])
     def test_lobe_centres_leave_the_stream_aligned(self, nbins, count):

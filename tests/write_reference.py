@@ -2,8 +2,9 @@
 
 Kept as a byte reference: the package's ``render_campaign``,
 ``write_campaign``, ``ingest --format json`` and ``synth --truth-out``
-must produce the bytes these do, and its ``sample_drop`` the drops.  ``reference_sample_drop``
-draws a drop record by record, with ``rng.choice`` placing the lobes;
+must produce the bytes these do, and its ``draw_drops`` the drops.  ``reference_sample_drop``
+draws a drop record by record, with ``rng.choice`` placing the lobes, into the
+``Tap``/``Lobe``/``Drop`` records the package held its drops in before they were columns;
 ``reference_render_campaign`` draws each drop with it, builds a validated
 ``DirectionalPdp`` per lobe and a ``LocationMeasurement`` per location and
 sorts the records; ``reference_write_campaign`` writes each sweep file
@@ -37,13 +38,50 @@ from subthz_chan.synthesis import (
     _LOBE_STEP_DB,
     _REFLECTION_EXCESS_MEAN_NS,
     _SPEED_OF_LIGHT_M_NS,
-    ChannelDrop,
     LayoutEntry,
-    SynthLobe,
-    SynthTap,
     _lobe_tap_profile,
 )
 from subthz_chan.xpd import PathClass
+
+
+@dataclasses.dataclass(frozen=True)
+class Tap:
+    """One tap of a lobe."""
+
+    delay_ns: float
+    power_mw: float
+    xpd_db: float
+    path_class: PathClass
+
+
+@dataclasses.dataclass(frozen=True)
+class Lobe:
+    """A spatial lobe: one azimuth bin holding a short tap cluster."""
+
+    center_deg: float
+    taps: tuple[Tap, ...]
+
+    @property
+    def power_mw(self) -> float:
+        return sum(t.power_mw for t in self.taps)
+
+
+@dataclasses.dataclass(frozen=True)
+class Drop:
+    """One drop with its lobes."""
+
+    distance_m: float
+    pl_db: float
+    los: bool
+    seed: int
+    lobes: tuple[Lobe, ...]
+
+    @property
+    def effective_omni_xpd_db(self) -> float:
+        """Co- to cross-polar power of the whole drop, in dB: per-lobe sums, then per drop."""
+        co = sum(lobe.power_mw for lobe in self.lobes)
+        cross = sum(t.power_mw * 10.0 ** (-t.xpd_db / 10.0) for lobe in self.lobes for t in lobe.taps)
+        return 10.0 * math.log10(co / cross)
 
 
 def _reference_lobe_centers(rng: np.random.Generator, nbins: int, count: int, fix_first: bool) -> list[int]:
@@ -62,8 +100,8 @@ def _reference_lobe_centers(rng: np.random.Generator, nbins: int, count: int, fi
     return chosen
 
 
-def reference_sample_drop(params, distance_m: float, seed: int, los: bool = True) -> ChannelDrop:
-    """The drop ``sample_drop`` draws, drawn and built record by record."""
+def reference_sample_drop(params, distance_m: float, seed: int, los: bool = True) -> Drop:
+    """The drop ``draw_drops`` draws from ``seed``, drawn and built record by record."""
     rng = np.random.default_rng(seed)
     res = params.delay_resolution_ns
 
@@ -101,13 +139,13 @@ def reference_sample_drop(params, distance_m: float, seed: int, los: bool = True
 
     scale = 10.0 ** (-pl_db / 10.0) / total_rel
     lobes = tuple(
-        SynthLobe(
+        Lobe(
             center_deg=center,
-            taps=tuple(SynthTap(delay_ns=d, power_mw=w * scale, xpd_db=x, path_class=c) for d, w, x, c in taps),
+            taps=tuple(Tap(delay_ns=d, power_mw=w * scale, xpd_db=x, path_class=c) for d, w, x, c in taps),
         )
         for center, taps in raw
     )
-    return ChannelDrop(distance_m=distance_m, pl_db=pl_db, los=los, seed=seed, lobes=lobes)
+    return Drop(distance_m=distance_m, pl_db=pl_db, los=los, seed=seed, lobes=lobes)
 
 
 def reference_write_campaign(campaign: Campaign, out_dir) -> Path:
@@ -291,3 +329,24 @@ def reference_truth_json(drops) -> str:
     """The ``synth --truth-out`` document, without its final LF: one dict per drop, for ``json.dumps``."""
     truth = [{**dataclasses.asdict(d), "effective_omni_xpd_db": d.effective_omni_xpd_db} for d in drops]
     return json.dumps(truth, indent=2, sort_keys=True)
+
+
+def drop_tuple(drop: Drop) -> tuple:
+    """A drop record as nested tuples of Python scalars:
+    (distance, path loss, LOS, seed, ((centre, ((delay, power, XPD, class), ...)), ...))."""
+
+    def tap_tuple(t: Tap) -> tuple:
+        return float(t.delay_ns), float(t.power_mw), float(t.xpd_db), t.path_class
+
+    lobes = tuple((float(lobe.center_deg), tuple(map(tap_tuple, lobe.taps))) for lobe in drop.lobes)
+    return float(drop.distance_m), float(drop.pl_db), drop.los, drop.seed, lobes
+
+
+def column_drop_tuples(truth) -> list[tuple]:
+    """Each drop of a ``DropColumns`` as the nested tuples ``drop_tuple`` makes of a record."""
+    classes = [PathClass.BORESIGHT if flag else PathClass.REFLECTION for flag in truth.boresight.tolist()]
+    taps = list(zip(truth.delay_ns.tolist(), truth.power_mw.tolist(), truth.xpd_db.tolist(), classes))
+    tap_bounds, lobe_bounds = truth.tap_bounds.tolist(), truth.lobe_bounds.tolist()
+    lobes = [(c, tuple(taps[a:b])) for c, a, b in zip(truth.center_deg.tolist(), tap_bounds, tap_bounds[1:])]
+    per_drop = zip(truth.distance_m.tolist(), truth.pl_db.tolist(), truth.los.tolist(), truth.seed.tolist())
+    return [(*drop, tuple(lobes[a:b])) for drop, a, b in zip(per_drop, lobe_bounds, lobe_bounds[1:])]
