@@ -30,6 +30,18 @@ class Side(str, Enum):
     AOA = "AOA"
 
 
+class _Grid(NamedTuple):
+    """One side's azimuth grid of a table's locations, which no threshold changes."""
+
+    n_bins: np.ndarray  # per location: the bin count, 0 without signal
+    phase_deg: np.ndarray  # per location
+    step_deg: np.ndarray  # per location
+    off_grid: np.ndarray  # per sweep: its azimuth is off the grid
+    key: np.ndarray  # per tap: ``loc * width + k`` of its bin ``k``
+    width: int
+    peak_db: np.ndarray  # per tap: the peak of its location
+
+
 class _Spectra(NamedTuple):
     """Power angular spectra of several locations on one side, as their occupied bins.
 
@@ -42,12 +54,7 @@ class _Spectra(NamedTuple):
     k: np.ndarray
     bins_deg: np.ndarray
     powers_mw: np.ndarray
-    #: per location: bin count (0 without signal), grid phase and step
-    n_bins: np.ndarray
-    phase_deg: np.ndarray
-    step_deg: np.ndarray
-    #: per sweep row of the table: its azimuth is off the uniform grid
-    off_grid: np.ndarray
+    grid: _Grid
 
 
 def _side(table: TapTable, side: Side) -> tuple[np.ndarray, np.ndarray]:
@@ -57,39 +64,47 @@ def _side(table: TapTable, side: Side) -> tuple[np.ndarray, np.ndarray]:
     return table.rx_az_deg, table.rx_step_deg
 
 
+def _grids(table: TapTable) -> dict[Side, _Grid]:
+    """The grid of each side, kept with the table; the phase follows each location's first detectable sweep."""
+    signal = table.n_sweeps > 0
+    first = group_bounds(table.sweep_loc, len(table))[0][signal]
+    peak_db = group_max(table.sweep_loc, table.peak_db, len(table))[table.tap_loc]
+    sweep_loc, grids = table.sweep_loc, {}
+    for side in Side:
+        az, step = _side(table, side)
+        n_bins = np.where(signal, np.rint(360.0 / step), 0).astype(np.intp)
+        phase = np.zeros(len(table))
+        phase[signal] = az[first] % step[signal]
+        rel = az - phase[sweep_loc]
+        offset = rel % step[sweep_loc]
+        off_grid = np.minimum(offset, step[sweep_loc] - offset) > 1e-6
+        sweep_k = np.rint(rel / step[sweep_loc]).astype(np.intp) % n_bins[sweep_loc]
+        width = max(int(n_bins.max(initial=0)), 1)
+        key = table.tap_loc * width + sweep_k[table.tap_sweep]
+        grids[side] = _Grid(n_bins, phase, step, off_grid, key, width, peak_db)
+    return grids
+
+
 def _spectra(table: TapTable, side: Side, threshold_db: float) -> _Spectra:
     """Integrate the taps within ``threshold_db`` of each location's strongest tap into its bins.
 
-    The grid phase follows the location's first detectable sweep.  Bin
-    powers add in tap order, as the running per-bin sum does.
+    Bin powers add in tap order, as the running per-bin sum does.
     """
-    az, step = _side(table, side)
-    signal = table.n_sweeps > 0
-    n_bins = np.where(signal, np.rint(360.0 / step), 0).astype(np.intp)
-    phase = np.zeros(len(table))
-    phase[signal] = az[group_bounds(table.sweep_loc, len(table))[0][signal]] % step[signal]
-
-    sweep_loc = table.sweep_loc
-    rel = az - phase[sweep_loc]
-    offset = rel % step[sweep_loc]
-    off_grid = np.minimum(offset, step[sweep_loc] - offset) > 1e-6
-    sweep_k = np.rint(rel / step[sweep_loc]).astype(np.intp) % n_bins[sweep_loc]
-
-    peak_db = group_max(sweep_loc, table.peak_db, len(table))
-    keep = in_db_window(table.power_db, peak_db[table.tap_loc], threshold_db)
-    width = max(int(n_bins.max(initial=0)), 1)
+    grid = table.kept(_grids)[side]
+    keep = in_db_window(table.power_db, grid.peak_db, threshold_db)
     # unique keys come back sorted: location-major, bin index ascending
-    keys, bin_of_tap = np.unique((table.tap_loc * width + sweep_k[table.tap_sweep])[keep], return_inverse=True)
+    keys, bin_of_tap = np.unique(grid.key[keep], return_inverse=True)
     powers = group_sums(bin_of_tap, table.power_mw[keep], len(keys))
-    loc, k = keys // width, keys % width
-    return _Spectra(loc, k, phase[loc] + k * step[loc], powers, n_bins, phase, step, off_grid)
+    loc, k = keys // grid.width, keys % grid.width
+    return _Spectra(loc, k, grid.phase_deg[loc] + k * grid.step_deg[loc], powers, grid)
 
 
-def _check_grids(table: TapTable, spectra: dict[Side, _Spectra]) -> None:
-    """ValidationError for the first off-grid sweep, by location and then by side in ``spectra`` order."""
+def _check_grids(table: TapTable, sides: tuple[Side, ...], index: int | None = None) -> None:
+    """ValidationError for the first off-grid sweep (of location ``index`` only, if given), by location, then side."""
     first = None
-    for side, s in spectra.items():
-        bad = np.flatnonzero(s.off_grid)
+    for side in sides:
+        off_grid = table.kept(_grids)[side].off_grid
+        bad = np.flatnonzero(off_grid if index is None else off_grid & (table.sweep_loc == index))
         if bad.size and (first is None or table.sweep_loc[bad[0]] < table.sweep_loc[first[1]]):
             first = (side, bad[0])
     if first is not None:
@@ -117,11 +132,11 @@ def power_angular_spectrum(
     side = Side(side)
     table.require_signal(index)
     spectra = _spectra(table, side, threshold_db)
-    _check_grids(table, {side: spectra._replace(off_grid=spectra.off_grid & (table.sweep_loc == index))})
+    _check_grids(table, (side,), index)
     mine = spectra.loc == index
-    powers = np.zeros(spectra.n_bins[index])
+    powers = np.zeros(spectra.grid.n_bins[index])
     powers[spectra.k[mine]] = spectra.powers_mw[mine]
-    return spectra.phase_deg[index] + np.arange(len(powers)) * spectra.step_deg[index], powers
+    return spectra.grid.phase_deg[index] + np.arange(len(powers)) * spectra.grid.step_deg[index], powers
 
 
 def _unit_powers(spectra: _Spectra) -> np.ndarray:
@@ -131,13 +146,13 @@ def _unit_powers(spectra: _Spectra) -> np.ndarray:
     and every moment keeps its bits; a spectrum of subnormal powers would
     otherwise round the direction of its resultant away.
     """
-    _, exponent = np.frexp(group_max(spectra.loc, spectra.powers_mw, len(spectra.n_bins)))
+    _, exponent = np.frexp(group_max(spectra.loc, spectra.powers_mw, len(spectra.grid.n_bins)))
     return np.ldexp(spectra.powers_mw, -exponent[spectra.loc])
 
 
 def _circular_means(spectra: _Spectra, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mean azimuth, degenerate) per spectrum of bin powers ``p``; a degenerate mean is tie-broken to 0."""
-    n, loc = len(spectra.n_bins), spectra.loc
+    n, loc = len(spectra.grid.n_bins), spectra.loc
     weighted = p * np.exp(1j * np.radians(spectra.bins_deg))
     resultant = group_sums(loc, weighted.real, n) + 1j * group_sums(loc, weighted.imag, n)
     degenerate = np.abs(resultant) < DEGENERATE_RESULTANT_REL * group_sums(loc, p, n)
@@ -148,7 +163,7 @@ def _circular_means(spectra: _Spectra, p: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _rms_spreads(spectra: _Spectra) -> np.ndarray:
-    n, loc, p = len(spectra.n_bins), spectra.loc, _unit_powers(spectra)
+    n, loc, p = len(spectra.grid.n_bins), spectra.loc, _unit_powers(spectra)
     mean, _ = _circular_means(spectra, p)
     dev = (spectra.bins_deg - mean[loc] + 180.0) % 360.0 - 180.0
     # a location without signal has no bins, and a NaN spread
@@ -163,10 +178,9 @@ def _lobe_marks(spectra: _Spectra, threshold_db: float) -> tuple[np.ndarray, np.
     strongest bin, compared in linear power; a run starts at a marked bin
     whose circular predecessor on the grid is unmarked.
     """
-    loc, k, n_bins = spectra.loc, spectra.k, spectra.n_bins
+    loc, k, n_bins, width = spectra.loc, spectra.k, spectra.grid.n_bins, spectra.grid.width
     peak = group_max(loc, spectra.powers_mw, len(n_bins))
     marked = in_linear_window(spectra.powers_mw, peak[loc], threshold_db)
-    width = max(int(n_bins.max(initial=0)), 1)
     # rows are sorted by (location, k), so the marked keys are too
     marked_keys = (loc * width + k)[marked]
     if not marked_keys.size:
@@ -179,7 +193,7 @@ def _lobe_marks(spectra: _Spectra, threshold_db: float) -> tuple[np.ndarray, np.
 def _lobe_counts(spectra: _Spectra, threshold_db: float) -> np.ndarray:
     """Spatial lobes per spectrum; a spectrum marked everywhere is one lobe."""
     _, run_start = _lobe_marks(spectra, threshold_db)
-    return np.maximum(np.bincount(spectra.loc[run_start], minlength=len(spectra.n_bins)), 1)
+    return np.maximum(np.bincount(spectra.loc[run_start], minlength=len(spectra.grid.n_bins)), 1)
 
 
 class AngularSpreads(NamedTuple):
@@ -210,7 +224,7 @@ def angular_spreads(table: TapTable, threshold_db: float) -> AngularSpreads:
     ValidationError for the first sweep off its location's azimuth grid.
     """
     spectra = {side: _spectra(table, side, threshold_db) for side in (Side.AOA, Side.AOD)}
-    _check_grids(table, spectra)
+    _check_grids(table, tuple(spectra))
     no_signal = table.n_sweeps == 0
     lobes = {side: np.where(no_signal, np.nan, _lobe_counts(s, threshold_db)) for side, s in spectra.items()}
     return AngularSpreads(
@@ -233,4 +247,4 @@ def campaign_angular_summary(table: TapTable, threshold_db: float) -> AngularSum
     """Five-number summaries of ``angular_spreads`` over a table's locations with signal."""
     spreads = angular_spreads(table, threshold_db)
     signal = table.n_sweeps > 0
-    return AngularSummary(threshold_db, *(summarize(column[signal].tolist()) for column in spreads))
+    return AngularSummary(threshold_db, *(summarize(column[signal]) for column in spreads))

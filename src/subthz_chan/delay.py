@@ -96,6 +96,12 @@ class DelaySpreads(NamedTuple):
     dir_mds: np.ndarray
 
 
+def _peaks(table: TapTable) -> tuple[np.ndarray, np.ndarray]:
+    """(the omni peak of each omni bin's location, the peak of each tap's sweep), kept with the table."""
+    omni = omni_bins(table)
+    return group_max(omni.loc, omni.power_mw, len(table))[omni.loc], table.peak_db[table.tap_sweep]
+
+
 def delay_spreads(table: TapTable, threshold_db: float) -> DelaySpreads:
     """RMS and maximum delay spread of each omni PDP and each sweep of a table.
 
@@ -104,10 +110,10 @@ def delay_spreads(table: TapTable, threshold_db: float) -> DelaySpreads:
     sweep bins in dB against the sweep's own peak: bins exactly
     ``threshold_db`` down can fall on either side of the two cuts.
     """
-    omni = omni_bins(table)
-    keep = in_linear_window(omni.power_mw, group_max(omni.loc, omni.power_mw, len(table))[omni.loc], threshold_db)
+    omni, (omni_peak_mw, sweep_peak_db) = omni_bins(table), table.kept(_peaks)
+    keep = in_linear_window(omni.power_mw, omni_peak_mw, threshold_db)
     omni_rms, omni_mds = _spreads(omni.loc[keep], omni.delay_ns[keep], omni.power_mw[keep], len(table))
-    keep = in_db_window(table.power_db, table.peak_db[table.tap_sweep], threshold_db)
+    keep = in_db_window(table.power_db, sweep_peak_db, threshold_db)
     dir_rms, dir_mds = _spreads(table.tap_sweep[keep], table.delay_ns[keep], table.power_mw[keep], len(table.peak_db))
     return DelaySpreads(omni_rms, omni_mds, dir_rms, dir_mds)
 
@@ -133,8 +139,8 @@ def campaign_delay_summary(table: TapTable, threshold_db: float) -> DelaySummary
     signal = table.n_sweeps > 0
     return DelaySummary(
         threshold_db=threshold_db,
-        omni_rmsds=summarize(spreads.omni_rmsds[signal].tolist()),
-        omni_mds=summarize(spreads.omni_mds[signal].tolist()),
-        dir_rmsds=summarize(spreads.dir_rmsds.tolist()),
-        dir_mds=summarize(spreads.dir_mds.tolist()),
+        omni_rmsds=summarize(spreads.omni_rmsds[signal]),
+        omni_mds=summarize(spreads.omni_mds[signal]),
+        dir_rmsds=summarize(spreads.dir_rmsds),
+        dir_mds=summarize(spreads.dir_mds),
     )

@@ -15,10 +15,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -147,8 +145,11 @@ class RunConfig:
         _check_overrides(self.carrier_hz, self.max_measurable_pl_db)
 
 
-def _csv_value(value: float) -> str:
-    return f"{value:.4f}"
+def _csv_rows(prefixes: Sequence[str], x: Sequence[float], y: Sequence[float]) -> str:
+    """The rows ``"%s%.4f,%.4f\\n" % (prefix, x, y)``, laid out by one ``%`` over the repeated format."""
+    values = [None] * (3 * len(prefixes))
+    values[0::3], values[1::3], values[2::3] = prefixes, x, y
+    return "%s%.4f,%.4f\n" * len(prefixes) % tuple(values)
 
 
 class Analysis:
@@ -254,24 +255,21 @@ class Analysis:
             for t, summary in summaries.items():
                 row = getattr(summary, field)
                 values = (row.min, row.max, row.mean, row.median, row.p90)
-                lines.append(",".join([f"{label}-{t:g} dB"] + [_csv_value(v) for v in values]))
+                lines.append(f"{label}-{t:g} dB" + ",%.4f,%.4f,%.4f,%.4f,%.4f" % values)
         return "\n".join(lines) + "\n"
 
     def summary_json(self, section: str) -> dict:
         """The ``delay`` or ``angular`` section as the report's JSON object."""
         return {
-            f"{t:g}": {field: asdict(getattr(summary, field)) for _, field in _SUMMARY_ROWS[section]}
+            f"{t:g}": {field: vars(getattr(summary, field)).copy() for _, field in _SUMMARY_ROWS[section]}
             for t, summary in getattr(self, section).items()
         }
 
     def xpd_csv(self) -> str:
         """Empirical XPD CDF points per path class, boresight first."""
-        rows = [
-            zip(repeat(path_class.value), *zip(*self.xpd[path_class].cdf))
-            for path_class in (PathClass.BORESIGHT, PathClass.REFLECTION)
-            if path_class in self.xpd
-        ]
-        return "path_class,xpd_db,cdf\n" + "".join(map("%s,%.4f,%.4f\n".__mod__, chain.from_iterable(rows)))
+        xpd = self.xpd
+        classes = [c for c in (PathClass.BORESIGHT, PathClass.REFLECTION) if c in xpd]
+        return "path_class,xpd_db,cdf\n" + "".join(_csv_rows([f"{c.value},"] * xpd[c].n, *zip(*xpd[c].cdf)) for c in classes)
 
     def xpd_json(self) -> dict:
         """XPD mean, population std and count per path class."""
@@ -299,19 +297,15 @@ def _scatter_csv(analysis: Analysis) -> str:
     pl_db = np.concatenate([s.pl_db for s in samples])
     los = np.concatenate([analysis.table(pol).los[s.loc] for (pol, _), s in zip(_SCATTER_SECTIONS, samples)])
     order = np.lexsort((pl_db, distance_m, section))
-    # (kind, polarization) of the row's section + (los, distance, loss)
-    labels = [(kind.value, pol.value) for pol, kind in _SCATTER_SECTIONS]
-    rows = map(
-        operator.add,
-        map(labels.__getitem__, section[order].tolist()),
-        zip(map(("false", "true").__getitem__, los[order].tolist()), distance_m[order].tolist(), pl_db[order].tolist()),
-    )
-    return "kind,polarization,los,distance_m,pl_db\n" + "".join(map("%s,%s,%s,%.4f,%.4f\n".__mod__, rows))
+    # "kind,polarization,los," of each (section, los), at 2 * section + los
+    prefixes = [f"{kind.value},{pol.value},{los}," for pol, kind in _SCATTER_SECTIONS for los in ("false", "true")]
+    rows = list(map(prefixes.__getitem__, (2 * section[order] + los[order]).tolist()))
+    return "kind,polarization,los,distance_m,pl_db\n" + _csv_rows(rows, distance_m[order].tolist(), pl_db[order].tolist())
 
 
 def _optional_fit(analysis: Analysis, pol: Polarization, kind: SampleKind) -> dict | None:
     """The fit as a report object, or None when fewer than two samples exist."""
-    return asdict(analysis.fit(pol, kind)) if len(analysis.samples(pol, kind)) >= 2 else None
+    return vars(analysis.fit(pol, kind)).copy() if len(analysis.samples(pol, kind)) >= 2 else None
 
 
 def _report(config: RunConfig, analysis: Analysis) -> dict:
@@ -338,9 +332,9 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
         "inputs_sha256": campaign.input_sha256,
         "excluded_locations": analysis.excluded,
         "pathloss": {
-            "omni_vv": asdict(analysis.fit(Polarization.VV, SampleKind.OMNI)),
+            "omni_vv": vars(analysis.fit(Polarization.VV, SampleKind.OMNI)).copy(),
             "omni_vh": _optional_fit(analysis, Polarization.VH, SampleKind.OMNI),
-            "cross_polar": asdict(analysis.cross_polar(SampleKind.OMNI)) if vh_omni else None,
+            "cross_polar": vars(analysis.cross_polar(SampleKind.OMNI)).copy() if vh_omni else None,
             "directional_vv": {
                 name: _optional_fit(analysis, Polarization.VV, kind) for name, kind in DIRECTIONAL_KINDS.items()
             },
@@ -349,6 +343,16 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
         "angular": analysis.summary_json("angular"),
         "xpd": analysis.xpd_json(),
     }
+
+
+def _report_json(report: dict) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, with the ``inputs_sha256`` map (never empty:
+    it holds the manifest) laid out by the C encoder, one entry a line, as the pure-Python indented one would."""
+    digests = json.dumps(report["inputs_sha256"], sort_keys=True, separators=(",\n    ", ": "))
+    text = json.dumps({**report, "inputs_sha256": None}, indent=2, sort_keys=True)
+    # an unescaped newline comes only from the layout, so this top-level key is found once
+    key = '\n  "inputs_sha256": '
+    return text.replace(key + "null", key + "{\n    " + digests[1:-1] + "\n  }", 1) + "\n"
 
 
 def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
@@ -374,7 +378,7 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
 
     texts: dict[str, str] = {}
     if "json" in config.formats:
-        texts[REPORT_JSON] = json.dumps(_report(config, analysis), indent=2, sort_keys=True) + "\n"
+        texts[REPORT_JSON] = _report_json(_report(config, analysis))
     if "csv" in config.formats:
         texts[DELAY_CSV] = analysis.summary_csv("delay")
         texts[ANGULAR_CSV] = analysis.summary_csv("angular")

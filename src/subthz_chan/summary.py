@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -20,7 +22,7 @@ class SummaryRow:
 
 def nearest_rank(sorted_values: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile: the value at rank ceil(fraction * n), 1-based."""
-    if not sorted_values:
+    if not len(sorted_values):
         raise ValueError("cannot take a percentile of an empty sample")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -28,16 +30,16 @@ def nearest_rank(sorted_values: Sequence[float], fraction: float) -> float:
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
-def summarize(values: Iterable[float]) -> SummaryRow:
-    vals = list(values)
-    if not vals:
+def summarize(values: Sequence[float] | np.ndarray) -> SummaryRow:
+    column = np.asarray(values, dtype=float)
+    if not column.size:
         raise ValueError("cannot summarize an empty sample")
-    ordered = sorted(vals)
+    ordered = np.sort(column, kind="stable")  # stable, as ``sorted`` is: -0.0 and 0.0 keep their input order
     return SummaryRow(
-        n=len(vals),
-        min=ordered[0],
-        max=ordered[-1],
-        mean=sum(vals) / len(vals),
-        median=nearest_rank(ordered, 0.5),
-        p90=nearest_rank(ordered, 0.9),
+        n=column.size,
+        min=float(ordered[0]),
+        max=float(ordered[-1]),
+        mean=sum(column.tolist()) / column.size,
+        median=float(nearest_rank(ordered, 0.5)),
+        p90=float(nearest_rank(ordered, 0.9)),
     )

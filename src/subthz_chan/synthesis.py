@@ -54,6 +54,10 @@ _LOBE_STEP_DB = 3.0
 #: mean excess delay of reflected lobes over the direct propagation time
 _REFLECTION_EXCESS_MEAN_NS = 60.0
 
+#: TX and RX antenna heights of every rendered placement: no placement is shorter than their gap
+_TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
+_HEIGHT_GAP_M = _TX_HEIGHT_M - _RX_HEIGHT_M
+
 #: noise floor written into rendered files sits this far under the
 #: faintest synthesized tap, so every tap stays detectable on re-ingest
 _FLOOR_MARGIN_DB = 6.0
@@ -149,8 +153,9 @@ class SynthesisParams:
         if not self.shadow_sigma_db >= 0:
             raise ValidationError("shadow_sigma_db", "must be >= 0")
         lo, hi = self.distance_range_m
-        if not D0_M < lo < hi:
-            raise ValidationError("distance_range_m", f"need {D0_M:g} < low < high, got {self.distance_range_m}")
+        if not max(D0_M, _HEIGHT_GAP_M) < lo < hi:  # a placement spans at least the antenna height gap
+            gap = f"the {D0_M:g} m reference distance and the {_HEIGHT_GAP_M:g} m antenna height gap"
+            raise ValidationError("distance_range_m", f"need {gap} < low < high, got {self.distance_range_m}")
         if abs(360.0 / self.az_step_deg - round(360.0 / self.az_step_deg)) > 1e-9:
             raise ValidationError("az_step_deg", "must divide 360")
         checked_delay_resolution(self.delay_resolution_ns)
@@ -495,7 +500,7 @@ def _rendered_columns(
     tap_starts = tap_bounds[lobe_bounds]
     floors = np.minimum.reduceat(power, tap_starts[:-1], axis=1) - _FLOOR_MARGIN_DB
 
-    gap = tx_antenna.height_m - rx_antenna.height_m
+    gap = _HEIGHT_GAP_M
     distances = drops.distance_m.tolist()
     tx_pos = [(math.sqrt(d * d - gap * gap), 10.0 * i, tx_antenna.height_m) for i, d in enumerate(distances)]
     rx_pos = [(0.0, 10.0 * i, rx_antenna.height_m) for i in range(len(layout))]
@@ -596,16 +601,15 @@ def render_campaign(
     drop_seeds = master.integers(0, 2**63 - 1, len(layout)).tolist()
 
     step = params.az_step_deg
-    tx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=3.0)
-    rx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=1.5)
-    height_gap = tx_antenna.height_m - rx_antenna.height_m
+    tx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=_TX_HEIGHT_M)
+    rx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=_RX_HEIGHT_M)
 
     distances = [drawn[i] if entry.distance_m is None else entry.distance_m for i, entry in enumerate(layout)]
-    for i, (entry, d) in enumerate(zip(layout, distances)):
-        name = "distance_range_m" if entry.distance_m is None else f"layout[{i}].distance_m"
-        if not d > height_gap:
-            raise ValidationError(name, f"{d} m is shorter than the {height_gap:g} m antenna height gap")
-        if entry.distance_m is not None:  # a drawn distance lies within the range's checked far end
+    for i, entry in enumerate(layout):  # a drawn distance lies within the range's checked ends
+        name, d = f"layout[{i}].distance_m", entry.distance_m
+        if d is not None and not d > _HEIGHT_GAP_M:
+            raise ValidationError(name, f"{d} m is shorter than the {_HEIGHT_GAP_M:g} m antenna height gap")
+        if d is not None:
             params._check_far_end(d, name)
     truth = draw_drops(params, distances, drop_seeds, [entry.los for entry in layout])
 

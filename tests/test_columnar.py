@@ -294,6 +294,49 @@ class TestOffGridAzimuth:
             power_angular_spectrum(table_of(off_aod), 0, Side.AOD, 30.0)
 
 
+class TestKeptWorkIgnoresCallOrder:
+    """The threshold-free work each table keeps (angular grids, delay peaks) gives every threshold
+    the spreads a fresh table gives it, whichever threshold asked first."""
+
+    @pytest.mark.parametrize("spreads", [angular_spreads, delay_spreads])
+    def test_thresholds_in_either_order_match_a_fresh_table(self, campaign, spreads):
+        vv = campaign.rows(Polarization.VV)
+        down, up = TapTable(campaign.columns, vv), TapTable(campaign.columns, vv)
+        got_down = {t: spreads(down, t) for t in (30.0, 20.0)}
+        got_up = {t: spreads(up, t) for t in (20.0, 30.0)}
+        for t in (20.0, 30.0):
+            fresh = spreads(TapTable(campaign.columns, vv), t)
+            for a, b, c in zip(fresh, got_down[t], got_up[t]):
+                assert np.array_equal(a, b, equal_nan=True) and np.array_equal(a, c, equal_nan=True)
+
+    @pytest.mark.parametrize("side, field", [(Side.AOD, "tx_az_deg"), (Side.AOA, "rx_az_deg")])
+    def test_off_grid_error_is_unchanged_on_a_kept_grid(self, side, field):
+        def off_grid(side, tx_id):  # the second sweep sits 5 deg off the 8 deg grid of ``side``
+            key = "tx_az" if side is Side.AOD else "rx_az"
+            return make_location([make_pdp([0.0], [-60.0]), make_pdp([0.0], [-70.0], **{key: 5.0})], tx_id=tx_id)
+
+        def raised(call) -> tuple[str, str]:
+            with pytest.raises(ValidationError) as err:
+                call()
+            return err.value.field, str(err.value)
+
+        other = Side.AOA if side is Side.AOD else Side.AOD
+        on_grid = make_location([make_pdp([0.0], [-60.0], rx_az=8.0)], tx_id="TX0")
+        locations = (on_grid, off_grid(side, "TX1"), off_grid(other, "TX2"))
+        fresh = raised(lambda: angular_spreads(table_of(*locations), 30.0))
+        assert fresh[0] == field
+        fresh_own = raised(lambda: power_angular_spectrum(table_of(*locations), 1, side, 30.0))
+        table = table_of(*locations)
+        # location 0's spectra build and keep the grids of the whole table
+        for either in Side:
+            assert power_angular_spectrum(table, 0, either, 30.0)[1].max() > 0
+        for t in (30.0, 20.0, 30.0):
+            assert raised(lambda: angular_spreads(table, t)) == fresh
+        # a location's own spectrum still checks its own sweeps on its own side only
+        assert power_angular_spectrum(table, 1, other, 20.0)[1].max() > 0
+        assert raised(lambda: power_angular_spectrum(table, 1, side, 30.0)) == fresh_own
+
+
 # Per-object loops the kernels replaced, kept as the reference they must
 # reproduce: bit for bit where the arithmetic is unchanged, and within REL
 # where only the summation order moved (the angular moments).

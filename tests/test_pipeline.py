@@ -18,6 +18,7 @@ from subthz_chan import (
     SampleKind,
     SynthesisParams,
     ValidationError,
+    factory_campaign_layout,
     fspl,
     render_campaign,
     run_pipeline,
@@ -315,3 +316,40 @@ class TestDegenerateCampaign:
         manifest = write_campaign(small_campaign(n_vv=1), tmp_path / "campaign")
         with pytest.raises(DegenerateFitError):
             run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "out"))
+
+
+def encoder_layout(text: str) -> str:
+    """``text`` parsed and laid out again as ``json.dumps(indent=2, sort_keys=True)`` writes it."""
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestReportJsonLayout:
+    """report.json keeps the layout of the indented encoder, the ``inputs_sha256`` map included."""
+
+    @pytest.mark.parametrize("factory", [False, True], ids=["n200", "factory"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rendered_campaigns(self, tmp_path, seed, factory):
+        layout = factory_campaign_layout() if factory else None
+        rendered = render_campaign(SynthesisParams(), None if factory else 200, seed, tmp_path / "c", layout=layout)
+        manifest = rendered.manifest_path
+        run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "report"))
+        text = (tmp_path / "report" / "report.json").read_text(encoding="utf-8")
+        assert len(json.loads(text)["inputs_sha256"]) > 1
+        assert text == encoder_layout(text)
+
+    def test_paths_that_need_escaping(self, tmp_path):
+        manifest = write_campaign(small_campaign(n_vv=3), tmp_path / "c")
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        names = ['sweeps/a"quote.csv', "sweeps/back\\slash.csv", "sweeps/caf\u00e9.csv"]
+        for location, name in zip(doc["locations"], names):
+            (manifest.parent / location["sweeps"]).rename(manifest.parent / name)
+            location["sweeps"] = name
+        odd = manifest.parent / 'm\u00e9"\\.json'
+        odd.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+        run_pipeline(RunConfig(manifest_path=odd, out_dir=tmp_path / "report"))
+        text = (tmp_path / "report" / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert sorted(report["inputs_sha256"]) == sorted([*names, odd.name])
+        assert report["config"]["manifest"] == odd.name
+        assert '"sweeps/caf\\u00e9.csv"' in text and '"sweeps/a\\"quote.csv"' in text
+        assert text == encoder_layout(text)

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import pytest
 from conftest import make_pdp
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from subthz_chan import (
     Analysis,
@@ -22,7 +24,10 @@ from subthz_chan import (
     ingest_campaign,
     render_campaign,
 )
-from subthz_chan.pipeline import DIRECTIONAL_KINDS, _scatter_csv
+from subthz_chan.pipeline import DIRECTIONAL_KINDS, _csv_rows, _scatter_csv
+
+#: values whose ``%.4f`` rounding, sign or range a formatter could get wrong
+PINNED = [-0.0, 5e-05, 0.00015, 1e300, 5e-324, 123.45675]
 
 
 def _csv_value(value: float) -> str:
@@ -94,3 +99,37 @@ class TestSameBytes:
         analysis = Analysis(campaign, max_measurable_pl_db=118.0)
         assert len(analysis.excluded) > 1
         assert _scatter_csv(analysis) == loop_scatter_csv(Analysis(campaign, max_measurable_pl_db=118.0))
+
+
+values = st.one_of(st.sampled_from(PINNED), st.floats())
+#: (kind, polarization, LOS, distance, loss) of a scatter row
+scatter_rows = st.tuples(
+    st.sampled_from(list(SampleKind)), st.sampled_from(list(Polarization)), st.booleans(), values, values
+)
+
+
+class TestOnePassFormat:
+    """``_csv_rows`` lays a table out with one ``%`` over a repeated format; each row must be what
+    the old per-row ``%`` made of it."""
+
+    @given(st.lists(scatter_rows))
+    @example([(SampleKind.OMNI, Polarization.VV, True, v, w) for v, w in zip(PINNED, PINNED[::-1])])
+    def test_scatter_rows(self, rows):
+        per_row = [(kind.value, pol.value, ("false", "true")[los], d, pl) for kind, pol, los, d, pl in rows]
+        expected = "".join(map("%s,%s,%s,%.4f,%.4f\n".__mod__, per_row))
+        prefixes = [f"{kind},{pol},{los}," for kind, pol, los, _, _ in per_row]
+        assert _csv_rows(prefixes, [r[3] for r in rows], [r[4] for r in rows]) == expected
+
+    @given(st.sampled_from(list(PathClass)), st.lists(st.tuples(values, values)))
+    @example(PathClass.BORESIGHT, list(zip(PINNED, PINNED[::-1])))
+    def test_xpd_rows(self, path_class, points):
+        expected = "".join("%s,%.4f,%.4f\n" % (path_class.value, x, cdf) for x, cdf in points)
+        xs, cdfs = [x for x, _ in points], [cdf for _, cdf in points]
+        assert _csv_rows([f"{path_class.value},"] * len(points), xs, cdfs) == expected
+
+    def test_pinned_values(self):
+        got = _csv_rows(["a,"] * len(PINNED), PINNED, PINNED[::-1])
+        assert got.splitlines() == [
+            "a,-0.0000,123.4567", "a,0.0001,0.0000", "a,0.0001,%.4f" % 1e300, "a,%.4f,0.0001" % 1e300,
+            "a,0.0000,0.0001", "a,123.4567,-0.0000",
+        ]

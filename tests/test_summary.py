@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subthz_chan import SummaryRow, nearest_rank, summarize
+
+#: values whose ties, rounding or range an ordering or a mean could get wrong
+PINNED = [-0.0, 5e-05, 0.00015, 1e300, 5e-324, 123.45675]
 
 
 class TestNearestRank:
@@ -64,3 +68,22 @@ class TestSummarize:
         assert row.mean == sum(vals) / n
         assert row.median == ordered[max(1, math.ceil(0.5 * n)) - 1]
         assert row.p90 == ordered[max(1, math.ceil(0.9 * n)) - 1]
+
+    @given(st.lists(st.one_of(st.sampled_from(PINNED + [0.0]), st.floats(allow_nan=False)), min_size=1, max_size=60))
+    @example(PINNED)
+    @example([0.0, -0.0, 0.0, -0.0, 5e-324])
+    @example([-0.0, 0.0])
+    @example([0.0, -0.0])
+    @example([1e300] * 9 + [-0.0])
+    def test_matches_sorted_oracle_bit_for_bit(self, vals):
+        """``sorted`` keeps equal values in input order, -0.0 and 0.0 included, and so must ``summarize``."""
+        ordered = sorted(vals)
+        n = len(vals)
+        expected = (
+            float(n), ordered[0], ordered[-1], sum(vals) / n,
+            ordered[max(1, math.ceil(0.5 * n)) - 1], ordered[max(1, math.ceil(0.9 * n)) - 1],
+        )
+        for row in (summarize(vals), summarize(np.array(vals))):
+            assert [type(v) for v in row.__dict__.values()] == [int] + [float] * 5
+            got = (float(row.n), row.min, row.max, row.mean, row.median, row.p90)
+            assert list(map(float.hex, got)) == list(map(float.hex, expected))

@@ -439,3 +439,17 @@ class TestRenderCampaign:
         layout = [LayoutEntry("TX1", "RX1", 1.2)]
         with pytest.raises(ValidationError):
             render_campaign(SynthesisParams(), None, 0, tmp_path, layout=layout)
+
+    @pytest.mark.parametrize("low_m", [1.1, 1.5])
+    def test_range_starting_within_the_height_gap_is_refused(self, low_m):
+        # every placement spans at least the 1.5 m between the 3 m TX and the 1.5 m RX
+        with pytest.raises(ValidationError, match=r"1\.5 m antenna height gap") as err:
+            SynthesisParams(distance_range_m=(low_m, 40.0))
+        assert err.value.field == "distance_range_m"
+
+    def test_range_starting_past_the_height_gap_renders(self, tmp_path):
+        params = SynthesisParams(distance_range_m=(1.6, 40.0))
+        for seed in (0, 1, 2):
+            campaign = ingest_campaign(render_campaign(params, 200, seed, tmp_path / str(seed)).manifest_path)
+            assert len(campaign) == 400
+            assert campaign.columns.distance_m.min() > 1.5
