@@ -79,12 +79,14 @@ _FIRST_READ = 8192
 #: ``os.open`` flags of a sweep file write, those of ``open(path, "wb")``
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 #: the name ``cache_path`` appends to a manifest's, the first word of a cache file and the number of its
-#: layout, the alignment of its columns, and the ``LocationColumns`` fields it holds as raw bytes, in order
-#: (the keys go in its JSON line)
+#: layout, the alignment of its columns, the ``LocationColumns`` fields it holds as raw bytes, in order
+#: (the keys go in its JSON line), and the derived columns that follow them; the number changes with the
+#: columns or with the rules ``Campaign`` accepts them by, since a hit trusts them
 _CACHE_SUFFIX = ".ingest-cache"
-_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "1"
+_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "2"
 _CACHE_ALIGN = 8
 _CACHED_COLUMNS = tuple(field.name for field in fields(LocationColumns)[1:])
+_DERIVED_COLUMNS = ("distance_m", "power_mw")
 #: the keys of a manifest entry, and the exact types of their values in an entry the lean lane takes
 _ENTRY_KEYS = ("sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna")
 _LEAN_TYPES = (str, str, str, str, list, list, bool, dict)
@@ -158,6 +160,25 @@ class Campaign:
         delay_resolution_ns: float = DEFAULT_DELAY_RESOLUTION_NS,
         input_sha256: dict[str, str] | None = None,
     ):
+        columns = locations if isinstance(locations, LocationColumns) else LocationColumns.of(locations)
+        _check_locations(columns, delay_resolution_ns)
+        for name, value in (("carrier_hz", carrier_hz), ("tx_power_dbm", tx_power_dbm)):
+            if not math.isfinite(value):
+                raise ValidationError(name, f"must be finite, got {value}")
+        if carrier_hz <= 0:
+            raise ValidationError("carrier_hz", "must be > 0")
+        if len(set(columns.keys)) < len(columns):
+            _raise_repeat(columns.keys)
+        self._assemble(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, input_sha256)
+
+    @classmethod
+    def _trusted(cls, *fields) -> "Campaign":
+        """``Campaign(*fields)`` without its checks, for fields a ``Campaign`` accepted before (a cache hit's)."""
+        campaign = cls.__new__(cls)
+        campaign._assemble(*fields)
+        return campaign
+
+    def _assemble(self, campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, input_sha256) -> None:
         self.campaign_id = campaign_id
         self.carrier_hz = carrier_hz
         self.tx_power_dbm = tx_power_dbm
@@ -167,24 +188,16 @@ class Campaign:
         #: own name and each sweep path as the manifest spells it (empty when the
         #: campaign was built in memory)
         self.input_sha256 = {} if input_sha256 is None else input_sha256
-        self.columns = locations if isinstance(locations, LocationColumns) else LocationColumns.of(locations)
-        _check_locations(self.columns, delay_resolution_ns)
-        for name in ("carrier_hz", "tx_power_dbm"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(name, f"must be finite, got {getattr(self, name)}")
-        if self.carrier_hz <= 0:
-            raise ValidationError("carrier_hz", "must be > 0")
-        keys = self.columns.keys
+        self.columns = columns
+        keys = columns.keys
         self._row_of = dict(zip(keys, range(len(keys))))
-        if len(self._row_of) < len(keys):
-            _raise_repeat(keys)
         pols = list(map(operator.itemgetter(2), keys))
         #: the rows of each polarization, in campaign order
         self._rows = {
             pol: np.flatnonzero(np.fromiter(map(operator.is_, pols, repeat(pol)), bool, len(pols))) for pol in Polarization
         }
         for field in fields(LocationColumns)[1:]:
-            getattr(self.columns, field.name).flags.writeable = False
+            getattr(columns, field.name).flags.writeable = False
         for rows in self._rows.values():
             rows.flags.writeable = False
 
@@ -756,9 +769,10 @@ def cache_path(manifest_path) -> Path:
 def load_campaign(manifest_path) -> Campaign:
     """``ingest_campaign(manifest_path)``, from the manifest's cache file when that still holds it.
 
-    A hit needs the manifest's bytes to hash to the cache's key, every sweep
-    file the manifest names to be read again and hash to its stored digest,
-    and the cached columns to pass ``Campaign``.  Anything else is a miss,
+    A hit needs this format and ``__version__``, a body that hashes to its
+    digest, and the manifest and every sweep file it names, read again, to
+    hash to the cache's key and stored digests; the columns, which ``Campaign``
+    accepted at ingest, are then mapped unchecked.  Anything else is a miss,
     which runs ``ingest_campaign`` (so raises what it raises) and rewrites
     the cache after a successful parse; a cache that cannot be written is
     skipped.  Logs one INFO line saying hit or miss, and why on a miss.
@@ -832,9 +846,10 @@ def _cached(path: Path, cache: Path) -> Campaign:
     if offset != len(data):
         raise _Miss("cache rejected")
     keys = tuple(zip(meta["tx_id"], meta["rx_id"], map(_POLARIZATIONS.__getitem__, meta["polarization"]), strict=True))
-    return Campaign(
-        meta["campaign_id"], meta["carrier_hz"], meta["tx_power_dbm"], LocationColumns(keys, *columns),
-        meta["delay_resolution_ns"], digests,
+    mapped = LocationColumns(keys, *columns[: len(_CACHED_COLUMNS)])
+    vars(mapped).update(zip(_DERIVED_COLUMNS, columns[len(_CACHED_COLUMNS) :], strict=True))  # as cached_property keeps them
+    return Campaign._trusted(
+        meta["campaign_id"], meta["carrier_hz"], meta["tx_power_dbm"], mapped, meta["delay_resolution_ns"], digests
     )
 
 
@@ -842,10 +857,10 @@ def _write_cache(path: Path, campaign: Campaign) -> None:
     """Write ``campaign``, as ingested from the manifest at ``path``, to its cache file, through a
     temporary name; skipped when that fails.  The file holds a header line (magic, format number,
     ``__version__``, the manifest's SHA-256, the body's), then the body: one JSON line with the campaign
-    scalars, ``input_sha256`` in order, the keys and each ``_CACHED_COLUMNS`` column's dtype and shape,
-    then each column's bytes, starting on a multiple of 8."""
+    scalars, ``input_sha256`` in order, the keys and each ``_CACHED_COLUMNS`` and ``_DERIVED_COLUMNS``
+    column's dtype and shape, then each column's bytes, in that order, starting on a multiple of 8."""
     c = campaign.columns
-    columns = [np.ascontiguousarray(getattr(c, name)) for name in _CACHED_COLUMNS]
+    columns = [np.ascontiguousarray(getattr(c, name)) for name in _CACHED_COLUMNS + _DERIVED_COLUMNS]
     tx_ids, rx_ids, pols = zip(*c.keys)
     meta = {
         "campaign_id": campaign.campaign_id, "carrier_hz": campaign.carrier_hz,

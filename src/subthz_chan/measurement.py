@@ -161,9 +161,11 @@ class DirectionalPdp:
 
 
 def checked_threshold_db(threshold_db: float) -> float:
-    """``threshold_db`` itself when it is a usable peak-relative threshold (> 0 dB)."""
+    """``threshold_db`` itself when it is a usable peak-relative threshold (> 0 dB and finite)."""
     if not threshold_db > 0:
         raise ValidationError("threshold_db", f"must be > 0, got {threshold_db}")
+    if threshold_db == math.inf:
+        raise ValidationError("threshold_db", f"must be > 0 and finite, got {threshold_db}")
     return threshold_db
 
 
@@ -416,6 +418,11 @@ class LocationColumns:
         return np.array([math.dist(a, b) for a, b in zip(self.tx_pos_m.tolist(), self.rx_pos_m.tolist())], dtype=float)
 
     @cached_property
+    def power_mw(self) -> np.ndarray:
+        """``db_to_linear_array`` of every tap's power."""
+        return db_to_linear_array(self.power_db)
+
+    @cached_property
     def sweep_loc(self) -> np.ndarray:
         """The location of each sweep."""
         return np.repeat(np.arange(len(self)), np.diff(self.sweep_bounds))
@@ -537,9 +544,10 @@ class TapTable:
 
     ``power_mw`` is ``db_to_linear_array`` of ``power_db``: the scalar
     ``db_to_linear`` of each tap, bit for bit, as a C-level ``math.pow``
-    map.  ``np.power`` differs from it in the last bit on some values,
-    which flips exact 30 dB ties, so it is not used.  Derived columns of a
-    higher layer are computed once per table through ``kept``.
+    map, taken from ``LocationColumns.power_mw``.  ``np.power`` differs
+    from it in the last bit on some values, which flips exact 30 dB ties,
+    so it is not used.  Derived columns of a higher layer are computed
+    once per table through ``kept``.
     """
 
     def __init__(self, columns: LocationColumns, rows: np.ndarray | None = None):
@@ -574,7 +582,7 @@ class TapTable:
         self.tap_loc = self.sweep_loc[self.tap_sweep]
         self.delay_ns = columns.delay_ns[taps[above]]
         self.power_db = columns.power_db[taps[above]]
-        self.power_mw = db_to_linear_array(self.power_db)
+        self.power_mw = columns.power_mw[taps[above]]
         self.peak_db = columns.peak_db[sweeps]
         self._kept: dict[Callable, object] = {}
 

@@ -76,12 +76,14 @@ _KNOWN_FORMATS = ("csv", "json")
 
 
 def _check_overrides(carrier_hz: float | None, max_measurable_pl_db: float | None) -> None:
-    """ValidationError unless a carrier override (None: the campaign's) is finite
-    and > 0 and a path-loss ceiling (None: no ceiling) is > 0."""
+    """ValidationError unless a carrier override (None: the campaign's) and a path-loss
+    ceiling (None: no ceiling) are each finite and > 0."""
     if carrier_hz is not None and not 0.0 < carrier_hz < math.inf:
         raise ValidationError("carrier_hz", f"must be > 0 and finite, got {carrier_hz}")
     if max_measurable_pl_db is not None and not max_measurable_pl_db > 0:
         raise ValidationError("max_measurable_pl_db", f"must be > 0 or None, got {max_measurable_pl_db}")
+    if max_measurable_pl_db == math.inf:
+        raise ValidationError("max_measurable_pl_db", f"must be > 0 and finite, or None, got {max_measurable_pl_db}")
 
 
 def _checked_thresholds(thresholds_db: Iterable[float]) -> tuple[float, ...]:

@@ -57,6 +57,21 @@ NON_FINITE_ARGUMENTS = [
     (["report", "--max-pl-db", "nan"], "max_measurable_pl_db: must be > 0 or None, got nan"),
 ]
 
+#: (argv, message) of the infinite values the CLI rejects as it rejects NaN; 1e400 parses as inf, and a
+#: non-positive ``--max-pl-db`` stays the way to ask for no ceiling
+INFINITE_ARGUMENTS = [
+    (["report", "--threshold-db", "inf"], "threshold_db: must be > 0 and finite, got inf"),
+    (["report", "--threshold-db", "1e400"], "threshold_db: must be > 0 and finite, got inf"),
+    (["report", "--max-pl-db", "inf"], "max_measurable_pl_db: must be > 0 and finite, or None, got inf"),
+    (["fit", "pathloss", "--max-pl-db", "inf"], "max_measurable_pl_db: must be > 0 and finite, or None, got inf"),
+    (["stats", "delay", "--threshold-db", "inf"], "threshold_db: must be > 0 and finite, got inf"),
+    (["stats", "angular", "--threshold-db", "inf"], "threshold_db: must be > 0 and finite, got inf"),
+    (
+        ["pas", "dump", "--tx-id", "TX0001", "--rx-id", "RX0001", "--side", "AOA", "--threshold-db", "inf"],
+        "threshold_db: must be > 0 and finite, got inf",
+    ),
+]
+
 #: (--threshold-db values, message) of thresholds whose report labels coincide
 REPEATED_LABELS = [
     (["30", "30.0000001"], "thresholds_db: 30.0 and 30.0000001 share the label '30'"),
@@ -106,7 +121,7 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv, message", NON_FINITE_ARGUMENTS)
+    @pytest.mark.parametrize("argv, message", [*NON_FINITE_ARGUMENTS, *INFINITE_ARGUMENTS])
     def test_non_finite_argument_exits_2(self, manifest, tmp_path, capsys, argv, message):
         out = tmp_path / "report"
         argv = [*argv, "--manifest", str(manifest), *(["--out", str(out)] if argv[0] == "report" else [])]
@@ -129,7 +144,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, message",
-        [*NON_FINITE_ARGUMENTS, (["stats", "delay", "--threshold-db", "20", "--threshold-db", "20"], REPEATED_LABELS[1][1])],
+        [
+            *NON_FINITE_ARGUMENTS,
+            (["stats", "delay", "--threshold-db", "20", "--threshold-db", "20"], REPEATED_LABELS[1][1]),
+            *INFINITE_ARGUMENTS,
+        ],
     )
     def test_argument_checked_before_ingest(self, manifest, tmp_path, capsys, monkeypatch, argv, message):
         calls = []

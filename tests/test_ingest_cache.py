@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from test_ingest_properties import (  # noqa: F401  (campaign_files is a fixture
 )
 
 from subthz_chan import (
+    LocationColumns,
     SynthesisParams,
     __version__,
     cache_path,
@@ -98,6 +101,9 @@ def test_warm_load_gives_the_cold_campaign_report_and_queries(tmp_path, capsys, 
         assert loaded == ingested
         assert repr(loaded) == repr(ingested)
         assert list(loaded.input_sha256.items()) == list(ingested.input_sha256.items())
+    # the derived columns a hit maps from the cache hold the bits the cold campaign computes
+    for name in campaign_io._DERIVED_COLUMNS:
+        assert getattr(warm.columns, name).tobytes() == getattr(ingested.columns, name).tobytes(), name
 
     bundles = []
     for run in ("cold", "warm"):
@@ -183,11 +189,48 @@ def test_a_hit_runs_no_ingest(manifest, monkeypatch):
     assert load_campaign(manifest) == expected
 
 
+def test_a_miss_checks_the_columns_and_a_hit_does_not(manifest, monkeypatch):
+    called = []
+    for name in ("shape_fault", "first_fault"):
+        def counted(self, *args, check=getattr(LocationColumns, name)):
+            called.append(check.__name__)
+            return check(self, *args)
+        monkeypatch.setattr(LocationColumns, name, counted)
+    expected = load_campaign(manifest)
+    assert {"shape_fault", "first_fault"} <= set(called)
+    for name in ("shape_fault", "first_fault"):
+        monkeypatch.setattr(LocationColumns, name, lambda self, *args, name=name: pytest.fail(f"a hit ran {name}"))
+    monkeypatch.setattr(campaign_io, "ingest_campaign", lambda path: pytest.fail("a hit ingested"))
+    loaded = load_campaign(manifest)
+    assert loaded == expected and list(loaded.input_sha256.items()) == list(expected.input_sha256.items())
+    assert not loaded.columns.delay_ns.flags.writeable and not loaded.rows("VV").flags.writeable
+
+
 def _header_with(data: bytes, index: int, word: str) -> bytes:
     head, rest = data.split(b"\n", 1)
     words = head.decode().split(" ")
     words[index] = word
     return " ".join(words).encode() + b"\n" + rest
+
+
+def _meta(data: bytes) -> tuple[dict, int]:
+    """The JSON line of a cache file, and where the bytes after it start."""
+    end = data.index(b"\n") + 1
+    meta_end = data.index(b"\n", end) + 1
+    return json.loads(data[end:meta_end]), meta_end
+
+
+def _flipped_in(name: str):
+    """Damage that flips the first byte of the cached or derived column ``name``."""
+    def flip(data: bytes) -> bytes:
+        meta, offset = _meta(data)
+        for column, (dtype, shape) in zip(campaign_io._CACHED_COLUMNS + campaign_io._DERIVED_COLUMNS, meta["columns"]):
+            offset += -offset % campaign_io._CACHE_ALIGN
+            if column == name:
+                return data[:offset] + bytes([data[offset] ^ 1]) + data[offset + 1 :]
+            offset += np.dtype(dtype).itemsize * math.prod(shape)
+        raise AssertionError(f"no column {name}")
+    return flip
 
 
 #: damage done to a good cache file, each a miss that rewrites it
@@ -198,8 +241,9 @@ DAMAGE = {
     "one byte more": lambda data: data + b"\0",
     "garbage": lambda data: bytes(range(256)) * 8,
     "flipped column byte": lambda data: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:],
+    **{f"flipped {name} byte": _flipped_in(name) for name in campaign_io._DERIVED_COLUMNS},
     "wrong magic": lambda data: _header_with(data, 0, "other-cache"),
-    "wrong format": lambda data: _header_with(data, 1, "2"),
+    "wrong format": lambda data: _header_with(data, 1, "0"),
     "wrong version": lambda data: _header_with(data, 2, "0.0.1"),
     "no header line": lambda data: data.replace(b"\n", b" ", 1),
 }
@@ -217,6 +261,23 @@ def test_damaged_cache_is_a_silent_miss_and_rewritten(manifest, caplog, capsys, 
     assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: cache rejected"
     assert cache.read_bytes() == good
     assert capsys.readouterr() == ("", "")
+
+
+def test_a_format_1_cache_is_a_silent_miss_and_rewritten(manifest, caplog, monkeypatch):
+    # format 1 held the base columns alone, each checked again by ``Campaign`` on a hit
+    expected = load_campaign(manifest)
+    good = cache_path(manifest).read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(campaign_io, "_CACHE_FORMAT", "1")
+        m.setattr(campaign_io, "_DERIVED_COLUMNS", ())
+        campaign_io._write_cache(manifest, expected)
+    old = cache_path(manifest).read_bytes()
+    assert old.split(b" ", 2)[1] == b"1" and len(_meta(old)[0]["columns"]) == len(campaign_io._CACHED_COLUMNS)
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        loaded = load_campaign(manifest)
+    assert loaded == expected and list(loaded.input_sha256.items()) == list(expected.input_sha256.items())
+    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: cache rejected"
+    assert cache_path(manifest).read_bytes() == good
 
 
 def test_foreign_cache_is_a_key_mismatch(manifest, tmp_path, caplog):
@@ -383,6 +444,24 @@ def test_header_names_format_version_and_key(manifest):
     campaign = load_campaign(manifest)
     head = cache_path(manifest).read_bytes().split(b"\n", 1)[0].decode()
     magic, layout, version, key, body = head.split(" ")
-    assert (magic, layout, version) == ("subthz-chan-ingest-cache", "1", __version__)
+    assert (magic, layout, version) == ("subthz-chan-ingest-cache", "2", __version__)
     assert key == campaign.input_sha256[MANIFEST]
     assert len(body) == 64
+
+
+#: (name, dtype) of each column a format-2 cache file holds, in order: the ``LocationColumns`` fields, then
+#: the derived columns; a change here (a field added to ``LocationColumns``, say) needs a new ``_CACHE_FORMAT``
+FORMAT_2_COLUMNS = [
+    ("tx_pos_m", "<f8"), ("rx_pos_m", "<f8"), ("los", "|b1"), ("tx_antenna", "<f8"), ("rx_antenna", "<f8"),
+    ("tx_power_dbm", "<f8"), ("sweep_bounds", np.dtype(np.intp).str), ("tx_az_deg", "<f8"), ("rx_az_deg", "<f8"),
+    ("noise_floor_db", "<f8"), ("tap_bounds", np.dtype(np.intp).str), ("delay_ns", "<f8"), ("power_db", "<f8"),
+    ("distance_m", "<f8"), ("power_mw", "<f8"),
+]
+
+
+def test_the_current_format_pins_its_columns(manifest):
+    load_campaign(manifest)
+    meta, _ = _meta(cache_path(manifest).read_bytes())
+    names = campaign_io._CACHED_COLUMNS + campaign_io._DERIVED_COLUMNS
+    assert campaign_io._CACHE_FORMAT == "2"
+    assert [(name, dtype) for name, (dtype, _) in zip(names, meta["columns"], strict=True)] == FORMAT_2_COLUMNS

@@ -225,6 +225,10 @@ class TestThresholdPdp:
         with pytest.raises(ValidationError):
             threshold_pdp(pdp, -3.0)
 
+    def test_rejects_infinite_threshold(self):
+        with pytest.raises(ValidationError, match=r"^threshold_db: must be > 0 and finite, got inf$"):
+            threshold_pdp(make_pdp([0.0], [-60.0]), math.inf)
+
     @given(
         st.lists(st.floats(-120.0, -40.0), min_size=1, max_size=12),
         st.floats(1.0, 60.0),

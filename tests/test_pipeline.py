@@ -100,6 +100,11 @@ class TestRunConfig:
             (dict(thresholds_db=(30.0, 30.0000001)), "thresholds_db: 30.0 and 30.0000001 share the label '30'"),
             (dict(thresholds_db=(20, 10.0, 20.0)), "thresholds_db: 20.0 and 20.0 share the label '20'"),
             (dict(thresholds_db=(1e-7, 1.00000001e-7)), "thresholds_db: 1e-07 and 1.00000001e-07 share the label '1e-07'"),
+            (dict(thresholds_db=(20.0, float("inf"))), "threshold_db: must be > 0 and finite, got inf"),
+            (
+                dict(max_measurable_pl_db=float("inf")),
+                "max_measurable_pl_db: must be > 0 and finite, or None, got inf",
+            ),
         ],
     )
     def test_config_and_analysis_reject_the_same_settings(self, tmp_path, setting, message):

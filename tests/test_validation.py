@@ -23,11 +23,12 @@ from subthz_chan import (
     LocationColumns,
     LocationMeasurement,
     Polarization,
+    TapTable,
     ValidationError,
     ingest_campaign,
     write_campaign,
 )
-from subthz_chan.measurement import DB_LIMIT
+from subthz_chan.measurement import DB_LIMIT, db_to_linear_array
 
 RESOLUTION_NS = 2.0
 STEP_DEG = 8.0
@@ -123,6 +124,22 @@ VALUE_EDITS = {
 }
 #: the field each edited column is named by
 FIELDS = {"tx_antenna": "antenna.gain_dbi"}
+
+
+@settings(max_examples=60, derandomize=True)
+@given(campaign=column_campaigns(), data=st.data())
+def test_a_tables_linear_powers_are_its_db_powers_mapped_bit_for_bit(campaign, data):
+    # the table takes its linear powers from the campaign-wide column; each must be the map of its own dB power
+    columns = campaign.columns
+    powers = st.one_of(st.sampled_from([-DB_LIMIT, DB_LIMIT]), POWERS)
+    power_db = np.array(data.draw(st.lists(powers, min_size=len(columns.power_db), max_size=len(columns.power_db))))
+    # floors that keep every tap, keep a tap at -DB_LIMIT under a higher peak, or drop the taps below 0 dB
+    n_sweeps = len(columns.noise_floor_db)
+    floors = st.lists(st.sampled_from([-np.inf, -DB_LIMIT, 0.0]), min_size=n_sweeps, max_size=n_sweeps)
+    columns = dataclasses.replace(columns, power_db=power_db, noise_floor_db=np.array(data.draw(floors)))
+    rows = data.draw(st.one_of(st.none(), st.lists(st.integers(0, len(columns) - 1), min_size=1, unique=True)))
+    table = TapTable(columns, rows)
+    assert table.power_mw.tobytes() == db_to_linear_array(table.power_db).tobytes()
 
 
 @settings(max_examples=80, derandomize=True)
