@@ -172,10 +172,10 @@ class Campaign:
         self._assemble(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, input_sha256)
 
     @classmethod
-    def _trusted(cls, *fields) -> "Campaign":
-        """``Campaign(*fields)`` without its checks, for fields a ``Campaign`` accepted before (a cache hit's)."""
+    def _trusted(cls, *args) -> "Campaign":
+        """``Campaign(*args)`` without its checks, for values a ``Campaign`` accepted before (a cache hit's)."""
         campaign = cls.__new__(cls)
-        campaign._assemble(*fields)
+        campaign._assemble(*args)
         return campaign
 
     def _assemble(self, campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, input_sha256) -> None:
