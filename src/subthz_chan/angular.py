@@ -10,6 +10,7 @@ import numpy as np
 from .measurement import (
     TapTable,
     ValidationError,
+    first_flagged,
     group_bounds,
     group_max,
     group_sums,
@@ -100,20 +101,17 @@ def _spectra(table: TapTable, side: Side, threshold_db: float) -> _Spectra:
 
 
 def _check_grids(table: TapTable, sides: tuple[Side, ...], index: int | None = None) -> None:
-    """ValidationError for the first off-grid sweep (of location ``index`` only, if given), by location, then side."""
-    first = None
-    for side in sides:
-        off_grid = table.kept(_grids)[side].off_grid
-        bad = np.flatnonzero(off_grid if index is None else off_grid & (table.sweep_loc == index))
-        if bad.size and (first is None or table.sweep_loc[bad[0]] < table.sweep_loc[first[1]]):
-            first = (side, bad[0])
-    if first is not None:
-        side, sweep = first
-        az, step = _side(table, side)
-        raise ValidationError(
-            "tx_az_deg" if side is Side.AOD else "rx_az_deg",
-            f"azimuth {float(az[sweep])} is off the uniform {float(step[table.sweep_loc[sweep]]):g} deg sweep grid",
-        )
+    """ValidationError for the first off-grid sweep (of location ``index`` only, if given), by
+    ``first_flagged`` with the sweep's location as owner: by location, then side in the order given."""
+    loc, grids = table.sweep_loc, table.kept(_grids)
+    fault = first_flagged([
+        ("tx_az_deg" if side is Side.AOD else "rx_az_deg", loc,
+         grids[side].off_grid if index is None else grids[side].off_grid & (loc == index),
+         lambda s, az=az, step=step: f"azimuth {float(az[s])} is off the uniform {float(step[loc[s]]):g} deg sweep grid")
+        for side, (az, step) in zip(sides, (_side(table, side) for side in sides))
+    ])
+    if fault is not None:
+        raise ValidationError(*fault[1:])
 
 
 def power_angular_spectrum(

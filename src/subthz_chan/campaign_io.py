@@ -49,6 +49,8 @@ from . import __version__
 from .measurement import (
     DEFAULT_DELAY_RESOLUTION_NS,
     ROW_RULES,
+    RX_HEIGHT_M,
+    TX_HEIGHT_M,
     LocationColumns,
     LocationMeasurement,
     Polarization,
@@ -93,8 +95,6 @@ _LEAN_TYPES = (str, str, str, str, list, list, bool, dict)
 _ANTENNA_KEYS = ("gain_dbi", "hpbw_deg", "az_step_deg")
 _ANTENNA_VALUES = operator.itemgetter(*_ANTENNA_KEYS)
 _POLARIZATIONS = {p.value: p for p in Polarization}
-#: antenna heights of ingested locations; the manifest does not record them
-_TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
 #: characters an id may not hold, since ids name the sweep files
 _PATH_SEPARATORS = {"/", os.sep, os.altsep} - {None}
 
@@ -459,27 +459,27 @@ class _SweepRows:
         return tuple(np.frombuffer(self.values, dtype=float).reshape(-1, _N_COLUMNS).T)
 
     def first_bad_row(self) -> tuple[int, ValidationError] | None:
-        """(file index, error) of the first row with a bad value, by ``ROW_RULES``
-        checked column by column."""
-        masks = [bad(column) for column, (_, bad, _) in zip(self.columns(), ROW_RULES)]
-        bad = np.logical_or.reduce(masks)
-        if not bad.any():
+        """(file index, error) of the first row with a bad value, by ``first_flagged`` over
+        ``ROW_RULES`` with each row its own owner: row by row, then column by column."""
+        fault = first_flagged([
+            (field, range(len(column)), bad(column), lambda row, column=column, message=message: message(float(column[row])))
+            for column, (field, bad, message) in zip(self.columns(), ROW_RULES)
+        ])
+        if fault is None:
             return None
-        row = int(np.argmax(bad))
+        row, field, message = fault
         file, where = self.where(row)
-        k = next(k for k, mask in enumerate(masks) if mask[row])
-        field, _, message = ROW_RULES[k]
-        return file, ValidationError(field, f"{message(self.values[row * _N_COLUMNS + k])} ({where})")
+        return file, ValidationError(field, f"{message} ({where})")
 
 
 class _Pointings:
     """The rows of a campaign's first ``n_files`` sweep files, grouped by pointing.
 
-    Within a file, pointings keep the order in which they first appear and
-    take their azimuths from that first row, as a dict keyed by
-    ``(tx_az, rx_az)`` would; each pointing's rows are stably sorted by
-    delay.  Every pointing is in ``starts``/``stops``, ``tx_az``/``rx_az``
-    and ``file`` in reading order.
+    Pointings run in reading order: file by file, and within a file in the
+    order in which they first appear, each taking its azimuths from that
+    first row, as a dict keyed by ``(tx_az, rx_az)`` would.  Pointing ``p``
+    owns rows ``bounds[p]:bounds[p + 1]`` of ``delay`` and ``power``,
+    stably sorted by delay.
     """
 
     def __init__(self, rows: _SweepRows, n_files: int):
@@ -489,57 +489,43 @@ class _Pointings:
         file = np.repeat(np.arange(n_files), np.diff(rows.ends[:n_files], prepend=0))
         order = np.lexsort((delay, rx, tx, file))
         file_s, tx_s, rx_s = file[order], tx[order], rx[order]
-        self.delay = delay[order]
-        self.power = power[order]
-        #: pair k joins sorted rows k and k + 1 of one pointing
-        self.joined = (file_s[1:] == file_s[:-1]) & (tx_s[1:] == tx_s[:-1]) & (rx_s[1:] == rx_s[:-1])
-        new = np.concatenate(([True], ~self.joined))
+        new = np.concatenate(([True], (file_s[1:] != file_s[:-1]) | (tx_s[1:] != tx_s[:-1]) | (rx_s[1:] != rx_s[:-1])))
         starts = np.flatnonzero(new)
         first_row = np.minimum.reduceat(order, starts)
         appearance = np.argsort(first_row)
-        rank_of_group = np.empty_like(appearance)
-        rank_of_group[appearance] = np.arange(len(appearance))
-        #: reading-order rank of the pointing each sorted row belongs to
-        self.rank = rank_of_group[np.cumsum(new) - 1]
-        self.starts = starts[appearance]
-        self.stops = np.append(starts[1:], n_rows)[appearance]
-        self.tx_az = tx[first_row[appearance]]
-        self.rx_az = rx[first_row[appearance]]
-        self.file = file[first_row[appearance]]
+        counts = np.diff(starts, append=n_rows)[appearance]
+        gathered = order[concat_ranges(starts[appearance], counts)]  # the sorted pointings, in reading order
+        self.bounds = np.concatenate(([0], np.cumsum(counts)))
+        self.delay, self.power = delay[gathered], power[gathered]
+        first_row = first_row[appearance]
+        self.tx_az, self.rx_az, self.file = tx[first_row], rx[first_row], file[first_row]
 
     def first_fault(self, res: float) -> tuple[int, ValidationError] | None:
-        """(file index, error) of the first duplicate delay or step off the ``res`` ns lattice.
-
-        Steps are checked pointing by pointing in reading order, and in
-        delay order within a pointing.
-        """
+        """(file index, error) of the first duplicate delay or step off the ``res`` ns lattice,
+        by ``first_flagged`` over the delay steps with their pointing as owner."""
+        pointing = np.repeat(np.arange(len(self.file)), np.diff(self.bounds))
         lo, hi = self.delay[:-1], self.delay[1:]
         duplicate = not_increasing(lo, hi)  # the delays are finite and sorted: only a repeat fails
-        bad = np.flatnonzero(self.joined & (duplicate | off_lattice(lo, hi, res)))
-        if not len(bad):
-            return None
-        pair = int(bad[np.argmin(self.rank[bad])])
-        pointing = int(self.rank[pair])
-        file = int(self.file[pointing])
-        tx_az, rx_az = float(self.tx_az[pointing]), float(self.rx_az[pointing])
-        path = self.rows.path(file)
-        if duplicate[pair]:
-            message = f"duplicate delay {float(lo[pair])} ns for pointing ({tx_az}, {rx_az}) in {path}"
-        else:
-            message = f"delays for pointing ({tx_az}, {rx_az}) not on the {res:g} ns lattice in {path}"
-        return file, ValidationError("delay_ns", message)
+        bad = (pointing[1:] == pointing[:-1]) & (duplicate | off_lattice(lo, hi, res))
+
+        def message(step: int) -> str:
+            p = pointing[step]
+            at, path = f"pointing ({float(self.tx_az[p])}, {float(self.rx_az[p])})", self.rows.path(int(self.file[p]))
+            if duplicate[step]:
+                return f"duplicate delay {float(lo[step])} ns for {at} in {path}"
+            return f"delays for {at} not on the {res:g} ns lattice in {path}"
+
+        fault = first_flagged((("delay_ns", pointing, bad, message),))
+        return None if fault is None else (int(self.file[fault[0]]), ValidationError(*fault[1:]))
 
     def columns(self, n_files: int) -> tuple[np.ndarray, ...]:
-        """The sweep and tap columns of ``LocationColumns`` for the first ``n_files`` files,
-        pointings in reading order: (sweep_bounds, tx_az_deg, rx_az_deg, noise_floor_db,
-        tap_bounds, delay_ns, power_db)."""
+        """The sweep and tap columns of ``LocationColumns`` for the first ``n_files`` files:
+        (sweep_bounds, tx_az_deg, rx_az_deg, noise_floor_db, tap_bounds, delay_ns, power_db)."""
         sweep_bounds = np.searchsorted(self.file, np.arange(n_files + 1))
         n = sweep_bounds[-1]
-        counts = self.stops[:n] - self.starts[:n]
-        taps = concat_ranges(self.starts[:n], counts)
         floors = np.repeat(np.array(self.rows.floors[:n_files], dtype=float), np.diff(sweep_bounds))
-        tap_bounds = np.concatenate(([0], np.cumsum(counts)))
-        return sweep_bounds, self.tx_az[:n], self.rx_az[:n], floors, tap_bounds, self.delay[taps], self.power[taps]
+        taps = slice(self.bounds[n])
+        return sweep_bounds, self.tx_az[:n], self.rx_az[:n], floors, self.bounds[: n + 1], self.delay[taps], self.power[taps]
 
 
 def _is_number(token: str) -> bool:
@@ -726,7 +712,7 @@ def ingest_campaign(manifest_path) -> Campaign:
     location = (
         tuple(zip(entries["tx_id"][read], entries["rx_id"][read], pols)), _floats(entries["tx_pos_m"][read]),
         _floats(entries["rx_pos_m"][read]), np.array(entries["los"][read], dtype=bool),
-        np.column_stack((antenna, np.full(n_read, _TX_HEIGHT_M))), np.column_stack((antenna, np.full(n_read, _RX_HEIGHT_M))),
+        np.column_stack((antenna, np.full(n_read, TX_HEIGHT_M))), np.column_stack((antenna, np.full(n_read, RX_HEIGHT_M))),
         np.full(n_read, tx_power_dbm),
     )
     del doc, raw_locations, entries  # the parsed manifest can outweigh the columns; free it before grouping
@@ -941,13 +927,15 @@ def _check_writable(campaign: Campaign) -> list[str]:
     c = campaign.columns
     if not len(c):
         raise ValidationError("locations", "campaign has no locations")
-    # one search over every id; the loop only names the first offending one
+    # each rule searches every id at once; only a campaign that breaks it is searched id by id, to name the first
     ids = "".join(map("".join, map(operator.itemgetter(0, 1), c.keys)))
-    if any(sep in ids for sep in _PATH_SEPARATORS):
-        for key in c.keys:
-            for field, value in zip(("tx_id", "rx_id"), key):
-                if any(sep in value for sep in _PATH_SEPARATORS):
-                    raise ValidationError(field, f"{value!r} contains a path separator")
+    for unfit, message in (
+        (lambda text: any(sep in text for sep in _PATH_SEPARATORS), "contains a path separator"),
+        (_unnameable, "holds a NUL or a character no file name can hold"),
+    ):
+        if unfit(ids):
+            field, value = next((f, v) for key in c.keys for f, v in zip(("tx_id", "rx_id"), key) if unfit(v))
+            raise ValidationError(field, f"{value!r} {message}")
     names = [f"sweeps/{tx_id}_{rx_id}_{pol.value}.csv" for tx_id, rx_id, pol in c.keys]
     if len(set(names)) < len(names):
         raise ValidationError("tx_id", "the ids of two locations join to one sweep file name")
@@ -965,6 +953,14 @@ def _check_writable(campaign: Campaign) -> list[str]:
         tx_id, rx_id, pol = c.keys[row]
         raise ValidationError(field, f"{message} (locations[{row}], {tx_id}-{rx_id} {pol.value})")
     return names
+
+
+def _unnameable(text: str) -> bool:
+    """Whether ``text`` holds a NUL or a character the file system encoding cannot encode."""
+    try:
+        return b"\0" in os.fsencode(text)
+    except UnicodeEncodeError:
+        return True
 
 
 def _write_sweep_files(c: LocationColumns, out: Path, names: list[str]) -> int:

@@ -31,6 +31,7 @@ from .pipeline import (
     DIRECTIONAL_KINDS,
     Analysis,
     RunConfig,
+    _csv_rows,
     check_analysis_options,
     run_pipeline,
 )
@@ -129,11 +130,9 @@ def _cmd_fit_pathloss(args) -> int:
         doc["xpd_db"] = analysis.cross_polar(kind).xpd_db
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.scatter_csv is not None:
-        lines = ["distance_m,pl_db"]
         samples = analysis.samples(pol, kind)
-        for distance_m, pl_db in sorted(zip(samples.distance_m.tolist(), samples.pl_db.tolist())):
-            lines.append(f"{distance_m:.4f},{pl_db:.4f}")
-        _write_or_print("\n".join(lines) + "\n", args.scatter_csv)
+        rows = sorted(zip(samples.distance_m.tolist(), samples.pl_db.tolist()))
+        _write_or_print("distance_m,pl_db\n" + _csv_rows([""] * len(rows), *zip(*rows)), args.scatter_csv)
     return EXIT_OK
 
 
@@ -153,11 +152,9 @@ def _cmd_pas_dump(args) -> int:
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
     bins_deg, powers_mw = power_angular_spectrum(TapTable(campaign.columns, [row]), 0, Side(args.side), threshold_db)
-    lines = ["bin_deg,power_db"]
-    for bin_deg, power_mw in zip(bins_deg.tolist(), powers_mw.tolist()):
-        if power_mw > 0:
-            lines.append(f"{bin_deg:.4f},{10.0 * math.log10(power_mw):.4f}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    kept = powers_mw > 0
+    powers_db = [10.0 * math.log10(power_mw) for power_mw in powers_mw[kept].tolist()]
+    _write_or_print("bin_deg,power_db\n" + _csv_rows([""] * len(powers_db), bins_deg[kept].tolist(), powers_db), args.out)
     return EXIT_OK
 
 

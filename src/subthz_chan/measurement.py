@@ -40,6 +40,9 @@ DB_LIMIT = 1000.0
 #: a location included, is finite
 DELAY_LIMIT_NS = 1e50
 
+#: the antenna heights (m) of every rendered and every ingested location (a manifest does not record them)
+TX_HEIGHT_M, RX_HEIGHT_M = 3.0, 1.5
+
 
 class ValidationError(ValueError):
     """A record violates a data-model invariant; ``field`` names the offender."""
@@ -126,11 +129,11 @@ class AntennaConfig:
 
     @classmethod
     def default_tx(cls) -> "AntennaConfig":
-        return cls(height_m=3.0)
+        return cls(height_m=TX_HEIGHT_M)
 
     @classmethod
     def default_rx(cls) -> "AntennaConfig":
-        return cls(height_m=1.5)
+        return cls(height_m=RX_HEIGHT_M)
 
     @property
     def n_az_bins(self) -> int:
@@ -227,10 +230,11 @@ def _antenna_rules(antenna: np.ndarray, prefix: str = "") -> tuple:
 
 
 def first_flagged(rules: Sequence[tuple]) -> tuple[int, str, str] | None:
-    """(location, field, message) of the first location a rule flags, by its first rule and item.
+    """(owner, field, message) of the first fault the rules flag: by owner, then rule, then item.
 
     A rule is ``(field, owner, bad, message)``: ``bad`` flags items, ``owner`` is each
-    item's location, non-decreasing, and ``message(item)`` describes a flagged item.
+    item's owner (a location, say), non-decreasing, and ``message(item)`` describes a
+    flagged item.  Every check that names a first fault names it by this order.
     """
     found = []
     for k, (_, owner, bad, _) in enumerate(rules):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -147,11 +148,14 @@ class RunConfig:
         _check_overrides(self.carrier_hz, self.max_measurable_pl_db)
 
 
-def _csv_rows(prefixes: Sequence[str], x: Sequence[float], y: Sequence[float]) -> str:
-    """The rows ``"%s%.4f,%.4f\\n" % (prefix, x, y)``, laid out by one ``%`` over the repeated format."""
-    values = [None] * (3 * len(prefixes))
-    values[0::3], values[1::3], values[2::3] = prefixes, x, y
-    return "%s%.4f,%.4f\n" * len(prefixes) % tuple(values)
+def _csv_rows(prefixes: Sequence[str], *columns: Sequence[float]) -> str:
+    """The rows ``prefix`` then one ``%.4f`` per column, comma-separated, laid out by one ``%``
+    over the repeated row format."""
+    width = 1 + len(columns)
+    values = [None] * (width * len(prefixes))
+    for k, column in enumerate((prefixes, *columns)):
+        values[k::width] = column
+    return ("%s" + ",".join(["%.4f"] * len(columns)) + "\n") * len(prefixes) % tuple(values)
 
 
 class Analysis:
@@ -251,14 +255,11 @@ class Analysis:
 
     def summary_csv(self, section: str) -> str:
         """The ``delay`` or ``angular`` section as the bundle's CSV table."""
-        lines = ["statistic,min,max,mean,median,p90"]
-        summaries = getattr(self, section)
-        for label, field in _SUMMARY_ROWS[section]:
-            for t, summary in summaries.items():
-                row = getattr(summary, field)
-                values = (row.min, row.max, row.mean, row.median, row.p90)
-                lines.append(f"{label}-{t:g} dB" + ",%.4f,%.4f,%.4f,%.4f,%.4f" % values)
-        return "\n".join(lines) + "\n"
+        summaries = getattr(self, section).items()
+        prefixes = [f"{label}-{t:g} dB," for label, _ in _SUMMARY_ROWS[section] for t, _ in summaries]
+        rows = [getattr(summary, field) for _, field in _SUMMARY_ROWS[section] for _, summary in summaries]
+        columns = zip(*map(operator.attrgetter("min", "max", "mean", "median", "p90"), rows))
+        return "statistic,min,max,mean,median,p90\n" + _csv_rows(prefixes, *columns)
 
     def summary_json(self, section: str) -> dict:
         """The ``delay`` or ``angular`` section as the report's JSON object."""

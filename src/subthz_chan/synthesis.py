@@ -23,7 +23,9 @@ from .campaign_io import Campaign, json_template, write_campaign
 from .measurement import (
     D0_M,
     DEFAULT_DELAY_RESOLUTION_NS,
+    RX_HEIGHT_M,
     SPEED_OF_LIGHT_M_S,
+    TX_HEIGHT_M,
     AntennaConfig,
     LocationColumns,
     Polarization,
@@ -54,9 +56,8 @@ _LOBE_STEP_DB = 3.0
 #: mean excess delay of reflected lobes over the direct propagation time
 _REFLECTION_EXCESS_MEAN_NS = 60.0
 
-#: TX and RX antenna heights of every rendered placement: no placement is shorter than their gap
-_TX_HEIGHT_M, _RX_HEIGHT_M = 3.0, 1.5
-_HEIGHT_GAP_M = _TX_HEIGHT_M - _RX_HEIGHT_M
+#: no placement is shorter than the gap between the antenna heights
+_HEIGHT_GAP_M = TX_HEIGHT_M - RX_HEIGHT_M
 
 #: noise floor written into rendered files sits this far under the
 #: faintest synthesized tap, so every tap stays detectable on re-ingest
@@ -601,8 +602,8 @@ def render_campaign(
     drop_seeds = master.integers(0, 2**63 - 1, len(layout)).tolist()
 
     step = params.az_step_deg
-    tx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=_TX_HEIGHT_M)
-    rx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=_RX_HEIGHT_M)
+    tx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=TX_HEIGHT_M)
+    rx_antenna = AntennaConfig(gain_dbi=27.0, hpbw_deg=step, az_step_deg=step, height_m=RX_HEIGHT_M)
 
     distances = [drawn[i] if entry.distance_m is None else entry.distance_m for i, entry in enumerate(layout)]
     for i, entry in enumerate(layout):  # a drawn distance lies within the range's checked ends

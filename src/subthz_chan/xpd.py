@@ -9,7 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .measurement import Polarization, TapTable, ValidationError
+from .measurement import Polarization, TapTable, ValidationError, first_flagged
 from .pathloss import DIRECTION_CLASSES, DirectionClass, sweep_classes, sweep_losses
 
 
@@ -21,8 +21,9 @@ class PathClass(str, Enum):
 
 
 def _check_pairs(vv: TapTable, rows_vv: np.ndarray, vh: TapTable, rows_vh: np.ndarray) -> None:
-    """ValidationError for the first pair that mixes two placements, does not run
-    VV then VH, or was measured at different positions (checked in that order)."""
+    """ValidationError for the first pair that mixes two placements, does not run VV then VH, or was
+    measured at different positions, by ``first_flagged`` with the pair as owner: pair by pair, then
+    check by check in that order."""
     keys_vv = list(map(vv.columns.keys.__getitem__, vv.rows[rows_vv].tolist()))
     keys_vh = list(map(vh.columns.keys.__getitem__, vh.rows[rows_vh].tolist()))
     ids, pol = operator.itemgetter(0, 1), operator.itemgetter(2)
@@ -30,19 +31,17 @@ def _check_pairs(vv: TapTable, rows_vv: np.ndarray, vh: TapTable, rows_vh: np.nd
     vv_first = list(map(operator.is_, map(pol, keys_vv), repeat(Polarization.VV)))
     vh_second = list(map(operator.is_, map(pol, keys_vh), repeat(Polarization.VH)))
     same_positions = (vv.tx_pos_m[rows_vv] == vh.tx_pos_m[rows_vh]) & (vv.rx_pos_m[rows_vv] == vh.rx_pos_m[rows_vh])
-    bad = np.flatnonzero(~np.all((same_ids, vv_first, vh_second, same_positions.all(axis=1)), axis=0))
-    if not bad.size:
-        return
-    (tx_vv, rx_vv, pol_vv), (tx_vh, rx_vh, pol_vh) = keys_vv[bad[0]], keys_vh[bad[0]]
-    if (tx_vv, rx_vv) != (tx_vh, rx_vh):
-        raise ValidationError(
-            "rx_id", f"polarization pair mixes locations: {tx_vv}-{rx_vv} vs {tx_vh}-{rx_vh}"
-        )
-    if pol_vv is not Polarization.VV:
-        raise ValidationError("polarization", f"first location must be VV, got {pol_vv.value}")
-    if pol_vh is not Polarization.VH:
-        raise ValidationError("polarization", f"second location must be VH, got {pol_vh.value}")
-    raise ValidationError("tx_pos_m", "polarization pair was measured at different positions")
+    pairs = range(len(keys_vv))
+    mixed, not_vv, not_vh, moved = ~np.array((same_ids, vv_first, vh_second, same_positions.all(axis=1)), dtype=bool)
+    fault = first_flagged((
+        ("rx_id", pairs, mixed,
+         lambda i: "polarization pair mixes locations: {}-{} vs {}-{}".format(*ids(keys_vv[i]), *ids(keys_vh[i]))),
+        ("polarization", pairs, not_vv, lambda i: f"first location must be VV, got {keys_vv[i][2].value}"),
+        ("polarization", pairs, not_vh, lambda i: f"second location must be VH, got {keys_vh[i][2].value}"),
+        ("tx_pos_m", pairs, moved, lambda i: "polarization pair was measured at different positions"),
+    ))
+    if fault is not None:
+        raise ValidationError(*fault[1:])
 
 
 class XpdColumns(NamedTuple):

@@ -344,6 +344,24 @@ class TestAngularStats:
         assert stats.n_aoa_lobes[0] == 2
         assert stats.aoa_rmsas[0] == pytest.approx(40.0, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "off_grid, field",
+        [
+            # AOA is checked first, so of one location's two off-grid sides the RX one is named
+            ([(9.0, 9.0)], "rx_az_deg"),
+            # an earlier location comes first, whichever side is off
+            ([(9.0, 8.0), (8.0, 9.0)], "tx_az_deg"),
+        ],
+    )
+    def test_names_the_first_off_grid_location_then_side(self, off_grid, field):
+        locs = [
+            make_location([make_pdp([10.0], [-60.0], tx_az=0.0, rx_az=0.0), make_pdp([10.0], [-70.0], tx_az=tx, rx_az=rx)],
+                          rx_id=f"RX{i}")
+            for i, (tx, rx) in enumerate(off_grid)
+        ]
+        with pytest.raises(ValidationError, match=f"^{field}: azimuth 9.0 is off the uniform 8 deg sweep grid$"):
+            angular_spreads(table_of(*locs), 20.0)
+
 
 class TestCampaignAngularSummary:
     def lobe_location(self, k, rx_id):

@@ -425,6 +425,26 @@ class TestFirstFault:
         with pytest.raises(ValidationError, match="power must be finite"):
             ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
 
+    def test_first_appearing_pointing_before_one_that_sorts_first(self, tmp_path):
+        # (180, 0) is off the lattice on lines 3-4; (8, 0), which sorts first by azimuth, repeats a delay after it
+        sweeps = (
+            "# noise_floor_db=-130.0\ntx_az_deg,rx_az_deg,delay_ns,power_db\n"
+            "180.0,0.0,32.0,-75.0\n180.0,0.0,33.0,-80.0\n8.0,0.0,36.0,-90.0\n8.0,0.0,36.0,-91.0\n"
+        )
+        with pytest.raises(ValidationError, match=r"^delay_ns: delays for pointing \(180.0, 0.0\) not on the 2 ns lattice"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+
+    def test_a_row_bad_in_two_columns_names_the_first_column(self, tmp_path):
+        sweeps = GOLDEN_SWEEPS + "400.0,0.0,40.0,nan\n"
+        with pytest.raises(ValidationError, match=r"^tx_az_deg: 400.0 outside \[0, 360\) .*:6\)$"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+
+    def test_the_earlier_bad_row_before_an_earlier_column(self, tmp_path):
+        # line 6's bad power comes before line 7's bad azimuth, though tx_az_deg is the first column
+        sweeps = GOLDEN_SWEEPS + "180.0,0.0,40.0,nan\n400.0,0.0,42.0,-90.0\n"
+        with pytest.raises(ValidationError, match=r"^power_db: power must be finite .*:6\)$"):
+            ingest_campaign(write_golden(tmp_path, sweeps=sweeps))
+
     def test_earlier_location_first(self, tmp_path):
         doc = json.loads(GOLDEN_MANIFEST)
         second = dict(doc["locations"][0], sweeps="sweeps/second.csv")
@@ -547,6 +567,21 @@ class TestWriteCampaign:
         with pytest.raises(ValidationError, match="path separator"):
             write_campaign(Campaign("escape", 142e9, 0.0, (loc_vv, escaping)), out)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("field", ["tx_id", "rx_id"])
+    @pytest.mark.parametrize("unnameable", ["X\u0000Y", "X\ud800"], ids=["NUL", "lone surrogate"])
+    def test_ids_no_file_name_can_hold_are_rejected_before_writing(self, tmp_path, field, unnameable):
+        from subthz_chan import SynthesisParams, render_campaign
+
+        manifest = render_campaign(SynthesisParams(), 3, 1, tmp_path / "rendered").manifest_path
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["locations"][-1][field] = unnameable
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        campaign = ingest_campaign(manifest)
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=f"^{field}: .* no file name can hold$"):
+            write_campaign(campaign, out)
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 @pytest.fixture(scope="module")
