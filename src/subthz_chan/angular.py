@@ -102,14 +102,22 @@ def _spectra(table: TapTable, side: Side, threshold_db: float) -> _Spectra:
 
 def _check_grids(table: TapTable, sides: tuple[Side, ...], index: int | None = None) -> None:
     """ValidationError for the first off-grid sweep (of location ``index`` only, if given), by
-    ``first_flagged`` with the sweep's location as owner: by location, then side in the order given."""
-    loc, grids = table.sweep_loc, table.kept(_grids)
-    fault = first_flagged([
-        ("tx_az_deg" if side is Side.AOD else "rx_az_deg", loc,
-         grids[side].off_grid if index is None else grids[side].off_grid & (loc == index),
-         lambda s, az=az, step=step: f"azimuth {float(az[s])} is off the uniform {float(step[loc[s]]):g} deg sweep grid")
-        for side, (az, step) in zip(sides, (_side(table, side) for side in sides))
-    ])
+    ``first_flagged`` with the sweep's location as owner: by location, then side in the order given.
+    Off the grid is off the phase most of the location's sweeps share, the first sweep's on a tie."""
+    loc, grids, rules = table.sweep_loc, table.kept(_grids), []
+    for side in sides:
+        az, step = _side(table, side)
+        off = grids[side].off_grid & (True if index is None else loc == index)
+        for i in set(loc[off].tolist()):  # the error path: some sweep is off its first sweep's phase
+            at = np.flatnonzero(loc == i)
+            offset = (az[at] - az[at, None]) % step[i]
+            shares = np.minimum(offset, step[i] - offset) <= 1e-6  # sweep k is on sweep j's phase
+            top = np.flatnonzero(shares.sum(axis=1) == shares.sum(axis=1).max())
+            if not shares[top[0], 0] and shares[top[0], top].all():  # one phase has the most, not the first's
+                off[at] = ~shares[top[0]]
+        rules.append(("tx_az_deg" if side is Side.AOD else "rx_az_deg", loc, off, lambda s, az=az, step=step: (
+            f"azimuth {float(az[s])} is off the uniform {float(step[loc[s]]):g} deg sweep grid")))
+    fault = first_flagged(rules)
     if fault is not None:
         raise ValidationError(*fault[1:])
 

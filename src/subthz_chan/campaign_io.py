@@ -83,9 +83,9 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0
 #: the name ``cache_path`` appends to a manifest's, the first word of a cache file and the number of its
 #: layout, the alignment of its columns, the ``LocationColumns`` fields it holds as raw bytes, in order
 #: (the keys go in its JSON line), and the derived columns that follow them; the number changes with the
-#: columns or with the rules ``Campaign`` accepts them by, since a hit trusts them
+#: layout, the columns or the rules ``Campaign`` accepts them by, since a hit trusts them
 _CACHE_SUFFIX = ".ingest-cache"
-_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "2"
+_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "3"
 _CACHE_ALIGN = 8
 _CACHED_COLUMNS = tuple(field.name for field in fields(LocationColumns)[1:])
 _DERIVED_COLUMNS = ("distance_m", "power_mw")
@@ -289,20 +289,35 @@ def _position(doc: dict, key: str, path, ctx: str) -> tuple[float, float, float]
     return pos
 
 
+class _Inputs:
+    """The files ingest read: the SHA-256 of each by name, in reading order (``Campaign.input_sha256``),
+    and, for the ingest cache, each sweep file's length and one SHA-256 over all their bytes, in that order."""
+
+    def __init__(self):
+        self.sha256, self.lengths, self.stream = {}, [], hashlib.sha256()
+
+    def record(self, name: str, data: bytes) -> None:
+        """Record the bytes read of the sweep file ``name``, unless a file of that name is recorded."""
+        if name not in self.sha256:
+            self.lengths.append(len(data))
+            self.stream.update(data)
+            self.sha256[name] = hashlib.sha256(data).hexdigest()
+
+
 def _read_text(path: Path, digests: dict[str, str], key: str) -> str:
     """The UTF-8 text of ``path``; records the SHA-256 of the bytes read under ``key``.
 
     Undecodable bytes raise CampaignFormatError at the line holding the
     first of them, counting lines as the newline-translated text does.
     """
-    data = _read_file(path)
+    data = _read_file(path, None)
     digests.setdefault(key, hashlib.sha256(data).hexdigest())
     return _decode(path, data)
 
 
-def _read_file(file) -> bytes:
-    """The bytes of ``file``, read with ``os.open`` and ``os.read``: two reads for a file of at most
-    ``_FIRST_READ`` bytes, as a written sweep file is, the second seeing end of file.
+def _read_file(file, first: int | None = _FIRST_READ) -> bytes:
+    """The bytes of ``file``, read with ``os.open`` and ``os.read``: a first read of ``first`` bytes (of the size
+    ``fstat`` gives when None), then reads up to one that sees end of file; two in all when the first holds it.
 
     Raises OSError naming ``file`` when it cannot be read, IsADirectoryError when it names no file:
     a directory, or a path holding a NUL, which no file name holds.
@@ -313,7 +328,7 @@ def _read_file(file) -> bytes:
     except ValueError:  # the NUL
         raise IsADirectoryError(errno.EISDIR, "path holds a NUL byte", file) from None
     try:
-        data = os.read(fd, _FIRST_READ)
+        data = os.read(fd, first or os.fstat(fd).st_size + 1)
         # a short read is end of file only for a regular file; the next read, empty, confirms it
         more = data and os.read(fd, 1 << 16)
         if more:
@@ -571,14 +586,12 @@ def _floats(triples: list) -> np.ndarray:
     return np.fromiter(chain.from_iterable(triples), float, 3 * len(triples)).reshape(-1, 3)
 
 
-def _read_location(
-    entry, index: int, path: Path, rows: _SweepRows, digests: dict[str, str], data: bytes | None = None
-) -> None:
+def _read_location(entry, index: int, path: Path, rows: _SweepRows, inputs: _Inputs, data: bytes | None = None) -> None:
     """Check one manifest entry and read its sweep file into ``rows`` line by line.
 
     Checks run in the order of the line-by-line reader: the entry keys
     the file path depends on, the file, the remaining keys.  ``data``, when
-    given, holds the file's bytes, already read and digested.
+    given, holds the file's bytes, already read and recorded.
     """
     ctx = f"locations[{index}]."
     if not isinstance(entry, dict):
@@ -592,7 +605,9 @@ def _read_location(
     sweeps_rel = _require(entry, "sweeps", str, path, ctx)
     try:
         file = path.parent / sweeps_rel
-        text = _read_text(file, digests, sweeps_rel) if data is None else _decode(file, data)
+        if data is None:
+            inputs.record(sweeps_rel, data := _read_file(file, None))
+        text = _decode(file, data)
     except IsADirectoryError:  # a directory ("" and "." among them), or a NUL in the path
         raise CampaignFormatError(path, None, f"key '{ctx}sweeps' must name a file") from None
     rows.read(sweeps_rel, text)
@@ -614,7 +629,7 @@ def _sweep_paths(manifest: Path, rels: list[str]) -> list[str]:
 
 
 def _read_entries(
-    raw_locations: list, entries: dict[str, list], path: Path, rows: _SweepRows, digests: dict[str, str]
+    raw_locations: list, entries: dict[str, list], path: Path, rows: _SweepRows, inputs: _Inputs
 ) -> tuple[int, Exception | None]:
     """The number of manifest entries read before the first fault, and that fault (None when every
     entry read); each sweep file is read into ``rows``.
@@ -636,7 +651,7 @@ def _read_entries(
             except OSError:  # no such file, not a file
                 pass
         if data is not None:
-            digests.setdefault(rel, hashlib.sha256(data).hexdigest())
+            inputs.record(rel, data)
             # the written layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite ``v``,
             # the header, then LF-terminated rows of four numbers, none blank.  It holds no
             # other ``#`` and no line break but LF, so ``read`` would see the same floor and
@@ -660,7 +675,7 @@ def _read_entries(
                     add_end(len(values) // _N_COLUMNS)
                     continue
         try:
-            _read_location(raw_locations[index], index, path, rows, digests, data)
+            _read_location(raw_locations[index], index, path, rows, inputs, data)
         except (ValueError, OSError) as err:
             return index, err
     return len(lean), None
@@ -678,10 +693,10 @@ def ingest_campaign(manifest_path) -> Campaign:
     """
     started = perf_counter()
     path = Path(manifest_path)
-    digests: dict[str, str] = {}
+    inputs = _Inputs()
     try:
         # integers read as floats: one too large for a float (or for int()'s digit limit) is inf
-        doc = json.loads(_read_text(path, digests, path.name), parse_int=float)
+        doc = json.loads(_read_text(path, inputs.sha256, path.name), parse_int=float)
     except json.JSONDecodeError as err:
         raise CampaignFormatError(path, err.lineno, f"invalid JSON: {err.msg}")
     if not isinstance(doc, dict):
@@ -704,7 +719,7 @@ def ingest_campaign(manifest_path) -> Campaign:
     entries = _entry_values(raw_locations)
     rows = _SweepRows(path.parent, entries["sweeps"])
     # the fault is raised below, unless a check still pending on earlier rows fails first
-    n_read, fault = _read_entries(raw_locations, entries, path, rows, digests)
+    n_read, fault = _read_entries(raw_locations, entries, path, rows, inputs)
     # the location columns of the entries read, whose values all have the types the checks require
     read = slice(n_read)
     pols = map(_POLARIZATIONS.__getitem__, entries["polarization"][read])
@@ -731,7 +746,7 @@ def ingest_campaign(manifest_path) -> Campaign:
         columns = LocationColumns(*(column[:n_built] for column in location), *pointings.columns(n_built))
     try:
         if fault is None:
-            campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, digests)
+            campaign = Campaign(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, inputs.sha256)
         elif n_built:
             # a location's own errors come before any fault in a later location
             _check_locations(columns, delay_resolution_ns)
@@ -739,9 +754,10 @@ def ingest_campaign(manifest_path) -> Campaign:
         raise CampaignFormatError(path, None, str(err)) from None
     if fault is not None:
         raise fault
+    campaign._cache_items = {"sweep_lengths": inputs.lengths, "sweeps_sha256": inputs.stream.hexdigest()}
     logger.info(
         "ingested %s: %d locations, %d files, %d rows, %d sweeps in %.3f s",
-        campaign_id, len(campaign), len(digests), rows.ends[-1], len(columns.tx_az_deg), perf_counter() - started,
+        campaign_id, len(campaign), len(inputs.sha256), rows.ends[-1], len(columns.tx_az_deg), perf_counter() - started,
     )
     return campaign
 
@@ -755,13 +771,12 @@ def cache_path(manifest_path) -> Path:
 def load_campaign(manifest_path) -> Campaign:
     """``ingest_campaign(manifest_path)``, from the manifest's cache file when that still holds it.
 
-    A hit needs this format and ``__version__``, a body that hashes to its
-    digest, and the manifest and every sweep file it names, read again, to
-    hash to the cache's key and stored digests; the columns, which ``Campaign``
-    accepted at ingest, are then mapped unchecked.  Anything else is a miss,
-    which runs ``ingest_campaign`` (so raises what it raises) and rewrites
-    the cache after a successful parse; a cache that cannot be written is
-    skipped.  Logs one INFO line saying hit or miss, and why on a miss.
+    A hit needs this format and ``__version__``, a body that hashes to its digest, the manifest,
+    read again, to hash to the cache's key, and the sweep files, read again in one pass, to keep
+    their stored lengths and stream digest; the columns, which ``Campaign`` accepted at ingest, are
+    then mapped unchecked.  Anything else is a miss, which runs ``ingest_campaign`` (so raises
+    what it raises) and rewrites the cache after a successful parse; a cache that cannot be
+    written is skipped.  Logs one INFO line saying hit or miss, and why on a miss.
     """
     started = perf_counter()
     path = Path(manifest_path)
@@ -792,7 +807,7 @@ def _cached(path: Path, cache: Path) -> Campaign:
     """The campaign ``cache`` holds for the manifest at ``path``; raises _Miss, or whatever a damaged
     cache makes the decoding raise, when it holds none."""
     try:
-        data = _read_file(cache)
+        data = _read_file(cache, None)
     except FileNotFoundError:
         raise _Miss("no cache") from None
     end = data.index(b"\n")
@@ -800,7 +815,7 @@ def _cached(path: Path, cache: Path) -> Campaign:
     if (magic, layout, version) != (_CACHE_MAGIC, _CACHE_FORMAT, __version__):
         raise _Miss("cache rejected")
     try:
-        manifest = _read_file(path)
+        manifest = _read_file(path, None)
     except OSError:
         raise _Miss("key mismatch") from None
     if hashlib.sha256(manifest).hexdigest() != key:
@@ -812,17 +827,12 @@ def _cached(path: Path, cache: Path) -> Campaign:
     digests = dict(meta["input_sha256"])
     if next(iter(digests.items())) != (path.name, key):
         raise _Miss("key mismatch")
-    rels = list(digests)[1:]
-    for rel, file in zip(rels, _sweep_paths(path, rels)):
-        try:
-            sweep = _read_file(file)
-        except OSError:  # ingest then reads the file at the line reader's pathlib path (``x.csv/``, say)
-            try:
-                sweep = _read_file(path.parent / rel)
-            except OSError:
-                raise _Miss(f"digest mismatch on {rel}") from None
-        if hashlib.sha256(sweep).hexdigest() != digests[rel]:
-            raise _Miss(f"digest mismatch on {rel}")
+    rels, lengths = list(digests)[1:], meta["sweep_lengths"]
+    if _sweeps_digest(_sweep_paths(path, rels), lengths) != meta["sweeps_sha256"]:
+        # the first file that changed, at its pathlib path, which also opens a name only the line reader opens
+        for rel, n in zip(rels, lengths):
+            if _sweeps_digest([path.parent / rel], [n]) != digests[rel]:
+                raise _Miss(f"digest mismatch on {rel}")
     columns, offset = [], meta_end + 1
     for dtype, shape in meta["columns"]:
         offset += -offset % _CACHE_ALIGN
@@ -839,19 +849,40 @@ def _cached(path: Path, cache: Path) -> Campaign:
     )
 
 
+def _sweeps_digest(files: list, lengths: list[int]) -> str | None:
+    """The SHA-256 over the bytes of ``files``, in order; None when one cannot be read or is not ``lengths[i]`` long."""
+    stream = hashlib.sha256()
+    for file, n in zip(files, lengths, strict=True):
+        try:
+            fd = os.open(file, _READ_FLAGS)
+            try:
+                # a byte past n shows a longer file, a short read reads on, and only an empty read ends n bytes
+                data = os.read(fd, n + 1)
+                while len(data) < n and (more := os.read(fd, n + 1 - len(data))):
+                    data += more
+                if len(data) != n or os.read(fd, 1):
+                    return None
+            finally:
+                os.close(fd)
+        except OSError:  # no such file, not a file
+            return None
+        stream.update(data)
+    return stream.hexdigest()
+
+
 def _write_cache(path: Path, campaign: Campaign) -> None:
     """Write ``campaign``, as ingested from the manifest at ``path``, to its cache file, through a
     temporary name; skipped when that fails.  The file holds a header line (magic, format number,
     ``__version__``, the manifest's SHA-256, the body's), then the body: one JSON line with the campaign
-    scalars, ``input_sha256`` in order, the keys and each ``_CACHED_COLUMNS`` and ``_DERIVED_COLUMNS``
-    column's dtype and shape, then each column's bytes, in that order, starting on a multiple of 8."""
+    scalars, ``input_sha256`` in order, the sweep files' lengths and stream digest as ingest read them, the keys
+    and each cached and derived column's dtype and shape, then each column's bytes, each on a multiple of 8."""
     c = campaign.columns
     columns = [np.ascontiguousarray(getattr(c, name)) for name in _CACHED_COLUMNS + _DERIVED_COLUMNS]
     tx_ids, rx_ids, pols = zip(*c.keys)
     meta = {
         "campaign_id": campaign.campaign_id, "carrier_hz": campaign.carrier_hz,
         "tx_power_dbm": campaign.tx_power_dbm, "delay_resolution_ns": campaign.delay_resolution_ns,
-        "input_sha256": list(campaign.input_sha256.items()),
+        "input_sha256": list(campaign.input_sha256.items()), **campaign._cache_items,
         "tx_id": tx_ids, "rx_id": rx_ids, "polarization": [pol.value for pol in pols],
         "columns": [(column.dtype.str, column.shape) for column in columns],
     }

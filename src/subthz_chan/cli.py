@@ -69,12 +69,13 @@ def _cmd_ingest(args) -> int:
         return EXIT_OK
     tx_ids, rx_ids, pols, distance_m, los, n_sweeps, n_detectable = _location_summaries(campaign)
     n_vv = pols.count("VV")
-    print(
+    listing = [
         f"campaign {campaign.campaign_id}: {len(pols)} locations "
         f"({n_vv} VV, {len(pols) - n_vv} VH), carrier {campaign.carrier_hz / 1e9:g} GHz"
-    )
+    ]
     for tx_id, rx_id, pol, d, is_los, n, k in zip(tx_ids, rx_ids, pols, distance_m, los, n_sweeps, n_detectable):
-        print(f"  {tx_id}-{rx_id} {pol} d={d:.2f} m {'LOS' if is_los else 'NLOS'} sweeps={n} detectable={k}")
+        listing.append(f"  {tx_id}-{rx_id} {pol} d={d:.2f} m {'LOS' if is_los else 'NLOS'} sweeps={n} detectable={k}")
+    print("\n".join(listing).encode("utf-8", "backslashreplace").decode("utf-8"))  # escapes a lone surrogate
     return EXIT_OK
 
 

@@ -362,6 +362,27 @@ class TestAngularStats:
         with pytest.raises(ValidationError, match=f"^{field}: azimuth 9.0 is off the uniform 8 deg sweep grid$"):
             angular_spreads(table_of(*locs), 20.0)
 
+    @pytest.mark.parametrize(
+        "rx_azimuths, named",
+        [
+            # the first sweep is the one moved off the phase the others share
+            ([3.0, 0.0, 296.0, 208.0], 3.0),
+            ([0.0, 296.0, 3.0, 208.0], 3.0),
+            # the first sweep's phase is the one most sweeps share
+            ([3.0, 0.0, 11.0, 19.0], 0.0),
+            # two phases tie for the most sweeps, with the first sweep's or without it: the first sweep's decides
+            ([5.0, 13.0, 0.0, 8.0], 0.0),
+            ([5.0, 0.0, 8.0, 3.0, 11.0], 0.0),
+        ],
+    )
+    def test_names_the_sweep_off_the_phase_most_sweeps_share(self, rx_azimuths, named):
+        sweeps = [make_pdp([10.0], [-60.0 - i], tx_az=180.0, rx_az=rx) for i, rx in enumerate(rx_azimuths)]
+        message = f"^rx_az_deg: azimuth {named} is off the uniform 8 deg sweep grid$"
+        with pytest.raises(ValidationError, match=message):
+            angular_spreads(table_of(make_location(sweeps)), 20.0)
+        with pytest.raises(ValidationError, match=message):
+            power_angular_spectrum(table_of(make_location(sweeps)), 0, Side.AOA, 20.0)
+
 
 class TestCampaignAngularSummary:
     def lobe_location(self, k, rx_id):

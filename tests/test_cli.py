@@ -297,6 +297,22 @@ class TestIngest:
         assert "8 locations" in out
         assert "TX0001-RX0001 VV" in out
 
+    def test_text_summary_escapes_a_lone_surrogate_in_an_id(self, tmp_path, capsys):
+        manifest = render_campaign(SynthesisParams(), 3, 1, tmp_path / "render").manifest_path
+        assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        tx_id = doc["locations"][-1]["tx_id"]
+        doc["locations"][-1]["tx_id"] = "TX\ud800"  # no encoding writes a lone surrogate; JSON escapes it
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
+        out = capsys.readouterr().out
+        head, last = expected.rstrip("\n").rsplit("\n", 1)
+        escaped = last.replace(f"  {tx_id}-", "  TX\\ud800-", 1)
+        # printed in full; every other line keeps its bytes, and the id is backslash-escaped
+        assert out == head + "\n" + escaped + "\n" and escaped != last
+        assert len(out.splitlines()) == 7
+
     def test_json_summary(self, manifest, capsys):
         assert main(["ingest", "--manifest", str(manifest), "--format", "json"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)

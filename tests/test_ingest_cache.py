@@ -6,6 +6,7 @@ a damaged or unwritable cache must be a silent miss.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
@@ -280,6 +281,38 @@ def test_a_format_1_cache_is_a_silent_miss_and_rewritten(manifest, caplog, monke
     assert cache_path(manifest).read_bytes() == good
 
 
+def _as_format_2(data: bytes) -> bytes:
+    """A format-3 cache file laid out as format 2 wrote it: its JSON line without the sweep files' lengths
+    and the SHA-256 of their bytes, the columns aligned again after it, and the body digest of the result."""
+    meta, offset = _meta(data)
+    columns = []
+    for dtype, shape in meta["columns"]:
+        offset += -offset % campaign_io._CACHE_ALIGN
+        columns.append(data[offset : offset + np.dtype(dtype).itemsize * math.prod(shape)])
+        offset += len(columns[-1])
+    del meta["sweep_lengths"], meta["sweeps_sha256"]
+    magic, _, version, key, _ = data[: data.index(b"\n")].decode().split(" ")
+    head = f"{magic} 2 {version} {key} "
+    body = json.dumps(meta, sort_keys=True).encode() + b"\n"
+    for column in columns:
+        body += bytes(-(len(head) + 64 + 1 + len(body)) % campaign_io._CACHE_ALIGN) + column
+    return f"{head}{hashlib.sha256(body).hexdigest()}\n".encode() + body
+
+
+def test_a_format_2_cache_is_a_silent_miss_and_rewritten(manifest, caplog):
+    # format 2 kept one SHA-256 per sweep file and no lengths, and a hit read and hashed each file apart
+    expected = load_campaign(manifest)
+    good = cache_path(manifest).read_bytes()
+    old = _as_format_2(good)
+    assert old.split(b" ", 2)[1] == b"2" and b"sweeps_sha256" not in old
+    cache_path(manifest).write_bytes(old)
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        loaded = load_campaign(manifest)
+    assert loaded == expected and list(loaded.input_sha256.items()) == list(expected.input_sha256.items())
+    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: cache rejected"
+    assert cache_path(manifest).read_bytes() == good
+
+
 def test_foreign_cache_is_a_key_mismatch(manifest, tmp_path, caplog):
     other = render_campaign(SynthesisParams(), 3, 6, tmp_path / "other").manifest_path
     load_campaign(other)
@@ -371,6 +404,74 @@ def test_a_long_sweep_file_one_byte_longer_or_shorter_misses(manifest, long_swee
     assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {long_sweep}"
 
 
+def _swap_two_digits(data: bytes) -> bytes:
+    """``data`` with two differing digits of the last row's power swapped: the same length, other bytes."""
+    start = data.rindex(b",") + 1
+    digits = [i for i in range(start, len(data) - 1) if data[i : i + 1].isdigit() and data[i + 1 : i + 2].isdigit()]
+    i = next(i for i in digits if data[i] != data[i + 1])
+    return data[:i] + data[i + 1 : i + 2] + data[i : i + 1] + data[i + 2 :]
+
+
+#: edits of a sweep file, each a miss naming that file
+SWEEP_EDITS = {
+    "two digits swapped": _swap_two_digits,
+    "one byte appended": lambda data: data + b"#",
+    "one byte cut": lambda data: data[:-1],
+}
+
+
+@pytest.mark.parametrize("edit", list(SWEEP_EDITS))
+def test_an_edited_last_sweep_file_misses_naming_it(manifest, caplog, edit):
+    rel = list(load_campaign(manifest).input_sha256)[-1]
+    file = manifest.parent / rel
+    data = file.read_bytes()
+    file.write_bytes(SWEEP_EDITS[edit](data))
+    assert file.read_bytes() != data and (len(file.read_bytes()) == len(data)) == (edit == "two digits swapped")
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        assert load_campaign(manifest) == ingest_campaign(manifest)
+    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {rel}"
+
+
+@pytest.mark.parametrize("edit", ["none", "one byte appended"])
+def test_reads_that_come_back_short_read_on_to_end_of_file(manifest, caplog, monkeypatch, edit):
+    # as a network or FUSE file system may: every read one byte short of what it asked, so a read of a stored
+    # length's bytes plus one can come back with exactly that length from a file one byte longer
+    rel = list(load_campaign(manifest).input_sha256)[-1]
+    file = manifest.parent / rel
+    if edit == "one byte appended":
+        file.write_bytes(file.read_bytes() + b"#")
+    os_read = os.read
+    monkeypatch.setattr(os, "read", lambda fd, n: os_read(fd, max(n - 1, 1)))
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        loaded = load_campaign(manifest)
+    expected = ingest_campaign(manifest)
+    assert loaded == expected and list(loaded.input_sha256.items()) == list(expected.input_sha256.items())
+    if edit == "none":
+        assert _messages(caplog)[0].startswith(f"ingest cache hit for {manifest}: ")
+    else:
+        assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {rel}"
+
+
+def test_a_sweep_file_rewritten_before_the_cache_write_misses(manifest, caplog, monkeypatch):
+    # the cache stores the lengths and the digest of the bytes ingest parsed, not of the files as they are
+    # when it is written: a file rewritten in between (here to the same length) must not hit
+    rel = json.loads(manifest.read_text())["locations"][1]["sweeps"]
+    file = manifest.parent / rel
+    write_cache = campaign_io._write_cache
+
+    def rewrite_then_write(path, campaign):
+        file.write_bytes(_swap_two_digits(file.read_bytes()))
+        write_cache(path, campaign)
+
+    with monkeypatch.context() as m:
+        m.setattr(campaign_io, "_write_cache", rewrite_then_write)
+        cold = load_campaign(manifest)
+    assert cold != ingest_campaign(manifest)
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        assert load_campaign(manifest) == ingest_campaign(manifest)
+    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {rel}"
+
+
 def test_a_hit_opens_each_file_once(manifest, monkeypatch):
     # the cache, the manifest, then each sweep file at its joined path: no file reaches the pathlib fallback;
     # each file, shorter than the first read, takes two reads, the second seeing end of file
@@ -444,14 +545,14 @@ def test_header_names_format_version_and_key(manifest):
     campaign = load_campaign(manifest)
     head = cache_path(manifest).read_bytes().split(b"\n", 1)[0].decode()
     magic, layout, version, key, body = head.split(" ")
-    assert (magic, layout, version) == ("subthz-chan-ingest-cache", "2", __version__)
+    assert (magic, layout, version) == ("subthz-chan-ingest-cache", "3", __version__)
     assert key == campaign.input_sha256[MANIFEST]
     assert len(body) == 64
 
 
-#: (name, dtype) of each column a format-2 cache file holds, in order: the ``LocationColumns`` fields, then
+#: (name, dtype) of each column a format-3 cache file holds, in order: the ``LocationColumns`` fields, then
 #: the derived columns; a change here (a field added to ``LocationColumns``, say) needs a new ``_CACHE_FORMAT``
-FORMAT_2_COLUMNS = [
+FORMAT_3_COLUMNS = [
     ("tx_pos_m", "<f8"), ("rx_pos_m", "<f8"), ("los", "|b1"), ("tx_antenna", "<f8"), ("rx_antenna", "<f8"),
     ("tx_power_dbm", "<f8"), ("sweep_bounds", np.dtype(np.intp).str), ("tx_az_deg", "<f8"), ("rx_az_deg", "<f8"),
     ("noise_floor_db", "<f8"), ("tap_bounds", np.dtype(np.intp).str), ("delay_ns", "<f8"), ("power_db", "<f8"),
@@ -463,5 +564,9 @@ def test_the_current_format_pins_its_columns(manifest):
     load_campaign(manifest)
     meta, _ = _meta(cache_path(manifest).read_bytes())
     names = campaign_io._CACHED_COLUMNS + campaign_io._DERIVED_COLUMNS
-    assert campaign_io._CACHE_FORMAT == "2"
-    assert [(name, dtype) for name, (dtype, _) in zip(names, meta["columns"], strict=True)] == FORMAT_2_COLUMNS
+    assert campaign_io._CACHE_FORMAT == "3"
+    assert [(name, dtype) for name, (dtype, _) in zip(names, meta["columns"], strict=True)] == FORMAT_3_COLUMNS
+    assert sorted(meta) == [
+        "campaign_id", "carrier_hz", "columns", "delay_resolution_ns", "input_sha256", "polarization", "rx_id",
+        "sweep_lengths", "sweeps_sha256", "tx_id", "tx_power_dbm",
+    ]
