@@ -250,7 +250,9 @@ class AngularSummary:
 
 
 def campaign_angular_summary(table: TapTable, threshold_db: float) -> AngularSummary:
-    """Five-number summaries of ``angular_spreads`` over a table's locations with signal."""
+    """Five-number summaries of ``angular_spreads`` over a table's locations with signal
+    (NoSignalError when none has)."""
+    table.require_any_signal("angular summary")
     spreads = angular_spreads(table, threshold_db)
     signal = table.n_sweeps > 0
     return AngularSummary(threshold_db, *(summarize(column[signal]) for column in spreads))

@@ -240,13 +240,6 @@ class Campaign:
     def by_polarization(self, pol: Polarization) -> tuple[LocationMeasurement, ...]:
         return tuple(self.locations[row] for row in self.rows(pol).tolist())
 
-    def pairs(self) -> list[tuple[int, int]]:
-        """(V-V row, V-H row) of each placement measured in both polarizations, ordered by id."""
-        keys = self.columns.keys
-        by_id = sorted((keys[row][:2], row) for row in self._rows[Polarization.VV].tolist())
-        vh = map(self._row_of.get, [(*ids, Polarization.VH) for ids, _ in by_id])
-        return [(row, vh_row) for (_, row), vh_row in zip(by_id, vh) if vh_row is not None]
-
 
 def _raise_repeat(keys: tuple) -> None:
     """Raise the ValidationError of the first location whose key an earlier location holds."""

@@ -133,8 +133,10 @@ def campaign_delay_summary(table: TapTable, threshold_db: float) -> DelaySummary
     """Five-number summaries of ``delay_spreads`` over a table.
 
     Omni rows pool one value per location with signal; directional rows
-    pool every pointing pair with detectable power.
+    pool every pointing pair with detectable power.  NoSignalError when no
+    location has signal.
     """
+    table.require_any_signal("delay summary")
     spreads = delay_spreads(table, threshold_db)
     signal = table.n_sweeps > 0
     return DelaySummary(

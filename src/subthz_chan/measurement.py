@@ -619,3 +619,8 @@ class TapTable:
         err = self.no_signal(index)
         if err is not None:
             raise err
+
+    def require_any_signal(self, section: str) -> None:
+        """NoSignalError naming ``section`` when no location of the table has a sweep above its floor."""
+        if not self.n_sweeps.any():
+            raise NoSignalError(f"{section}: no location has a sweep that clears the noise floor")

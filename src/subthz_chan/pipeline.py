@@ -76,25 +76,31 @@ _SUMMARY_ROWS = {
 _KNOWN_FORMATS = ("csv", "json")
 
 
-def _check_overrides(carrier_hz: float | None, max_measurable_pl_db: float | None) -> None:
-    """ValidationError unless a carrier override (None: the campaign's) and a path-loss
-    ceiling (None: no ceiling) are each finite and > 0."""
+def check_analysis_options(
+    thresholds_db: Iterable[float] = DEFAULT_THRESHOLDS_DB,
+    carrier_hz: float | None = None,
+    max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
+) -> tuple[float, ...]:
+    """The checked thresholds of an ``Analysis`` with these options; ValidationError
+    for the first bad option: the carrier, the ceiling, then the thresholds.
+
+    A carrier override (None: the campaign's) and a path-loss ceiling (None:
+    no ceiling) must each be finite and > 0.  The thresholds, at least one,
+    must each be > 0 with a label of its own: the report keys its sections
+    and table rows by ``f"{t:g}"``, so two thresholds with one label (20 and
+    20, or 30 and 30.0000001) would write two rows under one name and keep
+    only one section.  The one rule set of ``Analysis`` and ``RunConfig``;
+    lets a caller reject its options before it reads a campaign.
+    """
     if carrier_hz is not None and not 0.0 < carrier_hz < math.inf:
         raise ValidationError("carrier_hz", f"must be > 0 and finite, got {carrier_hz}")
     if max_measurable_pl_db is not None and not max_measurable_pl_db > 0:
         raise ValidationError("max_measurable_pl_db", f"must be > 0 or None, got {max_measurable_pl_db}")
     if max_measurable_pl_db == math.inf:
         raise ValidationError("max_measurable_pl_db", f"must be > 0 and finite, or None, got {max_measurable_pl_db}")
-
-
-def _checked_thresholds(thresholds_db: Iterable[float]) -> tuple[float, ...]:
-    """``thresholds_db`` as floats, each > 0 and each with a label of its own.
-
-    The report keys its sections and table rows by ``f"{t:g}"``, so two
-    thresholds with one label (20 and 20, or 30 and 30.0000001) would
-    write two rows under one name and keep only one section.
-    """
     thresholds = tuple(checked_threshold_db(float(t)) for t in thresholds_db)
+    if not thresholds:
+        raise ValidationError("thresholds_db", "need at least one threshold")
     labelled: dict[str, float] = {}
     for t in thresholds:
         label = f"{t:g}"
@@ -102,20 +108,6 @@ def _checked_thresholds(thresholds_db: Iterable[float]) -> tuple[float, ...]:
             raise ValidationError("thresholds_db", f"{labelled[label]!r} and {t!r} share the label {label!r}")
         labelled[label] = t
     return thresholds
-
-
-def check_analysis_options(
-    thresholds_db: Iterable[float] = DEFAULT_THRESHOLDS_DB,
-    carrier_hz: float | None = None,
-    max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
-) -> tuple[float, ...]:
-    """The checked thresholds of an ``Analysis`` with these options; ValidationError
-    for the first bad option, in the order ``Analysis`` checks them.
-
-    Lets a caller reject its options before it reads a campaign.
-    """
-    _check_overrides(carrier_hz, max_measurable_pl_db)
-    return _checked_thresholds(thresholds_db)
 
 
 @dataclass(frozen=True)
@@ -136,16 +128,14 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "manifest_path", Path(self.manifest_path))
         object.__setattr__(self, "out_dir", Path(self.out_dir))
-        object.__setattr__(self, "thresholds_db", _checked_thresholds(self.thresholds_db))
+        thresholds = check_analysis_options(self.thresholds_db, self.carrier_hz, self.max_measurable_pl_db)
+        object.__setattr__(self, "thresholds_db", thresholds)
         object.__setattr__(self, "formats", tuple(str(f) for f in self.formats))
-        if not self.thresholds_db:
-            raise ValidationError("thresholds_db", "need at least one threshold")
         if not self.formats:
             raise ValidationError("formats", "need at least one output format")
         unknown = set(self.formats) - set(_KNOWN_FORMATS)
         if unknown:
             raise ValidationError("formats", f"unknown formats: {sorted(unknown)}")
-        _check_overrides(self.carrier_hz, self.max_measurable_pl_db)
 
 
 def _csv_rows(prefixes: Sequence[str], *columns: Sequence[float]) -> str:
@@ -246,12 +236,8 @@ class Analysis:
 
     @cached_property
     def xpd(self) -> dict[PathClass, XpdClassSummary]:
-        """Directional XPD statistics per path class, over every VV/VH pair."""
-        vv, vh = self.table(Polarization.VV), self.table(Polarization.VH)
-        pairs = np.array(self.campaign.pairs(), dtype=np.intp).reshape(-1, 2)
-        # a table's rows are campaign rows, ascending
-        rows = np.column_stack((np.searchsorted(vv.rows, pairs[:, 0]), np.searchsorted(vh.rows, pairs[:, 1])))
-        return xpd_columns(vv, vh, rows).summary()
+        """Directional XPD statistics per path class, over every placement measured in both polarizations."""
+        return xpd_columns(self.table(Polarization.VV), self.table(Polarization.VH)).summary()
 
     def summary_csv(self, section: str) -> str:
         """The ``delay`` or ``angular`` section as the bundle's CSV table."""

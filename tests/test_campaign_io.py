@@ -13,9 +13,11 @@ from subthz_chan import (
     Campaign,
     CampaignFormatError,
     Polarization,
+    TapTable,
     ValidationError,
     ingest_campaign,
     write_campaign,
+    xpd_columns,
 )
 from conftest import make_location, make_pdp
 
@@ -633,10 +635,13 @@ class TestColumnarCampaign:
         vh = rendered_campaign.rows(Polarization.VH).tolist()
         assert rendered_campaign.by_polarization(Polarization.VV) == tuple(rendered_campaign[i] for i in vv)
         assert sorted(vv + vh) == list(range(len(rendered_campaign)))
-        for a, b in rendered_campaign.pairs():
+        # every V-V location pairs with the V-H location of its placement, and each pair adds XPD rows
+        for a in vv:
+            b = rendered_campaign.find((*rendered_campaign[a].key[:2], Polarization.VH))
             assert rendered_campaign[a].key == (*rendered_campaign[b].key[:2], Polarization.VV)
             assert rendered_campaign[b].polarization is Polarization.VH
-        assert len(rendered_campaign.pairs()) == 6
+        tables = (TapTable(rendered_campaign.columns, rows) for rows in (vv, vh))
+        assert sorted(set(xpd_columns(*tables).loc.tolist())) == list(range(6))
 
 
 class TestLeanLane:

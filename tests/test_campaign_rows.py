@@ -1,4 +1,4 @@
-"""``Campaign.rows``/``pairs`` against loop oracles, and the writer's id check."""
+"""``Campaign.rows`` against a loop oracle, and the writer's id check."""
 from __future__ import annotations
 
 import os
@@ -25,26 +25,16 @@ def rows_oracle(keys, pol) -> list[int]:
     return [row for row, key in enumerate(keys) if key[2] is pol]
 
 
-def pairs_oracle(keys) -> list[tuple[int, int]]:
-    pairs = []
-    for vv_row in sorted(rows_oracle(keys, Polarization.VV), key=lambda row: keys[row][:2]):
-        for vh_row, key in enumerate(keys):
-            if key == (*keys[vv_row][:2], Polarization.VH):
-                pairs.append((vv_row, vh_row))
-    return pairs
-
-
 @settings(max_examples=60, deadline=None)
 @given(keys=st.lists(KEYS, min_size=1, max_size=12, unique=True).flatmap(st.permutations))
-def test_rows_and_pairs_match_the_loops(keys):
+def test_rows_match_the_loop(keys):
     campaign = campaign_of(keys)
     for pol in Polarization:
         assert campaign.rows(pol).tolist() == rows_oracle(keys, pol)
         assert campaign.rows(pol.value).tolist() == rows_oracle(keys, pol)
-    assert campaign.pairs() == pairs_oracle(keys)
 
 
-def test_pairs_run_in_id_order_and_rows_in_campaign_order():
+def test_rows_run_in_campaign_order():
     keys = [
         ("TX2", "RX1", Polarization.VH),
         ("TX10", "RX1", Polarization.VV),
@@ -55,7 +45,6 @@ def test_pairs_run_in_id_order_and_rows_in_campaign_order():
     campaign = campaign_of(keys)
     assert campaign.rows(Polarization.VV).tolist() == [1, 2, 3]
     assert campaign.rows(Polarization.VH).tolist() == [0, 4]
-    assert campaign.pairs() == [(1, 4), (2, 0)]  # "TX10" sorts before "TX2"; TX1-RX2 has no V-H
 
 
 def test_rows_are_read_only():

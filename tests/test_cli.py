@@ -417,6 +417,22 @@ class TestStats:
         assert "AOD RMSAS-30 dB" in text
 
 
+    @pytest.mark.parametrize("section", ["delay", "angular"])
+    def test_no_signal_names_the_section(self, tmp_path, capsys, section):
+        # two placements, every sweep below its noise floor
+        locations = [
+            make_location([make_pdp([100.0], [-140.0], floor=-130.0)], distance=10.0 * (i + 1), pol=pol, rx_id=f"RX{i}")
+            for i in range(2)
+            for pol in Polarization
+        ]
+        manifest = write_campaign(Campaign("silent", 142e9, 0.0, locations), tmp_path / "silent")
+        assert main(["stats", section, "--manifest", str(manifest)]) == EXIT_VALIDATION
+        message = f"{section} summary: no location has a sweep that clears the noise floor"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert main(["report", "--manifest", str(manifest), "--out", str(tmp_path / "report")]) == EXIT_DEGENERATE_FIT
+        assert "cannot fit the co-polar model" in capsys.readouterr().err
+
+
 class TestPasDump:
     def test_dump_header_and_rows(self, manifest, capsys):
         code = main(
@@ -490,6 +506,13 @@ class TestXpdReport:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "path_class,xpd_db,cdf"
+
+    def test_vv_only_campaign_has_no_classes(self, tmp_path, capsys):
+        manifest = three_location_manifest(tmp_path)
+        assert main(["xpd", "report", "--manifest", str(manifest)]) == EXIT_OK
+        assert capsys.readouterr() == ("{}\n", "")
+        assert main(["xpd", "report", "--manifest", str(manifest), "--format", "csv"]) == EXIT_OK
+        assert capsys.readouterr() == ("path_class,xpd_db,cdf\n", "")
 
 
 class TestReportAgreement:

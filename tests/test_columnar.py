@@ -95,6 +95,14 @@ def one_location(campaign, row):
     return TapTable(campaign.columns, [row])
 
 
+def placement_rows(campaign):
+    """(V-V row, V-H row) of each placement measured in both polarizations, by a loop over the V-V rows."""
+    for row_vv in campaign.rows(Polarization.VV).tolist():
+        row_vh = campaign.find((*campaign.columns.keys[row_vv][:2], Polarization.VH))
+        if row_vh is not None:
+            yield row_vv, row_vh
+
+
 def samples_of(table, samples):
     """(distance_m, pl_db, los) of each sample of a table."""
     return list(zip(samples.distance_m.tolist(), samples.pl_db.tolist(), table.los[samples.loc].tolist()))
@@ -220,9 +228,7 @@ class TestKernelsMatchPerLocationFunctions:
         assert_row_close(summary.aod_rmsas, spreads[Side.AOD])
 
     def test_xpd_section(self, campaign, analysis):
-        pairs = [
-            xpd_columns(one_location(campaign, vv), one_location(campaign, vh), [(0, 0)]) for vv, vh in campaign.pairs()
-        ]
+        pairs = [xpd_columns(one_location(campaign, vv), one_location(campaign, vh)) for vv, vh in placement_rows(campaign)]
         single = XpdColumns(*(np.concatenate(column) for column in zip(*pairs))).summary()
         assert set(analysis.xpd) == set(single)
         for path_class, expected in single.items():
@@ -488,14 +494,14 @@ class TestAgainstLoopReference:
             if detectable(loc):
                 classes = {d: DIRECTION_CLASSES[c] for d, c in by_direction(table, sweep_classes(table)).items()}
                 assert classes == loop_classes(loc)
-        for row_vv, row_vh in campaign.pairs():
+        for row_vv, row_vh in placement_rows(campaign):
             vv, vh = campaign[row_vv], campaign[row_vh]
             pl_vv, pl_vh = loop_losses(vv), loop_losses(vh)
             classes = loop_classes(vv) if pl_vv else {}
             expected = [
                 (d, pl_vh[d] - pl_vv[d], classes[d] is DirectionClass.B) for d in sorted(set(pl_vv) & set(pl_vh))
             ]
-            xpds = xpd_columns(one_location(campaign, row_vv), one_location(campaign, row_vh), [(0, 0)])
+            xpds = xpd_columns(one_location(campaign, row_vv), one_location(campaign, row_vh))
             got = list(zip(zip(xpds.tx_az_deg.tolist(), xpds.rx_az_deg.tolist()), xpds.xpd_db.tolist(), xpds.boresight.tolist()))
             assert got == expected
 

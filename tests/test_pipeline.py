@@ -105,6 +105,9 @@ class TestRunConfig:
                 dict(max_measurable_pl_db=float("inf")),
                 "max_measurable_pl_db: must be > 0 and finite, or None, got inf",
             ),
+            (dict(thresholds_db=()), "thresholds_db: need at least one threshold"),
+            # of two bad options, both name the carrier, which is checked first
+            (dict(thresholds_db=(20.0, -5.0), carrier_hz=0.0), "carrier_hz: must be > 0 and finite, got 0.0"),
         ],
     )
     def test_config_and_analysis_reject_the_same_settings(self, tmp_path, setting, message):

@@ -394,8 +394,9 @@ class TestRenderCampaign:
         campaign = ingest_campaign(rendered.manifest_path)
         truth = rendered.truth
         taps = truth.tap_bounds.tolist()
-        for i, (row_vv, row_vh) in enumerate(campaign.pairs()):
-            loc_vv, loc_vh = campaign[row_vv], campaign[row_vh]
+        # drop i is the i-th V-V location, in campaign order
+        for i, loc_vv in enumerate(campaign.by_polarization(Polarization.VV)):
+            loc_vh = campaign[campaign.find((loc_vv.tx_id, loc_vv.rx_id, Polarization.VH))]
             vh_by_dir = {s.direction: s for s in loc_vh.sweeps}
             lobes = range(truth.lobe_bounds[i], truth.lobe_bounds[i + 1])
             lobes_by_center = {truth.center_deg[l]: l for l in lobes}

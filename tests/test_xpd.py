@@ -5,12 +5,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subthz_chan import (
+    Campaign,
     PathClass,
     Polarization,
+    TapTable,
     ValidationError,
     XpdColumns,
     xpd_columns,
@@ -44,12 +46,12 @@ class Xpd(NamedTuple):
 
 
 def collect_xpds(pairs):
-    """One ``Xpd`` per row of the ``xpd_columns`` of some (VV, VH) location pairs."""
+    """One ``Xpd`` per row of the ``xpd_columns`` of a V-V table and a V-H table, of the first and the
+    second locations of some (VV, VH) location pairs."""
     vv, vh = table_of(*(pair[0] for pair in pairs)), table_of(*(pair[1] for pair in pairs))
-    columns = xpd_columns(vv, vh, [(k, k) for k in range(len(pairs))])
     return [
-        Xpd((tx_az, rx_az), xpd_db, PathClass.BORESIGHT if boresight else PathClass.REFLECTION, vv.key(pair)[:2])
-        for pair, tx_az, rx_az, xpd_db, boresight in zip(*(column.tolist() for column in columns))
+        Xpd((tx_az, rx_az), xpd_db, PathClass.BORESIGHT if boresight else PathClass.REFLECTION, vv.key(loc)[:2])
+        for loc, tx_az, rx_az, xpd_db, boresight in zip(*(column.tolist() for column in xpd_columns(vv, vh)))
     ]
 
 
@@ -122,11 +124,6 @@ class TestDirectionalXpd:
         loc_vv, loc_vh = polarization_pair(
             {(180.0, 0.0): -60.0}, {(180.0, 0.0): -85.0}
         )
-        other_rx = make_location(
-            sweep_set({(180.0, 0.0): -85.0}), pol=Polarization.VH, rx_id="RX2"
-        )
-        with pytest.raises(ValidationError):
-            directional_xpd(loc_vv, other_rx)
         with pytest.raises(ValidationError):
             directional_xpd(loc_vh, loc_vv)
         moved = make_location(
@@ -135,7 +132,6 @@ class TestDirectionalXpd:
         with pytest.raises(ValidationError):
             directional_xpd(loc_vv, moved)
 
-
     def test_first_failing_pair_raises_its_own_message(self):
         def pair(rx_id, vh_rx_id=None, distance=10.0, pols=(Polarization.VV, Polarization.VH)):
             vv = make_location(sweep_set({(180.0, 0.0): -60.0}), pol=pols[0], rx_id=rx_id)
@@ -143,18 +139,97 @@ class TestDirectionalXpd:
             return vv, vh
 
         cases = [
-            (pair("RX2", "RX3"), "rx_id: polarization pair mixes locations: TX1-RX2 vs TX1-RX3"),
-            (pair("RX2", pols=(Polarization.VH, Polarization.VH)), "polarization: first location must be VV, got VH"),
-            (pair("RX2", pols=(Polarization.VV, Polarization.VV)), "polarization: second location must be VH, got VV"),
+            (pair("RX2", pols=(Polarization.VH, Polarization.VH)), "polarization: a VV table holds TX1-RX2 (VH)"),
+            (pair("RX2", pols=(Polarization.VV, Polarization.VV)), "polarization: a VH table holds TX1-RX2 (VV)"),
+            (pair("RX1"), "rx_id: a VV table holds TX1-RX1 (VV) at rows 0 and 1"),
             (pair("RX2", distance=12.0), "tx_pos_m: polarization pair was measured at different positions"),
-            # a pair failing several checks reports the first of them
-            (pair("RX2", "RX3", distance=12.0, pols=(Polarization.VH, Polarization.VV)), "rx_id: polarization pair mixes locations: TX1-RX2 vs TX1-RX3"),
+            # a pair failing several checks reports the first of them: the V-V table's, then the V-H table's
+            (pair("RX2", distance=12.0, pols=(Polarization.VH, Polarization.VV)), "polarization: a VV table holds TX1-RX2 (VH)"),
+            (pair("RX2", distance=12.0, pols=(Polarization.VV, Polarization.VV)), "polarization: a VH table holds TX1-RX2 (VV)"),
         ]
         for bad, message in cases:
             with pytest.raises(ValidationError) as err:
                 collect_xpds([pair("RX1"), bad, pair("RX4", "RX5"), pair("RX6")])
             assert str(err.value) == message
         assert len(collect_xpds([pair("RX1"), pair("RX2")])) == 2
+
+
+KEYS = st.tuples(st.sampled_from(["TX1", "TX2", "TX10"]), st.sampled_from(["RX1", "RX2", "RX10"]), st.sampled_from(Polarization))
+
+
+def campaign_of(keys) -> Campaign:
+    """One location per key, each one sweep at (180, 0) whose one tap sits ``row`` dB under -60 dB."""
+    locations = [
+        make_location([make_pdp([100.0], [-60.0 - row], tx_az=180.0, rx_az=0.0, floor=-130.0)], tx_id=tx_id, rx_id=rx_id, pol=pol)
+        for row, (tx_id, rx_id, pol) in enumerate(keys)
+    ]
+    return Campaign("pairs", 142e9, 0.0, locations)
+
+
+def pairs_of(campaign: Campaign) -> list[tuple[int, float]]:
+    """(loc, xpd_db) of each row of the ``xpd_columns`` of a campaign's V-V and V-H tables."""
+    tables = (TapTable(campaign.columns, campaign.rows(pol)) for pol in (Polarization.VV, Polarization.VH))
+    columns = xpd_columns(*tables)
+    return list(zip(columns.loc.tolist(), columns.xpd_db.tolist()))
+
+
+def pairs_oracle(keys) -> list[tuple[int, float]]:
+    """(V-V table row, V-H campaign row - V-V campaign row) of each placement in both polarizations, by a loop."""
+    pairs = []
+    vv_rows = [row for row, key in enumerate(keys) if key[2] is Polarization.VV]
+    for loc, vv_row in enumerate(vv_rows):
+        for vh_row, key in enumerate(keys):
+            if key == (*keys[vv_row][:2], Polarization.VH):
+                pairs.append((loc, pytest.approx(vh_row - vv_row, abs=1e-9)))
+    return pairs
+
+
+class TestPairing:
+    """Each V-V location pairs with the V-H location of its (tx_id, rx_id); rows run in V-V table order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(KEYS, min_size=1, max_size=12, unique=True).flatmap(st.permutations))
+    def test_pairs_match_the_loop(self, keys):
+        assert pairs_of(campaign_of(keys)) == pairs_oracle(keys)
+
+    def test_pairs_by_ids_in_vv_table_order(self):
+        keys = [
+            ("TX2", "RX1", Polarization.VH),
+            ("TX10", "RX1", Polarization.VV),
+            ("TX2", "RX1", Polarization.VV),
+            ("TX1", "RX2", Polarization.VV),
+            ("TX10", "RX1", Polarization.VH),
+        ]
+        # TX10-RX1 (VV table row 0) pairs with campaign row 4, TX2-RX1 (row 1) with row 0; TX1-RX2 has no V-H
+        assert pairs_of(campaign_of(keys)) == [(0, pytest.approx(3.0)), (1, pytest.approx(-2.0))]
+
+    def test_unpaired_placements_on_either_side_add_no_rows(self):
+        taps = {(180.0, 0.0): -60.0}
+        vv = [make_location(sweep_set(taps), rx_id=rx_id) for rx_id in ("RX1", "RX2", "RX3")]
+        vh = [make_location(sweep_set(taps), pol=Polarization.VH, rx_id=rx_id) for rx_id in ("RX4", "RX2", "RX5")]
+        columns = xpd_columns(table_of(*vv), table_of(*vh))
+        assert columns.loc.tolist() == [1]
+        assert xpd_columns(table_of(*vv[::2]), table_of(*vh[::2])).loc.tolist() == []
+        other_rx = make_location(sweep_set(taps), pol=Polarization.VH, rx_id="RX2")
+        assert directional_xpd(vv[0], other_rx) == []
+
+    def test_rejects_a_vh_table_passed_as_vv(self):
+        loc_vv, loc_vh = polarization_pair({(180.0, 0.0): -60.0}, {(180.0, 0.0): -85.0})
+        with pytest.raises(ValidationError, match=r"^polarization: a VV table holds TX1-RX1 \(VH\)$"):
+            xpd_columns(table_of(loc_vh), table_of(loc_vh))
+        with pytest.raises(ValidationError, match=r"^polarization: a VH table holds TX1-RX1 \(VV\)$"):
+            xpd_columns(table_of(loc_vv), table_of(loc_vv))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_rejects_one_placement_held_twice(self, side):
+        pair = polarization_pair({(180.0, 0.0): -60.0}, {(180.0, 0.0): -85.0})
+        other = make_location(sweep_set({(180.0, 0.0): -60.0}), pol=pair[side].polarization, rx_id="RX2")
+        tables = [table_of(pair[0]), table_of(pair[1])]
+        tables[side] = table_of(pair[side], other, pair[side])
+        name = f"TX1-RX1 ({pair[side].polarization.value})"
+        with pytest.raises(ValidationError) as err:
+            xpd_columns(*tables)
+        assert str(err.value) == f"rx_id: a {pair[side].polarization.value} table holds {name} at rows 0 and 2"
 
 
 def classify_path(taps, los=True):
