@@ -38,7 +38,9 @@ class _Grid(NamedTuple):
     phase_deg: np.ndarray  # per location
     step_deg: np.ndarray  # per location
     off_grid: np.ndarray  # per sweep: its azimuth is off the grid
-    key: np.ndarray  # per tap: ``loc * width + k`` of its bin ``k``
+    keys: np.ndarray  # sorted ``loc * width + k`` of each bin ``k`` some tap falls into
+    phasor: np.ndarray  # per row of ``keys``: ``exp(1j * radians(bin azimuth))``
+    bin_of_tap: np.ndarray  # per tap: the row of ``keys`` of its bin
     width: int
     peak_db: np.ndarray  # per tap: the peak of its location
 
@@ -54,6 +56,7 @@ class _Spectra(NamedTuple):
     loc: np.ndarray
     k: np.ndarray
     bins_deg: np.ndarray
+    phasor: np.ndarray  # exp(1j * radians(bins_deg))
     powers_mw: np.ndarray
     grid: _Grid
 
@@ -81,8 +84,11 @@ def _grids(table: TapTable) -> dict[Side, _Grid]:
         off_grid = np.minimum(offset, step[sweep_loc] - offset) > 1e-6
         sweep_k = np.rint(rel / step[sweep_loc]).astype(np.intp) % n_bins[sweep_loc]
         width = max(int(n_bins.max(initial=0)), 1)
-        key = table.tap_loc * width + sweep_k[table.tap_sweep]
-        grids[side] = _Grid(n_bins, phase, step, off_grid, key, width, peak_db)
+        # unique keys come back sorted: location-major, bin index ascending
+        keys, bin_of_tap = np.unique(table.tap_loc * width + sweep_k[table.tap_sweep], return_inverse=True)
+        loc = keys // width
+        phasor = np.exp(1j * np.radians(phase[loc] + keys % width * step[loc]))
+        grids[side] = _Grid(n_bins, phase, step, off_grid, keys, phasor, bin_of_tap, width, peak_db)
     return grids
 
 
@@ -93,11 +99,13 @@ def _spectra(table: TapTable, side: Side, threshold_db: float) -> _Spectra:
     """
     grid = table.kept(_grids)[side]
     keep = in_db_window(table.power_db, grid.peak_db, threshold_db)
-    # unique keys come back sorted: location-major, bin index ascending
-    keys, bin_of_tap = np.unique(grid.key[keep], return_inverse=True)
-    powers = group_sums(bin_of_tap, table.power_mw[keep], len(keys))
+    powers = group_sums(grid.bin_of_tap[keep], table.power_mw[keep], len(grid.keys))
+    # every tap's linear power is > 0, so the bins with a kept tap are those with a positive sum
+    occupied = powers > 0.0
+    keys = grid.keys[occupied]
     loc, k = keys // grid.width, keys % grid.width
-    return _Spectra(loc, k, grid.phase_deg[loc] + k * grid.step_deg[loc], powers, grid)
+    bins_deg = grid.phase_deg[loc] + k * grid.step_deg[loc]
+    return _Spectra(loc, k, bins_deg, grid.phasor[occupied], powers[occupied], grid)
 
 
 def _check_grids(table: TapTable, sides: tuple[Side, ...], index: int | None = None) -> None:
@@ -159,7 +167,7 @@ def _unit_powers(spectra: _Spectra) -> np.ndarray:
 def _circular_means(spectra: _Spectra, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mean azimuth, degenerate) per spectrum of bin powers ``p``; a degenerate mean is tie-broken to 0."""
     n, loc = len(spectra.grid.n_bins), spectra.loc
-    weighted = p * np.exp(1j * np.radians(spectra.bins_deg))
+    weighted = p * spectra.phasor
     resultant = group_sums(loc, weighted.real, n) + 1j * group_sums(loc, weighted.imag, n)
     degenerate = np.abs(resultant) < DEGENERATE_RESULTANT_REL * group_sums(loc, p, n)
     mean = np.degrees(np.angle(resultant)) % 360.0

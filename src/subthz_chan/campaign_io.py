@@ -82,13 +82,14 @@ _FIRST_READ = 8192
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 #: the name ``cache_path`` appends to a manifest's, the first word of a cache file and the number of its
 #: layout, the alignment of its columns, the ``LocationColumns`` fields it holds as raw bytes, in order
-#: (the keys go in its JSON line), and the derived columns that follow them; the number changes with the
-#: layout, the columns or the rules ``Campaign`` accepts them by, since a hit trusts them
+#: (the keys go in its JSON line), and the derived columns that follow them (a column of the input files'
+#: SHA-256s comes last); the number changes with the layout, the columns or the rules ``Campaign`` accepts
+#: them by, since a hit trusts them
 _CACHE_SUFFIX = ".ingest-cache"
-_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "3"
+_CACHE_MAGIC, _CACHE_FORMAT = "subthz-chan-ingest-cache", "4"
 _CACHE_ALIGN = 8
 _CACHED_COLUMNS = tuple(field.name for field in fields(LocationColumns)[1:])
-_DERIVED_COLUMNS = ("distance_m", "power_mw")
+_DERIVED_COLUMNS = ("distance_m", "power_mw", "gain_free_mw", "received_dbm")
 #: the keys of a manifest entry, and the exact types of their values in an entry the lean lane takes
 _ENTRY_KEYS = ("sweeps", "tx_id", "rx_id", "polarization", "tx_pos_m", "rx_pos_m", "los", "antenna")
 _LEAN_TYPES = (str, str, str, str, list, list, bool, dict)
@@ -169,29 +170,27 @@ class Campaign:
             raise ValidationError("carrier_hz", "must be > 0")
         if len(set(columns.keys)) < len(columns):
             _raise_repeat(columns.keys)
-        self._assemble(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, input_sha256)
+        self._assemble(campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns)
+        self.input_sha256 = {} if input_sha256 is None else input_sha256
 
     @classmethod
-    def _trusted(cls, *args) -> "Campaign":
-        """``Campaign(*args)`` without its checks, for values a ``Campaign`` accepted before (a cache hit's)."""
+    def _trusted(cls, *args, names: list[str], digests: np.ndarray) -> "Campaign":
+        """``Campaign(*args)`` without its checks, for values a ``Campaign`` accepted before (a cache hit's),
+        whose ``input_sha256`` is decoded on first read from the file ``names`` and the rows of ``digests``,
+        each the 32 bytes of a SHA-256."""
         campaign = cls.__new__(cls)
         campaign._assemble(*args)
+        campaign._packed_sha256 = names, digests
         return campaign
 
-    def _assemble(self, campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns, input_sha256) -> None:
+    def _assemble(self, campaign_id, carrier_hz, tx_power_dbm, columns, delay_resolution_ns) -> None:
         self.campaign_id = campaign_id
         self.carrier_hz = carrier_hz
         self.tx_power_dbm = tx_power_dbm
         #: spacing of the delay lattice every sweep's delays sit on
         self.delay_resolution_ns = delay_resolution_ns
-        #: SHA-256 of each file ``ingest_campaign`` parsed, keyed by the manifest's
-        #: own name and each sweep path as the manifest spells it (empty when the
-        #: campaign was built in memory)
-        self.input_sha256 = {} if input_sha256 is None else input_sha256
         self.columns = columns
-        keys = columns.keys
-        self._row_of = dict(zip(keys, range(len(keys))))
-        pols = list(map(operator.itemgetter(2), keys))
+        pols = list(map(operator.itemgetter(2), columns.keys))
         #: the rows of each polarization, in campaign order
         self._rows = {
             pol: np.flatnonzero(np.fromiter(map(operator.is_, pols, repeat(pol)), bool, len(pols))) for pol in Polarization
@@ -213,6 +212,18 @@ class Campaign:
             f"tx_power_dbm={self.tx_power_dbm!r}, locations={self.locations!r}, "
             f"delay_resolution_ns={self.delay_resolution_ns!r})"
         )
+
+    @cached_property
+    def input_sha256(self) -> dict[str, str]:
+        """SHA-256 of each file ``ingest_campaign`` parsed, keyed by the manifest's own name and each
+        sweep path as the manifest spells it, in reading order (empty when the campaign was built in memory)."""
+        names, digests = self._packed_sha256
+        return dict(zip(names, _hex_rows(digests), strict=True))
+
+    @cached_property
+    def _row_of(self) -> dict[tuple[str, str, Polarization], int]:
+        keys = self.columns.keys
+        return dict(zip(keys, range(len(keys))))
 
     @cached_property
     def locations(self) -> tuple[LocationMeasurement, ...]:
@@ -239,6 +250,12 @@ class Campaign:
 
     def by_polarization(self, pol: Polarization) -> tuple[LocationMeasurement, ...]:
         return tuple(self.locations[row] for row in self.rows(pol).tolist())
+
+
+def _hex_rows(digests: np.ndarray) -> list[str]:
+    """The lowercase hex spelling of each 32-byte row of ``digests``."""
+    text = digests.tobytes().hex()
+    return [text[i : i + 64] for i in range(0, len(text), 64)]
 
 
 def _raise_repeat(keys: tuple) -> None:
@@ -613,12 +630,15 @@ def _read_location(entry, index: int, path: Path, rows: _SweepRows, inputs: _Inp
 
 def _sweep_paths(manifest: Path, rels: list[str]) -> list[str]:
     """The path of each sweep file named ``rels[i]`` by ``manifest``, as ``os.path.join`` joins it to the
-    manifest's directory; in one pass, but for a rooted name, which the join does not append."""
+    manifest's directory: in one pass over the NUL-joined names when none is rooted (which the join does
+    not append) and none holds a NUL, else name by name."""
     base = os.fspath(manifest.parent)
-    files = list(map(os.path.join(base, "").__add__, rels))
-    for i in compress(range(len(rels)), map(str.startswith, rels, repeat(tuple(_PATH_SEPARATORS)))):
-        files[i] = os.path.join(base, rels[i])
-    return files
+    joined = "\0" + "\0".join(rels)
+    if not any("\0" + sep in joined for sep in _PATH_SEPARATORS):
+        files = joined.replace("\0", "\0" + os.path.join(base, "")).split("\0")[1:]
+        if len(files) == len(rels):
+            return files
+    return [os.path.join(base, rel) for rel in rels]
 
 
 def _read_entries(
@@ -775,16 +795,13 @@ def load_campaign(manifest_path) -> Campaign:
     path = Path(manifest_path)
     cache = cache_path(path)
     try:
-        campaign = _cached(path, cache)
+        campaign, n_files = _cached(path, cache)
     except _Miss as miss:
         reason = str(miss)
     except Exception:  # whatever a damaged cache makes its decoding raise, ValidationError included
         reason = "cache rejected"
     else:
-        logger.info(
-            "ingest cache hit for %s: %d files re-hashed in %.3f s",
-            path, len(campaign.input_sha256), perf_counter() - started,
-        )
+        logger.info("ingest cache hit for %s: %d files re-hashed in %.3f s", path, n_files, perf_counter() - started)
         return campaign
     logger.info("ingest cache miss for %s: %s", path, reason)
     campaign = ingest_campaign(path)
@@ -796,9 +813,9 @@ class _Miss(Exception):
     """Why a cache file does not hold its manifest's campaign."""
 
 
-def _cached(path: Path, cache: Path) -> Campaign:
-    """The campaign ``cache`` holds for the manifest at ``path``; raises _Miss, or whatever a damaged
-    cache makes the decoding raise, when it holds none."""
+def _cached(path: Path, cache: Path) -> tuple[Campaign, int]:
+    """The campaign ``cache`` holds for the manifest at ``path``, and the number of files it was read from;
+    raises _Miss, or whatever a damaged cache makes the decoding raise, when it holds none."""
     try:
         data = _read_file(cache, None)
     except FileNotFoundError:
@@ -817,29 +834,32 @@ def _cached(path: Path, cache: Path) -> Campaign:
         raise _Miss("cache rejected")
     meta_end = data.index(b"\n", end + 1)
     meta = json.loads(data[end + 1 : meta_end])
-    digests = dict(meta["input_sha256"])
-    if next(iter(digests.items())) != (path.name, key):
-        raise _Miss("key mismatch")
-    rels, lengths = list(digests)[1:], meta["sweep_lengths"]
-    if _sweeps_digest(_sweep_paths(path, rels), lengths) != meta["sweeps_sha256"]:
-        # the first file that changed, at its pathlib path, which also opens a name only the line reader opens
-        for rel, n in zip(rels, lengths):
-            if _sweeps_digest([path.parent / rel], [n]) != digests[rel]:
-                raise _Miss(f"digest mismatch on {rel}")
     columns, offset = [], meta_end + 1
     for dtype, shape in meta["columns"]:
         offset += -offset % _CACHE_ALIGN
         column = np.frombuffer(data, np.dtype(dtype), math.prod(shape), offset).reshape(shape)
         columns.append(column)
         offset += column.nbytes
-    if offset != len(data):
+    names, digests = meta["inputs"], columns[-1]
+    if offset != len(data) or digests.shape != (len(names), 32):
         raise _Miss("cache rejected")
+    if names[0] != path.name or digests[0].tobytes().hex() != key:
+        raise _Miss("key mismatch")
+    rels, lengths = names[1:], meta["sweep_lengths"]
+    if _sweeps_digest(_sweep_paths(path, rels), lengths) != meta["sweeps_sha256"]:
+        # the first file that changed, at its pathlib path, which also opens a name only the line reader opens
+        for rel, n, digest in zip(rels, lengths, _hex_rows(digests[1:])):
+            if _sweeps_digest([path.parent / rel], [n]) != digest:
+                raise _Miss(f"digest mismatch on {rel}")
     keys = tuple(zip(meta["tx_id"], meta["rx_id"], map(_POLARIZATIONS.__getitem__, meta["polarization"]), strict=True))
     mapped = LocationColumns(keys, *columns[: len(_CACHED_COLUMNS)])
-    vars(mapped).update(zip(_DERIVED_COLUMNS, columns[len(_CACHED_COLUMNS) :], strict=True))  # as cached_property keeps them
-    return Campaign._trusted(
-        meta["campaign_id"], meta["carrier_hz"], meta["tx_power_dbm"], mapped, meta["delay_resolution_ns"], digests
+    # as cached_property keeps them
+    vars(mapped).update(zip(_DERIVED_COLUMNS, columns[len(_CACHED_COLUMNS) : -1], strict=True))
+    campaign = Campaign._trusted(
+        meta["campaign_id"], meta["carrier_hz"], meta["tx_power_dbm"], mapped, meta["delay_resolution_ns"],
+        names=names, digests=digests,
     )
+    return campaign, len(names)
 
 
 def _sweeps_digest(files: list, lengths: list[int]) -> str | None:
@@ -867,15 +887,17 @@ def _write_cache(path: Path, campaign: Campaign) -> None:
     """Write ``campaign``, as ingested from the manifest at ``path``, to its cache file, through a
     temporary name; skipped when that fails.  The file holds a header line (magic, format number,
     ``__version__``, the manifest's SHA-256, the body's), then the body: one JSON line with the campaign
-    scalars, ``input_sha256`` in order, the sweep files' lengths and stream digest as ingest read them, the keys
-    and each cached and derived column's dtype and shape, then each column's bytes, each on a multiple of 8."""
+    scalars, the names of ``input_sha256`` in order, the sweep files' lengths and stream digest as ingest read
+    them, the keys and each column's dtype and shape, then each column's bytes, each on a multiple of 8: the
+    cached columns, the derived columns, and the 32 bytes of each ``input_sha256`` digest, one row per name."""
     c = campaign.columns
-    columns = [np.ascontiguousarray(getattr(c, name)) for name in _CACHED_COLUMNS + _DERIVED_COLUMNS]
+    digests = np.frombuffer(bytes.fromhex("".join(campaign.input_sha256.values())), np.uint8).reshape(-1, 32)
+    columns = [np.ascontiguousarray(getattr(c, name)) for name in _CACHED_COLUMNS + _DERIVED_COLUMNS] + [digests]
     tx_ids, rx_ids, pols = zip(*c.keys)
     meta = {
         "campaign_id": campaign.campaign_id, "carrier_hz": campaign.carrier_hz,
         "tx_power_dbm": campaign.tx_power_dbm, "delay_resolution_ns": campaign.delay_resolution_ns,
-        "input_sha256": list(campaign.input_sha256.items()), **campaign._cache_items,
+        "inputs": list(campaign.input_sha256), **campaign._cache_items,
         "tx_id": tx_ids, "rx_id": rx_ids, "polarization": [pol.value for pol in pols],
         "columns": [(column.dtype.str, column.shape) for column in columns],
     }

@@ -1,10 +1,11 @@
 """Command-line entry point for campaign analysis and synthesis.
 
 Exit codes: 0 success, 2 validation or data-format failure, 3 degenerate
-fit, 4 I/O failure.  The ``SUBTHZ_CHAN_LOG`` environment variable sets
-the log level (DEBUG, INFO, WARNING, ...).  Every command that reads a
-campaign loads it with ``load_campaign``, which keeps an ingest cache file
-next to the manifest.
+fit, 4 I/O failure (a reader that closes stdout early included, which
+prints nothing).  The ``SUBTHZ_CHAN_LOG`` environment variable sets the
+log level (DEBUG, INFO, WARNING, ...; any other value means WARNING).
+Every command that reads a campaign loads it with ``load_campaign``, which
+keeps an ingest cache file next to the manifest.
 """
 from __future__ import annotations
 
@@ -338,13 +339,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level_name = os.environ.get("SUBTHZ_CHAN_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level_name, logging.WARNING))
+    # a level name gives its number; any other value (an attribute of ``logging`` such as BASIC_FORMAT included) a string
+    level = logging.getLevelName(os.environ.get("SUBTHZ_CHAN_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     argv = sys.argv[1:] if argv is None else argv
     # only the command that runs gets its arguments built
     args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command][2](args)
+        code = _COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a reader gone before the last write shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): say nothing, and send what shutdown
+        # still flushes to devnull, as the recipe in the ``signal`` module's docs does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
     except DegenerateFitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DEGENERATE_FIT

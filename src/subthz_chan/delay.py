@@ -8,7 +8,6 @@ import numpy as np
 
 from .measurement import (
     TapTable,
-    db_to_linear_array,
     group_bounds,
     group_max,
     group_sums,
@@ -37,22 +36,20 @@ def omni_bins(table: TapTable) -> OmniBins:
 
     Only the table's taps (above-floor bins of detectable sweeps)
     contribute, at their absolute delays.  Each tap adds
-    ``db_to_linear(power_db - gain_sum)`` (bit for bit, through
-    ``db_to_linear_array``) to its bin in tap order, as the running sum
-    over sweeps does.  Kept with the table, so omni path loss and every
-    delay threshold share one synthesis.
+    ``db_to_linear(power_db - gain_sum)`` (bit for bit: the table's
+    ``gain_free_mw``) to its bin in tap order, as the running sum over
+    sweeps does.  Kept with the table, so omni path loss and every delay
+    threshold share one synthesis.
     """
     return table.kept(_omni_bins)
 
 
 def _omni_bins(table: TapTable) -> OmniBins:
-    gained = table.power_db - table.gain_sum_dbi[table.tap_loc]
-    linear = db_to_linear_array(gained)
     delays, delay_rank = np.unique(table.delay_ns, return_inverse=True)
     n_delays = max(len(delays), 1)
     # unique keys come back sorted: location-major, delays ascending
     keys, key_of_tap = np.unique(table.tap_loc * n_delays + delay_rank, return_inverse=True)
-    power = group_sums(key_of_tap, linear, len(keys))
+    power = group_sums(key_of_tap, table.gain_free_mw, len(keys))
     loc = keys // n_delays
     return OmniBins(loc, delays[keys % n_delays], power, group_sums(loc, power, len(table)))
 

@@ -353,7 +353,9 @@ class LocationColumns:
     the tap columns, in bin order.  An antenna row is (gain_dbi, hpbw_deg,
     az_step_deg, height_m).  ``of`` is the one conversion from
     ``LocationMeasurement`` objects, which ``Campaign`` makes; ``build``
-    makes objects back on request.
+    makes objects back on request.  The derived columns (``distance_m``,
+    ``power_mw``, ``gain_free_mw``, ``received_dbm``) are computed on first
+    use and kept; the ingest cache stores them.
     """
 
     #: ``LocationMeasurement.key`` of each location
@@ -425,6 +427,26 @@ class LocationColumns:
     def power_mw(self) -> np.ndarray:
         """``db_to_linear_array`` of every tap's power."""
         return db_to_linear_array(self.power_db)
+
+    @cached_property
+    def gain_free_mw(self) -> np.ndarray:
+        """``db_to_linear_array`` of every tap's power less its location's two antenna gains."""
+        gain_sum_dbi = (self.tx_antenna[:, 0] + self.rx_antenna[:, 0])[self.sweep_loc]
+        return db_to_linear_array(self.power_db - np.repeat(gain_sum_dbi, np.diff(self.tap_bounds)))
+
+    @cached_property
+    def received_dbm(self) -> np.ndarray:
+        """``linear_to_db_array`` of each sweep's received power, the ``power_mw`` of its taps at or above
+        its noise floor added in tap order (``group_sums``); NaN for a sweep none of whose taps clears it."""
+        n_sweeps = len(self.tx_az_deg)
+        tap_sweep = np.repeat(np.arange(n_sweeps), np.diff(self.tap_bounds))
+        above = self.power_db >= self.noise_floor_db[tap_sweep]
+        total_mw = group_sums(tap_sweep[above], self.power_mw[above], n_sweeps)
+        # every tap's linear power is > 0 (``DB_LIMIT``), so a sum of 0 is a sweep with no tap above its floor
+        heard = total_mw > 0.0
+        received = np.full(n_sweeps, np.nan)
+        received[heard] = linear_to_db_array(total_mw[heard])
+        return received
 
     @cached_property
     def sweep_loc(self) -> np.ndarray:
@@ -540,18 +562,21 @@ class TapTable:
 
     Built from ``LocationColumns`` and the rows of the locations it
     covers (all of them when ``rows`` is None), in the order given.  Tap
-    columns (``tap_*``, ``delay_ns``, ``power_db``, ``power_mw``) run in
-    location -> sweep -> delay order, sweep columns in location -> sweep
-    order, and location columns in table order.  Only sweeps whose peak
-    clears the floor get a row, and only their bins at or above the floor,
-    so a location without signal has no sweep rows (``n_sweeps`` 0).
+    columns (``tap_*``, ``delay_ns``, ``power_db``, ``power_mw``,
+    ``gain_free_mw``) run in location -> sweep -> delay order, sweep
+    columns in location -> sweep order, and location columns in table
+    order.  Only sweeps whose peak clears the floor get a row, and only
+    their bins at or above the floor, so a location without signal has no
+    sweep rows (``n_sweeps`` 0).
 
-    ``power_mw`` is ``db_to_linear_array`` of ``power_db``: the scalar
-    ``db_to_linear`` of each tap, bit for bit, as a C-level ``math.pow``
-    map, taken from ``LocationColumns.power_mw``.  ``np.power`` differs
-    from it in the last bit on some values, which flips exact 30 dB ties,
-    so it is not used.  Derived columns of a higher layer are computed
-    once per table through ``kept``.
+    ``power_mw``, ``gain_free_mw`` and ``received_dbm`` are taken from the
+    ``LocationColumns`` columns of those names, the one place the analysis
+    maps ``math.pow`` or ``math.log10`` over taps or sweeps: each is the
+    scalar ``db_to_linear`` or ``linear_to_db`` of its value, bit for bit.
+    The last two are gathered on each read, not held.
+    ``np.power`` and ``np.log10`` differ from them in the last bit on some
+    values, which flips exact 30 dB ties, so they are not used.  Derived
+    columns of a higher layer are computed once per table through ``kept``.
     """
 
     def __init__(self, columns: LocationColumns, rows: np.ndarray | None = None):
@@ -567,28 +592,49 @@ class TapTable:
         self.tx_step_deg = columns.tx_antenna[rows, 2]
         self.rx_step_deg = columns.rx_antenna[rows, 2]
 
-        first = columns.sweep_bounds[rows]
-        sweep_count = columns.sweep_bounds[rows + 1] - first
-        sweeps = concat_ranges(first, sweep_count)
-        detectable = columns.detectable[sweeps]
-        sweeps = sweeps[detectable]
-        self.sweep_loc = np.repeat(np.arange(len(rows)), sweep_count)[detectable]
+        sweeps, self.sweep_loc = self._sweep_rows()
         self.tx_az_deg = columns.tx_az_deg[sweeps]
         self.rx_az_deg = columns.rx_az_deg[sweeps]
         self.n_sweeps = np.bincount(self.sweep_loc, minlength=len(rows))
 
+        taps, self.tap_sweep = self._tap_rows(sweeps)
+        self.tap_loc = self.sweep_loc[self.tap_sweep]
+        self.delay_ns = columns.delay_ns[taps]
+        self.power_db = columns.power_db[taps]
+        self.power_mw = columns.power_mw[taps]
+        self.peak_db = columns.peak_db[sweeps]
+        self._kept: dict[Callable, object] = {}
+
+    def _sweep_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the ``LocationColumns`` row of each of the table's sweeps, its table location)."""
+        columns, rows = self.columns, self.rows
+        first = columns.sweep_bounds[rows]
+        sweep_count = columns.sweep_bounds[rows + 1] - first
+        sweeps = concat_ranges(first, sweep_count)
+        detectable = columns.detectable[sweeps]
+        return sweeps[detectable], np.repeat(np.arange(len(rows)), sweep_count)[detectable]
+
+    def _tap_rows(self, sweeps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(the ``LocationColumns`` row of each tap of the table's ``sweeps``, its table sweep)."""
+        columns = self.columns
         first = columns.tap_bounds[sweeps]
         tap_count = columns.tap_bounds[sweeps + 1] - first
         taps = concat_ranges(first, tap_count)
         tap_sweep = np.repeat(np.arange(len(sweeps)), tap_count)
         above = columns.power_db[taps] >= columns.noise_floor_db[sweeps][tap_sweep]
-        self.tap_sweep = tap_sweep[above]
-        self.tap_loc = self.sweep_loc[self.tap_sweep]
-        self.delay_ns = columns.delay_ns[taps[above]]
-        self.power_db = columns.power_db[taps[above]]
-        self.power_mw = columns.power_mw[taps[above]]
-        self.peak_db = columns.peak_db[sweeps]
-        self._kept: dict[Callable, object] = {}
+        return taps[above], tap_sweep[above]
+
+    @property
+    def gain_free_mw(self) -> np.ndarray:
+        """Per tap, ``LocationColumns.gain_free_mw``; gathered on each read and not held, as only a kept
+        result (the omni bins) reads it."""
+        return self.columns.gain_free_mw[self._tap_rows(self._sweep_rows()[0])[0]]
+
+    @property
+    def received_dbm(self) -> np.ndarray:
+        """Per sweep, ``LocationColumns.received_dbm``; gathered on each read and not held, as only a kept
+        result (the sweep path losses) reads it."""
+        return self.columns.received_dbm[self._sweep_rows()[0]]
 
     def __len__(self) -> int:
         return len(self.rows)

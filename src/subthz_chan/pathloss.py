@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -77,6 +78,12 @@ class PathLossColumns:
 
     def __len__(self) -> int:
         return len(self.loc)
+
+    @cached_property
+    def log10_distance(self) -> np.ndarray:
+        """``log10_array(distance_m / D0_M)``, the fits' distance term; samples of a table
+        (``_columns``) take it from the one map kept with the table."""
+        return log10_array(self.distance_m / D0_M)
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,7 @@ def _sweep_power_mw(table: TapTable) -> np.ndarray:
 
 def _sweep_losses(table: TapTable) -> np.ndarray:
     loc = table.sweep_loc
-    received_dbm = linear_to_db_array(table.kept(_sweep_power_mw))
-    return table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - received_dbm
+    return table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - table.received_dbm
 
 
 def _first_per_location(rows: np.ndarray, loc: np.ndarray, keys: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -182,8 +188,14 @@ def _classes(table: TapTable) -> np.ndarray:
     return classes
 
 
+def _log10_distance(table: TapTable) -> np.ndarray:
+    return log10_array(table.distance_m / D0_M)
+
+
 def _columns(table: TapTable, loc: np.ndarray, pl_db: np.ndarray) -> PathLossColumns:
-    return PathLossColumns(loc, table.distance_m[loc], pl_db)
+    columns = PathLossColumns(loc, table.distance_m[loc], pl_db)
+    vars(columns)["log10_distance"] = table.kept(_log10_distance)[loc]  # as cached_property keeps it
+    return columns
 
 
 def omni_losses(
@@ -236,7 +248,7 @@ def directional_samples(
 
 
 def _fit_inputs(samples: PathLossColumns) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, losses) of ``samples``: every distance must exceed the
+    """(``log10_distance``, losses) of ``samples``: every distance must exceed the
     reference and every loss must be finite."""
     distance_m, pl_db = samples.distance_m, samples.pl_db
     near = ~(distance_m > D0_M)
@@ -244,7 +256,7 @@ def _fit_inputs(samples: PathLossColumns) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("distance_m", f"must exceed the {D0_M:g} m reference, got {distance_m[near][0]}")
     if not np.isfinite(pl_db).all():
         raise ValidationError("pl_db", "must be finite")
-    return distance_m, pl_db
+    return samples.log10_distance, pl_db
 
 
 def fit_ci(samples: PathLossColumns, frequency_hz: float) -> CiFit:
@@ -254,11 +266,11 @@ def fit_ci(samples: PathLossColumns, frequency_hz: float) -> CiFit:
     measured loss minus the 1 m anchor; sigma is the population RMS of
     the residuals.
     """
-    distance_m, pl_db = _fit_inputs(samples)
-    if len(distance_m) < 2:
-        raise DegenerateFitError(f"need at least 2 samples to fit an exponent, got {len(distance_m)}")
+    log10_distance, pl_db = _fit_inputs(samples)
+    if len(pl_db) < 2:
+        raise DegenerateFitError(f"need at least 2 samples to fit an exponent, got {len(pl_db)}")
     anchor = fspl(frequency_hz, D0_M)
-    a = linear_to_db_array(distance_m / D0_M)
+    a = 10.0 * log10_distance  # linear_to_db_array(distance_m / D0_M), bit for bit
     b = pl_db - anchor
     denom = float(np.dot(a, a))
     if denom <= 1e-12:
@@ -266,7 +278,7 @@ def fit_ci(samples: PathLossColumns, frequency_hz: float) -> CiFit:
     ple = float(np.dot(a, b) / denom)
     residuals = b - ple * a
     sigma = float(np.sqrt(np.mean(residuals**2)))
-    return CiFit(ple=ple, sigma_db=sigma, n_samples=len(distance_m), fspl_anchor_db=anchor)
+    return CiFit(ple=ple, sigma_db=sigma, n_samples=len(pl_db), fspl_anchor_db=anchor)
 
 
 def fit_cix(vh_samples: PathLossColumns, ci_vv: CiFit, frequency_hz: float) -> CixFit:
@@ -275,12 +287,12 @@ def fit_cix(vh_samples: PathLossColumns, ci_vv: CiFit, frequency_hz: float) -> C
     The offset is the mean excess of the cross-polar loss over the
     co-polar model; sigma is the population RMS about that mean.
     """
-    distance_m, pl_db = _fit_inputs(vh_samples)
-    if not len(distance_m):
+    log10_distance, pl_db = _fit_inputs(vh_samples)
+    if not len(pl_db):
         raise DegenerateFitError("need at least 1 cross-polar sample")
     anchor = fspl(frequency_hz, D0_M)
     # (pl - anchor) - (10 ple) log10(d), in the order the scalar form rounds
-    excess = pl_db - anchor - 10.0 * ci_vv.ple * log10_array(distance_m / D0_M)
+    excess = pl_db - anchor - 10.0 * ci_vv.ple * log10_distance
     xpd = float(np.mean(excess))
     sigma = float(np.sqrt(np.mean((excess - xpd) ** 2)))
-    return CixFit(xpd_db=xpd, sigma_db=sigma, ple_vv=ci_vv.ple, n_samples=len(distance_m))
+    return CixFit(xpd_db=xpd, sigma_db=sigma, ple_vv=ci_vv.ple, n_samples=len(pl_db))

@@ -171,6 +171,7 @@ class Analysis:
         self.max_measurable_pl_db = max_measurable_pl_db
         self._samples: dict[tuple[Polarization, SampleKind], PathLossColumns] = {}
         self._omni: dict[Polarization, tuple[PathLossColumns, list[dict]]] = {}
+        self._fits: dict[tuple[Polarization, SampleKind], CiFit] = {}
         self._tables: dict[Polarization, TapTable] = {}
 
     def table(self, pol: Polarization) -> TapTable:
@@ -216,8 +217,10 @@ class Analysis:
             self._samples[pol, kind] = samples
 
     def fit(self, pol: Polarization, kind: SampleKind) -> CiFit:
-        """Close-in fit of one sample class; DegenerateFitError under two samples."""
-        return fit_ci(self.samples(pol, kind), self.carrier_hz)
+        """Close-in fit of one sample class, kept; DegenerateFitError under two samples."""
+        if (pol, kind) not in self._fits:
+            self._fits[pol, kind] = fit_ci(self.samples(pol, kind), self.carrier_hz)
+        return self._fits[pol, kind]
 
     def cross_polar(self, kind: SampleKind) -> CixFit:
         """Cross-polar fit of the VH samples of ``kind`` over the VV fit of that kind."""

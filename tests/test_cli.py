@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -715,10 +720,35 @@ class TestLogging:
         assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
         capsys.readouterr()
 
-    def test_bogus_level_falls_back(self, manifest, monkeypatch, capsys):
-        monkeypatch.setenv("SUBTHZ_CHAN_LOG", "VERY_CHATTY")
-        assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
+    # BASIC_FORMAT and _STYLES are attributes of ``logging``, but no level names
+    @pytest.mark.parametrize("value", ["VERY_CHATTY", "basic_format", "_styles"])
+    def test_bogus_level_falls_back(self, manifest, monkeypatch, capsys, value):
+        # a root logger without handlers, as in a fresh process, takes the level main passes to basicConfig
+        root = logging.getLogger()
+        level = root.level
+        monkeypatch.setattr(root, "handlers", [])
+        monkeypatch.setenv("SUBTHZ_CHAN_LOG", value)
+        try:
+            assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
+            assert root.level == logging.WARNING
+        finally:
+            root.setLevel(level)
         capsys.readouterr()
+
+
+def test_a_reader_closing_stdout_early_gets_exit_4_and_no_message(tmp_path):
+    # the JSON listing of 800 locations (about 150 KB) outgrows the pipe, so the command is still
+    # writing when the reader closes it after the first line, as ``| head -1`` does
+    manifest = render_campaign(SynthesisParams(), 400, 1, tmp_path / "campaign").manifest_path
+    env = {k: v for k, v in os.environ.items() if k != "SUBTHZ_CHAN_LOG"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "subthz_chan", "ingest", "--format", "json", "--manifest", str(manifest)]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, stderr) == (EXIT_IO, b"")
 
 
 class TestObjectsOnRequest:

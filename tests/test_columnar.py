@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from subthz_chan import (
     Analysis,
     Campaign,
     DirectionClass,
+    LocationColumns,
     NoSignalError,
     Polarization,
     SampleKind,
@@ -165,6 +167,42 @@ class TestTapTable:
 
         assert table.kept(compute) == table.kept(compute) == 1
         assert calls == [table]
+
+
+def loop_derived(columns):
+    """(``gain_free_mw``, ``received_dbm``) of ``LocationColumns``, by a scalar loop over their records:
+    ``db_to_linear`` of each tap's power less both gains, and ``linear_to_db`` of each sweep's running
+    sum over its taps at or above the floor (NaN when it has none)."""
+    gain_free_mw, received_dbm = [], []
+    for loc in columns.build(range(len(columns))):
+        gain_sum_dbi = loc.tx_antenna.gain_dbi + loc.rx_antenna.gain_dbi
+        for pdp in loc.sweeps:
+            gain_free_mw += [db_to_linear(p - gain_sum_dbi) for p in pdp.powers_db]
+            total, heard = 0.0, False
+            for _, p in detected_bins(pdp):
+                total, heard = total + db_to_linear(p), True
+            received_dbm.append(linear_to_db(total) if heard else math.nan)
+    return np.array(gain_free_mw), np.array(received_dbm)
+
+
+@pytest.mark.parametrize("which", ["render", "no signal", "one location"])
+def test_derived_columns_are_the_scalar_maps_bit_for_bit(campaign, which):
+    # fresh columns, so each derived column is computed here, under warnings raised as errors
+    locations = {"render": campaign.locations, "no signal": campaign.locations[-1:], "one location": campaign.locations[:1]}
+    columns = LocationColumns.of(locations[which])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gain_free_mw, received_dbm = columns.gain_free_mw, columns.received_dbm
+    expected_gain_free_mw, expected_received_dbm = loop_derived(columns)
+    assert gain_free_mw.tobytes() == expected_gain_free_mw.tobytes()
+    assert received_dbm.tobytes() == expected_received_dbm.tobytes()
+    assert np.isnan(received_dbm).all() == (which == "no signal")
+    # a table takes its rows of both
+    table = TapTable(columns)
+    assert table.received_dbm.tobytes() == received_dbm[columns.detectable].tobytes()
+    assert table.gain_free_mw.tobytes() == np.array(
+        [db_to_linear(p - table.gain_sum_dbi[loc]) for p, loc in zip(table.power_db.tolist(), table.tap_loc.tolist())]
+    ).tobytes()
 
 
 class TestKernelsMatchPerLocationFunctions:

@@ -264,53 +264,97 @@ def test_damaged_cache_is_a_silent_miss_and_rewritten(manifest, caplog, capsys, 
     assert capsys.readouterr() == ("", "")
 
 
-def test_a_format_1_cache_is_a_silent_miss_and_rewritten(manifest, caplog, monkeypatch):
-    # format 1 held the base columns alone, each checked again by ``Campaign`` on a hit
-    expected = load_campaign(manifest)
-    good = cache_path(manifest).read_bytes()
-    with monkeypatch.context() as m:
-        m.setattr(campaign_io, "_CACHE_FORMAT", "1")
-        m.setattr(campaign_io, "_DERIVED_COLUMNS", ())
-        campaign_io._write_cache(manifest, expected)
-    old = cache_path(manifest).read_bytes()
-    assert old.split(b" ", 2)[1] == b"1" and len(_meta(old)[0]["columns"]) == len(campaign_io._CACHED_COLUMNS)
-    with caplog.at_level(logging.INFO, logger=LOGGER):
-        loaded = load_campaign(manifest)
-    assert loaded == expected and list(loaded.input_sha256.items()) == list(expected.input_sha256.items())
-    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: cache rejected"
-    assert cache_path(manifest).read_bytes() == good
-
-
-def _as_format_2(data: bytes) -> bytes:
-    """A format-3 cache file laid out as format 2 wrote it: its JSON line without the sweep files' lengths
-    and the SHA-256 of their bytes, the columns aligned again after it, and the body digest of the result."""
+def _columns_of(data: bytes) -> tuple[dict, list[bytes]]:
+    """The JSON line of a cache file and the bytes of each of its columns, in order."""
     meta, offset = _meta(data)
     columns = []
     for dtype, shape in meta["columns"]:
         offset += -offset % campaign_io._CACHE_ALIGN
         columns.append(data[offset : offset + np.dtype(dtype).itemsize * math.prod(shape)])
         offset += len(columns[-1])
-    del meta["sweep_lengths"], meta["sweeps_sha256"]
+    return meta, columns
+
+
+def _laid_out(data: bytes, layout: str, meta: dict, columns: list[bytes]) -> bytes:
+    """The cache file ``data`` with format number ``layout``, JSON line ``meta`` and ``columns``, each
+    aligned after it, under the body digest of the result."""
     magic, _, version, key, _ = data[: data.index(b"\n")].decode().split(" ")
-    head = f"{magic} 2 {version} {key} "
+    head = f"{magic} {layout} {version} {key} "
     body = json.dumps(meta, sort_keys=True).encode() + b"\n"
     for column in columns:
         body += bytes(-(len(head) + 64 + 1 + len(body)) % campaign_io._CACHE_ALIGN) + column
     return f"{head}{hashlib.sha256(body).hexdigest()}\n".encode() + body
 
 
-def test_a_format_2_cache_is_a_silent_miss_and_rewritten(manifest, caplog):
+def _as_format_3(data: bytes) -> bytes:
+    """A format-4 cache file laid out as format 3 wrote it: ``input_sha256`` as (name, hex digest) pairs in
+    its JSON line in place of the names and the digest column, and two derived columns, not four."""
+    meta, columns = _columns_of(data)
+    hexed = columns[-1].hex()
+    meta["input_sha256"] = [[name, hexed[64 * i : 64 * i + 64]] for i, name in enumerate(meta.pop("inputs"))]
+    n_columns = len(campaign_io._CACHED_COLUMNS) + 2
+    meta["columns"] = meta["columns"][:n_columns]
+    return _laid_out(data, "3", meta, columns[:n_columns])
+
+
+def _as_format_2(data: bytes) -> bytes:
+    """A format-4 cache file laid out as format 2 wrote it: as format 3, without the sweep files' lengths
+    and the SHA-256 of their bytes."""
+    meta, columns = _columns_of(_as_format_3(data))
+    del meta["sweep_lengths"], meta["sweeps_sha256"]
+    return _laid_out(data, "2", meta, columns)
+
+
+def _as_format_1(data: bytes) -> bytes:
+    """A format-4 cache file laid out as format 1 wrote it: as format 2, with the base columns alone."""
+    meta, columns = _columns_of(_as_format_2(data))
+    n_columns = len(campaign_io._CACHED_COLUMNS)
+    meta["columns"] = meta["columns"][:n_columns]
+    return _laid_out(data, "1", meta, columns[:n_columns])
+
+
+#: by older format number: the function laying a format-4 file out as that format wrote it
+OLDER_FORMATS = {
+    # format 1 held the base columns alone, each checked again by ``Campaign`` on a hit
+    "1": _as_format_1,
     # format 2 kept one SHA-256 per sweep file and no lengths, and a hit read and hashed each file apart
+    "2": _as_format_2,
+    # format 3 kept the digests as hex in the JSON line and lacked the gain-free and received-power columns
+    "3": _as_format_3,
+}
+
+
+def _check_older_format_misses(manifest: Path, caplog, layout: str) -> None:
     expected = load_campaign(manifest)
     good = cache_path(manifest).read_bytes()
-    old = _as_format_2(good)
-    assert old.split(b" ", 2)[1] == b"2" and b"sweeps_sha256" not in old
+    old = OLDER_FORMATS[layout](good)
+    assert old.split(b" ", 2)[1] == layout.encode()
     cache_path(manifest).write_bytes(old)
     with caplog.at_level(logging.INFO, logger=LOGGER):
         loaded = load_campaign(manifest)
     assert loaded == expected and list(loaded.input_sha256.items()) == list(expected.input_sha256.items())
     assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: cache rejected"
     assert cache_path(manifest).read_bytes() == good
+
+
+def test_a_format_1_cache_is_a_silent_miss_and_rewritten(manifest, caplog):
+    load_campaign(manifest)
+    assert len(_meta(_as_format_1(cache_path(manifest).read_bytes()))[0]["columns"]) == len(campaign_io._CACHED_COLUMNS)
+    _check_older_format_misses(manifest, caplog, "1")
+
+
+def test_a_format_2_cache_is_a_silent_miss_and_rewritten(manifest, caplog):
+    load_campaign(manifest)
+    assert b"sweeps_sha256" not in _as_format_2(cache_path(manifest).read_bytes())
+    _check_older_format_misses(manifest, caplog, "2")
+
+
+def test_a_format_3_cache_is_a_silent_miss_and_rewritten(manifest, caplog):
+    load_campaign(manifest)
+    meta, columns = _columns_of(_as_format_3(cache_path(manifest).read_bytes()))
+    assert "inputs" not in meta and [name for name, _ in meta["input_sha256"]] == list(load_campaign(manifest).input_sha256)
+    assert len(columns) == len(campaign_io._CACHED_COLUMNS) + 2
+    _check_older_format_misses(manifest, caplog, "3")
 
 
 def test_foreign_cache_is_a_key_mismatch(manifest, tmp_path, caplog):
@@ -498,6 +542,19 @@ def test_a_hit_opens_each_file_once(manifest, monkeypatch):
     assert len(reads) == 2 * len(opened)
 
 
+def test_after_a_hit_only_report_decodes_the_digests(manifest, tmp_path, capsys, caplog, monkeypatch):
+    expected = ingest_campaign(manifest).input_sha256
+    load_campaign(manifest)
+    with monkeypatch.context() as m:
+        m.setattr(campaign_io, "_hex_rows", lambda digests: pytest.fail("a hit decoded its digests"))
+        with caplog.at_level(logging.INFO, logger=LOGGER):
+            for argv in (["fit", "pathloss"], ["stats", "delay"], ["stats", "angular"]):
+                assert _run([*argv, "--manifest", str(manifest)], capsys)[0] == EXIT_OK
+        assert len(_messages(caplog)) == 3 and all(" cache hit " in message for message in _messages(caplog))
+    assert _run(["report", "--manifest", str(manifest), "--out", str(tmp_path / "out")], capsys)[0] == EXIT_OK
+    assert json.loads((tmp_path / "out" / "report.json").read_bytes())["inputs_sha256"] == expected
+
+
 def test_silent_at_warning(manifest, caplog):
     with caplog.at_level(logging.WARNING):
         load_campaign(manifest)
@@ -545,28 +602,32 @@ def test_header_names_format_version_and_key(manifest):
     campaign = load_campaign(manifest)
     head = cache_path(manifest).read_bytes().split(b"\n", 1)[0].decode()
     magic, layout, version, key, body = head.split(" ")
-    assert (magic, layout, version) == ("subthz-chan-ingest-cache", "3", __version__)
+    assert (magic, layout, version) == ("subthz-chan-ingest-cache", "4", __version__)
     assert key == campaign.input_sha256[MANIFEST]
     assert len(body) == 64
 
 
-#: (name, dtype) of each column a format-3 cache file holds, in order: the ``LocationColumns`` fields, then
-#: the derived columns; a change here (a field added to ``LocationColumns``, say) needs a new ``_CACHE_FORMAT``
-FORMAT_3_COLUMNS = [
+#: (name, dtype) of each column a format-4 cache file holds, in order: the ``LocationColumns`` fields, the
+#: derived columns, then the 32 bytes of each input file's SHA-256; a change here (a field added to
+#: ``LocationColumns``, say) needs a new ``_CACHE_FORMAT``
+FORMAT_4_COLUMNS = [
     ("tx_pos_m", "<f8"), ("rx_pos_m", "<f8"), ("los", "|b1"), ("tx_antenna", "<f8"), ("rx_antenna", "<f8"),
     ("tx_power_dbm", "<f8"), ("sweep_bounds", np.dtype(np.intp).str), ("tx_az_deg", "<f8"), ("rx_az_deg", "<f8"),
     ("noise_floor_db", "<f8"), ("tap_bounds", np.dtype(np.intp).str), ("delay_ns", "<f8"), ("power_db", "<f8"),
-    ("distance_m", "<f8"), ("power_mw", "<f8"),
+    ("distance_m", "<f8"), ("power_mw", "<f8"), ("gain_free_mw", "<f8"), ("received_dbm", "<f8"),
+    ("input_sha256", "|u1"),
 ]
 
 
 def test_the_current_format_pins_its_columns(manifest):
-    load_campaign(manifest)
+    campaign = load_campaign(manifest)
     meta, _ = _meta(cache_path(manifest).read_bytes())
-    names = campaign_io._CACHED_COLUMNS + campaign_io._DERIVED_COLUMNS
-    assert campaign_io._CACHE_FORMAT == "3"
-    assert [(name, dtype) for name, (dtype, _) in zip(names, meta["columns"], strict=True)] == FORMAT_3_COLUMNS
+    names = campaign_io._CACHED_COLUMNS + campaign_io._DERIVED_COLUMNS + ("input_sha256",)
+    assert campaign_io._CACHE_FORMAT == "4"
+    assert [(name, dtype) for name, (dtype, _) in zip(names, meta["columns"], strict=True)] == FORMAT_4_COLUMNS
+    assert meta["columns"][-1][1] == [len(campaign.input_sha256), 32]
+    assert meta["inputs"] == list(campaign.input_sha256)
     assert sorted(meta) == [
-        "campaign_id", "carrier_hz", "columns", "delay_resolution_ns", "input_sha256", "polarization", "rx_id",
+        "campaign_id", "carrier_hz", "columns", "delay_resolution_ns", "inputs", "polarization", "rx_id",
         "sweep_lengths", "sweeps_sha256", "tx_id", "tx_power_dbm",
     ]
