@@ -867,17 +867,10 @@ def _sweeps_digest(files: list, lengths: list[int]) -> str | None:
     stream = hashlib.sha256()
     for file, n in zip(files, lengths, strict=True):
         try:
-            fd = os.open(file, _READ_FLAGS)
-            try:
-                # a byte past n shows a longer file, a short read reads on, and only an empty read ends n bytes
-                data = os.read(fd, n + 1)
-                while len(data) < n and (more := os.read(fd, n + 1 - len(data))):
-                    data += more
-                if len(data) != n or os.read(fd, 1):
-                    return None
-            finally:
-                os.close(fd)
+            data = _read_file(file, n + 1)  # a byte past n shows a longer file
         except OSError:  # no such file, not a file
+            return None
+        if len(data) != n:
             return None
         stream.update(data)
     return stream.hexdigest()

@@ -435,16 +435,21 @@ class LocationColumns:
         return db_to_linear_array(self.power_db - np.repeat(gain_sum_dbi, np.diff(self.tap_bounds)))
 
     @cached_property
-    def received_dbm(self) -> np.ndarray:
-        """``linear_to_db_array`` of each sweep's received power, the ``power_mw`` of its taps at or above
-        its noise floor added in tap order (``group_sums``); NaN for a sweep none of whose taps clears it."""
+    def received_mw(self) -> np.ndarray:
+        """Each sweep's received power, the ``power_mw`` of its taps at or above its noise floor added in
+        tap order (``group_sums``); 0 for a sweep none of whose taps clears it.  Not stored in the cache."""
         n_sweeps = len(self.tx_az_deg)
         tap_sweep = np.repeat(np.arange(n_sweeps), np.diff(self.tap_bounds))
         above = self.power_db >= self.noise_floor_db[tap_sweep]
-        total_mw = group_sums(tap_sweep[above], self.power_mw[above], n_sweeps)
+        return group_sums(tap_sweep[above], self.power_mw[above], n_sweeps)
+
+    @cached_property
+    def received_dbm(self) -> np.ndarray:
+        """``linear_to_db_array`` of ``received_mw``; NaN for a sweep none of whose taps clears its floor."""
+        total_mw = self.received_mw
         # every tap's linear power is > 0 (``DB_LIMIT``), so a sum of 0 is a sweep with no tap above its floor
         heard = total_mw > 0.0
-        received = np.full(n_sweeps, np.nan)
+        received = np.full(len(total_mw), np.nan)
         received[heard] = linear_to_db_array(total_mw[heard])
         return received
 
@@ -573,7 +578,8 @@ class TapTable:
     ``LocationColumns`` columns of those names, the one place the analysis
     maps ``math.pow`` or ``math.log10`` over taps or sweeps: each is the
     scalar ``db_to_linear`` or ``linear_to_db`` of its value, bit for bit.
-    The last two are gathered on each read, not held.
+    The last two are gathered on each read through ``tap_rows`` and
+    ``sweep_rows``, the ``LocationColumns`` row of each tap and sweep.
     ``np.power`` and ``np.log10`` differ from them in the last bit on some
     values, which flips exact 30 dB ties, so they are not used.  Derived
     columns of a higher layer are computed once per table through ``kept``.
@@ -592,12 +598,23 @@ class TapTable:
         self.tx_step_deg = columns.tx_antenna[rows, 2]
         self.rx_step_deg = columns.rx_antenna[rows, 2]
 
-        sweeps, self.sweep_loc = self._sweep_rows()
+        first = columns.sweep_bounds[rows]
+        sweep_count = columns.sweep_bounds[rows + 1] - first
+        sweeps = concat_ranges(first, sweep_count)
+        detectable = columns.detectable[sweeps]
+        self.sweep_rows = sweeps = sweeps[detectable]
+        self.sweep_loc = np.repeat(np.arange(len(rows)), sweep_count)[detectable]
         self.tx_az_deg = columns.tx_az_deg[sweeps]
         self.rx_az_deg = columns.rx_az_deg[sweeps]
         self.n_sweeps = np.bincount(self.sweep_loc, minlength=len(rows))
 
-        taps, self.tap_sweep = self._tap_rows(sweeps)
+        first = columns.tap_bounds[sweeps]
+        tap_count = columns.tap_bounds[sweeps + 1] - first
+        taps = concat_ranges(first, tap_count)
+        tap_sweep = np.repeat(np.arange(len(sweeps)), tap_count)
+        above = columns.power_db[taps] >= columns.noise_floor_db[sweeps][tap_sweep]
+        self.tap_rows = taps = taps[above]
+        self.tap_sweep = tap_sweep[above]
         self.tap_loc = self.sweep_loc[self.tap_sweep]
         self.delay_ns = columns.delay_ns[taps]
         self.power_db = columns.power_db[taps]
@@ -605,36 +622,17 @@ class TapTable:
         self.peak_db = columns.peak_db[sweeps]
         self._kept: dict[Callable, object] = {}
 
-    def _sweep_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(the ``LocationColumns`` row of each of the table's sweeps, its table location)."""
-        columns, rows = self.columns, self.rows
-        first = columns.sweep_bounds[rows]
-        sweep_count = columns.sweep_bounds[rows + 1] - first
-        sweeps = concat_ranges(first, sweep_count)
-        detectable = columns.detectable[sweeps]
-        return sweeps[detectable], np.repeat(np.arange(len(rows)), sweep_count)[detectable]
-
-    def _tap_rows(self, sweeps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(the ``LocationColumns`` row of each tap of the table's ``sweeps``, its table sweep)."""
-        columns = self.columns
-        first = columns.tap_bounds[sweeps]
-        tap_count = columns.tap_bounds[sweeps + 1] - first
-        taps = concat_ranges(first, tap_count)
-        tap_sweep = np.repeat(np.arange(len(sweeps)), tap_count)
-        above = columns.power_db[taps] >= columns.noise_floor_db[sweeps][tap_sweep]
-        return taps[above], tap_sweep[above]
-
     @property
     def gain_free_mw(self) -> np.ndarray:
         """Per tap, ``LocationColumns.gain_free_mw``; gathered on each read and not held, as only a kept
         result (the omni bins) reads it."""
-        return self.columns.gain_free_mw[self._tap_rows(self._sweep_rows()[0])[0]]
+        return self.columns.gain_free_mw[self.tap_rows]
 
     @property
     def received_dbm(self) -> np.ndarray:
         """Per sweep, ``LocationColumns.received_dbm``; gathered on each read and not held, as only a kept
         result (the sweep path losses) reads it."""
-        return self.columns.received_dbm[self._sweep_rows()[0]]
+        return self.columns.received_dbm[self.sweep_rows]
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -27,7 +27,6 @@ from .measurement import (
     ValidationError,
     bearings_deg_array,
     circular_distance_deg,
-    group_sums,
     linear_to_db_array,
     log10_array,
 )
@@ -151,10 +150,6 @@ def sweep_classes(table: TapTable) -> np.ndarray:
     return table.kept(_classes)
 
 
-def _sweep_power_mw(table: TapTable) -> np.ndarray:
-    return group_sums(table.tap_sweep, table.power_mw, len(table.sweep_loc))
-
-
 def _sweep_losses(table: TapTable) -> np.ndarray:
     loc = table.sweep_loc
     return table.tx_power_dbm[loc] + table.gain_sum_dbi[loc] - table.received_dbm
@@ -184,7 +179,7 @@ def _classes(table: TapTable) -> np.ndarray:
     )
     classes[_first_per_location(np.flatnonzero(boresight), loc, (rx_az, tx_az, d_tx + d_rx))] = _B
     rest = np.flatnonzero(classes != _B)
-    classes[_first_per_location(rest, loc, (rx_az, tx_az, -table.kept(_sweep_power_mw)))] = _NBB
+    classes[_first_per_location(rest, loc, (rx_az, tx_az, -table.columns.received_mw[table.sweep_rows]))] = _NBB
     return classes
 
 

@@ -295,6 +295,14 @@ class TestValuesOutsideTheFloatRange:
 
 
 class TestIngest:
+    def test_a_zero_carrier_exits_2_naming_the_manifest(self, tmp_path, capsys):
+        manifest = three_location_manifest(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["carrier_hz"] = 0
+        manifest.write_text(json.dumps(doc))
+        assert main(["ingest", "--manifest", str(manifest)]) == EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {manifest}: carrier_hz: must be > 0\n")
+
     def test_text_summary(self, manifest, capsys):
         assert main(["ingest", "--manifest", str(manifest)]) == EXIT_OK
         out = capsys.readouterr().out

@@ -89,7 +89,7 @@ def _messages(caplog) -> list[str]:
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 @pytest.mark.parametrize("layout", ["n200", "factory"])
-def test_warm_load_gives_the_cold_campaign_report_and_queries(tmp_path, capsys, seed, layout):
+def test_warm_load_gives_the_cold_campaign_report_and_queries(tmp_path, capsys, caplog, seed, layout):
     kwargs = {"layout": factory_campaign_layout()} if layout == "factory" else {}
     manifest = render_campaign(SynthesisParams(), 200 if layout == "n200" else None, seed, tmp_path / "c", **kwargs).manifest_path
     cache = cache_path(manifest)
@@ -106,12 +106,17 @@ def test_warm_load_gives_the_cold_campaign_report_and_queries(tmp_path, capsys, 
     for name in campaign_io._DERIVED_COLUMNS:
         assert getattr(warm.columns, name).tobytes() == getattr(ingested.columns, name).tobytes(), name
 
+    # each command's cold run misses and its warm run hits
+    caplog.set_level(logging.INFO, logger=LOGGER)
+    loads = {"cold": f"ingest cache miss for {manifest}: no cache", "warm": f"ingest cache hit for {manifest}: "}
     bundles = []
     for run in ("cold", "warm"):
         if run == "cold":
             cache.unlink()
         out = tmp_path / run
+        caplog.clear()
         assert _run(["report", "--manifest", str(manifest), "--out", str(out)], capsys)[0] == EXIT_OK
+        assert _messages(caplog)[0].startswith(loads[run])
         assert cache.is_file()
         bundles.append(_bundle(out))
     assert bundles[0] == bundles[1]
@@ -121,7 +126,9 @@ def test_warm_load_gives_the_cold_campaign_report_and_queries(tmp_path, capsys, 
         for run in ("cold", "warm"):
             if run == "cold":
                 cache.unlink()
+            caplog.clear()
             outputs.append(_run([*argv, "--manifest", str(manifest)], capsys))
+            assert _messages(caplog)[0].startswith(loads[run]), label
         assert outputs[0] == outputs[1], label
         assert outputs[0][0] == EXIT_OK, label
 
@@ -247,6 +254,7 @@ DAMAGE = {
     "wrong format": lambda data: _header_with(data, 1, "0"),
     "wrong version": lambda data: _header_with(data, 2, "0.0.1"),
     "no header line": lambda data: data.replace(b"\n", b" ", 1),
+    "unlisted bytes": lambda data: _with_unlisted_bytes(data),
 }
 
 
@@ -284,6 +292,13 @@ def _laid_out(data: bytes, layout: str, meta: dict, columns: list[bytes]) -> byt
     for column in columns:
         body += bytes(-(len(head) + 64 + 1 + len(body)) % campaign_io._CACHE_ALIGN) + column
     return f"{head}{hashlib.sha256(body).hexdigest()}\n".encode() + body
+
+
+def _with_unlisted_bytes(data: bytes) -> bytes:
+    """The cache file ``data`` with 8 bytes after its last column that its JSON line does not list, under
+    the body digest of the result."""
+    meta, columns = _columns_of(data)
+    return _laid_out(data, campaign_io._CACHE_FORMAT, meta, [*columns, bytes(8)])
 
 
 def _as_format_3(data: bytes) -> bytes:
@@ -379,6 +394,17 @@ def test_cache_of_a_renamed_manifest_is_a_key_mismatch(manifest, caplog):
         loaded = load_campaign(renamed)
     assert list(loaded.input_sha256)[0] == "renamed.json"
     assert _messages(caplog)[0] == f"ingest cache miss for {renamed}: key mismatch"
+
+
+def test_a_removed_manifest_is_a_key_mismatch_then_raises_what_ingest_raises(manifest, caplog):
+    load_campaign(manifest)
+    manifest.unlink()
+    with caplog.at_level(logging.INFO, logger=LOGGER), pytest.raises(FileNotFoundError) as loaded:
+        load_campaign(manifest)
+    with pytest.raises(FileNotFoundError) as ingested:
+        ingest_campaign(manifest)
+    assert str(loaded.value) == str(ingested.value)
+    assert _messages(caplog) == [f"ingest cache miss for {manifest}: key mismatch"]
 
 
 def test_each_load_logs_hit_or_miss_and_why(manifest, caplog):

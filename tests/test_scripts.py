@@ -1,7 +1,6 @@
-"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter, or a section of one in-process."""
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import shutil
@@ -15,10 +14,10 @@ from subthz_chan import SynthesisParams, render_campaign
 from subthz_chan.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
 
-_spec = importlib.util.spec_from_file_location("compare_reports", ROOT / "scripts" / "compare_reports.py")
-compare_reports = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_reports)
+import against_base  # noqa: E402
+import compare_reports  # noqa: E402
 
 
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
@@ -94,3 +93,27 @@ class TestCompareReports:
         assert compare_reports.json_differences({"n": 3}, {"n": 3.0000000001}) == []
         assert compare_reports.json_differences({"n": 3}, {"n": 4}) == ["$.n: 3 != 4"]
         assert compare_reports.json_differences({"f": True}, {"f": 1}) == ["$.f: True != 1"]
+
+
+@pytest.mark.parametrize("edited", [False, True])
+def test_against_base_names_a_changed_error_message(tmp_path, capsys, edited):
+    # the error-output section against a copy of this checkout's src/, as is and with one message edited
+    base = tmp_path / "base"
+    shutil.copytree(ROOT / "src", base / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    if edited:
+        xpd = base / "src" / "subthz_chan" / "xpd.py"
+        text = xpd.read_text(encoding="utf-8")
+        assert text.count("pair was measured at") == 1
+        xpd.write_text(text.replace("pair was measured at", "pair measured at"), encoding="utf-8")
+    found = against_base.errors(base, tmp_path / "work")
+    lines = capsys.readouterr().out.splitlines()
+    # a line per case, and for the edited one a diff of its stderr: two file lines, a hunk, one line out, one in
+    assert len(lines) == len(against_base.ERROR_CASES) + 5 * edited
+    assert found == edited
+    moved = [line for line in lines if line.startswith("VH position moved (xpd report): ")]
+    if edited:
+        assert moved == ["VH position moved (xpd report): stderr differs"]
+        assert "-error: tx_pos_m: polarization pair measured at different positions" in lines
+    else:
+        assert moved[0].endswith(": identical, exit 2: error: tx_pos_m: polarization pair was measured at different positions")
+        assert all(": identical, exit 2: error: " in line for line in lines)
