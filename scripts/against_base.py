@@ -14,7 +14,8 @@ and this checkout's on the same inputs, one section per check:
   entries shuffled, the ingest-cache file removed before each run;
 - the six smaller renders' trees and ``--truth-out`` files;
 - the closed-loop experiment at two argument sets;
-- the help and argument errors of 27 command lines at ``COLUMNS=80``;
+- the help and argument errors of 32 command lines at ``COLUMNS=80``, five of them
+  a bad option that must be rejected before a (missing) campaign is read;
 - the error output of 7 faulty copies of a small render.
 
 Prints each section as a fenced block under a Markdown heading, for a CI job
@@ -52,7 +53,14 @@ QUERIES = [
 ]
 COMMANDS = ["ingest", "fit", "fit pathloss", "stats", "stats delay", "stats angular", "pas", "pas dump", "xpd",
             "xpd report", "synth", "report"]
-CLI_LINES = ["", "--help", "--bogus", *(f"{command} {flag}" for command in COMMANDS for flag in ("--help", "--bogus"))]
+#: a bad option of each analysing command, which it rejects before it reads the (missing) campaign
+BAD_OPTIONS = [f"{line} --manifest no-such-campaign/manifest.json" for line in (
+    "report --out no-such-campaign/report --threshold-db nan", "report --out no-such-campaign/report --max-pl-db inf",
+    "fit pathloss --carrier-hz 0", "stats delay --threshold-db -1",
+    "pas dump --tx-id TX0001 --rx-id RX0001 --side AOA --threshold-db 0",
+)]
+CLI_LINES = ["", "--help", "--bogus", *(f"{command} {flag}" for command in COMMANDS for flag in ("--help", "--bogus")),
+             *BAD_OPTIONS]
 #: off the delay lattice at (180, 0), then at (8, 0), which sorts before it, a repeated delay
 FAULTY_POINTINGS = """# noise_floor_db=-130.0
 tx_az_deg,rx_az_deg,delay_ns,power_db

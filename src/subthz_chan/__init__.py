@@ -5,7 +5,7 @@ generator that renders synthetic campaigns back into the measurement
 file format.
 """
 # first: campaign_io reads it while the package is still being imported
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .angular import AngularSpreads, AngularSummary, Side, angular_spreads, campaign_angular_summary, power_angular_spectrum
 from .campaign_io import Campaign, CampaignFormatError, cache_path, ingest_campaign, load_campaign, write_campaign
@@ -43,7 +43,7 @@ from .pathloss import (
     sweep_classes,
     sweep_losses,
 )
-from .pipeline import Analysis, RunConfig, run_pipeline
+from .pipeline import Analysis, run_pipeline
 from .summary import SummaryRow, nearest_rank, summarize
 from .synthesis import (
     DropColumns,

@@ -124,7 +124,8 @@ def _check_grids(table: TapTable, sides: tuple[Side, ...], index: int | None = N
             if not shares[top[0], 0] and shares[top[0], top].all():  # one phase has the most, not the first's
                 off[at] = ~shares[top[0]]
         rules.append(("tx_az_deg" if side is Side.AOD else "rx_az_deg", loc, off, lambda s, az=az, step=step: (
-            f"azimuth {float(az[s])} is off the uniform {float(step[loc[s]]):g} deg sweep grid")))
+            f"azimuth {float(az[s])} of {table.name(loc[s])} is off the uniform "
+            f"{float(step[loc[s]]):g} deg sweep grid")))
     fault = first_flagged(rules)
     if fault is not None:
         raise ValidationError(*fault[1:])

@@ -24,18 +24,9 @@ import numpy as np
 
 from .angular import Side, power_angular_spectrum
 from .campaign_io import json_template, load_campaign
-from .measurement import NoSignalError, Polarization, TapTable, ValidationError, checked_threshold_db
+from .measurement import NoSignalError, Polarization, TapTable, ValidationError
 from .pathloss import DegenerateFitError, SampleKind
-from .pipeline import (
-    DEFAULT_MAX_PL_DB,
-    DEFAULT_THRESHOLDS_DB,
-    DIRECTIONAL_KINDS,
-    Analysis,
-    RunConfig,
-    _csv_rows,
-    check_analysis_options,
-    run_pipeline,
-)
+from .pipeline import DEFAULT_MAX_PL_DB, DEFAULT_THRESHOLDS_DB, DIRECTIONAL_KINDS, Analysis, _csv_rows, run_pipeline
 from .synthesis import SynthesisParams, factory_campaign_layout, render_campaign
 
 EXIT_OK = 0
@@ -117,14 +108,8 @@ def _thresholds(args) -> tuple[float, ...]:
     return tuple(args.threshold_db) if args.threshold_db else DEFAULT_THRESHOLDS_DB
 
 
-def _analysis(manifest: Path, **options) -> Analysis:
-    """The ``Analysis`` of a campaign, its options checked before the campaign is read."""
-    check_analysis_options(**options)
-    return Analysis(load_campaign(manifest), **options)
-
-
 def _cmd_fit_pathloss(args) -> int:
-    analysis = _analysis(args.manifest, carrier_hz=args.carrier_hz, max_measurable_pl_db=_ceiling(args.max_pl_db))
+    analysis = Analysis.load(args.manifest, carrier_hz=args.carrier_hz, max_measurable_pl_db=_ceiling(args.max_pl_db))
     kind = _KIND_FLAGS[args.kind]
     pol = Polarization(args.pol)
     doc = asdict(analysis.fit(pol, kind))
@@ -139,21 +124,21 @@ def _cmd_fit_pathloss(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    analysis = _analysis(args.manifest, thresholds_db=_thresholds(args))
+    analysis = Analysis.load(args.manifest, thresholds_db=_thresholds(args))
     _write_or_print(analysis.summary_csv(args.stats_kind), args.out)
     return EXIT_OK
 
 
 def _cmd_pas_dump(args) -> int:
-    threshold_db = checked_threshold_db(args.threshold_db)
-    campaign = load_campaign(args.manifest)
+    analysis = Analysis.load(args.manifest, thresholds_db=(args.threshold_db,))
     pol = Polarization(args.pol)
-    row = campaign.find((args.tx_id, args.rx_id, pol))
+    row = analysis.campaign.find((args.tx_id, args.rx_id, pol))
     if row is None:
         raise ValidationError(
             "rx_id", f"no location {args.tx_id}-{args.rx_id} with polarization {pol.value}"
         )
-    bins_deg, powers_mw = power_angular_spectrum(TapTable(campaign.columns, [row]), 0, Side(args.side), threshold_db)
+    one = TapTable(analysis.campaign.columns, [row])
+    bins_deg, powers_mw = power_angular_spectrum(one, 0, Side(args.side), analysis.thresholds_db[0])
     kept = powers_mw > 0
     powers_db = [10.0 * math.log10(power_mw) for power_mw in powers_mw[kept].tolist()]
     _write_or_print("bin_deg,power_db\n" + _csv_rows([""] * len(powers_db), bins_deg[kept].tolist(), powers_db), args.out)
@@ -161,7 +146,7 @@ def _cmd_pas_dump(args) -> int:
 
 
 def _cmd_xpd_report(args) -> int:
-    analysis = _analysis(args.manifest)
+    analysis = Analysis.load(args.manifest)
     if args.format == "csv":
         _write_or_print(analysis.xpd_csv(), args.out)
     else:
@@ -192,15 +177,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = RunConfig(
-        manifest_path=args.manifest,
-        out_dir=args.out,
-        thresholds_db=_thresholds(args),
-        carrier_hz=args.carrier_hz,
-        formats=tuple(args.format) if args.format else ("csv", "json"),
-        max_measurable_pl_db=_ceiling(args.max_pl_db),
-    )
-    for path in run_pipeline(config):
+    written = run_pipeline(args.manifest, args.out, thresholds_db=_thresholds(args), carrier_hz=args.carrier_hz,
+                           formats=args.format or ("csv", "json"), max_measurable_pl_db=_ceiling(args.max_pl_db))
+    for path in written:
         print(path)
     return EXIT_OK
 

@@ -16,10 +16,9 @@ import json
 import logging
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -89,8 +88,9 @@ def check_analysis_options(
     must each be > 0 with a label of its own: the report keys its sections
     and table rows by ``f"{t:g}"``, so two thresholds with one label (20 and
     20, or 30 and 30.0000001) would write two rows under one name and keep
-    only one section.  The one rule set of ``Analysis`` and ``RunConfig``;
-    lets a caller reject its options before it reads a campaign.
+    only one section.  The one rule set of ``Analysis``, ``Analysis.load``
+    and ``run_pipeline``; lets a caller reject its options before it reads a
+    campaign.
     """
     if carrier_hz is not None and not 0.0 < carrier_hz < math.inf:
         raise ValidationError("carrier_hz", f"must be > 0 and finite, got {carrier_hz}")
@@ -108,34 +108,6 @@ def check_analysis_options(
             raise ValidationError("thresholds_db", f"{labelled[label]!r} and {t!r} share the label {label!r}")
         labelled[label] = t
     return thresholds
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration of one pipeline run.
-
-    ``carrier_hz`` of None (the default) uses the carrier recorded in the
-    manifest; a value overrides it.
-    """
-
-    manifest_path: Path
-    out_dir: Path
-    thresholds_db: tuple[float, ...] = DEFAULT_THRESHOLDS_DB
-    carrier_hz: float | None = None
-    formats: tuple[str, ...] = ("csv", "json")
-    max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB
-
-    def __post_init__(self):
-        object.__setattr__(self, "manifest_path", Path(self.manifest_path))
-        object.__setattr__(self, "out_dir", Path(self.out_dir))
-        thresholds = check_analysis_options(self.thresholds_db, self.carrier_hz, self.max_measurable_pl_db)
-        object.__setattr__(self, "thresholds_db", thresholds)
-        object.__setattr__(self, "formats", tuple(str(f) for f in self.formats))
-        if not self.formats:
-            raise ValidationError("formats", "need at least one output format")
-        unknown = set(self.formats) - set(_KNOWN_FORMATS)
-        if unknown:
-            raise ValidationError("formats", f"unknown formats: {sorted(unknown)}")
 
 
 def _csv_rows(prefixes: Sequence[str], *columns: Sequence[float]) -> str:
@@ -169,16 +141,26 @@ class Analysis:
         self.campaign = campaign
         self.carrier_hz = campaign.carrier_hz if carrier_hz is None else carrier_hz
         self.max_measurable_pl_db = max_measurable_pl_db
-        self._samples: dict[tuple[Polarization, SampleKind], PathLossColumns] = {}
-        self._omni: dict[Polarization, tuple[PathLossColumns, list[dict]]] = {}
-        self._fits: dict[tuple[Polarization, SampleKind], CiFit] = {}
-        self._tables: dict[Polarization, TapTable] = {}
+        #: every product kept so far, by (product, polarization, kind)
+        self._memo: dict[tuple[str, Polarization, SampleKind | None], object] = {}
+
+    @classmethod
+    def load(cls, manifest_path, **options) -> Analysis:
+        """The ``Analysis`` of the campaign ``load_campaign(manifest_path)`` reads, its options
+        checked before the campaign is read."""
+        check_analysis_options(**options)
+        return cls(load_campaign(manifest_path), **options)
+
+    def _kept(self, product: str, pol: Polarization, kind: SampleKind | None, compute: Callable[[], object]):
+        """``compute()``, computed on the first ask for (product, pol, kind) and then kept."""
+        key = (product, pol, kind)
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     def table(self, pol: Polarization) -> TapTable:
         """The tap table of the locations of one polarization, in campaign order."""
-        if pol not in self._tables:
-            self._tables[pol] = TapTable(self.campaign.columns, self.campaign.rows(pol))
-        return self._tables[pol]
+        return self._kept("table", pol, None, lambda: TapTable(self.campaign.columns, self.campaign.rows(pol)))
 
     def samples(self, pol: Polarization, kind: SampleKind) -> PathLossColumns:
         """Path-loss samples of one polarization and kind, in location order, as columns
@@ -190,9 +172,9 @@ class Analysis:
         """
         if kind is SampleKind.OMNI:
             return self._omni_samples(pol)[0]
-        if (pol, kind) not in self._samples:
-            self._directional_samples(pol)
-        return self._samples[pol, kind]
+        return self._kept(
+            "directional", pol, None, lambda: directional_samples(self.table(pol), self.max_measurable_pl_db)
+        )[kind]
 
     @property
     def excluded(self) -> list[dict]:
@@ -201,7 +183,8 @@ class Analysis:
 
     def _omni_samples(self, pol: Polarization) -> tuple[PathLossColumns, list[dict]]:
         """The omni samples of one polarization and the locations left out, logged when first computed."""
-        if pol not in self._omni:
+
+        def compute():
             table = self.table(pol)
             samples, errors = omni_losses(table, self.max_measurable_pl_db)
             excluded = []
@@ -209,18 +192,13 @@ class Analysis:
                 tx_id, rx_id, _ = table.key(index)
                 logger.warning("excluding %s-%s (%s): %s", tx_id, rx_id, pol.value, err)
                 excluded.append({"tx_id": tx_id, "rx_id": rx_id, "polarization": pol.value, "reason": str(err)})
-            self._omni[pol] = (samples, excluded)
-        return self._omni[pol]
+            return samples, excluded
 
-    def _directional_samples(self, pol: Polarization) -> None:
-        for kind, samples in directional_samples(self.table(pol), self.max_measurable_pl_db).items():
-            self._samples[pol, kind] = samples
+        return self._kept("omni", pol, SampleKind.OMNI, compute)
 
     def fit(self, pol: Polarization, kind: SampleKind) -> CiFit:
         """Close-in fit of one sample class, kept; DegenerateFitError under two samples."""
-        if (pol, kind) not in self._fits:
-            self._fits[pol, kind] = fit_ci(self.samples(pol, kind), self.carrier_hz)
-        return self._fits[pol, kind]
+        return self._kept("fit", pol, kind, lambda: fit_ci(self.samples(pol, kind), self.carrier_hz))
 
     def cross_polar(self, kind: SampleKind) -> CixFit:
         """Cross-polar fit of the VH samples of ``kind`` over the VV fit of that kind."""
@@ -300,7 +278,7 @@ def _optional_fit(analysis: Analysis, pol: Polarization, kind: SampleKind) -> di
     return vars(analysis.fit(pol, kind)).copy() if len(analysis.samples(pol, kind)) >= 2 else None
 
 
-def _report(config: RunConfig, analysis: Analysis) -> dict:
+def _report(manifest_name: str, formats: Sequence[str], analysis: Analysis) -> dict:
     campaign = analysis.campaign
     vh_omni = analysis.samples(Polarization.VH, SampleKind.OMNI)
     return {
@@ -313,13 +291,13 @@ def _report(config: RunConfig, analysis: Analysis) -> dict:
             "n_vh": len(campaign.rows(Polarization.VH)),
         },
         "config": {
-            "manifest": config.manifest_path.name,
-            "thresholds_db": list(config.thresholds_db),
+            "manifest": manifest_name,
+            "thresholds_db": list(analysis.thresholds_db),
             "carrier_hz": analysis.carrier_hz,
-            "max_measurable_pl_db": config.max_measurable_pl_db,
+            "max_measurable_pl_db": analysis.max_measurable_pl_db,
             "delay_resolution_ns": campaign.delay_resolution_ns,
             "seed": 0,  # nothing is drawn at random; kept for the benchmark's stored reports (perfbench/reference)
-            "formats": sorted(config.formats),
+            "formats": sorted(formats),
         },
         "inputs_sha256": campaign.input_sha256,
         "excluded_locations": analysis.excluded,
@@ -347,16 +325,32 @@ def _report_json(report: dict) -> str:
     return text.replace(key + "null", key + "{\n    " + digests[1:-1] + "\n  }", 1) + "\n"
 
 
-def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
+def run_pipeline(
+    manifest_path,
+    out_dir,
+    *,
+    thresholds_db: Iterable[float] = DEFAULT_THRESHOLDS_DB,
+    carrier_hz: float | None = None,
+    formats: Sequence[str] = ("csv", "json"),
+    max_measurable_pl_db: float | None = DEFAULT_MAX_PL_DB,
+) -> tuple[Path, ...]:
     """Load the campaign through the ingest cache (``load_campaign``), run fits,
-    summaries, and XPD analysis; write the report bundle.
+    summaries, and XPD analysis; write the report bundle in ``formats`` to ``out_dir``.
 
-    Returns the written file paths.  Locations without detectable signal
-    (or beyond the measurable path-loss ceiling) are excluded from the
-    path-loss fits and listed in the JSON report.
+    The other options are those of ``Analysis``.  ValidationError, before the
+    campaign is read, for the first bad option as ``check_analysis_options``
+    names it, then for no format or an unknown one.  Returns the written file
+    paths.  Locations without detectable signal (or beyond the measurable
+    path-loss ceiling) are excluded from the path-loss fits and listed in the
+    JSON report.
     """
-    campaign = load_campaign(config.manifest_path)
-    analysis = Analysis(campaign, config.thresholds_db, config.carrier_hz, config.max_measurable_pl_db)
+    thresholds_db = check_analysis_options(thresholds_db, carrier_hz, max_measurable_pl_db)
+    if not formats:
+        raise ValidationError("formats", "need at least one output format")
+    if unknown := set(formats) - set(_KNOWN_FORMATS):
+        raise ValidationError("formats", f"unknown formats: {sorted(unknown)}")
+    campaign = load_campaign(manifest_path)
+    analysis = Analysis(campaign, thresholds_db, carrier_hz, max_measurable_pl_db)
     # reading the exclusions logs each one, so all of them precede the co-polar check's error
     logger.info(
         "analysing campaign %s: carrier %.3f GHz, %d locations excluded from the path-loss fits",
@@ -364,24 +358,23 @@ def run_pipeline(config: RunConfig) -> tuple[Path, ...]:
     )
     vv_omni = analysis.samples(Polarization.VV, SampleKind.OMNI)
     if len(vv_omni) < 2:
-        raise DegenerateFitError(
-            f"only {len(vv_omni)} co-polarized locations usable; cannot fit the co-polar model"
-        )
+        raise DegenerateFitError(f"only {len(vv_omni)} co-polarized locations usable; cannot fit the co-polar model")
 
     texts: dict[str, str] = {}
-    if "json" in config.formats:
-        texts[REPORT_JSON] = _report_json(_report(config, analysis))
-    if "csv" in config.formats:
+    if "json" in formats:
+        texts[REPORT_JSON] = _report_json(_report(Path(manifest_path).name, formats, analysis))
+    if "csv" in formats:
         texts[DELAY_CSV] = analysis.summary_csv("delay")
         texts[ANGULAR_CSV] = analysis.summary_csv("angular")
         texts[XPD_CSV] = analysis.xpd_csv()
         texts[SCATTER_CSV] = _scatter_csv(analysis)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for name, text in texts.items():
-        path = config.out_dir / name
+        path = out_dir / name
         path.write_text(text, encoding="utf-8")
         written.append(path)
-    logger.info("wrote %d report files to %s", len(written), config.out_dir)
+    logger.info("wrote %d report files to %s", len(written), out_dir)
     return tuple(written)

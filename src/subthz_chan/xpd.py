@@ -72,19 +72,24 @@ def xpd_columns(vv: TapTable, vh: TapTable) -> XpdColumns:
     Each location of the V-V table ``vv`` pairs with the location of the
     V-H table ``vh`` that has its (tx_id, rx_id); a location without one
     adds no rows.  ValidationError for a table that holds a location of
-    the other polarization or one placement twice, then for a pair
-    measured at different positions.  Path classes come from the co-polar
-    sweep, through the classification kept with ``vv``: boresight for its
-    B direction, reflection for every other.  Nothing detectable in both
-    polarizations is a data fact, not an error.
+    the other polarization or one placement twice, then for the first pair
+    in V-V order measured at different positions (``tx_pos_m`` if the TX
+    moved).  Path classes come from the co-polar sweep, through the
+    classification kept with ``vv``: boresight for its B direction,
+    reflection for every other.  Nothing detectable in both polarizations
+    is a data fact, not an error.
     """
     placements = _placement_rows(vv, Polarization.VV)
     vh_rows = _placement_rows(vh, Polarization.VH)
     row_vh = np.fromiter(map(vh_rows.get, placements, repeat(-1)), dtype=np.intp, count=len(vv))
     paired = row_vh >= 0
     rows_vv, rows_vh = np.flatnonzero(paired), row_vh[paired]
-    if not ((vv.tx_pos_m[rows_vv] == vh.tx_pos_m[rows_vh]) & (vv.rx_pos_m[rows_vv] == vh.rx_pos_m[rows_vh])).all():
-        raise ValidationError("tx_pos_m", "polarization pair was measured at different positions")
+    tx_moved = (vv.tx_pos_m[rows_vv] != vh.tx_pos_m[rows_vh]).any(axis=1)
+    moved = np.flatnonzero(tx_moved | (vv.rx_pos_m[rows_vv] != vh.rx_pos_m[rows_vh]).any(axis=1))
+    if moved.size:
+        tx_id, rx_id, _ = vv.key(rows_vv[moved[0]])
+        field = "tx_pos_m" if tx_moved[moved[0]] else "rx_pos_m"
+        raise ValidationError(field, f"{tx_id}-{rx_id} was measured at different positions in VV and VH")
     loc_of_vv = np.where(paired, np.arange(len(vv)), -1)
     loc_of_vh = np.full(len(vh), -1)
     loc_of_vh[rows_vh] = rows_vv

@@ -26,7 +26,6 @@ from subthz_chan import (
     PathClass,
     PathLossColumns,
     Polarization,
-    RunConfig,
     SampleKind,
     Side,
     SynthesisParams,
@@ -301,7 +300,7 @@ def test_criterion_09_pipeline_determinism(tmp_path):
     for sub in ("one", "two"):
         root = tmp_path / sub
         rendered = render_campaign(SynthesisParams(), None, 7, root / "campaign", layout=layout)
-        run_pipeline(RunConfig(manifest_path=rendered.manifest_path, out_dir=root / "report"))
+        run_pipeline(rendered.manifest_path, root / "report")
         files = {}
         for path in sorted((root / "campaign").rglob("*")):
             if path.is_file():

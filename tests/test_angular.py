@@ -359,7 +359,7 @@ class TestAngularStats:
                           rx_id=f"RX{i}")
             for i, (tx, rx) in enumerate(off_grid)
         ]
-        with pytest.raises(ValidationError, match=f"^{field}: azimuth 9.0 is off the uniform 8 deg sweep grid$"):
+        with pytest.raises(ValidationError, match=rf"^{field}: azimuth 9.0 of TX1-RX0 \(VV\) is off the uniform 8 deg sweep grid$"):
             angular_spreads(table_of(*locs), 20.0)
 
     @pytest.mark.parametrize(
@@ -377,7 +377,7 @@ class TestAngularStats:
     )
     def test_names_the_sweep_off_the_phase_most_sweeps_share(self, rx_azimuths, named):
         sweeps = [make_pdp([10.0], [-60.0 - i], tx_az=180.0, rx_az=rx) for i, rx in enumerate(rx_azimuths)]
-        message = f"^rx_az_deg: azimuth {named} is off the uniform 8 deg sweep grid$"
+        message = rf"^rx_az_deg: azimuth {named} of TX1-RX1 \(VV\) is off the uniform 8 deg sweep grid$"
         with pytest.raises(ValidationError, match=message):
             angular_spreads(table_of(make_location(sweeps)), 20.0)
         with pytest.raises(ValidationError, match=message):
@@ -406,3 +406,5 @@ class TestCampaignAngularSummary:
         dead = make_location([make_pdp([0.0], [-95.0], floor=-90.0)], rx_id="RX9")
         summary = campaign_angular_summary(table_of(live, dead), 20.0)
         assert summary.n_aoa_lobes.n == 1
+        # on a table where no location has signal, every spread reads NaN
+        assert all(np.isnan(column).tolist() == [True] for column in angular_spreads(table_of(dead), 20.0))

@@ -318,18 +318,20 @@ class TestOffGridAzimuth:
         manifest = write_campaign(campaign, tmp_path / "off_grid")
         assert main(["stats", "angular", "--manifest", str(manifest)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
-        assert "rx_az_deg" in err and "azimuth 3.0 is off the uniform 8 deg sweep grid" in err
+        assert err == "error: rx_az_deg: azimuth 3.0 of TX2-RXTX2 (VV) is off the uniform 8 deg sweep grid\n"
 
     def test_stats_angular_names_the_moved_first_sweep(self, tmp_path, capsys):
         # the first row of the first V-V sweep file moved 3 deg off the grid its location's other sweeps share
         manifest = render_campaign(SynthesisParams(), 3, 1, tmp_path / "render").manifest_path
         doc = json.loads(manifest.read_text(encoding="utf-8"))
-        sweeps = manifest.parent / next(entry for entry in doc["locations"] if entry["polarization"] == "VV")["sweeps"]
+        first_vv = next(entry for entry in doc["locations"] if entry["polarization"] == "VV")
+        sweeps = manifest.parent / first_vv["sweeps"]
         floor, header, first, *rows = sweeps.read_text(encoding="ascii").splitlines()
         tx_az, rx_az, *tap = first.split(",")
         sweeps.write_text("\n".join([floor, header, ",".join([tx_az, repr(float(rx_az) + 3.0), *tap]), *rows, ""]))
         assert main(["stats", "angular", "--manifest", str(manifest)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: rx_az_deg: azimuth {float(rx_az) + 3.0} is off the uniform 8 deg sweep grid\n"
+        name = "{tx_id}-{rx_id} ({polarization})".format(**first_vv)
+        assert capsys.readouterr().err == f"error: rx_az_deg: azimuth {float(rx_az) + 3.0} of {name} is off the uniform 8 deg sweep grid\n"
 
     def test_first_location_decides_the_side(self):
         off_aod = make_location([make_pdp([0.0], [-60.0], tx_az=0.0), make_pdp([0.0], [-70.0], tx_az=5.0)])

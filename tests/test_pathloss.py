@@ -55,6 +55,14 @@ class TestFspl:
         assert fspl(F_142, 10.0) == pytest.approx(ANCHOR_142 + 20.0, abs=1e-9)
         assert fspl(F_142, 100.0) == pytest.approx(ANCHOR_142 + 40.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "frequency_hz, distance_m, named",
+        [(0.0, 1.0, "frequency_hz"), (-1e9, 1.0, "frequency_hz"), (F_142, 0.0, "distance_m"), (F_142, -1.0, "distance_m")],
+    )
+    def test_rejects_non_positive_arguments(self, frequency_hz, distance_m, named):
+        with pytest.raises(ValueError, match=f"^{named} must be > 0, got "):
+            fspl(frequency_hz, distance_m)
+
 
 def classify_directions(loc):
     """B / NBB / NB of each detectable pointing pair of one location; NoSignalError without one."""

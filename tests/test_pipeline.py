@@ -14,7 +14,6 @@ from subthz_chan import (
     Campaign,
     DegenerateFitError,
     Polarization,
-    RunConfig,
     SampleKind,
     SynthesisParams,
     ValidationError,
@@ -37,7 +36,7 @@ def rendered_manifest(tmp_path_factory) -> Path:
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory, rendered_manifest) -> Path:
     out = tmp_path_factory.mktemp("report")
-    run_pipeline(RunConfig(manifest_path=rendered_manifest, out_dir=out))
+    run_pipeline(rendered_manifest, out)
     return out
 
 
@@ -68,31 +67,22 @@ def small_campaign(n_vv=3, weak_vh=False):
     return Campaign("pipeline-test", 142e9, 0.0, tuple(locs))
 
 
-class TestRunConfig:
-    def test_coerces_paths_and_floats(self, tmp_path):
-        config = RunConfig(manifest_path=str(tmp_path / "m.json"), out_dir=str(tmp_path))
-        assert isinstance(config.manifest_path, Path)
-        assert isinstance(config.out_dir, Path)
-        assert config.thresholds_db == (20.0, 30.0)
-        assert config.carrier_hz is None
+class TestOptions:
+    """``run_pipeline`` and ``Analysis.load`` reject a bad option before the campaign is read, as ``Analysis`` does."""
 
-    def test_rejects_bad_values(self, tmp_path):
-        base = dict(manifest_path=tmp_path / "m.json", out_dir=tmp_path)
-        with pytest.raises(ValidationError):
-            RunConfig(**base, thresholds_db=())
-        with pytest.raises(ValidationError):
-            RunConfig(**base, thresholds_db=(20.0, -5.0))
-        with pytest.raises(ValidationError):
-            RunConfig(**base, formats=())
-        with pytest.raises(ValidationError):
-            RunConfig(**base, formats=("csv", "parquet"))
-        with pytest.raises(ValidationError):
-            RunConfig(**base, carrier_hz=0.0)
+    def test_takes_path_strings_and_number_thresholds(self, rendered_manifest, tmp_path):
+        written = run_pipeline(str(rendered_manifest), str(tmp_path), thresholds_db=[20, 30])
+        assert written and all(isinstance(path, Path) and path.parent == tmp_path for path in written)
+        config = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert config["thresholds_db"] == [20.0, 30.0] and all(isinstance(t, float) for t in config["thresholds_db"])
+        assert config["carrier_hz"] == 142e9
 
     @pytest.mark.parametrize(
         "setting, message",
         [
             (dict(thresholds_db=(20.0, float("nan"))), "threshold_db: must be > 0, got nan"),
+            (dict(thresholds_db=(20.0, -5.0)), "threshold_db: must be > 0, got -5.0"),
+            (dict(carrier_hz=0.0), "carrier_hz: must be > 0 and finite, got 0.0"),
             (dict(carrier_hz=float("nan")), "carrier_hz: must be > 0 and finite, got nan"),
             (dict(carrier_hz=float("inf")), "carrier_hz: must be > 0 and finite, got inf"),
             (dict(max_measurable_pl_db=float("nan")), "max_measurable_pl_db: must be > 0 or None, got nan"),
@@ -110,20 +100,41 @@ class TestRunConfig:
             (dict(thresholds_db=(20.0, -5.0), carrier_hz=0.0), "carrier_hz: must be > 0 and finite, got 0.0"),
         ],
     )
-    def test_config_and_analysis_reject_the_same_settings(self, tmp_path, setting, message):
-        with pytest.raises(ValidationError) as err:
-            RunConfig(manifest_path=tmp_path / "m.json", out_dir=tmp_path, **setting)
-        assert str(err.value) == message
-        with pytest.raises(ValidationError) as err:
-            Analysis(small_campaign(), **setting)
-        assert str(err.value) == message
+    def test_pipeline_and_analysis_reject_the_same_settings(self, tmp_path, setting, message):
+        missing = tmp_path / "m.json"
+        for make in (
+            lambda: run_pipeline(missing, tmp_path / "out", **setting),
+            lambda: Analysis.load(missing, **setting),
+            lambda: Analysis(small_campaign(), **setting),
+        ):
+            with pytest.raises(ValidationError) as err:
+                make()
+            assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (dict(formats=()), "formats: need at least one output format"),
+            (dict(formats=("csv", "parquet")), "formats: unknown formats: ['parquet']"),
+            # the options are checked before the formats
+            (dict(formats=("parquet",), thresholds_db=()), "thresholds_db: need at least one threshold"),
+        ],
+    )
+    def test_pipeline_rejects_formats_before_the_campaign_is_read(self, tmp_path, setting, message):
+        with pytest.raises(ValidationError) as err:
+            run_pipeline(tmp_path / "m.json", tmp_path / "out", **setting)
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
 
-    def test_thresholds_with_distinct_labels_are_kept(self, tmp_path):
+    def test_thresholds_with_distinct_labels_are_kept(self, rendered_manifest, tmp_path):
         thresholds = (30.0, 30.001, 3.0, 300.0)
-        config = RunConfig(manifest_path=tmp_path / "m.json", out_dir=tmp_path, thresholds_db=thresholds)
-        assert config.thresholds_db == thresholds
         assert Analysis(small_campaign(), thresholds).thresholds_db == thresholds
+        assert Analysis.load(rendered_manifest, thresholds_db=thresholds).thresholds_db == thresholds
+        run_pipeline(rendered_manifest, tmp_path, thresholds_db=thresholds, formats=("json",))
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["thresholds_db"] == list(thresholds)
+        assert sorted(doc["delay"]) == ["3", "30", "30.001", "300"]
 
 
 class TestReportBundle:
@@ -222,22 +233,18 @@ class TestReportBundle:
 class TestDeterminism:
     def test_same_inputs_same_bytes(self, rendered_manifest, tmp_path):
         for sub in ("x", "y"):
-            run_pipeline(RunConfig(manifest_path=rendered_manifest, out_dir=tmp_path / sub))
+            run_pipeline(rendered_manifest, tmp_path / sub)
         for p in (tmp_path / "x").iterdir():
             assert p.read_bytes() == (tmp_path / "y" / p.name).read_bytes()
 
 
 class TestFormatsAndThresholds:
     def test_json_only(self, rendered_manifest, tmp_path):
-        written = run_pipeline(
-            RunConfig(manifest_path=rendered_manifest, out_dir=tmp_path, formats=("json",))
-        )
+        written = run_pipeline(rendered_manifest, tmp_path, formats=("json",))
         assert [p.name for p in written] == ["report.json"]
 
     def test_csv_only(self, rendered_manifest, tmp_path):
-        written = run_pipeline(
-            RunConfig(manifest_path=rendered_manifest, out_dir=tmp_path, formats=("csv",))
-        )
+        written = run_pipeline(rendered_manifest, tmp_path, formats=("csv",))
         assert sorted(p.name for p in written) == [
             "angular_stats.csv",
             "delay_stats.csv",
@@ -246,9 +253,7 @@ class TestFormatsAndThresholds:
         ]
 
     def test_single_threshold_filters_everything(self, rendered_manifest, tmp_path):
-        run_pipeline(
-            RunConfig(manifest_path=rendered_manifest, out_dir=tmp_path, thresholds_db=(30.0,))
-        )
+        run_pipeline(rendered_manifest, tmp_path, thresholds_db=(30.0,))
         doc = json.loads((tmp_path / "report.json").read_text())
         assert list(doc["delay"]) == ["30"]
         assert list(doc["angular"]) == ["30"]
@@ -260,13 +265,13 @@ class TestFormatsAndThresholds:
 class TestCarrier:
     def test_default_uses_manifest_carrier(self, tmp_path):
         manifest = render_campaign(SynthesisParams(carrier_hz=140e9), 3, 5, tmp_path / "c").manifest_path
-        run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "out"))
+        run_pipeline(manifest, tmp_path / "out")
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["config"]["carrier_hz"] == 140e9
         assert doc["pathloss"]["omni_vv"]["fspl_anchor_db"] == fspl(140e9)
 
     def test_explicit_carrier_overrides(self, rendered_manifest, tmp_path):
-        run_pipeline(RunConfig(manifest_path=rendered_manifest, out_dir=tmp_path, carrier_hz=140e9))
+        run_pipeline(rendered_manifest, tmp_path, carrier_hz=140e9)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["campaign"]["carrier_hz"] == 142e9
         assert doc["pathloss"]["omni_vv"]["fspl_anchor_db"] == fspl(140e9)
@@ -275,7 +280,7 @@ class TestCarrier:
 class TestExclusions:
     def test_over_ceiling_location_is_excluded(self, tmp_path):
         manifest = write_campaign(small_campaign(weak_vh=True), tmp_path / "campaign")
-        run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "out"))
+        run_pipeline(manifest, tmp_path / "out")
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["excluded_locations"] == [
             {
@@ -303,17 +308,13 @@ class TestExclusions:
         cross_polar_first = Analysis(campaign)
         cross_polar_first.cross_polar(SampleKind.OMNI)
         assert cross_polar_first.excluded == before_any_fit
-        run_pipeline(RunConfig(manifest_path=write_campaign(campaign, tmp_path / "c"), out_dir=tmp_path / "out"))
+        run_pipeline(write_campaign(campaign, tmp_path / "c"), tmp_path / "out")
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["excluded_locations"] == before_any_fit
 
     def test_ceiling_disabled_keeps_location(self, tmp_path):
         manifest = write_campaign(small_campaign(weak_vh=True), tmp_path / "campaign")
-        run_pipeline(
-            RunConfig(
-                manifest_path=manifest, out_dir=tmp_path / "out", max_measurable_pl_db=None
-            )
-        )
+        run_pipeline(manifest, tmp_path / "out", max_measurable_pl_db=None)
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["excluded_locations"] == []
         assert doc["pathloss"]["cross_polar"] is not None
@@ -323,7 +324,7 @@ class TestDegenerateCampaign:
     def test_single_usable_location_raises(self, tmp_path):
         manifest = write_campaign(small_campaign(n_vv=1), tmp_path / "campaign")
         with pytest.raises(DegenerateFitError):
-            run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "out"))
+            run_pipeline(manifest, tmp_path / "out")
 
 
 def encoder_layout(text: str) -> str:
@@ -340,7 +341,7 @@ class TestReportJsonLayout:
         layout = factory_campaign_layout() if factory else None
         rendered = render_campaign(SynthesisParams(), None if factory else 200, seed, tmp_path / "c", layout=layout)
         manifest = rendered.manifest_path
-        run_pipeline(RunConfig(manifest_path=manifest, out_dir=tmp_path / "report"))
+        run_pipeline(manifest, tmp_path / "report")
         text = (tmp_path / "report" / "report.json").read_text(encoding="utf-8")
         assert len(json.loads(text)["inputs_sha256"]) > 1
         assert text == encoder_layout(text)
@@ -354,7 +355,7 @@ class TestReportJsonLayout:
             location["sweeps"] = name
         odd = manifest.parent / 'm\u00e9"\\.json'
         odd.write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
-        run_pipeline(RunConfig(manifest_path=odd, out_dir=tmp_path / "report"))
+        run_pipeline(odd, tmp_path / "report")
         text = (tmp_path / "report" / "report.json").read_text(encoding="utf-8")
         report = json.loads(text)
         assert sorted(report["inputs_sha256"]) == sorted([*names, odd.name])

@@ -103,8 +103,8 @@ def test_against_base_names_a_changed_error_message(tmp_path, capsys, edited):
     if edited:
         xpd = base / "src" / "subthz_chan" / "xpd.py"
         text = xpd.read_text(encoding="utf-8")
-        assert text.count("pair was measured at") == 1
-        xpd.write_text(text.replace("pair was measured at", "pair measured at"), encoding="utf-8")
+        assert text.count("was measured at") == 1
+        xpd.write_text(text.replace("was measured at", "measured at"), encoding="utf-8")
     found = against_base.errors(base, tmp_path / "work")
     lines = capsys.readouterr().out.splitlines()
     # a line per case, and for the edited one a diff of its stderr: two file lines, a hunk, one line out, one in
@@ -113,7 +113,7 @@ def test_against_base_names_a_changed_error_message(tmp_path, capsys, edited):
     moved = [line for line in lines if line.startswith("VH position moved (xpd report): ")]
     if edited:
         assert moved == ["VH position moved (xpd report): stderr differs"]
-        assert "-error: tx_pos_m: polarization pair measured at different positions" in lines
+        assert "-error: rx_pos_m: TX0001-RX0001 measured at different positions in VV and VH" in lines
     else:
-        assert moved[0].endswith(": identical, exit 2: error: tx_pos_m: polarization pair was measured at different positions")
+        assert moved[0].endswith(": identical, exit 2: error: rx_pos_m: TX0001-RX0001 was measured at different positions in VV and VH")
         assert all(": identical, exit 2: error: " in line for line in lines)

@@ -59,6 +59,8 @@ class TestLawValidation:
     def test_rmsds_law(self):
         with pytest.raises(ValidationError):
             RmsdsLaw(log_mean=0.0, log_std=-0.1)
+        with pytest.raises(ValidationError, match="^log_mean: must be finite$"):
+            RmsdsLaw(log_mean=math.inf, log_std=0.4)
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
@@ -67,6 +69,8 @@ class TestLawValidation:
             SynthesisParams(distance_range_m=(0.5, 40.0))
         with pytest.raises(ValidationError):
             SynthesisParams(ple=0.0)
+        with pytest.raises(ValidationError, match="^shadow_sigma_db: must be >= 0$"):
+            SynthesisParams(shadow_sigma_db=-1.0)
         with pytest.raises(ValidationError):
             # 24 bins at 15 deg can host at most 8 non-adjacent lobes
             SynthesisParams(az_step_deg=15.0, lobe_count_law=LobeCountLaw(5.0, 1, 9))
@@ -94,6 +98,7 @@ class TestParamsJson:
     @pytest.mark.parametrize(
         "doc, field",
         [
+            ([], "params"),
             ({"ple": "x"}, "ple"),
             ({"ple": None}, "ple"),
             ({"ple": True}, "ple"),
@@ -175,6 +180,14 @@ class TestSampleDrop:
         assert drop.boresight.tolist() == [True]
         assert drop.center_deg[0] == 0.0
         assert drop.power_mw.sum() == pytest.approx(10.0 ** (-drop.pl_db[0] / 10.0), rel=1e-12)
+
+    def test_a_spread_that_underflows_to_zero_draws_one_tap_lobes(self):
+        # exp(-1000) is 0.0, so every lobe's drawn RMS delay spread is 0
+        params = SynthesisParams(rmsds_law=RmsdsLaw(-1000.0, 0.0))
+        drop = draw_one(params, 20.0, 7, los=False)
+        assert len(drop.center_deg) > 1
+        assert np.diff(drop.tap_bounds).tolist() == [1] * len(drop.center_deg)
+        assert drop.power_mw.sum() == pytest.approx(10.0 ** (-drop.pl_db[0] / 10.0), rel=1e-9)
 
     def test_total_power_matches_loss_exactly(self):
         params = SynthesisParams()

@@ -1,6 +1,7 @@
 """Direction-resolved cross-polar discrimination."""
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -14,6 +15,7 @@ from subthz_chan import (
     Polarization,
     TapTable,
     ValidationError,
+    XpdClassSummary,
     XpdColumns,
     xpd_columns,
 )
@@ -142,7 +144,7 @@ class TestDirectionalXpd:
             (pair("RX2", pols=(Polarization.VH, Polarization.VH)), "polarization: a VV table holds TX1-RX2 (VH)"),
             (pair("RX2", pols=(Polarization.VV, Polarization.VV)), "polarization: a VH table holds TX1-RX2 (VV)"),
             (pair("RX1"), "rx_id: a VV table holds TX1-RX1 (VV) at rows 0 and 1"),
-            (pair("RX2", distance=12.0), "tx_pos_m: polarization pair was measured at different positions"),
+            (pair("RX2", distance=12.0), "tx_pos_m: TX1-RX2 was measured at different positions in VV and VH"),
             # a pair failing several checks reports the first of them: the V-V table's, then the V-H table's
             (pair("RX2", distance=12.0, pols=(Polarization.VH, Polarization.VV)), "polarization: a VV table holds TX1-RX2 (VH)"),
             (pair("RX2", distance=12.0, pols=(Polarization.VV, Polarization.VV)), "polarization: a VH table holds TX1-RX2 (VV)"),
@@ -152,6 +154,27 @@ class TestDirectionalXpd:
                 collect_xpds([pair("RX1"), bad, pair("RX4", "RX5"), pair("RX6")])
             assert str(err.value) == message
         assert len(collect_xpds([pair("RX1"), pair("RX2")])) == 2
+
+    @pytest.mark.parametrize(
+        "moved, message",
+        [
+            # the V-H table holds TX1-RX3 before TX1-RX2, but V-V order decides
+            ({"RX3": (12.0, None), "RX2": (10.0, (0.5, 0.0, 1.5))}, "rx_pos_m: TX1-RX2 was measured at different positions in VV and VH"),
+            ({"RX3": (12.0, None)}, "tx_pos_m: TX1-RX3 was measured at different positions in VV and VH"),
+            # of a pair whose TX and RX both moved, the TX is named
+            ({"RX2": (12.0, (0.5, 0.0, 1.5))}, "tx_pos_m: TX1-RX2 was measured at different positions in VV and VH"),
+        ],
+    )
+    def test_names_the_first_moved_placement_and_the_field_that_moved(self, moved, message):
+        vv = [make_location(sweep_set({(180.0, 0.0): -60.0}), rx_id=rx_id) for rx_id in ("RX1", "RX2", "RX3")]
+        vh = []
+        for rx_id in ("RX3", "RX2", "RX1"):
+            distance, rx_pos_m = moved.get(rx_id, (10.0, None))
+            location = make_location(sweep_set({(180.0, 0.0): -85.0}), pol=Polarization.VH, rx_id=rx_id, distance=distance)
+            vh.append(location if rx_pos_m is None else replace(location, rx_pos_m=rx_pos_m))
+        with pytest.raises(ValidationError) as err:
+            xpd_columns(table_of(*vv), table_of(*vh))
+        assert str(err.value) == message
 
 
 KEYS = st.tuples(st.sampled_from(["TX1", "TX2", "TX10"]), st.sampled_from(["RX1", "RX2", "RX10"]), st.sampled_from(Polarization))
@@ -295,6 +318,15 @@ class TestXpdSummary:
 
     def test_empty_input_gives_empty_dict(self):
         assert xpd_summary([]) == {}
+
+    @pytest.mark.parametrize(
+        "n, cdf, message",
+        [(0, (), "n: summary needs at least one sample"), (2, ((26.0, 1.0),), "cdf: one CDF point per sample expected")],
+    )
+    def test_rejects_a_count_its_cdf_does_not_hold(self, n, cdf, message):
+        with pytest.raises(ValidationError) as err:
+            XpdClassSummary(mean_db=26.0, std_db=0.0, n=n, cdf=cdf)
+        assert str(err.value) == message
 
     @given(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=40))
     def test_cdf_well_formed(self, values):
