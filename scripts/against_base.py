@@ -6,10 +6,11 @@
 Runs the base tree's ``src/`` (and its ``scripts/closed_loop_experiment.py``)
 and this checkout's on the same inputs, one section per check:
 
-- reports of seeds 1-3 at ``--n=200`` and on the factory layout, and of seed
-  1 at ``--n=2000``, rendered by the base; this change reports each cold, warm
-  and over the base's ingest-cache file, and each bundle is compared with the
-  base's by ``compare_reports.bundle_differences`` and byte for byte;
+- reports of seeds 1-3 at ``--n=200`` and on the factory layout, of seed 1 at
+  ``--n=2000``, and of seed 1 at ``--n=200`` with its manifest naming every
+  sweep file by absolute path, rendered by the base; this change reports each
+  cold, warm and over the base's ingest-cache file, and each bundle is compared
+  with the base's by ``compare_reports.bundle_differences`` and byte for byte;
 - 11 queries on the six smaller renders and on seed 1's with its manifest
   entries shuffled, the ingest-cache file removed before each run;
 - the six smaller renders' trees and ``--truth-out`` files;
@@ -147,9 +148,14 @@ def synth(side: Path, out: Path, seed: str, *options: str) -> Path:
 
 def reports(base: Path, work: Path) -> int:
     differing = 0
-    for seed, layout in [*RENDERS, ("1", "--n=2000")]:
+    for seed, layout in [*RENDERS, ("1", "--n=2000"), ("absolute", "--n=200")]:
         label, root = f"seed {seed} {layout}", work / f"{seed}{layout}"
-        manifest = synth(base, root / "campaign", seed, layout)
+        manifest = synth(base, root / "campaign", seed.replace("absolute", "1"), layout)
+        if seed == "absolute":  # every sweep file named by its absolute path
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
+            for entry in doc["locations"]:
+                entry["sweeps"] = str(manifest.parent.resolve() / entry["sweeps"])
+            manifest.write_text(json.dumps(doc, indent=2), encoding="utf-8")
         cache = manifest.with_name(CACHE)
         # the change reports cold (the cache file removed), warm, then over the cache file the base wrote
         for name, side in (("base", base), ("change", CHANGE), ("change-warm", CHANGE),

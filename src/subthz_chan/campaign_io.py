@@ -35,6 +35,7 @@ import operator
 import os
 import re
 from array import array
+from contextlib import contextmanager
 from dataclasses import fields
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -325,16 +326,16 @@ def _read_text(path: Path, digests: dict[str, str], key: str) -> str:
     return _decode(path, data)
 
 
-def _read_file(file, first: int | None = _FIRST_READ) -> bytes:
-    """The bytes of ``file``, read with ``os.open`` and ``os.read``: a first read of ``first`` bytes (of the size
-    ``fstat`` gives when None), then reads up to one that sees end of file; two in all when the first holds it.
+def _read_file(file, first: int | None = _FIRST_READ, dir_fd: int | None = None) -> bytes:
+    """The bytes of ``file`` (relative to the directory ``dir_fd``), read with ``os.open`` and ``os.read``: a first
+    read of ``first`` bytes (``fstat``'s size when None), then reads until one sees end of file: two if the first holds all.
 
     Raises OSError naming ``file`` when it cannot be read, IsADirectoryError when it names no file:
     a directory, or a path holding a NUL, which no file name holds.
     """
     file = os.fspath(file)
     try:
-        fd = os.open(file, _READ_FLAGS)
+        fd = os.open(file, _READ_FLAGS, dir_fd=dir_fd)
     except ValueError:  # the NUL
         raise IsADirectoryError(errno.EISDIR, "path holds a NUL byte", file) from None
     try:
@@ -628,17 +629,23 @@ def _read_location(entry, index: int, path: Path, rows: _SweepRows, inputs: _Inp
     _require(entry, "los", bool, path, ctx)
 
 
-def _sweep_paths(manifest: Path, rels: list[str]) -> list[str]:
-    """The path of each sweep file named ``rels[i]`` by ``manifest``, as ``os.path.join`` joins it to the
-    manifest's directory: in one pass over the NUL-joined names when none is rooted (which the join does
-    not append) and none holds a NUL, else name by name."""
-    base = os.fspath(manifest.parent)
-    joined = "\0" + "\0".join(rels)
-    if not any("\0" + sep in joined for sep in _PATH_SEPARATORS):
-        files = joined.replace("\0", "\0" + os.path.join(base, "")).split("\0")[1:]
-        if len(files) == len(rels):
-            return files
-    return [os.path.join(base, rel) for rel in rels]
+@contextmanager
+def _sweep_names(manifest: Path, rels: list[str]) -> Iterator[tuple[list[str], int | None]]:
+    """The names to open the sweep files ``rels`` of ``manifest`` by, and the ``dir_fd`` they are relative to:
+    ``rels`` and a descriptor of the manifest's directory, closed on exit; or, where that directory cannot be
+    opened (searchable but not readable, say) or ``os.open`` takes no ``dir_fd`` (Windows), the joined paths."""
+    if os.open in os.supports_dir_fd:
+        try:
+            dir_fd = os.open(manifest.parent, os.O_RDONLY | os.O_DIRECTORY)
+        except OSError:
+            pass
+        else:
+            try:
+                yield rels, dir_fd
+            finally:
+                os.close(dir_fd)
+            return
+    yield [os.path.join(manifest.parent, rel) for rel in rels], None
 
 
 def _read_entries(
@@ -653,44 +660,45 @@ def _read_entries(
     """
     lean = _lean_rows(entries).tolist()
     rels = list(compress(entries["sweeps"], lean))
-    lean_files = zip(rels, _sweep_paths(path, rels))
     values, add_floor, add_end = rows.values, rows.floors.append, rows.ends.append
-    for index, take in enumerate(lean):
-        data = None
-        if take:
-            rel, file = next(lean_files)
-            try:
-                data = _read_file(file)
-            except OSError:  # no such file, not a file
-                pass
-        if data is not None:
-            inputs.record(rel, data)
-            # the written layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite ``v``,
-            # the header, then LF-terminated rows of four numbers, none blank.  It holds no
-            # other ``#`` and no line break but LF, so ``read`` would see the same floor and
-            # the same values, row ``i`` on line ``3 + i``.  (The final LF is checked apart:
-            # the marks do not show a last line cut short before its first comma.)
-            marks = data.translate(None, _UNMARKED)
-            n_lines = (len(marks) - 2) // 4  # the header's and the rows'
-            body = data.find(b"\n") + 1
-            if (
-                n_lines >= 2 and marks == b"#\n" + b",,,\n" * n_lines and data.endswith(b"\n")
-                and data.startswith(_FLOOR_PREFIX) and data.startswith(_HEADER_LINE, body)
-            ):
+    with _sweep_names(path, rels) as (names, dir_fd):
+        lean_files = zip(rels, names)
+        for index, take in enumerate(lean):
+            data = None
+            if take:
+                rel, file = next(lean_files)
                 try:
-                    floor = float(data[len(_FLOOR_PREFIX) : body - 1])
-                    parsed = list(map(float, data[body + len(_HEADER_LINE) : -1].replace(b"\n", b",").split(b",")))
-                except ValueError:
-                    floor = math.nan
-                if math.isfinite(floor):
-                    values.fromlist(parsed)  # faster than extending by the map itself
-                    add_floor(floor)
-                    add_end(len(values) // _N_COLUMNS)
-                    continue
-        try:
-            _read_location(raw_locations[index], index, path, rows, inputs, data)
-        except (ValueError, OSError) as err:
-            return index, err
+                    data = _read_file(file, dir_fd=dir_fd)
+                except OSError:  # no such file, not a file
+                    pass
+            if data is not None:
+                inputs.record(rel, data)
+                # the written layout is ASCII: a ``# noise_floor_db=<v>`` line with a finite ``v``,
+                # the header, then LF-terminated rows of four numbers, none blank.  It holds no
+                # other ``#`` and no line break but LF, so ``read`` would see the same floor and
+                # the same values, row ``i`` on line ``3 + i``.  (The final LF is checked apart:
+                # the marks do not show a last line cut short before its first comma.)
+                marks = data.translate(None, _UNMARKED)
+                n_lines = (len(marks) - 2) // 4  # the header's and the rows'
+                body = data.find(b"\n") + 1
+                if (
+                    n_lines >= 2 and marks == b"#\n" + b",,,\n" * n_lines and data.endswith(b"\n")
+                    and data.startswith(_FLOOR_PREFIX) and data.startswith(_HEADER_LINE, body)
+                ):
+                    try:
+                        floor = float(data[len(_FLOOR_PREFIX) : body - 1])
+                        parsed = list(map(float, data[body + len(_HEADER_LINE) : -1].replace(b"\n", b",").split(b",")))
+                    except ValueError:
+                        floor = math.nan
+                    if math.isfinite(floor):
+                        values.fromlist(parsed)  # faster than extending by the map itself
+                        add_floor(floor)
+                        add_end(len(values) // _N_COLUMNS)
+                        continue
+            try:
+                _read_location(raw_locations[index], index, path, rows, inputs, data)
+            except (ValueError, OSError) as err:
+                return index, err
     return len(lean), None
 
 
@@ -846,11 +854,12 @@ def _cached(path: Path, cache: Path) -> tuple[Campaign, int]:
     if names[0] != path.name or digests[0].tobytes().hex() != key:
         raise _Miss("key mismatch")
     rels, lengths = names[1:], meta["sweep_lengths"]
-    if _sweeps_digest(_sweep_paths(path, rels), lengths) != meta["sweeps_sha256"]:
-        # the first file that changed, at its pathlib path, which also opens a name only the line reader opens
-        for rel, n, digest in zip(rels, lengths, _hex_rows(digests[1:])):
-            if _sweeps_digest([path.parent / rel], [n]) != digest:
-                raise _Miss(f"digest mismatch on {rel}")
+    with _sweep_names(path, rels) as (files, dir_fd):
+        if _sweeps_digest(files, lengths, dir_fd) != meta["sweeps_sha256"]:
+            # the first file that changed, at its pathlib path, which also opens a name only the line reader opens
+            for rel, n, digest in zip(rels, lengths, _hex_rows(digests[1:])):
+                if _sweeps_digest([path.parent / rel], [n]) != digest:
+                    raise _Miss(f"digest mismatch on {rel}")
     keys = tuple(zip(meta["tx_id"], meta["rx_id"], map(_POLARIZATIONS.__getitem__, meta["polarization"]), strict=True))
     mapped = LocationColumns(keys, *columns[: len(_CACHED_COLUMNS)])
     # as cached_property keeps them
@@ -862,12 +871,13 @@ def _cached(path: Path, cache: Path) -> tuple[Campaign, int]:
     return campaign, len(names)
 
 
-def _sweeps_digest(files: list, lengths: list[int]) -> str | None:
-    """The SHA-256 over the bytes of ``files``, in order; None when one cannot be read or is not ``lengths[i]`` long."""
+def _sweeps_digest(files: list, lengths: list[int], dir_fd: int | None = None) -> str | None:
+    """The SHA-256 over the bytes of ``files`` (relative to ``dir_fd``), in order; None when one cannot be read or
+    is not ``lengths[i]`` long."""
     stream = hashlib.sha256()
     for file, n in zip(files, lengths, strict=True):
         try:
-            data = _read_file(file, n + 1)  # a byte past n shows a longer file
+            data = _read_file(file, n + 1, dir_fd)  # a byte past n shows a longer file
         except OSError:  # no such file, not a file
             return None
         if len(data) != n:

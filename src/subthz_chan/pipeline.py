@@ -297,7 +297,7 @@ def _report(manifest_name: str, formats: Sequence[str], analysis: Analysis) -> d
             "max_measurable_pl_db": analysis.max_measurable_pl_db,
             "delay_resolution_ns": campaign.delay_resolution_ns,
             "seed": 0,  # nothing is drawn at random; kept for the benchmark's stored reports (perfbench/reference)
-            "formats": sorted(formats),
+            "formats": sorted(set(formats)),
         },
         "inputs_sha256": campaign.input_sha256,
         "excluded_locations": analysis.excluded,

@@ -6,6 +6,7 @@ a damaged or unwritable cache must be a silent miss.
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import logging
@@ -542,17 +543,18 @@ def test_a_sweep_file_rewritten_before_the_cache_write_misses(manifest, caplog, 
     assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {rel}"
 
 
-def test_a_hit_opens_each_file_once(manifest, monkeypatch):
-    # the cache, the manifest, then each sweep file at its joined path: no file reaches the pathlib fallback;
-    # each file, shorter than the first read, takes two reads, the second seeing end of file
+def test_a_hit_opens_each_file_once(manifest, monkeypatch, caplog):
+    # the cache, the manifest, the manifest's directory, then each sweep file by its name relative to that
+    # directory: no file reaches the pathlib fallback; each file, shorter than the first read, takes two reads,
+    # the second seeing end of file, and the directory none
     load_campaign(manifest)
     opened, reads = [], []
     os_open, os_read = os.open, os.read
 
-    def counting_open(file, *args):
+    def counting_open(file, *args, **kwargs):
         if sys._getframe(1).f_globals["__name__"] == campaign_io.__name__:
-            opened.append(file)
-        return os_open(file, *args)
+            opened.append((os.fspath(file), kwargs.get("dir_fd") is not None))
+        return os_open(file, *args, **kwargs)
 
     def counting_read(fd, n):
         if sys._getframe(1).f_globals["__name__"] == campaign_io.__name__:
@@ -560,12 +562,150 @@ def test_a_hit_opens_each_file_once(manifest, monkeypatch):
         return os_read(fd, n)
 
     monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(os, "supports_dir_fd", os.supports_dir_fd | {counting_open})
     monkeypatch.setattr(os, "read", counting_read)
-    campaign = load_campaign(manifest)
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        campaign = load_campaign(manifest)
+    # a wrapper that refused ``dir_fd`` would make the pass raise, which is a silent ``cache rejected`` miss
+    assert _messages(caplog)[0].startswith(f"ingest cache hit for {manifest}: ")
     rels = list(campaign.input_sha256)[1:]
-    assert len(opened) == len(rels) + 2
-    assert opened == [str(cache_path(manifest)), str(manifest), *(str(manifest.parent / rel) for rel in rels)]
-    assert len(reads) == 2 * len(opened)
+    assert opened == [
+        (str(cache_path(manifest)), False), (str(manifest), False), (str(manifest.parent), False),
+        *((rel, True) for rel in rels),
+    ]
+    assert len(reads) == 2 * (len(opened) - 1)
+
+
+#: how a hit and ingest's lean lane open the sweep files: relative to one descriptor of the manifest's directory,
+#: or by joined path when that directory cannot be opened or ``os.open`` takes no ``dir_fd``
+OPENINGS = ["relative", "directory not opened", "no dir_fd"]
+
+
+@pytest.fixture(params=OPENINGS)
+def opening(request, monkeypatch) -> list[bool]:
+    """Open the sweep files the way the parameter names; the list of whether each ``os.open`` got a ``dir_fd``."""
+    if request.param != "no dir_fd" and os.open not in os.supports_dir_fd:
+        pytest.skip("os.open takes no dir_fd here")
+    relative, os_open = [], os.open
+
+    def recording_open(file, flags, *args, **kwargs):
+        relative.append(kwargs.get("dir_fd") is not None)
+        if request.param == "directory not opened" and flags & os.O_DIRECTORY:  # searchable, not readable, say
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return os_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    supported = os.supports_dir_fd - {os_open}
+    monkeypatch.setattr(os, "supports_dir_fd", supported if request.param == "no dir_fd" else supported | {recording_open})
+    yield relative
+    assert any(relative) == (request.param == "relative")
+
+
+def _relocated(manifest: Path, how: str) -> Path:
+    """The manifest of ``manifest``'s campaign once its sweep files are named, or it is reached, as ``how`` says."""
+    doc = json.loads(manifest.read_text())
+    root = manifest.parent
+    if how == "absolute names":
+        for entry in doc["locations"]:
+            entry["sweeps"] = str((root / entry["sweeps"]).resolve())
+    elif how == "../ names":
+        (root / "up").mkdir()
+        for entry in doc["locations"]:
+            entry["sweeps"] = f"../{entry['sweeps']}"
+        manifest.unlink()
+        manifest = root / "up" / manifest.name
+    elif how == "a symlinked sweep file":
+        file = root / doc["locations"][1]["sweeps"]
+        target = root.parent / "elsewhere.csv"
+        file.replace(target)
+        _symlink(file, target)
+    else:  # a symlinked directory
+        _symlink(root.parent / "link", root)
+        return root.parent / "link" / manifest.name
+    manifest.write_text(json.dumps(doc, indent=2))
+    return manifest
+
+
+def _symlink(link: Path, target: Path) -> None:
+    try:
+        link.symlink_to(target)
+    except (OSError, NotImplementedError):
+        pytest.skip("no symbolic links here")
+
+
+@pytest.mark.parametrize("how", ["absolute names", "../ names", "a symlinked sweep file", "a symlinked directory"])
+def test_sweep_files_named_or_reached_another_way_hit_and_give_the_cold_report(
+    manifest, tmp_path, capsys, caplog, opening, how
+):
+    manifest = _relocated(manifest, how)
+    bundles, loads = [], []
+    for run in ("cold", "warm"):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=LOGGER):
+            assert _run(["report", "--manifest", str(manifest), "--out", str(tmp_path / run)], capsys)[0] == EXIT_OK
+        loads.append(_messages(caplog)[0])
+        bundles.append(_bundle(tmp_path / run))
+    assert loads[0] == f"ingest cache miss for {manifest}: no cache"
+    assert loads[1].startswith(f"ingest cache hit for {manifest}: ")
+    assert bundles[0] == bundles[1]
+    expected = ingest_campaign(manifest)
+    warm = load_campaign(manifest)
+    assert warm == expected and list(warm.input_sha256.items()) == list(expected.input_sha256.items())
+
+
+def _replace_by_a_directory(file: Path) -> None:
+    file.unlink()
+    file.mkdir()
+
+
+def _edited(edit):
+    return lambda file: file.write_bytes(edit(file.read_bytes()))
+
+
+#: changes to a sweep file, each a miss naming it, then what ingest gives
+SWEEP_CHANGES = {
+    **{name: _edited(edit) for name, edit in SWEEP_EDITS.items()},
+    "removed": Path.unlink,
+    "replaced by a directory": _replace_by_a_directory,
+}
+
+
+@pytest.mark.parametrize("change", list(SWEEP_CHANGES))
+def test_a_changed_sweep_file_misses_naming_it(manifest, caplog, opening, change):
+    rel = json.loads(manifest.read_text())["locations"][2]["sweeps"]
+    load_campaign(manifest)
+    SWEEP_CHANGES[change](manifest.parent / rel)
+    with caplog.at_level(logging.INFO, logger=LOGGER):
+        loaded, loaded_err = _outcome(load_campaign, manifest)
+    assert _messages(caplog)[0] == f"ingest cache miss for {manifest}: digest mismatch on {rel}"
+    ingested, ingested_err = _outcome(ingest_campaign, manifest)
+    assert (type(loaded_err), str(loaded_err)) == (type(ingested_err), str(ingested_err))
+    assert loaded == ingested and (loaded_err is None) == (change not in ("removed", "replaced by a directory"))
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors in")
+@pytest.mark.parametrize("change", ["none", *SWEEP_CHANGES, "bad value", "missing key"])
+def test_no_descriptor_is_left_open(manifest, opening, change):
+    # a hit, each kind of miss, and an ingest that raises after the lean lane opened the directory
+    doc = json.loads(manifest.read_text())
+    file = manifest.parent / doc["locations"][2]["sweeps"]
+    load_campaign(manifest)
+    before = _open_fds()
+    if change == "bad value":
+        file.write_bytes(file.read_bytes() + b"400.0,0.0,40.0,-90.0\n")
+    elif change == "missing key":
+        del doc["locations"][3]["los"]
+        manifest.write_text(json.dumps(doc))
+    elif change != "none":
+        SWEEP_CHANGES[change](file)
+    raised = _outcome(load_campaign, manifest)[1]
+    assert (raised is None) == (change not in ("removed", "replaced by a directory", "bad value", "missing key"))
+    assert type(_outcome(ingest_campaign, manifest)[1]) is type(raised)
+    assert _open_fds() == before
 
 
 def test_after_a_hit_only_report_decodes_the_digests(manifest, tmp_path, capsys, caplog, monkeypatch):

@@ -13,7 +13,8 @@ from subthz_chan import CampaignFormatError, SynthesisParams, ingest_campaign, r
 
 @pytest.fixture
 def opened(monkeypatch):
-    """Counter of the sweep files opened, by name, by ``os.open`` or ``io.open``, and the fds still open."""
+    """Counter of the sweep files opened, by name, by ``os.open`` or ``io.open``, and the fds still open (the
+    manifest's directory's among them)."""
     names: Counter = Counter()
     live: set[int] = set()
     real_os_open, real_os_close, real_io_open = os.open, os.close, io.open
@@ -36,6 +37,8 @@ def opened(monkeypatch):
         return f
 
     monkeypatch.setattr(os, "open", os_open)
+    if real_os_open in os.supports_dir_fd:  # the lean lane opens each file relative to the manifest's directory
+        monkeypatch.setattr(os, "supports_dir_fd", os.supports_dir_fd | {os_open})
     monkeypatch.setattr(os, "close", os_close)
     monkeypatch.setattr(io, "open", io_open)
     return names, live

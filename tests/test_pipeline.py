@@ -23,6 +23,7 @@ from subthz_chan import (
     run_pipeline,
     write_campaign,
 )
+from subthz_chan.cli import EXIT_OK, main
 
 CSV_NUMBER = re.compile(r"^-?\d+\.\d{4}$")
 
@@ -251,6 +252,18 @@ class TestFormatsAndThresholds:
             "pathloss_scatter.csv",
             "xpd_cdf.csv",
         ]
+
+    @pytest.mark.parametrize("formats", [("json", "json"), ("json", "csv", "json", "csv")])
+    def test_a_repeated_format_is_recorded_once(self, rendered_manifest, tmp_path, formats):
+        once = tuple(dict.fromkeys(formats))
+        run_pipeline(rendered_manifest, tmp_path / "once", formats=once)
+        run_pipeline(rendered_manifest, tmp_path / "repeated", formats=formats)
+        flags = [word for name in formats for word in ("--format", name)]
+        assert main(["report", "--manifest", str(rendered_manifest), "--out", str(tmp_path / "cli"), *flags]) == EXIT_OK
+        expected = (tmp_path / "once" / "report.json").read_bytes()
+        assert json.loads(expected)["config"]["formats"] == sorted(once)
+        for run in ("repeated", "cli"):
+            assert (tmp_path / run / "report.json").read_bytes() == expected
 
     def test_single_threshold_filters_everything(self, rendered_manifest, tmp_path):
         run_pipeline(rendered_manifest, tmp_path, thresholds_db=(30.0,))
